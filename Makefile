@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race loss-smoke bench-gate bench bench-delivery bench-replay fuzz-smoke obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke bench-serve profile check
+.PHONY: build test vet fmt race determinism loss-smoke bench-gate bench bench-delivery bench-replay fuzz-smoke obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke bench-serve profile check
 
 build:
 	$(GO) build ./...
@@ -20,17 +20,24 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The packages that run scheme code and matrix replays concurrently, plus
-# the signature-index equivalence property (bit-sliced scan ≡ scalar linear
-# scan under churn × loss × eviction), which shares frozen slot matrices
-# across concurrent searches and so must hold under the detector.
+# The packages that run scheme code concurrently (sharded replay lanes,
+# parallel matrix cells), plus the signature-index equivalence property
+# (bit-sliced scan ≡ scalar linear scan under churn × loss × eviction) and
+# the many-lane ASAP replay, which share frozen slot matrices and per-node
+# caches across concurrent searches and so must hold under the detector.
 race:
 	$(GO) test -race ./internal/sim ./internal/experiments
-	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss' ./internal/core
+	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestParallelSearchSafety' ./internal/core
+
+# Determinism gate: outputs are a pure function of (preset, seed, scenario)
+# at every core count, so the sim / matrix / scenario / cluster equivalence
+# suites must pass at each GOMAXPROCS, not only at the host's (≈ 2 min).
+determinism:
+	$(GO) test -count=1 -cpu 1,2,3,4,8 ./internal/sim ./internal/experiments ./internal/scenario ./internal/cluster
 
 # The fault-plane property suite under the race detector: a tiny matrix at
-# 2% message loss must be identical for 1 and N workers, and a zero-loss
-# plane must be byte-identical to no plane at all.
+# 2% message loss must be identical for 1 and N matrix workers, and a
+# zero-loss plane must be byte-identical to no plane at all.
 loss-smoke:
 	$(GO) test -race -run 'TestLoss' ./internal/experiments
 
@@ -55,8 +62,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSlicedGeometry$$' -fuzztime $(FUZZTIME) ./internal/bloom
 
 # Observability-plane determinism under the race detector: per-second
-# series byte-identical across worker counts, and summaries unchanged by
-# attaching a recorder.
+# series byte-identical across matrix worker counts, and summaries
+# unchanged by attaching a recorder.
 obs-smoke:
 	$(GO) test -race -run 'TestObsSeries' ./internal/experiments
 
@@ -84,8 +91,8 @@ alloc-gate:
 	$(GO) test -run 'TestPatchWireSizeAllocs' -count=1 ./internal/bloom
 
 # Sharded-replay equivalence under the race detector: the tiny matrix under
-# churn × 2% loss must be byte-identical to the unsharded Workers=1 replay
-# at every shard count (1, 2, 4 and a non-dividing 7), and the synthetic
+# churn × 2% loss must be byte-identical to the sequential replay at every
+# shard count (1, 2, 4 and a non-dividing 7), and the synthetic
 # order-sensitive probe scheme must agree too. -race doubles as a soundness
 # proof of the conflict plan: an undeclared cross-lane overlap is a data race.
 shard-smoke:
@@ -140,4 +147,4 @@ profile:
 		-cpuprofile out/cpu.pb -memprofile out/mem.pb -mutexprofile out/mutex.pb
 	@echo "profiles written to out/{cpu,mem,mutex}.pb"
 
-check: vet fmt test race loss-smoke bench-gate bench-delivery bench-replay obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke fuzz-smoke
+check: vet fmt test race determinism loss-smoke bench-gate bench-delivery bench-replay obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke fuzz-smoke

@@ -1,6 +1,8 @@
 package asap
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -229,6 +231,41 @@ func TestClusterSuperPeerHierarchy(t *testing.T) {
 	sum := c.Stats()
 	if sum.Topology != "superpeer" {
 		t.Errorf("topology label %q", sum.Topology)
+	}
+}
+
+// TestSingleRunIndependentOfGOMAXPROCS: the public single-run API — a
+// Lab's Run and RunExperiment — is a pure function of (preset, seed): the
+// same summary at every core count, not only inside the matrix.
+func TestSingleRunIndependentOfGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tiny lab runs in -short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	lab, err := NewLab(ScaleTiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want Summary
+	for i, procs := range []int{1, 2, 3, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		viaLab, err := lab.Run("asap-rw", Crawled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaAPI, err := RunExperiment("tiny", "asap-rw", Crawled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = viaLab
+		}
+		if !reflect.DeepEqual(want, viaLab) {
+			t.Errorf("GOMAXPROCS=%d: Lab.Run diverges from GOMAXPROCS=1:\n%+v\n%+v", procs, want, viaLab)
+		}
+		if !reflect.DeepEqual(want, viaAPI) {
+			t.Errorf("GOMAXPROCS=%d: RunExperiment diverges from GOMAXPROCS=1:\n%+v\n%+v", procs, want, viaAPI)
+		}
 	}
 }
 

@@ -5,9 +5,13 @@
 // Usage:
 //
 //	asapsim [-scale full|small|tiny|mega] [-scheme name] [-topo name]
-//	        [-trace file] [-scenario name|file] [-workers n] [-shards n]
-//	        [-seed n] [-series] [-seriesdir dir] [-cpuprofile path]
+//	        [-trace file] [-scenario name|file] [-shards n] [-seed n]
+//	        [-series] [-seriesdir dir] [-cpuprofile path]
 //	        [-memprofile path] [-mutexprofile path] [-pprof addr]
+//
+// The replay is sequential and a pure function of (preset, seed, trace);
+// -shards n is the one way to use more than one core inside a run, and
+// its outputs are byte-identical to the sequential replay at every n.
 //
 // With -trace, the query/churn trace is loaded from a file produced by
 // tracegen instead of being regenerated (the content universe is still
@@ -17,8 +21,7 @@
 // With -scenario, a registered adversarial scenario (or a scenario JSON
 // file) is staged and replayed instead: the scenario carries its own
 // scale, scheme, topology, seed and loss, so those flags are ignored;
-// -shards still selects the parallel sharded replay (outputs are
-// byte-identical at every shard count).
+// -shards still applies.
 package main
 
 import (
@@ -34,7 +37,6 @@ import (
 	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/scenario"
-	"asap/internal/sim"
 	"asap/internal/trace"
 )
 
@@ -45,8 +47,7 @@ func main() {
 		topo      = flag.String("topo", "crawled", "overlay topology (random, powerlaw, crawled)")
 		traceFile = flag.String("trace", "", "replay a trace file from tracegen instead of regenerating")
 		scenArg   = flag.String("scenario", "", "replay an adversarial scenario by registry name or JSON file (overrides -scale/-scheme/-topo/-seed); names: "+strings.Join(scenario.Names(), ", "))
-		workers   = flag.Int("workers", 0, "query replay workers (0 = GOMAXPROCS); sharded replay ignores this")
-		shards    = flag.Int("shards", 0, "replay shards: 0 = unsharded, <0 = auto (GOMAXPROCS); outputs are byte-identical at every count (unset: the preset's own default)")
+		shards    = flag.Int("shards", 0, "replay shards: 0 = sequential, <0 = auto (GOMAXPROCS); outputs are byte-identical at every count (unset: the preset's own default)")
 		seed      = flag.Uint64("seed", 1, "master seed")
 		series    = flag.Bool("series", false, "also print the per-second load series")
 		seriesDir = flag.String("seriesdir", "", "write the run's per-second observability series (CSV+JSON) into this directory")
@@ -65,9 +66,9 @@ func main() {
 		os.Exit(1)
 	}
 	if *scenArg != "" {
-		err = runScenario(*scenArg, *workers, shardsOverride, *series, *seriesDir)
+		err = runScenario(*scenArg, shardsOverride, *series, *seriesDir)
 	} else {
-		err = run(*scaleName, *scheme, *topo, *traceFile, *workers, shardsOverride, *seed, *series, *seriesDir)
+		err = run(*scaleName, *scheme, *topo, *traceFile, shardsOverride, *seed, *series, *seriesDir)
 	}
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -78,12 +79,11 @@ func main() {
 	}
 }
 
-func run(scaleName, scheme, topoName, traceFile string, workers, shardsOverride int, seed uint64, series bool, seriesDir string) error {
+func run(scaleName, scheme, topoName, traceFile string, shardsOverride int, seed uint64, series bool, seriesDir string) error {
 	sc, err := experiments.ByName(scaleName)
 	if err != nil {
 		return err
 	}
-	sc.Workers = workers
 	cliutil.ApplyInt(shardsOverride, &sc.ShardCount)
 	sc.Seed = seed
 	kind := overlay.Kind(255)
@@ -115,20 +115,16 @@ func run(scaleName, scheme, topoName, traceFile string, workers, shardsOverride 
 	}
 	fmt.Fprintf(os.Stderr, "inputs ready in %v: %s\n", time.Since(start).Round(time.Millisecond), lab.Tr.Stats())
 
-	sch, err := lab.NewScheme(scheme)
+	var col *obs.Collector // nil: no recorder is attached
+	if seriesDir != "" {
+		col = obs.NewCollector()
+	}
+	sum, err := lab.RunObs(scheme, kind, col, nil)
 	if err != nil {
 		return err
 	}
-	sys := sim.NewSystem(lab.U, lab.Tr, kind, lab.Net, sc.Seed)
-	var rec *obs.Recorder
-	if seriesDir != "" {
-		rec = obs.NewRecorder(int(lab.Tr.Span()/1000) + 2)
-		sys.SetObs(rec)
-	}
-	sum := sim.Run(sys, sch, sim.RunOptions{Workers: sc.Workers, Shards: sc.ShardCount})
-	if rec != nil {
-		key := fmt.Sprintf("%s/%s", sum.Scheme, sum.Topology)
-		files, err := obs.WriteDir(seriesDir, []obs.RunSeries{rec.Series(key, sys.Load)})
+	if col != nil {
+		files, err := obs.WriteDir(seriesDir, col.Runs())
 		if err != nil {
 			return err
 		}
@@ -142,12 +138,12 @@ func run(scaleName, scheme, topoName, traceFile string, workers, shardsOverride 
 
 // runScenario stages and replays one adversarial scenario, printing the
 // standard summary block plus the scenario's act counters.
-func runScenario(arg string, workers, shardsOverride int, series bool, seriesDir string) error {
+func runScenario(arg string, shardsOverride int, series bool, seriesDir string) error {
 	sn, err := scenario.Resolve(arg)
 	if err != nil {
 		return err
 	}
-	opt := scenario.Options{Workers: workers}
+	var opt scenario.Options
 	cliutil.ApplyInt(shardsOverride, &opt.Shards)
 	start := time.Now()
 	res, err := scenario.Run(sn, opt)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,9 @@ import (
 	"asap/internal/cliutil"
 	"asap/internal/content"
 	"asap/internal/experiments"
+	"asap/internal/obs"
+	"asap/internal/overlay"
+	"asap/internal/sim"
 	"asap/internal/trace"
 )
 
@@ -30,16 +34,16 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run("bogus", "asap-rw", "crawled", "", 0, cliutil.NoOverride, 1, false, ""); err == nil {
+	if err := run("bogus", "asap-rw", "crawled", "", cliutil.NoOverride, 1, false, ""); err == nil {
 		t.Error("bad scale accepted")
 	}
-	if err := run("tiny", "bogus", "crawled", "", 0, cliutil.NoOverride, 1, false, ""); err == nil {
+	if err := run("tiny", "bogus", "crawled", "", cliutil.NoOverride, 1, false, ""); err == nil {
 		t.Error("bad scheme accepted")
 	}
-	if err := run("tiny", "asap-rw", "mesh", "", 0, cliutil.NoOverride, 1, false, ""); err == nil {
+	if err := run("tiny", "asap-rw", "mesh", "", cliutil.NoOverride, 1, false, ""); err == nil {
 		t.Error("bad topology accepted")
 	}
-	if err := run("tiny", "asap-rw", "crawled", "/nonexistent/trace.bin", 0, cliutil.NoOverride, 1, false, ""); err == nil {
+	if err := run("tiny", "asap-rw", "crawled", "/nonexistent/trace.bin", cliutil.NoOverride, 1, false, ""); err == nil {
 		t.Error("missing trace file accepted")
 	}
 }
@@ -49,7 +53,7 @@ func TestRunPrintsMetrics(t *testing.T) {
 		t.Skip("tiny run in -short mode")
 	}
 	out, err := captureStdout(t, func() error {
-		return run("tiny", "asap-rw", "crawled", "", 0, cliutil.NoOverride, 1, true, "")
+		return run("tiny", "asap-rw", "crawled", "", cliutil.NoOverride, 1, true, "")
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -57,6 +61,69 @@ func TestRunPrintsMetrics(t *testing.T) {
 	for _, want := range []string{"success rate", "mean response", "system load", "ad-refresh", "per-second load"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
+// TestRunMatchesDirectReplay: run delegates to Lab.RunObs (prototype-cloned
+// overlay, collector-owned series); its stdout and -seriesdir files must
+// be byte-for-byte those of a system, recorder and sim.Run built by hand.
+func TestRunMatchesDirectReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tiny run in -short mode")
+	}
+	gotDir := t.TempDir()
+	got, err := captureStdout(t, func() error {
+		return run("tiny", "asap-rw", "crawled", "", cliutil.NoOverride, 1, true, gotDir)
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+
+	sc, err := experiments.ByName("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := experiments.NewLab(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := lab.NewScheme("asap-rw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := sim.NewSystem(lab.U, lab.Tr, overlay.Crawled, lab.Net, sc.Seed)
+	rec := obs.NewRecorder(int(lab.Tr.Span()/1000) + 2)
+	sys.SetObs(rec)
+	sum := sim.Run(sys, sch, sim.RunOptions{})
+	wantDir := t.TempDir()
+	wantFiles, err := obs.WriteDir(wantDir, []obs.RunSeries{rec.Series(sum.Scheme+"/"+sum.Topology, sys.Load)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := captureStdout(t, func() error { printSummary(sum, true); return nil })
+
+	if got != want {
+		t.Errorf("stdout differs from the direct replay:\n%s\nwant:\n%s", got, want)
+	}
+	gotFiles, err := os.ReadDir(gotDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotFiles) != len(wantFiles) {
+		t.Fatalf("run wrote %d series files, want %d", len(gotFiles), len(wantFiles))
+	}
+	for _, path := range wantFiles {
+		wantBytes, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBytes, err := os.ReadFile(filepath.Join(gotDir, filepath.Base(path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Errorf("%s differs from the direct replay", filepath.Base(path))
 		}
 	}
 }
@@ -89,7 +156,7 @@ func TestRunWithExternalTrace(t *testing.T) {
 	f.Close()
 
 	out, err := captureStdout(t, func() error {
-		return run("tiny", "flooding", "random", path, 0, cliutil.NoOverride, 1, false, "")
+		return run("tiny", "flooding", "random", path, cliutil.NoOverride, 1, false, "")
 	})
 	if err != nil {
 		t.Fatalf("run with trace file: %v", err)

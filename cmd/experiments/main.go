@@ -4,11 +4,16 @@
 // Usage:
 //
 //	experiments [-scale full|small|tiny|mega] [-figure all|2|3|...|10|claims]
-//	            [-schemes csv] [-topos csv] [-workers n] [-matrixworkers n]
-//	            [-shards n] [-seed n] [-loss rate] [-quiet] [-benchjson path]
+//	            [-schemes csv] [-topos csv] [-matrixworkers n] [-shards n]
+//	            [-seed n] [-loss rate] [-quiet] [-benchjson path]
 //	            [-scalerun preset] [-scenario csv] [-series dir]
 //	            [-cpuprofile path] [-memprofile path] [-mutexprofile path]
 //	            [-pprof addr]
+//
+// Every run is a sequential replay, a pure function of (preset, seed).
+// More cores are used across matrix cells (-matrixworkers) and inside a
+// run by sharding it (-shards); both are byte-identical to the sequential
+// replay at every count.
 //
 // Examples:
 //
@@ -46,9 +51,8 @@ func main() {
 		figure    = flag.String("figure", "all", "figure to regenerate: all, 2-10, or claims")
 		schemes   = flag.String("schemes", "", "comma-separated scheme subset (default: all six)")
 		topos     = flag.String("topos", "", "comma-separated topology subset (default: all three)")
-		workers   = flag.Int("workers", 0, "query replay workers for single-run sweeps (0 = GOMAXPROCS); matrix cells replay single-threaded")
 		matrixW   = flag.Int("matrixworkers", 0, "scheme×topology matrix workers (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "replay shards per run: 0 = unsharded, <0 = auto (GOMAXPROCS); outputs are byte-identical at every count (unset: the preset's own default)")
+		shards    = flag.Int("shards", 0, "replay shards per run: 0 = sequential, <0 = auto (GOMAXPROCS); outputs are byte-identical at every count (unset: the preset's own default)")
 		seed      = flag.Uint64("seed", 1, "master seed")
 		seedCount = flag.Int("seeds", 3, "seeds for -figure seeds (robustness sweep)")
 		loss      = flag.Float64("loss", 0, "message loss rate in [0,1); 0 is the paper's reliable network")
@@ -87,11 +91,11 @@ func main() {
 	case *benchJSON != "":
 		err = runBenchJSON(*scaleName, *seed, *matrixW, *benchJSON, *quiet)
 	case *figure == "seeds":
-		err = runSeeds(*scaleName, *schemes, *topos, *workers, *seedCount, shardsOverride, *quiet)
+		err = runSeeds(*scaleName, *schemes, *topos, *seedCount, shardsOverride, *quiet)
 	case *figure == "loss":
 		err = runLossSweep(*scaleName, *schemes, *topos, *seed, *seriesDir, shardsOverride, *quiet)
 	default:
-		err = run(*scaleName, *figure, *schemes, *topos, *workers, *matrixW, *seed, *loss, *seriesDir, shardsOverride, *quiet)
+		err = run(*scaleName, *figure, *schemes, *topos, *matrixW, *seed, *loss, *seriesDir, shardsOverride, *quiet)
 	}
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -107,12 +111,11 @@ func applyShards(sc *experiments.Scale, override int) {
 	cliutil.ApplyInt(override, &sc.ShardCount)
 }
 
-func run(scaleName, figure, schemeCSV, topoCSV string, workers, matrixWorkers int, seed uint64, loss float64, seriesDir string, shardsOverride int, quiet bool) error {
+func run(scaleName, figure, schemeCSV, topoCSV string, matrixWorkers int, seed uint64, loss float64, seriesDir string, shardsOverride int, quiet bool) error {
 	sc, err := experiments.ByName(scaleName)
 	if err != nil {
 		return err
 	}
-	sc.Workers = workers
 	sc.MatrixWorkers = matrixWorkers
 	sc.Seed = seed
 	sc.LossRate = loss
@@ -225,12 +228,11 @@ func run(scaleName, figure, schemeCSV, topoCSV string, workers, matrixWorkers in
 // runSeeds performs the robustness sweep: every selected scheme ×
 // topology is replayed under several seeds (fresh universe, trace,
 // placement and topology each time) and the metric spreads are printed.
-func runSeeds(scaleName, schemeCSV, topoCSV string, workers, nSeeds, shardsOverride int, quiet bool) error {
+func runSeeds(scaleName, schemeCSV, topoCSV string, nSeeds, shardsOverride int, quiet bool) error {
 	sc, err := experiments.ByName(scaleName)
 	if err != nil {
 		return err
 	}
-	sc.Workers = workers
 	applyShards(&sc, shardsOverride)
 	if nSeeds < 1 {
 		return fmt.Errorf("need ≥1 seeds")

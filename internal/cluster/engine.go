@@ -739,5 +739,5 @@ func SimBaseline(spec Spec) (metrics.Summary, error) {
 	if err != nil {
 		return metrics.Summary{}, err
 	}
-	return sim.Run(sys, sch, sim.RunOptions{Workers: 1}), nil
+	return sim.Run(sys, sch, sim.RunOptions{}), nil
 }

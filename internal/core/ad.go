@@ -41,13 +41,16 @@ type cachedAd struct {
 //
 // Two distinct race surfaces exist, and each gets its own mechanism:
 //
-//   - Search vs Search: the runner fans query batches across workers, and
-//     two concurrent searches can touch the same nodeState (a neighbour
-//     serving ads while also running its own query). mu serialises these.
+//   - Search vs Search: the sharded dispatcher's lanes (sim/shard.go)
+//     run the searches of one batch concurrently, and two of them can
+//     touch the same nodeState (a neighbour serving ads while another
+//     lane reads its cache). mu serialises these.
 //   - Delivery vs Search: ad deliveries, publishes and leave/join events
-//     all run on the runner thread, and the runner flushes every query
-//     batch (wg.Wait) before processing a state event — so delivery-path
-//     writes NEVER overlap a search. That single-writer guarantee lets
+//     all run on the runner thread, and the runner finishes every query
+//     batch (all lanes joined) before processing a state event — so
+//     delivery-path writes NEVER overlap a search. The serving plane's
+//     readers are kept off an applying writer the same way, by its epoch
+//     gate (internal/serve). That single-writer guarantee lets
 //     the delivery path skip mu entirely: the Scheme brackets each
 //     delivery-path write section with beginApply/endApply (one scheme-
 //     level version bump per delivery, not a lock per visited node) and

@@ -291,10 +291,10 @@ func TestEndToEndRunAllVariants(t *testing.T) {
 }
 
 func TestParallelSearchSafety(t *testing.T) {
-	// Run with many workers; the race detector guards correctness.
+	// Run with many shard lanes; the race detector guards correctness.
 	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 4)
 	sch := New(testConfig(RW))
-	sum := sim.Run(sys, sch, sim.RunOptions{Workers: 8})
+	sum := sim.Run(sys, sch, sim.RunOptions{Shards: 8})
 	if sum.Requests == 0 {
 		t.Fatal("no requests")
 	}

@@ -44,7 +44,7 @@ type searchScratch struct {
 	// Fault-plane message stream of this query: fkey derives from the
 	// query's (time, node) identity, fseq numbers its messages. Together
 	// they make every drop/jitter decision a function of the query alone,
-	// independent of worker scheduling.
+	// independent of lane scheduling.
 	fkey uint64
 	fseq uint32
 }

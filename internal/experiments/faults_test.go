@@ -93,7 +93,7 @@ func TestLossZeroMatchesNoPlane(t *testing.T) {
 		t.Fatalf("lab: %v", err)
 	}
 	for _, scheme := range lossySchemes {
-		bare, err := lab.run(scheme, overlay.Crawled, false, 1, nil, nil, nil)
+		bare, err := lab.run(scheme, overlay.Crawled, false, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("%s bare: %v", scheme, err)
 		}
@@ -103,7 +103,7 @@ func TestLossZeroMatchesNoPlane(t *testing.T) {
 		}
 		sys := lab.topoProto(overlay.Crawled).NewSystem(lab.U, lab.Tr)
 		sys.SetFaults(faults.New(faults.Config{Seed: lab.Scale.Seed, LossRate: 0}))
-		planed := sim.Run(sys, sch, sim.RunOptions{Workers: 1})
+		planed := sim.Run(sys, sch, sim.RunOptions{})
 		if !reflect.DeepEqual(bare, planed) {
 			t.Errorf("%s: zero-loss plane changed the summary:\nbare:   %+v\nplaned: %+v", scheme, bare, planed)
 		}
@@ -124,7 +124,7 @@ func TestLossUnchangedByInertPartition(t *testing.T) {
 		t.Fatalf("lab: %v", err)
 	}
 	for _, scheme := range lossySchemes {
-		bare, err := lab.run(scheme, overlay.Crawled, false, 1, nil, nil, nil)
+		bare, err := lab.run(scheme, overlay.Crawled, false, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("%s bare: %v", scheme, err)
 		}
@@ -141,7 +141,7 @@ func TestLossUnchangedByInertPartition(t *testing.T) {
 		pl.SetPartition(group) // engage…
 		pl.SetPartition(nil)   // …and heal before the replay: plane is inert again
 		sys.SetFaults(pl)
-		planed := sim.Run(sys, sch, sim.RunOptions{Workers: 1})
+		planed := sim.Run(sys, sch, sim.RunOptions{})
 		if !reflect.DeepEqual(bare, planed) {
 			t.Errorf("%s: inert partition plane changed the 2%%-loss summary:\nbare:   %+v\nplaned: %+v", scheme, bare, planed)
 		}

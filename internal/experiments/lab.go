@@ -92,26 +92,24 @@ func (l *Lab) topoProto(kind overlay.Kind) *sim.TopoProto {
 	return p
 }
 
-// Run replays the lab's trace under one scheme on one topology with
-// Scale.Workers query-replay workers (the interactive single-run entry
-// point; multi-worker replay trades bit-for-bit reproducibility for
-// speed, see sim.RunOptions).
+// Run replays the lab's trace under one scheme on one topology — the
+// single-run entry point, and exactly what one RunMatrix cell executes.
 func (l *Lab) Run(schemeName string, topo overlay.Kind) (metrics.Summary, error) {
-	return l.run(schemeName, topo, false, l.Scale.Workers, nil, nil, nil)
+	return l.run(schemeName, topo, false, nil, nil, nil)
 }
 
 // RunObs is Run with observability attached: the run's per-second series
 // lands in series (keyed "scheme/topology") and its wall-clock phase
 // timing is merged into timing. Either may be nil to skip that layer.
 func (l *Lab) RunObs(schemeName string, topo overlay.Kind, series *obs.Collector, timing *obs.Timing) (metrics.Summary, error) {
-	return l.run(schemeName, topo, false, l.Scale.Workers, series, timing, nil)
+	return l.run(schemeName, topo, false, series, timing, nil)
 }
 
 // run builds the system — from the cached prototype, or from scratch when
 // fresh is set — and replays the trace under the scheme. The two system
 // paths are bit-for-bit equivalent (see TestMatrixClonedMatchesFresh);
 // fresh exists as the pre-clone baseline for benchmarking.
-func (l *Lab) run(schemeName string, topo overlay.Kind, fresh bool, queryWorkers int, series *obs.Collector, timing *obs.Timing, heap *obs.HeapGauge) (metrics.Summary, error) {
+func (l *Lab) run(schemeName string, topo overlay.Kind, fresh bool, series *obs.Collector, timing *obs.Timing, heap *obs.HeapGauge) (metrics.Summary, error) {
 	sch, err := l.NewScheme(schemeName)
 	if err != nil {
 		return metrics.Summary{}, err
@@ -138,7 +136,7 @@ func (l *Lab) run(schemeName string, topo overlay.Kind, fresh bool, queryWorkers
 	if l.Scale.LossRate > 0 {
 		sys.SetFaults(faults.New(faults.Config{Seed: l.Scale.Seed, LossRate: l.Scale.LossRate}))
 	}
-	sum := sim.Run(sys, sch, sim.RunOptions{Workers: queryWorkers, Shards: l.Scale.ShardCount})
+	sum := sim.Run(sys, sch, sim.RunOptions{Shards: l.Scale.ShardCount})
 	if timing != nil {
 		timing.Merge(rec.Timing())
 	}
@@ -177,14 +175,12 @@ type MatrixOptions struct {
 // the full paper matrix. Progress, if non-nil, is invoked before each run
 // and is never called concurrently.
 //
-// Parallelism lives at the cell level (and, when Scale.ShardCount is set,
-// inside each cell via the sharded replay engine, which is byte-identical
-// to single-threaded replay at every shard count): each cell replays its
-// queries single-threaded otherwise, which keeps every run deterministic
-// in the lab seed alone (multi-worker query replay is
-// scheduling-sensitive for schemes with shared caches — see
-// sim.RunOptions). The returned Matrix is therefore identical for every
-// worker count (TestRunMatrixParallelDeterminism).
+// Parallelism lives at the cell level and, when Scale.ShardCount is set,
+// inside each cell via the sharded replay engine. Cells are independent
+// and the sharded engine is byte-identical to the sequential replay at
+// every shard count, so the returned Matrix is identical for every worker
+// and shard count (TestRunMatrixParallelDeterminism,
+// TestShardedReplayEquivalence).
 func (l *Lab) RunMatrix(schemes []string, topos []overlay.Kind, progress func(scheme string, topo overlay.Kind)) (Matrix, error) {
 	return l.RunMatrixOpt(schemes, topos, progress, MatrixOptions{Workers: l.Scale.MatrixWorkers})
 }
@@ -224,7 +220,7 @@ func (l *Lab) RunMatrixOpt(schemes []string, topos []overlay.Kind, progress func
 	sums := make([]metrics.Summary, len(jobs))
 	errs := make([]error, len(jobs))
 	runJob := func(i int) {
-		sums[i], errs[i] = l.run(jobs[i].scheme, jobs[i].topo, opt.FreshGraphs, 1, opt.Series, opt.Timing, opt.Heap)
+		sums[i], errs[i] = l.run(jobs[i].scheme, jobs[i].topo, opt.FreshGraphs, opt.Series, opt.Timing, opt.Heap)
 	}
 	if workers <= 1 {
 		for i := range jobs {

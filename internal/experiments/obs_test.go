@@ -99,13 +99,13 @@ func TestObsSeriesMatchesSummary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lab: %v", err)
 	}
-	bare, err := lab.run("asap-rw", overlay.Crawled, false, 1, nil, nil, nil)
+	bare, err := lab.run("asap-rw", overlay.Crawled, false, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := obs.NewCollector()
 	timing := &obs.Timing{}
-	observed, err := lab.run("asap-rw", overlay.Crawled, false, 1, col, timing, nil)
+	observed, err := lab.run("asap-rw", overlay.Crawled, false, col, timing, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

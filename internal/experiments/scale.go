@@ -22,11 +22,6 @@ type Scale struct {
 	// RefreshPeriodSec overrides the ASAP refresh period (0 keeps the
 	// core default scaled by Factor).
 	RefreshPeriodSec int
-	// Workers is the per-run query replay fan-out (0 = GOMAXPROCS). It
-	// applies to single-run entry points (Lab.Run, seed sweeps);
-	// RunMatrix cells always replay single-threaded so the matrix stays
-	// deterministic.
-	Workers int
 	// MatrixWorkers bounds RunMatrix's scheme×topology fan-out (0 =
 	// GOMAXPROCS). Runs are independent, so the worker count never
 	// changes the Matrix (see TestRunMatrixParallelDeterminism).
@@ -35,9 +30,9 @@ type Scale struct {
 	// including matrix cells: the overlay splits into this many contiguous
 	// node-range shards, each query batch replays as a parallel intra-shard
 	// phase plus an ordered barrier drain, and outputs stay byte-identical
-	// to the unsharded Workers=1 replay at every count (see sim.RunOptions
-	// and TestShardedReplayEquivalence). 0 keeps the unsharded path;
-	// negative means auto (GOMAXPROCS, capped at overlay.MaxShards).
+	// to the sequential replay at every count (see sim.RunOptions and
+	// TestShardedReplayEquivalence). 0 replays sequentially; negative
+	// means auto (GOMAXPROCS, capped at overlay.MaxShards).
 	ShardCount int
 	// CacheCapacity, when positive, overrides the ASAP ads-cache capacity
 	// the Factor scaling would pick. The mega preset needs this: per-node

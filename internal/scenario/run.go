@@ -11,9 +11,6 @@ import (
 
 // Options tunes one scenario replay. The zero value replays sequentially.
 type Options struct {
-	// Workers is the unsharded query worker count (0 = 1, the
-	// deterministic default). Sharded replays ignore it.
-	Workers int
 	// Shards partitions the overlay for the parallel sharded replay
 	// engine; outputs are byte-identical at every count.
 	Shards int
@@ -65,11 +62,7 @@ func Run(sn Scenario, opt Options) (*Result, error) {
 	rec := obs.NewRecorder(int(lab.Tr.Span()/1000) + 2)
 	sys.SetObs(rec)
 	st.Install(sys, sn.Seed, sn.Loss)
-	workers := opt.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	sum := sim.Run(sys, sch, sim.RunOptions{Workers: workers, Shards: opt.Shards})
+	sum := sim.Run(sys, sch, sim.RunOptions{Shards: opt.Shards})
 	key := fmt.Sprintf("%s/%s/%s", sn.Name, sum.Scheme, sum.Topology)
 	return &Result{Scenario: sn, Summary: sum, Series: rec.Series(key, sys.Load)}, nil
 }

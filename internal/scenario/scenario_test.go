@@ -26,12 +26,10 @@ func fingerprint(t *testing.T, res *Result) (string, string) {
 
 // TestScenarioShardWorkerDeterminism is the property gate: every
 // registered scenario must replay byte-identically — summary and
-// per-second series — across the sequential (Workers=1, unsharded)
-// replay and the sharded engine at S ∈ {1, 2, 4}. The sharded engine IS
-// the deterministic N-worker execution (each query batch fans intra-shard
-// lanes across goroutines, PR 7's shard-smoke pattern), so this covers
-// "1 vs N workers" and shard counts in one sweep; -race doubles as a
-// soundness proof that scenario directives never race the query lanes.
+// per-second series — across the sequential replay and the sharded
+// engine at S ∈ {1, 2, 4} (each query batch fans intra-shard lanes across
+// goroutines); -race doubles as a soundness proof that scenario
+// directives never race the query lanes.
 func TestScenarioShardWorkerDeterminism(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {

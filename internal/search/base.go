@@ -71,7 +71,7 @@ type scratch struct {
 
 	// Fault-plane message stream of the current query (see faults.Key):
 	// fkey names the query, fseq numbers its messages, so drop decisions
-	// depend on the query alone, never on worker scheduling.
+	// depend on the query alone, never on lane scheduling.
 	fkey uint64
 	fseq uint32
 }
@@ -120,7 +120,7 @@ func (s *scratch) visit(n overlay.NodeID, t sim.Clock, hop int32) {
 }
 
 // querySeed derives a deterministic per-query RNG seed so results do not
-// depend on worker scheduling.
+// depend on lane scheduling.
 func querySeed(base uint64, t sim.Clock, node overlay.NodeID) uint64 {
 	x := base ^ uint64(t)<<20 ^ uint64(uint32(node))
 	// splitmix64 finalizer.

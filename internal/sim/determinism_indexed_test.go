@@ -2,12 +2,13 @@ package sim_test
 
 // External-package determinism coverage for the real ASAP scheme (the
 // indexed ads cache), complementing determinism_test.go's echo-scheme
-// checks: single-worker replays must be bit-for-bit identical, and the
-// parallel query fan-out must drive the indexed search hot path cleanly
-// under the race detector (the `make race` target runs this package with
-// -race and multiple workers).
+// checks: sequential replays must be bit-for-bit identical, and the
+// sharded replay must drive the indexed search hot path to the same
+// summary, cleanly under the race detector (the `make race` target runs
+// this package with -race).
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -43,46 +44,47 @@ var (
 )
 
 // runASAP replays the shared trace against a freshly attached ASAP(FLD)
-// scheme with the given query fan-out.
-func runASAP(workers int) metrics.Summary {
+// scheme at the given shard count (0 = sequential).
+func runASAP(shards int) metrics.Summary {
 	cfg := core.DefaultConfig(core.FLD).Scaled(0.05)
 	cfg.RefreshPeriodSec = 30
 	sys := sim.NewSystem(idxU, idxTr, overlay.Random, idxNet, 7)
-	return sim.Run(sys, core.New(cfg), sim.RunOptions{Workers: workers})
+	return sim.Run(sys, core.New(cfg), sim.RunOptions{Shards: shards})
 }
 
-// TestIndexedReplayDeterministicSingleWorker: two single-worker replays of
+// TestIndexedReplayDeterministicSingleWorker: two sequential replays of
 // the ASAP scheme over identically seeded systems agree on every
 // aggregate — the property the experiment matrix rests on, now exercised
 // through the topic-indexed cache, the aggregate early-exit and the
 // watermark-gated expiry.
 func TestIndexedReplayDeterministicSingleWorker(t *testing.T) {
-	a, b := runASAP(1), runASAP(1)
+	a, b := runASAP(0), runASAP(0)
 	if a.Requests == 0 || a.SuccessRate == 0 {
 		t.Fatalf("degenerate replay: %+v", a)
 	}
 	if a.Requests != b.Requests || a.SuccessRate != b.SuccessRate ||
 		a.MeanRespMS != b.MeanRespMS || a.MeanSearchBytes != b.MeanSearchBytes ||
 		a.LoadMeanKBps != b.LoadMeanKBps || a.LoadStdKBps != b.LoadStdKBps {
-		t.Fatalf("single-worker replays differ:\n%+v\n%+v", a, b)
+		t.Fatalf("sequential replays differ:\n%+v\n%+v", a, b)
 	}
 	if !slices.Equal(a.LoadSeries, b.LoadSeries) {
 		t.Fatal("load series diverge")
 	}
 }
 
-// TestIndexedSearchParallelWorkers drives concurrent Search calls over
-// shared per-node caches (chain scans, lazy unlinking, merge serving, all
-// under nodeState.mu). Query scheduling may reorder cache mutations, so
-// only scheduling-independent aggregates are asserted; the substantive
-// check is the race detector observing the parallel fan-out.
-func TestIndexedSearchParallelWorkers(t *testing.T) {
-	a := runASAP(4)
-	if a.Requests == 0 || a.SuccessRate == 0 {
-		t.Fatalf("degenerate parallel replay: %+v", a)
+// TestIndexedSearchShardedMatchesSequential drives concurrent Search calls
+// over shared per-node caches (chain scans, lazy unlinking, merge serving,
+// all under nodeState.mu) from the dispatcher's lanes. The conflict plan
+// only runs commuting searches concurrently, so the whole summary must
+// equal the sequential replay's; the race detector checks the plan.
+func TestIndexedSearchShardedMatchesSequential(t *testing.T) {
+	want := runASAP(0)
+	if want.Requests == 0 || want.SuccessRate == 0 {
+		t.Fatalf("degenerate replay: %+v", want)
 	}
-	b := runASAP(4)
-	if a.Requests != b.Requests {
-		t.Fatalf("request counts differ: %d vs %d", a.Requests, b.Requests)
+	for _, shards := range []int{4, 8} {
+		if got := runASAP(shards); !reflect.DeepEqual(want, got) {
+			t.Fatalf("shards=%d diverged from the sequential replay:\n%+v\n%+v", shards, want, got)
+		}
 	}
 }

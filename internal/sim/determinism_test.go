@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -31,14 +32,14 @@ func (e *echoScheme) NodeLeft(Clock, overlay.NodeID)                            
 func (e *echoScheme) Tick(Clock)                                                {}
 func (e *echoScheme) LoadMask() metrics.ClassMask                               { return metrics.AllMask }
 
-// TestReplayDeterministicSingleWorker: two single-worker replays over
+// TestReplayDeterministicSingleWorker: two sequential replays over
 // freshly built systems with the same seed are identical in every
 // aggregate, including the load series.
 func TestReplayDeterministicSingleWorker(t *testing.T) {
 	tr := testTrace(t)
 	runOnce := func() metrics.Summary {
 		sys := NewSystem(testU, tr, overlay.Crawled, testNet, 9)
-		return Run(sys, &echoScheme{}, RunOptions{Workers: 1})
+		return Run(sys, &echoScheme{}, RunOptions{})
 	}
 	a, b := runOnce(), runOnce()
 	if a.Requests != b.Requests || a.SuccessRate != b.SuccessRate ||
@@ -57,19 +58,19 @@ func TestReplayDeterministicSingleWorker(t *testing.T) {
 }
 
 // TestParallelAggregatesMatchSerial: for a scheme whose per-query results
-// are scheduling-independent, worker count must not change any aggregate.
+// are scheduling-independent, the parallel (sharded) replay must not
+// change any aggregate or the concurrently accounted load series, on any
+// topology.
 func TestParallelAggregatesMatchSerial(t *testing.T) {
 	tr := testTrace(t)
-	run := func(workers int) metrics.Summary {
-		sys := NewSystem(testU, tr, overlay.Crawled, testNet, 9)
-		return Run(sys, &echoScheme{}, RunOptions{Workers: workers})
-	}
-	serial, parallel := run(1), run(8)
-	if serial.MeanRespMS != parallel.MeanRespMS || serial.MeanSearchBytes != parallel.MeanSearchBytes {
-		t.Fatalf("parallel changed aggregates: %+v vs %+v", serial, parallel)
-	}
-	if serial.LoadMeanKBps != parallel.LoadMeanKBps {
-		t.Fatalf("parallel changed load accounting: %v vs %v", serial.LoadMeanKBps, parallel.LoadMeanKBps)
+	for _, kind := range overlay.Kinds {
+		run := func(shards int) metrics.Summary {
+			sys := NewSystem(testU, tr, kind, testNet, 9)
+			return Run(sys, &pureProbeScheme{}, RunOptions{Shards: shards})
+		}
+		if serial, parallel := run(0), run(8); !reflect.DeepEqual(serial, parallel) {
+			t.Fatalf("%v: parallel changed the summary:\n%+v\n%+v", kind, serial, parallel)
+		}
 	}
 }
 
@@ -105,8 +106,8 @@ func TestTopoProtoReplayMatchesFresh(t *testing.T) {
 				t.Fatalf("%v: initial wiring differs at node %d", kind, n)
 			}
 		}
-		a := Run(fresh, &echoScheme{}, RunOptions{Workers: 1})
-		b := Run(stamped, &echoScheme{}, RunOptions{Workers: 1})
+		a := Run(fresh, &echoScheme{}, RunOptions{})
+		b := Run(stamped, &echoScheme{}, RunOptions{})
 		sameSummary(t, kind.String(), a, b)
 		// Mid-run joins draw from the restored RNG; the overlays must have
 		// evolved identically.
@@ -126,8 +127,8 @@ func TestTopoProtoStampsAreIndependent(t *testing.T) {
 	tr := testTrace(t)
 	proto := NewTopoProto(overlay.Crawled, testNet, len(tr.Peers), tr.InitialLive, 9)
 	liveBefore := proto.Graph().LiveCount()
-	a := Run(proto.NewSystem(testU, tr), &echoScheme{}, RunOptions{Workers: 1})
-	b := Run(proto.NewSystem(testU, tr), &echoScheme{}, RunOptions{Workers: 1})
+	a := Run(proto.NewSystem(testU, tr), &echoScheme{}, RunOptions{})
+	b := Run(proto.NewSystem(testU, tr), &echoScheme{}, RunOptions{})
 	sameSummary(t, "stamp", a, b)
 	if proto.Graph().LiveCount() != liveBefore {
 		t.Fatal("replays mutated the prototype's master graph")

@@ -7,22 +7,23 @@
 // The paper ignores queuing delay and Bloom-filter computation when
 // calculating response times (§V-A): a message's delivery time is the sum
 // of physical link latencies on its path and nothing else. A consequence
-// this package exploits heavily is that concurrently outstanding searches
-// do not interact — each query's message cascade can be simulated
-// independently, given a fixed snapshot of system state.
+// this package exploits is that concurrently outstanding searches do not
+// interact on the wire — each query's message cascade can be simulated on
+// its own, given a fixed snapshot of system state.
 //
 // The runner therefore replays the trace as an alternation of
 //
 //   - state events (content changes, joins, departures), applied
 //     sequentially in trace order, and
-//   - query batches — maximal runs of consecutive Query events — fanned
-//     out across a worker pool. Schemes may only touch shared state from
-//     Search through synchronised or atomic paths (ASAP's per-node ad
-//     caches are individually locked; load accounting is atomic).
+//   - query batches — maximal runs of consecutive Query events — executed
+//     in trace order. Searches do interact through scheme state (an ASAP
+//     search merges offered ads into the requester's cache, which later
+//     searches read), so the sharded dispatcher (shard.go), the one
+//     parallel engine, runs two queries of a batch concurrently only when
+//     its conflict plan proves they commute.
 //
-// With a single worker the replay is fully deterministic; with N workers
-// the aggregate metrics are unchanged except for ASAP cache-insertion
-// order within one batch (which only reorders equally-valid ads).
+// The summary is a pure function of (system, scheme) at every GOMAXPROCS
+// and shard count.
 //
 // # Message size model
 //

@@ -2,11 +2,9 @@ package sim
 
 import (
 	"runtime"
-	"sync"
 
 	"asap/internal/content"
 	"asap/internal/metrics"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/trace"
 )
@@ -15,9 +13,11 @@ import (
 // and the three ASAP variants all implement it.
 //
 // Attach is called once before replay and may pre-distribute state (ASAP's
-// warm-up ad delivery). Search must be safe for concurrent calls — the
-// runner fans query batches across workers; all other methods are called
-// with the runner's state lock held (never concurrently).
+// warm-up ad delivery). The sequential replay calls every method from one
+// goroutine. Search alone may be called concurrently, and only for a
+// scheme that opts in through SearchSharder or PureSearcher (the sharded
+// dispatcher's lanes, shard.go); every other method is called from the
+// runner goroutine, never during a query batch.
 type Scheme interface {
 	// Name returns the scheme label used in figures (e.g. "flooding",
 	// "asap-rw").
@@ -65,33 +65,24 @@ type ContentBatcher interface {
 
 // RunOptions tunes the replay.
 type RunOptions struct {
-	// Workers is the query-batch fan-out; 0 means GOMAXPROCS. Workers=1
-	// gives a bit-for-bit deterministic replay.
-	Workers int
-	// MaxBatch caps how many consecutive queries are fanned out at once;
-	// 0 means unlimited (a batch ends at the next state event).
-	MaxBatch int
-	// Shards selects the sharded replay engine (see shard.go): the node ID
-	// space splits into Shards contiguous ranges, query batches replay as a
-	// parallel intra-shard phase plus an ordered epoch-barrier drain, and
-	// the output stays byte-identical to the Workers=1 sequential replay at
-	// every shard count (including 1). 0 keeps the unsharded path; negative
-	// means auto (GOMAXPROCS, capped at overlay.MaxShards). Shards > 0
-	// overrides Workers for query batches. A scheme that implements neither
-	// SearchSharder nor PureSearcher falls back to the unsharded path.
+	// Shards selects the sharded replay engine (see shard.go), the one way
+	// to use more than one core inside a run: the node ID space splits into
+	// Shards contiguous ranges, query batches replay as a parallel
+	// intra-shard phase plus an ordered epoch-barrier drain, and the output
+	// stays byte-identical to the sequential replay at every shard count
+	// (including 1). 0 replays sequentially; negative means auto
+	// (GOMAXPROCS, capped at overlay.MaxShards). A scheme that implements
+	// neither SearchSharder nor PureSearcher replays sequentially.
 	Shards int
 }
 
 // Run replays the system's trace against the scheme and summarises the
-// paper's metrics for it. The sequential stepping core lives in Stepper
-// (stepper.go); Run layers the query-batch execution strategy on top —
-// worker fan-out or the sharded dispatcher — and stays byte-identical to
-// driving the Stepper alone at Workers=1.
+// paper's metrics for it. It drives a Stepper (stepper.go) to completion,
+// executing each query batch in trace order — or through the sharded
+// dispatcher, which reorders only query pairs it has proven commutative —
+// so the summary is a pure function of (system, scheme) at every
+// GOMAXPROCS and shard count.
 func Run(sys *System, sch Scheme, opts RunOptions) metrics.Summary {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var dispatcher *shardDispatcher
 	if shards := opts.Shards; shards != 0 {
 		if shards < 0 {
@@ -100,51 +91,15 @@ func Run(sys *System, sch Scheme, opts RunOptions) metrics.Summary {
 		dispatcher = newShardDispatcher(sch, sys.NumNodes(), shards)
 	}
 
-	st := NewStepper(sys, sch, opts.MaxBatch)
-	rec := sys.Obs()
+	st := NewStepper(sys, sch, 0)
 	for batch := st.NextBatch(); batch != nil; batch = st.NextBatch() {
 		if dispatcher != nil {
-			dispatcher.runBatch(batch, st.stats, rec)
-		} else {
-			runBatch(batch, sch, st.stats, workers, rec)
+			dispatcher.runBatch(batch, st)
+			continue
+		}
+		for _, ev := range batch {
+			st.Record(ev, sch.Search(ev))
 		}
 	}
 	return st.Finish()
-}
-
-// runBatch fans a query batch across workers. Search outcomes land on the
-// observability recorder keyed by the query's issue time — deterministic
-// replay state — so the recorded series is independent of how the batch
-// was split.
-func runBatch(batch []*trace.Event, sch Scheme, stats *metrics.SearchStats, workers int, rec *obs.Recorder) {
-	if workers == 1 || len(batch) == 1 {
-		for _, ev := range batch {
-			r := sch.Search(ev)
-			stats.Record(r)
-			rec.Search(ev.Time, r.Success, r.ResponseMS, r.Bytes)
-		}
-		return
-	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(batch) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(batch))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(evs []*trace.Event) {
-			defer wg.Done()
-			for _, ev := range evs {
-				r := sch.Search(ev)
-				stats.Record(r)
-				rec.Search(ev.Time, r.Success, r.ResponseMS, r.Bytes)
-			}
-		}(batch[lo:hi])
-	}
-	wg.Wait()
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"asap/internal/metrics"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/trace"
 )
@@ -13,7 +12,7 @@ import (
 // contiguous ranges (overlay.Sharding) and replays each query batch as a
 // parallel intra-shard phase followed by an epoch barrier that drains the
 // batch's cross-shard work in deterministic trace order. Outputs are
-// byte-identical to the Workers=1 sequential replay at every shard count,
+// byte-identical to the sequential replay at every shard count,
 // including S=1, because the engine only ever reorders query pairs it has
 // proven commutative:
 //
@@ -101,7 +100,7 @@ type shardDispatcher struct {
 
 // newShardDispatcher returns a dispatcher for sch over n nodes in shards
 // lanes, or nil when the scheme declares no shardable search shape — the
-// caller then falls back to the unsharded batch path.
+// caller then replays sequentially.
 func newShardDispatcher(sch Scheme, n, shards int) *shardDispatcher {
 	d := &shardDispatcher{sch: sch, sh: overlay.NewSharding(n, shards)}
 	d.sharder, _ = sch.(SearchSharder)
@@ -131,7 +130,7 @@ func (d *shardDispatcher) masks(node overlay.NodeID) (*uint64, *uint64) {
 
 // runBatch plans, executes and folds one query batch. See the package
 // comment above for the equivalence argument.
-func (d *shardDispatcher) runBatch(batch []*trace.Event, stats *metrics.SearchStats, rec *obs.Recorder) {
+func (d *shardDispatcher) runBatch(batch []*trace.Event, st *Stepper) {
 	// Plan: walk the batch in trace order, landing each query in its
 	// owner's lane unless it conflicts with earlier cross-lane work.
 	d.epoch++
@@ -217,7 +216,6 @@ func (d *shardDispatcher) runBatch(batch []*trace.Event, stats *metrics.SearchSt
 		d.phaser.EndQueryPhase()
 	}
 	for i, ev := range batch {
-		stats.Record(results[i])
-		rec.Search(ev.Time, results[i].Success, results[i].ResponseMS, results[i].Bytes)
+		st.Record(ev, results[i])
 	}
 }

@@ -60,7 +60,7 @@ func (p *shardProbeScheme) Tick(Clock)                                          
 func (p *shardProbeScheme) LoadMask() metrics.ClassMask                               { return metrics.AllMask }
 
 // TestShardedDispatcherMatchesSequential: for a stateful, order-sensitive
-// scheme the sharded engine must reproduce the Workers=1 sequential replay
+// scheme the sharded engine must reproduce the sequential replay
 // exactly — summary, load series, and the final per-node state vector — at
 // every shard count, including 1 and a count that does not divide the node
 // space. Run under -race this also proves the conflict plan is sound: any
@@ -70,7 +70,7 @@ func TestShardedDispatcherMatchesSequential(t *testing.T) {
 	run := func(shards int) (metrics.Summary, []int64) {
 		sys := NewSystem(testU, tr, overlay.Crawled, testNet, 9)
 		sch := &shardProbeScheme{}
-		sum := Run(sys, sch, RunOptions{Workers: 1, Shards: shards})
+		sum := Run(sys, sch, RunOptions{Shards: shards})
 		if sch.phase {
 			t.Fatalf("shards=%d: query phase left open", shards)
 		}
@@ -101,7 +101,7 @@ func TestShardedPureSchemeMatchesSequential(t *testing.T) {
 	tr := testTrace(t)
 	run := func(shards int) metrics.Summary {
 		sys := NewSystem(testU, tr, overlay.Crawled, testNet, 9)
-		return Run(sys, &pureProbeScheme{}, RunOptions{Workers: 1, Shards: shards})
+		return Run(sys, &pureProbeScheme{}, RunOptions{Shards: shards})
 	}
 	want := run(0)
 	for _, s := range []int{1, 3, 8} {
@@ -110,7 +110,7 @@ func TestShardedPureSchemeMatchesSequential(t *testing.T) {
 }
 
 // TestShardedFallbackWithoutInterfaces: a scheme that declares neither
-// SearchSharder nor PureSearcher must fall back to the unsharded path
+// SearchSharder nor PureSearcher must fall back to the sequential replay
 // rather than being fanned out on unproven assumptions.
 func TestShardedFallbackWithoutInterfaces(t *testing.T) {
 	if d := newShardDispatcher(&echoScheme{}, 100, 4); d != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -217,7 +218,9 @@ func TestPQReset(t *testing.T) {
 	}
 }
 
-// fakeScheme counts runner callbacks and returns canned results.
+// fakeScheme counts runner callbacks and returns canned results. Its
+// Search only bumps an atomic counter, so it is a PureSearcher and the
+// sharded dispatcher may fan it out.
 type fakeScheme struct {
 	searches atomic.Int64
 	events   atomic.Int64
@@ -225,6 +228,7 @@ type fakeScheme struct {
 	attached bool
 }
 
+func (f *fakeScheme) PureSearch()        {}
 func (f *fakeScheme) Name() string       { return "fake" }
 func (f *fakeScheme) Attach(sys *System) { f.attached = true }
 func (f *fakeScheme) Search(ev *trace.Event) metrics.SearchResult {
@@ -242,7 +246,7 @@ func (f *fakeScheme) LoadMask() metrics.ClassMask          { return metrics.AllM
 func TestRunnerDispatch(t *testing.T) {
 	sys := newTestSystem(t)
 	sch := &fakeScheme{}
-	sum := Run(sys, sch, RunOptions{Workers: 4})
+	sum := Run(sys, sch, RunOptions{Shards: 4})
 	st := sys.Tr.Stats()
 	if !sch.attached {
 		t.Error("Attach not called")
@@ -267,7 +271,7 @@ func TestRunnerDispatch(t *testing.T) {
 
 func TestRunnerLiveSeriesTracksChurn(t *testing.T) {
 	sys := newTestSystem(t)
-	Run(sys, &fakeScheme{}, RunOptions{Workers: 1})
+	Run(sys, &fakeScheme{}, RunOptions{})
 	la := sys.Load
 	nonzero := 0
 	for s := 0; s < la.Seconds(); s++ {
@@ -280,26 +284,41 @@ func TestRunnerLiveSeriesTracksChurn(t *testing.T) {
 	}
 }
 
-func TestRunnerWorkerCountInvariance(t *testing.T) {
+func TestRunnerShardCountInvariance(t *testing.T) {
 	// A stateless scheme must produce identical aggregates regardless of
-	// worker count.
+	// shard count.
 	tr := testTrace(t)
-	run := func(workers int) metrics.Summary {
+	run := func(shards int) metrics.Summary {
 		sys := NewSystem(testU, tr, overlay.Random, testNet, 1)
-		return Run(sys, &fakeScheme{}, RunOptions{Workers: workers})
+		return Run(sys, &fakeScheme{}, RunOptions{Shards: shards})
 	}
-	a, b := run(1), run(8)
+	a, b := run(0), run(8)
 	if a.Requests != b.Requests || a.SuccessRate != b.SuccessRate || a.MeanRespMS != b.MeanRespMS {
-		t.Errorf("worker count changed aggregates: %+v vs %+v", a, b)
+		t.Errorf("shard count changed aggregates: %+v vs %+v", a, b)
 	}
 }
 
-func TestRunnerMaxBatch(t *testing.T) {
+// TestStepperBatchCap: a capped Stepper returns every query exactly once,
+// in trace order, in batches no longer than the cap.
+func TestStepperBatchCap(t *testing.T) {
+	const limit = 7
 	sys := newTestSystem(t)
-	sch := &fakeScheme{}
-	Run(sys, sch, RunOptions{Workers: 2, MaxBatch: 7})
-	if int(sch.searches.Load()) != sys.Tr.Stats().Queries {
-		t.Error("MaxBatch dropped searches")
+	st := NewStepper(sys, &fakeScheme{}, limit)
+	var got []*trace.Event
+	for batch := st.NextBatch(); batch != nil; batch = st.NextBatch() {
+		if len(batch) > limit {
+			t.Fatalf("batch of %d queries exceeds the cap %d", len(batch), limit)
+		}
+		got = append(got, batch...)
+	}
+	var want []*trace.Event
+	for i := range sys.Tr.Events {
+		if ev := &sys.Tr.Events[i]; ev.Kind == trace.Query {
+			want = append(want, ev)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("capped stepper returned %d queries, want the trace's %d in order", len(got), len(want))
 	}
 }
 

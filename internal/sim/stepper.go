@@ -7,14 +7,13 @@ import (
 	"asap/internal/trace"
 )
 
-// Stepper is the sequential replay core, extracted from Run so callers
-// other than the batch runner can drive it incrementally: the asapnode
-// daemon replays the same trace event-by-event between wire exchanges
-// (internal/cluster), while Run layers worker fan-out and the sharded
-// dispatcher on top. The stepping discipline is exactly the loop Run has
-// always executed — same tick boundaries, same content-run coalescing,
-// same graceful-leave ordering — so a Workers=1 Run and a Stepper driven
-// to completion produce byte-identical summaries.
+// Stepper is the sequential replay core. Run drives it to completion;
+// callers that must interleave other work drive it incrementally: the
+// asapnode daemon replays the same trace event-by-event between wire
+// exchanges (internal/cluster). It owns the stepping discipline — tick
+// boundaries, content-run coalescing, graceful-leave ordering — so Run
+// and any caller that executes every batch in trace order produce
+// byte-identical summaries.
 //
 // The protocol is: NextBatch() applies state events (content churn,
 // joins, leaves, ticks) up to the next flush point and returns the
@@ -82,7 +81,7 @@ func (st *Stepper) advance(t Clock) {
 // returned slice is valid until the next NextBatch call. A nil return
 // means the trace is exhausted: call Finish.
 //
-// Flush points mirror Run exactly: a query run ends when a state event or
+// Flush points: a query run ends when a state event or
 // a tick boundary intervenes (ticks may mutate scheme state, so the run
 // drains before the boundary is crossed), or when maxBatch is reached.
 func (st *Stepper) NextBatch() []*trace.Event {
