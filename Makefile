@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race determinism loss-smoke bench-gate bench bench-delivery bench-replay fuzz-smoke obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke bench-serve profile check
+.PHONY: build test vet fmt race determinism loss-smoke bench-gate bench-quick bench bench-delivery bench-replay fuzz-smoke obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke bench-serve profile check
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,15 @@ loss-smoke:
 # (-run '^$' skips the unit tests in the root package).
 bench-gate:
 	$(GO) test -run '^$$' -bench BenchmarkRunMatrix -benchtime 1x .
+
+# The repo benchmark (bench/, described by BENCHMARK.json) is a module of
+# its own, so `go build ./...` and `go test ./...` at the root never compile
+# it: build it and run every workload on the tiny preset, untraced and
+# traced, with its correctness checks, then its own unit tests — so a
+# refactor of the packages it drives cannot break it unnoticed.
+bench-quick:
+	sh bench/run.sh -quick
+	cd bench && $(GO) test ./...
 
 # Full benchmark pass, plus the machine-readable perf record.
 bench:
@@ -147,4 +156,4 @@ profile:
 		-cpuprofile out/cpu.pb -memprofile out/mem.pb -mutexprofile out/mutex.pb
 	@echo "profiles written to out/{cpu,mem,mutex}.pb"
 
-check: vet fmt test race determinism loss-smoke bench-gate bench-delivery bench-replay obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke fuzz-smoke
+check: vet fmt test race determinism loss-smoke bench-gate bench-quick bench-delivery bench-replay obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke fuzz-smoke

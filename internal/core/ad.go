@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"asap/internal/bloom"
@@ -39,36 +40,49 @@ type cachedAd struct {
 
 // nodeState is the per-node ASAP state: own publication and the ads cache.
 //
+// The cache is three index-addressed arrays and nothing else: slab holds
+// the entries, free the recycled slab indices, and fifo[head:] the live
+// indices in insertion order, so eviction pops in O(1) and the serving and
+// search scans walk entries densely. Which node caches which source is
+// answered by the scheme-wide source-major index (Scheme.holders, see
+// adindex.go): holders[src] maps node → slab index, and every live entry
+// is named by exactly one holder slot. Entries are updated in place
+// through their index — freshness bumps and snapshot swaps never
+// re-insert.
+//
 // Two distinct race surfaces exist, and each gets its own mechanism:
 //
 //   - Search vs Search: the sharded dispatcher's lanes (sim/shard.go)
 //     run the searches of one batch concurrently, and two of them can
 //     touch the same nodeState (a neighbour serving ads while another
-//     lane reads its cache). mu serialises these.
+//     lane reads its cache). mu serialises these. A search mutating its
+//     own node's cache also writes holders[src] for arbitrary sources,
+//     which other lanes write too: those paths take the holder table's
+//     leaf lock, after mu (the store/drop/unhold `shared` argument).
 //   - Delivery vs Search: ad deliveries, publishes and leave/join events
 //     all run on the runner thread, and the runner finishes every query
 //     batch (all lanes joined) before processing a state event — so
 //     delivery-path writes NEVER overlap a search. The serving plane's
 //     readers are kept off an applying writer the same way, by its epoch
-//     gate (internal/serve). That single-writer guarantee lets
-//     the delivery path skip mu entirely: the Scheme brackets each
-//     delivery-path write section with beginApply/endApply (one scheme-
-//     level version bump per delivery, not a lock per visited node) and
-//     search-side sections validate the contract via Scheme.checkStable.
+//     gate (internal/serve), and read slab and fifo only. That single-
+//     writer guarantee lets the delivery path skip both locks entirely:
+//     the Scheme brackets each delivery-path write section with
+//     beginApply/endApply (one scheme-level version bump per delivery,
+//     not a lock per visited node) and search-side sections validate the
+//     contract via Scheme.checkStable.
 //
 // Own content bookkeeping (classCnt, dirty) is only touched from
 // runner-serialised callbacks and needs neither.
 //
-// The zero value is valid: the flat table starts empty, and minSeen=0
-// makes the staleness gate conservative (dropStale runs and self-heals
-// it).
+// The zero value is valid: the cache starts empty, and minSeen=0 makes
+// the staleness gate conservative (dropStale runs and self-heals it).
 type nodeState struct {
 	mu        sync.Mutex
 	published *adSnapshot
-	tab       adTable          // src → cache entry (see adindex.go)
-	free      []*cachedAd      // recycled cache entries (slab-backed)
-	slabbed   bool             // the one-shot entry slab has been carved
-	fifo      []overlay.NodeID // insertion order for eviction and serving
+	slab      []cachedAd // cache entries, addressed by index
+	free      []uint32   // recycled slab indices
+	fifo      []uint32   // fifo[head:]: live slab indices, insertion order
+	head      int        // evictions pop by advancing head
 	classCnt  [content.NumClasses]int32
 	dirty     bool      // own content changed since the last publish rebuild
 	minSeen   sim.Clock // lower bound on cached lastSeen; staleness gate
@@ -86,40 +100,42 @@ func (ns *nodeState) topicsFromCounts() content.ClassSet {
 	return s
 }
 
-// newEntry returns a zeroed cache entry, recycled or slab-allocated.
-// Entries are table values by pointer so the delivery hot path can bump
-// freshness (and swap snapshots) in place: one table lookup, no re-insert.
-//
-// The first insertion carves one slab for the node's whole lifetime:
-// evictOver brings the cache back to capacity before store returns, so
-// at most capacity+1 entries are ever live at once, and the slab plus
-// its free list are the node's only two cache-entry allocations however
-// much ad traffic passes through. A capacity raised between calls (unit
-// tests do this) falls back to single-entry allocations once the slab is
-// exhausted.
-func (ns *nodeState) newEntry(capacity int) *cachedAd {
-	if n := len(ns.free); n > 0 {
-		e := ns.free[n-1]
-		ns.free = ns.free[:n-1]
-		return e
-	}
-	if ns.slabbed {
-		return &cachedAd{}
-	}
-	ns.slabbed = true
-	slab := make([]cachedAd, capacity+1)
-	ns.free = make([]*cachedAd, 0, capacity+1)
-	for i := len(slab) - 1; i >= 1; i-- {
-		ns.free = append(ns.free, &slab[i])
-	}
-	return &slab[0]
-}
+// live returns the cached entries' slab indices in insertion order.
+func (ns *nodeState) live() []uint32 { return ns.fifo[ns.head:] }
 
-// freeEntry recycles a removed cache entry, dropping its snapshot
-// reference so the arena does not pin dead ads for the GC.
-func (ns *nodeState) freeEntry(e *cachedAd) {
-	*e = cachedAd{}
-	ns.free = append(ns.free, e)
+// insert places a new entry at the fifo's tail and returns its slab index.
+//
+// The first insertion carves the slab and the fifo for the node's whole
+// lifetime: store brings the cache back to capacity before it returns, so
+// at most capacity+1 entries are ever live at once, and slab, fifo and
+// free list are the node's only cache allocations however much ad traffic
+// passes through. Evictions eat the fifo from the front, so
+// when its tail reaches the end of the backing array the live run is
+// copied back down to the start instead of letting append reallocate; the
+// one-eighth slack makes that a handful of index moves per insertion. A
+// capacity raised between calls (unit tests do this) regrows both.
+func (ns *nodeState) insert(e cachedAd, capacity int) uint32 {
+	var i uint32
+	if k := len(ns.free); k > 0 {
+		i = ns.free[k-1]
+		ns.free = ns.free[:k-1]
+	} else {
+		if ns.slab == nil {
+			ns.slab = make([]cachedAd, 0, capacity+1)
+		}
+		i = uint32(len(ns.slab))
+		ns.slab = append(ns.slab, cachedAd{})
+	}
+	ns.slab[i] = e
+	if len(ns.fifo) == cap(ns.fifo) {
+		live := ns.live()
+		if ns.head == 0 {
+			ns.fifo = make([]uint32, 0, max(capacity, len(live))+capacity/8+2)
+		}
+		ns.fifo, ns.head = append(ns.fifo[:0], live...), 0
+	}
+	ns.fifo = append(ns.fifo, i)
+	return i
 }
 
 // storeOutcome reports what a cache store did, so the caller can account
@@ -132,8 +148,8 @@ const (
 	storedGap                         // version gap: caller must fetch a full ad
 )
 
-// store merges an incoming ad into the cache under ns.mu. kind dictates
-// semantics:
+// store merges an incoming ad into node v's cache (under v's mu, or on the
+// runner thread inside an apply section). kind dictates semantics:
 //
 //   - full: cache or replace when the version is not older;
 //   - patch: advance v-1 → v by snapshot swap; unknown source is ignored
@@ -141,58 +157,54 @@ const (
 //     cached version is a gap;
 //   - refresh: bump freshness; a version mismatch is a gap.
 //
-// capacity enforcement evicts the oldest-inserted entry (FIFO).
-func (ns *nodeState) store(snap *adSnapshot, kind adKind, now sim.Clock, capacity int) storeOutcome {
-	cur := ns.tab.get(snap.src)
+// capacity enforcement evicts the oldest-inserted entry (FIFO). shared is
+// true for callers inside a query phase (see holderTab).
+func (s *Scheme) store(v overlay.NodeID, snap *adSnapshot, kind adKind, now sim.Clock, shared bool) storeOutcome {
+	ns := &s.nodes[v]
+	h := &s.holders[snap.src]
+	h.lock(shared)
+	i, held := h.get(v)
+	if !held && kind == adFull {
+		h.put(v, ns.insert(cachedAd{snap: snap, lastSeen: now}, s.cfg.CacheCapacity))
+	}
+	h.unlock(shared)
+	if held {
+		return ns.slab[i].merge(snap, kind, now)
+	}
+	if kind != adFull {
+		return storedIgnored
+	}
+	if now < ns.minSeen {
+		ns.minSeen = now
+	}
+	for ; len(ns.live()) > s.cfg.CacheCapacity; ns.head++ {
+		s.unhold(v, ns.fifo[ns.head], shared) // FIFO eviction
+	}
+	return storedOK
+}
+
+// merge applies an incoming ad to the entry already cached for its source,
+// in place (a replacement keeps the entry's fifo position).
+func (cur *cachedAd) merge(snap *adSnapshot, kind adKind, now sim.Clock) storeOutcome {
 	switch kind {
 	case adFull:
-		if cur != nil && newerVersion(cur.snap.version, snap.version) {
-			// Cached version is newer (reordered delivery); keep it.
-			cur.lastSeen = now
-			return storedOK
+		// A cached version that is newer (reordered delivery) is kept.
+		if !newerVersion(cur.snap.version, snap.version) {
+			cur.snap = snap
 		}
-		if cur != nil {
-			// Replacement keeps the entry's fifo position.
-			cur.snap, cur.lastSeen = snap, now
-			return storedOK
-		}
-		e := ns.newEntry(capacity)
-		*e = cachedAd{snap: snap, lastSeen: now}
-		ns.tab.put(snap.src, e)
-		ns.fifo = append(ns.fifo, snap.src)
-		if now < ns.minSeen {
-			ns.minSeen = now
-		}
-		ns.evictOver(capacity)
-		return storedOK
 	case adPatch:
-		if cur == nil {
-			return storedIgnored
-		}
 		if cur.snap.version+1 == snap.version {
-			cur.snap, cur.lastSeen = snap, now
-			return storedOK
-		}
-		if newerVersion(snap.version, cur.snap.version) {
+			cur.snap = snap
+		} else if newerVersion(snap.version, cur.snap.version) {
 			return storedGap
 		}
-		cur.lastSeen = now
-		return storedOK
 	case adRefresh:
-		if cur == nil {
-			return storedIgnored
-		}
-		if cur.snap.version == snap.version {
-			cur.lastSeen = now
-			return storedOK
-		}
 		if newerVersion(snap.version, cur.snap.version) {
 			return storedGap
 		}
-		cur.lastSeen = now
-		return storedOK
 	}
-	return storedIgnored
+	cur.lastSeen = now
+	return storedOK
 }
 
 // newerVersion reports whether a is strictly newer than b under 16-bit
@@ -201,63 +213,55 @@ func newerVersion(a, b uint16) bool {
 	return a != b && int16(a-b) > 0
 }
 
-// evictOver pops FIFO entries until the cache fits capacity.
-func (ns *nodeState) evictOver(capacity int) {
-	for ns.tab.n > capacity && len(ns.fifo) > 0 {
-		victim := ns.fifo[0]
-		ns.fifo = ns.fifo[1:]
-		if e := ns.tab.del(victim); e != nil {
-			ns.freeEntry(e)
-		}
+// unhold removes node v from the holder table of the source cached at v's
+// slab index i and recycles the slot, dropping its snapshot reference so
+// the slab does not pin dead ads for the GC. The caller takes i out of the
+// fifo.
+func (s *Scheme) unhold(v overlay.NodeID, i uint32, shared bool) {
+	ns := &s.nodes[v]
+	h := &s.holders[ns.slab[i].snap.src]
+	h.lock(shared)
+	h.del(v)
+	h.unlock(shared)
+	ns.slab[i] = cachedAd{}
+	ns.free = append(ns.free, i)
+}
+
+// drop removes src from node v's cache, closing the gap in the fifo so the
+// insertion order of the rest is kept exactly (ads replies serve entries
+// in fifo order). Called under v's mu or inside an apply section;
+// dead-source eviction is rare enough that the linear scan does not
+// matter.
+func (s *Scheme) drop(v, src overlay.NodeID, shared bool) {
+	ns := &s.nodes[v]
+	h := &s.holders[src]
+	h.lock(shared)
+	i, held := h.get(v)
+	h.unlock(shared)
+	if held {
+		p := ns.head + slices.Index(ns.live(), i)
+		ns.fifo = slices.Delete(ns.fifo, p, p+1)
+		s.unhold(v, i, shared)
 	}
 }
 
-// drop removes src from the cache and its insertion-order list, keeping
-// fifo an exact mirror of the cached sources (ads replies serve entries in
-// fifo order, so a stale fifo entry would change reply contents). Called
-// under mu; dead-source eviction is rare enough that the linear scan does
-// not matter.
-func (ns *nodeState) drop(src overlay.NodeID) {
-	e := ns.tab.del(src)
-	if e == nil {
-		return
-	}
-	ns.freeEntry(e)
-	for i, x := range ns.fifo {
-		if x == src {
-			ns.fifo = append(ns.fifo[:i], ns.fifo[i+1:]...)
-			break
-		}
-	}
-}
-
-// dropStale removes entries last seen before deadline and recomputes the
-// minSeen watermark from the survivors, so Search can skip the sweep until
-// an entry can actually expire. Called under mu.
-func (ns *nodeState) dropStale(deadline sim.Clock) {
-	if ns.tab.n == 0 {
-		ns.minSeen = maxClock
-		return
-	}
+// dropStale removes node v's entries last seen before deadline and
+// recomputes the minSeen watermark from the survivors, so Search can skip
+// the sweep until an entry can actually expire. Called under v's mu, from
+// searches only.
+func (s *Scheme) dropStale(v overlay.NodeID, deadline sim.Clock) {
+	ns := &s.nodes[v]
 	minSeen := maxClock
-	kept := ns.fifo[:0]
-	for _, src := range ns.fifo {
-		e := ns.tab.get(src)
-		if e == nil {
-			continue
-		}
-		if e.lastSeen < deadline {
-			ns.tab.del(src)
-			ns.freeEntry(e)
+	kept := ns.fifo[:ns.head]
+	for _, i := range ns.live() {
+		if e := &ns.slab[i]; e.lastSeen >= deadline {
+			minSeen = min(minSeen, e.lastSeen)
+			kept = append(kept, i)
 		} else {
-			if e.lastSeen < minSeen {
-				minSeen = e.lastSeen
-			}
-			kept = append(kept, src)
+			s.unhold(v, i, true)
 		}
 	}
-	ns.fifo = kept
-	ns.minSeen = minSeen
+	ns.fifo, ns.minSeen = kept, minSeen
 }
 
 // adKind discriminates the three ad types of §III-B.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"asap/internal/bloom"
 	"asap/internal/content"
 	"asap/internal/overlay"
@@ -19,16 +21,20 @@ import (
 // word (queryAcc) — the word-parallel replacement for the per-ad
 // ContainsAllProbes walk.
 //
-// Per-node cache lookup is a flat open-addressed table (adTable) instead of
-// a Go map: the store path is the single hottest map user in replay
-// profiles, and the table's linear probing over a two-word slot array keeps
-// it to one predictable cache line in the common case.
+// Cache membership is indexed source-major (holderTab): an ad delivery is
+// one source reaching many nodes, so "does v cache src's ad" is answered by
+// src's own small table of holders, which stays cache-resident for the whole
+// delivery, and a refresh or patch flood visits exactly the nodes that hold
+// the ad. Each node keeps its entries in an index-addressed slab with a fifo
+// of slab indices, so the cache scans never probe anything.
 //
 // Concurrency: adSlots is written only on the runner thread (publishWith),
 // which the runner's query-batch barrier orders strictly before and after
 // any Search; during a query batch the matrices are frozen and read-only.
-// Per-node state (adTable, fifo) keeps the existing discipline — nodeState.mu
-// across searches, the delivery seqlock across runner-thread writes.
+// Per-node state (slab, fifo) keeps the existing discipline — nodeState.mu
+// across searches, the delivery seqlock across runner-thread writes. Holder
+// tables are shared by every node, so the search-side mutations take the
+// table's own leaf lock (see holderTab).
 
 // maxClock is the highest representable virtual time; the watermark of an
 // empty cache.
@@ -140,83 +146,115 @@ func (qa *queryAcc) grow(g, b int) {
 	}
 }
 
-// adTable is a flat open-addressed hash table mapping ad source → cache
-// entry: power-of-two sizing, multiplicative hashing, linear probing,
-// backward-shift deletion (no tombstones). The zero value is a valid empty
-// table. It replaces the per-node Go map on the store/serve hot paths.
-type adTable struct {
-	slots []adTabSlot
+// holderTab is one source's side of the ads-cache index: the nodes caching
+// that source's ad, each mapped to the entry's index in the holder's slab.
+// It is a flat open-addressed table — power-of-two sizing, multiplicative
+// hashing, linear probing, backward-shift deletion (no tombstones) — and
+// the zero value is a valid empty table.
+//
+// A source's holder set peaks right after its full-ad flood and is then
+// drained by the holders' FIFO evictions, so a grow-only table would pin
+// every source at its high-water mark: put doubles at 50% load, del halves
+// once the table is under one-eighth full (never below holderMinSlots). The
+// gap between the two thresholds keeps a population hovering at either
+// boundary from resizing back and forth.
+//
+// mu is a leaf lock for the mutations that run inside a query phase, where
+// lanes searching at different nodes reach the same source's table: the
+// phase-2 merge, the confirm-timeout drop, the staleness sweep, and
+// HasCachedAd. It is taken after the node's own mu and never around
+// another lock. The runner-thread delivery path runs behind the query-batch
+// barrier (beginApply panics inside a query phase) and skips it.
+type holderTab struct {
+	mu    sync.Mutex
+	slots []holderSlot
 	n     int
 }
 
-// adTabSlot is one table slot. key is src+1 so 0 marks an empty slot for
+// holderSlot is one table slot. key is node+1 so 0 marks an empty slot for
 // any valid NodeID.
-type adTabSlot struct {
+type holderSlot struct {
 	key uint32
-	e   *cachedAd
+	idx uint32
 }
 
-func adTabHash(key, mask uint32) uint32 { return (key * 2654435761) & mask }
+const holderMinSlots = 16
 
-// get returns the entry cached for src, or nil.
-func (t *adTable) get(src overlay.NodeID) *cachedAd {
+func holderHash(key, mask uint32) uint32 { return (key * 2654435761) & mask }
+
+// lock takes the table's leaf lock when the caller shares the index with
+// concurrent searches; the runner-thread delivery path passes false.
+func (t *holderTab) lock(shared bool) {
+	if shared {
+		t.mu.Lock()
+	}
+}
+
+func (t *holderTab) unlock(shared bool) {
+	if shared {
+		t.mu.Unlock()
+	}
+}
+
+// get returns the slab index of node v's entry, if v holds the ad.
+func (t *holderTab) get(v overlay.NodeID) (uint32, bool) {
 	if len(t.slots) == 0 {
-		return nil
+		return 0, false
 	}
 	mask := uint32(len(t.slots) - 1)
-	key := uint32(src) + 1
-	for i := adTabHash(key, mask); ; i = (i + 1) & mask {
-		s := &t.slots[i]
+	key := uint32(v) + 1
+	for i := holderHash(key, mask); ; i = (i + 1) & mask {
+		s := t.slots[i]
 		if s.key == key {
-			return s.e
+			return s.idx, true
 		}
 		if s.key == 0 {
-			return nil
+			return 0, false
 		}
 	}
 }
 
-// put inserts or replaces src's entry, growing at 50% load so probe runs
-// stay short.
-func (t *adTable) put(src overlay.NodeID, e *cachedAd) {
+// put records that node v holds the ad at slab index idx, replacing any
+// earlier index.
+func (t *holderTab) put(v overlay.NodeID, idx uint32) {
 	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
+		t.resize(max(holderMinSlots, 2*len(t.slots)))
 	}
 	mask := uint32(len(t.slots) - 1)
-	key := uint32(src) + 1
-	for i := adTabHash(key, mask); ; i = (i + 1) & mask {
+	key := uint32(v) + 1
+	for i := holderHash(key, mask); ; i = (i + 1) & mask {
 		s := &t.slots[i]
 		if s.key == key {
-			s.e = e
+			s.idx = idx
 			return
 		}
 		if s.key == 0 {
-			s.key, s.e = key, e
+			*s = holderSlot{key, idx}
 			t.n++
 			return
 		}
 	}
 }
 
-// del removes and returns src's entry (nil if absent), backward-shifting
+// del removes node v and returns the slab index it held, backward-shifting
 // the displaced run so lookups never need tombstones.
-func (t *adTable) del(src overlay.NodeID) *cachedAd {
+func (t *holderTab) del(v overlay.NodeID) (uint32, bool) {
 	if len(t.slots) == 0 {
-		return nil
+		return 0, false
 	}
 	mask := uint32(len(t.slots) - 1)
-	key := uint32(src) + 1
-	i := adTabHash(key, mask)
+	key := uint32(v) + 1
+	i := holderHash(key, mask)
 	for ; ; i = (i + 1) & mask {
-		s := &t.slots[i]
+		s := t.slots[i]
 		if s.key == 0 {
-			return nil
+			return 0, false
 		}
 		if s.key == key {
 			break
 		}
 	}
-	e := t.slots[i].e
+	idx := t.slots[i].idx
 	t.n--
 	// Backward shift: slide later run members whose home position reaches
 	// back to (or past) the vacated slot, preserving probe invariants.
@@ -227,48 +265,35 @@ func (t *adTable) del(src overlay.NodeID) *cachedAd {
 		if s.key == 0 {
 			break
 		}
-		if h := adTabHash(s.key, mask); (j-h)&mask >= (j-i)&mask {
+		if h := holderHash(s.key, mask); (j-h)&mask >= (j-i)&mask {
 			t.slots[i] = s
 			i = j
 		}
 	}
-	t.slots[i] = adTabSlot{}
-	return e
+	t.slots[i] = holderSlot{}
+	if 8*t.n < len(t.slots) && len(t.slots) > holderMinSlots {
+		t.resize(len(t.slots) / 2)
+	}
+	return idx, true
 }
 
-func (t *adTable) grow() {
+func (t *holderTab) resize(size int) {
 	old := t.slots
-	size := 2 * len(old)
-	if size < 16 {
-		size = 16
-	}
-	t.slots = make([]adTabSlot, size)
-	t.n = 0
+	t.slots, t.n = make([]holderSlot, size), 0
 	for _, s := range old {
 		if s.key != 0 {
-			t.put(overlay.NodeID(s.key-1), s.e)
+			t.put(overlay.NodeID(s.key-1), s.idx)
 		}
 	}
 }
-
-// entry returns the cache entry for src, or nil. Called under mu (or on the
-// runner thread inside an apply section).
-func (ns *nodeState) entry(src overlay.NodeID) *cachedAd { return ns.tab.get(src) }
-
-// cacheLen returns the cache population.
-func (ns *nodeState) cacheLen() int { return ns.tab.n }
 
 // scanCache appends the sources of cached ads whose filters pass every
 // query probe, in fifo (insertion) order — phase 1's candidate scan.
 // Called under mu.
 func (ns *nodeState) scanCache(qa *queryAcc, out []overlay.NodeID) []overlay.NodeID {
-	for _, src := range ns.fifo {
-		e := ns.tab.get(src)
-		if e == nil {
-			continue
-		}
-		if qa.matches(e.snap) {
-			out = append(out, src)
+	for _, i := range ns.live() {
+		if snap := ns.slab[i].snap; qa.matches(snap) {
+			out = append(out, snap.src)
 		}
 	}
 	return out
@@ -281,12 +306,12 @@ func (ns *nodeState) scanCache(qa *queryAcc, out []overlay.NodeID) []overlay.Nod
 // order matters: under MaxAdsPerReply the subset offered must not depend
 // on anything but replay state, or two replays of one run diverge.
 func (ns *nodeState) serveAds(qa *queryAcc, buf []*adSnapshot, interests content.ClassSet, staleBefore sim.Clock, requester overlay.NodeID, max int) []*adSnapshot {
-	for _, src := range ns.fifo {
+	for _, i := range ns.live() {
 		if len(buf) >= max {
 			break
 		}
-		e := ns.tab.get(src)
-		if e == nil || !e.snap.topics.Intersects(interests) {
+		e := &ns.slab[i]
+		if !e.snap.topics.Intersects(interests) {
 			continue
 		}
 		if e.lastSeen < staleBefore || e.snap.src == requester {

@@ -45,11 +45,11 @@ func classKeys(rng *rand.Rand, topics content.ClassSet) []uint64 {
 	return keys
 }
 
-// churnStep applies one random cache mutation, maintaining the version
+// churnStep applies one random mutation to node 0's cache, maintaining the version
 // counter map. Freshly built snapshots register with slots three times out
 // of four (when given), so slotted and unslotted (scalar-fallback) ads mix
 // in every cache under test.
-func churnStep(rng *rand.Rand, ns *nodeState, slots *adSlots, vers map[overlay.NodeID]uint16, now sim.Clock, capacity int) {
+func churnStep(rng *rand.Rand, c *Scheme, slots *adSlots, vers map[overlay.NodeID]uint16, now sim.Clock) {
 	src := overlay.NodeID(rng.IntN(120))
 	mkSnap := func(version uint16, topics content.ClassSet) *adSnapshot {
 		sn := idxSnap(src, version, topics, classKeys(rng, topics))
@@ -61,20 +61,20 @@ func churnStep(rng *rand.Rand, ns *nodeState, slots *adSlots, vers map[overlay.N
 	switch rng.IntN(8) {
 	case 0, 1, 2, 3: // full ad (insert or replace), sometimes with new topics
 		vers[src]++
-		ns.store(mkSnap(vers[src], randTopics(rng)), adFull, now, capacity)
+		c.store(0, mkSnap(vers[src], randTopics(rng)), adFull, now, false)
 	case 4: // sequential patch with possibly different topics
-		if cur := ns.entry(src); cur != nil {
+		if cur := c.entry(0, src); cur != nil {
 			vers[src] = cur.snap.version + 1
-			ns.store(mkSnap(vers[src], randTopics(rng)), adPatch, now, capacity)
+			c.store(0, mkSnap(vers[src], randTopics(rng)), adPatch, now, false)
 		}
 	case 5: // refresh
-		if cur := ns.entry(src); cur != nil {
-			ns.store(cur.snap, adRefresh, now, capacity)
+		if cur := c.entry(0, src); cur != nil {
+			c.store(0, cur.snap, adRefresh, now, false)
 		}
 	case 6:
-		ns.drop(src)
+		c.drop(0, src, false)
 	case 7:
-		ns.dropStale(now - 400)
+		c.dropStale(0, now-400)
 	}
 }
 
@@ -84,14 +84,13 @@ func churnStep(rng *rand.Rand, ns *nodeState, slots *adSlots, vers map[overlay.N
 // candidate set of the scalar reference walk — same members, same order.
 func TestScanCacheMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 23))
-	ns := &nodeState{minSeen: maxClock}
+	c := newCaches(120, 40)
+	ns := &c.nodes[0]
 	slots := &adSlots{}
 	vers := make(map[overlay.NodeID]uint16)
 	var qa queryAcc
-	const capacity = 40
-
 	for i := 0; i < 4000; i++ {
-		churnStep(rng, ns, slots, vers, sim.Clock(i), capacity)
+		churnStep(rng, c, slots, vers, sim.Clock(i))
 		if i%7 != 0 {
 			continue
 		}
@@ -119,15 +118,14 @@ func TestScanCacheMatchesLinearScan(t *testing.T) {
 // both the accumulator path (search pull) and the nil path (join pull).
 func TestServeAdsMatchesFifoWalk(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 17))
-	ns := &nodeState{minSeen: maxClock}
+	c := newCaches(120, 40)
+	ns := &c.nodes[0]
 	slots := &adSlots{}
 	vers := make(map[overlay.NodeID]uint16)
 	var qacc queryAcc
-	const capacity = 40
-
 	var buf []*adSnapshot
 	for i := 0; i < 4000; i++ {
-		churnStep(rng, ns, slots, vers, sim.Clock(i), capacity)
+		churnStep(rng, c, slots, vers, sim.Clock(i))
 		if i%5 != 0 {
 			continue
 		}
@@ -160,9 +158,7 @@ func TestServeAdsMatchesFifoWalk(t *testing.T) {
 // state versus sweeping unconditionally on every query.
 func TestDropStaleWatermarkGateEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
-	gated := &nodeState{minSeen: maxClock}
-	ref := &nodeState{minSeen: maxClock}
-	const capacity = 25
+	gated, ref := newCaches(60, 25), newCaches(60, 25)
 
 	for i := 0; i < 3000; i++ {
 		now := sim.Clock(i * 3)
@@ -170,73 +166,131 @@ func TestDropStaleWatermarkGateEquivalence(t *testing.T) {
 		switch rng.IntN(4) {
 		case 0, 1:
 			sp := idxSnap(src, uint16(i), randTopics(rng), nil)
-			gated.store(sp, adFull, now, capacity)
-			ref.store(sp, adFull, now, capacity)
+			gated.store(0, sp, adFull, now, false)
+			ref.store(0, sp, adFull, now, false)
 		case 2:
-			gated.drop(src)
-			ref.drop(src)
+			gated.drop(0, src, false)
+			ref.drop(0, src, false)
 		case 3: // a search arrives: gated sweep vs unconditional sweep
 			deadline := now - 200
-			if gated.minSeen < deadline {
-				gated.dropStale(deadline)
+			if gated.nodes[0].minSeen < deadline {
+				gated.dropStale(0, deadline)
 			}
-			ref.dropStale(deadline)
-			if !slices.Equal(gated.fifo, ref.fifo) {
-				t.Fatalf("step %d: fifo diverged: %v vs %v", i, gated.fifo, ref.fifo)
-			}
-			for _, k := range ref.fifo {
-				v := ref.entry(k)
-				if g := gated.entry(k); g == nil || g.lastSeen != v.lastSeen || g.snap != v.snap {
-					t.Fatalf("step %d: cache diverged at %d", i, k)
-				}
-			}
-			if gated.cacheLen() != ref.cacheLen() {
-				t.Fatalf("step %d: cache sizes diverged", i)
+			ref.dropStale(0, deadline)
+			// Same entries (snapshot and freshness) in the same fifo order.
+			if g, r := cacheEntries(&gated.nodes[0]), cacheEntries(&ref.nodes[0]); !slices.Equal(g, r) {
+				t.Fatalf("step %d: caches diverged: %v vs %v", i, g, r)
 			}
 		}
 	}
 }
 
-// TestAdTableBasics pins the flat table's semantics directly: put/get/del
-// round-trips, replacement, growth past many inserts, and backward-shift
-// deletion keeping every surviving key reachable.
-func TestAdTableBasics(t *testing.T) {
+// TestHolderTabBasics pins the holder table's semantics against a map
+// oracle: put/get/del round-trips, replacement, growth past many inserts,
+// shrinking as the population drains, and backward-shift deletion keeping
+// every surviving key reachable.
+func TestHolderTabBasics(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 4))
-	var tab adTable
-	ref := make(map[overlay.NodeID]*cachedAd)
-	for i := 0; i < 20000; i++ {
-		src := overlay.NodeID(rng.IntN(300))
-		switch rng.IntN(3) {
-		case 0, 1:
-			e := &cachedAd{lastSeen: sim.Clock(i)}
-			tab.put(src, e)
-			ref[src] = e
-		case 2:
-			got := tab.del(src)
-			want := ref[src]
-			delete(ref, src)
-			if got != want {
-				t.Fatalf("step %d: del(%d) = %p, want %p", i, src, got, want)
+	var tab holderTab
+	ref := make(map[overlay.NodeID]uint32)
+	check := func(where string, i int) {
+		t.Helper()
+		for k, want := range ref {
+			if got, ok := tab.get(k); !ok || got != want {
+				t.Fatalf("%s %d: get(%d) = (%d, %v), want %d", where, i, k, got, ok, want)
+			}
+		}
+	}
+	shrinks := 0
+	for i := 0; i < 40000; i++ {
+		v := overlay.NodeID(rng.IntN(300))
+		// Puts outnumber deletes two to one, then deletes win seven to one:
+		// the table grows through several doublings and shrinks back as the
+		// population drains, over and over.
+		del := rng.IntN(3) == 2
+		if i/5000%2 == 1 {
+			del = rng.IntN(8) != 0
+		}
+		before := len(tab.slots)
+		if !del {
+			tab.put(v, uint32(i))
+			ref[v] = uint32(i)
+		} else {
+			got, ok := tab.del(v)
+			want, had := ref[v]
+			delete(ref, v)
+			if ok != had || got != want {
+				t.Fatalf("step %d: del(%d) = (%d, %v), want (%d, %v)", i, v, got, ok, want, had)
 			}
 		}
 		if tab.n != len(ref) {
 			t.Fatalf("step %d: table n=%d, reference %d", i, tab.n, len(ref))
 		}
+		if len(tab.slots) < 2*tab.n {
+			t.Fatalf("step %d: %d slots for %d keys, over 50%% load", i, len(tab.slots), tab.n)
+		}
+		if len(tab.slots) < before {
+			shrinks++
+		}
 		if i%500 == 0 {
-			for k, v := range ref {
-				if tab.get(k) != v {
-					t.Fatalf("step %d: get(%d) lost entry after churn", i, k)
-				}
-			}
+			check("step", i)
 		}
 	}
-	for k, v := range ref {
-		if tab.get(k) != v {
-			t.Fatalf("final: get(%d) != reference", k)
-		}
+	check("final", 0)
+	if shrinks == 0 {
+		t.Error("the table never shrank; the drain phases did not exercise del's resize")
 	}
-	if tab.get(overlay.NodeID(301)) != nil {
+	if _, ok := tab.get(overlay.NodeID(301)); ok {
 		t.Fatal("get of never-inserted key returned an entry")
+	}
+}
+
+// TestHolderTabShrinkHysteresis: a source's holder set peaks after its
+// full-ad flood and then drains, and the table must give the memory back —
+// but a population hovering at a resize boundary must not thrash.
+func TestHolderTabShrinkHysteresis(t *testing.T) {
+	var tab holderTab
+	for v := 0; v < 1000; v++ {
+		tab.put(overlay.NodeID(v), uint32(v))
+	}
+	peak := len(tab.slots)
+	for v := 50; v < 1000; v++ {
+		tab.del(overlay.NodeID(v))
+	}
+	if len(tab.slots) > 256 {
+		t.Errorf("drained 1000 → 50 holders: %d slots (peak %d), want ≤ 256", len(tab.slots), peak)
+	}
+	for v := 0; v < 50; v++ {
+		if got, ok := tab.get(overlay.NodeID(v)); !ok || got != uint32(v) {
+			t.Fatalf("holder %d lost across shrinks: (%d, %v)", v, got, ok)
+		}
+	}
+	for v := 0; v < 50; v++ {
+		tab.del(overlay.NodeID(v))
+	}
+	if len(tab.slots) != holderMinSlots {
+		t.Errorf("empty table keeps %d slots, want the %d-slot floor", len(tab.slots), holderMinSlots)
+	}
+
+	// At each boundary — one below the grow threshold, and the shrink
+	// threshold — alternating put/del must not resize at all.
+	for _, n := range []int{127, 32} {
+		var tab holderTab
+		for v := 0; v < 200; v++ {
+			tab.put(overlay.NodeID(v), 0)
+		}
+		for v := 199; v >= n; v-- {
+			tab.del(overlay.NodeID(v))
+		}
+		edge := overlay.NodeID(n)
+		if a := testing.AllocsPerRun(100, func() {
+			tab.put(edge, 0)
+			tab.del(edge)
+			tab.del(edge - 1)
+			tab.put(edge-1, 0)
+		}); a != 0 {
+			t.Errorf("alternating put/del around %d holders (%d slots) allocates %.1f times, want 0", n, len(tab.slots), a)
+		}
 	}
 }
 
@@ -286,7 +340,7 @@ func TestStaleWindowRegression(t *testing.T) {
 	topics := content.ClassSet(0).Add(0)
 	sp := idxSnap(src, 1000, topics, []uint64{42})
 	ns.mu.Lock()
-	ns.store(sp, adFull, T, s.cfg.CacheCapacity)
+	s.store(p, sp, adFull, T, true)
 	ns.mu.Unlock()
 
 	search := func(at sim.Clock) {
@@ -298,7 +352,7 @@ func TestStaleWindowRegression(t *testing.T) {
 	// At deadline == T the entry is not yet stale (strict <).
 	search(T + window)
 	ns.mu.Lock()
-	ok := ns.entry(src) != nil
+	ok := s.entry(p, src) != nil
 	ns.mu.Unlock()
 	if !ok {
 		t.Fatalf("entry expired at exactly window boundary; want survival (lastSeen < deadline is strict)")
@@ -306,7 +360,7 @@ func TestStaleWindowRegression(t *testing.T) {
 	// One millisecond later it is.
 	search(T + window + 1)
 	ns.mu.Lock()
-	ok = ns.entry(src) != nil
+	ok = s.entry(p, src) != nil
 	ns.mu.Unlock()
 	if ok {
 		t.Fatalf("entry still cached %d ms past its staleness window", 1)

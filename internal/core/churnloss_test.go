@@ -20,7 +20,9 @@ import (
 // desynchronise the signature index from the caches: FIFO eviction (tiny
 // capacity), dead-source eviction after failed confirmations (loss plane),
 // staleness expiry, patch snapshot swaps, and the steady growth of the
-// global slot matrix as republished ads register new signatures. Run under
+// global slot matrix as republished ads register new signatures — and the
+// paths that can desynchronise the source-major holder index from the
+// per-node slabs, which is audited after every event. Run under
 // -race it additionally validates that concurrent searches share the
 // frozen matrices safely.
 func TestIndexedCacheEquivalenceUnderChurnAndLoss(t *testing.T) {
@@ -75,6 +77,14 @@ func TestIndexedCacheEquivalenceUnderChurnAndLoss(t *testing.T) {
 			s.Tick(int64(curSec) * 1000)
 		}
 	}
+	// audit checks, after every event, that the source-major holder index
+	// and the per-node slabs, fifos and free lists still describe the same
+	// set of cached ads (checkIndex, oracle_test.go).
+	audit := func(i int) {
+		if err := checkIndex(s); err != nil {
+			t.Fatalf("after event %d: %v", i, err)
+		}
+	}
 	queries := 0
 	for i := range testTr.Events {
 		ev := &testTr.Events[i]
@@ -84,6 +94,7 @@ func TestIndexedCacheEquivalenceUnderChurnAndLoss(t *testing.T) {
 			s.Search(ev)
 			queries++
 			verify("post-search", ev.Node, ev.Time, ev.Terms)
+			audit(i)
 			continue
 		}
 		if ev.Kind == trace.Leave {
@@ -100,6 +111,7 @@ func TestIndexedCacheEquivalenceUnderChurnAndLoss(t *testing.T) {
 		case trace.Leave:
 			s.NodeLeft(ev.Time, ev.Node)
 		}
+		audit(i)
 		if i%25 == 0 {
 			for _, p := range sample {
 				verify("churn checkpoint", p, ev.Time, nil)

@@ -78,79 +78,75 @@ func snap(src overlay.NodeID, version uint16, topics content.ClassSet) *adSnapsh
 	return &adSnapshot{src: src, version: version, topics: topics, filter: f, fullWire: f.WireSize(), patchWire: 8}
 }
 
-func newNS() *nodeState {
-	return &nodeState{}
-}
-
 func TestStoreFullAndReplace(t *testing.T) {
-	ns := newNS()
+	c := newCaches(16, 10)
 	a1 := snap(5, 1, 1)
-	if got := ns.store(a1, adFull, 100, 10); got != storedOK {
+	if got := c.store(0, a1, adFull, 100, false); got != storedOK {
 		t.Fatalf("store full = %v", got)
 	}
-	if e := ns.entry(5); e.snap != a1 || e.lastSeen != 100 {
+	if e := c.entry(0, 5); e.snap != a1 || e.lastSeen != 100 {
 		t.Fatal("entry not cached")
 	}
 	a2 := snap(5, 2, 1)
-	ns.store(a2, adFull, 200, 10)
-	if ns.entry(5).snap != a2 {
+	c.store(0, a2, adFull, 200, false)
+	if c.entry(0, 5).snap != a2 {
 		t.Fatal("newer full did not replace")
 	}
 	// An older full arriving late must not clobber the newer one.
-	ns.store(a1, adFull, 300, 10)
-	if ns.entry(5).snap != a2 {
+	c.store(0, a1, adFull, 300, false)
+	if c.entry(0, 5).snap != a2 {
 		t.Fatal("stale full clobbered newer version")
 	}
-	if ns.entry(5).lastSeen != 300 {
+	if c.entry(0, 5).lastSeen != 300 {
 		t.Fatal("stale full should still bump freshness")
 	}
-	if len(ns.fifo) != 1 {
-		t.Fatalf("fifo length %d, want 1 (one source)", len(ns.fifo))
+	if len(c.nodes[0].live()) != 1 {
+		t.Fatalf("fifo length %d, want 1 (one source)", len(c.nodes[0].live()))
 	}
 }
 
 func TestStorePatchSemantics(t *testing.T) {
-	ns := newNS()
+	c := newCaches(16, 10)
 	// Patch for an unknown source is ignored.
-	if got := ns.store(snap(7, 2, 1), adPatch, 0, 10); got != storedIgnored {
+	if got := c.store(0, snap(7, 2, 1), adPatch, 0, false); got != storedIgnored {
 		t.Fatalf("patch on empty cache = %v, want ignored", got)
 	}
-	ns.store(snap(7, 1, 1), adFull, 0, 10)
+	c.store(0, snap(7, 1, 1), adFull, 0, false)
 	// Sequential patch advances.
 	p2 := snap(7, 2, 1)
-	if got := ns.store(p2, adPatch, 10, 10); got != storedOK {
+	if got := c.store(0, p2, adPatch, 10, false); got != storedOK {
 		t.Fatalf("sequential patch = %v", got)
 	}
-	if ns.entry(7).snap != p2 {
+	if c.entry(0, 7).snap != p2 {
 		t.Fatal("patch did not advance snapshot")
 	}
 	// Version gap demands a full fetch.
-	if got := ns.store(snap(7, 5, 1), adPatch, 20, 10); got != storedGap {
+	if got := c.store(0, snap(7, 5, 1), adPatch, 20, false); got != storedGap {
 		t.Fatal("gap not detected")
 	}
 	// Old patch re-delivered: freshness only.
-	if got := ns.store(snap(7, 1, 1), adPatch, 30, 10); got != storedOK {
+	if got := c.store(0, snap(7, 1, 1), adPatch, 30, false); got != storedOK {
 		t.Fatal("stale patch should be absorbed")
 	}
-	if ns.entry(7).snap != p2 {
+	if c.entry(0, 7).snap != p2 {
 		t.Fatal("stale patch rewound the snapshot")
 	}
 }
 
 func TestStoreRefreshSemantics(t *testing.T) {
-	ns := newNS()
-	if got := ns.store(snap(3, 1, 1), adRefresh, 0, 10); got != storedIgnored {
+	c := newCaches(16, 10)
+	if got := c.store(0, snap(3, 1, 1), adRefresh, 0, false); got != storedIgnored {
 		t.Fatal("refresh for unknown source should be ignored")
 	}
 	a := snap(3, 1, 1)
-	ns.store(a, adFull, 0, 10)
-	if got := ns.store(snap(3, 1, 1), adRefresh, 50, 10); got != storedOK {
+	c.store(0, a, adFull, 0, false)
+	if got := c.store(0, snap(3, 1, 1), adRefresh, 50, false); got != storedOK {
 		t.Fatal("same-version refresh failed")
 	}
-	if ns.entry(3).lastSeen != 50 {
+	if c.entry(0, 3).lastSeen != 50 {
 		t.Fatal("refresh did not bump freshness")
 	}
-	if got := ns.store(snap(3, 4, 1), adRefresh, 60, 10); got != storedGap {
+	if got := c.store(0, snap(3, 4, 1), adRefresh, 60, false); got != storedGap {
 		t.Fatal("refresh with newer version must signal a gap")
 	}
 }
@@ -165,47 +161,47 @@ func TestVersionWrapAround(t *testing.T) {
 	if newerVersion(5, 5) {
 		t.Error("equal versions are not newer")
 	}
-	ns := newNS()
-	ns.store(snap(1, 65535, 1), adFull, 0, 10)
-	if got := ns.store(snap(1, 0, 1), adPatch, 1, 10); got != storedOK {
+	c := newCaches(16, 10)
+	c.store(0, snap(1, 65535, 1), adFull, 0, false)
+	if got := c.store(0, snap(1, 0, 1), adPatch, 1, false); got != storedOK {
 		t.Errorf("wrap-around patch = %v, want stored", got)
 	}
 }
 
 func TestFIFOEviction(t *testing.T) {
-	ns := newNS()
+	c := newCaches(16, 3)
 	for i := 0; i < 5; i++ {
-		ns.store(snap(overlay.NodeID(i), 1, 1), adFull, int64(i), 3)
+		c.store(0, snap(overlay.NodeID(i), 1, 1), adFull, int64(i), false)
 	}
-	if ns.cacheLen() != 3 {
-		t.Fatalf("cache size %d, want capacity 3", ns.cacheLen())
+	if len(c.nodes[0].live()) != 3 {
+		t.Fatalf("cache size %d, want capacity 3", len(c.nodes[0].live()))
 	}
 	// Oldest insertions (0, 1) must be gone.
 	for _, gone := range []overlay.NodeID{0, 1} {
-		if ns.entry(gone) != nil {
+		if c.entry(0, gone) != nil {
 			t.Errorf("source %d survived FIFO eviction", gone)
 		}
 	}
 	for _, kept := range []overlay.NodeID{2, 3, 4} {
-		if ns.entry(kept) == nil {
+		if c.entry(0, kept) == nil {
 			t.Errorf("source %d evicted out of order", kept)
 		}
 	}
 }
 
 func TestDropStale(t *testing.T) {
-	ns := newNS()
-	ns.store(snap(1, 1, 1), adFull, 100, 10)
-	ns.store(snap(2, 1, 1), adFull, 500, 10)
-	ns.dropStale(300)
-	if ns.entry(1) != nil {
+	c := newCaches(16, 10)
+	c.store(0, snap(1, 1, 1), adFull, 100, false)
+	c.store(0, snap(2, 1, 1), adFull, 500, false)
+	c.dropStale(0, 300)
+	if c.entry(0, 1) != nil {
 		t.Error("stale entry survived")
 	}
-	if ns.entry(2) == nil {
+	if c.entry(0, 2) == nil {
 		t.Error("fresh entry dropped")
 	}
-	if len(ns.fifo) != 1 {
-		t.Errorf("fifo length %d after dropStale, want 1", len(ns.fifo))
+	if len(c.nodes[0].live()) != 1 {
+		t.Errorf("fifo length %d after dropStale, want 1", len(c.nodes[0].live()))
 	}
 }
 

@@ -114,6 +114,17 @@ func (s *Scheme) liveNeighbors(n overlay.NodeID) []overlay.NodeID {
 // every reached node applies it once. A dropped copy leaves its receiver
 // unstamped, so a later surviving copy (from another branch) still reaches
 // it.
+//
+// Refresh and patch ads only ever act on nodes already caching the source's
+// ad (store ignores them elsewhere), so without a fault plane the BFS just
+// stamps reach and accounts traffic, and one pass over the source's holder
+// table then applies the ad to the holders the flood reached — non-holders
+// are never touched. That pass runs in table-slot order, not BFS order,
+// which is sound because fault-free applyAd effects on different nodes
+// commute (each touches only its own node's cache; accounting is integer
+// adds). Under a fault plane the gap fetch consumes the delivery's drop
+// stream in visit order, so every reached node applies in BFS order, as do
+// full ads, which insert.
 func (s *Scheme) deliverFlood(t sim.Clock, snap *adSnapshot, kind adKind, targeting content.ClassSet, msgBytes int, class metrics.MsgClass, dkey uint64, dseq *uint32) {
 	s.epoch++
 	if s.epoch == 0 {
@@ -125,9 +136,10 @@ func (s *Scheme) deliverFlood(t sim.Clock, snap *adSnapshot, kind adKind, target
 	queue := append(s.floodQ[:0], floodItem{snap.src, 0})
 	s.stamp[snap.src] = s.epoch
 	faultFree := s.sys.FaultFree()
+	holdersOnly := faultFree && kind != adFull
 	for i := 0; i < len(queue); i++ {
 		it := queue[i]
-		if it.node != snap.src {
+		if it.node != snap.src && !holdersOnly {
 			s.applyAd(t, it.node, snap, kind, targeting, dkey, dseq)
 		}
 		if it.hop >= s.cfg.FloodTTL {
@@ -169,6 +181,15 @@ func (s *Scheme) deliverFlood(t sim.Clock, snap *adSnapshot, kind adKind, target
 		}
 	}
 	s.floodQ = queue
+	if holdersOnly {
+		// A gap fetch re-stores into an existing entry, so the table is
+		// not resized or reordered under the loop.
+		for _, sl := range s.holders[snap.src].slots {
+			if v := overlay.NodeID(sl.key) - 1; sl.key != 0 && s.stamp[v] == s.epoch && v != snap.src {
+				s.applyAd(t, v, snap, kind, targeting, dkey, dseq)
+			}
+		}
+	}
 }
 
 // floodItem is one BFS queue entry of deliverFlood: a reached node and its
@@ -339,9 +360,7 @@ func (s *Scheme) applyAd(t sim.Clock, v overlay.NodeID, snap *adSnapshot, kind a
 	if !s.cacheEligible(v) || !s.groupInterests(v).Intersects(targeting) {
 		return
 	}
-	ns := &s.nodes[v]
-	outcome := ns.store(snap, kind, t, s.cfg.CacheCapacity)
-	if outcome != storedGap {
+	if s.store(v, snap, kind, t, false) != storedGap {
 		return
 	}
 	// Version gap: v's copy is too old to patch. Fetch the current full ad
@@ -358,5 +377,5 @@ func (s *Scheme) applyAd(t sim.Clock, v overlay.NodeID, snap *adSnapshot, kind a
 	if !s.sys.Arrives(t, metrics.MAdFull, snap.src, v, dkey, nextSeq(dseq)) {
 		return // reply lost: v keeps its stale copy
 	}
-	ns.store(cur, adFull, t, s.cfg.CacheCapacity)
+	s.store(v, cur, adFull, t, false)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -121,6 +122,157 @@ func TestDeliveryHotPathAllocs(t *testing.T) {
 	apply()
 	if a := testing.AllocsPerRun(10, apply); a != 0 {
 		t.Errorf("applyAd allocates %.1f times per application, want 0", a)
+	}
+}
+
+// floodPerNode is the specification of a fault-free flood delivery: the
+// same duplicate-suppressed TTL-bounded BFS as deliverFlood with applyAd at
+// every reached node in BFS order — the path full ads and lossy networks
+// take — written out plainly so the holders-only pass that refresh and
+// patch floods use instead can be pinned against it.
+func floodPerNode(s *Scheme, t sim.Clock, snap *adSnapshot, kind adKind, class metrics.MsgClass) {
+	s.beginApply()
+	defer s.endApply()
+	type item struct {
+		node overlay.NodeID
+		hop  int
+	}
+	var dseq uint32
+	seen := map[overlay.NodeID]bool{snap.src: true}
+	queue := []item{{snap.src, 0}}
+	for i := 0; i < len(queue); i++ {
+		it := queue[i]
+		if it.node != snap.src {
+			s.applyAd(t, it.node, snap, kind, snap.topics, 1, &dseq)
+		}
+		if it.hop >= s.cfg.FloodTTL || s.sys.FreeRider(it.node) {
+			continue
+		}
+		for _, nb := range s.eligibleView(it.node) {
+			s.sys.Account(t, class, snap.wireBytes(kind))
+			if !seen[nb] {
+				seen[nb] = true
+				queue = append(queue, item{nb, it.hop + 1})
+			}
+		}
+	}
+}
+
+// TestFloodHoldersPassMatchesPerNodeApply: a refresh or patch flood that
+// applies the ad through the source's holder table (slot order, reached
+// holders only) leaves every cache — fifo order, versions, freshness — and
+// the load account exactly as applying it at every reached node in BFS
+// order does: under partial reach, behind free riders that swallow the
+// flood, and across version gaps that trigger full-ad fetches.
+func TestFloodHoldersPassMatchesPerNodeApply(t *testing.T) {
+	type cached struct {
+		src      overlay.NodeID
+		version  uint16
+		lastSeen sim.Clock
+	}
+	contents := func(s *Scheme) [][]cached {
+		out := make([][]cached, len(s.nodes))
+		for v := range s.nodes {
+			for _, e := range cacheEntries(&s.nodes[v]) {
+				out[v] = append(out[v], cached{e.snap.src, e.snap.version, e.lastSeen})
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name       string
+		ttl        int
+		freeRiders bool
+		gaps       bool
+	}{
+		{name: "full reach", ttl: testConfig(FLD).FloodTTL},
+		{name: "ttl 2", ttl: 2},
+		{name: "free riders", ttl: testConfig(FLD).FloodTTL, freeRiders: true},
+		{name: "version gaps", ttl: 3, gaps: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two identically warmed systems: index 0 delivers through
+			// deliver's fast path, index 1 through the specification. The
+			// TTL under test applies after the warm-up, so holders exist
+			// beyond its reach.
+			var ss [2]*Scheme
+			for k := range ss {
+				ss[k], _ = attach(t, FLD)
+				ss[k].cfg.FloodTTL = tc.ttl
+			}
+			if !reflect.DeepEqual(contents(ss[0]), contents(ss[1])) {
+				t.Fatal("the two warm-ups diverged; nothing to compare")
+			}
+			var sources []overlay.NodeID
+			for v := 0; len(sources) < 24 && v < len(ss[0].nodes); v += 3 {
+				if ss[0].publishedSnapshot(overlay.NodeID(v)) != nil {
+					sources = append(sources, overlay.NodeID(v))
+				}
+			}
+			reached, unreached := 0, 0
+			for k, s := range ss {
+				if tc.freeRiders {
+					mask := make([]bool, len(s.nodes))
+					for v := range mask {
+						mask[v] = v%3 == 1 // never a source
+					}
+					s.sys.SetFreeRiders(mask)
+				}
+				for n, src := range sources {
+					snap := s.publishedSnapshot(src)
+					if tc.gaps {
+						// Age some holders' copies: one version behind takes
+						// the patch, three behind is a gap either kind must
+						// repair with a fetched full ad.
+						for v := range s.nodes {
+							if e := s.entry(overlay.NodeID(v), src); e != nil && v%3 != 2 {
+								old := *snap
+								old.version -= uint16(1 + 2*(v%3))
+								e.snap = &old
+							}
+						}
+					}
+					kind, class := adRefresh, metrics.MAdRefresh
+					if n%2 == 1 {
+						kind, class = adPatch, metrics.MAdPatch
+					}
+					at := sim.Clock(5000 + n)
+					if k == 0 {
+						s.deliver(at, snap, kind, snap.topics)
+						for v := range s.nodes {
+							if e := s.entry(overlay.NodeID(v), src); e != nil && e.lastSeen == at {
+								reached++
+							} else if e != nil {
+								unreached++
+							}
+						}
+					} else {
+						floodPerNode(s, at, snap, kind, class)
+					}
+				}
+				if err := checkIndex(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if reached == 0 {
+				t.Fatal("no holder was refreshed; the deliveries exercised nothing")
+			}
+			if tc.ttl == 2 && unreached == 0 {
+				t.Error("every holder was within two hops; partial reach was not exercised")
+			}
+			if fetched := ss[0].sys.Load.ByClass()[metrics.MControl] > 0; fetched != tc.gaps {
+				t.Errorf("gap fetches happened = %v, want %v", fetched, tc.gaps)
+			}
+			got, want := contents(ss[0]), contents(ss[1])
+			for v := range want {
+				if !slices.Equal(got[v], want[v]) {
+					t.Fatalf("node %d caches diverged:\nholders pass %v\nper-node    %v", v, got[v], want[v])
+				}
+			}
+			if !reflect.DeepEqual(ss[0].sys.Load, ss[1].sys.Load) {
+				t.Errorf("load accounts diverged: by class %v vs %v", ss[0].sys.Load.ByClass(), ss[1].sys.Load.ByClass())
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"asap/internal/bloom"
 	"asap/internal/content"
 	"asap/internal/overlay"
@@ -12,15 +14,48 @@ import (
 // specification the optimised path must match exactly — a plain fifo walk
 // with scalar Bloom probing, no signature index, no accumulator.
 
+// newCaches returns a bare Scheme over n nodes — the ads caches and their
+// holder index, no system attached — for tests that drive the cache
+// operations directly.
+func newCaches(n, capacity int) *Scheme {
+	s := &Scheme{
+		cfg:     Config{CacheCapacity: capacity},
+		nodes:   make([]nodeState, n),
+		holders: make([]holderTab, n),
+	}
+	for v := range s.nodes {
+		s.nodes[v].minSeen = maxClock
+	}
+	return s
+}
+
+// entry returns node v's cache entry for src, resolved through the holder
+// index, or nil.
+func (s *Scheme) entry(v, src overlay.NodeID) *cachedAd {
+	if i, held := s.holders[src].get(v); held {
+		return &s.nodes[v].slab[i]
+	}
+	return nil
+}
+
+// cacheEntries returns a copy of ns's cache entries in fifo (insertion)
+// order — the plain list the reference scans walk.
+func cacheEntries(ns *nodeState) []cachedAd {
+	var out []cachedAd
+	for _, i := range ns.live() {
+		out = append(out, ns.slab[i])
+	}
+	return out
+}
+
 // scanCacheReference is the specification of phase 1's cache lookup: every
 // cached source whose filter passes all probes, in fifo (insertion) order —
 // the same candidates in the same order scanCache must produce.
 func scanCacheReference(ns *nodeState, probes []bloom.Probe) []overlay.NodeID {
 	var out []overlay.NodeID
-	for _, src := range ns.fifo {
-		e := ns.entry(src)
-		if e != nil && e.snap.filter.ContainsAllProbes(probes) {
-			out = append(out, src)
+	for _, e := range cacheEntries(ns) {
+		if e.snap.filter.ContainsAllProbes(probes) {
+			out = append(out, e.snap.src)
 		}
 	}
 	return out
@@ -32,12 +67,11 @@ func scanCacheReference(ns *nodeState, probes []bloom.Probe) []overlay.NodeID {
 // join-time pull (no probe filtering).
 func serveAdsReference(ns *nodeState, interests content.ClassSet, staleBefore sim.Clock, probes []bloom.Probe, requester overlay.NodeID, max int) []*adSnapshot {
 	var out []*adSnapshot
-	for _, src := range ns.fifo {
+	for _, e := range cacheEntries(ns) {
 		if len(out) >= max {
 			break
 		}
-		e := ns.entry(src)
-		if e == nil || !e.snap.topics.Intersects(interests) {
+		if !e.snap.topics.Intersects(interests) {
 			continue
 		}
 		if e.lastSeen < staleBefore || e.snap.src == requester {
@@ -53,5 +87,70 @@ func serveAdsReference(ns *nodeState, interests content.ClassSet, staleBefore si
 
 // cacheSources returns the cached sources in fifo order (test inspection).
 func cacheSources(ns *nodeState) []overlay.NodeID {
-	return append([]overlay.NodeID(nil), ns.fifo...)
+	var out []overlay.NodeID
+	for _, e := range cacheEntries(ns) {
+		out = append(out, e.snap.src)
+	}
+	return out
+}
+
+// checkIndex verifies the ads-cache index invariants over every node of s:
+// each node's fifo lists distinct live slab entries, every slab index
+// is either live or on the free list, holders[src] maps the node back to
+// exactly that entry, and no holder slot exists beyond those (so none names
+// a freed or foreign entry).
+func checkIndex(s *Scheme) error {
+	live := 0
+	for v := range s.nodes {
+		ns := &s.nodes[v]
+		state := make([]byte, len(ns.slab)) // 1 = live, 2 = free
+		for _, i := range ns.live() {
+			if state[i] != 0 {
+				return fmt.Errorf("node %d: slab index %d listed twice in fifo", v, i)
+			}
+			state[i] = 1
+			e := ns.slab[i]
+			if e.snap == nil {
+				return fmt.Errorf("node %d: fifo names freed slab index %d", v, i)
+			}
+			if got, held := s.holders[e.snap.src].get(overlay.NodeID(v)); !held || got != i {
+				return fmt.Errorf("node %d: holders[%d] = (%d, %v), want slab index %d", v, e.snap.src, got, held, i)
+			}
+		}
+		for _, i := range ns.free {
+			if state[i] != 0 || ns.slab[i].snap != nil {
+				return fmt.Errorf("node %d: free list names live or repeated slab index %d", v, i)
+			}
+			state[i] = 2
+		}
+		for i, st := range state {
+			if st == 0 {
+				return fmt.Errorf("node %d: slab index %d is neither live nor free", v, i)
+			}
+		}
+		live += len(ns.live())
+	}
+	held := 0
+	for src := range s.holders {
+		h := &s.holders[src]
+		used := 0
+		for _, sl := range h.slots {
+			if sl.key == 0 {
+				continue
+			}
+			used++
+			ns := &s.nodes[sl.key-1]
+			if int(sl.idx) >= len(ns.slab) || ns.slab[sl.idx].snap == nil || ns.slab[sl.idx].snap.src != overlay.NodeID(src) {
+				return fmt.Errorf("holders[%d]: slot for node %d names slab index %d, which does not cache that source", src, sl.key-1, sl.idx)
+			}
+		}
+		if used != h.n {
+			return fmt.Errorf("holders[%d]: %d occupied slots, n = %d", src, used, h.n)
+		}
+		held += h.n
+	}
+	if held != live {
+		return fmt.Errorf("holder tables name %d entries, caches hold %d", held, live)
+	}
+	return nil
 }

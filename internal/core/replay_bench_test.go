@@ -92,6 +92,6 @@ func BenchmarkScanChains(b *testing.B) {
 		qa.reset(&s.slots, probes)
 		srcs = ns.scanCache(&qa, srcs[:0])
 	}
-	b.ReportMetric(float64(ns.cacheLen()), "cached-ads")
+	b.ReportMetric(float64(len(ns.live())), "cached-ads")
 	b.ReportMetric(float64(len(srcs)), "candidates")
 }

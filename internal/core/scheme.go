@@ -23,6 +23,11 @@ type Scheme struct {
 	sys   *sim.System
 	nodes []nodeState
 
+	// holders is the ads-cache index, source-major: holders[src] maps each
+	// node caching src's ad to the entry's index in that node's slab (see
+	// adindex.go). It is the only index — nodes keep no table of their own.
+	holders []holderTab
+
 	// obs caches the system's observability recorder (nil when off) so
 	// search/delivery hot paths skip the System indirection.
 	obs *obs.Recorder
@@ -125,6 +130,7 @@ func (s *Scheme) Attach(sys *sim.System) {
 	s.obs = sys.Obs()
 	n := sys.NumNodes()
 	s.nodes = make([]nodeState, n)
+	s.holders = make([]holderTab, n)
 	s.rng = rand.New(rand.NewPCG(s.cfg.Seed, 0x5851f42d4c957f2d))
 	s.stamp = make([]uint32, n)
 	if s.cfg.RefreshPeriodSec > 0 {
@@ -434,7 +440,7 @@ func (s *Scheme) NodeLeaving(t sim.Clock, n overlay.NodeID) {
 		if !s.sys.Deliver(t, metrics.MControl, sim.HeaderBytes, n, nb, gkey, nextSeq(&gseq)) {
 			continue // goodbye lost: nb finds out the hard way
 		}
-		s.nodes[nb].drop(n)
+		s.drop(nb, n, false)
 	}
 }
 
@@ -484,10 +490,11 @@ func (s *Scheme) Tick(t sim.Clock) {
 // HasCachedAd reports whether node p currently caches an ad published by
 // src (diagnostics).
 func (s *Scheme) HasCachedAd(p, src overlay.NodeID) bool {
-	ns := &s.nodes[p]
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.entry(src) != nil
+	h := &s.holders[src]
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	_, held := h.get(p)
+	return held
 }
 
 // CacheSize returns node n's current ads-cache population (diagnostics).
@@ -495,5 +502,5 @@ func (s *Scheme) CacheSize(n overlay.NodeID) int {
 	ns := &s.nodes[n]
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	return ns.cacheLen()
+	return len(ns.live())
 }

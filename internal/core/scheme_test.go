@@ -235,8 +235,8 @@ func TestStaleAdsExpireAfterDeparture(t *testing.T) {
 	for n := 0; n < testTr.InitialLive && holder < 0; n++ {
 		ns := &s.nodes[n]
 		ns.mu.Lock()
-		if len(ns.fifo) > 0 {
-			holder, src = overlay.NodeID(n), ns.fifo[0]
+		if len(ns.live()) > 0 {
+			holder, src = overlay.NodeID(n), ns.slab[ns.live()[0]].snap.src
 		}
 		ns.mu.Unlock()
 	}
@@ -252,7 +252,7 @@ func TestStaleAdsExpireAfterDeparture(t *testing.T) {
 	s.Search(&trace.Event{Time: 1000 + 2*window, Kind: trace.Query, Node: holder, Terms: []content.Keyword{1}})
 	ns := &s.nodes[holder]
 	ns.mu.Lock()
-	still := ns.entry(src) != nil
+	still := s.entry(holder, src) != nil
 	ns.mu.Unlock()
 	if still {
 		t.Error("departed source's ad survived far past the staleness window")

@@ -105,7 +105,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 		// so the expiry sweep runs only when something can actually expire.
 		window := sim.Clock(s.cfg.StaleFactor*s.cfg.RefreshPeriodSec) * 1000
 		if deadline := t0 - window; ns.minSeen < deadline {
-			ns.dropStale(deadline)
+			s.dropStale(p, deadline)
 		}
 	}
 	// Scan the cache in insertion order through the query accumulator: one
@@ -258,7 +258,7 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 			ns := &s.nodes[p]
 			ns.mu.Lock()
 			s.checkStable()
-			ns.drop(c.src)
+			s.drop(p, c.src, true)
 			ns.mu.Unlock()
 			continue
 		}
@@ -383,7 +383,7 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, pr
 	ns.mu.Lock()
 	s.checkStable()
 	for _, of := range offers {
-		ns.store(of.snap, adFull, of.avail, s.cfg.CacheCapacity)
+		s.store(p, of.snap, adFull, of.avail, true)
 		if probes != nil && sc.qa.matches(of.snap) {
 			if i, dup := seen[of.snap.src]; dup {
 				if of.avail < cands[i].avail {

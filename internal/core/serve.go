@@ -98,13 +98,9 @@ func (s *Scheme) SearchRO(p overlay.NodeID, terms []content.Keyword, now sim.Clo
 	base := len(dst)
 	ns := &s.nodes[rp]
 	srcs := sc.srcs[:0]
-	for _, src := range ns.fifo {
-		e := ns.tab.get(src)
-		if e == nil || e.lastSeen < staleBefore {
-			continue
-		}
-		if sc.qa.matches(e.snap) {
-			srcs = append(srcs, src)
+	for _, i := range ns.live() {
+		if e := &ns.slab[i]; e.lastSeen >= staleBefore && sc.qa.matches(e.snap) {
+			srcs = append(srcs, e.snap.src)
 		}
 	}
 	sc.srcs = srcs
@@ -139,22 +135,22 @@ func (s *Scheme) SearchRO(p overlay.NodeID, terms []content.Keyword, now sim.Clo
 			offered++
 			dst, attempts = s.confirmServe(pub.src, terms, dst, attempts, sc)
 		}
-		for _, src := range q.fifo {
+		for _, i := range q.live() {
 			if offered >= s.cfg.MaxAdsPerReply || attempts >= s.cfg.MaxConfirms {
 				break
 			}
-			e := q.tab.get(src)
-			if e == nil || !e.snap.topics.Intersects(interests) {
+			e := &q.slab[i]
+			if !e.snap.topics.Intersects(interests) {
 				continue
 			}
-			if e.lastSeen < staleBefore || src == rp {
+			if e.lastSeen < staleBefore || e.snap.src == rp {
 				continue
 			}
 			if !sc.qa.matches(e.snap) {
 				continue
 			}
 			offered++
-			dst, attempts = s.confirmServe(src, terms, dst, attempts, sc)
+			dst, attempts = s.confirmServe(e.snap.src, terms, dst, attempts, sc)
 		}
 	}
 	return ServeResult{Sources: dst[base:], Phase2: true}, dst

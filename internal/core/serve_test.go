@@ -34,12 +34,12 @@ func searchROReference(s *Scheme, p overlay.NodeID, terms []content.Keyword, now
 	var out []overlay.NodeID
 	seen := map[overlay.NodeID]bool{}
 	attempts := 0
-	for _, src := range ns.fifo {
+	for _, e := range cacheEntries(ns) {
 		if attempts >= s.cfg.MaxConfirms {
 			break
 		}
-		e := ns.entry(src)
-		if e == nil || e.lastSeen < staleBefore || !e.snap.filter.ContainsAllProbes(probes) {
+		src := e.snap.src
+		if e.lastSeen < staleBefore || !e.snap.filter.ContainsAllProbes(probes) {
 			continue
 		}
 		attempts++
@@ -95,12 +95,12 @@ func searchROReference(s *Scheme, p overlay.NodeID, terms []content.Keyword, now
 			offered++
 			confirm(pub.src)
 		}
-		for _, src := range q.fifo {
+		for _, e := range cacheEntries(q) {
 			if offered >= s.cfg.MaxAdsPerReply || attempts >= s.cfg.MaxConfirms {
 				break
 			}
-			e := q.tab.get(src)
-			if e == nil || !e.snap.topics.Intersects(interests) {
+			src := e.snap.src
+			if !e.snap.topics.Intersects(interests) {
 				continue
 			}
 			if e.lastSeen < staleBefore || src == rp {

@@ -20,13 +20,14 @@ type storeOp struct {
 // operation sequences and checks the structural invariants:
 //
 //   - the cache never exceeds capacity;
-//   - fifo lists exactly the cached sources, no duplicates;
+//   - fifo lists exactly the cached sources, no duplicates, and agrees
+//     with the holder index (checkIndex);
 //   - a cached entry's version never moves backwards;
 //   - lastSeen never decreases for a surviving entry.
 func TestStoreInvariantsProperty(t *testing.T) {
 	const capacity = 8
 	prop := func(ops []storeOp) bool {
-		ns := newNS()
+		c := newCaches(16, capacity)
 		lastVersion := map[overlay.NodeID]uint16{}
 		lastSeen := map[overlay.NodeID]int64{}
 		now := int64(0)
@@ -36,26 +37,28 @@ func TestStoreInvariantsProperty(t *testing.T) {
 			kind := adKind(op.Kind % 3)
 			f := bloom.New(64, 2)
 			sn := &adSnapshot{src: src, version: uint16(op.Version), topics: 1, filter: f, fullWire: 8, patchWire: 4}
-			ns.store(sn, kind, now, capacity)
+			c.store(0, sn, kind, now, false)
 
-			if ns.cacheLen() > capacity {
+			ns := &c.nodes[0]
+			if len(ns.live()) > capacity {
 				return false
 			}
-			if len(ns.fifo) != ns.cacheLen() {
+			fifo := cacheSources(ns)
+			if len(fifo) != len(ns.live()) || checkIndex(c) != nil {
 				return false
 			}
 			seen := map[overlay.NodeID]bool{}
-			for _, k := range ns.fifo {
+			for _, k := range fifo {
 				if seen[k] {
 					return false
 				}
 				seen[k] = true
-				if ns.entry(k) == nil {
+				if c.entry(0, k) == nil {
 					return false
 				}
 			}
-			for _, k := range ns.fifo {
-				e := ns.entry(k)
+			for _, k := range fifo {
+				e := c.entry(0, k)
 				if prev, ok := lastVersion[k]; ok && newerVersion(prev, e.snap.version) {
 					return false // version went backwards
 				}
@@ -67,7 +70,7 @@ func TestStoreInvariantsProperty(t *testing.T) {
 			}
 			// Entries that vanished (evicted) reset their history.
 			for k := range lastVersion {
-				if ns.entry(k) == nil {
+				if c.entry(0, k) == nil {
 					delete(lastVersion, k)
 					delete(lastSeen, k)
 				}
@@ -84,13 +87,13 @@ func TestStoreInvariantsProperty(t *testing.T) {
 // source's current full snapshot always lands the cache at that version.
 func TestStoreGapAlwaysRecoverable(t *testing.T) {
 	prop := func(haveV, newV uint16) bool {
-		ns := newNS()
-		ns.store(snap(1, haveV, 1), adFull, 0, 8)
-		outcome := ns.store(snap(1, newV, 1), adPatch, 1, 8)
+		c := newCaches(16, 8)
+		c.store(0, snap(1, haveV, 1), adFull, 0, false)
+		outcome := c.store(0, snap(1, newV, 1), adPatch, 1, false)
 		if outcome == storedGap {
 			cur := snap(1, newV, 1)
-			ns.store(cur, adFull, 2, 8)
-			return ns.entry(1).snap.version == newV
+			c.store(0, cur, adFull, 2, false)
+			return c.entry(0, 1).snap.version == newV
 		}
 		return true
 	}

@@ -254,10 +254,11 @@ func TestPhaseLabels(t *testing.T) {
 }
 
 // TestStartProfilesWritesFiles smoke-tests the CLI profiling hooks: with
-// paths given, stop() leaves non-empty pprof files behind; with all hooks
-// empty the call is a no-op.
+// paths given — under a directory that does not exist yet, as the README's
+// out/ examples are on a clean checkout — stop() leaves non-empty pprof
+// files behind; with all hooks empty the call is a no-op.
 func TestStartProfilesWritesFiles(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "out", "nested")
 	cpu, mem, mtx := filepath.Join(dir, "cpu.pb"), filepath.Join(dir, "mem.pb"), filepath.Join(dir, "mutex.pb")
 	stop, err := StartProfiles(cpu, mem, mtx, "")
 	if err != nil {
@@ -284,5 +285,41 @@ func TestStartProfilesWritesFiles(t *testing.T) {
 	}
 	if err := stop(); err != nil {
 		t.Errorf("all-empty stop: %v", err)
+	}
+}
+
+// TestStartProfilesRejectsBadPathUpFront: a profile path that cannot be
+// created is reported by StartProfiles itself — whichever of the three it
+// is — not by stop() after the whole run, and nothing is left profiling.
+func TestStartProfilesRejectsBadPathUpFront(t *testing.T) {
+	dir := t.TempDir()
+	// A regular file where a directory is needed: unwritable for any user.
+	blocker := filepath.Join(dir, "blocker")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad, good := filepath.Join(blocker, "p.pb"), filepath.Join(dir, "ok.pb")
+	for _, tc := range []struct{ what, cpu, mem, mutex string }{
+		{"cpu", bad, good, good},
+		{"mem", good, bad, good},
+		{"mutex", good, good, bad},
+	} {
+		stop, err := StartProfiles(tc.cpu, tc.mem, tc.mutex, "")
+		if err == nil {
+			stop()
+			t.Errorf("bad %s path: StartProfiles succeeded", tc.what)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.what+" profile") {
+			t.Errorf("bad %s path: error %q does not name the profile", tc.what, err)
+		}
+	}
+	// No CPU profile was left running by the failed attempts.
+	stop, err := StartProfiles(good, "", "", "")
+	if err != nil {
+		t.Fatalf("after rejected paths: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
 	}
 }
