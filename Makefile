@@ -31,9 +31,10 @@ race:
 
 # Determinism gate: outputs are a pure function of (preset, seed, scenario)
 # at every core count, so the sim / matrix / scenario / cluster equivalence
-# suites must pass at each GOMAXPROCS, not only at the host's (≈ 2 min).
+# suites — and the baselines' kernel-vs-reference suite over their pooled
+# scratch — must pass at each GOMAXPROCS, not only at the host's (≈ 2 min).
 determinism:
-	$(GO) test -count=1 -cpu 1,2,3,4,8 ./internal/sim ./internal/experiments ./internal/scenario ./internal/cluster
+	$(GO) test -count=1 -cpu 1,2,3,4,8 ./internal/sim ./internal/search ./internal/experiments ./internal/scenario ./internal/cluster
 
 # The fault-plane property suite under the race detector: a tiny matrix at
 # 2% message loss must be identical for 1 and N matrix workers, and a
@@ -92,11 +93,13 @@ bench-replay:
 
 # Zero-alloc gates: the obs-off hot path (promised in internal/obs), the
 # warmed-up delivery hot loops (flood, walk, applyAd), the warmed-up
-# replay scan paths (scanCache, serveAds), and patch sizing on the publish
-# path (exact even for unsorted caller-built lists).
+# replay scan paths (scanCache, serveAds), a warmed-up search of each
+# baseline (pooled scratch), and patch sizing on the publish path (exact
+# even for unsorted caller-built lists).
 alloc-gate:
 	$(GO) test -run 'TestObsOffHotPathAllocs' -count=1 .
 	$(GO) test -run 'TestDeliveryHotPathAllocs|TestScanHotPathAllocs' -count=1 ./internal/core
+	$(GO) test -run 'TestBaselineSearchAllocs' -count=1 ./internal/search
 	$(GO) test -run 'TestPatchWireSizeAllocs' -count=1 ./internal/bloom
 
 # Sharded-replay equivalence under the race detector: the tiny matrix under

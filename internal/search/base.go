@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"math/rand/v2"
 	"sync"
 
 	"asap/internal/content"
@@ -56,18 +57,23 @@ func (noopEvents) LoadMask() metrics.ClassMask { return metrics.BaselineLoadMask
 // any lane without conflict analysis.
 func (noopEvents) PureSearch() {}
 
-// scratch is per-worker reusable cascade state. The stamp/epoch trick
-// avoids clearing the visit arrays between queries.
+// scratch is per-worker reusable query state. mark holds one word per node
+// with the query's epoch in the high half, so nothing is cleared between
+// queries. Within the current epoch a low half of 0 means the node was
+// visited (the flood processed a copy there); b+1 means a copy is pending
+// in bucket b of the flood queue — the node's tentative arrival, the
+// earliest of the copies sent to it so far.
 type scratch struct {
-	stamp   []uint32
-	epoch   uint32
-	arrival []sim.Clock
-	hop     []int32
-	pq      sim.PQ
-	times   []sim.Clock      // walker step times
-	nodes   []overlay.NodeID // walker step nodes
-	acc     sim.SecAccumulator
-	accCtl  sim.SecAccumulator
+	mark   []uint64
+	epoch  uint32
+	q      bucketQueue
+	times  []sim.Clock      // walker step times
+	nodes  []overlay.NodeID // walker step nodes
+	recs   []walkRec
+	pcg    rand.PCG
+	rng    *rand.Rand // draws from pcg; reseeded per query
+	acc    sim.SecAccumulator
+	accCtl sim.SecAccumulator
 
 	// Fault-plane message stream of the current query (see faults.Key):
 	// fkey names the query, fseq numbers its messages, so drop decisions
@@ -85,11 +91,9 @@ func (s *scratch) nextSeq() uint32 {
 
 func newScratchPool(n int) *sync.Pool {
 	return &sync.Pool{New: func() any {
-		return &scratch{
-			stamp:   make([]uint32, n),
-			arrival: make([]sim.Clock, n),
-			hop:     make([]int32, n),
-		}
+		sc := &scratch{mark: make([]uint64, n)}
+		sc.rng = rand.New(&sc.pcg)
+		return sc
 	}}
 }
 
@@ -98,25 +102,32 @@ func (s *scratch) begin(fkey uint64) {
 	s.fkey = fkey
 	s.fseq = 0
 	s.epoch++
-	if s.epoch == 0 { // wrapped: clear stamps once per 2^32 queries
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
+	if s.epoch == 0 { // wrapped: clear marks once per 2^32 queries
+		clear(s.mark)
 		s.epoch = 1
 	}
-	s.pq.Reset()
 	s.acc.Reset()
 	s.accCtl.Reset()
 	s.times = s.times[:0]
 	s.nodes = s.nodes[:0]
+	s.recs = s.recs[:0]
 }
 
-func (s *scratch) seen(n overlay.NodeID) bool { return s.stamp[n] == s.epoch }
+func (s *scratch) visited(n overlay.NodeID) bool { return s.mark[n] == uint64(s.epoch)<<32 }
 
-func (s *scratch) visit(n overlay.NodeID, t sim.Clock, hop int32) {
-	s.stamp[n] = s.epoch
-	s.arrival[n] = t
-	s.hop[n] = hop
+func (s *scratch) visit(n overlay.NodeID) { s.mark[n] = uint64(s.epoch) << 32 }
+
+// claim reports whether a copy reaching n in bucket b must be queued, and
+// if so records it as n's pending copy. It need not be when n was visited
+// or already has a pending copy arriving no later: that copy was sent
+// first and so pops first, and this one would be dropped as a duplicate.
+func (s *scratch) claim(n overlay.NodeID, b sim.Clock) bool {
+	key := uint64(s.epoch)<<32 | uint64(b+1)
+	if m := s.mark[n]; m>>32 == uint64(s.epoch) && m <= key {
+		return false
+	}
+	s.mark[n] = key
+	return true
 }
 
 // querySeed derives a deterministic per-query RNG seed so results do not

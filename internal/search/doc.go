@@ -14,9 +14,11 @@
 //
 // Because queries do not interact (see package sim), each Search call
 // simulates its own message cascade over a snapshot of the live overlay:
-// flooding is a time-ordered relaxation (each queue push is one query
-// message), walks are stepwise traversals. Per-query scratch state
-// (visit stamps, queues, walker paths) is pooled per worker.
+// flooding is a time-ordered relaxation over a per-millisecond bucket
+// queue (each copy sent is one query message; a node acts on the copy that
+// arrives earliest, then was sent earliest), walks are stepwise
+// traversals. Per-query scratch state (node marks, the queue, walker
+// paths, the walk RNG) is pooled per worker.
 //
 // Cost accounting follows §V-B exactly: for baselines, both the per-search
 // cost (Fig. 6) and the system load (Figs. 8–10) count query messages

@@ -34,13 +34,15 @@ func (f *Flooding) Attach(sys *sim.System) {
 	f.pool = newScratchPool(sys.NumNodes())
 }
 
-// Search simulates one flood cascade. Every queue push is one query
-// message (duplicates included — a node that already saw the query still
-// receives the copies its neighbours send). Under a fault plane a dropped
-// copy costs its sender the message but never arrives (the branch is
-// pruned unless another copy reaches the node), and a dropped hit reply
-// costs the responder the bytes without the requester learning of the
-// hit.
+// Search simulates one flood cascade. Every copy sent is one query message
+// (duplicates included — a node that already saw the query still receives
+// the copies its neighbours send), but only a copy that can still be the
+// first to reach its receiver is queued (see scratch.claim). A node acts
+// on the copy that arrives earliest and, among those of one millisecond,
+// was sent earliest. Under a fault plane a dropped copy costs its sender
+// the message but never arrives (the branch is pruned unless another copy
+// reaches the node), and a dropped hit reply costs the responder the bytes
+// without the requester learning of the hit.
 func (f *Flooding) Search(ev *trace.Event) metrics.SearchResult {
 	sys := f.sys
 	sc := f.pool.Get().(*scratch)
@@ -56,46 +58,49 @@ func (f *Flooding) Search(ev *trace.Event) metrics.SearchResult {
 	msgs := 0
 	hits := 0
 
-	sc.pq.Push(sim.PQItem{T: t0, Node: src, From: src, Hop: 0})
-	for sc.pq.Len() > 0 {
-		it := sc.pq.Pop()
-		if sc.seen(it.Node) {
-			continue // duplicate copy: already counted at send time
+	q := &sc.q
+	q.reset(t0)
+	q.push(t0, copyItem{node: src, from: src})
+	for {
+		it, t, ok := q.pop()
+		if !ok {
+			break
 		}
-		sc.visit(it.Node, it.T, it.Hop)
+		if sc.visited(it.node) {
+			continue // superseded by an earlier copy; counted at send time
+		}
+		sc.visit(it.node)
 
-		if it.Node != src && sys.NodeMatches(it.Node, ev.Terms) {
-			reply := it.T + sim.Clock(sys.Latency(it.Node, src))
-			sc.acc.Add(it.T, sim.QueryHitBytes())
+		if it.node != src && sys.NodeMatches(it.node, ev.Terms) {
+			reply := t + sim.Clock(sys.Latency(it.node, src))
+			sc.acc.Add(t, sim.QueryHitBytes())
 			rseq := sc.nextSeq()
-			if sys.Arrives(it.T, metrics.MQueryHit, it.Node, src, sc.fkey, rseq) {
+			if sys.Arrives(t, metrics.MQueryHit, it.node, src, sc.fkey, rseq) {
 				hits++
-				reply += sys.JitterMS(metrics.MQueryHit, it.Node, src, sc.fkey, rseq)
+				reply += sys.JitterMS(metrics.MQueryHit, it.node, src, sc.fkey, rseq)
 				if reply < best {
 					best = reply
-					bestHop = it.Hop
+					bestHop = it.hop
 				}
 			}
 		}
-		if int(it.Hop) >= f.TTL {
+		if int(it.hop) >= f.TTL {
 			continue
 		}
-		for _, nb := range sys.G.LiveNeighbors(it.Node) {
-			if nb == it.From {
+		for _, nb := range sys.G.LiveNeighbors(it.node) {
+			if nb == it.from {
 				continue
 			}
 			msgs++
 			seq := sc.nextSeq()
-			if !sys.Arrives(it.T, metrics.MQuery, it.Node, nb, sc.fkey, seq) {
-				continue // copy lost; nb may still get one via another edge
+			if !sys.Arrives(t, metrics.MQuery, it.node, nb, sc.fkey, seq) || sc.visited(nb) {
+				continue // copy lost (nb may still get one via another edge) or late
 			}
-			sc.pq.Push(sim.PQItem{
-				T: it.T + sim.Clock(sys.Latency(it.Node, nb)) +
-					sys.JitterMS(metrics.MQuery, it.Node, nb, sc.fkey, seq),
-				Node: nb,
-				From: it.Node,
-				Hop:  it.Hop + 1,
-			})
+			at := t + sim.Clock(sys.Latency(it.node, nb)) +
+				sys.JitterMS(metrics.MQuery, it.node, nb, sc.fkey, seq)
+			if sc.claim(nb, at-t0) {
+				q.push(at, copyItem{node: nb, from: it.node, hop: it.hop + 1})
+			}
 		}
 	}
 	sc.acc.Flush(sys, metrics.MQueryHit)

@@ -1,0 +1,281 @@
+package search
+
+import (
+	"container/heap"
+	"math/rand/v2"
+	"sync"
+	"testing"
+
+	"asap/internal/faults"
+	"asap/internal/metrics"
+	"asap/internal/overlay"
+	"asap/internal/sim"
+	"asap/internal/trace"
+)
+
+// refCopy is one in-flight query copy of the reference cascade.
+type refCopy struct {
+	t          sim.Clock
+	seq        int // send order
+	node, from overlay.NodeID
+	hop        int
+}
+
+// refHeap orders copies by arrival time, then by send order — the rule
+// Flooding.Search states — and keeps every copy sent.
+type refHeap []refCopy
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	return h[i].t < h[j].t || h[i].t == h[j].t && h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refCopy)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// refFlood is the flood cascade written for obviousness: a container/heap
+// holding every copy, no pruning, per-message accounting.
+func refFlood(sys *sim.System, ev *trace.Event, ttl int) metrics.SearchResult {
+	src, t0 := ev.Node, ev.Time
+	key := faults.Key(t0, src)
+	var fseq uint32
+	next := func() uint32 { fseq++; return fseq - 1 }
+	visited := make(map[overlay.NodeID]bool)
+	h := &refHeap{{t: t0, node: src, from: src}}
+	sent := 1
+
+	var res metrics.SearchResult
+	best := noResponse
+	msgs := 0
+	for h.Len() > 0 {
+		it := heap.Pop(h).(refCopy)
+		if visited[it.node] {
+			continue
+		}
+		visited[it.node] = true
+		if it.node != src && sys.NodeMatches(it.node, ev.Terms) {
+			sys.Account(it.t, metrics.MQueryHit, sim.QueryHitBytes())
+			rseq := next()
+			if sys.Arrives(it.t, metrics.MQueryHit, it.node, src, key, rseq) {
+				res.Hits++
+				reply := it.t + sim.Clock(sys.Latency(it.node, src)) +
+					sys.JitterMS(metrics.MQueryHit, it.node, src, key, rseq)
+				if reply < best {
+					best, res.Hops = reply, it.hop
+				}
+			}
+		}
+		if it.hop >= ttl {
+			continue
+		}
+		for _, nb := range sys.G.LiveNeighbors(it.node) {
+			if nb == it.from {
+				continue
+			}
+			msgs++
+			seq := next()
+			if !sys.Arrives(it.t, metrics.MQuery, it.node, nb, key, seq) {
+				continue
+			}
+			heap.Push(h, refCopy{
+				t: it.t + sim.Clock(sys.Latency(it.node, nb)) +
+					sys.JitterMS(metrics.MQuery, it.node, nb, key, seq),
+				seq: sent, node: nb, from: it.node, hop: it.hop + 1,
+			})
+			sent++
+		}
+	}
+	res.Bytes = int64(msgs) * int64(sim.QueryBytes(len(ev.Terms)))
+	sys.Account(t0, metrics.MQuery, int(res.Bytes))
+	if best == noResponse {
+		return metrics.SearchResult{Bytes: res.Bytes}
+	}
+	res.Success, res.ResponseMS = true, best-t0
+	return res
+}
+
+var allKinds = []overlay.Kind{overlay.Random, overlay.PowerLaw, overlay.Crawled}
+
+// Flooding.Search (bucket queue, send-time pruning, batched accounting)
+// must agree with refFlood on every query of the trace — result, every
+// per-second load cell and the drop count — on all three topologies,
+// fault-free and under loss + jitter, at TTL 0, 1 and 6.
+func TestFloodingMatchesHeapReference(t *testing.T) {
+	for _, kind := range allKinds {
+		for _, lossy := range []bool{false, true} {
+			sysK, sysR := newSys(t, kind), newSys(t, kind)
+			if lossy {
+				cfg := faults.Config{Seed: 9, LossRate: 0.05, JitterMS: 20}
+				sysK.SetFaults(faults.New(cfg))
+				sysR.SetFaults(faults.New(cfg))
+			}
+			f := &Flooding{}
+			f.Attach(sysK)
+			for i := range testTr.Events {
+				ev := &testTr.Events[i]
+				if ev.Kind != trace.Query {
+					sysK.ApplyEvent(ev)
+					sysR.ApplyEvent(ev)
+					continue
+				}
+				for _, ttl := range []int{0, 1, FloodTTL} {
+					f.TTL = ttl
+					if got, want := f.Search(ev), refFlood(sysR, ev, ttl); got != want {
+						t.Fatalf("%v lossy=%v ttl=%d event %d: kernel %+v, reference %+v", kind, lossy, ttl, i, got, want)
+					}
+				}
+			}
+			for sec := 0; sec < sysK.Load.Seconds(); sec++ {
+				for c := 0; c < metrics.NumMsgClasses; c++ {
+					m := metrics.Mask(metrics.MsgClass(c))
+					if got, want := sysK.Load.BytesAt(sec, m), sysR.Load.BytesAt(sec, m); got != want {
+						t.Fatalf("%v lossy=%v second %d class %d: kernel %d B, reference %d B", kind, lossy, sec, c, got, want)
+					}
+				}
+			}
+			dk, _, _ := sysK.Load.FaultCounts()
+			dr, _, _ := sysR.Load.FaultCounts()
+			if dk != dr || lossy != (dk > 0) {
+				t.Errorf("%v lossy=%v: kernel dropped %d, reference %d", kind, lossy, dk, dr)
+			}
+		}
+	}
+}
+
+// pinScratch makes p hand out one retained scratch, so a test can read it
+// after a Search and sync.Pool's random drops under -race cost nothing.
+func pinScratch(p **sync.Pool, n int) *scratch {
+	sc := newScratchPool(n).Get().(*scratch)
+	*p = &sync.Pool{New: func() any { return sc }}
+	return sc
+}
+
+// Fault-free, every message is a forwarding node sending to each live
+// neighbour but the one it heard from, whichever copy wins a tie. Pruning
+// makes each node's pending arrival strictly decrease, so the copy a
+// visited node acted on is the last one queued for it.
+func TestFloodingMessageConservation(t *testing.T) {
+	for _, kind := range allKinds {
+		sys := newSys(t, kind)
+		f := NewFlooding()
+		f.Attach(sys)
+		sc := pinScratch(&f.pool, sys.NumNodes())
+		hop := make(map[overlay.NodeID]int32)
+		for i := range testTr.Events {
+			ev := &testTr.Events[i]
+			if ev.Kind != trace.Query {
+				sys.ApplyEvent(ev)
+				continue
+			}
+			res := f.Search(ev)
+			clear(hop)
+			for _, it := range sc.q.items {
+				hop[it.node] = it.hop
+			}
+			want := 0
+			for v, h := range hop {
+				if !sc.visited(v) {
+					t.Fatalf("%v event %d: node %d was queued but never visited", kind, i, v)
+				}
+				if int(h) < f.TTL {
+					want += len(sys.G.LiveNeighbors(v))
+					if v != ev.Node {
+						want--
+					}
+				}
+			}
+			if got := res.Bytes / int64(sim.QueryBytes(len(ev.Terms))); got != int64(want) {
+				t.Fatalf("%v event %d: %d messages sent, forwarding degrees sum to %d", kind, i, got, want)
+			}
+		}
+	}
+}
+
+// The bucket queue pops in non-decreasing time, FIFO within a millisecond,
+// against a model that scans for the minimum (time, push order) — across
+// reuse at different t0, growth, an abandoned drain, and pushes into the
+// bucket being drained.
+func TestBucketQueueProperty(t *testing.T) {
+	type pend struct {
+		t   sim.Clock
+		seq int32
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	var q bucketQueue
+	for round := 0; round < 200; round++ {
+		t0 := sim.Clock(rng.IntN(1 << 20))
+		span := 1 + rng.IntN(1<<(2+round%12)) // later rounds outgrow earlier ranges
+		q.reset(t0)
+		var model []pend
+		now, seq := t0, int32(0)
+		steps := rng.IntN(400)
+		abandon := round%10 == 9 // leave copies queued: reset must clear them
+		for step := 0; step < steps || (!abandon && len(model) > 0); step++ {
+			if step < steps && (len(model) == 0 || rng.IntN(3) > 0) {
+				at := now + sim.Clock(rng.IntN(span))
+				if rng.IntN(4) == 0 {
+					at = now // same bucket as the copy being processed
+				}
+				q.push(at, copyItem{hop: seq})
+				model = append(model, pend{at, seq})
+				seq++
+				continue
+			}
+			m := 0
+			for i, p := range model {
+				if p.t < model[m].t { // first minimum: earliest pushed wins a tie
+					m = i
+				}
+			}
+			it, at, ok := q.pop()
+			if !ok || at != model[m].t || it.hop != model[m].seq || at < now {
+				t.Fatalf("round %d: popped copy %d at %d (ok=%v), want copy %d at %d (now %d)", round, it.hop, at, ok, model[m].seq, model[m].t, now)
+			}
+			now = at
+			model = append(model[:m], model[m+1:]...)
+		}
+		if _, _, ok := q.pop(); ok && !abandon {
+			t.Fatalf("round %d: drained queue popped another copy", round)
+		}
+	}
+
+	q.reset(100)
+	q.push(105, copyItem{})
+	q.pop()
+	defer func() {
+		if recover() == nil {
+			t.Error("push before the bucket being drained did not panic")
+		}
+	}()
+	q.push(104, copyItem{})
+}
+
+// Steady state, the pooled scratch absorbs every per-query buffer of all
+// three baselines.
+func TestBaselineSearchAllocs(t *testing.T) {
+	sys := newSys(t, overlay.Crawled)
+	f, w, g := NewFlooding(), NewRandomWalk(1), NewGSA(1)
+	for _, sch := range []sim.Scheme{f, w, g} {
+		sch.Attach(sys)
+	}
+	pinScratch(&f.pool, sys.NumNodes())
+	pinScratch(&w.pool, sys.NumNodes())
+	pinScratch(&g.pool, sys.NumNodes())
+	queries := traceQueries()
+	for _, sch := range []sim.Scheme{f, w, g} {
+		run := func() {
+			for _, ev := range queries {
+				sch.Search(ev)
+			}
+		}
+		run() // grow the scratch to the trace's largest query
+		if a := testing.AllocsPerRun(2, run); a != 0 {
+			t.Errorf("%s: %.1f allocations per %d searches, want 0", sch.Name(), a, len(queries))
+		}
+	}
+}

@@ -39,6 +39,17 @@ func newSys(t *testing.T, kind overlay.Kind) *sim.System {
 	return sim.NewSystem(testU, testTr, kind, testNet, 1)
 }
 
+// traceQueries returns the test trace's query events in trace order.
+func traceQueries() []*trace.Event {
+	var queries []*trace.Event
+	for i := range testTr.Events {
+		if testTr.Events[i].Kind == trace.Query {
+			queries = append(queries, &testTr.Events[i])
+		}
+	}
+	return queries
+}
+
 func firstQuery(t *testing.T) *trace.Event {
 	t.Helper()
 	for i := range testTr.Events {
@@ -314,16 +325,19 @@ func TestPickNeighborAvoidsBacktrack(t *testing.T) {
 }
 
 func TestScratchEpochWrap(t *testing.T) {
-	sc := &scratch{stamp: make([]uint32, 4), arrival: make([]sim.Clock, 4), hop: make([]int32, 4)}
+	sc := &scratch{mark: make([]uint64, 4)}
 	sc.epoch = ^uint32(0) - 1
 	sc.begin(0)
-	sc.visit(1, 5, 0)
-	if !sc.seen(1) || sc.seen(2) {
+	sc.visit(1)
+	if !sc.claim(2, 7) || sc.claim(2, 7) || !sc.claim(2, 6) {
+		t.Fatal("pending bookkeeping broken near wrap")
+	}
+	if !sc.visited(1) || sc.visited(2) || sc.claim(1, 0) {
 		t.Fatal("visit bookkeeping broken near wrap")
 	}
 	sc.begin(0) // wraps to 0 → forced clear to epoch 1
-	if sc.seen(1) {
-		t.Fatal("stale visit survived epoch wrap")
+	if sc.visited(1) || !sc.claim(2, 9) {
+		t.Fatal("stale mark survived epoch wrap")
 	}
 }
 
@@ -350,12 +364,7 @@ func BenchmarkFloodingSearch(b *testing.B) {
 	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 1)
 	f := NewFlooding()
 	f.Attach(sys)
-	var queries []*trace.Event
-	for i := range testTr.Events {
-		if testTr.Events[i].Kind == trace.Query {
-			queries = append(queries, &testTr.Events[i])
-		}
-	}
+	queries := traceQueries()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Search(queries[i%len(queries)])
@@ -366,12 +375,7 @@ func BenchmarkRandomWalkSearch(b *testing.B) {
 	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 1)
 	w := NewRandomWalk(1)
 	w.Attach(sys)
-	var queries []*trace.Event
-	for i := range testTr.Events {
-		if testTr.Events[i].Kind == trace.Query {
-			queries = append(queries, &testTr.Events[i])
-		}
-	}
+	queries := traceQueries()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Search(queries[i%len(queries)])

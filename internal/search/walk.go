@@ -30,7 +30,7 @@ type walkRec struct {
 // appended to the scratch arrays. Under a fault plane each forwarded copy
 // can be dropped, killing the walker silently (nobody retransmits a
 // walker).
-func runWalker(sys *sim.System, sc *scratch, rng *rand.Rand, src overlay.NodeID, start overlay.NodeID, t sim.Clock, ttl int, terms []content.Keyword) walkRec {
+func runWalker(sys *sim.System, sc *scratch, src overlay.NodeID, start overlay.NodeID, t sim.Clock, ttl int, terms []content.Keyword) walkRec {
 	rec := walkRec{start: len(sc.nodes)}
 	cur, prev := start, src
 	if start != src {
@@ -52,7 +52,7 @@ func runWalker(sys *sim.System, sc *scratch, rng *rand.Rand, src overlay.NodeID,
 		}
 	}
 	for rec.steps < ttl {
-		next := pickNeighbor(sys, cur, prev, rng)
+		next := pickNeighbor(sys, cur, prev, sc.rng)
 		if next < 0 {
 			break // dead end
 		}
@@ -78,34 +78,33 @@ func runWalker(sys *sim.System, sc *scratch, rng *rand.Rand, src overlay.NodeID,
 
 // pickNeighbor returns a uniformly random live neighbour of cur, avoiding
 // an immediate return to prev when any alternative exists; -1 when cur has
-// no live neighbour.
+// no live neighbour. Adjacency holds no duplicate edges, so prev appears at
+// most once in the live view: one early-exit scan finds it, and skipping
+// its index selects the k-th non-prev neighbour in adjacency order.
 func pickNeighbor(sys *sim.System, cur, prev overlay.NodeID, rng *rand.Rand) overlay.NodeID {
-	// The overlay's live view is pre-filtered and preserves adjacency
-	// order, so the draw below replays exactly like the old Alive scan.
 	nbs := sys.G.LiveNeighbors(cur)
-	liveNotPrev := 0
-	for _, nb := range nbs {
-		if nb != prev {
-			liveNotPrev++
-		}
-	}
 	if len(nbs) == 0 {
 		return -1
 	}
-	if liveNotPrev == 0 {
+	pi := len(nbs)
+	for i, nb := range nbs {
+		if nb == prev {
+			pi = i
+			break
+		}
+	}
+	n := len(nbs)
+	if pi < n {
+		n--
+	}
+	if n == 0 {
 		return prev // backtracking is the only move
 	}
-	k := rng.IntN(liveNotPrev)
-	for _, nb := range nbs {
-		if nb == prev {
-			continue
-		}
-		if k == 0 {
-			return nb
-		}
-		k--
+	k := rng.IntN(n)
+	if k >= pi {
+		k++
 	}
-	return -1 // unreachable
+	return nbs[k]
 }
 
 // settleWalk computes, for all walkers of one query, the resolution time,
@@ -224,10 +223,9 @@ func (w *RandomWalk) Search(ev *trace.Event) metrics.SearchResult {
 	defer w.pool.Put(sc)
 	sc.begin(faults.Key(ev.Time, ev.Node))
 
-	rng := rand.New(rand.NewPCG(querySeed(w.Seed, ev.Time, ev.Node), 0x9d8f3c21))
-	recs := make([]walkRec, 0, w.Walkers)
+	sc.pcg.Seed(querySeed(w.Seed, ev.Time, ev.Node), 0x9d8f3c21)
 	for k := 0; k < w.Walkers; k++ {
-		recs = append(recs, runWalker(sys, sc, rng, ev.Node, ev.Node, ev.Time, w.TTL, ev.Terms))
+		sc.recs = append(sc.recs, runWalker(sys, sc, ev.Node, ev.Node, ev.Time, w.TTL, ev.Terms))
 	}
-	return settleWalk(sys, sc, recs, ev.Node, ev.Time, sim.QueryBytes(len(ev.Terms)), 0)
+	return settleWalk(sys, sc, sc.recs, ev.Node, ev.Time, sim.QueryBytes(len(ev.Terms)), 0)
 }

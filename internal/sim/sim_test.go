@@ -3,10 +3,8 @@ package sim
 import (
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"asap/internal/content"
 	"asap/internal/metrics"
@@ -185,36 +183,6 @@ func TestSizesModel(t *testing.T) {
 	}
 	if QueryHitBytes() != HeaderBytes+HitBytes {
 		t.Error("hit size wrong")
-	}
-}
-
-// Property: PQ pops in nondecreasing time order.
-func TestPQOrderingProperty(t *testing.T) {
-	prop := func(times []int64) bool {
-		var q PQ
-		for i, tm := range times {
-			if tm < 0 {
-				tm = -tm
-			}
-			q.Push(PQItem{T: tm, Node: overlay.NodeID(i)})
-		}
-		var got []int64
-		for q.Len() > 0 {
-			got = append(got, q.Pop().T)
-		}
-		return sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] })
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPQReset(t *testing.T) {
-	var q PQ
-	q.Push(PQItem{T: 5})
-	q.Reset()
-	if q.Len() != 0 {
-		t.Error("Reset did not empty queue")
 	}
 }
 
