@@ -24,10 +24,12 @@ fmt:
 # parallel matrix cells), plus the signature-index equivalence property
 # (bit-sliced scan ≡ scalar linear scan under churn × loss × eviction) and
 # the many-lane ASAP replay, which share frozen slot matrices and per-node
-# caches across concurrent searches and so must hold under the detector.
+# caches across concurrent searches and so must hold under the detector —
+# and the batched-flood property (batched tick ≡ sequential deliveries ≡
+# per-node reference), whose traversal scratch is runner-thread-only state.
 race:
 	$(GO) test -race ./internal/sim ./internal/experiments
-	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestParallelSearchSafety' ./internal/core
+	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestParallelSearchSafety|TestFloodBatchMatchesSequentialAndPerNode' ./internal/core
 
 # Determinism gate: outputs are a pure function of (preset, seed, scenario)
 # at every core count, so the sim / matrix / scenario / cluster equivalence
@@ -78,10 +80,12 @@ obs-smoke:
 	$(GO) test -race -run 'TestObsSeries' ./internal/experiments
 
 # Delivery-plane micro-benchmarks: the flood/walk/apply hot loops over
-# the CSR live views. One iteration each as a smoke test so a hot-loop
-# regression (or a new allocation — they report -benchmem) fails fast.
+# the CSR live views, and a refresh tick flooding a slot of 1, 8 and 64
+# sources through one traversal. A hundred iterations each as a smoke test
+# so a hot-loop regression (or a new allocation — they report -benchmem)
+# fails fast.
 bench-delivery:
-	$(GO) test -run '^$$' -bench 'BenchmarkDeliverFlood|BenchmarkDeliverWalk|BenchmarkApplyAd' \
+	$(GO) test -run '^$$' -bench 'BenchmarkDeliverFlood|BenchmarkTickRefresh|BenchmarkDeliverWalk|BenchmarkApplyAd' \
 		-benchtime 100x -benchmem ./internal/core
 
 # Replay-plane micro-benchmarks: one full small-scale end-to-end replay
@@ -92,10 +96,10 @@ bench-replay:
 	$(GO) test -run '^$$' -bench 'BenchmarkScanChains' -benchtime 100x -benchmem ./internal/core
 
 # Zero-alloc gates: the obs-off hot path (promised in internal/obs), the
-# warmed-up delivery hot loops (flood, walk, applyAd), the warmed-up
-# replay scan paths (scanCache, serveAds), a warmed-up search of each
-# baseline (pooled scratch), and patch sizing on the publish path (exact
-# even for unsorted caller-built lists).
+# warmed-up delivery hot loops (flood, a 64-source refresh tick, walk,
+# applyAd), the warmed-up replay scan paths (scanCache, serveAds), a
+# warmed-up search of each baseline (pooled scratch), and patch sizing on
+# the publish path (exact even for unsorted caller-built lists).
 alloc-gate:
 	$(GO) test -run 'TestObsOffHotPathAllocs' -count=1 .
 	$(GO) test -run 'TestDeliveryHotPathAllocs|TestScanHotPathAllocs' -count=1 ./internal/core

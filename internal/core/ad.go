@@ -6,6 +6,7 @@ import (
 
 	"asap/internal/bloom"
 	"asap/internal/content"
+	"asap/internal/metrics"
 	"asap/internal/overlay"
 	"asap/internal/sim"
 )
@@ -186,6 +187,13 @@ func (s *Scheme) store(v overlay.NodeID, snap *adSnapshot, kind adKind, now sim.
 // merge applies an incoming ad to the entry already cached for its source,
 // in place (a replacement keeps the entry's fifo position).
 func (cur *cachedAd) merge(snap *adSnapshot, kind adKind, now sim.Clock) storeOutcome {
+	if cur.snap == snap {
+		// Re-announcing the very snapshot cached (nearly every refresh):
+		// whatever the kind, only freshness moves — and the shared snapshot
+		// is not even read.
+		cur.lastSeen = now
+		return storedOK
+	}
 	switch kind {
 	case adFull:
 		// A cached version that is newer (reordered delivery) is kept.
@@ -272,6 +280,18 @@ const (
 	adPatch
 	adRefresh
 )
+
+// class returns the message class ads of this kind are accounted under.
+func (k adKind) class() metrics.MsgClass {
+	switch k {
+	case adFull:
+		return metrics.MAdFull
+	case adPatch:
+		return metrics.MAdPatch
+	default:
+		return metrics.MAdRefresh
+	}
+}
 
 // wireBytes returns the on-wire message size of this snapshot under the
 // given ad kind.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"asap/internal/content"
 	"asap/internal/faults"
 	"asap/internal/metrics"
@@ -29,52 +31,38 @@ func nextSeq(p *uint32) uint32 {
 // on the wire either way — so ad coverage degrades under loss while ad
 // traffic does not.
 func (s *Scheme) deliver(t sim.Clock, snap *adSnapshot, kind adKind, targeting content.ClassSet) {
-	// Scenario free riders send no ads at all — publishWith already gates
-	// new publications, and this catches refresh deliveries of snapshots
-	// published before the mask engaged.
-	if s.sys.FreeRider(snap.src) {
+	if s.cfg.Delivery == FLD && s.sys.FaultFree() {
+		s.floodBatch(t, []floodAd{{snap, kind, targeting}})
 		return
 	}
 	// One seqlock section brackets the whole delivery (every applyAd within
 	// it included); searches cannot run concurrently with any of it.
 	s.beginApply()
 	defer s.endApply()
-	msgBytes := snap.wireBytes(kind)
-	var class metrics.MsgClass
-	switch kind {
-	case adFull:
-		class = metrics.MAdFull
-	case adPatch:
-		class = metrics.MAdPatch
-	default:
-		class = metrics.MAdRefresh
-	}
+	msgBytes, class := snap.wireBytes(kind), kind.class()
 	// One drop stream per delivery: (time, source) names the delivery,
 	// folded with (version, kind) to separate a refresh from the full ad
 	// that replaced it within the same second.
 	dkey := faults.Fold(faults.Key(int64(t), snap.src), uint64(snap.version)<<2|uint64(kind))
 	var dseq uint32
 
-	// Warm-up deliveries (t < 0) invest the full per-topic budget to seed
-	// the caches; everything published mid-run is an update of already-
-	// seeded state and spends a fraction of it.
-	budget := max(1, targeting.Count()) * s.cfg.BudgetUnit
-	if t >= 0 {
-		budget = max(1, budget/s.cfg.UpdateBudgetDiv)
-	}
-	switch s.cfg.Delivery {
-	case FLD:
-		td := s.obs.Begin()
-		s.deliverFlood(t, snap, kind, targeting, msgBytes, class, dkey, &dseq)
+	td := s.obs.Begin()
+	if s.cfg.Delivery == FLD {
+		s.deliverFloodLossy(t, snap, kind, targeting, msgBytes, class, dkey, &dseq)
 		s.obs.End(obs.PDeliverFlood, td)
-	case RW:
-		td := s.obs.Begin()
-		s.deliverWalk(t, snap, kind, targeting, msgBytes, s.walkStarts(snap.src, s.cfg.Walkers), budget, class, dkey, &dseq)
-		s.obs.End(obs.PDeliverWalk, td)
-	case GSAKind:
-		td := s.obs.Begin()
-		seeds := s.liveNeighbors(snap.src)
-		s.deliverWalk(t, snap, kind, targeting, msgBytes, seeds, budget, class, dkey, &dseq)
+	} else {
+		// Warm-up deliveries (t < 0) invest the full per-topic budget to
+		// seed the caches; everything published mid-run is an update of
+		// already-seeded state and spends a fraction of it.
+		budget := max(1, targeting.Count()) * s.cfg.BudgetUnit
+		if t >= 0 {
+			budget = max(1, budget/s.cfg.UpdateBudgetDiv)
+		}
+		starts := s.liveNeighbors(snap.src) // GSA seeds every live neighbour
+		if s.cfg.Delivery == RW {
+			starts = s.walkStarts(snap.src, s.cfg.Walkers)
+		}
+		s.deliverWalk(t, snap, kind, targeting, msgBytes, starts, budget, class, dkey, &dseq)
 		s.obs.End(obs.PDeliverWalk, td)
 	}
 	s.acc.Flush(s.sys, class)
@@ -110,94 +98,177 @@ func (s *Scheme) liveNeighbors(n overlay.NodeID) []overlay.NodeID {
 	return s.eligibleView(n)
 }
 
-// deliverFlood floods the ad with TTL FloodTTL and duplicate suppression;
-// every reached node applies it once. A dropped copy leaves its receiver
-// unstamped, so a later surviving copy (from another branch) still reaches
-// it.
-//
-// Refresh and patch ads only ever act on nodes already caching the source's
-// ad (store ignores them elsewhere), so without a fault plane the BFS just
-// stamps reach and accounts traffic, and one pass over the source's holder
-// table then applies the ad to the holders the flood reached — non-holders
-// are never touched. That pass runs in table-slot order, not BFS order,
-// which is sound because fault-free applyAd effects on different nodes
-// commute (each touches only its own node's cache; accounting is integer
-// adds). Under a fault plane the gap fetch consumes the delivery's drop
-// stream in visit order, so every reached node applies in BFS order, as do
-// full ads, which insert.
-func (s *Scheme) deliverFlood(t sim.Clock, snap *adSnapshot, kind adKind, targeting content.ClassSet, msgBytes int, class metrics.MsgClass, dkey uint64, dseq *uint32) {
-	s.epoch++
-	if s.epoch == 0 {
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.epoch = 1
+// maxFloodBatch is the number of sources one flood traversal carries: one
+// bit of a uint64 mask each.
+const maxFloodBatch = 64
+
+// floodAd is one ad of a fault-free flood batch.
+type floodAd struct {
+	snap      *adSnapshot
+	kind      adKind
+	targeting content.ClassSet
+}
+
+// floodScratch is the flood traversal's working set (runner thread only).
+// seen[v], frontier[v] and next[v] hold one bit per source of the batch:
+// whose flood has reached v at all, reached it at the level being expanded,
+// and reaches it at the level after. order lists the reached nodes level by
+// level in discovery order — the BFS queue, and the list reset clears by,
+// so a flood costs the nodes it touched, never the overlay's size. All three
+// masks are zero between floods.
+type floodScratch struct {
+	seen, frontier, next []uint64
+	order                []overlay.NodeID
+	sent                 [maxFloodBatch]int // copies each source's flood put on the wire
+}
+
+func (k *floodScratch) reset() {
+	for _, v := range k.order {
+		k.seen[v], k.frontier[v] = 0, 0
 	}
-	queue := append(s.floodQ[:0], floodItem{snap.src, 0})
-	s.stamp[snap.src] = s.epoch
-	faultFree := s.sys.FaultFree()
-	holdersOnly := faultFree && kind != adFull
-	for i := 0; i < len(queue); i++ {
-		it := queue[i]
-		if it.node != snap.src && !holdersOnly {
-			s.applyAd(t, it.node, snap, kind, targeting, dkey, dseq)
-		}
-		if it.hop >= s.cfg.FloodTTL {
-			continue
-		}
-		if s.sys.FreeRider(it.node) {
-			continue // free riders receive ads but never forward them
-		}
-		// The eligible view is pre-filtered: no per-edge Alive or
-		// cacheEligible test on the flood's inner loop.
-		view := s.eligibleView(it.node)
-		if faultFree {
-			// No fault plane: every copy arrives and no drop-seq stream is
-			// consumed, so accounting and message counting batch to one
-			// call per node and the per-edge work is just the
-			// duplicate-suppression stamp.
-			if len(view) > 0 {
-				s.acc.Add(t, msgBytes*len(view))
-				s.obs.CountMsgN(int64(t), class, len(view))
+	k.order = k.order[:0]
+}
+
+// reach runs the fault-free flood of every ad in the batch at once — one
+// level-synchronous traversal with TTL FloodTTL and duplicate suppression
+// per source (a multi-source BFS carrying one bit per source, after Then et
+// al., VLDB 2014) — and leaves reach in seen, copy counts in sent. Every
+// edge is scanned once per level for the whole batch instead of once per
+// source. Free riders receive ads but never forward them. With one source
+// order is exactly that source's BFS queue.
+func (s *Scheme) reach(ads []floodAd) {
+	k := &s.flood
+	order := k.order[:0]
+	for i, ad := range ads {
+		src := ad.snap.src
+		k.sent[i] = 0
+		k.seen[src] |= 1 << i
+		k.frontier[src] |= 1 << i
+		order = append(order, src)
+	}
+	for lo, hop := 0, 0; hop < s.cfg.FloodTTL && lo < len(order); hop++ {
+		hi := len(order)
+		for _, v := range order[lo:hi] {
+			f := k.frontier[v]
+			k.frontier[v] = 0
+			if s.sys.FreeRider(v) {
+				continue
+			}
+			// The eligible view is pre-filtered: no per-edge Alive or
+			// cacheEligible test on the flood's inner loop. Every copy is
+			// sent, even to nodes that saw the ad already.
+			view := s.eligibleView(v)
+			for m := f; m != 0; m &= m - 1 {
+				k.sent[bits.TrailingZeros64(m)] += len(view)
 			}
 			for _, nb := range view {
-				if s.stamp[nb] != s.epoch {
-					s.stamp[nb] = s.epoch
-					queue = append(queue, floodItem{nb, it.hop + 1})
+				if fresh := f &^ k.seen[nb]; fresh != 0 {
+					k.seen[nb] |= fresh
+					if k.next[nb] == 0 {
+						order = append(order, nb)
+					}
+					k.next[nb] |= fresh
+				}
+			}
+		}
+		lo = hi
+		// Every expanded node cleared its frontier word, so the old
+		// frontier array is the next level's all-zero next array.
+		k.frontier, k.next = k.next, k.frontier
+	}
+	k.order = order
+}
+
+// floodBatch delivers up to maxFloodBatch flood ads at one virtual time over
+// a reliable network: one traversal computes every source's reach and copy
+// count, then each ad is booked and applied, source by source in batch
+// order, to the nodes its own flood reached.
+//
+// Refresh and patch ads only ever act on nodes already caching the source's
+// ad (store ignores them elsewhere), so they apply through one pass over the
+// source's holder table — non-holders are never touched. A full ad inserts,
+// so it applies at every reached node, in BFS order when it floods alone
+// (join, first publication, warm-up). Batching the traversal ahead of the
+// applications, and the holders pass's slot order, are sound because
+// fault-free applications commute: a refresh or patch never inserts or
+// evicts, each touches only its own (node, source) entry, a gap fetch
+// re-stores into that same entry, the traversal reads none of it, and all
+// accounting is integer adds at one t.
+func (s *Scheme) floodBatch(t sim.Clock, ads []floodAd) {
+	td := s.obs.Begin()
+	s.beginApply()
+	k := &s.flood
+	s.reach(ads)
+	var dseq uint32 // gap fetches count messages; nothing can drop them
+	for i, ad := range ads {
+		snap, bit, class := ad.snap, uint64(1)<<i, ad.kind.class()
+		s.sys.Account(t, class, snap.wireBytes(ad.kind)*k.sent[i])
+		s.obs.CountMsgN(int64(t), class, k.sent[i])
+		if ad.kind == adFull {
+			for _, v := range k.order {
+				if k.seen[v]&bit != 0 && v != snap.src {
+					s.applyAd(t, v, snap, adFull, ad.targeting, 0, &dseq)
 				}
 			}
 			continue
 		}
-		for _, nb := range view {
-			s.acc.Add(t, msgBytes) // the copy is sent even to nodes that saw it
-			if !s.sys.Arrives(t, class, it.node, nb, dkey, nextSeq(dseq)) {
-				continue // copy lost; nb may still get one via another edge
-			}
-			if s.stamp[nb] == s.epoch {
+		// The slot names the holder's slab entry, so the pass probes no
+		// table. Eligibility and interest are still tested: a hierarchy
+		// change or interest drift can orphan a holder. A gap fetch
+		// re-stores into the existing entry, so the table is not resized or
+		// reordered under the loop.
+		for _, sl := range s.holders[snap.src].slots {
+			v := overlay.NodeID(sl.key) - 1
+			if sl.key == 0 || k.seen[v]&bit == 0 || v == snap.src {
 				continue
 			}
-			s.stamp[nb] = s.epoch
-			queue = append(queue, floodItem{nb, it.hop + 1})
-		}
-	}
-	s.floodQ = queue
-	if holdersOnly {
-		// A gap fetch re-stores into an existing entry, so the table is
-		// not resized or reordered under the loop.
-		for _, sl := range s.holders[snap.src].slots {
-			if v := overlay.NodeID(sl.key) - 1; sl.key != 0 && s.stamp[v] == s.epoch && v != snap.src {
-				s.applyAd(t, v, snap, kind, targeting, dkey, dseq)
+			if !s.cacheEligible(v) || !s.groupInterests(v).Intersects(ad.targeting) {
+				continue
+			}
+			if s.nodes[v].slab[sl.idx].merge(snap, ad.kind, t) == storedGap {
+				s.fetchFull(t, v, snap.src, 0, &dseq)
 			}
 		}
 	}
+	k.reset()
+	s.endApply()
+	s.obs.End(obs.PDeliverFlood, td)
 }
 
-// floodItem is one BFS queue entry of deliverFlood: a reached node and its
-// hop distance from the source. The queue lives on the Scheme (runner
-// thread only) and is reused across deliveries.
-type floodItem struct {
-	node overlay.NodeID
-	hop  int
+// deliverFloodLossy floods one ad under a fault plane, copy by copy: TTL
+// FloodTTL, duplicate suppression, and every reached node applies the ad
+// once, in BFS order — the gap fetch consumes the delivery's drop stream in
+// visit order. A dropped copy leaves its receiver unseen, so a later
+// surviving copy (from another branch) still reaches it. It borrows the
+// flood scratch as a plain visited set and queue.
+func (s *Scheme) deliverFloodLossy(t sim.Clock, snap *adSnapshot, kind adKind, targeting content.ClassSet, msgBytes int, class metrics.MsgClass, dkey uint64, dseq *uint32) {
+	k := &s.flood
+	queue := append(k.order[:0], snap.src)
+	k.seen[snap.src] = 1
+	for lo, hop := 0, 0; lo < len(queue); hop++ {
+		hi := len(queue)
+		for _, v := range queue[lo:hi] {
+			if v != snap.src {
+				s.applyAd(t, v, snap, kind, targeting, dkey, dseq)
+			}
+			if hop >= s.cfg.FloodTTL || s.sys.FreeRider(v) {
+				continue // free riders receive ads but never forward them
+			}
+			for _, nb := range s.eligibleView(v) {
+				s.acc.Add(t, msgBytes) // the copy is sent even to nodes that saw it
+				if !s.sys.Arrives(t, class, v, nb, dkey, nextSeq(dseq)) {
+					continue // copy lost; nb may still get one via another edge
+				}
+				if k.seen[nb] == 0 {
+					k.seen[nb] = 1
+					queue = append(queue, nb)
+				}
+			}
+		}
+		lo = hi
+	}
+	k.order = queue
+	k.reset()
 }
 
 // deliverWalk forwards the ad along random walks from the given start
@@ -352,29 +423,32 @@ func (s *Scheme) pickLiveNeighbor(cur, prev overlay.NodeID) overlay.NodeID {
 }
 
 // applyAd lets node v react to an arriving ad: cache it when interesting,
-// and resolve version gaps by fetching the source's current full ad
-// directly (a control request plus a full-ad reply). Either leg of that
-// fetch can be lost; the gap then persists until the next ad (or the next
-// gap) retriggers it.
+// and resolve a version gap by fetching the source's current full ad.
 func (s *Scheme) applyAd(t sim.Clock, v overlay.NodeID, snap *adSnapshot, kind adKind, targeting content.ClassSet, dkey uint64, dseq *uint32) {
 	if !s.cacheEligible(v) || !s.groupInterests(v).Intersects(targeting) {
 		return
 	}
-	if s.store(v, snap, kind, t, false) != storedGap {
-		return
+	if s.store(v, snap, kind, t, false) == storedGap {
+		s.fetchFull(t, v, snap.src, dkey, dseq)
 	}
-	// Version gap: v's copy is too old to patch. Fetch the current full ad
-	// from the source (alive: it just sent this ad).
-	cur := s.publishedSnapshot(snap.src)
+}
+
+// fetchFull resolves a version gap — v's copy of src's ad is too old to
+// patch — by fetching the source's current full ad directly (a control
+// request plus a full-ad reply; the source is alive: it just sent an ad).
+// Either leg of the fetch can be lost; the gap then persists until the next
+// ad (or the next gap) retriggers it.
+func (s *Scheme) fetchFull(t sim.Clock, v, src overlay.NodeID, dkey uint64, dseq *uint32) {
+	cur := s.publishedSnapshot(src)
 	if cur == nil {
 		return
 	}
 	s.sys.Account(t, metrics.MControl, sim.HeaderBytes)
-	if !s.sys.Arrives(t, metrics.MControl, v, snap.src, dkey, nextSeq(dseq)) {
+	if !s.sys.Arrives(t, metrics.MControl, v, src, dkey, nextSeq(dseq)) {
 		return // fetch request lost: the reply is never sent
 	}
 	s.sys.Account(t, metrics.MAdFull, cur.wireBytes(adFull))
-	if !s.sys.Arrives(t, metrics.MAdFull, snap.src, v, dkey, nextSeq(dseq)) {
+	if !s.sys.Arrives(t, metrics.MAdFull, src, v, dkey, nextSeq(dseq)) {
 		return // reply lost: v keeps its stale copy
 	}
 	s.store(v, cur, adFull, t, false)

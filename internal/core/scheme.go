@@ -40,9 +40,8 @@ type Scheme struct {
 	// per-delivery queue and neighbour-list allocations across a run.
 	rng    *rand.Rand
 	acc    sim.SecAccumulator
-	stamp  []uint32
-	epoch  uint32
-	floodQ []floodItem
+	flood  floodScratch
+	tickQ  []floodAd
 	wlkBuf []overlay.NodeID
 
 	// slots is the global signature index (see adindex.go): every published
@@ -132,7 +131,9 @@ func (s *Scheme) Attach(sys *sim.System) {
 	s.nodes = make([]nodeState, n)
 	s.holders = make([]holderTab, n)
 	s.rng = rand.New(rand.NewPCG(s.cfg.Seed, 0x5851f42d4c957f2d))
-	s.stamp = make([]uint32, n)
+	s.flood.seen = make([]uint64, n)
+	s.flood.frontier = make([]uint64, n)
+	s.flood.next = make([]uint64, n)
 	if s.cfg.RefreshPeriodSec > 0 {
 		s.wheel = make([][]overlay.NodeID, s.cfg.RefreshPeriodSec)
 	}
@@ -464,27 +465,49 @@ func (s *Scheme) NodeLeft(t sim.Clock, n overlay.NodeID) {
 }
 
 // Tick implements sim.Scheme: fires the refresh wheel slot due this
-// second.
+// second. Over a reliable network asap-fld floods the whole slot through
+// one traversal per maxFloodBatch sources instead of one per source.
 func (s *Scheme) Tick(t sim.Clock) {
 	if s.wheel == nil {
 		return
 	}
 	slot := int(t/1000) % s.cfg.RefreshPeriodSec
+	ads := s.tickQ[:0]
 	for _, n := range s.wheel[slot] {
-		if !s.sys.G.Alive(n) || s.repr(n) != n {
+		// Scenario free riders send no ads at all: publish gates new
+		// publications, and this also stops refreshes of snapshots published
+		// before the mask engaged.
+		if !s.sys.G.Alive(n) || s.repr(n) != n || s.sys.FreeRider(n) {
 			continue
 		}
 		// Reconcile first: hierarchical groups drift when leaves depart
 		// silently (flat nodes never drift here — every content change is
 		// evented — so publish returns nil and a plain refresh goes out).
-		if snap := s.publish(n); snap != nil {
-			s.deliver(t, snap, adPatch, snap.topics)
-			continue
+		kind := adPatch
+		snap := s.publish(n)
+		if snap == nil {
+			if snap = s.publishedSnapshot(n); snap == nil {
+				continue
+			}
+			kind = adRefresh
 		}
-		if snap := s.publishedSnapshot(n); snap != nil {
-			s.deliver(t, snap, adRefresh, snap.topics)
+		ads = append(ads, floodAd{snap, kind, snap.topics})
+	}
+	// Publishing the whole slot ahead of its deliveries changes nothing: a
+	// publication touches only its own node's ad, which no other source's
+	// delivery reads.
+	if s.cfg.Delivery == FLD && s.sys.FaultFree() {
+		for rest := ads; len(rest) > 0; {
+			n := min(len(rest), maxFloodBatch)
+			s.floodBatch(t, rest[:n])
+			rest = rest[n:]
+		}
+	} else {
+		for _, ad := range ads {
+			s.deliver(t, ad.snap, ad.kind, ad.targeting)
 		}
 	}
+	s.tickQ = ads[:0]
 }
 
 // HasCachedAd reports whether node p currently caches an ad published by

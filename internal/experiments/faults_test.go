@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"asap/internal/faults"
+	"asap/internal/metrics"
+	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/sim"
 )
@@ -84,16 +86,21 @@ func TestLossSweepDegradesGracefully(t *testing.T) {
 }
 
 // TestLossZeroMatchesNoPlane: a plane configured with loss rate 0 must be
-// completely inert — every summary field byte-identical to a run with no
-// plane at all. This pins the Active() gating that keeps retry machinery
-// (and its accounting) out of the reliable replay.
+// completely inert — every summary field and every per-second series cell
+// (bytes and message counts per class) byte-identical to a run with no plane
+// at all. This pins the Active() gating that keeps retry machinery (and its
+// accounting) out of the reliable replay, and — for asap-fld, whose refresh
+// ticks flood whole wheel slots through one batched traversal when there is
+// no plane and copy by copy when there is one — that the two flood paths
+// book the same traffic second by second.
 func TestLossZeroMatchesNoPlane(t *testing.T) {
 	lab, err := NewLab(ScaleTiny())
 	if err != nil {
 		t.Fatalf("lab: %v", err)
 	}
 	for _, scheme := range lossySchemes {
-		bare, err := lab.run(scheme, overlay.Crawled, false, nil, nil, nil)
+		col := obs.NewCollector()
+		bare, err := lab.run(scheme, overlay.Crawled, false, col, nil, nil)
 		if err != nil {
 			t.Fatalf("%s bare: %v", scheme, err)
 		}
@@ -102,10 +109,19 @@ func TestLossZeroMatchesNoPlane(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys := lab.topoProto(overlay.Crawled).NewSystem(lab.U, lab.Tr)
+		rec := obs.NewRecorder(int(lab.Tr.Span()/1000) + 2)
+		sys.SetObs(rec)
 		sys.SetFaults(faults.New(faults.Config{Seed: lab.Scale.Seed, LossRate: 0}))
 		planed := sim.Run(sys, sch, sim.RunOptions{})
 		if !reflect.DeepEqual(bare, planed) {
 			t.Errorf("%s: zero-loss plane changed the summary:\nbare:   %+v\nplaned: %+v", scheme, bare, planed)
+		}
+		bareSeries := col.Runs()[0]
+		if !reflect.DeepEqual(bareSeries, rec.Series(bareSeries.Key, sys.Load)) {
+			t.Errorf("%s: zero-loss plane changed the per-second series", scheme)
+		}
+		if scheme == "asap-fld" && bare.Breakdown[metrics.MAdRefresh] == 0 {
+			t.Errorf("%s: no refresh traffic — the replay crossed no refresh tick", scheme)
 		}
 	}
 }

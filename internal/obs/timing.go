@@ -20,7 +20,8 @@ const (
 	// PSearchPhase2 is ASAP search phase 2: the ads-request flood plus the
 	// second confirmation round.
 	PSearchPhase2
-	// PDeliverFlood is one flood-based ad delivery cascade.
+	// PDeliverFlood is one flood-based ad delivery: a single ad's cascade,
+	// or one batch of refresh-tick ads flooded in a single traversal.
 	PDeliverFlood
 	// PDeliverWalk is one walk-based (RW or GSA) ad delivery.
 	PDeliverWalk
