@@ -88,12 +88,15 @@ bench-delivery:
 	$(GO) test -run '^$$' -bench 'BenchmarkDeliverFlood|BenchmarkTickRefresh|BenchmarkDeliverWalk|BenchmarkApplyAd' \
 		-benchtime 100x -benchmem ./internal/core
 
-# Replay-plane micro-benchmarks: one full small-scale end-to-end replay
-# plus the bit-sliced phase-1 cache scan. One/hundred iterations as a
-# smoke test so a hot-loop regression (or a new allocation) fails fast.
+# Replay-plane micro-benchmarks: one full small-scale end-to-end replay,
+# the bit-sliced phase-1 cache scan, and one search of each baseline
+# (resolve + cascade or walk). One/hundred iterations as a smoke test so a
+# hot-loop regression (or a new allocation) fails fast.
 bench-replay:
 	$(GO) test -run '^$$' -bench 'BenchmarkReplaySmall' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkScanChains' -benchtime 100x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkFloodingSearch|BenchmarkRandomWalkSearch|BenchmarkGSASearch' \
+		-benchtime 100x -benchmem ./internal/search
 
 # Zero-alloc gates: the obs-off hot path (promised in internal/obs), the
 # warmed-up delivery hot loops (flood, a 64-source refresh tick, walk,

@@ -96,12 +96,12 @@ func (u *Universe) Holders(d DocID) []PeerID {
 func (u *Universe) TotalInstances() int { return len(u.hArena) }
 
 // DocMatches reports whether the document contains every query term — the
-// ground truth a content confirmation checks against.
+// ground truth a content confirmation checks against. A document carries at
+// most MaxKeywords keywords, so each term is one short scan.
 func (u *Universe) DocMatches(d DocID, terms []Keyword) bool {
 	kws := u.Keywords(d)
 	for _, t := range terms {
-		i := sort.Search(len(kws), func(i int) bool { return kws[i] >= t })
-		if i == len(kws) || kws[i] != t {
+		if !containsKeyword(kws, t) {
 			return false
 		}
 	}

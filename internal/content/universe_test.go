@@ -3,6 +3,7 @@ package content
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -189,6 +190,12 @@ func TestDocMatches(t *testing.T) {
 	if u.DocMatches(d, foreign) {
 		t.Error("DocMatches true with a foreign term included")
 	}
+	// Query terms arrive in any order and may repeat.
+	rev := append([]Keyword{}, kws...)
+	slices.Reverse(rev)
+	if !u.DocMatches(d, rev) || !u.DocMatches(d, []Keyword{kws[0], kws[0]}) {
+		t.Error("DocMatches false for its own keywords reversed or repeated")
+	}
 }
 
 func TestKeywordSetSizeWithinBloomProvision(t *testing.T) {
@@ -352,5 +359,27 @@ func BenchmarkGenerateSmall(b *testing.B) {
 	cfg := testConfig()
 	for i := 0; i < b.N; i++ {
 		_ = Generate(cfg)
+	}
+}
+
+// Queries of 1–3 terms drawn from a document, probed against that document
+// (a hit) and its successor (almost always a miss).
+func BenchmarkDocMatches(b *testing.B) {
+	u := Generate(testConfig())
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := DocID(i % (u.NumDocs() - 1))
+		kws := u.Keywords(d)
+		terms := kws[:1+i%min(3, len(kws))]
+		if u.DocMatches(d, terms) {
+			hits++
+		}
+		if u.DocMatches(d+1, terms) {
+			hits++
+		}
+	}
+	if hits < b.N {
+		b.Fatalf("%d hits in %d self-probes", hits, b.N)
 	}
 }

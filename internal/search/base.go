@@ -57,15 +57,19 @@ func (noopEvents) LoadMask() metrics.ClassMask { return metrics.BaselineLoadMask
 // any lane without conflict analysis.
 func (noopEvents) PureSearch() {}
 
-// scratch is per-worker reusable query state. mark holds one word per node
-// with the query's epoch in the high half, so nothing is cleared between
-// queries. Within the current epoch a low half of 0 means the node was
-// visited (the flood processed a copy there); b+1 means a copy is pending
-// in bucket b of the flood queue — the node's tentative arrival, the
-// earliest of the copies sent to it so far.
+// scratch is per-worker reusable query state: two words per node, both
+// stamped with the query's epoch so nothing is cleared between queries.
+// mark holds the epoch in its high half; within the current epoch a low half
+// of 0 means the node was visited (the flood processed a copy there); b+1
+// means a copy is pending in bucket b of the flood queue — the node's
+// tentative arrival, the earliest of the copies sent to it so far. cand
+// equals the epoch when the node is a candidate: it holds the query's
+// rarest term (see resolve), so only it can match.
 type scratch struct {
 	mark   []uint64
+	cand   []uint32
 	epoch  uint32
+	terms  []content.Keyword // the current query's, for matches
 	q      bucketQueue
 	times  []sim.Clock      // walker step times
 	nodes  []overlay.NodeID // walker step nodes
@@ -91,7 +95,7 @@ func (s *scratch) nextSeq() uint32 {
 
 func newScratchPool(n int) *sync.Pool {
 	return &sync.Pool{New: func() any {
-		sc := &scratch{mark: make([]uint64, n)}
+		sc := &scratch{mark: make([]uint64, n), cand: make([]uint32, n)}
 		sc.rng = rand.New(&sc.pcg)
 		return sc
 	}}
@@ -102,8 +106,9 @@ func (s *scratch) begin(fkey uint64) {
 	s.fkey = fkey
 	s.fseq = 0
 	s.epoch++
-	if s.epoch == 0 { // wrapped: clear marks once per 2^32 queries
+	if s.epoch == 0 { // wrapped: clear the stamps once per 2^32 queries
 		clear(s.mark)
+		clear(s.cand)
 		s.epoch = 1
 	}
 	s.acc.Reset()
@@ -111,6 +116,28 @@ func (s *scratch) begin(fkey uint64) {
 	s.times = s.times[:0]
 	s.nodes = s.nodes[:0]
 	s.recs = s.recs[:0]
+}
+
+// resolve stamps the query's candidates: the holders of its rarest term,
+// the only nodes that can match — one index lookup per query in place of
+// one keyword-index probe per node the cascade reaches.
+func (s *scratch) resolve(sys *sim.System, terms []content.Keyword) {
+	s.terms = terms
+	base, extra := sys.RarestHolders(terms)
+	for _, n := range base {
+		s.cand[n] = s.epoch
+	}
+	for _, n := range extra {
+		s.cand[n] = s.epoch
+	}
+}
+
+// matches reports whether n matches the resolved query, exactly as the
+// per-node ground truth would. Holding the term is the whole test of a
+// one-term query; otherwise a candidate is verified, lazily — only when the
+// cascade reaches it.
+func (s *scratch) matches(sys *sim.System, n overlay.NodeID) bool {
+	return s.cand[n] == s.epoch && (len(s.terms) == 1 || sys.NodeMatches(n, s.terms))
 }
 
 func (s *scratch) visited(n overlay.NodeID) bool { return s.mark[n] == uint64(s.epoch)<<32 }

@@ -34,21 +34,28 @@ func (f *Flooding) Attach(sys *sim.System) {
 	f.pool = newScratchPool(sys.NumNodes())
 }
 
-// Search simulates one flood cascade. Every copy sent is one query message
+// Search implements sim.Scheme: it resolves the query's candidates once and
+// runs the flood cascade over a pooled scratch.
+func (f *Flooding) Search(ev *trace.Event) metrics.SearchResult {
+	sc := f.pool.Get().(*scratch)
+	defer f.pool.Put(sc)
+	sc.begin(faults.Key(ev.Time, ev.Node))
+	sc.resolve(f.sys, ev.Terms)
+	return f.cascade(sc, ev)
+}
+
+// cascade simulates one flood cascade. Every copy sent is one query message
 // (duplicates included — a node that already saw the query still receives
 // the copies its neighbours send), but only a copy that can still be the
 // first to reach its receiver is queued (see scratch.claim). A node acts
 // on the copy that arrives earliest and, among those of one millisecond,
-// was sent earliest. Under a fault plane a dropped copy costs its sender
-// the message but never arrives (the branch is pruned unless another copy
-// reaches the node), and a dropped hit reply costs the responder the bytes
-// without the requester learning of the hit.
-func (f *Flooding) Search(ev *trace.Event) metrics.SearchResult {
+// was sent earliest; it replies when it is a resolved candidate that
+// matches (see scratch.matches). Under a fault plane a dropped copy costs
+// its sender the message but never arrives (the branch is pruned unless
+// another copy reaches the node), and a dropped hit reply costs the
+// responder the bytes without the requester learning of the hit.
+func (f *Flooding) cascade(sc *scratch, ev *trace.Event) metrics.SearchResult {
 	sys := f.sys
-	sc := f.pool.Get().(*scratch)
-	defer f.pool.Put(sc)
-	sc.begin(faults.Key(ev.Time, ev.Node))
-
 	src := ev.Node
 	qBytes := sim.QueryBytes(len(ev.Terms))
 	t0 := ev.Time
@@ -71,7 +78,7 @@ func (f *Flooding) Search(ev *trace.Event) metrics.SearchResult {
 		}
 		sc.visit(it.node)
 
-		if it.node != src && sys.NodeMatches(it.node, ev.Terms) {
+		if it.node != src && sc.matches(sys, it.node) {
 			reply := t + sim.Clock(sys.Latency(it.node, src))
 			sc.acc.Add(t, sim.QueryHitBytes())
 			rseq := sc.nextSeq()

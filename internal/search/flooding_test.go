@@ -2,6 +2,7 @@ package search
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -99,6 +100,26 @@ func refFlood(sys *sim.System, ev *trace.Event, ttl int) metrics.SearchResult {
 	return res
 }
 
+// sameLoad holds the kernel's system to the reference's: the same bytes in
+// every second and message class and the same fault counters, with drops
+// exactly when the plane is lossy.
+func sameLoad(t *testing.T, label string, sysK, sysR *sim.System, lossy bool) {
+	t.Helper()
+	for sec := 0; sec < sysK.Load.Seconds(); sec++ {
+		for c := 0; c < metrics.NumMsgClasses; c++ {
+			m := metrics.Mask(metrics.MsgClass(c))
+			if got, want := sysK.Load.BytesAt(sec, m), sysR.Load.BytesAt(sec, m); got != want {
+				t.Fatalf("%s second %d class %d: kernel %d B, reference %d B", label, sec, c, got, want)
+			}
+		}
+	}
+	dk, rk, tk := sysK.Load.FaultCounts()
+	dr, rr, tr := sysR.Load.FaultCounts()
+	if dk != dr || rk != rr || tk != tr || lossy != (dk > 0) {
+		t.Errorf("%s: fault counts %d/%d/%d kernel, %d/%d/%d reference", label, dk, rk, tk, dr, rr, tr)
+	}
+}
+
 var allKinds = []overlay.Kind{overlay.Random, overlay.PowerLaw, overlay.Crawled}
 
 // Flooding.Search (bucket queue, send-time pruning, batched accounting)
@@ -130,19 +151,7 @@ func TestFloodingMatchesHeapReference(t *testing.T) {
 					}
 				}
 			}
-			for sec := 0; sec < sysK.Load.Seconds(); sec++ {
-				for c := 0; c < metrics.NumMsgClasses; c++ {
-					m := metrics.Mask(metrics.MsgClass(c))
-					if got, want := sysK.Load.BytesAt(sec, m), sysR.Load.BytesAt(sec, m); got != want {
-						t.Fatalf("%v lossy=%v second %d class %d: kernel %d B, reference %d B", kind, lossy, sec, c, got, want)
-					}
-				}
-			}
-			dk, _, _ := sysK.Load.FaultCounts()
-			dr, _, _ := sysR.Load.FaultCounts()
-			if dk != dr || lossy != (dk > 0) {
-				t.Errorf("%v lossy=%v: kernel dropped %d, reference %d", kind, lossy, dk, dr)
-			}
+			sameLoad(t, fmt.Sprintf("%v lossy=%v", kind, lossy), sysK, sysR, lossy)
 		}
 	}
 }
@@ -255,8 +264,70 @@ func TestBucketQueueProperty(t *testing.T) {
 	q.push(104, copyItem{})
 }
 
+// probeResolved returns a reference search over sys: the scheme's own
+// kernel, run on a scratch whose candidates come from probing every node's
+// keyword index — the per-visited-node rule, evaluated up front — instead of
+// from the holders index.
+func probeResolved(sys *sim.System, kernel func(*scratch, *trace.Event) metrics.SearchResult) func(*trace.Event) metrics.SearchResult {
+	sc := newScratchPool(sys.NumNodes()).Get().(*scratch)
+	return func(ev *trace.Event) metrics.SearchResult {
+		sc.begin(faults.Key(ev.Time, ev.Node))
+		sc.terms = ev.Terms
+		for n := range sc.cand {
+			if sys.NodeMatches(overlay.NodeID(n), ev.Terms) {
+				sc.cand[n] = sc.epoch
+			}
+		}
+		return kernel(sc, ev)
+	}
+}
+
+// Resolving a query against the holders index changes nothing a replay can
+// observe: on every query of the trace each baseline returns the result its
+// kernel returns over per-node probes, and the two systems end with the same
+// load in every second and class and the same fault counters — fault-free
+// and under loss + jitter.
+func TestResolvedSearchMatchesPerNodeProbe(t *testing.T) {
+	type baseline struct {
+		scheme sim.Scheme
+		kernel func(*scratch, *trace.Event) metrics.SearchResult
+	}
+	for _, mk := range []func() baseline{
+		func() baseline { f := NewFlooding(); return baseline{f, f.cascade} },
+		func() baseline { w := NewRandomWalk(3); return baseline{w, w.walk} },
+		func() baseline { g := NewGSA(3); return baseline{g, g.walk} },
+	} {
+		for _, lossy := range []bool{false, true} {
+			sysK, sysR := newSys(t, overlay.Crawled), newSys(t, overlay.Crawled)
+			if lossy {
+				cfg := faults.Config{Seed: 9, LossRate: 0.05, JitterMS: 20}
+				sysK.SetFaults(faults.New(cfg))
+				sysR.SetFaults(faults.New(cfg))
+			}
+			k, r := mk(), mk()
+			k.scheme.Attach(sysK)
+			r.scheme.Attach(sysR)
+			ref := probeResolved(sysR, r.kernel)
+			name := k.scheme.Name()
+			for i := range testTr.Events {
+				ev := &testTr.Events[i]
+				if ev.Kind != trace.Query {
+					sysK.ApplyEvent(ev)
+					sysR.ApplyEvent(ev)
+					continue
+				}
+				if got, want := k.scheme.Search(ev), ref(ev); got != want {
+					t.Fatalf("%s lossy=%v event %d: resolved %+v, per-node probe %+v", name, lossy, i, got, want)
+				}
+			}
+			sameLoad(t, fmt.Sprintf("%s lossy=%v", name, lossy), sysK, sysR, lossy)
+		}
+	}
+}
+
 // Steady state, the pooled scratch absorbs every per-query buffer of all
-// three baselines.
+// three baselines — resolution included, whether the rarest term's holders
+// sit in the index's base segment or in its overflow list.
 func TestBaselineSearchAllocs(t *testing.T) {
 	sys := newSys(t, overlay.Crawled)
 	f, w, g := NewFlooding(), NewRandomWalk(1), NewGSA(1)
@@ -266,7 +337,7 @@ func TestBaselineSearchAllocs(t *testing.T) {
 	pinScratch(&f.pool, sys.NumNodes())
 	pinScratch(&w.pool, sys.NumNodes())
 	pinScratch(&g.pool, sys.NumNodes())
-	queries := traceQueries()
+	queries := append(traceQueries(), overflowQuery(t, sys))
 	for _, sch := range []sim.Scheme{f, w, g} {
 		run := func() {
 			for _, ev := range queries {
@@ -278,4 +349,28 @@ func TestBaselineSearchAllocs(t *testing.T) {
 			t.Errorf("%s: %.1f allocations per %d searches, want 0", sch.Name(), a, len(queries))
 		}
 	}
+}
+
+// overflowQuery hands a node a document whose first keyword it did not
+// hold — base holder segments are full at construction, so the node lands
+// in that keyword's overflow list — and returns a query for the keyword.
+func overflowQuery(t *testing.T, sys *sim.System) *trace.Event {
+	t.Helper()
+	for n := overlay.NodeID(0); int(n) < sys.NumNodes(); n++ {
+		if !sys.G.Alive(n) || len(sys.Docs(n)) == 0 {
+			continue
+		}
+		terms := testU.Keywords(sys.Docs(n)[0])[:1]
+		for m := overlay.NodeID(0); int(m) < sys.NumNodes(); m++ {
+			if sys.G.Alive(m) && !sys.NodeMatches(m, terms) {
+				sys.ApplyEvent(&trace.Event{Kind: trace.ContentAdd, Node: m, Doc: sys.Docs(n)[0]})
+				if _, extra := sys.RarestHolders(terms); len(extra) != 1 || extra[0] != m {
+					t.Fatalf("node %d gained keyword %d but its overflow holders are %v", m, terms[0], extra)
+				}
+				return &trace.Event{Kind: trace.Query, Node: n, Terms: terms}
+			}
+		}
+	}
+	t.Fatal("no node to hand a new keyword to")
+	return nil
 }

@@ -39,11 +39,17 @@ func (g *GSA) Attach(sys *sim.System) {
 
 // Search implements sim.Scheme.
 func (g *GSA) Search(ev *trace.Event) metrics.SearchResult {
-	sys := g.sys
 	sc := g.pool.Get().(*scratch)
 	defer g.pool.Put(sc)
 	sc.begin(faults.Key(ev.Time, ev.Node))
+	sc.resolve(g.sys, ev.Terms)
+	return g.walk(sc, ev)
+}
 
+// walk seeds one walker per live neighbour for the resolved query and
+// settles them.
+func (g *GSA) walk(sc *scratch, ev *trace.Event) metrics.SearchResult {
+	sys := g.sys
 	src := ev.Node
 	// The live view is the seed list directly — shared with the graph (no
 	// per-query allocation) and stable for the query's duration, since
@@ -65,7 +71,7 @@ func (g *GSA) Search(ev *trace.Event) metrics.SearchResult {
 	sc.pcg.Seed(querySeed(g.Seed, ev.Time, ev.Node), 0x51a2b3c4)
 	for _, nb := range seeds {
 		arr := ev.Time + sim.Clock(sys.Latency(src, nb))
-		sc.recs = append(sc.recs, runWalker(sys, sc, src, nb, arr, perWalker+1, ev.Terms))
+		sc.recs = append(sc.recs, runWalker(sys, sc, src, nb, arr, perWalker+1))
 	}
 	// The seed messages themselves are already the first step of each
 	// walker record (runWalker records the starting neighbour), so

@@ -325,7 +325,7 @@ func TestPickNeighborAvoidsBacktrack(t *testing.T) {
 }
 
 func TestScratchEpochWrap(t *testing.T) {
-	sc := &scratch{mark: make([]uint64, 4)}
+	sc := &scratch{mark: make([]uint64, 4), cand: make([]uint32, 4)}
 	sc.epoch = ^uint32(0) - 1
 	sc.begin(0)
 	sc.visit(1)
@@ -338,6 +338,56 @@ func TestScratchEpochWrap(t *testing.T) {
 	sc.begin(0) // wraps to 0 → forced clear to epoch 1
 	if sc.visited(1) || !sc.claim(2, 9) {
 		t.Fatal("stale mark survived epoch wrap")
+	}
+}
+
+// Over the whole trace and across an epoch wrap, the resolved test agrees
+// with the per-node ground truth on every node: a candidate stamp neither
+// hides a match nor, left over from an earlier query, invents one.
+func TestScratchMatchesEqualsNodeMatches(t *testing.T) {
+	sys := newSys(t, overlay.Crawled)
+	sc := newScratchPool(sys.NumNodes()).Get().(*scratch)
+	for n := range sc.cand {
+		sc.cand[n] = uint32(1 + n%64) // stale candidates of the epochs the wrap restarts at
+	}
+	queries := traceQueries()
+	sc.epoch = ^uint32(0) - uint32(len(queries)/2)
+	check := func(terms []content.Keyword) (matched int) {
+		sc.begin(0)
+		sc.resolve(sys, terms)
+		for n := 0; n < sys.NumNodes(); n++ {
+			got, want := sc.matches(sys, overlay.NodeID(n)), sys.NodeMatches(overlay.NodeID(n), terms)
+			if got != want {
+				t.Fatalf("epoch %d, query %v, node %d: matches = %v, NodeMatches = %v", sc.epoch, terms, n, got, want)
+			}
+			if got {
+				matched++
+			}
+		}
+		return matched
+	}
+	matched, multi := 0, 0
+	for i := range testTr.Events {
+		ev := &testTr.Events[i]
+		if ev.Kind != trace.Query {
+			sys.ApplyEvent(ev)
+			continue
+		}
+		matched += check(ev.Terms)
+		if len(ev.Terms) > 1 {
+			multi++
+		}
+		check(ev.Terms[:1]) // a stamp is the whole answer
+		// The same terms crossed with the previous query's: mostly
+		// candidates that fail verification.
+		if i > 0 && len(testTr.Events[i-1].Terms) > 0 {
+			check([]content.Keyword{ev.Terms[0], testTr.Events[i-1].Terms[0]})
+		}
+		check([]content.Keyword{ev.Terms[0], 0xFFFFFF})
+	}
+	check(nil)
+	if sc.epoch > uint32(4*len(queries)) || matched == 0 || multi == 0 {
+		t.Fatalf("epoch %d after %d queries (%d multi-term), %d matches: the wrap or the verified path was not exercised", sc.epoch, len(queries), multi, matched)
 	}
 }
 
@@ -379,5 +429,16 @@ func BenchmarkRandomWalkSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Search(queries[i%len(queries)])
+	}
+}
+
+func BenchmarkGSASearch(b *testing.B) {
+	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 1)
+	g := NewGSA(1)
+	g.Attach(sys)
+	queries := traceQueries()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Search(queries[i%len(queries)])
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"sync"
 
-	"asap/internal/content"
 	"asap/internal/faults"
 	"asap/internal/metrics"
 	"asap/internal/overlay"
@@ -26,11 +25,11 @@ type walkRec struct {
 }
 
 // runWalker walks one random walker from src for at most ttl steps,
-// stopping early at the first node matching the query. Step records are
+// stopping early at the first node matching the resolved query. Step records are
 // appended to the scratch arrays. Under a fault plane each forwarded copy
 // can be dropped, killing the walker silently (nobody retransmits a
 // walker).
-func runWalker(sys *sim.System, sc *scratch, src overlay.NodeID, start overlay.NodeID, t sim.Clock, ttl int, terms []content.Keyword) walkRec {
+func runWalker(sys *sim.System, sc *scratch, src overlay.NodeID, start overlay.NodeID, t sim.Clock, ttl int) walkRec {
 	rec := walkRec{start: len(sc.nodes)}
 	cur, prev := start, src
 	if start != src {
@@ -46,7 +45,7 @@ func runWalker(sys *sim.System, sc *scratch, src overlay.NodeID, start overlay.N
 		}
 		t += sys.JitterMS(metrics.MQuery, src, cur, sc.fkey, seq)
 		sc.times[rec.start] = t
-		if sys.NodeMatches(cur, terms) {
+		if sc.matches(sys, cur) {
 			rec.matched, rec.matchTime = true, t
 			return rec
 		}
@@ -68,7 +67,7 @@ func runWalker(sys *sim.System, sc *scratch, src overlay.NodeID, start overlay.N
 		}
 		t += sys.JitterMS(metrics.MQuery, prev, cur, sc.fkey, seq)
 		sc.times[rec.start+rec.steps-1] = t
-		if cur != src && sys.NodeMatches(cur, terms) {
+		if cur != src && sc.matches(sys, cur) {
 			rec.matched, rec.matchTime = true, t
 			break
 		}
@@ -218,14 +217,19 @@ func (w *RandomWalk) Attach(sys *sim.System) {
 
 // Search implements sim.Scheme.
 func (w *RandomWalk) Search(ev *trace.Event) metrics.SearchResult {
-	sys := w.sys
 	sc := w.pool.Get().(*scratch)
 	defer w.pool.Put(sc)
 	sc.begin(faults.Key(ev.Time, ev.Node))
+	sc.resolve(w.sys, ev.Terms)
+	return w.walk(sc, ev)
+}
 
+// walk runs the resolved query's walkers and settles them.
+func (w *RandomWalk) walk(sc *scratch, ev *trace.Event) metrics.SearchResult {
+	sys := w.sys
 	sc.pcg.Seed(querySeed(w.Seed, ev.Time, ev.Node), 0x9d8f3c21)
 	for k := 0; k < w.Walkers; k++ {
-		sc.recs = append(sc.recs, runWalker(sys, sc, ev.Node, ev.Node, ev.Time, w.TTL, ev.Terms))
+		sc.recs = append(sc.recs, runWalker(sys, sc, ev.Node, ev.Node, ev.Time, w.TTL))
 	}
 	return settleWalk(sys, sc, sc.recs, ev.Node, ev.Time, sim.QueryBytes(len(ev.Terms)), 0)
 }

@@ -310,6 +310,8 @@ func BenchmarkNodeMatches(b *testing.B) {
 	cfg := trace.DefaultConfig()
 	cfg.NumNodes = 400
 	cfg.NumQueries = 100
+	cfg.NumJoins = 40
+	cfg.NumLeaves = 40
 	tr, err := trace.Build(testU, cfg)
 	if err != nil {
 		b.Fatal(err)

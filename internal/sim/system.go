@@ -23,8 +23,8 @@ type Clock = int64
 const sysRngStream = 0xe7037ed1a0b428db
 
 // System is the dynamic state a scheme searches over: the overlay graph,
-// per-node shared contents with a keyword index, node interests, and the
-// load account. State mutations (ApplyEvent) are serialised by the runner;
+// per-node shared contents indexed by keyword both ways (a node's postings,
+// a keyword's holders), node interests, and the load account. State mutations (ApplyEvent) are serialised by the runner;
 // reads and Account are safe from concurrent Search calls.
 type System struct {
 	G    *overlay.Graph
@@ -37,7 +37,8 @@ type System struct {
 	interests []content.ClassSet
 	docs      [][]content.DocID
 	docPos    []map[content.DocID]int32
-	kwIdx     []nodeIndex
+	kwIdx     []nodeIndex // node-major: node → keyword → postings
+	holders   holderIndex // keyword-major: keyword → nodes with a posting
 
 	// faults is the optional fault-injection plane; nil means a perfectly
 	// reliable network (the paper's model).
@@ -87,40 +88,105 @@ func (ix *nodeIndex) base(kw content.Keyword) []content.DocID {
 	return nil
 }
 
-// add records that doc d contains kw.
-func (ix *nodeIndex) add(kw content.Keyword, d content.DocID) {
-	if k, ok := slices.BinarySearch(ix.kws, kw); ok {
-		if ix.cnt[k] < ix.off[k+1]-ix.off[k] {
-			ix.post[ix.off[k]+ix.cnt[k]] = d
-			ix.cnt[k]++
-			return
+// add records that doc d contains kw and reports whether that is the
+// node's first live posting of kw.
+func (ix *nodeIndex) add(kw content.Keyword, d content.DocID) (first bool) {
+	k, ok := slices.BinarySearch(ix.kws, kw)
+	if ok {
+		if c := ix.cnt[k]; c < ix.off[k+1]-ix.off[k] {
+			ix.post[ix.off[k]+c] = d
+			ix.cnt[k] = c + 1
+			return c == 0 && len(ix.extra[kw]) == 0
 		}
 	}
 	if ix.extra == nil {
 		ix.extra = make(map[content.Keyword][]content.DocID, 4)
 	}
-	ix.extra[kw] = append(ix.extra[kw], d)
+	post := ix.extra[kw]
+	ix.extra[kw] = append(post, d)
+	return !ok && len(post) == 0 // a full base segment holds live postings
 }
 
-// remove erases doc d from kw's postings.
-func (ix *nodeIndex) remove(kw content.Keyword, d content.DocID) {
-	if k, ok := slices.BinarySearch(ix.kws, kw); ok {
+// remove erases doc d from kw's postings and reports whether it was the
+// node's last live posting of kw.
+func (ix *nodeIndex) remove(kw content.Keyword, d content.DocID) (last bool) {
+	k, ok := slices.BinarySearch(ix.kws, kw)
+	if ok {
 		seg := ix.post[ix.off[k] : ix.off[k]+ix.cnt[k]]
 		for i, x := range seg {
 			if x == d {
 				seg[i] = seg[len(seg)-1]
 				ix.cnt[k]--
-				return
+				return ix.cnt[k] == 0 && len(ix.extra[kw]) == 0
 			}
 		}
 	}
-	if post, ok := ix.extra[kw]; ok {
-		for i, x := range post {
-			if x == d {
-				post[i] = post[len(post)-1]
-				ix.extra[kw] = post[:len(post)-1]
-				return
-			}
+	post := ix.extra[kw]
+	for i, x := range post {
+		if x == d {
+			post[i] = post[len(post)-1]
+			ix.extra[kw] = post[:len(post)-1]
+			return len(post) == 1 && (!ok || ix.cnt[k] == 0)
+		}
+	}
+	return false
+}
+
+// holderIndex is the keyword-major transpose of the per-node indexes:
+// keyword → the nodes holding at least one live posting of it, whether or
+// not they are alive in the overlay. It has nodeIndex's shape over the dense
+// keyword-id range [0, len(cnt)): keyword k's base segment is
+// arena[off[k]:off[k+1]], live up to cnt[k] and exactly full at
+// construction. Losing a holder shrinks cnt in place; a new holder refills a
+// freed base slot and otherwise (or for a keyword past the range) overflows
+// into extra, which stays nil until a node gains a keyword mid-run. It
+// changes only when a node's posting count for a keyword crosses 0 ↔ 1.
+type holderIndex struct {
+	off   []int32
+	cnt   []int32
+	arena []overlay.NodeID
+	extra map[content.Keyword][]overlay.NodeID
+}
+
+// of returns kw's holders as a base and an overflow list, either possibly
+// empty.
+func (h *holderIndex) of(kw content.Keyword) (base, extra []overlay.NodeID) {
+	if int(kw) < len(h.cnt) {
+		base = h.arena[h.off[kw] : h.off[kw]+h.cnt[kw]]
+	}
+	return base, h.extra[kw]
+}
+
+// add records n as a holder of kw; the caller guarantees it was not one.
+func (h *holderIndex) add(kw content.Keyword, n overlay.NodeID) {
+	if int(kw) < len(h.cnt) {
+		if c := h.cnt[kw]; c < h.off[kw+1]-h.off[kw] {
+			h.arena[h.off[kw]+c] = n
+			h.cnt[kw] = c + 1
+			return
+		}
+	}
+	if h.extra == nil {
+		h.extra = make(map[content.Keyword][]overlay.NodeID)
+	}
+	h.extra[kw] = append(h.extra[kw], n)
+}
+
+// remove erases n from kw's holders.
+func (h *holderIndex) remove(kw content.Keyword, n overlay.NodeID) {
+	base, extra := h.of(kw)
+	for i, x := range base {
+		if x == n {
+			base[i] = base[len(base)-1]
+			h.cnt[kw]--
+			return
+		}
+	}
+	for i, x := range extra {
+		if x == n {
+			extra[i] = extra[len(extra)-1]
+			h.extra[kw] = extra[:len(extra)-1]
+			return
 		}
 	}
 }
@@ -221,7 +287,7 @@ func newSystemState(u *content.Universe, peers []content.PeerID, initialLive, ho
 		kwIdx:       make([]nodeIndex, n),
 		rng:         rng,
 	}
-	// Pass 1: load contents and size the packed index arenas.
+	// Load contents and count keyword occurrences.
 	totalPost := 0
 	for i := 0; i < n; i++ {
 		peer := u.Peer(peers[i])
@@ -238,52 +304,91 @@ func newSystemState(u *content.Universe, peers []content.PeerID, initialLive, ho
 		}
 		s.docs[i] = docs
 	}
-	// Pass 2: build every node's index over shared arenas. Distinct-keyword
-	// counts come from sorting the node's keyword occurrences in a reused
-	// scratch buffer; cnt doubles as the fill cursor and ends at each
-	// segment's full length.
-	postArena := make([]content.DocID, totalPost)
-	kwArena := make([]content.Keyword, totalPost)
-	cntArena := make([]int32, totalPost)
-	offArena := make([]int32, totalPost+n)
-	var scratch []content.Keyword
-	postBase, kwBase, offBase := 0, 0, 0
+	s.indexContents(totalPost)
+	return s
+}
+
+// indexContents builds both keyword indexes — every node's postings and
+// their transpose, every keyword's holders — over exactly sized shared
+// arenas. totalPost is the number of keyword occurrences in all contents.
+func (s *System) indexContents(totalPost int) {
+	u, n := s.U, len(s.docs)
+	// Pass 1: pack every occurrence as keyword<<32 | doc into one transient
+	// arena, node after node, and sort each node's run: equal keywords become
+	// adjacent with their docs ascending, so one walk counts the distinct
+	// (node, keyword) pairs and a second fills every arena sequentially.
+	packed := make([]uint64, 0, totalPost)
+	ends := make([]int, n) // node i's run is packed[ends[i-1]:ends[i]]
+	pairs, maxKw := 0, uint64(0)
 	for i := 0; i < n; i++ {
-		scratch = scratch[:0]
+		start := len(packed)
 		for _, d := range s.docs[i] {
-			scratch = append(scratch, u.Keywords(d)...)
-		}
-		slices.Sort(scratch)
-		nk := 0
-		off := offArena[offBase:]
-		off[0] = 0
-		for j := 0; j < len(scratch); {
-			kw := scratch[j]
-			run := j
-			for j < len(scratch) && scratch[j] == kw {
-				j++
+			for _, kw := range u.Keywords(d) {
+				packed = append(packed, uint64(kw)<<32|uint64(d))
 			}
-			kwArena[kwBase+nk] = kw
-			off[nk+1] = off[nk] + int32(j-run)
-			nk++
 		}
+		run := packed[start:]
+		slices.Sort(run)
+		for j, p := range run {
+			if j == 0 || p>>32 != run[j-1]>>32 {
+				pairs++
+			}
+		}
+		if len(run) > 0 {
+			maxKw = max(maxKw, run[len(run)-1]>>32)
+		}
+		ends[i] = len(packed)
+	}
+	// Pass 2: fill the node-major arenas, sized exactly — one keyword, one
+	// count and one offset per pair, plus a closing offset per node — and
+	// count each keyword's holders. A segment's cnt starts at its full length.
+	postArena := make([]content.DocID, totalPost)
+	kwArena := make([]content.Keyword, pairs)
+	cntArena := make([]int32, pairs)
+	offArena := make([]int32, pairs+n)
+	h := &s.holders
+	h.cnt = make([]int32, maxKw+1)
+	start, kwBase := 0, 0
+	for i := 0; i < n; i++ {
+		run := packed[start:ends[i]]
+		off := offArena[kwBase+i:]
+		nk := 0
+		for j, p := range run {
+			if kw := content.Keyword(p >> 32); j == 0 || kw != kwArena[kwBase+nk-1] {
+				kwArena[kwBase+nk] = kw
+				off[nk] = int32(j)
+				nk++
+				h.cnt[kw]++
+			}
+			postArena[start+j] = content.DocID(p)
+		}
+		off[nk] = int32(len(run))
 		ix := &s.kwIdx[i]
 		ix.kws = kwArena[kwBase : kwBase+nk : kwBase+nk]
 		ix.off = off[: nk+1 : nk+1]
 		ix.cnt = cntArena[kwBase : kwBase+nk : kwBase+nk]
-		ix.post = postArena[postBase : postBase+len(scratch) : postBase+len(scratch)]
-		for _, d := range s.docs[i] {
-			for _, kw := range u.Keywords(d) {
-				k, _ := slices.BinarySearch(ix.kws, kw)
-				ix.post[ix.off[k]+ix.cnt[k]] = d
-				ix.cnt[k]++
-			}
+		ix.post = postArena[start:ends[i]:ends[i]]
+		for k := range ix.cnt {
+			ix.cnt[k] = off[k+1] - off[k]
 		}
 		kwBase += nk
-		offBase += nk + 1
-		postBase += len(scratch)
+		start = ends[i]
 	}
-	return s
+	// Pass 3: transpose. The holder counts become segment offsets, then each
+	// node appends itself to the segment of every keyword it indexes; cnt is
+	// the fill cursor and ends back at each segment's full length.
+	h.off = make([]int32, len(h.cnt)+1)
+	for kw, c := range h.cnt {
+		h.off[kw+1] = h.off[kw] + c
+	}
+	clear(h.cnt)
+	h.arena = make([]overlay.NodeID, pairs)
+	for i := range s.kwIdx {
+		for _, kw := range s.kwIdx[i].kws {
+			h.arena[h.off[kw]+h.cnt[kw]] = overlay.NodeID(i)
+			h.cnt[kw]++
+		}
+	}
 }
 
 // NumNodes returns the total node count (live + reserves).
@@ -408,9 +513,10 @@ func (s *System) JitterMS(c metrics.MsgClass, src, dst overlay.NodeID, key uint6
 }
 
 // NodeMatches reports whether node n shares at least one document
-// containing every query term — the ground truth used by baseline replies
-// and by ASAP content confirmations. It consults the node's keyword index,
-// scanning only the postings of the rarest term.
+// containing every query term — the ground truth behind ASAP content
+// confirmations and, for the candidates RarestHolders leaves, behind
+// baseline replies. It consults the node's keyword index, scanning only
+// the postings of the term n holds fewest documents of.
 func (s *System) NodeMatches(n overlay.NodeID, terms []content.Keyword) bool {
 	if len(terms) == 0 {
 		return false
@@ -448,7 +554,28 @@ func (s *System) NodeMatches(n overlay.NodeID, terms []content.Keyword) bool {
 	return false
 }
 
-// addDoc inserts d into node n's contents and keyword index.
+// RarestHolders returns, as a base and an overflow list, the nodes
+// holding at least one document with the query term that fewest nodes hold:
+// a superset of the nodes NodeMatches accepts for terms, dead nodes
+// included, so a cascade resolves its query once and tests only these.
+// Both lists are empty when a term is held nowhere (or is outside the
+// vocabulary) and for an empty query. The lists are shared views, valid
+// until the next content event.
+func (s *System) RarestHolders(terms []content.Keyword) (base, extra []overlay.NodeID) {
+	for i, t := range terms {
+		b, x := s.holders.of(t)
+		if len(b)+len(x) == 0 {
+			return nil, nil
+		}
+		if i == 0 || len(b)+len(x) < len(base)+len(extra) {
+			base, extra = b, x
+		}
+	}
+	return base, extra
+}
+
+// addDoc inserts d into node n's contents and keyword index, and n into
+// the holders of every keyword it did not index before.
 func (s *System) addDoc(n overlay.NodeID, d content.DocID) {
 	if _, dup := s.docPos[n][d]; dup {
 		return
@@ -456,11 +583,14 @@ func (s *System) addDoc(n overlay.NodeID, d content.DocID) {
 	s.docPos[n][d] = int32(len(s.docs[n]))
 	s.docs[n] = append(s.docs[n], d)
 	for _, kw := range s.U.Keywords(d) {
-		s.kwIdx[n].add(kw, d)
+		if s.kwIdx[n].add(kw, d) {
+			s.holders.add(kw, n)
+		}
 	}
 }
 
-// removeDoc removes d from node n's contents and keyword index.
+// removeDoc removes d from node n's contents and keyword index, and n from
+// the holders of every keyword it no longer indexes.
 func (s *System) removeDoc(n overlay.NodeID, d content.DocID) {
 	pos, ok := s.docPos[n][d]
 	if !ok {
@@ -473,7 +603,9 @@ func (s *System) removeDoc(n overlay.NodeID, d content.DocID) {
 	s.docs[n] = docs[:last]
 	delete(s.docPos[n], d)
 	for _, kw := range s.U.Keywords(d) {
-		s.kwIdx[n].remove(kw, d)
+		if s.kwIdx[n].remove(kw, d) {
+			s.holders.remove(kw, n)
+		}
 	}
 }
 
