@@ -25,11 +25,12 @@ fmt:
 # (bit-sliced scan ≡ scalar linear scan under churn × loss × eviction) and
 # the many-lane ASAP replay, which share frozen slot matrices and per-node
 # caches across concurrent searches and so must hold under the detector —
-# and the batched-flood property (batched tick ≡ sequential deliveries ≡
-# per-node reference), whose traversal scratch is runner-thread-only state.
+# and the batched-flood properties (batched tick ≡ sequential deliveries ≡
+# per-node reference, with and without a fault plane; a lossy tick is
+# chunking-invariant), whose traversal scratch is runner-thread-only state.
 race:
 	$(GO) test -race ./internal/sim ./internal/experiments
-	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestParallelSearchSafety|TestFloodBatchMatchesSequentialAndPerNode' ./internal/core
+	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestParallelSearchSafety|TestFloodBatchMatchesSequentialAndPerNode|TestFloodUnderPlaneIsChunkingInvariant' ./internal/core
 
 # Determinism gate: outputs are a pure function of (preset, seed, scenario)
 # at every core count, so the sim / matrix / scenario / cluster equivalence
@@ -81,7 +82,8 @@ obs-smoke:
 
 # Delivery-plane micro-benchmarks: the flood/walk/apply hot loops over
 # the CSR live views, and a refresh tick flooding a slot of 1, 8 and 64
-# sources through one traversal. A hundred iterations each as a smoke test
+# sources through one traversal — without a fault plane, under a zero-loss
+# one, and at 5 % loss. A hundred iterations each as a smoke test
 # so a hot-loop regression (or a new allocation — they report -benchmem)
 # fails fast.
 bench-delivery:

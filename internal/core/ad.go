@@ -164,14 +164,20 @@ func (s *Scheme) store(v overlay.NodeID, snap *adSnapshot, kind adKind, now sim.
 	ns := &s.nodes[v]
 	h := &s.holders[snap.src]
 	h.lock(shared)
-	i, held := h.get(v)
-	if !held && kind == adFull {
-		h.put(v, ns.insert(cachedAd{snap: snap, lastSeen: now}, s.cfg.CacheCapacity))
+	if i := h.find(v); i >= 0 {
+		e := &ns.slab[h.slots[i].idx]
+		was := e.snap
+		out := e.merge(snap, kind, now)
+		if e.snap != was {
+			h.slots[i].ver = snap.version // the stamp follows every snapshot swap
+		}
+		h.unlock(shared)
+		return out
+	}
+	if kind == adFull {
+		h.put(v, ns.insert(cachedAd{snap: snap, lastSeen: now}, s.cfg.CacheCapacity), snap.version)
 	}
 	h.unlock(shared)
-	if held {
-		return ns.slab[i].merge(snap, kind, now)
-	}
 	if kind != adFull {
 		return storedIgnored
 	}

@@ -171,14 +171,20 @@ type holderTab struct {
 	n     int
 }
 
-// holderSlot is one table slot. key is node+1 so 0 marks an empty slot for
-// any valid NodeID.
+// holderSlot is one table slot, 8 bytes. key is node+1 so 0 marks an empty
+// slot for any valid NodeID; idx is the entry's index in the holder's slab
+// (≤ maxCacheCapacity); ver is the version of the snapshot cached there,
+// restamped wherever that snapshot is set (store, the flood's holders pass),
+// so a flood learns "already at this version" without reading the slab.
 type holderSlot struct {
-	key uint32
-	idx uint32
+	key      uint32
+	idx, ver uint16
 }
 
 const holderMinSlots = 16
+
+// maxCacheCapacity keeps slab indices in holderSlot.idx (a slab peaks at capacity + 1 entries).
+const maxCacheCapacity = 1<<16 - 2
 
 func holderHash(key, mask uint32) uint32 { return (key * 2654435761) & mask }
 
@@ -196,65 +202,69 @@ func (t *holderTab) unlock(shared bool) {
 	}
 }
 
-// get returns the slab index of node v's entry, if v holds the ad.
-func (t *holderTab) get(v overlay.NodeID) (uint32, bool) {
+// find returns the index of node v's slot, or -1 if v does not hold the ad.
+func (t *holderTab) find(v overlay.NodeID) int {
 	if len(t.slots) == 0 {
-		return 0, false
+		return -1
 	}
 	mask := uint32(len(t.slots) - 1)
 	key := uint32(v) + 1
 	for i := holderHash(key, mask); ; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s.key == key {
-			return s.idx, true
-		}
-		if s.key == 0 {
-			return 0, false
+		switch t.slots[i].key {
+		case key:
+			return int(i)
+		case 0:
+			return -1
 		}
 	}
 }
 
-// put records that node v holds the ad at slab index idx, replacing any
-// earlier index.
-func (t *holderTab) put(v overlay.NodeID, idx uint32) {
-	if 2*(t.n+1) > len(t.slots) {
-		t.resize(max(holderMinSlots, 2*len(t.slots)))
+// get returns the slab index of node v's entry, if v holds the ad.
+func (t *holderTab) get(v overlay.NodeID) (uint32, bool) {
+	if i := t.find(v); i >= 0 {
+		return uint32(t.slots[i].idx), true
 	}
+	return 0, false
+}
+
+// put records (or replaces) node v's slot: slab index idx, version ver.
+func (t *holderTab) put(v overlay.NodeID, idx uint32, ver uint16) {
+	t.reserve(t.n + 1)
 	mask := uint32(len(t.slots) - 1)
 	key := uint32(v) + 1
 	for i := holderHash(key, mask); ; i = (i + 1) & mask {
 		s := &t.slots[i]
-		if s.key == key {
-			s.idx = idx
-			return
-		}
 		if s.key == 0 {
-			*s = holderSlot{key, idx}
 			t.n++
-			return
+		} else if s.key != key {
+			continue
 		}
+		*s = holderSlot{key, uint16(idx), ver}
+		return
+	}
+}
+
+// reserve grows the table, in one step, to the size n one-by-one puts would
+// leave it at (≤ 50 % load): a full ad sizes its source's table once.
+func (t *holderTab) reserve(n int) {
+	size := max(holderMinSlots, len(t.slots))
+	for size < 2*n {
+		size *= 2
+	}
+	if size > len(t.slots) {
+		t.resize(size)
 	}
 }
 
 // del removes node v and returns the slab index it held, backward-shifting
 // the displaced run so lookups never need tombstones.
 func (t *holderTab) del(v overlay.NodeID) (uint32, bool) {
-	if len(t.slots) == 0 {
+	at := t.find(v)
+	if at < 0 {
 		return 0, false
 	}
-	mask := uint32(len(t.slots) - 1)
-	key := uint32(v) + 1
-	i := holderHash(key, mask)
-	for ; ; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s.key == 0 {
-			return 0, false
-		}
-		if s.key == key {
-			break
-		}
-	}
-	idx := t.slots[i].idx
+	i, mask := uint32(at), uint32(len(t.slots)-1)
+	idx := uint32(t.slots[i].idx)
 	t.n--
 	// Backward shift: slide later run members whose home position reaches
 	// back to (or past) the vacated slot, preserving probe invariants.
@@ -282,7 +292,7 @@ func (t *holderTab) resize(size int) {
 	t.slots, t.n = make([]holderSlot, size), 0
 	for _, s := range old {
 		if s.key != 0 {
-			t.put(overlay.NodeID(s.key-1), s.idx)
+			t.put(overlay.NodeID(s.key-1), uint32(s.idx), s.ver)
 		}
 	}
 }

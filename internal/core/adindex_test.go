@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"asap/internal/bloom"
 	"asap/internal/content"
@@ -185,6 +186,14 @@ func TestDropStaleWatermarkGateEquivalence(t *testing.T) {
 	}
 }
 
+// TestHolderSlotStaysEightBytes: holder tables are the bulk of the index
+// (2.75 M slots at mid), so the version stamp must not widen the slot.
+func TestHolderSlotStaysEightBytes(t *testing.T) {
+	if size := unsafe.Sizeof(holderSlot{}); size != 8 {
+		t.Fatalf("holderSlot is %d bytes, want 8", size)
+	}
+}
+
 // TestHolderTabBasics pins the holder table's semantics against a map
 // oracle: put/get/del round-trips, replacement, growth past many inserts,
 // shrinking as the population drains, and backward-shift deletion keeping
@@ -198,6 +207,9 @@ func TestHolderTabBasics(t *testing.T) {
 		for k, want := range ref {
 			if got, ok := tab.get(k); !ok || got != want {
 				t.Fatalf("%s %d: get(%d) = (%d, %v), want %d", where, i, k, got, ok, want)
+			}
+			if ver := tab.slots[tab.find(k)].ver; ver != ^uint16(want) {
+				t.Fatalf("%s %d: slot of %d is stamped %d, want %d", where, i, k, ver, ^uint16(want))
 			}
 		}
 	}
@@ -213,7 +225,7 @@ func TestHolderTabBasics(t *testing.T) {
 		}
 		before := len(tab.slots)
 		if !del {
-			tab.put(v, uint32(i))
+			tab.put(v, uint32(i), ^uint16(i))
 			ref[v] = uint32(i)
 		} else {
 			got, ok := tab.del(v)
@@ -251,7 +263,7 @@ func TestHolderTabBasics(t *testing.T) {
 func TestHolderTabShrinkHysteresis(t *testing.T) {
 	var tab holderTab
 	for v := 0; v < 1000; v++ {
-		tab.put(overlay.NodeID(v), uint32(v))
+		tab.put(overlay.NodeID(v), uint32(v), 0)
 	}
 	peak := len(tab.slots)
 	for v := 50; v < 1000; v++ {
@@ -277,17 +289,17 @@ func TestHolderTabShrinkHysteresis(t *testing.T) {
 	for _, n := range []int{127, 32} {
 		var tab holderTab
 		for v := 0; v < 200; v++ {
-			tab.put(overlay.NodeID(v), 0)
+			tab.put(overlay.NodeID(v), 0, 0)
 		}
 		for v := 199; v >= n; v-- {
 			tab.del(overlay.NodeID(v))
 		}
 		edge := overlay.NodeID(n)
 		if a := testing.AllocsPerRun(100, func() {
-			tab.put(edge, 0)
+			tab.put(edge, 0, 0)
 			tab.del(edge)
 			tab.del(edge - 1)
-			tab.put(edge-1, 0)
+			tab.put(edge-1, 0, 0)
 		}); a != 0 {
 			t.Errorf("alternating put/del around %d holders (%d slots) allocates %.1f times, want 0", n, len(tab.slots), a)
 		}

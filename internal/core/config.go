@@ -162,8 +162,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MaxConfirms %d < 1", c.MaxConfirms)
 	case c.MinResults < 1 || c.MinResults > c.MaxConfirms:
 		return fmt.Errorf("core: MinResults %d out of [1, MaxConfirms=%d]", c.MinResults, c.MaxConfirms)
-	case c.CacheCapacity < 1:
-		return fmt.Errorf("core: CacheCapacity %d < 1", c.CacheCapacity)
+	case c.CacheCapacity < 1 || c.CacheCapacity > maxCacheCapacity:
+		return fmt.Errorf("core: CacheCapacity %d out of [1, %d]", c.CacheCapacity, maxCacheCapacity)
 	case c.RefreshPeriodSec < 0:
 		return fmt.Errorf("core: RefreshPeriodSec %d < 0", c.RefreshPeriodSec)
 	case c.RefreshPeriodSec > 0 && c.StaleFactor < 1:

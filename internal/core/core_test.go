@@ -34,6 +34,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.AdsRequestHops = -1 },
 		func(c *Config) { c.MaxConfirms = 0 },
 		func(c *Config) { c.CacheCapacity = 0 },
+		func(c *Config) { c.CacheCapacity = maxCacheCapacity + 1 },
 		func(c *Config) { c.RefreshPeriodSec = -5 },
 		func(c *Config) { c.StaleFactor = 0 },
 		func(c *Config) { c.MaxAdsPerReply = 0 },

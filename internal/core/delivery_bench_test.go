@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"asap/internal/content"
+	"asap/internal/faults"
 	"asap/internal/metrics"
 	"asap/internal/obs"
 	"asap/internal/overlay"
@@ -45,17 +46,17 @@ func publishedSources(tb testing.TB, s *Scheme, k int) []overlay.NodeID {
 }
 
 // TestWalkStartsLiveViewAliasingContract pins the buffer-aliasing contract
-// of the delivery helpers: liveNeighbors returns the overlay's shared live
+// of the delivery helpers: eligibleView returns the overlay's shared live
 // view (stable until the next graph mutation), walkStarts returns s.wlkBuf
 // (stable until the next walkStarts call), and the two never clobber each
-// other — the GSA seed path holds a liveNeighbors result across an entire
+// other — the GSA seed path holds an eligibleView result across an entire
 // delivery, and the RW path holds wlkBuf across deliverWalk's internal
-// liveNeighbors/pickNextHop calls.
+// eligibleView/pickNextHop calls.
 func TestWalkStartsLiveViewAliasingContract(t *testing.T) {
 	s, _ := attach(t, GSAKind)
 	var a, b overlay.NodeID = -1, -1
 	for v := 0; v < s.sys.NumNodes(); v++ {
-		if len(s.liveNeighbors(overlay.NodeID(v))) > 0 {
+		if len(s.eligibleView(overlay.NodeID(v))) > 0 {
 			if a < 0 {
 				a = overlay.NodeID(v)
 			} else {
@@ -68,19 +69,19 @@ func TestWalkStartsLiveViewAliasingContract(t *testing.T) {
 		t.Fatal("need two nodes with live neighbours")
 	}
 
-	live := s.liveNeighbors(a)
+	live := s.eligibleView(a)
 	liveCopy := slices.Clone(live)
 	starts := s.walkStarts(b, s.cfg.Walkers)
 	startsCopy := slices.Clone(starts)
 
-	// walkStarts(b) ran liveNeighbors(b) internally; the held view of a's
+	// walkStarts(b) ran eligibleView(b) internally; the held view of a's
 	// neighbourhood must not move.
 	if !slices.Equal(live, liveCopy) {
-		t.Fatal("walkStarts clobbered a held liveNeighbors result")
+		t.Fatal("walkStarts clobbered a held eligibleView result")
 	}
 
 	// A full walk delivery while both buffers are held: it runs
-	// liveNeighbors (GSA seeds), pickNextHop and applyAd — but never
+	// eligibleView (GSA seeds), pickNextHop and applyAd — but never
 	// walkStarts, so both held slices must come through intact.
 	snap := firstPublished(t, s)
 	s.deliver(0, snap, adRefresh, snap.topics)
@@ -117,10 +118,8 @@ func TestDeliveryHotPathAllocs(t *testing.T) {
 	wsnap := firstPublished(t, rw)
 	budget := max(1, wsnap.topics.Count()) * rw.cfg.BudgetUnit
 	walk := func() {
-		dseq = 0
 		starts := rw.walkStarts(wsnap.src, rw.cfg.Walkers)
-		rw.deliverWalk(0, wsnap, adRefresh, wsnap.topics, wsnap.wireBytes(adRefresh), starts, budget, metrics.MAdRefresh, 1, &dseq)
-		rw.acc.Flush(rw.sys, metrics.MAdRefresh)
+		rw.deliverWalk(0, wsnap, adRefresh, wsnap.topics, starts, budget)
 	}
 	walk()
 	if a := testing.AllocsPerRun(10, walk); a != 0 {
@@ -148,33 +147,33 @@ func TestDeliveryHotPathAllocs(t *testing.T) {
 	}
 }
 
-// floodPerNode is the specification of a fault-free flood delivery: one
-// duplicate-suppressed TTL-bounded BFS per ad, every copy booked on its own,
-// applyAd at every reached node in BFS order — written out plainly so the
-// batched traversal and the holders-only pass that floodBatch uses instead
-// can be pinned against it.
+// floodPerNode is the specification of a flood delivery: one
+// duplicate-suppressed TTL-bounded BFS per ad, every copy booked, counted and
+// put to the fault plane on its own — named by the delivery key and its edge,
+// a gap fetch's legs by the key and the fetching holder — applyAd at every
+// reached node in BFS order. Written out plainly so the batched traversal and
+// the holders-only pass that floodBatch uses instead can be pinned against it.
 func floodPerNode(s *Scheme, t sim.Clock, snap *adSnapshot, kind adKind) {
 	s.beginApply()
 	defer s.endApply()
-	class := kind.class()
+	class, dkey := kind.class(), deliveryKey(t, snap, kind)
 	type item struct {
 		node overlay.NodeID
 		hop  int
 	}
-	var dseq uint32
 	seen := map[overlay.NodeID]bool{snap.src: true}
 	queue := []item{{snap.src, 0}}
 	for i := 0; i < len(queue); i++ {
 		it := queue[i]
 		if it.node != snap.src {
-			s.applyAd(t, it.node, snap, kind, snap.topics, 1, &dseq)
+			var leg uint32
+			s.applyAd(t, it.node, snap, kind, snap.topics, dkey, &leg)
 		}
 		if it.hop >= s.cfg.FloodTTL || s.sys.FreeRider(it.node) {
 			continue
 		}
 		for _, nb := range s.eligibleView(it.node) {
-			s.sys.Deliver(t, class, snap.wireBytes(kind), it.node, nb, 1, nextSeq(&dseq))
-			if !seen[nb] {
+			if s.sys.Deliver(t, class, snap.wireBytes(kind), it.node, nb, dkey, 0) && !seen[nb] {
 				seen[nb] = true
 				queue = append(queue, item{nb, it.hop + 1})
 			}
@@ -235,10 +234,8 @@ func TestFloodHoldersPassMatchesPerNodeApply(t *testing.T) {
 						// the patch, three behind is a gap either kind must
 						// repair with a fetched full ad.
 						for v := range s.nodes {
-							if e := s.entry(overlay.NodeID(v), src); e != nil && v%3 != 2 {
-								old := *snap
-								old.version -= uint16(1 + 2*(v%3))
-								e.snap = &old
+							if s.entry(overlay.NodeID(v), src) != nil && v%3 != 2 {
+								s.ageHolder(overlay.NodeID(v), src, uint16(1+2*(v%3)))
 							}
 						}
 					}
@@ -322,8 +319,8 @@ func cacheViews(s *Scheme) [][]cachedView {
 }
 
 // sameHolders compares two schemes' holder tables as sets of (holder, slab
-// index) pairs — slot layout is the one thing delivery order may
-// legitimately change.
+// index, version stamp) slots — slot layout is the one thing delivery order
+// may legitimately change.
 func sameHolders(a, b *Scheme) error {
 	for src := range a.holders {
 		ha, hb := &a.holders[src], &b.holders[src]
@@ -334,10 +331,186 @@ func sameHolders(a, b *Scheme) error {
 			if sl.key == 0 {
 				continue
 			}
-			if idx, held := hb.get(overlay.NodeID(sl.key - 1)); !held || idx != sl.idx {
-				return fmt.Errorf("holders[%d]: node %d at slab index %d vs (%d, held %v)", src, sl.key-1, sl.idx, idx, held)
+			if at := hb.find(overlay.NodeID(sl.key - 1)); at < 0 || hb.slots[at] != sl {
+				return fmt.Errorf("holders[%d]: node %d: slot %+v has no equal (found at %d)", src, sl.key-1, sl, at)
 			}
 		}
+	}
+	return nil
+}
+
+// floodCase is one fixture of the flood property tests: a random flat or
+// super-peer overlay under no fault plane, independent loss, a partition into
+// parts round-robin groups, or both.
+type floodCase struct {
+	hier  bool
+	seed  uint64
+	loss  float64
+	parts int
+}
+
+func (tc floodCase) String() string {
+	return fmt.Sprintf("hier=%v seed=%d loss=%v parts=%d", tc.hier, tc.seed, tc.loss, tc.parts)
+}
+
+// plane builds the case's fault plane, nil when it has neither fault.
+func (tc floodCase) plane(nodes int) *faults.Plane {
+	if tc.loss == 0 && tc.parts == 0 {
+		return nil
+	}
+	p := faults.New(faults.Config{Seed: tc.seed, LossRate: tc.loss})
+	if tc.parts > 0 {
+		group := make([]int8, nodes)
+		for v := range group {
+			group[v] = int8(v % tc.parts)
+		}
+		p.SetPartition(group)
+	}
+	return p
+}
+
+// build warms one asap-fld system up under the case's plane.
+func (tc floodCase) build() (*Scheme, *obs.Recorder) {
+	cfg := testConfig(FLD)
+	var sys *sim.System
+	if tc.hier {
+		// Nearly half the nodes are super peers, so a slot can hold
+		// more than two batches of sources.
+		rng := rand.New(rand.NewPCG(tc.seed, 0x1234))
+		hosts := testNet.RandomNodes(len(testTr.Peers), rng)
+		sys = sim.NewSystemWithGraph(testU, testTr, overlay.NewSuperPeer(testNet, hosts,
+			testTr.InitialLive, 0.45, overlay.DefaultSuperDegree, rng))
+		cfg.Hierarchical = true
+	} else {
+		sys = sim.NewSystem(testU, testTr, overlay.Random, testNet, tc.seed)
+	}
+	rec := obs.NewRecorder(int(testTr.Span()/1000) + 2)
+	sys.SetObs(rec)
+	sys.SetFaults(tc.plane(sys.NumNodes()))
+	s := New(cfg)
+	s.Attach(sys)
+	return s, rec
+}
+
+// floodSlotSizes are the wheel-slot sizes the rounds cycle through: around
+// the 64-source batch boundary, and past two full batches.
+var floodSlotSizes = []int{1, 63, 64, 65, 130}
+
+// prepare sets one round up on s, drawing every choice from rng — systems
+// prepared from equal draws stay in lockstep — and returns the tick's time
+// and wheel slot (already installed). The round's TTL is 1 + round%7. Some
+// publications are held back so the tick sends patches, interests drift, some
+// holders are left at stale versions so both kinds of ad hit gap fetches, and
+// every refloodEvery-th slot entry loses its ad at some holders, so a full ad
+// flooded after the tick inserts (and evicts) again.
+func (tc floodCase) prepare(s *Scheme, rng *rand.Rand, round int) (sim.Clock, []overlay.NodeID) {
+	n := len(s.nodes)
+	at := sim.Clock(1000*(round+1) + rng.IntN(1000))
+	s.cfg.FloodTTL = 1 + round%7
+	// The slot: a random order of nodes up to the wanted number of
+	// live publishers; the dead, leaf and unpublished nodes in
+	// between are Tick's to skip.
+	var slot []overlay.NodeID
+	want := floodSlotSizes[round%len(floodSlotSizes)]
+	for _, v := range rng.Perm(n) {
+		node := overlay.NodeID(v)
+		slot = append(slot, node)
+		if s.sys.G.Alive(node) && s.repr(node) == node && s.publishedSnapshot(node) != nil {
+			if want--; want == 0 {
+				break
+			}
+		}
+	}
+	// Content changes while everyone free-rides: the publication is
+	// held back, and the tick sends it as a patch.
+	all := make([]bool, n)
+	for v := range all {
+		all[v] = true
+	}
+	s.sys.SetFreeRiders(all)
+	for _, src := range slot {
+		if !s.sys.G.Alive(src) || rng.IntN(4) != 0 {
+			continue
+		}
+		m := src
+		if leaves := s.sys.G.LeavesOf(src); len(leaves) > 0 {
+			m = leaves[rng.IntN(len(leaves))]
+		}
+		if d := content.DocID(rng.IntN(testU.NumDocs())); !s.sys.HasDoc(m, d) {
+			s.sys.ApplyEvent(&trace.Event{Time: int64(at), Kind: trace.ContentAdd, Node: m, Doc: d})
+			s.ContentChanged(at, m, d, true)
+		}
+	}
+	var riders []bool
+	if (round+int(tc.seed))%2 == 1 {
+		riders = make([]bool, n)
+		for v := range riders {
+			riders[v] = rng.IntN(6) == 0
+		}
+	}
+	s.sys.SetFreeRiders(riders)
+	for v := 0; v < n; v++ {
+		if rng.IntN(5) != 0 {
+			continue
+		}
+		var set content.ClassSet
+		for k := rng.IntN(4); k > 0; k-- {
+			set = set.Add(content.Class(rng.IntN(content.NumClasses)))
+		}
+		s.sys.SetInterests(overlay.NodeID(v), set)
+	}
+	// Age some holders' copies: one version behind takes a patch,
+	// anything older (or any lag under a refresh) is a gap.
+	for i, src := range slot {
+		for v := range s.nodes {
+			if s.entry(overlay.NodeID(v), src) == nil {
+				continue
+			}
+			if i%refloodEvery == 0 && rng.IntN(3) == 0 {
+				s.drop(overlay.NodeID(v), src, false)
+			} else if rng.IntN(8) == 0 {
+				s.ageHolder(overlay.NodeID(v), src, uint16(1+rng.IntN(3)))
+			}
+		}
+	}
+	s.wheel[int(at/1000)%s.cfg.RefreshPeriodSec] = slot
+	return at, slot
+}
+
+const refloodEvery = 8
+
+// refloods lists the full ads a round floods after its tick: the current ad
+// of every refloodEvery-th slot entry that has one.
+func refloods(s *Scheme, slot []overlay.NodeID) []floodAd {
+	var ads []floodAd
+	for i := 0; i < len(slot); i += refloodEvery {
+		if snap := s.publishedSnapshot(slot[i]); snap != nil && s.sys.G.Alive(slot[i]) {
+			ads = append(ads, floodAd{snap, adFull, snap.topics})
+		}
+	}
+	return ads
+}
+
+// sameFloodState reports the first difference between two systems the same
+// floods went through: every cache (fifo order, snapshot aliasing, versions,
+// freshness), every holder table as a set, the load account per second and
+// class with its drop counter, and the obs series (messages per class, drops,
+// partition drops).
+func sameFloodState(a, b *Scheme, ra, rb *obs.Recorder) error {
+	got, want := cacheViews(a), cacheViews(b)
+	for v := range want {
+		if !slices.Equal(got[v], want[v]) {
+			return fmt.Errorf("node %d caches diverged:\ngot  %v\nwant %v", v, got[v], want[v])
+		}
+	}
+	if err := sameHolders(a, b); err != nil {
+		return fmt.Errorf("holder tables diverged: %v", err)
+	}
+	if !reflect.DeepEqual(a.sys.Load, b.sys.Load) {
+		return fmt.Errorf("load accounts diverged: by class %v vs %v", a.sys.Load.ByClass(), b.sys.Load.ByClass())
+	}
+	if !reflect.DeepEqual(ra.Series("", a.sys.Load), rb.Series("", b.sys.Load)) {
+		return fmt.Errorf("obs series diverged")
 	}
 	return nil
 }
@@ -359,171 +532,69 @@ func tickOneByOne(s *Scheme, slot []overlay.NodeID, deliver func(*adSnapshot, ad
 }
 
 // TestFloodBatchMatchesSequentialAndPerNode extends the holders-pass
-// property to whole refresh ticks: flooding a wheel slot through batched
-// traversals (Tick), as sequential single-source deliveries, and by the
-// per-node BFS-order specification must leave three identically prepared
-// systems identical — every cache (fifo order, snapshot aliasing, versions,
-// freshness), every holder table as a set, the load account per second and
-// class, and the obs message series. Rounds run back to back on the same
-// three systems over random flat and super-peer graphs, crossing every TTL
-// 1…7 with slot sizes around the 64-source batch boundary, with and without
-// free riders, with publications held back so the tick sends patches, with
-// interests drifting after the ads were cached, and with holders left at
-// stale versions so both kinds of ad hit gap fetches.
+// property to whole refresh ticks, each followed by a handful of full-ad
+// floods: delivering them through batched traversals (Tick, deliverAll), as
+// sequential single-source deliveries, and by the per-node BFS-order
+// specification must leave three identically prepared systems identical
+// (sameFloodState). Rounds run back to back on the same three systems over
+// random flat and super-peer graphs, crossing every TTL 1…7 with slot sizes
+// around the 64-source batch boundary, with and without free riders (see
+// prepare) — and under fault planes (5 % and 30 % loss, an engaged two-group
+// partition, both), where the reference puts every copy to the plane by
+// (delivery key, edge) and the drop and partition-drop counters must agree
+// copy for copy.
 func TestFloodBatchMatchesSequentialAndPerNode(t *testing.T) {
+	// one delivers a single ad; the batched arm (nil) hands whole lists over.
 	arms := []struct {
 		name string
-		fire func(s *Scheme, at sim.Clock, slot []overlay.NodeID)
+		one  func(s *Scheme, at sim.Clock, snap *adSnapshot, kind adKind)
 	}{
-		{"batched tick", func(s *Scheme, at sim.Clock, _ []overlay.NodeID) { s.Tick(at) }},
-		{"sequential deliveries", func(s *Scheme, at sim.Clock, slot []overlay.NodeID) {
-			tickOneByOne(s, slot, func(snap *adSnapshot, kind adKind) { s.deliver(at, snap, kind, snap.topics) })
+		{"batched", nil},
+		{"sequential deliveries", func(s *Scheme, at sim.Clock, snap *adSnapshot, kind adKind) {
+			s.deliver(at, snap, kind, snap.topics)
 		}},
-		{"per-node reference", func(s *Scheme, at sim.Clock, slot []overlay.NodeID) {
-			tickOneByOne(s, slot, func(snap *adSnapshot, kind adKind) { floodPerNode(s, at, snap, kind) })
-		}},
+		{"per-node reference", floodPerNode},
 	}
-	sizes := []int{1, 63, 64, 65, 130}
-	rounds := len(sizes) * 7
+	rounds := len(floodSlotSizes) * 7
 	if testing.Short() {
 		rounds = 10
 	}
-	var patches, fetches, refreshed, skipped, largest int
-	for _, tc := range []struct {
-		hier bool
-		seed uint64
-	}{{false, 1}, {false, 2}, {true, 3}, {true, 4}} {
-		build := func() (*Scheme, *obs.Recorder) {
-			cfg := testConfig(FLD)
-			var sys *sim.System
-			if tc.hier {
-				// Nearly half the nodes are super peers, so a slot can hold
-				// more than two batches of sources.
-				rng := rand.New(rand.NewPCG(tc.seed, 0x1234))
-				hosts := testNet.RandomNodes(len(testTr.Peers), rng)
-				sys = sim.NewSystemWithGraph(testU, testTr, overlay.NewSuperPeer(testNet, hosts,
-					testTr.InitialLive, 0.45, overlay.DefaultSuperDegree, rng))
-				cfg.Hierarchical = true
-			} else {
-				sys = sim.NewSystem(testU, testTr, overlay.Random, testNet, tc.seed)
-			}
-			rec := obs.NewRecorder(int(testTr.Span()/1000) + 2)
-			sys.SetObs(rec)
-			s := New(cfg)
-			s.Attach(sys)
-			return s, rec
-		}
-		// prepare sets one round up on s, drawing every choice from rng: the
-		// arms stay in lockstep, so equal draws prepare equal systems.
-		prepare := func(s *Scheme, rng *rand.Rand, round int) (sim.Clock, []overlay.NodeID) {
-			n := len(s.nodes)
-			at := sim.Clock(1000*(round+1) + rng.IntN(1000))
-			s.cfg.FloodTTL = 1 + round%7
-			// The slot: a random order of nodes up to the wanted number of
-			// live publishers; the dead, leaf and unpublished nodes in
-			// between are Tick's to skip.
-			var slot []overlay.NodeID
-			want := sizes[round%len(sizes)]
-			for _, v := range rng.Perm(n) {
-				node := overlay.NodeID(v)
-				slot = append(slot, node)
-				if s.sys.G.Alive(node) && s.repr(node) == node && s.publishedSnapshot(node) != nil {
-					if want--; want == 0 {
-						break
-					}
-				}
-			}
-			// Content changes while everyone free-rides: the publication is
-			// held back, and the tick sends it as a patch.
-			all := make([]bool, n)
-			for v := range all {
-				all[v] = true
-			}
-			s.sys.SetFreeRiders(all)
-			for _, src := range slot {
-				if !s.sys.G.Alive(src) || rng.IntN(4) != 0 {
-					continue
-				}
-				m := src
-				if leaves := s.sys.G.LeavesOf(src); len(leaves) > 0 {
-					m = leaves[rng.IntN(len(leaves))]
-				}
-				if d := content.DocID(rng.IntN(testU.NumDocs())); !s.sys.HasDoc(m, d) {
-					s.sys.ApplyEvent(&trace.Event{Time: int64(at), Kind: trace.ContentAdd, Node: m, Doc: d})
-					s.ContentChanged(at, m, d, true)
-				}
-			}
-			var riders []bool
-			if (round+int(tc.seed))%2 == 1 {
-				riders = make([]bool, n)
-				for v := range riders {
-					riders[v] = rng.IntN(6) == 0
-				}
-			}
-			s.sys.SetFreeRiders(riders)
-			for v := 0; v < n; v++ {
-				if rng.IntN(5) != 0 {
-					continue
-				}
-				var set content.ClassSet
-				for k := rng.IntN(4); k > 0; k-- {
-					set = set.Add(content.Class(rng.IntN(content.NumClasses)))
-				}
-				s.sys.SetInterests(overlay.NodeID(v), set)
-			}
-			// Age some holders' copies: one version behind takes a patch,
-			// anything older (or any lag under a refresh) is a gap.
-			for _, src := range slot {
-				for v := range s.nodes {
-					if e := s.entry(overlay.NodeID(v), src); e != nil && rng.IntN(8) == 0 {
-						old := *e.snap
-						old.version -= uint16(1 + rng.IntN(3))
-						e.snap = &old
-					}
-				}
-			}
-			return at, slot
-		}
-
+	var patches, fetches, refreshed, skipped, reinserted, largest int
+	for _, tc := range []floodCase{
+		{false, 1, 0, 0}, {false, 2, 0, 0}, {true, 3, 0, 0}, {true, 4, 0, 0},
+		{false, 5, 0.05, 0}, {true, 6, 0.3, 0}, {false, 7, 0, 2}, {true, 8, 0.05, 2},
+	} {
 		var ss [3]*Scheme
 		var recs [3]*obs.Recorder
 		for k := range ss {
-			ss[k], recs[k] = build()
+			ss[k], recs[k] = tc.build()
 		}
 		for round := 0; round < rounds; round++ {
 			var at sim.Clock
 			var slot []overlay.NodeID
 			for k, s := range ss {
-				at, slot = prepare(s, rand.New(rand.NewPCG(tc.seed, uint64(round))), round)
-				s.wheel[int(at/1000)%s.cfg.RefreshPeriodSec] = slot
-				arms[k].fire(s, at, slot)
-				if err := checkIndex(s); err != nil {
-					t.Fatalf("hier=%v seed=%d round %d, %s: %v", tc.hier, tc.seed, round, arms[k].name, err)
-				}
-			}
-			wantCaches := cacheViews(ss[2])
-			wantSeries := recs[2].Series("", ss[2].sys.Load)
-			for k := 0; k < 2; k++ {
-				where := fmt.Sprintf("hier=%v seed=%d round %d (ttl %d, slot of %d): %s vs %s",
-					tc.hier, tc.seed, round, ss[k].cfg.FloodTTL, len(slot), arms[k].name, arms[2].name)
-				caches := cacheViews(ss[k])
-				for v := range wantCaches {
-					if !slices.Equal(caches[v], wantCaches[v]) {
-						t.Fatalf("%s: node %d caches diverged:\ngot  %v\nwant %v", where, v, caches[v], wantCaches[v])
+				at, slot = tc.prepare(s, rand.New(rand.NewPCG(tc.seed, uint64(round))), round)
+				if one := arms[k].one; one == nil {
+					s.Tick(at)
+					s.deliverAll(at, refloods(s, slot))
+				} else {
+					tickOneByOne(s, slot, func(snap *adSnapshot, kind adKind) { one(s, at, snap, kind) })
+					for _, ad := range refloods(s, slot) {
+						one(s, at, ad.snap, adFull)
 					}
 				}
-				if err := sameHolders(ss[k], ss[2]); err != nil {
-					t.Fatalf("%s: holder tables diverged: %v", where, err)
+				if err := checkIndex(s); err != nil {
+					t.Fatalf("%v round %d, %s: %v", tc, round, arms[k].name, err)
 				}
-				if !reflect.DeepEqual(ss[k].sys.Load, ss[2].sys.Load) {
-					t.Fatalf("%s: load accounts diverged: by class %v vs %v", where, ss[k].sys.Load.ByClass(), ss[2].sys.Load.ByClass())
-				}
-				if !reflect.DeepEqual(recs[k].Series("", ss[k].sys.Load), wantSeries) {
-					t.Fatalf("%s: obs series diverged", where)
+			}
+			for k := 0; k < 2; k++ {
+				if err := sameFloodState(ss[k], ss[2], recs[k], recs[2]); err != nil {
+					t.Fatalf("%v round %d (ttl %d, slot of %d): %s vs %s: %v",
+						tc, round, ss[k].cfg.FloodTTL, len(slot), arms[k].name, arms[2].name, err)
 				}
 			}
 			live := 0
-			for _, src := range slot {
+			for i, src := range slot {
 				snap := ss[0].publishedSnapshot(src)
 				if snap == nil || !ss[0].sys.G.Alive(src) || ss[0].sys.FreeRider(src) {
 					continue
@@ -532,6 +603,9 @@ func TestFloodBatchMatchesSequentialAndPerNode(t *testing.T) {
 				for v := range ss[0].nodes {
 					if e := ss[0].entry(overlay.NodeID(v), src); e != nil && e.lastSeen == at {
 						refreshed++
+						if i%refloodEvery == 0 {
+							reinserted++
+						}
 					} else if e != nil {
 						skipped++
 					}
@@ -542,20 +616,73 @@ func TestFloodBatchMatchesSequentialAndPerNode(t *testing.T) {
 		by := ss[0].sys.Load.ByClass()
 		patches += int(by[metrics.MAdPatch])
 		fetches += int(by[metrics.MControl])
+		if drops, _, _ := ss[0].sys.Load.FaultCounts(); (drops > 0) != (tc.loss > 0 || tc.parts > 0) {
+			t.Errorf("%v: %d copies dropped", tc, drops)
+		}
 	}
 	// The property is only worth its name if the rounds exercised it.
-	if patches == 0 || fetches == 0 || refreshed == 0 || skipped == 0 {
-		t.Errorf("exercised too little: patch bytes %d, gap-fetch bytes %d, holders refreshed %d, holders left alone %d",
-			patches, fetches, refreshed, skipped)
+	if patches == 0 || fetches == 0 || refreshed == 0 || skipped == 0 || reinserted == 0 {
+		t.Errorf("exercised too little: patch bytes %d, gap-fetch bytes %d, holders refreshed %d (%d by full ads), holders left alone %d",
+			patches, fetches, refreshed, reinserted, skipped)
 	}
 	if !testing.Short() && largest <= 2*maxFloodBatch {
 		t.Errorf("largest slot flooded %d sources; want more than two full batches", largest)
 	}
 }
 
-func benchScheme(b *testing.B, d DeliveryKind) *Scheme {
+// TestFloodUnderPlaneIsChunkingInvariant is the property identity keying
+// buys: under a fault plane no drop decision depends on what else a traversal
+// carries or on the order sources are visited in, so the same refresh tick
+// delivered as one batch per 64 sources, as batches of one, and from the
+// reversed wheel slot leaves identical caches, holder tables, load cells,
+// drop counters and obs series.
+func TestFloodUnderPlaneIsChunkingInvariant(t *testing.T) {
+	arms := []struct {
+		name string
+		fire func(s *Scheme, at sim.Clock, slot []overlay.NodeID)
+	}{
+		{"one traversal per 64 sources", func(s *Scheme, at sim.Clock, _ []overlay.NodeID) { s.Tick(at) }},
+		{"batches of one", func(s *Scheme, at sim.Clock, slot []overlay.NodeID) {
+			tickOneByOne(s, slot, func(snap *adSnapshot, kind adKind) { s.deliver(at, snap, kind, snap.topics) })
+		}},
+		{"reversed source order", func(s *Scheme, at sim.Clock, slot []overlay.NodeID) {
+			slices.Reverse(slot)
+			s.Tick(at)
+		}},
+	}
+	rounds := 2 * len(floodSlotSizes)
+	for _, tc := range []floodCase{{false, 11, 0.2, 0}, {true, 12, 0.05, 2}} {
+		var ss [3]*Scheme
+		var recs [3]*obs.Recorder
+		for k := range ss {
+			ss[k], recs[k] = tc.build()
+		}
+		for round := 0; round < rounds; round++ {
+			for k, s := range ss {
+				at, slot := tc.prepare(s, rand.New(rand.NewPCG(tc.seed, uint64(round))), round)
+				arms[k].fire(s, at, slot)
+				if err := checkIndex(s); err != nil {
+					t.Fatalf("%v round %d, %s: %v", tc, round, arms[k].name, err)
+				}
+			}
+			for k := 1; k < 3; k++ {
+				if err := sameFloodState(ss[k], ss[0], recs[k], recs[0]); err != nil {
+					t.Fatalf("%v round %d: %s vs %s: %v", tc, round, arms[k].name, arms[0].name, err)
+				}
+			}
+		}
+		if drops, _, _ := ss[0].sys.Load.FaultCounts(); drops == 0 {
+			t.Errorf("%v: the plane dropped nothing", tc)
+		}
+	}
+}
+
+func benchScheme(b *testing.B, d DeliveryKind) *Scheme { return benchSchemeUnder(b, d, nil) }
+
+func benchSchemeUnder(b *testing.B, d DeliveryKind, plane *faults.Plane) *Scheme {
 	b.Helper()
 	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 1)
+	sys.SetFaults(plane)
 	s := New(testConfig(d))
 	s.Attach(sys)
 	return s
@@ -572,36 +699,43 @@ func BenchmarkDeliverFlood(b *testing.B) {
 }
 
 // BenchmarkTickRefresh is one refresh tick over a wheel slot of 1, 8 and 64
-// sources: ns/source is what batching the slot into one traversal buys.
+// sources: ns/source is what batching the slot into one traversal buys —
+// without a fault plane, under one that can drop nothing, and at 5 % loss,
+// where every copy's fate is one hash.
 func BenchmarkTickRefresh(b *testing.B) {
-	for _, k := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("sources=%d", k), func(b *testing.B) {
-			s := benchScheme(b, FLD)
-			s.wheel[0] = publishedSources(b, s, k)
-			s.Tick(0) // grow the traversal scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Tick(0)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/source")
-		})
+	for _, p := range []struct {
+		name  string
+		plane *faults.Plane
+	}{
+		{"none", nil},
+		{"zero-loss", faults.New(faults.Config{Seed: 1})},
+		{"loss0.05", faults.New(faults.Config{Seed: 1, LossRate: 0.05})},
+	} {
+		for _, k := range []int{1, 8, 64} {
+			b.Run(fmt.Sprintf("plane=%s/sources=%d", p.name, k), func(b *testing.B) {
+				s := benchSchemeUnder(b, FLD, p.plane)
+				s.wheel[0] = publishedSources(b, s, k)
+				s.Tick(0) // grow the traversal scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Tick(0)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/source")
+			})
+		}
 	}
 }
 
 func BenchmarkDeliverWalk(b *testing.B) {
 	s := benchScheme(b, RW)
 	snap := firstPublished(b, s)
-	msgBytes := snap.wireBytes(adRefresh)
 	budget := max(1, snap.topics.Count()) * s.cfg.BudgetUnit
-	var dseq uint32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dseq = 0
 		starts := s.walkStarts(snap.src, s.cfg.Walkers)
-		s.deliverWalk(0, snap, adRefresh, snap.topics, msgBytes, starts, budget, metrics.MAdRefresh, 1, &dseq)
-		s.acc.Flush(s.sys, metrics.MAdRefresh)
+		s.deliverWalk(0, snap, adRefresh, snap.topics, starts, budget)
 	}
 }
 

@@ -38,6 +38,18 @@ func (s *Scheme) entry(v, src overlay.NodeID) *cachedAd {
 	return nil
 }
 
+// ageHolder rewinds node v's cached copy of src's ad by back versions, as
+// if v had missed that many updates, restamping the holder slot the way
+// every production write of the snapshot does.
+func (s *Scheme) ageHolder(v, src overlay.NodeID, back uint16) {
+	h := &s.holders[src]
+	sl := &h.slots[h.find(v)]
+	e := &s.nodes[v].slab[sl.idx]
+	old := *e.snap
+	old.version -= back
+	e.snap, sl.ver = &old, old.version
+}
+
 // cacheEntries returns a copy of ns's cache entries in fifo (insertion)
 // order — the plain list the reference scans walk.
 func cacheEntries(ns *nodeState) []cachedAd {
@@ -97,8 +109,9 @@ func cacheSources(ns *nodeState) []overlay.NodeID {
 // checkIndex verifies the ads-cache index invariants over every node of s:
 // each node's fifo lists distinct live slab entries, every slab index
 // is either live or on the free list, holders[src] maps the node back to
-// exactly that entry, and no holder slot exists beyond those (so none names
-// a freed or foreign entry).
+// exactly that entry, no holder slot exists beyond those (so none names a
+// freed or foreign entry), and every slot is stamped with the version of the
+// snapshot its entry caches.
 func checkIndex(s *Scheme) error {
 	live := 0
 	for v := range s.nodes {
@@ -142,6 +155,9 @@ func checkIndex(s *Scheme) error {
 			ns := &s.nodes[sl.key-1]
 			if int(sl.idx) >= len(ns.slab) || ns.slab[sl.idx].snap == nil || ns.slab[sl.idx].snap.src != overlay.NodeID(src) {
 				return fmt.Errorf("holders[%d]: slot for node %d names slab index %d, which does not cache that source", src, sl.key-1, sl.idx)
+			}
+			if cached := ns.slab[sl.idx].snap.version; sl.ver != cached {
+				return fmt.Errorf("holders[%d]: slot for node %d is stamped version %d, its entry caches version %d", src, sl.key-1, sl.ver, cached)
 			}
 		}
 		if used != h.n {

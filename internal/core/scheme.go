@@ -39,7 +39,6 @@ type Scheme struct {
 	// Runner-thread-only state for ad deliveries. The buffers amortise the
 	// per-delivery queue and neighbour-list allocations across a run.
 	rng    *rand.Rand
-	acc    sim.SecAccumulator
 	flood  floodScratch
 	tickQ  []floodAd
 	wlkBuf []overlay.NodeID
@@ -131,9 +130,10 @@ func (s *Scheme) Attach(sys *sim.System) {
 	s.nodes = make([]nodeState, n)
 	s.holders = make([]holderTab, n)
 	s.rng = rand.New(rand.NewPCG(s.cfg.Seed, 0x5851f42d4c957f2d))
-	s.flood.seen = make([]uint64, n)
+	s.flood.seen = make([]uint64, n+1) // by slot key: node+1
 	s.flood.frontier = make([]uint64, n)
 	s.flood.next = make([]uint64, n)
+	s.flood.order = make([]overlay.NodeID, 0, n+maxFloodBatch)
 	if s.cfg.RefreshPeriodSec > 0 {
 		s.wheel = make([][]overlay.NodeID, s.cfg.RefreshPeriodSec)
 	}
@@ -154,8 +154,8 @@ func (s *Scheme) Attach(sys *sim.System) {
 	// Filter construction dominates the publish cost and is a pure read of
 	// immutable system state, so the builds fan out across GOMAXPROCS
 	// workers; publication and delivery stay serial on this thread, in
-	// node order, so the warm-up replays byte-identically to the old
-	// all-serial loop.
+	// node order (publications first: each touches only its own node's ad,
+	// so floods can share traversals), replaying the all-serial warm-up.
 	reps := make([]overlay.NodeID, 0, sys.InitialLive())
 	for v := 0; v < sys.InitialLive(); v++ {
 		node := overlay.NodeID(v)
@@ -165,11 +165,13 @@ func (s *Scheme) Attach(sys *sim.System) {
 		reps = append(reps, node)
 	}
 	filters := s.buildFiltersParallel(reps)
+	ads := make([]floodAd, 0, len(reps))
 	for i, node := range reps {
 		if snap := s.publishWith(node, filters[i]); snap != nil {
-			s.deliver(-1, snap, adFull, snap.topics)
+			ads = append(ads, floodAd{snap, adFull, snap.topics})
 		}
 	}
+	s.deliverAll(-1, ads)
 }
 
 // beginApply opens a delivery-path write section on the runner thread:
@@ -465,8 +467,8 @@ func (s *Scheme) NodeLeft(t sim.Clock, n overlay.NodeID) {
 }
 
 // Tick implements sim.Scheme: fires the refresh wheel slot due this
-// second. Over a reliable network asap-fld floods the whole slot through
-// one traversal per maxFloodBatch sources instead of one per source.
+// second. asap-fld floods the whole slot through one traversal per
+// maxFloodBatch sources instead of one per source.
 func (s *Scheme) Tick(t sim.Clock) {
 	if s.wheel == nil {
 		return
@@ -496,17 +498,7 @@ func (s *Scheme) Tick(t sim.Clock) {
 	// Publishing the whole slot ahead of its deliveries changes nothing: a
 	// publication touches only its own node's ad, which no other source's
 	// delivery reads.
-	if s.cfg.Delivery == FLD && s.sys.FaultFree() {
-		for rest := ads; len(rest) > 0; {
-			n := min(len(rest), maxFloodBatch)
-			s.floodBatch(t, rest[:n])
-			rest = rest[n:]
-		}
-	} else {
-		for _, ad := range ads {
-			s.deliver(t, ad.snap, ad.kind, ad.targeting)
-		}
-	}
+	s.deliverAll(t, ads)
 	s.tickQ = ads[:0]
 }
 

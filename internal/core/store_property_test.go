@@ -17,11 +17,12 @@ type storeOp struct {
 }
 
 // TestStoreInvariantsProperty drives a nodeState cache with arbitrary
-// operation sequences and checks the structural invariants:
+// sequences of stores (all three kinds), dead-source drops and staleness
+// sweeps, and checks the structural invariants:
 //
 //   - the cache never exceeds capacity;
 //   - fifo lists exactly the cached sources, no duplicates, and agrees
-//     with the holder index (checkIndex);
+//     with the holder index, version stamps included (checkIndex);
 //   - a cached entry's version never moves backwards;
 //   - lastSeen never decreases for a surviving entry.
 func TestStoreInvariantsProperty(t *testing.T) {
@@ -34,10 +35,17 @@ func TestStoreInvariantsProperty(t *testing.T) {
 		for _, op := range ops {
 			now += int64(op.Time) // replay time is monotonic
 			src := overlay.NodeID(op.Src % 16)
-			kind := adKind(op.Kind % 3)
-			f := bloom.New(64, 2)
-			sn := &adSnapshot{src: src, version: uint16(op.Version), topics: 1, filter: f, fullWire: 8, patchWire: 4}
-			c.store(0, sn, kind, now, false)
+			switch kind := op.Kind % 5; kind {
+			case 3:
+				c.drop(0, src, false)
+			case 4:
+				c.dropStale(0, now-int64(op.Version)<<8)
+			default:
+				f := bloom.New(64, 2)
+				// Versions straddle the 16-bit wrap: 65408 … 65535, 0 … 127.
+				sn := &adSnapshot{src: src, version: uint16(op.Version) - 128, topics: 1, filter: f, fullWire: 8, patchWire: 4}
+				c.store(0, sn, adKind(kind), now, false)
+			}
 
 			ns := &c.nodes[0]
 			if len(ns.live()) > capacity {

@@ -415,12 +415,6 @@ func (s *System) Latency(a, b overlay.NodeID) int { return s.G.Latency(a, b) }
 // Account books message bytes into the load account.
 func (s *System) Account(t Clock, c metrics.MsgClass, bytes int) { s.Load.Add(t, c, bytes) }
 
-// FaultFree reports that no fault plane is installed: every sent copy
-// arrives and no per-copy drop decision exists. Delivery cascades use this
-// to take a batched fast path — per-edge Arrives calls (and the drop-seq
-// stream they would consume) are only needed when drops are possible.
-func (s *System) FaultFree() bool { return s.faults == nil }
-
 // SetFaults installs a fault-injection plane. Call before Attach/replay;
 // nil (the default) models the paper's perfectly reliable network.
 func (s *System) SetFaults(p *faults.Plane) { s.faults = p }
@@ -461,22 +455,23 @@ func (s *System) FreeRider(n overlay.NodeID) bool {
 // are tallied on the load account. Always true without a fault plane.
 func (s *System) Arrives(t Clock, c metrics.MsgClass, src, dst overlay.NodeID, key uint64, seq uint32) bool {
 	s.obs.CountMsg(t, c)
-	if s.faults == nil {
-		return true
-	}
+	return s.faults == nil || !s.Lost(t, c, src, dst, key, seq)
+}
+
+// Lost is Arrives' verdict alone — the loss is tallied, the sent copy is
+// not — for cascades that count their copies in bulk (core's ad deliveries).
+func (s *System) Lost(t Clock, c metrics.MsgClass, src, dst overlay.NodeID, key uint64, seq uint32) bool {
 	// Partition verdicts are pure group-membership lookups — they consume
-	// no hash stream, so the Drop decision below sees exactly the inputs
-	// it would see with no partition engaged (see faults.Plane.group).
-	if s.faults.Partitioned(src, dst) {
-		s.Load.CountDrop()
-		s.obs.Count(t, obs.CDrop)
-		s.obs.Count(t, obs.CPartDrop)
+	// no hash stream, so the Drop decision sees exactly the inputs it would
+	// see with no partition engaged (see faults.Plane.group).
+	parted := s.faults.Partitioned(src, dst)
+	if !parted && !s.faults.Drop(c, src, dst, key, seq) {
 		return false
 	}
-	if s.faults.Drop(c, src, dst, key, seq) {
-		s.Load.CountDrop()
-		s.obs.Count(t, obs.CDrop)
-		return false
+	s.Load.CountDrop()
+	s.obs.Count(t, obs.CDrop)
+	if parted {
+		s.obs.Count(t, obs.CPartDrop)
 	}
 	return true
 }
