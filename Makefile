@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race determinism loss-smoke bench-gate bench-quick bench bench-delivery bench-replay fuzz-smoke obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke bench-serve profile check
+.PHONY: build test vet fmt race determinism loss-smoke bench-gate bench-quick bench bench-delivery bench-replay fuzz-smoke obs-smoke alloc-gate shard-smoke mem-gate scenario-smoke serve-smoke bench-serve profile check
 
 build:
 	$(GO) build ./...
@@ -33,11 +33,11 @@ race:
 	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestParallelSearchSafety|TestFloodBatchMatchesSequentialAndPerNode|TestFloodUnderPlaneIsChunkingInvariant' ./internal/core
 
 # Determinism gate: outputs are a pure function of (preset, seed, scenario)
-# at every core count, so the sim / matrix / scenario / cluster equivalence
-# suites — and the baselines' kernel-vs-reference suite over their pooled
-# scratch — must pass at each GOMAXPROCS, not only at the host's (≈ 2 min).
+# at every core count, so the sim / matrix / scenario equivalence suites —
+# and the baselines' kernel-vs-reference suite over their pooled scratch —
+# must pass at each GOMAXPROCS, not only at the host's (≈ 2 min).
 determinism:
-	$(GO) test -count=1 -cpu 1,2,3,4,8 ./internal/sim ./internal/search ./internal/experiments ./internal/scenario ./internal/cluster
+	$(GO) test -count=1 -cpu 1,2,3,4,8 ./internal/sim ./internal/search ./internal/experiments ./internal/scenario
 
 # The fault-plane property suite under the race detector: a tiny matrix at
 # 2% message loss must be identical for 1 and N matrix workers, and a
@@ -64,8 +64,11 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkRunMatrix -benchmem .
 	$(GO) run ./cmd/experiments -benchjson BENCH_matrix.json
 
-# Short fuzz pass over the wire decoders (trace codec, Bloom filters and
-# patches). Go runs one fuzz target per invocation, hence three runs.
+# Short fuzz pass over everything that decodes outside bytes: the trace
+# codec, Bloom filters and patches, and the serving endpoints (binary
+# frames, HTTP search bodies). Go runs one fuzz target per invocation. The
+# serving targets keep minimisation short: one exec of a 65,536-term input
+# costs milliseconds, so the default 60 s minimisation would eat the run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
@@ -73,6 +76,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFilterWire$$' -fuzztime $(FUZZTIME) ./internal/bloom
 	$(GO) test -run '^$$' -fuzz '^FuzzPatchDecode$$' -fuzztime $(FUZZTIME) ./internal/bloom
 	$(GO) test -run '^$$' -fuzz '^FuzzSlicedGeometry$$' -fuzztime $(FUZZTIME) ./internal/bloom
+	$(GO) test -run '^$$' -fuzz '^FuzzServeFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
 
 # Observability-plane determinism under the race detector: per-second
 # series byte-identical across matrix worker counts, and summaries
@@ -126,14 +131,6 @@ shard-smoke:
 mem-gate:
 	$(GO) test -run 'TestSmallReplayPeakHeapBound' -count=1 ./internal/experiments
 
-# Socket-layer equivalence under the race detector: a 3-daemon asapnode
-# cluster (in-memory pipes, loopback TCP, and real OS processes) serves
-# the tiny trace over length-prefixed frames and must produce the exact
-# in-memory sequential summary, with every cross-replica verification
-# passing. Frame/codec hostile-input tests ride along.
-net-smoke:
-	$(GO) test -race -count=1 ./internal/transport ./internal/cluster
-
 # Adversarial-scenario gate under the race detector: every built-in
 # scenario (partitions, flash crowds, churn storms, free riders, interest
 # drift, rewiring) replays byte-identically across shard counts and must
@@ -145,12 +142,13 @@ scenario-smoke:
 # Serving-plane gate under the race detector: the serve package's
 # concurrent-oracle property (hammering readers vs live applies, every
 # answer equal to the quiescent oracle at its epoch), admission control,
-# endpoint and determinism tests — then a short open-loop load run built
+# endpoint deadline/body-cap and determinism tests, and the frame codec's
+# hostile-input tests — then a short open-loop load run built
 # -race against an in-process warm node, which must serve every query
 # (zero sheds at a rate the node is provisioned for) with p99 under a
 # deliberately generous bound (detector overhead included).
 serve-smoke:
-	$(GO) test -race -count=1 ./internal/serve ./internal/benchio
+	$(GO) test -race -count=1 ./internal/serve ./internal/transport ./internal/benchio
 	$(GO) run -race ./cmd/asapload -rate 200 -n 400 -smoke -p99max 250ms -quiet
 
 # Serving-plane benchmark: the zero-alloc hot-path gate (a warmed
@@ -168,4 +166,4 @@ profile:
 		-cpuprofile out/cpu.pb -memprofile out/mem.pb -mutexprofile out/mutex.pb
 	@echo "profiles written to out/{cpu,mem,mutex}.pb"
 
-check: vet fmt test race determinism loss-smoke bench-gate bench-quick bench-delivery bench-replay obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke fuzz-smoke
+check: vet fmt test race determinism loss-smoke bench-gate bench-quick bench-delivery bench-replay obs-smoke alloc-gate shard-smoke mem-gate scenario-smoke serve-smoke fuzz-smoke

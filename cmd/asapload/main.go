@@ -10,7 +10,7 @@
 //   - inproc (default): warm a node in this process and call
 //     Node.Search directly — measures the serving core with no codec or
 //     kernel in the way.
-//   - http: POST /search against an already-running `asapnode -serve`.
+//   - http: POST /search against an already-running `asapnode`.
 //   - bin: the length-prefixed binary protocol against the same daemon,
 //     one persistent connection per client worker.
 //

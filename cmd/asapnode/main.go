@@ -1,29 +1,16 @@
-// Command asapnode is a long-running ASAP overlay node daemon. It binds a
-// listen address, prints it, and then serves two kinds of peers over
-// length-prefixed frames: the cluster harness (which configures the
-// replica, steps the replay, and collects the summary) and fellow daemons
-// (which push ad publications and ask search-time questions — content
-// confirmations and ads requests). See internal/cluster for the execution
-// model and protocol.
-//
-// Flags given explicitly pin the daemon to that configuration: a harness
-// Hello that disagrees with a pinned -scale/-scheme/-topo/-seed is
-// rejected, so a daemon started for one experiment cannot be silently
-// recruited into another. Flags left at their defaults accept whatever
-// the Hello proposes.
-//
-// With -serve, the daemon instead runs the always-on query serving plane
-// (internal/serve): it warms a node by replaying the preset's trace to
-// completion, then answers concurrent searches over HTTP (-http: POST
-// /search, GET /metrics, GET /healthz) and optionally the length-prefixed
-// binary protocol (-bin), with token-bucket admission control and a
-// graceful drain on SIGINT/SIGTERM.
+// Command asapnode is the ASAP serving daemon (internal/serve). It warms
+// a node by replaying the preset's trace to completion, then answers
+// concurrent searches over HTTP (-http: POST /search, GET /metrics, GET
+// /healthz) and optionally the length-prefixed binary protocol (-bin),
+// with token-bucket admission control, per-connection deadlines and a
+// graceful drain on SIGINT/SIGTERM. It prints each bound address
+// ("serving http <addr>", "serving bin <addr>") so launchers can learn
+// kernel-assigned ports.
 //
 // Usage:
 //
-//	asapnode -listen 127.0.0.1:0
-//	asapnode -listen 127.0.0.1:7440 -scale tiny -scheme asap -seed 42 -metrics 127.0.0.1:9090
-//	asapnode -serve -scale tiny -http 127.0.0.1:0 -bin 127.0.0.1:0 -rate 2000
+//	asapnode -scale tiny -http 127.0.0.1:0 -bin 127.0.0.1:0 -rate 2000
+//	asapnode -scale small -scheme asap-fld -topo crawled -seed 7 -http 127.0.0.1:8080
 package main
 
 import (
@@ -31,112 +18,46 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"asap/internal/cliutil"
-	"asap/internal/cluster"
 	"asap/internal/experiments"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/serve"
 	"asap/internal/transport"
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:0", "TCP listen address (\":0\" picks a free port)")
-	scale := flag.String("scale", "", "pin the experiment scale preset (empty: accept the harness's; serve mode defaults to tiny)")
-	scheme := flag.String("scheme", "", "pin the scheme (empty: accept the harness's; serve mode defaults to asap-rw)")
-	topo := flag.String("topo", "", "pin the overlay topology (empty: accept the harness's; serve mode defaults to random)")
-	seed := flag.Uint64("seed", 0, "pin the run seed (only if given explicitly; 0 is a valid seed)")
-	metricsAddr := flag.String("metrics", "", "expose Prometheus /metrics on this HTTP address (empty: off)")
-
-	serveMode := flag.Bool("serve", false, "run the always-on serving plane instead of the cluster daemon")
-	httpAddr := flag.String("http", "127.0.0.1:0", "serve mode: HTTP listen address (search, metrics, health)")
-	binAddr := flag.String("bin", "", "serve mode: binary endpoint listen address (empty: off)")
-	rate := flag.Float64("rate", 0, "serve mode: admission rate in queries/sec (0 = unlimited)")
-	burst := flag.Float64("burst", 0, "serve mode: admission burst (0: one second at -rate)")
-	workers := flag.Int("workers", 0, "serve mode: concurrent in-flight searches (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "serve mode: bounded wait queue beyond the in-flight cap")
+	scale := flag.String("scale", "tiny", "experiment scale preset to warm")
+	scheme := flag.String("scheme", "asap-rw", "scheme to serve")
+	topo := flag.String("topo", "random", "overlay topology")
+	seed := flag.Uint64("seed", 0, "run seed (only if given explicitly; 0 is a valid seed)")
+	httpAddr := flag.String("http", "127.0.0.1:0", "HTTP listen address (search, metrics, health)")
+	binAddr := flag.String("bin", "", "binary endpoint listen address (empty: off)")
+	rate := flag.Float64("rate", 0, "admission rate in queries/sec (0 = unlimited)")
+	burst := flag.Float64("burst", 0, "admission burst (0: one second at -rate)")
+	workers := flag.Int("workers", 0, "concurrent in-flight searches (0 = GOMAXPROCS)")
+	queue := flag.Int("queue", 64, "bounded wait queue beyond the in-flight cap")
 	flag.Parse()
 
-	if *serveMode {
-		cfg := serve.Config{Workers: *workers, MaxQueue: *queue, Rate: *rate, Burst: *burst}
-		if err := runServe(*scale, *scheme, *topo, *seed, *httpAddr, *binAddr, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "asapnode: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	pins := cluster.Pins{Scale: *scale, Scheme: *scheme, Topo: *topo}
-	// -seed 0 must pin too, so presence — not value — decides (cliutil).
-	if cliutil.WasSet("seed") {
-		pins.Seed, pins.HasSeed = *seed, true
-	}
-
-	tp := transport.TCP{}
-	ln, err := tp.Listen(*listen)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "asapnode: %v\n", err)
-		os.Exit(1)
-	}
-	// The bound address is the startup contract: launchers read it to
-	// learn the kernel-assigned port before dialing.
-	fmt.Printf("listening %s\n", ln.Addr())
-
-	e := cluster.NewEngine(tp, ln, pins)
-	if *metricsAddr != "" {
-		if err := serveMetrics(*metricsAddr, e.Recorder); err != nil {
-			fmt.Fprintf(os.Stderr, "asapnode: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if err := e.Serve(); err != nil {
+	cfg := serve.Config{Workers: *workers, MaxQueue: *queue, Rate: *rate, Burst: *burst}
+	if err := run(*scale, *scheme, *topo, *seed, *httpAddr, *binAddr, cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "asapnode: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// serveMetrics binds addr and serves GET /metrics scraped from rec() —
-// which may return nil until a harness Hello configures the replica
-// (WriteProm on a nil recorder writes an empty exposition).
-func serveMetrics(addr string, rec func() *obs.Recorder) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("metrics %s\n", l.Addr())
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		var pw obs.PromWriter
-		rec().WriteProm(&pw)
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(pw.Bytes())
-	})
-	go http.Serve(l, mux)
-	return nil
-}
-
-// runServe warms a node from the preset and serves it until SIGINT or
+// run warms a node from the preset and serves it until SIGINT or
 // SIGTERM, then drains in-flight and queued queries before exiting.
-func runServe(scale, scheme, topo string, seed uint64, httpAddr, binAddr string, cfg serve.Config) error {
-	if scale == "" {
-		scale = "tiny"
-	}
-	if scheme == "" {
-		scheme = "asap-rw"
-	}
-	if topo == "" {
-		topo = "random"
-	}
+func run(scale, scheme, topo string, seed uint64, httpAddr, binAddr string, cfg serve.Config) error {
 	sc, err := experiments.ByName(scale)
 	if err != nil {
 		return err
 	}
+	// -seed 0 must override too, so presence — not value — decides.
 	if cliutil.WasSet("seed") {
 		sc.Seed = seed
 	}

@@ -5,8 +5,8 @@
 // (e.g. -shards 0 forces the unsharded replay even on presets that shard
 // by default), so presence must be detected with flag.Visit rather than by
 // comparing against the default. asapsim and experiments each grew a copy
-// of that sentinel dance and drifted once already; asapnode pins its
-// operator-set flags against the harness Hello the same way.
+// of that sentinel dance and drifted once already; asapnode overrides the
+// preset's seed only when -seed was given, the same way.
 package cliutil
 
 import (

@@ -69,12 +69,6 @@ type Scheme struct {
 	// owners' states. beginApply panics while it is set.
 	queryPhase atomic.Bool
 
-	// peering, when set, resolves search-time exchanges through a remote
-	// replica; adObs, when set, sees every publication (see peering.go).
-	// Both are nil in ordinary in-process runs.
-	peering Peering
-	adObs   AdObserver
-
 	// plan is AppendSearchReads' BFS scratch (runner thread only).
 	plan planScratch
 
@@ -310,13 +304,6 @@ func (s *Scheme) publishWith(n overlay.NodeID, prebuilt *bloom.Filter) *adSnapsh
 	}
 	s.slots.register(snap)
 	ns.published = snap
-	if s.adObs != nil {
-		var patch *bloom.Patch
-		if old != nil && old.filter.Bits() == f.Bits() {
-			patch = &s.patchBuf
-		}
-		s.adObs(snap.src, snap.version, snap.topics, snap.filter, patch)
-	}
 	return snap
 }
 
@@ -421,7 +408,7 @@ func (s *Scheme) NodeJoined(t sim.Clock, n overlay.NodeID) {
 	// The join pull gets its own drop stream, folded apart from any query
 	// the same node issues in the same millisecond.
 	sc.fkey = faults.Fold(faults.Key(int64(t), n), 1)
-	s.adsRequest(t, n, sc, nil, nil)
+	s.adsRequest(t, n, sc, nil)
 	s.putScratch(sc)
 }
 

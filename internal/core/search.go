@@ -145,7 +145,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 
 	// Phase 2: pull ads from the h-hop neighbourhood and retry.
 	tPhase2 := s.obs.Begin()
-	more, b2 := s.adsRequest(t0, p, sc, sc.probes, ev.Terms)
+	more, b2 := s.adsRequest(t0, p, sc, sc.probes)
 	bytes += b2
 	fresh := more[:0]
 	for _, c := range more {
@@ -215,15 +215,10 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 		confirmed[c.src] = true
 		// Both confirmation verdicts are constant for the query's duration:
 		// liveness only changes at state events, which the runner never
-		// interleaves with searches, and groupMatches is a pure read. Hoisting
-		// them out of the retry loop changes nothing observable and gives the
-		// peering seam a single point to resolve the whole contact — one
-		// exchange per candidate, whatever the retry schedule does.
+		// interleaves with searches, and groupMatches is a pure read, so they
+		// are resolved once per candidate, outside the retry loop.
 		alive := s.sys.G.Alive(c.src)
 		match := alive && s.groupMatches(c.src, terms)
-		if s.peering != nil {
-			alive, match = s.peering.Confirm(p, c.src, terms, alive, match)
-		}
 		cb := sim.ConfirmBytes(len(terms))
 		sendAt := c.avail
 		answered := false
@@ -295,7 +290,7 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 // network "not one reply arrived" is the requester's retry signal: the
 // whole request flood is re-issued (with fresh per-copy drop decisions)
 // up to RetryAttempts times before the phase is abandoned.
-func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, probes []bloom.Probe, terms []content.Keyword) ([]candidate, int64) {
+func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, probes []bloom.Probe) ([]candidate, int64) {
 	interests := s.groupInterests(p)
 	attempts := s.contactAttempts()
 	var bytes int64
@@ -343,12 +338,6 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, pr
 			serve = q.serveAds(qa, serve, interests, staleBefore, p, s.cfg.MaxAdsPerReply)
 			q.mu.Unlock()
 			sc.serve = serve
-			if s.peering != nil && probes != nil {
-				// The seam sees the serve AFTER the lock is released: snapshots
-				// are immutable, so the projection needs no lock, and the
-				// peering implementation is free to do network I/O.
-				s.peering.ServeAds(p, tg.node, interests, staleBefore, terms, appendServed(nil, serve))
-			}
 			payload := 0
 			for _, snap := range serve {
 				payload += sim.AdHeaderBytes + snap.fullWire

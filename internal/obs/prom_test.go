@@ -175,7 +175,9 @@ func TestRecorderWriteProm(t *testing.T) {
 	r.Search(2500, true, 700, 60)
 	r.Search(3500, false, 0, 40)
 	r.Count(1500, CDrop)
-	r.CountN(2500, CRetry, 3)
+	for i := 0; i < 3; i++ {
+		r.Count(2500, CRetry)
+	}
 
 	var w PromWriter
 	r.WriteProm(&w)

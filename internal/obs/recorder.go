@@ -33,14 +33,6 @@ const (
 	CSearch
 	// CSearchOK counts query events that returned at least one result.
 	CSearchOK
-	// CNetFrameOut / CNetFrameIn count transport frames a node daemon
-	// exchanged with its peers (internal/transport); CNetByteOut /
-	// CNetByteIn total their sizes in bytes, length prefix included.
-	// In-process replays never touch them.
-	CNetFrameOut
-	CNetFrameIn
-	CNetByteOut
-	CNetByteIn
 	// CPartDrop counts messages dropped by an engaged scenario partition
 	// (a subset of CDrop: partition drops count in both columns).
 	CPartDrop
@@ -80,14 +72,6 @@ func (c Counter) String() string {
 		return "searches"
 	case CSearchOK:
 		return "successes"
-	case CNetFrameOut:
-		return "net_frames_out"
-	case CNetFrameIn:
-		return "net_frames_in"
-	case CNetByteOut:
-		return "net_bytes_out"
-	case CNetByteIn:
-		return "net_bytes_in"
 	case CPartDrop:
 		return "part_drops"
 	case CRewire:
@@ -165,16 +149,6 @@ func (r *Recorder) Count(tMS int64, c Counter) {
 		return
 	}
 	atomic.AddInt64(&r.cells[r.row(tMS)*NumCounters+int(c)], 1)
-}
-
-// CountN records n events of counter c at tMS in one cell update — the
-// per-connection transport counters batch a frame and its byte size
-// through this.
-func (r *Recorder) CountN(tMS int64, c Counter, n int64) {
-	if r == nil || n == 0 {
-		return
-	}
-	atomic.AddInt64(&r.cells[r.row(tMS)*NumCounters+int(c)], n)
 }
 
 // CountMsg records one sent message copy of the given class at tMS.

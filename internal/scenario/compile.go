@@ -31,9 +31,6 @@ type Staged struct {
 	hasPartition bool
 }
 
-// Scenario returns the staged scenario definition.
-func (st *Staged) Scenario() Scenario { return st.sn }
-
 // Stage compiles sn's acts against lab's base trace and installs the
 // merged trace on the lab (replacing lab.Tr). Call between NewLab and
 // system construction, so the replay horizon is sized to the merged span.
@@ -42,7 +39,7 @@ func (st *Staged) Scenario() Scenario { return st.sn }
 // trace): churn-storm victims and flash-crowd requesters come from
 // dedicated PCG streams, so staging the same scenario on the same lab
 // always produces the identical event sequence — the property the
-// golden-replay and cluster-equivalence tests pin.
+// golden-replay tests pin.
 func Stage(sn Scenario, lab *experiments.Lab) (*Staged, error) {
 	if err := sn.Validate(); err != nil {
 		return nil, err

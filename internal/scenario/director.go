@@ -22,10 +22,10 @@ const (
 
 // Install wires the staged scenario into a freshly built system: it
 // creates the unified fault plane (when the scenario needs one — loss > 0
-// or any partition act) and installs the act director. seed and loss
-// normally come from the scenario itself; the cluster harness passes its
-// hello's values so replicas agree with the coordinator byte-for-byte.
-func (st *Staged) Install(sys *sim.System, seed uint64, loss float64) {
+// or any partition act) and installs the act director, both seeded from
+// the scenario.
+func (st *Staged) Install(sys *sim.System) {
+	seed, loss := st.sn.Seed, st.sn.Loss
 	var plane *faults.Plane
 	if loss > 0 || st.hasPartition {
 		plane = faults.New(faults.Config{Seed: seed, LossRate: loss})

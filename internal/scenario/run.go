@@ -61,7 +61,7 @@ func Run(sn Scenario, opt Options) (*Result, error) {
 	sys := sim.NewSystem(lab.U, lab.Tr, kind, lab.Net, sn.Seed)
 	rec := obs.NewRecorder(int(lab.Tr.Span()/1000) + 2)
 	sys.SetObs(rec)
-	st.Install(sys, sn.Seed, sn.Loss)
+	st.Install(sys)
 	sum := sim.Run(sys, sch, sim.RunOptions{Shards: opt.Shards})
 	key := fmt.Sprintf("%s/%s/%s", sn.Name, sum.Scheme, sum.Topology)
 	return &Result{Scenario: sn, Summary: sum, Series: rec.Series(key, sys.Load)}, nil

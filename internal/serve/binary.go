@@ -2,12 +2,22 @@ package serve
 
 import (
 	"errors"
-	"io"
-	"net"
+	"time"
 
 	"asap/internal/content"
 	"asap/internal/overlay"
 	"asap/internal/transport"
+)
+
+// Binary endpoint deadlines. A connection may sit idle between requests
+// for at most binIdleTimeout — the read deadline covers the whole next
+// frame, so a client that stalls mid-frame is cut off too — and each
+// reply must drain within binWriteTimeout. Either expiry closes the
+// connection and ends its goroutine, so half-open and stalled clients
+// cannot pin server resources. Tests shorten them before NewBinary.
+var (
+	binIdleTimeout  = 2 * time.Minute
+	binWriteTimeout = 10 * time.Second
 )
 
 // BinaryServer exposes a serving Node over the length-prefixed binary
@@ -18,11 +28,13 @@ import (
 type BinaryServer struct {
 	n  *Node
 	ln transport.Listener
+
+	idle, write time.Duration
 }
 
 // NewBinary builds the binary front end for n on ln.
 func NewBinary(n *Node, ln transport.Listener) *BinaryServer {
-	return &BinaryServer{n: n, ln: ln}
+	return &BinaryServer{n: n, ln: ln, idle: binIdleTimeout, write: binWriteTimeout}
 }
 
 // Addr returns the bound listener address.
@@ -58,7 +70,18 @@ func shedCode(err error) byte {
 	}
 }
 
-// serveConn runs one connection's request loop. Buffers persist across
+// send writes one reply frame under the write deadline and reports
+// whether the connection is still usable.
+func (b *BinaryServer) send(c *transport.Conn, t transport.MsgType, p []byte) bool {
+	if c.SetWriteDeadline(time.Now().Add(b.write)) != nil {
+		return false
+	}
+	return c.WriteFrame(t, p) == nil
+}
+
+// serveConn runs one connection's request loop: every request frame gets
+// exactly one reply frame, or the connection closes (read error, deadline,
+// failed reply, or after acknowledging MServeBye). Buffers persist across
 // requests, so a warm connection allocates only inside the transport
 // reader (frame payload) and whatever SearchRO grows once.
 func (b *BinaryServer) serveConn(c *transport.Conn) {
@@ -69,23 +92,25 @@ func (b *BinaryServer) serveConn(c *transport.Conn) {
 		buf   []byte
 		reply transport.ServeReply
 	)
+	badRequest := []byte{transport.ServeErrBadRequest}
 	for {
-		t, p, err := c.ReadFrame()
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				return
-			}
+		if c.SetReadDeadline(time.Now().Add(b.idle)) != nil {
 			return
 		}
+		t, p, err := c.ReadFrame()
+		if err != nil {
+			return
+		}
+		var ok bool
 		switch t {
 		case transport.MServeBye:
-			c.WriteFrame(transport.MServeByeOK, nil)
+			b.send(c, transport.MServeByeOK, nil)
 			return
 		case transport.MServeQuery:
 			q, err := transport.DecodeServeQuery(p)
 			if err != nil || int(q.From) >= b.n.sys.G.N() {
-				c.WriteFrame(transport.MServeErr, []byte{transport.ServeErrBadRequest})
-				continue
+				ok = b.send(c, transport.MServeErr, badRequest)
+				break
 			}
 			terms = terms[:0]
 			for _, kw := range q.Terms {
@@ -94,8 +119,8 @@ func (b *BinaryServer) serveConn(c *transport.Conn) {
 			res, out, epoch, err := b.n.Search(overlay.NodeID(q.From), terms, dst[:0])
 			dst = out
 			if err != nil {
-				c.WriteFrame(transport.MServeErr, []byte{shedCode(err)})
-				continue
+				ok = b.send(c, transport.MServeErr, []byte{shedCode(err)})
+				break
 			}
 			reply.Epoch, reply.Phase2 = epoch, res.Phase2
 			reply.Sources = reply.Sources[:0]
@@ -103,11 +128,12 @@ func (b *BinaryServer) serveConn(c *transport.Conn) {
 				reply.Sources = append(reply.Sources, uint32(id))
 			}
 			buf = reply.Encode(buf[:0])
-			if c.WriteFrame(transport.MServeOK, buf) != nil {
-				return
-			}
+			ok = b.send(c, transport.MServeOK, buf)
 		default:
-			c.WriteFrame(transport.MServeErr, []byte{transport.ServeErrBadRequest})
+			ok = b.send(c, transport.MServeErr, badRequest)
+		}
+		if !ok {
+			return
 		}
 	}
 }

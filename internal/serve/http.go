@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,9 +38,23 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// httpScratch pools the per-request conversion buffers so a served HTTP
-// query costs only the JSON codec's allocations.
+// HTTP endpoint bounds. A search body larger than maxSearchBody is
+// refused with 413 before any search runs — 64 KiB holds several thousand
+// terms, far beyond any real query. The server timeouts cut off a client
+// that stalls sending its headers or body, never reads its response, or
+// idles on a kept-alive connection.
+const (
+	maxSearchBody     = 64 << 10
+	httpHeaderTimeout = 10 * time.Second
+	httpReadTimeout   = 10 * time.Second
+	httpWriteTimeout  = 10 * time.Second
+	httpIdleTimeout   = 2 * time.Minute
+)
+
+// httpScratch pools the per-request body and conversion buffers so a
+// served HTTP query costs only the JSON codec's allocations.
 type httpScratch struct {
+	body  bytes.Buffer
 	terms []content.Keyword
 	dst   []overlay.NodeID
 	srcs  []uint32
@@ -63,7 +78,13 @@ func NewHTTP(n *Node, rec *obs.Recorder) *Server {
 	s.mux.HandleFunc("POST /search", s.handleSearch)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.hs = &http.Server{Handler: s.mux, ReadHeaderTimeout: 10 * time.Second}
+	s.hs = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: httpHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		WriteTimeout:      httpWriteTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
 	return s
 }
 
@@ -103,8 +124,20 @@ func shedStatus(err error) int {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	sc := s.pool.Get().(*httpScratch)
+	defer s.pool.Put(sc)
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxSearchBody)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: err.Error()})
+			return
+		}
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
+		return
+	}
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(sc.body.Bytes(), &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
 		return
 	}
@@ -112,8 +145,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "unknown peer"})
 		return
 	}
-	sc := s.pool.Get().(*httpScratch)
-	defer s.pool.Put(sc)
 	sc.terms = sc.terms[:0]
 	for _, t := range req.Terms {
 		sc.terms = append(sc.terms, content.Keyword(t))

@@ -34,7 +34,7 @@ var (
 )
 
 // tinyLab builds (once) the tiny-preset lab shared by every test.
-func tinyLab(t *testing.T) *experiments.Lab {
+func tinyLab(t testing.TB) *experiments.Lab {
 	t.Helper()
 	labOnce.Do(func() { lab, labErr = experiments.NewLab(experiments.ScaleTiny()) })
 	if labErr != nil {
@@ -45,7 +45,7 @@ func tinyLab(t *testing.T) *experiments.Lab {
 
 // sharedWarmNode builds (once) a fully warm serving node shared by the
 // read-only tests: Search mutates nothing, so they can't interfere.
-func sharedWarmNode(t *testing.T) *Node {
+func sharedWarmNode(t testing.TB) *Node {
 	t.Helper()
 	l := tinyLab(t)
 	warmOnce.Do(func() {

@@ -8,9 +8,8 @@ import (
 )
 
 // Stepper is the sequential replay core. Run drives it to completion;
-// callers that must interleave other work drive it incrementally: the
-// asapnode daemon replays the same trace event-by-event between wire
-// exchanges (internal/cluster). It owns the stepping discipline — tick
+// callers that must interleave other work drive it incrementally, as the
+// serving plane's warm-up does. It owns the stepping discipline — tick
 // boundaries, content-run coalescing, graceful-leave ordering — so Run
 // and any caller that executes every batch in trace order produce
 // byte-identical summaries.

@@ -7,19 +7,18 @@ import (
 	"io"
 	"net"
 	"sync"
-
-	"asap/internal/obs"
+	"time"
 )
 
 // Frame layout: a 4-byte big-endian length n, one type byte, then n-1
 // payload bytes. The length covers the type byte so a zero length is
 // structurally impossible and rejected outright.
 const (
-	// MaxFrame bounds a frame's declared length: 16 MB is far above any
-	// legitimate message (a full mega-scale binary trace is the largest)
-	// yet small enough that a forged header cannot make a receiver
-	// allocate arbitrarily.
-	MaxFrame = 1 << 24
+	// MaxFrame bounds a frame's declared length: 1 MB is three times the
+	// largest legitimate message (an MServeQuery or MServeOK of 65,536
+	// uvarint ids of at most 5 bytes each) yet small enough that a forged
+	// header cannot make a receiver allocate much.
+	MaxFrame = 1 << 20
 
 	headerLen = 4
 )
@@ -35,7 +34,7 @@ func (e ErrFrameTooLarge) Error() string {
 }
 
 // Conn is one framed connection. Reads and writes each assume a single
-// caller at a time (the request/response discipline every ASAP exchange
+// caller at a time (the request/response discipline every exchange
 // follows); a write mutex still serialises concurrent senders so a
 // misbehaving caller corrupts nothing.
 type Conn struct {
@@ -44,11 +43,6 @@ type Conn struct {
 
 	wmu sync.Mutex
 	bw  *bufio.Writer
-
-	// Optional per-connection accounting: frames and bytes in/out land on
-	// the recorder keyed by the replay clock. Set before first use.
-	rec   *obs.Recorder
-	clock func() int64
 }
 
 // NewConn wraps a byte stream in the frame codec.
@@ -56,18 +50,13 @@ func NewConn(c net.Conn) *Conn {
 	return &Conn{c: c, br: bufio.NewReaderSize(c, 64<<10), bw: bufio.NewWriterSize(c, 64<<10)}
 }
 
-// SetRecorder attaches per-connection frame/byte counters. clock supplies
-// the virtual time each frame is charged to; both may be nil (off).
-func (cn *Conn) SetRecorder(rec *obs.Recorder, clock func() int64) {
-	cn.rec, cn.clock = rec, clock
-}
+// SetReadDeadline bounds the next reads on the underlying stream (see
+// net.Conn); a ReadFrame still pending at t fails with a timeout error.
+func (cn *Conn) SetReadDeadline(t time.Time) error { return cn.c.SetReadDeadline(t) }
 
-func (cn *Conn) now() int64 {
-	if cn.clock == nil {
-		return 0
-	}
-	return cn.clock()
-}
+// SetWriteDeadline bounds the next writes on the underlying stream (see
+// net.Conn); a WriteFrame still pending at t fails with a timeout error.
+func (cn *Conn) SetWriteDeadline(t time.Time) error { return cn.c.SetWriteDeadline(t) }
 
 // WriteFrame sends one frame and flushes it.
 func (cn *Conn) WriteFrame(t MsgType, payload []byte) error {
@@ -86,15 +75,7 @@ func (cn *Conn) WriteFrame(t MsgType, payload []byte) error {
 	if _, err := cn.bw.Write(payload); err != nil {
 		return err
 	}
-	if err := cn.bw.Flush(); err != nil {
-		return err
-	}
-	if cn.rec != nil {
-		now := cn.now()
-		cn.rec.CountN(now, obs.CNetFrameOut, 1)
-		cn.rec.CountN(now, obs.CNetByteOut, int64(headerLen)+int64(n))
-	}
-	return nil
+	return cn.bw.Flush()
 }
 
 // ReadFrame receives one frame. A declared length of zero or beyond
@@ -118,11 +99,6 @@ func (cn *Conn) ReadFrame() (MsgType, []byte, error) {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, nil, err
-	}
-	if cn.rec != nil {
-		now := cn.now()
-		cn.rec.CountN(now, obs.CNetFrameIn, 1)
-		cn.rec.CountN(now, obs.CNetByteIn, int64(headerLen)+int64(n))
 	}
 	return MsgType(body[0]), body[1:], nil
 }

@@ -54,8 +54,8 @@ func TestFrameTruncatedStream(t *testing.T) {
 	// io.ErrUnexpectedEOF, never a short read or a hang.
 	for cut := 1; cut < 9; cut++ {
 		var full bytes.Buffer
-		full.Write([]byte{0, 0, 0, 5})            // n = 5: type + 4 payload bytes
-		full.Write([]byte{byte(MAd), 1, 2, 3, 4}) // the frame body
+		full.Write([]byte{0, 0, 0, 5})                    // n = 5: type + 4 payload bytes
+		full.Write([]byte{byte(MServeQuery), 1, 2, 3, 4}) // the frame body
 		raw := full.Bytes()[:cut]
 
 		a, b := net.Pipe()
@@ -88,10 +88,20 @@ func TestFrameRejectsZeroLength(t *testing.T) {
 }
 
 func TestFrameRejectsOversized(t *testing.T) {
+	// The cap still admits the largest legal request: the most terms
+	// DecodeServeQuery accepts, each the widest id.
+	widest := ServeQuery{From: 1 << 31, Terms: make([]uint32, 1<<16)}
+	for i := range widest.Terms {
+		widest.Terms[i] = 1 << 31
+	}
+	if n := len(widest.Encode(nil)) + 1; n > MaxFrame {
+		t.Fatalf("largest legal query frame is %d bytes, over MaxFrame %d", n, MaxFrame)
+	}
+
 	// Write side: the length check fires before any bytes move.
 	ca, _ := pipePair(t)
 	big := make([]byte, MaxFrame) // n = MaxFrame+1 once the type byte counts
-	err := ca.WriteFrame(MAd, big)
+	err := ca.WriteFrame(MServeQuery, big)
 	var tooBig ErrFrameTooLarge
 	if !errors.As(err, &tooBig) {
 		t.Fatalf("WriteFrame(MaxFrame payload) = %v, want ErrFrameTooLarge", err)
@@ -140,14 +150,14 @@ func TestMemTransportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.WriteFrame(MConfirmReq, []byte("ping")); err != nil {
+	if err := c.WriteFrame(MServeQuery, []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
 	typ, p, err := c.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MConfirmReq || string(p) != "ping" {
+	if typ != MServeQuery || string(p) != "ping" {
 		t.Fatalf("echo = (%d, %q)", typ, p)
 	}
 }

@@ -2,64 +2,14 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 )
 
-// Frame types. Control frames (harness ↔ daemon) carry JSON payloads —
-// they are rare and inspection-friendly. Mesh frames (daemon ↔ daemon)
-// carry the binary ad/confirm/search encodings the batch engine already
-// uses: Bloom filters travel as bloom.EncodeWire bytes, patches as
-// Patch.Encode bytes, terms and ids as uvarints.
-const (
-	// Harness → daemon.
-	MHello MsgType = iota + 1
-	MPeers
-	MWarmup
-	MAdvance
-	MQuery
-	MFinish
-	MBye
-
-	// Daemon → harness.
-	MHelloOK
-	MPeersOK
-	MWarmupOK
-	MAdvanceOK
-	MQueryOK
-	MSummary
-	MByeOK
-	MErr
-
-	// Daemon ↔ daemon mesh.
-	MPeerHello
-	MAd
-	MAdAck
-	MConfirmReq
-	MConfirmOK
-	MAdsReq
-	MAdsOK
-)
-
-// WriteJSON marshals v and sends it as one frame of type t.
-func (cn *Conn) WriteJSON(t MsgType, v any) error {
-	p, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return cn.WriteFrame(t, p)
-}
-
-// ErrMsg is the payload of an MErr frame.
-type ErrMsg struct {
-	Msg string `json:"msg"`
-}
-
-// AdMsg is an MAd mesh frame: one ad publication, broadcast by the
-// publishing node's owner daemon so every replica can verify its local
-// snapshot byte-for-byte. Full always carries the bloom.EncodeWire filter
-// encoding; Patch carries the Patch.Encode bytes when the publication was
-// a patch ad (nil otherwise). Kind mirrors the scheme's ad kind byte.
+// AdMsg is the binary encoding of one ad publication. Full always carries
+// the bloom.EncodeWire filter encoding; Patch carries the Patch.Encode
+// bytes when the publication was a patch ad (nil otherwise). Kind is the
+// publisher's ad kind byte. No endpoint sends it; it is the reference ad
+// codec whose cost the repository benchmark reports.
 type AdMsg struct {
 	Src     uint32
 	Version uint16
@@ -82,7 +32,7 @@ func (m *AdMsg) Encode(buf []byte) []byte {
 	return buf
 }
 
-// DecodeAd parses an MAd payload.
+// DecodeAd parses an AdMsg encoding.
 func DecodeAd(p []byte) (AdMsg, error) {
 	var m AdMsg
 	src, p, err := readUvarint(p, "ad src", 1<<31)
@@ -119,160 +69,12 @@ func DecodeAd(p []byte) (AdMsg, error) {
 	return m, nil
 }
 
-// ConfirmReq is an MConfirmReq mesh frame: the two-phase search's content
-// confirmation, asked of the daemon owning the candidate source.
-type ConfirmReq struct {
-	Src   uint32
-	Terms []uint32
-}
-
-// Encode appends the binary form of r to buf.
-func (r *ConfirmReq) Encode(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(r.Src))
-	return appendU32List(buf, r.Terms)
-}
-
-// DecodeConfirmReq parses an MConfirmReq payload.
-func DecodeConfirmReq(p []byte) (ConfirmReq, error) {
-	var r ConfirmReq
-	src, p, err := readUvarint(p, "confirm src", 1<<31)
-	if err != nil {
-		return r, err
-	}
-	r.Src = uint32(src)
-	if r.Terms, p, err = readU32List(p, "confirm terms"); err != nil {
-		return r, err
-	}
-	if len(p) != 0 {
-		return r, fmt.Errorf("transport: %d trailing bytes after confirm", len(p))
-	}
-	return r, nil
-}
-
-// ConfirmOK flag bits (MConfirmOK payload: one byte).
-const (
-	ConfirmAlive = 1 << 0
-	ConfirmMatch = 1 << 1
-)
-
-// AdsReq is an MAdsReq mesh frame: phase 2's ads-request, served by the
-// daemon owning the target node from the target's replicated cache.
-type AdsReq struct {
-	Target      uint32
-	Requester   uint32
-	Interests   uint16
-	StaleBefore int64
-	Max         uint32
-	Terms       []uint32 // query terms; empty for a join pull
-}
-
-// Encode appends the binary form of r to buf.
-func (r *AdsReq) Encode(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(r.Target))
-	buf = binary.AppendUvarint(buf, uint64(r.Requester))
-	buf = binary.AppendUvarint(buf, uint64(r.Interests))
-	buf = binary.AppendVarint(buf, r.StaleBefore)
-	buf = binary.AppendUvarint(buf, uint64(r.Max))
-	return appendU32List(buf, r.Terms)
-}
-
-// DecodeAdsReq parses an MAdsReq payload.
-func DecodeAdsReq(p []byte) (AdsReq, error) {
-	var r AdsReq
-	target, p, err := readUvarint(p, "ads target", 1<<31)
-	if err != nil {
-		return r, err
-	}
-	requester, p, err := readUvarint(p, "ads requester", 1<<31)
-	if err != nil {
-		return r, err
-	}
-	interests, p, err := readUvarint(p, "ads interests", 1<<16)
-	if err != nil {
-		return r, err
-	}
-	stale, n := binary.Varint(p)
-	if n <= 0 {
-		return r, fmt.Errorf("transport: bad ads stale-before")
-	}
-	p = p[n:]
-	max, p, err := readUvarint(p, "ads max", 1<<20)
-	if err != nil {
-		return r, err
-	}
-	r.Target, r.Requester, r.Interests, r.StaleBefore, r.Max = uint32(target), uint32(requester), uint16(interests), stale, uint32(max)
-	if r.Terms, p, err = readU32List(p, "ads terms"); err != nil {
-		return r, err
-	}
-	if len(p) != 0 {
-		return r, fmt.Errorf("transport: %d trailing bytes after ads request", len(p))
-	}
-	return r, nil
-}
-
-// AdOffer is one served ad inside an MAdsOK reply: the snapshot identity
-// plus its bloom.EncodeWire filter bytes, which the requester verifies
-// against its own replica before merging.
-type AdOffer struct {
-	Src     uint32
-	Version uint16
-	Topics  uint16
-	Filter  []byte
-}
-
-// EncodeAdsReply appends the binary MAdsOK payload for offers to buf.
-func EncodeAdsReply(buf []byte, offers []AdOffer) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(offers)))
-	for i := range offers {
-		o := &offers[i]
-		buf = binary.AppendUvarint(buf, uint64(o.Src))
-		buf = binary.LittleEndian.AppendUint16(buf, o.Version)
-		buf = binary.AppendUvarint(buf, uint64(o.Topics))
-		buf = binary.AppendUvarint(buf, uint64(len(o.Filter)))
-		buf = append(buf, o.Filter...)
-	}
-	return buf
-}
-
-// DecodeAdsReply parses an MAdsOK payload.
-func DecodeAdsReply(p []byte) ([]AdOffer, error) {
-	count, p, err := readUvarint(p, "ads count", 1<<20)
-	if err != nil {
-		return nil, err
-	}
-	offers := make([]AdOffer, 0, min(int(count), 4096))
-	for i := uint64(0); i < count; i++ {
-		var o AdOffer
-		src, rest, err := readUvarint(p, "offer src", 1<<31)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) < 2 {
-			return nil, fmt.Errorf("transport: truncated offer version")
-		}
-		o.Src = uint32(src)
-		o.Version = binary.LittleEndian.Uint16(rest)
-		rest = rest[2:]
-		topics, rest, err := readUvarint(rest, "offer topics", 1<<16)
-		if err != nil {
-			return nil, err
-		}
-		o.Topics = uint16(topics)
-		if o.Filter, rest, err = readBytes(rest, "offer filter"); err != nil {
-			return nil, err
-		}
-		offers = append(offers, o)
-		p = rest
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("transport: %d trailing bytes after ads reply", len(p))
-	}
-	return offers, nil
-}
-
+// readUvarint reads one minimally encoded uvarint no larger than limit. A
+// padded encoding (a trailing 0x00 continuation group) is rejected, so
+// every accepted payload re-encodes to exactly the bytes it came from.
 func readUvarint(p []byte, what string, limit uint64) (uint64, []byte, error) {
 	v, n := binary.Uvarint(p)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && p[n-1] == 0) {
 		return 0, nil, fmt.Errorf("transport: bad %s", what)
 	}
 	if v > limit {

@@ -39,79 +39,26 @@ func TestAdMsgRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConfirmReqRoundTrip(t *testing.T) {
-	r := ConfirmReq{Src: 123, Terms: []uint32{5, 0, 1 << 30}}
-	enc := r.Encode(nil)
-	got, err := DecodeConfirmReq(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, r) {
-		t.Fatalf("round trip %+v != %+v", got, r)
-	}
-	if _, err := DecodeConfirmReq(append(enc, 9)); err == nil {
-		t.Fatal("trailing byte accepted")
+func TestServeCodecRoundTrip(t *testing.T) {
+	q := ServeQuery{From: 1<<31 - 1, Terms: []uint32{5, 0, 1 << 31}}
+	enc := q.Encode(nil)
+	gotQ, err := DecodeServeQuery(enc)
+	if err != nil || !reflect.DeepEqual(gotQ, q) {
+		t.Fatalf("query round trip = (%+v, %v), want %+v", gotQ, err, q)
 	}
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeConfirmReq(enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+		if _, err := DecodeServeQuery(enc[:cut]); err == nil {
+			t.Fatalf("query truncation at %d accepted", cut)
 		}
 	}
-}
-
-func TestAdsReqRoundTrip(t *testing.T) {
-	cases := []AdsReq{
-		{Target: 1, Requester: 2, Interests: 0x00ff, StaleBefore: -1, Max: 10, Terms: []uint32{9, 9, 9}},
-		{Target: 0, Requester: 0, Interests: 0, StaleBefore: 1 << 40, Max: 0, Terms: nil},
-	}
-	for i, r := range cases {
-		enc := r.Encode(nil)
-		got, err := DecodeAdsReq(enc)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if len(r.Terms) == 0 {
-			r.Terms = got.Terms // both empty; DeepEqual cares about nil-ness
-		}
-		if !reflect.DeepEqual(got, r) {
-			t.Fatalf("case %d: round trip %+v != %+v", i, got, r)
-		}
-		if _, err := DecodeAdsReq(append(enc, 1)); err == nil {
-			t.Fatalf("case %d: trailing byte accepted", i)
-		}
-		for cut := 0; cut < len(enc); cut++ {
-			if _, err := DecodeAdsReq(enc[:cut]); err == nil {
-				t.Fatalf("case %d: truncation at %d accepted", i, cut)
-			}
-		}
-	}
-}
-
-func TestAdsReplyRoundTrip(t *testing.T) {
-	offers := []AdOffer{
-		{Src: 5, Version: 2, Topics: 0x0101, Filter: []byte{1, 2, 3, 4}},
-		{Src: 7, Version: 65534, Topics: 1, Filter: bytes.Repeat([]byte{0xaa}, 128)},
-	}
-	enc := EncodeAdsReply(nil, offers)
-	got, err := DecodeAdsReply(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, offers) {
-		t.Fatalf("round trip mismatch: %+v != %+v", got, offers)
-	}
-	if _, err := DecodeAdsReply(append(enc, 0)); err == nil {
-		t.Fatal("trailing byte accepted")
-	}
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeAdsReply(enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
+	if _, err := DecodeServeQuery(append(enc, 9)); err == nil {
+		t.Fatal("query trailing byte accepted")
 	}
 
-	empty, err := DecodeAdsReply(EncodeAdsReply(nil, nil))
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty reply round trip = (%v, %v)", empty, err)
+	r := ServeReply{Epoch: 1 << 40, Phase2: true, Sources: []uint32{17, 290}}
+	gotR, err := DecodeServeReply(r.Encode(nil))
+	if err != nil || !reflect.DeepEqual(gotR, r) {
+		t.Fatalf("reply round trip = (%+v, %v), want %+v", gotR, err, r)
 	}
 }
 
@@ -121,13 +68,15 @@ func TestDecodeHostileHeaders(t *testing.T) {
 	hostile := [][]byte{
 		{0xff, 0xff, 0xff, 0xff, 0x7f},       // uvarint near 2^35 as a src
 		{0x01, 0x00, 0x00, 0xff, 0xff, 0x03}, // huge filter length
+		{0x01, 0xff, 0xff, 0x03},             // term count beyond the payload
+		{0x81, 0x00, 0x00},                   // padded (non-minimal) uvarint src
 	}
 	for i, p := range hostile {
 		if _, err := DecodeAd(p); err == nil {
 			t.Errorf("hostile ad %d accepted", i)
 		}
-		if _, err := DecodeAdsReply(p); err == nil {
-			t.Errorf("hostile ads reply %d accepted", i)
+		if _, err := DecodeServeQuery(p); err == nil {
+			t.Errorf("hostile serve query %d accepted", i)
 		}
 	}
 }

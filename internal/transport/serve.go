@@ -5,10 +5,8 @@ import (
 	"fmt"
 )
 
-// Serving-plane frame types (internal/serve's binary endpoint). They live
-// in a separate numeric range (0x50+) so they can never collide with the
-// cluster-harness and mesh types above, and a daemon can multiplex both
-// planes on one listener if it ever needs to.
+// Serving-plane frame types (internal/serve's binary endpoint), numbered
+// from 0x50. Every request frame gets exactly one reply frame.
 const (
 	// MServeQuery is a client → server search request.
 	MServeQuery MsgType = 0x50 + iota
@@ -32,8 +30,8 @@ const (
 	ServeErrOverloaded byte = 2
 	// ServeErrDraining: the server is shutting down.
 	ServeErrDraining byte = 3
-	// ServeErrBadRequest: the query frame did not decode or named an
-	// out-of-range peer.
+	// ServeErrBadRequest: the frame had an unknown type, did not decode,
+	// or named an out-of-range peer.
 	ServeErrBadRequest byte = 4
 )
 

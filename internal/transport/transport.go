@@ -1,27 +1,16 @@
-// Package transport moves the ASAP wire protocol between processes. It
-// deliberately stays dumb: length-prefixed frames over a byte stream,
-// with two interchangeable backends — real TCP sockets for the asapnode
-// daemon, and an in-memory pipe registry so the cluster harness and the
-// equivalence tests can run the exact same daemon engine without touching
-// the network stack. Frame payloads reuse the fuzz-hardened encodings the
-// batch engine already has (bloom.EncodeWire, Patch.Encode, the trace
-// event fields); this package never interprets them.
+// Package transport carries the serving plane's binary protocol: length-
+// prefixed frames over a byte stream, the MServe* request/reply payload
+// codecs, and two interchangeable backends — TCP sockets for the asapnode
+// daemon's binary endpoint, and an in-memory pipe registry so tests and
+// benchmarks can drive the same endpoint without the network stack.
+// Addresses are backend-specific strings (TCP "host:port", Mem "mem:n").
 package transport
 
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 )
-
-// Transport abstracts how daemons reach each other: Listen binds a
-// service address, Dial connects to one. Addresses are backend-specific
-// strings (TCP "host:port", Mem "mem:n").
-type Transport interface {
-	Listen(addr string) (Listener, error)
-	Dial(addr string) (*Conn, error)
-}
 
 // Listener accepts inbound connections.
 type Listener interface {
@@ -32,7 +21,7 @@ type Listener interface {
 	Close() error
 }
 
-// TCP is the socket-backed Transport.
+// TCP is the socket backend.
 type TCP struct{}
 
 // Listen binds a TCP listener; "127.0.0.1:0" picks a free loopback port.
@@ -44,7 +33,7 @@ func (TCP) Listen(addr string) (Listener, error) {
 	return tcpListener{l}, nil
 }
 
-// Dial connects to a TCP daemon address.
+// Dial connects to a TCP address.
 func (TCP) Dial(addr string) (*Conn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -66,7 +55,7 @@ func (t tcpListener) Accept() (*Conn, error) {
 func (t tcpListener) Addr() string { return t.l.Addr().String() }
 func (t tcpListener) Close() error { return t.l.Close() }
 
-// Mem is the in-process Transport: listeners register in a shared table
+// Mem is the in-process backend: listeners register in a shared table
 // and Dial splices the two ends with net.Pipe. The zero value is ready to
 // use; all Mem values share one address space.
 type Mem struct{}
@@ -109,18 +98,6 @@ func (Mem) Dial(addr string) (*Conn, error) {
 	case <-ln.done:
 		return nil, fmt.Errorf("transport: %s closed", addr)
 	}
-}
-
-// MemAddrs lists the currently bound in-memory addresses (test helper).
-func MemAddrs() []string {
-	memReg.Lock()
-	defer memReg.Unlock()
-	out := make([]string, 0, len(memReg.listeners))
-	for a := range memReg.listeners {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }
 
 type memListener struct {
