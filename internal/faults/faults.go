@@ -5,13 +5,13 @@
 // seed and the message's identity — (stream key, sequence number, source,
 // destination, class) — hashed through a PCG output permutation, so a
 // replay makes exactly the same decisions regardless of worker count or
-// scheduling. Stream keys derive from event identity (Key). Where the key
-// and the edge already name a message — a flooded ad crosses each directed
-// edge at most once — the sequence number is a constant and the decision
-// does not depend on the order messages are handled in; where they do not
-// (a walker can cross one edge twice; a query's cascade), it is a local
-// counter within one query or one walk delivery, both of which execute
-// sequentially, so no global state is shared between concurrent searches.
+// scheduling. Stream keys derive from event identity (Key). The sequence
+// number completes a message's name where key and edge do not — a leg, a
+// walker's step — so a flooded copy (at most one per directed edge) or a
+// baseline walker's message is decided independently of the order messages
+// are handled in. ASAP's query and walk-delivery messages number
+// themselves with a counter local to one sequentially executed query or
+// delivery, so no global state is shared between concurrent searches.
 //
 // A nil *Plane is valid everywhere and behaves as a perfectly reliable
 // network, which keeps the zero-loss hot path to a single nil check.

@@ -31,13 +31,23 @@ func referenceLiveSuper(g *Graph, v NodeID) []NodeID {
 }
 
 // checkViews pins the incrementally maintained views against the
-// reference scans for every node, including dead and reserve nodes.
+// reference scans for every node, including dead and reserve nodes, and
+// every live-view latency against Latency.
 func checkViews(t *testing.T, g *Graph, when string) {
 	t.Helper()
 	for v := 0; v < g.N(); v++ {
 		id := NodeID(v)
 		if want, got := referenceLive(g, id), g.LiveNeighbors(id); !slices.Equal(want, got) {
 			t.Fatalf("%s: LiveNeighbors(%d) = %v, want %v (adj %v)", when, v, got, want, g.Neighbors(id))
+		}
+		view, lat := g.LiveEdges(id)
+		if !slices.Equal(view, g.LiveNeighbors(id)) || len(lat) != len(view) {
+			t.Fatalf("%s: LiveEdges(%d) = %v with %d latencies, want %v", when, v, view, len(lat), g.LiveNeighbors(id))
+		}
+		for i, nb := range view {
+			if want := g.Latency(id, nb); int(lat[i]) != want {
+				t.Fatalf("%s: LiveEdges(%d) latency to %d = %d, want %d", when, v, nb, lat[i], want)
+			}
 		}
 		if g.Kind() == SuperPeerKind {
 			if want, got := referenceLiveSuper(g, id), g.LiveSuperNeighbors(id); !slices.Equal(want, got) {
@@ -51,10 +61,11 @@ func checkViews(t *testing.T, g *Graph, when string) {
 
 // TestLiveViewMatchesReferenceUnderChurn is the CSR equivalence property
 // test: across all three flat topologies plus the super-peer hierarchy,
-// the packed live views must equal the old filtered [][]NodeID reference
-// scan after every single mutation — joins, ungraceful leaves (the
-// overlay's graceful-leave path is the same detach), and super-peer
-// departures that trigger leaf rehoming.
+// the packed live views and their latencies must equal the old filtered
+// [][]NodeID reference scan after every single mutation — joins,
+// ungraceful leaves (the overlay's graceful-leave path is the same
+// detach), super-peer departures that trigger leaf rehoming, and the
+// rewiring edge swaps (AddEdge, RemoveEdge).
 func TestLiveViewMatchesReferenceUnderChurn(t *testing.T) {
 	hosts := testHosts(t, 400, 31)
 	kinds := append(append([]Kind(nil), Kinds...), SuperPeerKind)
@@ -64,13 +75,29 @@ func TestLiveViewMatchesReferenceUnderChurn(t *testing.T) {
 			checkViews(t, g, "fresh")
 			rng := rand.New(rand.NewPCG(32, uint64(k)))
 			joined := 320
-			supersLeft := 0
-			for i := 0; i < 300; i++ {
+			supersLeft, added, removed := 0, 0, 0
+			for i := 0; i < 400; i++ {
 				switch {
-				case rng.Float64() < 0.4 && joined < 400:
+				case rng.Float64() < 0.3 && joined < 400:
 					g.Join(NodeID(joined), rng)
 					joined++
 					checkViews(t, g, "after join")
+				case rng.Float64() < 0.3:
+					// Rewiring, as the scenario director does it: a live node
+					// drops a live neighbour, then attaches to a live node.
+					v := NodeID(rng.IntN(joined))
+					nbs := g.LiveNeighbors(v)
+					if !g.Alive(v) || len(nbs) == 0 {
+						continue
+					}
+					if g.RemoveEdge(v, nbs[rng.IntN(len(nbs))]) {
+						removed++
+					}
+					checkViews(t, g, "after remove edge")
+					if u := NodeID(rng.IntN(joined)); g.Alive(u) && g.AddEdge(v, u) {
+						added++
+					}
+					checkViews(t, g, "after add edge")
 				case k == SuperPeerKind && rng.Float64() < 0.3 && supersLeft < 8:
 					// Force super-peer departures so orphan rehoming — the
 					// path that rewires many leaves at once — gets exercised.
@@ -86,6 +113,9 @@ func TestLiveViewMatchesReferenceUnderChurn(t *testing.T) {
 			}
 			if k == SuperPeerKind && supersLeft == 0 {
 				t.Fatal("churn never removed a super peer; rehoming untested")
+			}
+			if added == 0 || removed == 0 {
+				t.Fatalf("rewiring added %d and removed %d edges; both must be exercised", added, removed)
 			}
 			// Cloning mid-churn must preserve the views too.
 			checkViews(t, g.Clone(), "clone")

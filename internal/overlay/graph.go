@@ -72,12 +72,14 @@ func (k Kind) String() string {
 //
 // Alongside the adjacency, the graph maintains packed *live views*:
 // liveAdj holds, per node and in adjacency order, only the currently
-// alive neighbours (and supAdj, on super-peer graphs, only the alive
-// super-peer neighbours). The views share off/segCap with the edge arena
-// and are updated incrementally at every mutation — edge insertion
-// appends, edge removal and liveness flips rebuild the affected segments
-// (O(degree), on the rare churn path) — so delivery and search hot loops
-// iterate a pre-filtered slice instead of re-testing Alive per edge.
+// alive neighbours, liveLat each of those edges' latency at the same
+// index (and supAdj, on super-peer graphs, only the alive super-peer
+// neighbours). The views share off/segCap with the edge arena and are
+// updated incrementally at every mutation — edge insertion appends, edge
+// removal and liveness flips rebuild the affected segments (O(degree), on
+// the rare churn path) — so delivery and search hot loops iterate a
+// pre-filtered slice instead of re-testing Alive per edge, and read an
+// edge's latency sequentially instead of resolving it per copy.
 type Graph struct {
 	kind   Kind
 	hosts  []netmodel.PhysID
@@ -92,6 +94,7 @@ type Graph struct {
 	// CSR adjacency + live views (see type comment).
 	edges   []NodeID // adjacency arena
 	liveAdj []NodeID // alive neighbours, adjacency order; shares off/segCap
+	liveLat []int32  // liveAdj's edge latencies (ms), index for index
 	supAdj  []NodeID // alive super-peer neighbours (SuperPeerKind only)
 	off     []int32  // per-node segment start
 	deg     []int32  // adjacency length
@@ -172,6 +175,7 @@ func (g *Graph) Clone() *Graph {
 		rngSrc:  src,
 		edges:   slices.Clone(g.edges),
 		liveAdj: slices.Clone(g.liveAdj),
+		liveLat: slices.Clone(g.liveLat),
 		supAdj:  slices.Clone(g.supAdj),
 		off:     slices.Clone(g.off),
 		deg:     slices.Clone(g.deg),
@@ -219,6 +223,14 @@ func (g *Graph) LiveNeighbors(v NodeID) []NodeID {
 	return g.liveAdj[o : o+d : o+d]
 }
 
+// LiveEdges returns LiveNeighbors(v) and, index for index, each edge's
+// Latency in ms, read from the live latency arena instead of resolved per
+// call. Both are shared views, valid until the next graph mutation.
+func (g *Graph) LiveEdges(v NodeID) ([]NodeID, []int32) {
+	o, d := g.off[v], g.liveDeg[v]
+	return g.liveAdj[o : o+d : o+d], g.liveLat[o : o+d : o+d]
+}
+
 // LiveSuperNeighbors returns v's alive super-peer neighbours in adjacency
 // order (nil on flat topologies) — the cache-eligible view hierarchical
 // ad delivery iterates. The slice is valid until the next graph mutation.
@@ -245,7 +257,7 @@ func (g *Graph) Latency(a, b NodeID) int {
 func (g *Graph) TargetDegree() float64 { return g.avgDeg }
 
 // growSeg relocates v's segment to the end of the arenas with at least
-// doubled capacity. All three arenas move together so they keep sharing
+// doubled capacity. All four arenas move together so they keep sharing
 // off/segCap.
 func (g *Graph) growSeg(v NodeID) {
 	newCap := g.segCap[v] * 2
@@ -256,12 +268,14 @@ func (g *Graph) growSeg(v NodeID) {
 	newLen := int(newOff + newCap)
 	g.edges = append(g.edges, make([]NodeID, newCap)...)
 	g.liveAdj = append(g.liveAdj, make([]NodeID, newCap)...)
+	g.liveLat = append(g.liveLat, make([]int32, newCap)...)
 	if g.supDeg != nil {
 		g.supAdj = append(g.supAdj, make([]NodeID, newCap)...)
 	}
 	o := g.off[v]
 	copy(g.edges[newOff:newLen], g.edges[o:o+g.deg[v]])
 	copy(g.liveAdj[newOff:newLen], g.liveAdj[o:o+g.liveDeg[v]])
+	copy(g.liveLat[newOff:newLen], g.liveLat[o:o+g.liveDeg[v]])
 	if g.supDeg != nil {
 		copy(g.supAdj[newOff:newLen], g.supAdj[o:o+g.supDeg[v]])
 	}
@@ -281,6 +295,7 @@ func (g *Graph) appendNeighbor(v, u NodeID) {
 	g.deg[v]++
 	if g.alive[u] {
 		g.liveAdj[o+g.liveDeg[v]] = u
+		g.liveLat[o+g.liveDeg[v]] = int32(g.Latency(v, u))
 		g.liveDeg[v]++
 		if g.supDeg != nil && g.super[u] {
 			g.supAdj[o+g.supDeg[v]] = u
@@ -301,6 +316,7 @@ func (g *Graph) rebuildLive(v NodeID) {
 			continue
 		}
 		g.liveAdj[o+n] = nb
+		g.liveLat[o+n] = int32(g.Latency(v, nb))
 		n++
 		if g.supDeg != nil && g.super[nb] {
 			g.supAdj[o+ns] = nb

@@ -78,19 +78,7 @@ type scratch struct {
 	rng    *rand.Rand // draws from pcg; reseeded per query
 	acc    sim.SecAccumulator
 	accCtl sim.SecAccumulator
-
-	// Fault-plane message stream of the current query (see faults.Key):
-	// fkey names the query, fseq numbers its messages, so drop decisions
-	// depend on the query alone, never on lane scheduling.
-	fkey uint64
-	fseq uint32
-}
-
-// nextSeq returns the query's next message sequence number.
-func (s *scratch) nextSeq() uint32 {
-	v := s.fseq
-	s.fseq++
-	return v
+	fkey   uint64 // names the current query's messages to the fault plane (see faults.Key)
 }
 
 func newScratchPool(n int) *sync.Pool {
@@ -104,7 +92,6 @@ func newScratchPool(n int) *sync.Pool {
 // begin starts a fresh query in this scratch, keyed for the fault plane.
 func (s *scratch) begin(fkey uint64) {
 	s.fkey = fkey
-	s.fseq = 0
 	s.epoch++
 	if s.epoch == 0 { // wrapped: clear the stamps once per 2^32 queries
 		clear(s.mark)

@@ -45,20 +45,23 @@ func (f *Flooding) Search(ev *trace.Event) metrics.SearchResult {
 }
 
 // cascade simulates one flood cascade. Every copy sent is one query message
-// (duplicates included — a node that already saw the query still receives
-// the copies its neighbours send), but only a copy that can still be the
-// first to reach its receiver is queued (see scratch.claim). A node acts
-// on the copy that arrives earliest and, among those of one millisecond,
-// was sent earliest; it replies when it is a resolved candidate that
-// matches (see scratch.matches). Under a fault plane a dropped copy costs
-// its sender the message but never arrives (the branch is pruned unless
-// another copy reaches the node), and a dropped hit reply costs the
-// responder the bytes without the requester learning of the hit.
+// (duplicates included), booked in one add per forwarding node, but only a
+// copy that can still be the first to reach its receiver is queued (see
+// scratch.claim). A node acts on the copy that arrives earliest and, among
+// those of one millisecond, was sent earliest; it replies when it is a
+// resolved candidate that matches (see scratch.matches). A copy is named
+// (query, edge), a hit reply (query, holder → requester). An installed
+// plane is asked for every copy sent: a dropped copy costs its sender the
+// message but never arrives (the branch is pruned unless another copy
+// reaches the node), and a dropped hit reply costs the responder the bytes
+// without the requester learning of the hit.
 func (f *Flooding) cascade(sc *scratch, ev *trace.Event) metrics.SearchResult {
 	sys := f.sys
 	src := ev.Node
 	qBytes := sim.QueryBytes(len(ev.Terms))
 	t0 := ev.Time
+	faulty := sys.Faults() != nil
+	srcLive := sys.G.Alive(src) // a departed requester is in no live view
 
 	best := noResponse
 	bestHop := int32(0)
@@ -81,10 +84,9 @@ func (f *Flooding) cascade(sc *scratch, ev *trace.Event) metrics.SearchResult {
 		if it.node != src && sc.matches(sys, it.node) {
 			reply := t + sim.Clock(sys.Latency(it.node, src))
 			sc.acc.Add(t, sim.QueryHitBytes())
-			rseq := sc.nextSeq()
-			if sys.Arrives(t, metrics.MQueryHit, it.node, src, sc.fkey, rseq) {
+			if sys.Arrives(t, metrics.MQueryHit, it.node, src, sc.fkey, 0) {
 				hits++
-				reply += sys.JitterMS(metrics.MQueryHit, it.node, src, sc.fkey, rseq)
+				reply += sys.JitterMS(metrics.MQueryHit, it.node, src, sc.fkey, 0)
 				if reply < best {
 					best = reply
 					bestHop = it.hop
@@ -94,17 +96,23 @@ func (f *Flooding) cascade(sc *scratch, ev *trace.Event) metrics.SearchResult {
 		if int(it.hop) >= f.TTL {
 			continue
 		}
-		for _, nb := range sys.G.LiveNeighbors(it.node) {
-			if nb == it.from {
-				continue
+		// A copy to each live neighbour but the sender, whom claim refuses;
+		// the sender is in the view unless it is a departed requester.
+		view, lat := sys.G.LiveEdges(it.node)
+		sent := len(view)
+		if it.node != src && (it.from != src || srcLive) {
+			sent--
+		}
+		msgs += sent
+		sys.Obs().CountMsgN(int64(t), metrics.MQuery, sent)
+		for i, nb := range view {
+			at := t + sim.Clock(lat[i])
+			if faulty {
+				if nb == it.from || sys.Lost(t, metrics.MQuery, it.node, nb, sc.fkey, 0) {
+					continue // not sent, or lost: nb may still get a copy via another edge
+				}
+				at += sys.JitterMS(metrics.MQuery, it.node, nb, sc.fkey, 0)
 			}
-			msgs++
-			seq := sc.nextSeq()
-			if !sys.Arrives(t, metrics.MQuery, it.node, nb, sc.fkey, seq) || sc.visited(nb) {
-				continue // copy lost (nb may still get one via another edge) or late
-			}
-			at := t + sim.Clock(sys.Latency(it.node, nb)) +
-				sys.JitterMS(metrics.MQuery, it.node, nb, sc.fkey, seq)
 			if sc.claim(nb, at-t0) {
 				q.push(at, copyItem{node: nb, from: it.node, hop: it.hop + 1})
 			}

@@ -4,11 +4,14 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"asap/internal/faults"
 	"asap/internal/metrics"
+	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/sim"
 	"asap/internal/trace"
@@ -40,12 +43,12 @@ func (h *refHeap) Pop() any {
 }
 
 // refFlood is the flood cascade written for obviousness: a container/heap
-// holding every copy, no pruning, per-message accounting.
+// holding every copy, no pruning, per-message accounting, every message
+// put to the plane under its identity — a copy (query, u → v), a hit reply
+// (query, holder → requester).
 func refFlood(sys *sim.System, ev *trace.Event, ttl int) metrics.SearchResult {
 	src, t0 := ev.Node, ev.Time
 	key := faults.Key(t0, src)
-	var fseq uint32
-	next := func() uint32 { fseq++; return fseq - 1 }
 	visited := make(map[overlay.NodeID]bool)
 	h := &refHeap{{t: t0, node: src, from: src}}
 	sent := 1
@@ -61,11 +64,10 @@ func refFlood(sys *sim.System, ev *trace.Event, ttl int) metrics.SearchResult {
 		visited[it.node] = true
 		if it.node != src && sys.NodeMatches(it.node, ev.Terms) {
 			sys.Account(it.t, metrics.MQueryHit, sim.QueryHitBytes())
-			rseq := next()
-			if sys.Arrives(it.t, metrics.MQueryHit, it.node, src, key, rseq) {
+			if sys.Arrives(it.t, metrics.MQueryHit, it.node, src, key, 0) {
 				res.Hits++
 				reply := it.t + sim.Clock(sys.Latency(it.node, src)) +
-					sys.JitterMS(metrics.MQueryHit, it.node, src, key, rseq)
+					sys.JitterMS(metrics.MQueryHit, it.node, src, key, 0)
 				if reply < best {
 					best, res.Hops = reply, it.hop
 				}
@@ -79,13 +81,12 @@ func refFlood(sys *sim.System, ev *trace.Event, ttl int) metrics.SearchResult {
 				continue
 			}
 			msgs++
-			seq := next()
-			if !sys.Arrives(it.t, metrics.MQuery, it.node, nb, key, seq) {
+			if !sys.Arrives(it.t, metrics.MQuery, it.node, nb, key, 0) {
 				continue
 			}
 			heap.Push(h, refCopy{
 				t: it.t + sim.Clock(sys.Latency(it.node, nb)) +
-					sys.JitterMS(metrics.MQuery, it.node, nb, key, seq),
+					sys.JitterMS(metrics.MQuery, it.node, nb, key, 0),
 				seq: sent, node: nb, from: it.node, hop: it.hop + 1,
 			})
 			sent++
@@ -101,8 +102,9 @@ func refFlood(sys *sim.System, ev *trace.Event, ttl int) metrics.SearchResult {
 }
 
 // sameLoad holds the kernel's system to the reference's: the same bytes in
-// every second and message class and the same fault counters, with drops
-// exactly when the plane is lossy.
+// every second and message class, the same fault counters, with drops
+// exactly when the plane is lossy, and — when both record — the same
+// per-second observability series (message copies per class, drops).
 func sameLoad(t *testing.T, label string, sysK, sysR *sim.System, lossy bool) {
 	t.Helper()
 	for sec := 0; sec < sysK.Load.Seconds(); sec++ {
@@ -118,25 +120,64 @@ func sameLoad(t *testing.T, label string, sysK, sysR *sim.System, lossy bool) {
 	if dk != dr || rk != rr || tk != tr || lossy != (dk > 0) {
 		t.Errorf("%s: fault counts %d/%d/%d kernel, %d/%d/%d reference", label, dk, rk, tk, dr, rr, tr)
 	}
+	if recK, recR := sysK.Obs(), sysR.Obs(); recK != nil && recR != nil &&
+		!reflect.DeepEqual(recK.Series(label, sysK.Load), recR.Series(label, sysR.Load)) {
+		t.Errorf("%s: per-second observability series differ", label)
+	}
 }
 
 var allKinds = []overlay.Kind{overlay.Random, overlay.PowerLaw, overlay.Crawled}
 
-// Flooding.Search (bucket queue, send-time pruning, batched accounting)
-// must agree with refFlood on every query of the trace — result, every
-// per-second load cell and the drop count — on all three topologies,
-// fault-free and under loss + jitter, at TTL 0, 1 and 6.
+// floodPlanes are the fault planes a fast path can get wrong: none, loss +
+// jitter, jitter alone (not Active, yet it delays every copy) and an
+// engaged two-group partition at zero loss (Active, yet only cross-group
+// copies drop).
+var floodPlanes = []struct {
+	name string
+	mk   func(n int) *faults.Plane
+}{
+	{"reliable", func(int) *faults.Plane { return nil }},
+	{"loss+jitter", func(int) *faults.Plane {
+		return faults.New(faults.Config{Seed: 9, LossRate: 0.05, JitterMS: 20})
+	}},
+	{"jitter", func(int) *faults.Plane { return faults.New(faults.Config{Seed: 9, JitterMS: 20}) }},
+	{"partition", func(n int) *faults.Plane {
+		p, group := faults.New(faults.Config{Seed: 9}), make([]int8, n)
+		for i := range group {
+			group[i] = int8(i % 2)
+		}
+		p.SetPartition(group)
+		return p
+	}},
+}
+
+// Flooding.Search (bucket queue, send-time pruning, bulk counting) must
+// agree with refFlood on every query of the trace — result, every
+// per-second load and observability cell and the drop count — on all three
+// topologies, under every plane of floodPlanes, at TTL 0, 1 and 6. Then
+// ten requesters leave and query again: first isolated (Leave empties a
+// node's view), then wired back to their old neighbours with AddEdge, which
+// puts live nodes in a departed requester's view but not it in theirs.
 func TestFloodingMatchesHeapReference(t *testing.T) {
 	for _, kind := range allKinds {
-		for _, lossy := range []bool{false, true} {
+		for _, plane := range floodPlanes {
 			sysK, sysR := newSys(t, kind), newSys(t, kind)
-			if lossy {
-				cfg := faults.Config{Seed: 9, LossRate: 0.05, JitterMS: 20}
-				sysK.SetFaults(faults.New(cfg))
-				sysR.SetFaults(faults.New(cfg))
+			for _, sys := range []*sim.System{sysK, sysR} {
+				sys.SetFaults(plane.mk(sys.NumNodes()))
+				sys.SetObs(obs.NewRecorder(int(testTr.Span()/1000) + 2))
 			}
+			lossy := sysK.Faults().Active()
 			f := &Flooding{}
 			f.Attach(sysK)
+			same := func(i int, ev *trace.Event, phase string) {
+				t.Helper()
+				for _, ttl := range []int{0, 1, FloodTTL} {
+					f.TTL = ttl
+					if got, want := f.Search(ev), refFlood(sysR, ev, ttl); got != want {
+						t.Fatalf("%v %s%s ttl=%d event %d: kernel %+v, reference %+v", kind, plane.name, phase, ttl, i, got, want)
+					}
+				}
+			}
 			for i := range testTr.Events {
 				ev := &testTr.Events[i]
 				if ev.Kind != trace.Query {
@@ -144,14 +185,25 @@ func TestFloodingMatchesHeapReference(t *testing.T) {
 					sysR.ApplyEvent(ev)
 					continue
 				}
-				for _, ttl := range []int{0, 1, FloodTTL} {
-					f.TTL = ttl
-					if got, want := f.Search(ev), refFlood(sysR, ev, ttl); got != want {
-						t.Fatalf("%v lossy=%v ttl=%d event %d: kernel %+v, reference %+v", kind, lossy, ttl, i, got, want)
-					}
-				}
+				same(i, ev, "")
 			}
-			sameLoad(t, fmt.Sprintf("%v lossy=%v", kind, lossy), sysK, sysR, lossy)
+			for i, departed := 0, 0; i < len(testTr.Events) && departed < 10; i++ {
+				ev := &testTr.Events[i]
+				if ev.Kind != trace.Query || !sysK.G.Alive(ev.Node) {
+					continue
+				}
+				departed++
+				nbs := slices.Clone(sysK.G.LiveNeighbors(ev.Node))
+				sysK.G.Leave(ev.Node)
+				sysR.G.Leave(ev.Node)
+				same(i, ev, " departed")
+				for _, nb := range nbs {
+					sysK.G.AddEdge(ev.Node, nb)
+					sysR.G.AddEdge(ev.Node, nb)
+				}
+				same(i, ev, " departed+rewired")
+			}
+			sameLoad(t, fmt.Sprintf("%v %s", kind, plane.name), sysK, sysR, lossy)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func (g *GSA) walk(sc *scratch, ev *trace.Event) metrics.SearchResult {
 	// The live view is the seed list directly — shared with the graph (no
 	// per-query allocation) and stable for the query's duration, since
 	// walkers never mutate the overlay.
-	seeds := sys.G.LiveNeighbors(src)
+	seeds, lat := sys.G.LiveEdges(src)
 	qBytes := sim.QueryBytes(len(ev.Terms))
 	if len(seeds) == 0 {
 		return metrics.SearchResult{}
@@ -69,9 +69,9 @@ func (g *GSA) walk(sc *scratch, ev *trace.Event) metrics.SearchResult {
 	}
 
 	sc.pcg.Seed(querySeed(g.Seed, ev.Time, ev.Node), 0x51a2b3c4)
-	for _, nb := range seeds {
-		arr := ev.Time + sim.Clock(sys.Latency(src, nb))
-		sc.recs = append(sc.recs, runWalker(sys, sc, src, nb, arr, perWalker+1))
+	for i, nb := range seeds {
+		arr := ev.Time + sim.Clock(lat[i])
+		sc.recs = append(sc.recs, runWalker(sys, sc, i, src, nb, arr, perWalker+1))
 	}
 	// The seed messages themselves are already the first step of each
 	// walker record (runWalker records the starting neighbour), so

@@ -316,9 +316,10 @@ func TestPickNeighborAvoidsBacktrack(t *testing.T) {
 		t.Skip("no node with 3 live neighbours")
 	}
 	prev := sys.G.Neighbors(cur)[0]
+	nbs := sys.G.LiveNeighbors(cur)
 	rng := rand.New(rand.NewPCG(42, 42))
 	for i := 0; i < 200; i++ {
-		if got := pickNeighbor(sys, cur, prev, rng); got == prev {
+		if got := nbs[pickNeighbor(nbs, prev, rng)]; got == prev {
 			t.Fatal("pickNeighbor backtracked despite alternatives")
 		}
 	}
@@ -410,14 +411,22 @@ func TestSecAccumulator(t *testing.T) {
 	}
 }
 
+// BenchmarkFloodingSearch also reports the copies a search sends and the
+// time per copy, the cascade's own unit of work.
 func BenchmarkFloodingSearch(b *testing.B) {
 	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 1)
 	f := NewFlooding()
 	f.Attach(sys)
 	queries := traceQueries()
+	copies := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Search(queries[i%len(queries)])
+		ev := queries[i%len(queries)]
+		copies += f.Search(ev).Bytes / int64(sim.QueryBytes(len(ev.Terms)))
+	}
+	if copies > 0 {
+		b.ReportMetric(float64(copies)/float64(b.N), "copies/op")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(copies), "ns/copy")
 	}
 }
 

@@ -15,22 +15,24 @@ import (
 // scratch's flat times/nodes arrays at [start, start+steps). A lost
 // walker had a forwarded copy dropped at its final recorded step — the
 // copy was paid for but never arrived, so the walk ends there and the
-// final node was never actually visited.
+// final node was never actually visited. key names the walker's messages
+// to the fault plane: the query's key folded with the walker's index.
 type walkRec struct {
 	start     int
 	steps     int
 	matched   bool
 	matchTime sim.Clock
 	lost      bool
+	key       uint64
 }
 
-// runWalker walks one random walker from src for at most ttl steps,
-// stopping early at the first node matching the resolved query. Step records are
-// appended to the scratch arrays. Under a fault plane each forwarded copy
-// can be dropped, killing the walker silently (nobody retransmits a
-// walker).
-func runWalker(sys *sim.System, sc *scratch, src overlay.NodeID, start overlay.NodeID, t sim.Clock, ttl int) walkRec {
-	rec := walkRec{start: len(sc.nodes)}
+// runWalker walks walker number w from src for at most ttl steps, stopping
+// early at the first node matching the resolved query. Step records are
+// appended to the scratch arrays. Under a fault plane each forwarded copy —
+// named by (walker, step index) — can be dropped, killing the walker
+// silently (nobody retransmits a walker).
+func runWalker(sys *sim.System, sc *scratch, w int, src overlay.NodeID, start overlay.NodeID, t sim.Clock, ttl int) walkRec {
+	rec := walkRec{start: len(sc.nodes), key: faults.Fold(sc.fkey, uint64(w))}
 	cur, prev := start, src
 	if start != src {
 		// Seeded walkers (GSA) begin at a neighbour that was already
@@ -38,12 +40,11 @@ func runWalker(sys *sim.System, sc *scratch, src overlay.NodeID, start overlay.N
 		sc.nodes = append(sc.nodes, cur)
 		sc.times = append(sc.times, t)
 		rec.steps++
-		seq := sc.nextSeq()
-		if !sys.Arrives(t, metrics.MQuery, src, cur, sc.fkey, seq) {
+		if !sys.Arrives(t, metrics.MQuery, src, cur, rec.key, 0) {
 			rec.lost = true // seed copy dropped: the walker never starts
 			return rec
 		}
-		t += sys.JitterMS(metrics.MQuery, src, cur, sc.fkey, seq)
+		t += sys.JitterMS(metrics.MQuery, src, cur, rec.key, 0)
 		sc.times[rec.start] = t
 		if sc.matches(sys, cur) {
 			rec.matched, rec.matchTime = true, t
@@ -51,21 +52,22 @@ func runWalker(sys *sim.System, sc *scratch, src overlay.NodeID, start overlay.N
 		}
 	}
 	for rec.steps < ttl {
-		next := pickNeighbor(sys, cur, prev, sc.rng)
-		if next < 0 {
+		nbs, lat := sys.G.LiveEdges(cur)
+		i := pickNeighbor(nbs, prev, sc.rng)
+		if i < 0 {
 			break // dead end
 		}
-		t += sim.Clock(sys.Latency(cur, next))
-		prev, cur = cur, next
+		t += sim.Clock(lat[i])
+		prev, cur = cur, nbs[i]
+		step := uint32(rec.steps)
 		sc.nodes = append(sc.nodes, cur)
 		sc.times = append(sc.times, t)
 		rec.steps++
-		seq := sc.nextSeq()
-		if !sys.Arrives(t, metrics.MQuery, prev, cur, sc.fkey, seq) {
+		if !sys.Arrives(t, metrics.MQuery, prev, cur, rec.key, step) {
 			rec.lost = true // walker lost in transit
 			break
 		}
-		t += sys.JitterMS(metrics.MQuery, prev, cur, sc.fkey, seq)
+		t += sys.JitterMS(metrics.MQuery, prev, cur, rec.key, step)
 		sc.times[rec.start+rec.steps-1] = t
 		if cur != src && sc.matches(sys, cur) {
 			rec.matched, rec.matchTime = true, t
@@ -75,13 +77,12 @@ func runWalker(sys *sim.System, sc *scratch, src overlay.NodeID, start overlay.N
 	return rec
 }
 
-// pickNeighbor returns a uniformly random live neighbour of cur, avoiding
-// an immediate return to prev when any alternative exists; -1 when cur has
-// no live neighbour. Adjacency holds no duplicate edges, so prev appears at
-// most once in the live view: one early-exit scan finds it, and skipping
-// its index selects the k-th non-prev neighbour in adjacency order.
-func pickNeighbor(sys *sim.System, cur, prev overlay.NodeID, rng *rand.Rand) overlay.NodeID {
-	nbs := sys.G.LiveNeighbors(cur)
+// pickNeighbor returns the index in nbs, a live view, of a uniformly random
+// neighbour, avoiding an immediate return to prev when any alternative
+// exists; -1 when nbs is empty. Adjacency holds no duplicate edges, so prev
+// appears at most once in the live view: one early-exit scan finds it, and
+// skipping its index selects the k-th non-prev neighbour in adjacency order.
+func pickNeighbor(nbs []overlay.NodeID, prev overlay.NodeID, rng *rand.Rand) int {
 	if len(nbs) == 0 {
 		return -1
 	}
@@ -97,13 +98,13 @@ func pickNeighbor(sys *sim.System, cur, prev overlay.NodeID, rng *rand.Rand) ove
 		n--
 	}
 	if n == 0 {
-		return prev // backtracking is the only move
+		return pi // backtracking is the only move
 	}
 	k := rng.IntN(n)
 	if k >= pi {
 		k++
 	}
-	return nbs[k]
+	return k
 }
 
 // settleWalk computes, for all walkers of one query, the resolution time,
@@ -131,12 +132,11 @@ func settleWalk(sys *sim.System, sc *scratch, recs []walkRec, src overlay.NodeID
 		matchNode := sc.nodes[r.start+r.steps-1]
 		reply := r.matchTime + sim.Clock(sys.Latency(matchNode, src))
 		sc.acc.Add(r.matchTime, sim.QueryHitBytes())
-		rseq := sc.nextSeq()
-		if !sys.Arrives(r.matchTime, metrics.MQueryHit, matchNode, src, sc.fkey, rseq) {
+		if !sys.Arrives(r.matchTime, metrics.MQueryHit, matchNode, src, r.key, 0) {
 			continue // hit reply lost: the requester never hears of it
 		}
 		hits++
-		reply += sys.JitterMS(metrics.MQueryHit, matchNode, src, sc.fkey, rseq)
+		reply += sys.JitterMS(metrics.MQueryHit, matchNode, src, r.key, 0)
 		if reply < resolved {
 			resolved = reply
 			bestHop = r.steps
@@ -156,12 +156,13 @@ func settleWalk(sys *sim.System, sc *scratch, recs []walkRec, src overlay.NodeID
 		for s := CheckEvery; s <= checkable; s += CheckEvery {
 			probeAt := sc.times[r.start+s-1]
 			walker := sc.nodes[r.start+s-1]
+			leg := uint32(s-1) << 1 // the check-back after step s-1: probe leg 0, reply leg 1
 			sc.accCtl.Add(probeAt, sim.CheckBackBytes())
-			if !sys.Arrives(probeAt, metrics.MControl, walker, src, sc.fkey, sc.nextSeq()) {
+			if !sys.Arrives(probeAt, metrics.MControl, walker, src, r.key, leg) {
 				continue // probe lost: no reply, no instruction
 			}
 			sc.accCtl.Add(probeAt, sim.CheckBackBytes())
-			if !sys.Arrives(probeAt, metrics.MControl, src, walker, sc.fkey, sc.nextSeq()) {
+			if !sys.Arrives(probeAt, metrics.MControl, src, walker, r.key, leg|1) {
 				continue // stop instruction lost: the walker keeps going
 			}
 			if resolved != noResponse && probeAt >= resolved {
@@ -229,7 +230,7 @@ func (w *RandomWalk) walk(sc *scratch, ev *trace.Event) metrics.SearchResult {
 	sys := w.sys
 	sc.pcg.Seed(querySeed(w.Seed, ev.Time, ev.Node), 0x9d8f3c21)
 	for k := 0; k < w.Walkers; k++ {
-		sc.recs = append(sc.recs, runWalker(sys, sc, ev.Node, ev.Node, ev.Time, w.TTL))
+		sc.recs = append(sc.recs, runWalker(sys, sc, k, ev.Node, ev.Node, ev.Time, w.TTL))
 	}
 	return settleWalk(sys, sc, sc.recs, ev.Node, ev.Time, sim.QueryBytes(len(ev.Terms)), 0)
 }
