@@ -174,8 +174,8 @@ type holderTab struct {
 // holderSlot is one table slot, 8 bytes. key is node+1 so 0 marks an empty
 // slot for any valid NodeID; idx is the entry's index in the holder's slab
 // (≤ maxCacheCapacity); ver is the version of the snapshot cached there,
-// restamped wherever that snapshot is set (store, the flood's holders pass),
-// so a flood learns "already at this version" without reading the slab.
+// restamped wherever that snapshot is set (store, the delivery apply pass),
+// so a delivery learns "already at this version" without reading the slab.
 type holderSlot struct {
 	key      uint32
 	idx, ver uint16

@@ -341,7 +341,7 @@ func (s *Scheme) buildFilter(n overlay.NodeID) *bloom.Filter {
 }
 
 // publishedSnapshot returns node n's current published ad (nil if none).
-// Runner thread only — every caller (applyAd's gap fetch, Tick's refresh,
+// Runner thread only — every caller (a delivery's gap fetch, Tick's refresh,
 // republishAndDeliver) runs behind the query-batch barrier, so the read
 // needs no lock; searches read `published` themselves under mu.
 func (s *Scheme) publishedSnapshot(n overlay.NodeID) *adSnapshot {
@@ -423,11 +423,10 @@ func (s *Scheme) NodeLeaving(t sim.Clock, n overlay.NodeID) {
 		return
 	}
 	gkey := faults.Fold(faults.Key(int64(t), n), 2)
-	var gseq uint32
 	s.beginApply()
 	defer s.endApply()
 	for _, nb := range s.eligibleView(n) {
-		if !s.sys.Deliver(t, metrics.MControl, sim.HeaderBytes, n, nb, gkey, nextSeq(&gseq)) {
+		if !s.sys.Deliver(t, metrics.MControl, sim.HeaderBytes, n, nb, gkey, 0) {
 			continue // goodbye lost: nb finds out the hard way
 		}
 		s.drop(nb, n, false)

@@ -8,10 +8,10 @@
 // scheduling. Stream keys derive from event identity (Key). The sequence
 // number completes a message's name where key and edge do not — a leg, a
 // walker's step — so a flooded copy (at most one per directed edge) or a
-// baseline walker's message is decided independently of the order messages
-// are handled in. ASAP's query and walk-delivery messages number
-// themselves with a counter local to one sequentially executed query or
-// delivery, so no global state is shared between concurrent searches.
+// walker's message, baseline or ASAP delivery, is decided independently of
+// the order messages are handled in. ASAP's query messages number
+// themselves with a counter local to one sequentially executed query, so no
+// global state is shared between concurrent searches.
 //
 // A nil *Plane is valid everywhere and behaves as a perfectly reliable
 // network, which keeps the zero-loss hot path to a single nil check.
