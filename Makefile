@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race determinism loss-smoke bench-gate bench-quick bench bench-delivery bench-replay fuzz-smoke obs-smoke alloc-gate shard-smoke mem-gate scenario-smoke serve-smoke bench-serve profile check
+.PHONY: build test vet fmt race determinism loss-smoke bench-gate bench-quick bench bench-delivery bench-replay fuzz-smoke obs-smoke alloc-gate mem-gate scenario-smoke serve-smoke bench-serve profile check
 
 build:
 	$(GO) build ./...
@@ -20,25 +20,26 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The packages that run scheme code concurrently (sharded replay lanes,
-# parallel matrix cells), plus the signature-index equivalence property
-# (bit-sliced scan ≡ scalar linear scan under churn × loss × eviction) and
-# the many-lane ASAP replay, which share frozen slot matrices and per-node
-# caches across concurrent searches and so must hold under the detector —
-# and the batched-flood properties (batched tick ≡ sequential deliveries ≡
-# per-node reference, with and without a fault plane; a lossy tick is
-# chunking-invariant) and the walk property (walk then apply ≡ apply at every
-# visit), whose delivery scratch is runner-thread-only state.
+# The package that runs scheme code concurrently (parallel matrix cells,
+# each attaching through the parallel filter builds), plus core's
+# signature-index equivalence property (bit-sliced scan ≡ scalar linear scan
+# under churn × loss × eviction), the batched-flood properties (batched
+# tick ≡ sequential deliveries ≡ per-node reference, with and without a
+# fault plane; a lossy tick is chunking-invariant) and the walk property
+# (walk then apply ≡ apply at every visit).
 race:
-	$(GO) test -race ./internal/sim ./internal/experiments
-	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestParallelSearchSafety|TestFloodBatchMatchesSequentialAndPerNode|TestFloodUnderPlaneIsChunkingInvariant|TestWalkDeliveryMatchesPerVisit' ./internal/core
+	$(GO) test -race ./internal/experiments
+	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestFloodBatchMatchesSequentialAndPerNode|TestFloodUnderPlaneIsChunkingInvariant|TestWalkDeliveryMatchesPerVisit' ./internal/core
 
 # Determinism gate: outputs are a pure function of (preset, seed, scenario)
-# at every core count, so the sim / matrix / scenario equivalence suites —
-# and the baselines' kernel-vs-reference suite over their pooled scratch —
-# must pass at each GOMAXPROCS, not only at the host's (≈ 2 min).
+# at every core count. A replay runs on one goroutine, so only the code
+# that fans out by GOMAXPROCS can break that: RunMatrix's cell workers
+# (experiments), the physical network's parallel generation (netmodel),
+# and Attach's parallel filter builds (the root single-run test). Each
+# suite passes at every GOMAXPROCS below, not only at the host's.
 determinism:
-	$(GO) test -count=1 -cpu 1,2,3,4,8 ./internal/sim ./internal/search ./internal/experiments ./internal/scenario
+	$(GO) test -count=1 -cpu 1,2,3,4,8 ./internal/experiments ./internal/netmodel
+	$(GO) test -count=1 -cpu 1,2,3,4,8 -run 'TestSingleRunIndependentOfGOMAXPROCS' .
 
 # The fault-plane property suite under the race detector: a tiny matrix at
 # 2% message loss must be identical for 1 and N matrix workers, and a
@@ -109,7 +110,7 @@ bench-replay:
 # Zero-alloc gates: the obs-off hot path (promised in internal/obs), the
 # warmed-up delivery hot loops (flood, a 64-source refresh tick, walk), the
 # warmed-up replay scan paths (scanCache, serveAds), a
-# warmed-up search of each baseline (pooled scratch), and patch sizing on
+# warmed-up search of each baseline (the scheme's scratch), and patch sizing on
 # the publish path (exact even for unsorted caller-built lists).
 alloc-gate:
 	$(GO) test -run 'TestObsOffHotPathAllocs' -count=1 .
@@ -117,26 +118,17 @@ alloc-gate:
 	$(GO) test -run 'TestBaselineSearchAllocs' -count=1 ./internal/search
 	$(GO) test -run 'TestPatchWireSizeAllocs' -count=1 ./internal/bloom
 
-# Sharded-replay equivalence under the race detector: the tiny matrix under
-# churn × 2% loss must be byte-identical to the sequential replay at every
-# shard count (1, 2, 4 and a non-dividing 7), and the synthetic
-# order-sensitive probe scheme must agree too. -race doubles as a soundness
-# proof of the conflict plan: an undeclared cross-lane overlap is a data race.
-shard-smoke:
-	$(GO) test -race -run 'TestShardedReplayEquivalence|TestShardedDispatcherMatchesSequential' \
-		./internal/experiments ./internal/sim
-
-# Peak-heap gate: one sharded small-scale asap-rw replay must stay inside
-# its live-heap budget (obs.HeapGauge high-water sampling, once per
-# simulated second), so per-node memory creep fails fast.
+# Peak-heap gate: one small-scale asap-rw replay must stay inside its
+# live-heap budget (obs.HeapGauge high-water sampling, once per simulated
+# second), so per-node memory creep fails fast.
 mem-gate:
 	$(GO) test -run 'TestSmallReplayPeakHeapBound' -count=1 ./internal/experiments
 
 # Adversarial-scenario gate under the race detector: every built-in
 # scenario (partitions, flash crowds, churn storms, free riders, interest
-# drift, rewiring) replays byte-identically across shard counts and must
-# match its pinned golden summary + series hash. Regenerate goldens
-# deliberately with `go test ./internal/scenario -run TestGoldenReplay -update`.
+# drift, rewiring) must show its acts' effects in its series and match its
+# pinned golden summary + series hash. Regenerate goldens deliberately with
+# `go test ./internal/scenario -run TestGoldenReplay -update`.
 scenario-smoke:
 	$(GO) test -race -count=1 ./internal/scenario
 
@@ -167,4 +159,4 @@ profile:
 		-cpuprofile out/cpu.pb -memprofile out/mem.pb -mutexprofile out/mutex.pb
 	@echo "profiles written to out/{cpu,mem,mutex}.pb"
 
-check: vet fmt test race determinism loss-smoke bench-gate bench-quick bench-delivery bench-replay obs-smoke alloc-gate shard-smoke mem-gate scenario-smoke serve-smoke fuzz-smoke
+check: vet fmt test race determinism loss-smoke bench-gate bench-quick bench-delivery bench-replay obs-smoke alloc-gate mem-gate scenario-smoke serve-smoke fuzz-smoke

@@ -4,14 +4,12 @@
 //
 // Usage:
 //
-//	asapsim [-scale full|small|tiny|mega] [-scheme name] [-topo name]
-//	        [-trace file] [-scenario name|file] [-shards n] [-seed n]
+//	asapsim [-scale full|small|tiny] [-scheme name] [-topo name]
+//	        [-trace file] [-scenario name|file] [-seed n]
 //	        [-series] [-seriesdir dir] [-cpuprofile path]
 //	        [-memprofile path] [-mutexprofile path] [-pprof addr]
 //
-// The replay is sequential and a pure function of (preset, seed, trace);
-// -shards n is the one way to use more than one core inside a run, and
-// its outputs are byte-identical to the sequential replay at every n.
+// The replay is sequential and a pure function of (preset, seed, trace).
 //
 // With -trace, the query/churn trace is loaded from a file produced by
 // tracegen instead of being regenerated (the content universe is still
@@ -20,8 +18,7 @@
 //
 // With -scenario, a registered adversarial scenario (or a scenario JSON
 // file) is staged and replayed instead: the scenario carries its own
-// scale, scheme, topology, seed and loss, so those flags are ignored;
-// -shards still applies.
+// scale, scheme, topology, seed and loss, so those flags are ignored.
 package main
 
 import (
@@ -31,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"asap/internal/cliutil"
 	"asap/internal/experiments"
 	"asap/internal/metrics"
 	"asap/internal/obs"
@@ -47,7 +43,6 @@ func main() {
 		topo      = flag.String("topo", "crawled", "overlay topology (random, powerlaw, crawled)")
 		traceFile = flag.String("trace", "", "replay a trace file from tracegen instead of regenerating")
 		scenArg   = flag.String("scenario", "", "replay an adversarial scenario by registry name or JSON file (overrides -scale/-scheme/-topo/-seed); names: "+strings.Join(scenario.Names(), ", "))
-		shards    = flag.Int("shards", 0, "replay shards: 0 = sequential, <0 = auto (GOMAXPROCS); outputs are byte-identical at every count (unset: the preset's own default)")
 		seed      = flag.Uint64("seed", 1, "master seed")
 		series    = flag.Bool("series", false, "also print the per-second load series")
 		seriesDir = flag.String("seriesdir", "", "write the run's per-second observability series (CSV+JSON) into this directory")
@@ -57,18 +52,15 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
-	// -shards unset keeps the preset's own default (mega shards by
-	// default); set, it overrides the preset either way.
-	shardsOverride := cliutil.IntOverride("shards", *shards)
 	stopProf, err := obs.StartProfiles(*cpuProf, *memProf, *mutexProf, *pprofAddr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "asapsim:", err)
 		os.Exit(1)
 	}
 	if *scenArg != "" {
-		err = runScenario(*scenArg, shardsOverride, *series, *seriesDir)
+		err = runScenario(*scenArg, *series, *seriesDir)
 	} else {
-		err = run(*scaleName, *scheme, *topo, *traceFile, shardsOverride, *seed, *series, *seriesDir)
+		err = run(*scaleName, *scheme, *topo, *traceFile, *seed, *series, *seriesDir)
 	}
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -79,12 +71,11 @@ func main() {
 	}
 }
 
-func run(scaleName, scheme, topoName, traceFile string, shardsOverride int, seed uint64, series bool, seriesDir string) error {
+func run(scaleName, scheme, topoName, traceFile string, seed uint64, series bool, seriesDir string) error {
 	sc, err := experiments.ByName(scaleName)
 	if err != nil {
 		return err
 	}
-	cliutil.ApplyInt(shardsOverride, &sc.ShardCount)
 	sc.Seed = seed
 	kind := overlay.Kind(255)
 	for _, k := range overlay.Kinds {
@@ -138,15 +129,13 @@ func run(scaleName, scheme, topoName, traceFile string, shardsOverride int, seed
 
 // runScenario stages and replays one adversarial scenario, printing the
 // standard summary block plus the scenario's act counters.
-func runScenario(arg string, shardsOverride int, series bool, seriesDir string) error {
+func runScenario(arg string, series bool, seriesDir string) error {
 	sn, err := scenario.Resolve(arg)
 	if err != nil {
 		return err
 	}
-	var opt scenario.Options
-	cliutil.ApplyInt(shardsOverride, &opt.Shards)
 	start := time.Now()
-	res, err := scenario.Run(sn, opt)
+	res, err := scenario.Run(sn)
 	if err != nil {
 		return err
 	}

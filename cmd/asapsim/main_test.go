@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"asap/internal/cliutil"
 	"asap/internal/content"
 	"asap/internal/experiments"
 	"asap/internal/obs"
@@ -34,16 +33,16 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run("bogus", "asap-rw", "crawled", "", cliutil.NoOverride, 1, false, ""); err == nil {
+	if err := run("bogus", "asap-rw", "crawled", "", 1, false, ""); err == nil {
 		t.Error("bad scale accepted")
 	}
-	if err := run("tiny", "bogus", "crawled", "", cliutil.NoOverride, 1, false, ""); err == nil {
+	if err := run("tiny", "bogus", "crawled", "", 1, false, ""); err == nil {
 		t.Error("bad scheme accepted")
 	}
-	if err := run("tiny", "asap-rw", "mesh", "", cliutil.NoOverride, 1, false, ""); err == nil {
+	if err := run("tiny", "asap-rw", "mesh", "", 1, false, ""); err == nil {
 		t.Error("bad topology accepted")
 	}
-	if err := run("tiny", "asap-rw", "crawled", "/nonexistent/trace.bin", cliutil.NoOverride, 1, false, ""); err == nil {
+	if err := run("tiny", "asap-rw", "crawled", "/nonexistent/trace.bin", 1, false, ""); err == nil {
 		t.Error("missing trace file accepted")
 	}
 }
@@ -53,7 +52,7 @@ func TestRunPrintsMetrics(t *testing.T) {
 		t.Skip("tiny run in -short mode")
 	}
 	out, err := captureStdout(t, func() error {
-		return run("tiny", "asap-rw", "crawled", "", cliutil.NoOverride, 1, true, "")
+		return run("tiny", "asap-rw", "crawled", "", 1, true, "")
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -74,7 +73,7 @@ func TestRunMatchesDirectReplay(t *testing.T) {
 	}
 	gotDir := t.TempDir()
 	got, err := captureStdout(t, func() error {
-		return run("tiny", "asap-rw", "crawled", "", cliutil.NoOverride, 1, true, gotDir)
+		return run("tiny", "asap-rw", "crawled", "", 1, true, gotDir)
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -156,7 +155,7 @@ func TestRunWithExternalTrace(t *testing.T) {
 	f.Close()
 
 	out, err := captureStdout(t, func() error {
-		return run("tiny", "flooding", "random", path, cliutil.NoOverride, 1, false, "")
+		return run("tiny", "flooding", "random", path, 1, false, "")
 	})
 	if err != nil {
 		t.Fatalf("run with trace file: %v", err)

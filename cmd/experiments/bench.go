@@ -25,17 +25,6 @@ type benchSide struct {
 	PeakHeapMB float64 `json:"peak_heap_mb,omitempty"`
 }
 
-// shardPoint is one row of the shard-scaling block: the whole matrix
-// replayed with every run split into Shards shards (matrix fan-out pinned
-// to one worker so the wall time isolates intra-run shard parallelism),
-// checked byte-identical against the sequential baseline matrix.
-type shardPoint struct {
-	Shards       int     `json:"shards"`
-	WallMS       float64 `json:"wall_ms"`
-	PeakHeapMB   float64 `json:"peak_heap_mb"`
-	OutputsEqual bool    `json:"outputs_equal"`
-}
-
 // benchRecord is the machine-readable perf record -benchjson emits: the
 // sequential fresh-graph baseline (the pre-optimization RunMatrix) versus
 // the parallel cloned-graph path, over the same lab. Both sides are timed
@@ -69,19 +58,13 @@ type benchRecord struct {
 	// the previous record, alongside the per-run allocation counters and
 	// whether the new matrix still matched its own sequential baseline.
 	// Nil when no previous record existed at the output path.
-	ReplayDelta *replayDelta `json:"replay_phase_delta,omitempty"`
-	// ShardScaling times the sharded replay engine at several shard counts
-	// over the same matrix, each point gated on byte-equality with the
-	// sequential baseline. Wall-clock scaling is only visible on a
-	// multi-core host; on one CPU the points document equality and the
-	// (bounded) memory cost of sharding instead.
-	ShardScaling []shardPoint `json:"shard_scaling,omitempty"`
+	ReplayDelta  *replayDelta `json:"replay_phase_delta,omitempty"`
 	SpeedupX     *float64     `json:"speedup_x"`
 	SpeedupNote  string       `json:"speedup_note,omitempty"`
 	OutputsEqual bool         `json:"outputs_equal"`
-	// ScaleRuns carries the -scalerun records (full/mega wall time and peak
-	// heap) forward across -benchjson regenerations, which otherwise
-	// rewrite the whole file.
+	// ScaleRuns carries the -scalerun records (wall time and peak heap)
+	// forward across -benchjson regenerations, which otherwise rewrite the
+	// whole file.
 	ScaleRuns json.RawMessage `json:"scale_runs,omitempty"`
 	When      string          `json:"when"`
 }
@@ -275,28 +258,6 @@ func runBenchJSON(scaleName string, seed uint64, matrixWorkers int, path string,
 		return err
 	}
 
-	// Shard-scaling block: the same matrix with every run sharded, matrix
-	// fan-out pinned to one worker so wall time isolates the intra-run
-	// shard parallelism. Each point is gated on byte-equality with the
-	// sequential baseline — the property the engine promises at any count.
-	var shardScaling []shardPoint
-	for _, s := range []int{1, 2, 4} {
-		progress("benchjson: sharded replay (%d shards)…", s)
-		lab.Scale.ShardCount = s // run() reads the lab's scale; no rebuild needed
-		gauge := obs.NewHeapGauge()
-		shMat, sh, err := timedMatrix(lab, experiments.MatrixOptions{Workers: 1, Heap: gauge})
-		if err != nil {
-			return err
-		}
-		shardScaling = append(shardScaling, shardPoint{
-			Shards:       s,
-			WallMS:       sh.WallMS,
-			PeakHeapMB:   gauge.PeakMB(),
-			OutputsEqual: reflect.DeepEqual(baseMat, shMat),
-		})
-	}
-	lab.Scale.ShardCount = 0
-
 	runs := 0
 	for _, per := range optMat {
 		runs += len(per)
@@ -315,7 +276,6 @@ func runBenchJSON(scaleName string, seed uint64, matrixWorkers int, path string,
 		Phases:        phases,
 		DeliveryDelta: deliveryPhaseDelta(path, phases),
 		ReplayDelta:   replayPhaseDelta(path, phases, opt.AllocsPerRun, outputsEqual),
-		ShardScaling:  shardScaling,
 		OutputsEqual:  outputsEqual,
 		ScaleRuns:     prevScaleRuns(path),
 		When:          time.Now().UTC().Format(time.RFC3339),
@@ -331,11 +291,6 @@ func runBenchJSON(scaleName string, seed uint64, matrixWorkers int, path string,
 	}
 	if !rec.OutputsEqual {
 		return fmt.Errorf("benchjson: parallel matrix differs from sequential baseline")
-	}
-	for _, p := range rec.ShardScaling {
-		if !p.OutputsEqual {
-			return fmt.Errorf("benchjson: %d-shard matrix differs from sequential baseline", p.Shards)
-		}
 	}
 	buf, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {

@@ -3,17 +3,16 @@
 //
 // Usage:
 //
-//	experiments [-scale full|small|tiny|mega] [-figure all|2|3|...|10|claims]
-//	            [-schemes csv] [-topos csv] [-matrixworkers n] [-shards n]
+//	experiments [-scale full|small|tiny] [-figure all|2|3|...|10|claims]
+//	            [-schemes csv] [-topos csv] [-matrixworkers n]
 //	            [-seed n] [-loss rate] [-quiet] [-benchjson path]
 //	            [-scalerun preset] [-scenario csv] [-series dir]
 //	            [-cpuprofile path] [-memprofile path] [-mutexprofile path]
 //	            [-pprof addr]
 //
 // Every run is a sequential replay, a pure function of (preset, seed).
-// More cores are used across matrix cells (-matrixworkers) and inside a
-// run by sharding it (-shards); both are byte-identical to the sequential
-// replay at every count.
+// More cores are used across matrix cells (-matrixworkers), and the
+// matrix is byte-identical at every worker count.
 //
 // Examples:
 //
@@ -24,10 +23,8 @@
 //	experiments -scale tiny -figure loss     # loss sweep: 0/1/2/5% message loss
 //	experiments -figure scenario             # every adversarial scenario (see internal/scenario)
 //	experiments -scenario partition-heal     # one scenario (registry name or JSON file)
-//	experiments -shards 4 -scale small       # sharded replay (same outputs, any count)
-//	experiments -benchjson BENCH_matrix.json # perf record: baseline vs parallel vs sharded
+//	experiments -benchjson BENCH_matrix.json # perf record: baseline vs parallel matrix
 //	experiments -scalerun full               # record the paper-scale matrix wall+heap
-//	experiments -scalerun mega               # 500k-peer run, shard-scaling record
 //	experiments -series out/                 # + per-second series per run (CSV+JSON)
 //	experiments -cpuprofile cpu.out          # profile the run (go tool pprof cpu.out)
 package main
@@ -39,7 +36,6 @@ import (
 	"strings"
 	"time"
 
-	"asap/internal/cliutil"
 	"asap/internal/experiments"
 	"asap/internal/obs"
 	"asap/internal/overlay"
@@ -52,13 +48,12 @@ func main() {
 		schemes   = flag.String("schemes", "", "comma-separated scheme subset (default: all six)")
 		topos     = flag.String("topos", "", "comma-separated topology subset (default: all three)")
 		matrixW   = flag.Int("matrixworkers", 0, "scheme×topology matrix workers (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "replay shards per run: 0 = sequential, <0 = auto (GOMAXPROCS); outputs are byte-identical at every count (unset: the preset's own default)")
 		seed      = flag.Uint64("seed", 1, "master seed")
 		seedCount = flag.Int("seeds", 3, "seeds for -figure seeds (robustness sweep)")
 		loss      = flag.Float64("loss", 0, "message loss rate in [0,1); 0 is the paper's reliable network")
 		quiet     = flag.Bool("quiet", false, "suppress progress output")
-		benchJSON = flag.String("benchjson", "", "write a matrix perf record (baseline vs parallel vs sharded) to this path and exit")
-		scaleRun  = flag.String("scalerun", "", "replay this preset end to end and merge its wall-time/peak-heap record into the scale_runs block of -benchjson's path (default BENCH_matrix.json); mega also records shard scaling")
+		benchJSON = flag.String("benchjson", "", "write a matrix perf record (baseline vs parallel) to this path and exit")
+		scaleRun  = flag.String("scalerun", "", "replay this preset's whole matrix end to end and merge its wall-time/peak-heap record into the scale_runs block of -benchjson's path (default BENCH_matrix.json)")
 		scenCSV   = flag.String("scenario", "", "comma-separated adversarial scenarios (registry names or JSON files) to replay; implies -figure scenario")
 		seriesDir = flag.String("series", "", "write each run's per-second observability series (CSV+JSON) into this directory")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this path")
@@ -71,9 +66,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: -loss %v out of [0,1)\n", *loss)
 		os.Exit(1)
 	}
-	// -shards unset keeps each preset's own default (mega shards by
-	// default); set, it overrides the preset either way.
-	shardsOverride := cliutil.IntOverride("shards", *shards)
 	stopProf, err := obs.StartProfiles(*cpuProf, *memProf, *mutexProf, *pprofAddr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -85,17 +77,17 @@ func main() {
 		if path == "" {
 			path = "BENCH_matrix.json"
 		}
-		err = runScaleRun(*scaleRun, *seed, *matrixW, shardsOverride, path, *quiet)
+		err = runScaleRun(*scaleRun, *seed, *matrixW, path, *quiet)
 	case *figure == "scenario" || *scenCSV != "":
-		err = runScenarioSweep(*scenCSV, *seriesDir, shardsOverride, *benchJSON, *quiet)
+		err = runScenarioSweep(*scenCSV, *seriesDir, *benchJSON, *quiet)
 	case *benchJSON != "":
 		err = runBenchJSON(*scaleName, *seed, *matrixW, *benchJSON, *quiet)
 	case *figure == "seeds":
-		err = runSeeds(*scaleName, *schemes, *topos, *seedCount, shardsOverride, *quiet)
+		err = runSeeds(*scaleName, *schemes, *topos, *seedCount, *quiet)
 	case *figure == "loss":
-		err = runLossSweep(*scaleName, *schemes, *topos, *seed, *seriesDir, shardsOverride, *quiet)
+		err = runLossSweep(*scaleName, *schemes, *topos, *seed, *seriesDir, *quiet)
 	default:
-		err = run(*scaleName, *figure, *schemes, *topos, *matrixW, *seed, *loss, *seriesDir, shardsOverride, *quiet)
+		err = run(*scaleName, *figure, *schemes, *topos, *matrixW, *seed, *loss, *seriesDir, *quiet)
 	}
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -106,12 +98,7 @@ func main() {
 	}
 }
 
-// applyShards folds the -shards flag into the preset.
-func applyShards(sc *experiments.Scale, override int) {
-	cliutil.ApplyInt(override, &sc.ShardCount)
-}
-
-func run(scaleName, figure, schemeCSV, topoCSV string, matrixWorkers int, seed uint64, loss float64, seriesDir string, shardsOverride int, quiet bool) error {
+func run(scaleName, figure, schemeCSV, topoCSV string, matrixWorkers int, seed uint64, loss float64, seriesDir string, quiet bool) error {
 	sc, err := experiments.ByName(scaleName)
 	if err != nil {
 		return err
@@ -119,7 +106,6 @@ func run(scaleName, figure, schemeCSV, topoCSV string, matrixWorkers int, seed u
 	sc.MatrixWorkers = matrixWorkers
 	sc.Seed = seed
 	sc.LossRate = loss
-	applyShards(&sc, shardsOverride)
 
 	progress := func(format string, args ...any) {
 		if !quiet {
@@ -228,12 +214,11 @@ func run(scaleName, figure, schemeCSV, topoCSV string, matrixWorkers int, seed u
 // runSeeds performs the robustness sweep: every selected scheme ×
 // topology is replayed under several seeds (fresh universe, trace,
 // placement and topology each time) and the metric spreads are printed.
-func runSeeds(scaleName, schemeCSV, topoCSV string, nSeeds, shardsOverride int, quiet bool) error {
+func runSeeds(scaleName, schemeCSV, topoCSV string, nSeeds int, quiet bool) error {
 	sc, err := experiments.ByName(scaleName)
 	if err != nil {
 		return err
 	}
-	applyShards(&sc, shardsOverride)
 	if nSeeds < 1 {
 		return fmt.Errorf("need ≥1 seeds")
 	}
@@ -276,13 +261,12 @@ func runSeeds(scaleName, schemeCSV, topoCSV string, nSeeds, shardsOverride int, 
 // runLossSweep replays the selected schemes on one topology under a
 // ladder of message-loss rates, showing how each degrades off the paper's
 // reliable-network assumption.
-func runLossSweep(scaleName, schemeCSV, topoCSV string, seed uint64, seriesDir string, shardsOverride int, quiet bool) error {
+func runLossSweep(scaleName, schemeCSV, topoCSV string, seed uint64, seriesDir string, quiet bool) error {
 	sc, err := experiments.ByName(scaleName)
 	if err != nil {
 		return err
 	}
 	sc.Seed = seed
-	applyShards(&sc, shardsOverride)
 	var schemeList []string
 	if schemeCSV != "" {
 		for _, s := range strings.Split(schemeCSV, ",") {

@@ -4,8 +4,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"asap/internal/cliutil"
 )
 
 // captureStdout redirects os.Stdout around fn and returns what it wrote.
@@ -27,19 +25,19 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run("bogus", "all", "", "", 0, 1, 0, "", cliutil.NoOverride, true); err == nil {
+	if err := run("bogus", "all", "", "", 0, 1, 0, "", true); err == nil {
 		t.Error("bad scale accepted")
 	}
-	if err := run("tiny", "99", "", "", 0, 1, 0, "", cliutil.NoOverride, true); err == nil {
+	if err := run("tiny", "99", "", "", 0, 1, 0, "", true); err == nil {
 		t.Error("bad figure accepted")
 	}
-	if err := run("tiny", "4", "", "mesh", 0, 1, 0, "", cliutil.NoOverride, true); err == nil {
+	if err := run("tiny", "4", "", "mesh", 0, 1, 0, "", true); err == nil {
 		t.Error("bad topology accepted")
 	}
-	if err := run("tiny", "7", "flooding", "crawled", 0, 1, 0, "", cliutil.NoOverride, true); err == nil {
+	if err := run("tiny", "7", "flooding", "crawled", 0, 1, 0, "", true); err == nil {
 		t.Error("figure 7 without asap-rw accepted")
 	}
-	if err := run("tiny", "7", "asap-rw", "random", 0, 1, 0, "", cliutil.NoOverride, true); err == nil {
+	if err := run("tiny", "7", "asap-rw", "random", 0, 1, 0, "", true); err == nil {
 		t.Error("figure 7 without crawled accepted")
 	}
 }
@@ -48,14 +46,14 @@ func TestRunSingleFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tiny lab runs in -short mode")
 	}
-	out, err := captureStdout(t, func() error { return run("tiny", "2", "", "", 0, 1, 0, "", cliutil.NoOverride, true) })
+	out, err := captureStdout(t, func() error { return run("tiny", "2", "", "", 0, 1, 0, "", true) })
 	if err != nil {
 		t.Fatalf("figure 2: %v", err)
 	}
 	if !strings.Contains(out, "Fig 2") || !strings.Contains(out, "audio") {
 		t.Errorf("figure 2 output wrong:\n%s", out)
 	}
-	out, err = captureStdout(t, func() error { return run("tiny", "3", "", "", 0, 1, 0, "", cliutil.NoOverride, true) })
+	out, err = captureStdout(t, func() error { return run("tiny", "3", "", "", 0, 1, 0, "", true) })
 	if err != nil || !strings.Contains(out, "Fig 3") {
 		t.Errorf("figure 3: %v\n%s", err, out)
 	}
@@ -66,7 +64,7 @@ func TestRunSubsetMatrixFigure(t *testing.T) {
 		t.Skip("tiny lab runs in -short mode")
 	}
 	out, err := captureStdout(t, func() error {
-		return run("tiny", "4", "flooding,asap-rw", "crawled", 0, 1, 0, "", cliutil.NoOverride, true)
+		return run("tiny", "4", "flooding,asap-rw", "crawled", 0, 1, 0, "", true)
 	})
 	if err != nil {
 		t.Fatalf("figure 4 subset: %v", err)
@@ -87,7 +85,7 @@ func TestRunClaimsFigure(t *testing.T) {
 		t.Skip("tiny lab runs in -short mode")
 	}
 	out, err := captureStdout(t, func() error {
-		return run("tiny", "claims", "flooding,random-walk,gsa,asap-fld,asap-rw", "crawled", 0, 1, 0, "", cliutil.NoOverride, true)
+		return run("tiny", "claims", "flooding,random-walk,gsa,asap-fld,asap-rw", "crawled", 0, 1, 0, "", true)
 	})
 	if err != nil {
 		t.Fatalf("claims: %v", err)

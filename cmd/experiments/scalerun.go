@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"time"
 
@@ -15,44 +14,31 @@ import (
 
 // scaleRunRecord is one -scalerun entry in the scale_runs block of the
 // bench JSON: the first-ever wall time and peak live heap of replaying a
-// preset end to end on this host. Wall-clock figures: comparable within
-// one host, not across machines.
+// preset's whole scheme×topology matrix end to end on this host.
+// Wall-clock figures: comparable within one host, not across machines.
 type scaleRunRecord struct {
-	Scale      string `json:"scale"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	// Scheme/Topology are set when the preset replays a single cell (mega)
-	// rather than the whole scheme×topology matrix (full).
-	Scheme     string  `json:"scheme,omitempty"`
-	Topology   string  `json:"topology,omitempty"`
+	Scale      string  `json:"scale"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	NumCPU     int     `json:"num_cpu"`
 	Runs       int     `json:"runs"`
 	Peers      int     `json:"peers"`
 	Queries    int     `json:"queries"`
 	LabBuildMS float64 `json:"lab_build_ms"`
-	// WallMS/PeakHeapMB time the headline replay: the whole matrix for
-	// full, the highest shard count for mega (per-count figures live in
-	// ShardScaling).
 	WallMS     float64 `json:"wall_ms"`
 	PeakHeapMB float64 `json:"peak_heap_mb"`
-	// ShardScaling, for mega, replays the same cell at several shard
-	// counts; OutputsEqual then asserts every count produced the same
-	// Summary as the first.
-	ShardScaling []shardPoint `json:"shard_scaling,omitempty"`
-	OutputsEqual *bool        `json:"outputs_equal,omitempty"`
-	Note         string       `json:"note,omitempty"`
-	When         string       `json:"when"`
+	When       string  `json:"when"`
 }
 
-// runScaleRun replays the preset end to end and merges its record into the
-// scale_runs block at path, preserving every other key of the file.
-func runScaleRun(preset string, seed uint64, matrixWorkers, shardsOverride int, path string, quiet bool) error {
+// runScaleRun replays the preset's whole matrix end to end and merges its
+// record into the scale_runs block at path, preserving every other key of
+// the file.
+func runScaleRun(preset string, seed uint64, matrixWorkers int, path string, quiet bool) error {
 	sc, err := experiments.ByName(preset)
 	if err != nil {
 		return err
 	}
 	sc.Seed = seed
 	sc.MatrixWorkers = matrixWorkers
-	applyShards(&sc, shardsOverride)
 	progress := func(format string, args ...any) {
 		if !quiet {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -77,25 +63,6 @@ func runScaleRun(preset string, seed uint64, matrixWorkers, shardsOverride int, 
 	}
 	progress("scalerun: lab ready in %.0f ms: %s", rec.LabBuildMS, st)
 
-	if sc.Name == "mega" {
-		err = scaleRunCell(lab, &rec, progress)
-	} else {
-		err = scaleRunMatrix(lab, &rec, progress)
-	}
-	if err != nil {
-		return err
-	}
-	if err := benchio.MergeEntry(path, "scale_runs", preset, rec); err != nil {
-		return err
-	}
-	progress("scalerun: %s recorded (%.0f ms wall, %.0f MB peak heap) → %s",
-		preset, rec.WallMS, rec.PeakHeapMB, path)
-	return nil
-}
-
-// scaleRunMatrix times the preset's whole scheme×topology matrix (the
-// full-preset path: every cell of the paper's evaluation at that scale).
-func scaleRunMatrix(lab *experiments.Lab, rec *scaleRunRecord, progress func(string, ...any)) error {
 	start := time.Now()
 	gauge := obs.NewHeapGauge()
 	m, err := lab.RunMatrixOpt(nil, nil, func(s string, k overlay.Kind) {
@@ -109,51 +76,11 @@ func scaleRunMatrix(lab *experiments.Lab, rec *scaleRunRecord, progress func(str
 	}
 	rec.WallMS = float64(time.Since(start).Milliseconds())
 	rec.PeakHeapMB = gauge.PeakMB()
-	return nil
-}
 
-// scaleRunCell times one asap-rw/random cell at several shard counts (the
-// mega-preset path: the whole matrix is out of reach at half a million
-// peers, flooding above all, so mega exercises the sharded engine on the
-// one cell the scale ceiling was raised for, and proves the counts agree).
-func scaleRunCell(lab *experiments.Lab, rec *scaleRunRecord, progress func(string, ...any)) error {
-	const scheme = "asap-rw"
-	const topo = overlay.Random
-	rec.Scheme, rec.Topology = scheme, topo.String()
-	rec.Note = "single cell: the full matrix (flooding above all) is infeasible at this scale"
-
-	var first any
-	equal := true
-	for _, s := range []int{1, 4} {
-		progress("scalerun: %s on %s with %d shard(s)…", scheme, topo, s)
-		lab.Scale.ShardCount = s
-		gauge := obs.NewHeapGauge()
-		start := time.Now()
-		m, err := lab.RunMatrixOpt([]string{scheme}, []overlay.Kind{topo}, nil,
-			experiments.MatrixOptions{Workers: 1, Heap: gauge})
-		if err != nil {
-			return err
-		}
-		wall := float64(time.Since(start).Milliseconds())
-		sum := m[scheme][topo]
-		if first == nil {
-			first = sum
-		} else if !reflect.DeepEqual(first, sum) {
-			equal = false
-		}
-		rec.ShardScaling = append(rec.ShardScaling, shardPoint{
-			Shards:       s,
-			WallMS:       wall,
-			PeakHeapMB:   gauge.PeakMB(),
-			OutputsEqual: reflect.DeepEqual(first, sum),
-		})
-		rec.Runs++
-		rec.WallMS = wall
-		rec.PeakHeapMB = gauge.PeakMB()
+	if err := benchio.MergeEntry(path, "scale_runs", preset, rec); err != nil {
+		return err
 	}
-	rec.OutputsEqual = &equal
-	if !equal {
-		return fmt.Errorf("scalerun: shard counts disagree on %s/%s", scheme, topo)
-	}
+	progress("scalerun: %s recorded (%.0f ms wall, %.0f MB peak heap) → %s",
+		preset, rec.WallMS, rec.PeakHeapMB, path)
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"asap/internal/benchio"
-	"asap/internal/cliutil"
 	"asap/internal/obs"
 	"asap/internal/scenario"
 )
@@ -33,13 +32,11 @@ type scenarioRecord struct {
 // runScenarioSweep replays the selected adversarial scenarios (default:
 // every registered one), prints the sweep table, and — when a bench path
 // is given — merges a scenarios block into it.
-func runScenarioSweep(csv, seriesDir string, shardsOverride int, benchPath string, quiet bool) error {
+func runScenarioSweep(csv, seriesDir, benchPath string, quiet bool) error {
 	var names []string
 	if csv != "" {
 		names = strings.Split(csv, ",")
 	}
-	var opt scenario.Options
-	cliutil.ApplyInt(shardsOverride, &opt.Shards)
 	var series *obs.Collector
 	if seriesDir != "" {
 		series = obs.NewCollector()
@@ -49,7 +46,7 @@ func runScenarioSweep(csv, seriesDir string, shardsOverride int, benchPath strin
 	start := time.Now()
 	walls := map[string]float64{}
 	last, lastName := start, ""
-	sw, err := scenario.RunSweep(names, opt, series, func(name string) {
+	sw, err := scenario.RunSweep(names, series, func(name string) {
 		now := time.Now()
 		if lastName != "" {
 			walls[lastName] = float64(now.Sub(last).Milliseconds())

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"asap/internal/bloom"
 	"asap/internal/content"
@@ -51,34 +50,18 @@ type cachedAd struct {
 // through their index — freshness bumps and snapshot swaps never
 // re-insert.
 //
-// Two distinct race surfaces exist, and each gets its own mechanism:
-//
-//   - Search vs Search: the sharded dispatcher's lanes (sim/shard.go)
-//     run the searches of one batch concurrently, and two of them can
-//     touch the same nodeState (a neighbour serving ads while another
-//     lane reads its cache). mu serialises these. A search mutating its
-//     own node's cache also writes holders[src] for arbitrary sources,
-//     which other lanes write too: those paths take the holder table's
-//     leaf lock, after mu (the store/drop/unhold `shared` argument).
-//   - Delivery vs Search: ad deliveries, publishes and leave/join events
-//     all run on the runner thread, and the runner finishes every query
-//     batch (all lanes joined) before processing a state event — so
-//     delivery-path writes NEVER overlap a search. The serving plane's
-//     readers are kept off an applying writer the same way, by its epoch
-//     gate (internal/serve), and read slab and fifo only. That single-
-//     writer guarantee lets the delivery path skip both locks entirely:
-//     the Scheme brackets each delivery-path write section with
-//     beginApply/endApply (one scheme-level version bump per delivery,
-//     not a lock per visited node) and search-side sections validate the
-//     contract via Scheme.checkStable.
-//
-// Own content bookkeeping (classCnt, dirty) is only touched from
-// runner-serialised callbacks and needs neither.
+// One goroutine writes it: the replay's (or the serving plane's single
+// writer), which runs every search, delivery, publish and churn callback
+// one after another, so no field needs a lock. The serving plane's
+// readers read published, slab and fifo concurrently, but only while its
+// epoch gate (internal/serve) holds the writer off; delivery-path write
+// sections are bracketed with beginApply/endApply (one scheme-level
+// version bump per section) so a reader can assert the contract through
+// Scheme.checkStable.
 //
 // The zero value is valid: the cache starts empty, and minSeen=0 makes
 // the staleness gate conservative (dropStale runs and self-heals it).
 type nodeState struct {
-	mu        sync.Mutex
 	published *adSnapshot
 	slab      []cachedAd // cache entries, addressed by index
 	free      []uint32   // recycled slab indices
@@ -149,8 +132,8 @@ const (
 	storedGap                         // version gap: caller must fetch a full ad
 )
 
-// store merges an incoming ad into node v's cache (under v's mu, or on the
-// runner thread inside an apply section). kind dictates semantics:
+// store merges an incoming ad into node v's cache. kind dictates
+// semantics:
 //
 //   - full: cache or replace when the version is not older;
 //   - patch: advance v-1 → v by snapshot swap; unknown source is ignored
@@ -158,12 +141,10 @@ const (
 //     cached version is a gap;
 //   - refresh: bump freshness; a version mismatch is a gap.
 //
-// capacity enforcement evicts the oldest-inserted entry (FIFO). shared is
-// true for callers inside a query phase (see holderTab).
-func (s *Scheme) store(v overlay.NodeID, snap *adSnapshot, kind adKind, now sim.Clock, shared bool) storeOutcome {
+// capacity enforcement evicts the oldest-inserted entry (FIFO).
+func (s *Scheme) store(v overlay.NodeID, snap *adSnapshot, kind adKind, now sim.Clock) storeOutcome {
 	ns := &s.nodes[v]
 	h := &s.holders[snap.src]
-	h.lock(shared)
 	if i := h.find(v); i >= 0 {
 		e := &ns.slab[h.slots[i].idx]
 		was := e.snap
@@ -171,21 +152,17 @@ func (s *Scheme) store(v overlay.NodeID, snap *adSnapshot, kind adKind, now sim.
 		if e.snap != was {
 			h.slots[i].ver = snap.version // the stamp follows every snapshot swap
 		}
-		h.unlock(shared)
 		return out
 	}
-	if kind == adFull {
-		h.put(v, ns.insert(cachedAd{snap: snap, lastSeen: now}, s.cfg.CacheCapacity), snap.version)
-	}
-	h.unlock(shared)
 	if kind != adFull {
 		return storedIgnored
 	}
+	h.put(v, ns.insert(cachedAd{snap: snap, lastSeen: now}, s.cfg.CacheCapacity), snap.version)
 	if now < ns.minSeen {
 		ns.minSeen = now
 	}
 	for ; len(ns.live()) > s.cfg.CacheCapacity; ns.head++ {
-		s.unhold(v, ns.fifo[ns.head], shared) // FIFO eviction
+		s.unhold(v, ns.fifo[ns.head]) // FIFO eviction
 	}
 	return storedOK
 }
@@ -231,38 +208,29 @@ func newerVersion(a, b uint16) bool {
 // slab index i and recycles the slot, dropping its snapshot reference so
 // the slab does not pin dead ads for the GC. The caller takes i out of the
 // fifo.
-func (s *Scheme) unhold(v overlay.NodeID, i uint32, shared bool) {
+func (s *Scheme) unhold(v overlay.NodeID, i uint32) {
 	ns := &s.nodes[v]
-	h := &s.holders[ns.slab[i].snap.src]
-	h.lock(shared)
-	h.del(v)
-	h.unlock(shared)
+	s.holders[ns.slab[i].snap.src].del(v)
 	ns.slab[i] = cachedAd{}
 	ns.free = append(ns.free, i)
 }
 
 // drop removes src from node v's cache, closing the gap in the fifo so the
 // insertion order of the rest is kept exactly (ads replies serve entries
-// in fifo order). Called under v's mu or inside an apply section;
-// dead-source eviction is rare enough that the linear scan does not
-// matter.
-func (s *Scheme) drop(v, src overlay.NodeID, shared bool) {
+// in fifo order). Dead-source eviction is rare enough that the linear scan
+// does not matter.
+func (s *Scheme) drop(v, src overlay.NodeID) {
 	ns := &s.nodes[v]
-	h := &s.holders[src]
-	h.lock(shared)
-	i, held := h.get(v)
-	h.unlock(shared)
-	if held {
+	if i, held := s.holders[src].get(v); held {
 		p := ns.head + slices.Index(ns.live(), i)
 		ns.fifo = slices.Delete(ns.fifo, p, p+1)
-		s.unhold(v, i, shared)
+		s.unhold(v, i)
 	}
 }
 
 // dropStale removes node v's entries last seen before deadline and
 // recomputes the minSeen watermark from the survivors, so Search can skip
-// the sweep until an entry can actually expire. Called under v's mu, from
-// searches only.
+// the sweep until an entry can actually expire. Called from searches only.
 func (s *Scheme) dropStale(v overlay.NodeID, deadline sim.Clock) {
 	ns := &s.nodes[v]
 	minSeen := maxClock
@@ -272,7 +240,7 @@ func (s *Scheme) dropStale(v overlay.NodeID, deadline sim.Clock) {
 			minSeen = min(minSeen, e.lastSeen)
 			kept = append(kept, i)
 		} else {
-			s.unhold(v, i, true)
+			s.unhold(v, i)
 		}
 	}
 	ns.fifo, ns.minSeen = kept, minSeen

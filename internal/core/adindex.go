@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"asap/internal/bloom"
 	"asap/internal/content"
 	"asap/internal/overlay"
@@ -28,13 +26,10 @@ import (
 // the ad. Each node keeps its entries in an index-addressed slab with a fifo
 // of slab indices, so the cache scans never probe anything.
 //
-// Concurrency: adSlots is written only on the runner thread (publishWith),
-// which the runner's query-batch barrier orders strictly before and after
-// any Search; during a query batch the matrices are frozen and read-only.
-// Per-node state (slab, fifo) keeps the existing discipline — nodeState.mu
-// across searches, the delivery seqlock across runner-thread writes. Holder
-// tables are shared by every node, so the search-side mutations take the
-// table's own leaf lock (see holderTab).
+// Concurrency: one goroutine writes all of it — adSlots in publishWith,
+// holder tables and per-node state in searches and deliveries — so none of
+// it is locked. Serving readers read the matrices and caches only while the
+// serving gate holds that writer off (see nodeState).
 
 // maxClock is the highest representable virtual time; the watermark of an
 // empty cache.
@@ -48,8 +43,7 @@ const maxClock = sim.Clock(1)<<62 - 1
 const maxSigGroups = 16
 
 // adSlots is the global signature index: one bit-sliced matrix per filter
-// geometry, growing append-only as snapshots are published. Runner thread
-// only for writes; frozen during query batches.
+// geometry, growing append-only as snapshots are published.
 type adSlots struct {
 	groups []*bloom.Sliced
 }
@@ -158,15 +152,7 @@ func (qa *queryAcc) grow(g, b int) {
 // once the table is under one-eighth full (never below holderMinSlots). The
 // gap between the two thresholds keeps a population hovering at either
 // boundary from resizing back and forth.
-//
-// mu is a leaf lock for the mutations that run inside a query phase, where
-// lanes searching at different nodes reach the same source's table: the
-// phase-2 merge, the confirm-timeout drop, the staleness sweep, and
-// HasCachedAd. It is taken after the node's own mu and never around
-// another lock. The runner-thread delivery path runs behind the query-batch
-// barrier (beginApply panics inside a query phase) and skips it.
 type holderTab struct {
-	mu    sync.Mutex
 	slots []holderSlot
 	n     int
 }
@@ -187,20 +173,6 @@ const holderMinSlots = 16
 const maxCacheCapacity = 1<<16 - 2
 
 func holderHash(key, mask uint32) uint32 { return (key * 2654435761) & mask }
-
-// lock takes the table's leaf lock when the caller shares the index with
-// concurrent searches; the runner-thread delivery path passes false.
-func (t *holderTab) lock(shared bool) {
-	if shared {
-		t.mu.Lock()
-	}
-}
-
-func (t *holderTab) unlock(shared bool) {
-	if shared {
-		t.mu.Unlock()
-	}
-}
 
 // find returns the index of node v's slot, or -1 if v does not hold the ad.
 func (t *holderTab) find(v overlay.NodeID) int {
@@ -299,7 +271,6 @@ func (t *holderTab) resize(size int) {
 
 // scanCache appends the sources of cached ads whose filters pass every
 // query probe, in fifo (insertion) order — phase 1's candidate scan.
-// Called under mu.
 func (ns *nodeState) scanCache(qa *queryAcc, out []overlay.NodeID) []overlay.NodeID {
 	for _, i := range ns.live() {
 		if snap := ns.slab[i].snap; qa.matches(snap) {
@@ -312,9 +283,9 @@ func (ns *nodeState) scanCache(qa *queryAcc, out []overlay.NodeID) []overlay.Nod
 // serveAds appends up to max cached snapshots whose topics intersect
 // interests, in fifo (insertion) order, skipping entries staler than
 // staleBefore, the requester's own ad, and — on search-time pulls
-// (qa != nil) — ads failing the query probes. Called under mu. Insertion
-// order matters: under MaxAdsPerReply the subset offered must not depend
-// on anything but replay state, or two replays of one run diverge.
+// (qa != nil) — ads failing the query probes. Insertion order matters:
+// under MaxAdsPerReply the subset offered must not depend on anything but
+// replay state, or two replays of one run diverge.
 func (ns *nodeState) serveAds(qa *queryAcc, buf []*adSnapshot, interests content.ClassSet, staleBefore sim.Clock, requester overlay.NodeID, max int) []*adSnapshot {
 	for _, i := range ns.live() {
 		if len(buf) >= max {

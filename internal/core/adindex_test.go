@@ -62,18 +62,18 @@ func churnStep(rng *rand.Rand, c *Scheme, slots *adSlots, vers map[overlay.NodeI
 	switch rng.IntN(8) {
 	case 0, 1, 2, 3: // full ad (insert or replace), sometimes with new topics
 		vers[src]++
-		c.store(0, mkSnap(vers[src], randTopics(rng)), adFull, now, false)
+		c.store(0, mkSnap(vers[src], randTopics(rng)), adFull, now)
 	case 4: // sequential patch with possibly different topics
 		if cur := c.entry(0, src); cur != nil {
 			vers[src] = cur.snap.version + 1
-			c.store(0, mkSnap(vers[src], randTopics(rng)), adPatch, now, false)
+			c.store(0, mkSnap(vers[src], randTopics(rng)), adPatch, now)
 		}
 	case 5: // refresh
 		if cur := c.entry(0, src); cur != nil {
-			c.store(0, cur.snap, adRefresh, now, false)
+			c.store(0, cur.snap, adRefresh, now)
 		}
 	case 6:
-		c.drop(0, src, false)
+		c.drop(0, src)
 	case 7:
 		c.dropStale(0, now-400)
 	}
@@ -167,11 +167,11 @@ func TestDropStaleWatermarkGateEquivalence(t *testing.T) {
 		switch rng.IntN(4) {
 		case 0, 1:
 			sp := idxSnap(src, uint16(i), randTopics(rng), nil)
-			gated.store(0, sp, adFull, now, false)
-			ref.store(0, sp, adFull, now, false)
+			gated.store(0, sp, adFull, now)
+			ref.store(0, sp, adFull, now)
 		case 2:
-			gated.drop(0, src, false)
-			ref.drop(0, src, false)
+			gated.drop(0, src)
+			ref.drop(0, src)
 		case 3: // a search arrives: gated sweep vs unconditional sweep
 			deadline := now - 200
 			if gated.nodes[0].minSeen < deadline {
@@ -348,12 +348,9 @@ func TestStaleWindowRegression(t *testing.T) {
 	window := sim.Clock(s.cfg.StaleFactor*s.cfg.RefreshPeriodSec) * 1000
 
 	const T = sim.Clock(1_000_000)
-	ns := &s.nodes[p]
 	topics := content.ClassSet(0).Add(0)
 	sp := idxSnap(src, 1000, topics, []uint64{42})
-	ns.mu.Lock()
-	s.store(p, sp, adFull, T, true)
-	ns.mu.Unlock()
+	s.store(p, sp, adFull, T)
 
 	search := func(at sim.Clock) {
 		t.Helper()
@@ -363,18 +360,12 @@ func TestStaleWindowRegression(t *testing.T) {
 
 	// At deadline == T the entry is not yet stale (strict <).
 	search(T + window)
-	ns.mu.Lock()
-	ok := s.entry(p, src) != nil
-	ns.mu.Unlock()
-	if !ok {
+	if s.entry(p, src) == nil {
 		t.Fatalf("entry expired at exactly window boundary; want survival (lastSeen < deadline is strict)")
 	}
 	// One millisecond later it is.
 	search(T + window + 1)
-	ns.mu.Lock()
-	ok = s.entry(p, src) != nil
-	ns.mu.Unlock()
-	if ok {
+	if s.entry(p, src) != nil {
 		t.Fatalf("entry still cached %d ms past its staleness window", 1)
 	}
 }

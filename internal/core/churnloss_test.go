@@ -47,9 +47,6 @@ func TestIndexedCacheEquivalenceUnderChurnAndLoss(t *testing.T) {
 		probes := bloom.AppendKeyProbes(nil, keys)
 		qa.reset(&s.slots, probes)
 
-		ns.mu.Lock()
-		defer ns.mu.Unlock()
-
 		got := append([]overlay.NodeID(nil), ns.scanCache(&qa, nil)...)
 		want := scanCacheReference(ns, probes)
 		if !slices.Equal(got, want) {

@@ -82,19 +82,19 @@ func snap(src overlay.NodeID, version uint16, topics content.ClassSet) *adSnapsh
 func TestStoreFullAndReplace(t *testing.T) {
 	c := newCaches(16, 10)
 	a1 := snap(5, 1, 1)
-	if got := c.store(0, a1, adFull, 100, false); got != storedOK {
+	if got := c.store(0, a1, adFull, 100); got != storedOK {
 		t.Fatalf("store full = %v", got)
 	}
 	if e := c.entry(0, 5); e.snap != a1 || e.lastSeen != 100 {
 		t.Fatal("entry not cached")
 	}
 	a2 := snap(5, 2, 1)
-	c.store(0, a2, adFull, 200, false)
+	c.store(0, a2, adFull, 200)
 	if c.entry(0, 5).snap != a2 {
 		t.Fatal("newer full did not replace")
 	}
 	// An older full arriving late must not clobber the newer one.
-	c.store(0, a1, adFull, 300, false)
+	c.store(0, a1, adFull, 300)
 	if c.entry(0, 5).snap != a2 {
 		t.Fatal("stale full clobbered newer version")
 	}
@@ -109,24 +109,24 @@ func TestStoreFullAndReplace(t *testing.T) {
 func TestStorePatchSemantics(t *testing.T) {
 	c := newCaches(16, 10)
 	// Patch for an unknown source is ignored.
-	if got := c.store(0, snap(7, 2, 1), adPatch, 0, false); got != storedIgnored {
+	if got := c.store(0, snap(7, 2, 1), adPatch, 0); got != storedIgnored {
 		t.Fatalf("patch on empty cache = %v, want ignored", got)
 	}
-	c.store(0, snap(7, 1, 1), adFull, 0, false)
+	c.store(0, snap(7, 1, 1), adFull, 0)
 	// Sequential patch advances.
 	p2 := snap(7, 2, 1)
-	if got := c.store(0, p2, adPatch, 10, false); got != storedOK {
+	if got := c.store(0, p2, adPatch, 10); got != storedOK {
 		t.Fatalf("sequential patch = %v", got)
 	}
 	if c.entry(0, 7).snap != p2 {
 		t.Fatal("patch did not advance snapshot")
 	}
 	// Version gap demands a full fetch.
-	if got := c.store(0, snap(7, 5, 1), adPatch, 20, false); got != storedGap {
+	if got := c.store(0, snap(7, 5, 1), adPatch, 20); got != storedGap {
 		t.Fatal("gap not detected")
 	}
 	// Old patch re-delivered: freshness only.
-	if got := c.store(0, snap(7, 1, 1), adPatch, 30, false); got != storedOK {
+	if got := c.store(0, snap(7, 1, 1), adPatch, 30); got != storedOK {
 		t.Fatal("stale patch should be absorbed")
 	}
 	if c.entry(0, 7).snap != p2 {
@@ -136,18 +136,18 @@ func TestStorePatchSemantics(t *testing.T) {
 
 func TestStoreRefreshSemantics(t *testing.T) {
 	c := newCaches(16, 10)
-	if got := c.store(0, snap(3, 1, 1), adRefresh, 0, false); got != storedIgnored {
+	if got := c.store(0, snap(3, 1, 1), adRefresh, 0); got != storedIgnored {
 		t.Fatal("refresh for unknown source should be ignored")
 	}
 	a := snap(3, 1, 1)
-	c.store(0, a, adFull, 0, false)
-	if got := c.store(0, snap(3, 1, 1), adRefresh, 50, false); got != storedOK {
+	c.store(0, a, adFull, 0)
+	if got := c.store(0, snap(3, 1, 1), adRefresh, 50); got != storedOK {
 		t.Fatal("same-version refresh failed")
 	}
 	if c.entry(0, 3).lastSeen != 50 {
 		t.Fatal("refresh did not bump freshness")
 	}
-	if got := c.store(0, snap(3, 4, 1), adRefresh, 60, false); got != storedGap {
+	if got := c.store(0, snap(3, 4, 1), adRefresh, 60); got != storedGap {
 		t.Fatal("refresh with newer version must signal a gap")
 	}
 }
@@ -163,8 +163,8 @@ func TestVersionWrapAround(t *testing.T) {
 		t.Error("equal versions are not newer")
 	}
 	c := newCaches(16, 10)
-	c.store(0, snap(1, 65535, 1), adFull, 0, false)
-	if got := c.store(0, snap(1, 0, 1), adPatch, 1, false); got != storedOK {
+	c.store(0, snap(1, 65535, 1), adFull, 0)
+	if got := c.store(0, snap(1, 0, 1), adPatch, 1); got != storedOK {
 		t.Errorf("wrap-around patch = %v, want stored", got)
 	}
 }
@@ -172,7 +172,7 @@ func TestVersionWrapAround(t *testing.T) {
 func TestFIFOEviction(t *testing.T) {
 	c := newCaches(16, 3)
 	for i := 0; i < 5; i++ {
-		c.store(0, snap(overlay.NodeID(i), 1, 1), adFull, int64(i), false)
+		c.store(0, snap(overlay.NodeID(i), 1, 1), adFull, int64(i))
 	}
 	if len(c.nodes[0].live()) != 3 {
 		t.Fatalf("cache size %d, want capacity 3", len(c.nodes[0].live()))
@@ -192,8 +192,8 @@ func TestFIFOEviction(t *testing.T) {
 
 func TestDropStale(t *testing.T) {
 	c := newCaches(16, 10)
-	c.store(0, snap(1, 1, 1), adFull, 100, false)
-	c.store(0, snap(2, 1, 1), adFull, 500, false)
+	c.store(0, snap(1, 1, 1), adFull, 100)
+	c.store(0, snap(2, 1, 1), adFull, 500)
 	c.dropStale(0, 300)
 	if c.entry(0, 1) != nil {
 		t.Error("stale entry survived")

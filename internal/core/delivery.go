@@ -22,10 +22,10 @@ func deliveryKey(t sim.Clock, snap *adSnapshot, kind adKind) uint64 {
 // deliver pushes one ad through the overlay under the configured
 // forwarding algorithm, caching it at every reached node whose interests
 // intersect targeting (the delivery topic set; normally the ad's own
-// topics, widened for patches). Deliveries run on the runner thread only.
-// Under a fault plane a lost flood copy prunes that branch (the node may
-// still be reached another way) and a lost walk copy kills the walker;
-// senders pay for lost copies, so coverage degrades under loss, traffic not.
+// topics, widened for patches). Under a fault plane a lost flood copy
+// prunes that branch (the node may still be reached another way) and a lost
+// walk copy kills the walker; senders pay for lost copies, so coverage
+// degrades under loss, traffic not.
 func (s *Scheme) deliver(t sim.Clock, snap *adSnapshot, kind adKind, targeting content.ClassSet) {
 	if s.cfg.Delivery == FLD {
 		s.floodBatch(t, []floodAd{{snap, kind, targeting}})
@@ -95,15 +95,14 @@ type floodAd struct {
 	targeting content.ClassSet
 }
 
-// floodScratch is every delivery's working set (runner thread only). Each
-// mask holds one bit per source of the batch: whose flood has reached a node
-// at all (seen), at the level being expanded (frontier), at the level after
-// (next). frontier and next are indexed by node; seen by holder-slot key —
-// node+1, seen[0] zero for good. order lists the reached nodes level by level
-// in discovery order (a node once per level that brought it a new flood): the
-// BFS queue, and the list reset clears by, so a delivery costs the nodes it
-// touched. A walk uses seen's bit 0 and order alone. All masks are zero
-// between deliveries.
+// floodScratch is every delivery's working set. Each mask holds one bit per
+// source of the batch: whose flood has reached a node at all (seen), at the
+// level being expanded (frontier), at the level after (next). frontier and
+// next are indexed by node; seen by holder-slot key — node+1, seen[0] zero
+// for good. order lists the reached nodes level by level in discovery order
+// (a node once per level that brought it a new flood): the BFS queue, and
+// the list reset clears by, so a delivery costs the nodes it touched. A walk
+// uses seen's bit 0 and order alone. All masks are zero between deliveries.
 type floodScratch struct {
 	seen, frontier, next []uint64
 	order                []overlay.NodeID
@@ -287,7 +286,7 @@ func (s *Scheme) applyReach(t sim.Clock, i int, ad floodAd) {
 	if ad.kind == adFull {
 		h.reserve(len(pick)) // never shrinks
 		for _, v := range pick {
-			s.store(overlay.NodeID(v), snap, adFull, t, false)
+			s.store(overlay.NodeID(v), snap, adFull, t)
 		}
 		return
 	}
@@ -444,5 +443,5 @@ func (s *Scheme) fetchFull(t sim.Clock, v, src overlay.NodeID, dkey uint64) {
 	if !s.sys.Arrives(t, metrics.MAdFull, src, v, dkey, 1) {
 		return // reply lost: v keeps its stale copy
 	}
-	s.store(v, cur, adFull, t, false)
+	s.store(v, cur, adFull, t)
 }

@@ -134,7 +134,7 @@ func applyAt(s *Scheme, t sim.Clock, v overlay.NodeID, snap *adSnapshot, kind ad
 	if !s.cacheEligible(v) || !s.groupInterests(v).Intersects(targeting) {
 		return
 	}
-	if s.store(v, snap, kind, t, false) == storedGap {
+	if s.store(v, snap, kind, t) == storedGap {
 		s.fetchFull(t, v, snap.src, dkey)
 	}
 }
@@ -457,7 +457,7 @@ func (tc deliveryCase) prepare(s *Scheme, rng *rand.Rand, round int) (sim.Clock,
 				continue
 			}
 			if i%refloodEvery == 0 && rng.IntN(3) == 0 {
-				s.drop(overlay.NodeID(v), src, false)
+				s.drop(overlay.NodeID(v), src)
 			} else if rng.IntN(8) == 0 {
 				s.ageHolder(overlay.NodeID(v), src, uint16(1+rng.IntN(3)))
 			}
@@ -698,7 +698,7 @@ func walkPerVisit(s *Scheme, t sim.Clock, snap *adSnapshot, kind adKind) {
 			acted[v] = true
 			applyAt(s, t, v, snap, kind, snap.topics, dkey)
 		case s.cacheEligible(v) && s.groupInterests(v).Intersects(snap.topics):
-			s.store(v, snap, kind, t, false)
+			s.store(v, snap, kind, t)
 		}
 	}
 	perWalker := max(1, budget/len(starts))

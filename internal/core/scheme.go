@@ -36,8 +36,8 @@ type Scheme struct {
 	// (mod RefreshPeriodSec), spreading refresh traffic evenly.
 	wheel [][]overlay.NodeID
 
-	// Runner-thread-only state for ad deliveries. The buffers amortise the
-	// per-delivery queue and neighbour-list allocations across a run.
+	// Ad-delivery state. The buffers amortise the per-delivery queue and
+	// neighbour-list allocations across a run.
 	rng    *rand.Rand
 	flood  floodScratch
 	tickQ  []floodAd
@@ -45,35 +45,27 @@ type Scheme struct {
 
 	// slots is the global signature index (see adindex.go): every published
 	// snapshot's filter is bit-sliced into the matrix of its geometry, so
-	// searches match cached ads by word-parallel bit tests. Written on the
-	// runner thread only (publishWith), frozen during query batches.
+	// searches match cached ads by word-parallel bit tests. Written only by
+	// publishWith.
 	slots adSlots
 
-	// patchBuf is the pooled diff buffer of publishWith (runner thread
-	// only): one publish per content change all replay long reuses its
-	// position slices instead of allocating a fresh patch.
+	// patchBuf is the reusable diff buffer of publishWith: one publish per
+	// content change all replay long reuses its position slices instead of
+	// allocating a fresh patch.
 	patchBuf bloom.Patch
 
-	// applyVer is the delivery-plane seqlock: odd while a runner-thread
-	// write section (a delivery, a publish, a graceful-leave eviction) is
-	// open. The runner's query-batch barrier guarantees such sections never
-	// overlap a search, so per-node state needs no lock on the apply path;
-	// search-side critical sections assert the guarantee via checkStable.
-	// One version bump per section — not per visited node — keeps the
-	// cost off the delivery hot loop entirely.
+	// applyVer is the delivery-plane seqlock: odd while a write section (a
+	// delivery, a publish, a graceful-leave eviction) is open. The replay
+	// goroutine opens every section and runs every Search, so the two never
+	// overlap; the version exists for the serving plane, whose readers
+	// assert through checkStable that no section is open while they read.
+	// One version bump per section — not per visited node — keeps the cost
+	// off the delivery hot loop entirely.
 	applyVer atomic.Uint32
 
-	// queryPhase extends the seqlock contract to sharded replay (shard.go):
-	// true while the runner has a parallel intra-shard query phase open, in
-	// which the only legal writers are search threads mutating their own
-	// owners' states. beginApply panics while it is set.
-	queryPhase atomic.Bool
-
-	// plan is AppendSearchReads' BFS scratch (runner thread only).
-	plan planScratch
-
-	// scratch pools per-query working sets; see searchScratch.
-	scratch sync.Pool
+	// scratch is the working set of Search and the join-time ads pull; see
+	// searchScratch.
+	scratch searchScratch
 }
 
 // The runner coalesces same-second same-node content runs for schemes that
@@ -86,18 +78,7 @@ func New(cfg Config) *Scheme {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Scheme{cfg: cfg}
-	s.scratch.New = func() any {
-		return &searchScratch{
-			// Non-nil empty probes keep the search/join pull distinction
-			// (probes == nil means a join-time interest pull) even for
-			// term-less queries.
-			probes:    make([]bloom.Probe, 0, 8),
-			confirmed: make(map[overlay.NodeID]bool, 8),
-			seen:      make(map[overlay.NodeID]int, 8),
-		}
-	}
-	return s
+	return &Scheme{cfg: cfg, scratch: newSearchScratch()}
 }
 
 // Name implements sim.Scheme: "asap-fld", "asap-rw" or "asap-gsa".
@@ -168,17 +149,10 @@ func (s *Scheme) Attach(sys *sim.System) {
 	s.deliverAll(-1, ads)
 }
 
-// beginApply opens a delivery-path write section on the runner thread:
-// the version goes odd. The single-writer guarantee (the runner drains
-// query batches before any state event) makes a plain load-then-store
-// sufficient — there is no competing writer to lose an increment to.
-// Opening a section inside a sharded query phase would race every lane,
-// so it panics — the per-shard single-writer contract's other half (the
-// search side asserts via checkStable).
+// beginApply opens a delivery-path write section: the version goes odd.
+// There is one writer, so a plain load-then-store is sufficient — no
+// competing writer can lose an increment.
 func (s *Scheme) beginApply() {
-	if s.queryPhase.Load() {
-		panic("core: delivery write opened inside a sharded query phase (runner barrier breached)")
-	}
 	s.applyVer.Store(s.applyVer.Load() + 1)
 }
 
@@ -188,13 +162,13 @@ func (s *Scheme) endApply() {
 	s.applyVer.Store(s.applyVer.Load() + 1)
 }
 
-// checkStable validates the seqlock contract from the search side: a
-// search holding a nodeState's mu must never observe an open delivery
-// write section. An odd version here means the runner's flush barrier was
-// breached — state corruption, not a recoverable condition — so it panics.
+// checkStable validates the seqlock contract from a serving reader: it must
+// never observe an open delivery write section. An odd version here means
+// the serving gate let a reader in during an apply — state corruption, not
+// a recoverable condition — so it panics.
 func (s *Scheme) checkStable() {
 	if s.applyVer.Load()&1 != 0 {
-		panic("core: delivery write overlapped a search (runner barrier breached)")
+		panic("core: delivery write overlapped a read-only search (serving gate breached)")
 	}
 }
 
@@ -270,8 +244,7 @@ func (s *Scheme) publishWith(n overlay.NodeID, prebuilt *bloom.Filter) *adSnapsh
 		topics = s.groupTopics(n)
 	}
 
-	// publish runs on the runner thread only (Attach, event callbacks,
-	// Tick), so the published-snapshot swap uses the delivery seqlock.
+	// The published-snapshot swap is a write section like any delivery.
 	s.beginApply()
 	defer s.endApply()
 	old := ns.published
@@ -341,9 +314,6 @@ func (s *Scheme) buildFilter(n overlay.NodeID) *bloom.Filter {
 }
 
 // publishedSnapshot returns node n's current published ad (nil if none).
-// Runner thread only — every caller (a delivery's gap fetch, Tick's refresh,
-// republishAndDeliver) runs behind the query-batch barrier, so the read
-// needs no lock; searches read `published` themselves under mu.
 func (s *Scheme) publishedSnapshot(n overlay.NodeID) *adSnapshot {
 	return s.nodes[n].published
 }
@@ -409,7 +379,6 @@ func (s *Scheme) NodeJoined(t sim.Clock, n overlay.NodeID) {
 	// the same node issues in the same millisecond.
 	sc.fkey = faults.Fold(faults.Key(int64(t), n), 1)
 	s.adsRequest(t, n, sc, nil)
-	s.putScratch(sc)
 }
 
 // NodeLeaving implements sim.GracefulLeaver: when the fault plane models
@@ -429,7 +398,7 @@ func (s *Scheme) NodeLeaving(t sim.Clock, n overlay.NodeID) {
 		if !s.sys.Deliver(t, metrics.MControl, sim.HeaderBytes, n, nb, gkey, 0) {
 			continue // goodbye lost: nb finds out the hard way
 		}
-		s.drop(nb, n, false)
+		s.drop(nb, n)
 	}
 }
 
@@ -491,17 +460,9 @@ func (s *Scheme) Tick(t sim.Clock) {
 // HasCachedAd reports whether node p currently caches an ad published by
 // src (diagnostics).
 func (s *Scheme) HasCachedAd(p, src overlay.NodeID) bool {
-	h := &s.holders[src]
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	_, held := h.get(p)
+	_, held := s.holders[src].get(p)
 	return held
 }
 
 // CacheSize returns node n's current ads-cache population (diagnostics).
-func (s *Scheme) CacheSize(n overlay.NodeID) int {
-	ns := &s.nodes[n]
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return len(ns.live())
-}
+func (s *Scheme) CacheSize(n overlay.NodeID) int { return len(s.nodes[n].live()) }

@@ -233,12 +233,9 @@ func TestStaleAdsExpireAfterDeparture(t *testing.T) {
 	// Find a source that some other node caches.
 	var holder, src overlay.NodeID = -1, -1
 	for n := 0; n < testTr.InitialLive && holder < 0; n++ {
-		ns := &s.nodes[n]
-		ns.mu.Lock()
-		if len(ns.live()) > 0 {
+		if ns := &s.nodes[n]; len(ns.live()) > 0 {
 			holder, src = overlay.NodeID(n), ns.slab[ns.live()[0]].snap.src
 		}
-		ns.mu.Unlock()
 	}
 	if holder < 0 {
 		t.Fatal("no cached ads anywhere")
@@ -250,11 +247,7 @@ func TestStaleAdsExpireAfterDeparture(t *testing.T) {
 	// Search far beyond the staleness window: the entry must be dropped.
 	window := int64(s.cfg.StaleFactor*s.cfg.RefreshPeriodSec) * 1000
 	s.Search(&trace.Event{Time: 1000 + 2*window, Kind: trace.Query, Node: holder, Terms: []content.Keyword{1}})
-	ns := &s.nodes[holder]
-	ns.mu.Lock()
-	still := s.entry(holder, src) != nil
-	ns.mu.Unlock()
-	if still {
+	if s.entry(holder, src) != nil {
 		t.Error("departed source's ad survived far past the staleness window")
 	}
 }
@@ -290,16 +283,6 @@ func TestEndToEndRunAllVariants(t *testing.T) {
 	}
 }
 
-func TestParallelSearchSafety(t *testing.T) {
-	// Run with many shard lanes; the race detector guards correctness.
-	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 4)
-	sch := New(testConfig(RW))
-	sum := sim.Run(sys, sch, sim.RunOptions{Shards: 8})
-	if sum.Requests == 0 {
-		t.Fatal("no requests")
-	}
-}
-
 func TestHopNeighborhoodRadii(t *testing.T) {
 	s, sys := attach(t, RW)
 	var p overlay.NodeID
@@ -311,12 +294,13 @@ func TestHopNeighborhoodRadii(t *testing.T) {
 	}
 	// Each radius gets its own scratch: the returned slices are
 	// scratch-backed, and h1 must survive the h2 traversal.
-	h0, m0 := s.hopNeighborhood(0, p, 0, s.getScratch())
+	sc0, sc1, sc2 := newSearchScratch(), newSearchScratch(), newSearchScratch()
+	h0, m0 := s.hopNeighborhood(0, p, 0, &sc0)
 	if h0 != nil || m0 != 0 {
 		t.Error("h=0 neighbourhood not empty")
 	}
-	h1, m1 := s.hopNeighborhood(0, p, 1, s.getScratch())
-	h2, m2 := s.hopNeighborhood(0, p, 2, s.getScratch())
+	h1, m1 := s.hopNeighborhood(0, p, 1, &sc1)
+	h2, m2 := s.hopNeighborhood(0, p, 2, &sc2)
 	if len(h1) == 0 || m1 != len(h1) {
 		t.Errorf("h=1: %d targets %d msgs", len(h1), m1)
 	}

@@ -14,9 +14,10 @@ type adOffer struct {
 }
 
 // searchScratch is the per-query working set of Search, adsRequest and
-// hopNeighborhood. Scratch objects live in the Scheme's pool: each query
-// borrows one for its whole lifetime, so concurrent Search calls never
-// share a scratch and the steady state allocates nothing per query.
+// hopNeighborhood. The Scheme owns one: Search and NodeJoined's ads pull
+// both run on the scheme's one writing goroutine and never nest, so each
+// takes it for its whole lifetime and the steady state allocates nothing
+// per query.
 type searchScratch struct {
 	keys      []uint64
 	probes    []bloom.Probe
@@ -43,8 +44,7 @@ type searchScratch struct {
 
 	// Fault-plane message stream of this query: fkey derives from the
 	// query's (time, node) identity, fseq numbers its messages. Together
-	// they make every drop/jitter decision a function of the query alone,
-	// independent of lane scheduling.
+	// they make every drop/jitter decision a function of the query alone.
 	fkey uint64
 	fseq uint32
 }
@@ -56,9 +56,21 @@ func (sc *searchScratch) nextSeq() uint32 {
 	return s
 }
 
-// getScratch borrows a reset scratch from the pool.
+// newSearchScratch returns an empty scratch. Non-nil empty probes keep the
+// search/join pull distinction (probes == nil means a join-time interest
+// pull) even for term-less queries.
+func newSearchScratch() searchScratch {
+	return searchScratch{
+		probes:    make([]bloom.Probe, 0, 8),
+		confirmed: make(map[overlay.NodeID]bool, 8),
+		seen:      make(map[overlay.NodeID]int, 8),
+	}
+}
+
+// getScratch resets the Scheme's scratch for a new query and returns it.
+// Slices handed out of it are valid until the next call.
 func (s *Scheme) getScratch() *searchScratch {
-	sc := s.scratch.Get().(*searchScratch)
+	sc := &s.scratch
 	sc.keys = sc.keys[:0]
 	sc.probes = sc.probes[:0]
 	sc.cands = sc.cands[:0]
@@ -72,10 +84,6 @@ func (s *Scheme) getScratch() *searchScratch {
 	clear(sc.seen)
 	return sc
 }
-
-// putScratch returns a scratch to the pool. Slices handed out of the
-// scratch must not be retained past this call.
-func (s *Scheme) putScratch(sc *searchScratch) { s.scratch.Put(sc) }
 
 // bfsState returns the epoch-stamped visited/latency slices sized for n
 // nodes, advancing the epoch (with wrap-around reset).

@@ -47,7 +47,6 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	p := ev.Node
 	t0 := ev.Time
 	sc := s.getScratch()
-	defer s.putScratch(sc)
 	sc.fkey = faults.Key(ev.Time, ev.Node)
 	for _, term := range ev.Terms {
 		sc.keys = append(sc.keys, uint64(term))
@@ -98,8 +97,6 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 
 	tPhase1 := s.obs.Begin()
 	ns := &s.nodes[p]
-	ns.mu.Lock()
-	s.checkStable()
 	if s.cfg.RefreshPeriodSec > 0 {
 		// The minSeen watermark bounds every entry's lastSeen from below,
 		// so the expiry sweep runs only when something can actually expire.
@@ -112,7 +109,6 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	// word-AND pass per touched signature block, then a bit test per entry
 	// (see adindex.go).
 	srcs := ns.scanCache(&sc.qa, sc.srcs[:0])
-	ns.mu.Unlock()
 	sc.srcs = srcs
 	if len(srcs) > 0 {
 		s.obs.Count(t0, obs.CCacheHit)
@@ -214,8 +210,8 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 	for _, c := range cands {
 		confirmed[c.src] = true
 		// Both confirmation verdicts are constant for the query's duration:
-		// liveness only changes at state events, which the runner never
-		// interleaves with searches, and groupMatches is a pure read, so they
+		// liveness only changes at state events, which never interleave
+		// with a search, and groupMatches is a pure read, so they
 		// are resolved once per candidate, outside the retry loop.
 		alive := s.sys.G.Alive(c.src)
 		match := alive && s.groupMatches(c.src, terms)
@@ -250,11 +246,7 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 			// paying for this contact — on-demand liveness detection
 			// complementing refresh-based expiry.
 			s.sys.CountTimeout(sendAt)
-			ns := &s.nodes[p]
-			ns.mu.Lock()
-			s.checkStable()
-			s.drop(p, c.src, true)
-			ns.mu.Unlock()
+			s.drop(p, c.src)
 			continue
 		}
 		if !match {
@@ -324,8 +316,6 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, pr
 		}
 		for _, tg := range targets {
 			q := &s.nodes[tg.node]
-			q.mu.Lock()
-			s.checkStable()
 			serve := sc.serve[:0]
 			if pub := q.published; pub != nil && s.cfg.MaxAdsPerReply > 0 &&
 				pub.src != p && pub.topics.Intersects(interests) &&
@@ -336,7 +326,6 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, pr
 			// subset offered must not depend on anything but replay state, or
 			// two replays of one run diverge.
 			serve = q.serveAds(qa, serve, interests, staleBefore, p, s.cfg.MaxAdsPerReply)
-			q.mu.Unlock()
 			sc.serve = serve
 			payload := 0
 			for _, snap := range serve {
@@ -366,13 +355,10 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, pr
 
 	// Merge all offered ads into p's cache, collecting term matches. The
 	// phase-1 candidates are dead by now, so their scratch space is reused.
-	ns := &s.nodes[p]
 	cands := sc.cands[:0]
 	seen := sc.seen
-	ns.mu.Lock()
-	s.checkStable()
 	for _, of := range offers {
-		s.store(p, of.snap, adFull, of.avail, true)
+		s.store(p, of.snap, adFull, of.avail)
 		if probes != nil && sc.qa.matches(of.snap) {
 			if i, dup := seen[of.snap.src]; dup {
 				if of.avail < cands[i].avail {
@@ -388,7 +374,6 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, pr
 			})
 		}
 	}
-	ns.mu.Unlock()
 	sc.cands = cands
 	return cands, bytes
 }

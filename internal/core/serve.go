@@ -7,7 +7,7 @@ import (
 	"asap/internal/sim"
 )
 
-// Read-only serving search (see DESIGN.md §15). The batch-replay Search is
+// Read-only serving search (see DESIGN.md §14). The batch-replay Search is
 // a mutator: it sweeps stale cache entries, evicts silent sources, and
 // merges phase-2 ad offers back into the requester's cache. The serving
 // plane instead answers live queries from many goroutines against a state

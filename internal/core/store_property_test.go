@@ -37,14 +37,14 @@ func TestStoreInvariantsProperty(t *testing.T) {
 			src := overlay.NodeID(op.Src % 16)
 			switch kind := op.Kind % 5; kind {
 			case 3:
-				c.drop(0, src, false)
+				c.drop(0, src)
 			case 4:
 				c.dropStale(0, now-int64(op.Version)<<8)
 			default:
 				f := bloom.New(64, 2)
 				// Versions straddle the 16-bit wrap: 65408 … 65535, 0 … 127.
 				sn := &adSnapshot{src: src, version: uint16(op.Version) - 128, topics: 1, filter: f, fullWire: 8, patchWire: 4}
-				c.store(0, sn, adKind(kind), now, false)
+				c.store(0, sn, adKind(kind), now)
 			}
 
 			ns := &c.nodes[0]
@@ -96,11 +96,11 @@ func TestStoreInvariantsProperty(t *testing.T) {
 func TestStoreGapAlwaysRecoverable(t *testing.T) {
 	prop := func(haveV, newV uint16) bool {
 		c := newCaches(16, 8)
-		c.store(0, snap(1, haveV, 1), adFull, 0, false)
-		outcome := c.store(0, snap(1, newV, 1), adPatch, 1, false)
+		c.store(0, snap(1, haveV, 1), adFull, 0)
+		outcome := c.store(0, snap(1, newV, 1), adPatch, 1)
 		if outcome == storedGap {
 			cur := snap(1, newV, 1)
-			c.store(0, cur, adFull, 2, false)
+			c.store(0, cur, adFull, 2)
 			return c.entry(0, 1).snap.version == newV
 		}
 		return true

@@ -136,7 +136,7 @@ func (l *Lab) run(schemeName string, topo overlay.Kind, fresh bool, series *obs.
 	if l.Scale.LossRate > 0 {
 		sys.SetFaults(faults.New(faults.Config{Seed: l.Scale.Seed, LossRate: l.Scale.LossRate}))
 	}
-	sum := sim.Run(sys, sch, sim.RunOptions{Shards: l.Scale.ShardCount})
+	sum := sim.Run(sys, sch, sim.RunOptions{})
 	if timing != nil {
 		timing.Merge(rec.Timing())
 	}
@@ -175,12 +175,9 @@ type MatrixOptions struct {
 // the full paper matrix. Progress, if non-nil, is invoked before each run
 // and is never called concurrently.
 //
-// Parallelism lives at the cell level and, when Scale.ShardCount is set,
-// inside each cell via the sharded replay engine. Cells are independent
-// and the sharded engine is byte-identical to the sequential replay at
-// every shard count, so the returned Matrix is identical for every worker
-// and shard count (TestRunMatrixParallelDeterminism,
-// TestShardedReplayEquivalence).
+// Parallelism lives at the cell level only: each cell is one sequential
+// replay on its own system. Cells are independent, so the returned Matrix
+// is identical for every worker count (TestRunMatrixParallelDeterminism).
 func (l *Lab) RunMatrix(schemes []string, topos []overlay.Kind, progress func(scheme string, topo overlay.Kind)) (Matrix, error) {
 	return l.RunMatrixOpt(schemes, topos, progress, MatrixOptions{Workers: l.Scale.MatrixWorkers})
 }

@@ -10,8 +10,10 @@
 // walker's step — so a flooded copy (at most one per directed edge) or a
 // walker's message, baseline or ASAP delivery, is decided independently of
 // the order messages are handled in. ASAP's query messages number
-// themselves with a counter local to one sequentially executed query, so no
-// global state is shared between concurrent searches.
+// themselves with a counter local to one query, so a verdict depends on
+// that query alone, never on the queries replayed before it. A Plane holds
+// no state a decision writes, so the one writer that replays a run and
+// any number of readers may share it.
 //
 // A nil *Plane is valid everywhere and behaves as a perfectly reliable
 // network, which keeps the zero-loss hot path to a single nil check.

@@ -13,9 +13,9 @@
 //   - the ASAP load breakdown by message class (Fig. 7): full ads versus
 //     patch ads, refresh ads and search traffic.
 //
-// LoadAccount buckets message bytes into one-second bins by message class
-// with atomic adds, so concurrently simulated searches can account without
-// locks. Which classes count toward "system load" differs per scheme (the
-// paper counts only query messages for the baselines, and everything but
-// downloads for ASAP), so aggregation takes a class mask.
+// LoadAccount buckets message bytes into one-second bins by message class,
+// one plain add per message: a run has a single writer, and a bucket is an
+// order-free sum. Which classes count toward "system load" differs per
+// scheme (the paper counts only query messages for the baselines, and
+// everything but downloads for ASAP), so aggregation takes a class mask.
 package metrics

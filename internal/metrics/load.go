@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // MsgClass labels every byte the simulator accounts, so load can be
@@ -89,18 +88,19 @@ var (
 )
 
 // LoadAccount buckets accounted bytes into one-second bins per message
-// class. Add is safe for concurrent use; SetLive and the aggregate readers
-// must be externally serialised against Add (the runner reads only between
-// replay batches).
+// class. It has a single writer — the goroutine replaying the run books
+// every message — so its counters are plain integers; a bucket is an
+// order-free sum, exact whatever order the messages are booked in. It is
+// not safe for concurrent use.
 type LoadAccount struct {
 	seconds int
-	cells   []int64 // seconds × NumMsgClasses, atomically updated
+	cells   []int64 // seconds × NumMsgClasses
 	warm    [NumMsgClasses]int64
 	live    []int32 // live peers at each second
 
-	// Fault-plane event counters (atomically updated): messages the
-	// network dropped, retries those drops provoked, and contacts given
-	// up on after every attempt failed.
+	// Fault-plane event counters: messages the network dropped, retries
+	// those drops provoked, and contacts given up on after every attempt
+	// failed.
 	drops    int64
 	retries  int64
 	timeouts int64
@@ -130,14 +130,14 @@ func (a *LoadAccount) Add(tMS int64, c MsgClass, bytes int) {
 		return
 	}
 	if tMS < 0 {
-		atomic.AddInt64(&a.warm[c], int64(bytes))
+		a.warm[c] += int64(bytes)
 		return
 	}
 	sec := int(tMS / 1000)
 	if sec >= a.seconds {
 		sec = a.seconds - 1
 	}
-	atomic.AddInt64(&a.cells[sec*NumMsgClasses+int(c)], int64(bytes))
+	a.cells[sec*NumMsgClasses+int(c)] += int64(bytes)
 }
 
 // SetLive records the number of live peers during second sec. Seconds at
@@ -155,17 +155,17 @@ func (a *LoadAccount) SetLive(sec, n int) {
 }
 
 // CountDrop records one message lost to the fault plane.
-func (a *LoadAccount) CountDrop() { atomic.AddInt64(&a.drops, 1) }
+func (a *LoadAccount) CountDrop() { a.drops++ }
 
 // CountRetry records one retransmission provoked by a timeout.
-func (a *LoadAccount) CountRetry() { atomic.AddInt64(&a.retries, 1) }
+func (a *LoadAccount) CountRetry() { a.retries++ }
 
 // CountTimeout records one contact abandoned after its last attempt.
-func (a *LoadAccount) CountTimeout() { atomic.AddInt64(&a.timeouts, 1) }
+func (a *LoadAccount) CountTimeout() { a.timeouts++ }
 
 // FaultCounts returns the fault-plane event totals.
 func (a *LoadAccount) FaultCounts() (drops, retries, timeouts int64) {
-	return atomic.LoadInt64(&a.drops), atomic.LoadInt64(&a.retries), atomic.LoadInt64(&a.timeouts)
+	return a.drops, a.retries, a.timeouts
 }
 
 // Live returns the recorded live-peer count for second sec.
@@ -177,7 +177,7 @@ func (a *LoadAccount) BytesAt(sec int, mask ClassMask) int64 {
 	row := a.cells[sec*NumMsgClasses : (sec+1)*NumMsgClasses]
 	for c := 0; c < NumMsgClasses; c++ {
 		if mask.Has(MsgClass(c)) {
-			total += atomic.LoadInt64(&row[c])
+			total += row[c]
 		}
 	}
 	return total
@@ -198,7 +198,7 @@ func (a *LoadAccount) WarmupBytes(mask ClassMask) int64 {
 	total := int64(0)
 	for c := 0; c < NumMsgClasses; c++ {
 		if mask.Has(MsgClass(c)) {
-			total += atomic.LoadInt64(&a.warm[c])
+			total += a.warm[c]
 		}
 	}
 	return total
@@ -210,7 +210,7 @@ func (a *LoadAccount) ByClass() [NumMsgClasses]int64 {
 	for s := 0; s < a.seconds; s++ {
 		row := a.cells[s*NumMsgClasses : (s+1)*NumMsgClasses]
 		for c := 0; c < NumMsgClasses; c++ {
-			out[c] += atomic.LoadInt64(&row[c])
+			out[c] += row[c]
 		}
 	}
 	return out

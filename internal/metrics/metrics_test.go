@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -157,24 +156,6 @@ func TestBreakdown(t *testing.T) {
 	}
 }
 
-func TestLoadAccountConcurrentAdds(t *testing.T) {
-	a := NewLoadAccount(2)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				a.Add(500, MQuery, 3)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := a.TotalBytes(BaselineLoadMask); got != 8*1000*3 {
-		t.Errorf("concurrent total = %d, want %d", got, 8*1000*3)
-	}
-}
-
 func TestLoadAccountMinimumSize(t *testing.T) {
 	a := NewLoadAccount(0)
 	if a.Seconds() != 1 {
@@ -285,24 +266,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if sum.Breakdown[MConfirm] != 1 {
 		t.Errorf("breakdown = %v", sum.Breakdown)
-	}
-}
-
-func TestSearchStatsConcurrent(t *testing.T) {
-	var s SearchStats
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				s.Record(SearchResult{Success: true, ResponseMS: 10, Hops: 1})
-			}
-		}()
-	}
-	wg.Wait()
-	if s.Total() != 4000 {
-		t.Errorf("Total = %d, want 4000", s.Total())
 	}
 }
 

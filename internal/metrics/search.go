@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // SearchResult is the outcome of one simulated search request.
@@ -15,9 +14,9 @@ type SearchResult struct {
 	Hits       int   // distinct sources that answered positively
 }
 
-// SearchStats aggregates SearchResults. Record is safe for concurrent use.
+// SearchStats aggregates SearchResults. It is not safe for concurrent use:
+// the replay records every outcome from one goroutine.
 type SearchStats struct {
-	mu        sync.Mutex
 	total     int
 	successes int
 	respSum   int64
@@ -30,8 +29,6 @@ type SearchStats struct {
 
 // Record adds one search outcome.
 func (s *SearchStats) Record(r SearchResult) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.total++
 	s.bytesSum += r.Bytes
 	if r.Success {
@@ -48,15 +45,11 @@ func (s *SearchStats) Record(r SearchResult) {
 
 // Total returns the number of recorded searches.
 func (s *SearchStats) Total() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.total
 }
 
 // SuccessRate returns the fraction of searches with ≥1 result.
 func (s *SearchStats) SuccessRate() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.total == 0 {
 		return 0
 	}
@@ -66,8 +59,6 @@ func (s *SearchStats) SuccessRate() float64 {
 // MeanResponseMS returns the mean response time over successful searches
 // (the paper averages "among all successful search requests").
 func (s *SearchStats) MeanResponseMS() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.successes == 0 {
 		return 0
 	}
@@ -76,8 +67,6 @@ func (s *SearchStats) MeanResponseMS() float64 {
 
 // MeanBytes returns the mean per-search bandwidth cost over all searches.
 func (s *SearchStats) MeanBytes() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.total == 0 {
 		return 0
 	}
@@ -86,8 +75,6 @@ func (s *SearchStats) MeanBytes() float64 {
 
 // MeanHops returns the mean overlay hop count of first results.
 func (s *SearchStats) MeanHops() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.successes == 0 {
 		return 0
 	}
@@ -97,8 +84,6 @@ func (s *SearchStats) MeanHops() float64 {
 // MeanHits returns the mean number of positive sources per successful
 // search (≥1; larger when searches demand multiple results).
 func (s *SearchStats) MeanHits() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.successes == 0 {
 		return 0
 	}
@@ -108,8 +93,6 @@ func (s *SearchStats) MeanHits() float64 {
 // OneHopRate returns the fraction of successful searches resolved in a
 // single hop — ASAP's headline property.
 func (s *SearchStats) OneHopRate() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.successes == 0 {
 		return 0
 	}
@@ -119,8 +102,6 @@ func (s *SearchStats) OneHopRate() float64 {
 // Percentile returns the p-quantile (0 ≤ p ≤ 1) of successful response
 // times in milliseconds.
 func (s *SearchStats) Percentile(p float64) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.latencies) == 0 {
 		return 0
 	}

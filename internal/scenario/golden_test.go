@@ -67,7 +67,7 @@ func TestGoldenReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(sn, Options{})
+			res, err := Run(sn)
 			if err != nil {
 				t.Fatal(err)
 			}

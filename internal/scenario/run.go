@@ -9,13 +9,6 @@ import (
 	"asap/internal/sim"
 )
 
-// Options tunes one scenario replay. The zero value replays sequentially.
-type Options struct {
-	// Shards partitions the overlay for the parallel sharded replay
-	// engine; outputs are byte-identical at every count.
-	Shards int
-}
-
 // Result is one scenario replay's outputs: the paper summary plus the
 // per-second observability series (the golden-replay hash input).
 type Result struct {
@@ -45,7 +38,7 @@ func Build(sn Scenario) (*experiments.Lab, *Staged, error) {
 }
 
 // Run replays one scenario end to end and returns its summary and series.
-func Run(sn Scenario, opt Options) (*Result, error) {
+func Run(sn Scenario) (*Result, error) {
 	lab, st, err := Build(sn)
 	if err != nil {
 		return nil, err
@@ -62,7 +55,7 @@ func Run(sn Scenario, opt Options) (*Result, error) {
 	rec := obs.NewRecorder(int(lab.Tr.Span()/1000) + 2)
 	sys.SetObs(rec)
 	st.Install(sys)
-	sum := sim.Run(sys, sch, sim.RunOptions{Shards: opt.Shards})
+	sum := sim.Run(sys, sch, sim.RunOptions{})
 	key := fmt.Sprintf("%s/%s/%s", sn.Name, sum.Scheme, sum.Topology)
 	return &Result{Scenario: sn, Summary: sum, Series: rec.Series(key, sys.Load)}, nil
 }

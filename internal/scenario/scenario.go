@@ -12,8 +12,8 @@
 // batches. Every source of randomness is a seeded PCG stream or a pure
 // per-node hash of the scenario seed, and every mutation happens at a
 // deterministic point of the event order — so a scenario replays
-// bit-for-bit at any worker and shard count, and each built-in ships as a
-// golden-replay regression test.
+// bit-for-bit on any machine, and each built-in ships as a golden-replay
+// regression test.
 package scenario
 
 import (

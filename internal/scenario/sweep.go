@@ -16,7 +16,7 @@ type Sweep struct {
 // RunSweep replays the named scenarios (nil = every registered one, in
 // registry order) and collects their results. A non-nil series collector
 // receives each run's per-second observability series.
-func RunSweep(names []string, opt Options, series *obs.Collector, progress func(name string)) (*Sweep, error) {
+func RunSweep(names []string, series *obs.Collector, progress func(name string)) (*Sweep, error) {
 	var sns []Scenario
 	if names == nil {
 		sns = append(sns, builtins...)
@@ -34,7 +34,7 @@ func RunSweep(names []string, opt Options, series *obs.Collector, progress func(
 		if progress != nil {
 			progress(sn.Name)
 		}
-		res, err := Run(sn, opt)
+		res, err := Run(sn)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sn.Name, err)
 		}

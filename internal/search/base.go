@@ -3,7 +3,6 @@ package search
 import (
 	"math"
 	"math/rand/v2"
-	"sync"
 
 	"asap/internal/content"
 	"asap/internal/metrics"
@@ -49,15 +48,7 @@ func (noopEvents) Tick(sim.Clock) {}
 // LoadMask returns the baseline accounting mask: query messages only.
 func (noopEvents) LoadMask() metrics.ClassMask { return metrics.BaselineLoadMask }
 
-// PureSearch implements sim.PureSearcher for every baseline: query-based
-// search keeps no distributed state, so a Search outcome is a pure
-// function of the batch-frozen system state and the query event (each
-// query draws from its own querySeed-derived RNG stream, never a shared
-// one). The sharded replay engine may therefore run baseline queries in
-// any lane without conflict analysis.
-func (noopEvents) PureSearch() {}
-
-// scratch is per-worker reusable query state: two words per node, both
+// scratch is a scheme's reusable query state: two words per node, both
 // stamped with the query's epoch so nothing is cleared between queries.
 // mark holds the epoch in its high half; within the current epoch a low half
 // of 0 means the node was visited (the flood processed a copy there); b+1
@@ -66,27 +57,25 @@ func (noopEvents) PureSearch() {}
 // equals the epoch when the node is a candidate: it holds the query's
 // rarest term (see resolve), so only it can match.
 type scratch struct {
-	mark   []uint64
-	cand   []uint32
-	epoch  uint32
-	terms  []content.Keyword // the current query's, for matches
-	q      bucketQueue
-	times  []sim.Clock      // walker step times
-	nodes  []overlay.NodeID // walker step nodes
-	recs   []walkRec
-	pcg    rand.PCG
-	rng    *rand.Rand // draws from pcg; reseeded per query
-	acc    sim.SecAccumulator
-	accCtl sim.SecAccumulator
-	fkey   uint64 // names the current query's messages to the fault plane (see faults.Key)
+	mark  []uint64
+	cand  []uint32
+	epoch uint32
+	terms []content.Keyword // the current query's, for matches
+	q     bucketQueue
+	times []sim.Clock      // walker step times
+	nodes []overlay.NodeID // walker step nodes
+	recs  []walkRec
+	pcg   rand.PCG
+	rng   *rand.Rand // draws from pcg; reseeded per query
+	fkey  uint64     // names the current query's messages to the fault plane (see faults.Key)
 }
 
-func newScratchPool(n int) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		sc := &scratch{mark: make([]uint64, n), cand: make([]uint32, n)}
-		sc.rng = rand.New(&sc.pcg)
-		return sc
-	}}
+// newScratch returns the query state for an n-node system. A scheme keeps
+// one: the replay calls Search from one goroutine, one query at a time.
+func newScratch(n int) *scratch {
+	sc := &scratch{mark: make([]uint64, n), cand: make([]uint32, n)}
+	sc.rng = rand.New(&sc.pcg)
+	return sc
 }
 
 // begin starts a fresh query in this scratch, keyed for the fault plane.
@@ -98,8 +87,6 @@ func (s *scratch) begin(fkey uint64) {
 		clear(s.cand)
 		s.epoch = 1
 	}
-	s.acc.Reset()
-	s.accCtl.Reset()
 	s.times = s.times[:0]
 	s.nodes = s.nodes[:0]
 	s.recs = s.recs[:0]
@@ -144,8 +131,8 @@ func (s *scratch) claim(n overlay.NodeID, b sim.Clock) bool {
 	return true
 }
 
-// querySeed derives a deterministic per-query RNG seed so results do not
-// depend on lane scheduling.
+// querySeed derives a deterministic per-query RNG seed, so a query's walks
+// depend on its identity alone, not on the queries replayed before it.
 func querySeed(base uint64, t sim.Clock, node overlay.NodeID) uint64 {
 	x := base ^ uint64(t)<<20 ^ uint64(uint32(node))
 	// splitmix64 finalizer.

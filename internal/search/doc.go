@@ -18,11 +18,13 @@
 // queue (each copy sent is one query message; a node acts on the copy that
 // arrives earliest, then was sent earliest), walks are stepwise
 // traversals. Per-query scratch state (node marks, the queue, walker
-// paths, the walk RNG) is pooled per worker. The fault plane sees every
-// message by its identity, never a counter — a flood copy (query, edge), a
-// hit reply (query, holder → requester, walker), a walk step (query,
-// walker, step), a check-back leg (query, walker, step, leg) — so no
-// verdict depends on the order a cascade is processed in.
+// paths, the walk RNG) is owned by the scheme and reused by every query,
+// and every message is booked on the load account as it is sent. The
+// fault plane sees every message by its identity, never a counter — a
+// flood copy (query, edge), a hit reply (query, holder → requester,
+// walker), a walk step (query, walker, step), a check-back leg (query,
+// walker, step, leg) — so no verdict depends on the order a cascade is
+// processed in.
 //
 // Cost accounting follows §V-B exactly: for baselines, both the per-search
 // cost (Fig. 6) and the system load (Figs. 8–10) count query messages

@@ -1,8 +1,6 @@
 package search
 
 import (
-	"sync"
-
 	"asap/internal/faults"
 	"asap/internal/metrics"
 	"asap/internal/sim"
@@ -18,8 +16,8 @@ type Flooding struct {
 	// TTL is the flood radius (paper: 6).
 	TTL int
 
-	sys  *sim.System
-	pool *sync.Pool
+	sys *sim.System
+	sc  *scratch
 }
 
 // NewFlooding returns a flooding scheme with the paper's TTL.
@@ -31,14 +29,13 @@ func (f *Flooding) Name() string { return "flooding" }
 // Attach implements sim.Scheme.
 func (f *Flooding) Attach(sys *sim.System) {
 	f.sys = sys
-	f.pool = newScratchPool(sys.NumNodes())
+	f.sc = newScratch(sys.NumNodes())
 }
 
 // Search implements sim.Scheme: it resolves the query's candidates once and
-// runs the flood cascade over a pooled scratch.
+// runs the flood cascade over the scheme's scratch.
 func (f *Flooding) Search(ev *trace.Event) metrics.SearchResult {
-	sc := f.pool.Get().(*scratch)
-	defer f.pool.Put(sc)
+	sc := f.sc
 	sc.begin(faults.Key(ev.Time, ev.Node))
 	sc.resolve(f.sys, ev.Terms)
 	return f.cascade(sc, ev)
@@ -83,7 +80,7 @@ func (f *Flooding) cascade(sc *scratch, ev *trace.Event) metrics.SearchResult {
 
 		if it.node != src && sc.matches(sys, it.node) {
 			reply := t + sim.Clock(sys.Latency(it.node, src))
-			sc.acc.Add(t, sim.QueryHitBytes())
+			sys.Account(t, metrics.MQueryHit, sim.QueryHitBytes())
 			if sys.Arrives(t, metrics.MQueryHit, it.node, src, sc.fkey, 0) {
 				hits++
 				reply += sys.JitterMS(metrics.MQueryHit, it.node, src, sc.fkey, 0)
@@ -118,7 +115,6 @@ func (f *Flooding) cascade(sc *scratch, ev *trace.Event) metrics.SearchResult {
 			}
 		}
 	}
-	sc.acc.Flush(sys, metrics.MQueryHit)
 	queryBytes := int64(msgs) * int64(qBytes)
 	// Query bytes are spread across the cascade; bucketing them all at t0
 	// is accurate to within the flood's ~1s lifetime.

@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 
 	"asap/internal/faults"
@@ -208,14 +207,6 @@ func TestFloodingMatchesHeapReference(t *testing.T) {
 	}
 }
 
-// pinScratch makes p hand out one retained scratch, so a test can read it
-// after a Search and sync.Pool's random drops under -race cost nothing.
-func pinScratch(p **sync.Pool, n int) *scratch {
-	sc := newScratchPool(n).Get().(*scratch)
-	*p = &sync.Pool{New: func() any { return sc }}
-	return sc
-}
-
 // Fault-free, every message is a forwarding node sending to each live
 // neighbour but the one it heard from, whichever copy wins a tie. Pruning
 // makes each node's pending arrival strictly decrease, so the copy a
@@ -225,7 +216,7 @@ func TestFloodingMessageConservation(t *testing.T) {
 		sys := newSys(t, kind)
 		f := NewFlooding()
 		f.Attach(sys)
-		sc := pinScratch(&f.pool, sys.NumNodes())
+		sc := f.sc
 		hop := make(map[overlay.NodeID]int32)
 		for i := range testTr.Events {
 			ev := &testTr.Events[i]
@@ -321,7 +312,7 @@ func TestBucketQueueProperty(t *testing.T) {
 // keyword index — the per-visited-node rule, evaluated up front — instead of
 // from the holders index.
 func probeResolved(sys *sim.System, kernel func(*scratch, *trace.Event) metrics.SearchResult) func(*trace.Event) metrics.SearchResult {
-	sc := newScratchPool(sys.NumNodes()).Get().(*scratch)
+	sc := newScratch(sys.NumNodes())
 	return func(ev *trace.Event) metrics.SearchResult {
 		sc.begin(faults.Key(ev.Time, ev.Node))
 		sc.terms = ev.Terms
@@ -377,7 +368,7 @@ func TestResolvedSearchMatchesPerNodeProbe(t *testing.T) {
 	}
 }
 
-// Steady state, the pooled scratch absorbs every per-query buffer of all
+// Steady state, each scheme's scratch absorbs every per-query buffer of all
 // three baselines — resolution included, whether the rarest term's holders
 // sit in the index's base segment or in its overflow list.
 func TestBaselineSearchAllocs(t *testing.T) {
@@ -386,9 +377,6 @@ func TestBaselineSearchAllocs(t *testing.T) {
 	for _, sch := range []sim.Scheme{f, w, g} {
 		sch.Attach(sys)
 	}
-	pinScratch(&f.pool, sys.NumNodes())
-	pinScratch(&w.pool, sys.NumNodes())
-	pinScratch(&g.pool, sys.NumNodes())
 	queries := append(traceQueries(), overflowQuery(t, sys))
 	for _, sch := range []sim.Scheme{f, w, g} {
 		run := func() {

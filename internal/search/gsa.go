@@ -1,8 +1,6 @@
 package search
 
 import (
-	"sync"
-
 	"asap/internal/faults"
 	"asap/internal/metrics"
 	"asap/internal/sim"
@@ -21,8 +19,8 @@ type GSA struct {
 	// Seed drives per-query walk randomness.
 	Seed uint64
 
-	sys  *sim.System
-	pool *sync.Pool
+	sys *sim.System
+	sc  *scratch
 }
 
 // NewGSA returns a GSA scheme with the paper's budget.
@@ -34,13 +32,12 @@ func (g *GSA) Name() string { return "gsa" }
 // Attach implements sim.Scheme.
 func (g *GSA) Attach(sys *sim.System) {
 	g.sys = sys
-	g.pool = newScratchPool(sys.NumNodes())
+	g.sc = newScratch(sys.NumNodes())
 }
 
 // Search implements sim.Scheme.
 func (g *GSA) Search(ev *trace.Event) metrics.SearchResult {
-	sc := g.pool.Get().(*scratch)
-	defer g.pool.Put(sc)
+	sc := g.sc
 	sc.begin(faults.Key(ev.Time, ev.Node))
 	sc.resolve(g.sys, ev.Terms)
 	return g.walk(sc, ev)

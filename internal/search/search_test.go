@@ -347,7 +347,7 @@ func TestScratchEpochWrap(t *testing.T) {
 // hides a match nor, left over from an earlier query, invents one.
 func TestScratchMatchesEqualsNodeMatches(t *testing.T) {
 	sys := newSys(t, overlay.Crawled)
-	sc := newScratchPool(sys.NumNodes()).Get().(*scratch)
+	sc := newScratch(sys.NumNodes())
 	for n := range sc.cand {
 		sc.cand[n] = uint32(1 + n%64) // stale candidates of the epochs the wrap restarts at
 	}
@@ -389,25 +389,6 @@ func TestScratchMatchesEqualsNodeMatches(t *testing.T) {
 	check(nil)
 	if sc.epoch > uint32(4*len(queries)) || matched == 0 || multi == 0 {
 		t.Fatalf("epoch %d after %d queries (%d multi-term), %d matches: the wrap or the verified path was not exercised", sc.epoch, len(queries), multi, matched)
-	}
-}
-
-func TestSecAccumulator(t *testing.T) {
-	sys := newSys(t, overlay.Random)
-	var a sim.SecAccumulator
-	a.Add(500, 10)
-	a.Add(900, 5)
-	a.Add(1500, 7)
-	a.Add(-3, 100) // warm-up
-	a.Flush(sys, metrics.MQuery)
-	if got := sys.Load.BytesAt(0, metrics.BaselineLoadMask); got != 15 {
-		t.Errorf("second 0 = %d, want 15", got)
-	}
-	if got := sys.Load.BytesAt(1, metrics.BaselineLoadMask); got != 7 {
-		t.Errorf("second 1 = %d, want 7", got)
-	}
-	if got := sys.Load.WarmupBytes(metrics.AllMask); got != 100 {
-		t.Errorf("warmup = %d, want 100", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package search
 
 import (
 	"math/rand/v2"
-	"sync"
 
 	"asap/internal/faults"
 	"asap/internal/metrics"
@@ -131,7 +130,7 @@ func settleWalk(sys *sim.System, sc *scratch, recs []walkRec, src overlay.NodeID
 		}
 		matchNode := sc.nodes[r.start+r.steps-1]
 		reply := r.matchTime + sim.Clock(sys.Latency(matchNode, src))
-		sc.acc.Add(r.matchTime, sim.QueryHitBytes())
+		sys.Account(r.matchTime, metrics.MQueryHit, sim.QueryHitBytes())
 		if !sys.Arrives(r.matchTime, metrics.MQueryHit, matchNode, src, r.key, 0) {
 			continue // hit reply lost: the requester never hears of it
 		}
@@ -142,7 +141,6 @@ func settleWalk(sys *sim.System, sc *scratch, recs []walkRec, src overlay.NodeID
 			bestHop = r.steps
 		}
 	}
-	sc.acc.Flush(sys, metrics.MQueryHit)
 
 	msgs := extraMsgs
 	for _, r := range recs {
@@ -157,11 +155,11 @@ func settleWalk(sys *sim.System, sc *scratch, recs []walkRec, src overlay.NodeID
 			probeAt := sc.times[r.start+s-1]
 			walker := sc.nodes[r.start+s-1]
 			leg := uint32(s-1) << 1 // the check-back after step s-1: probe leg 0, reply leg 1
-			sc.accCtl.Add(probeAt, sim.CheckBackBytes())
+			sys.Account(probeAt, metrics.MControl, sim.CheckBackBytes())
 			if !sys.Arrives(probeAt, metrics.MControl, walker, src, r.key, leg) {
 				continue // probe lost: no reply, no instruction
 			}
-			sc.accCtl.Add(probeAt, sim.CheckBackBytes())
+			sys.Account(probeAt, metrics.MControl, sim.CheckBackBytes())
 			if !sys.Arrives(probeAt, metrics.MControl, src, walker, r.key, leg|1) {
 				continue // stop instruction lost: the walker keeps going
 			}
@@ -171,12 +169,10 @@ func settleWalk(sys *sim.System, sc *scratch, recs []walkRec, src overlay.NodeID
 			}
 		}
 		msgs += stop
-		for i := 0; i < stop; i++ {
-			sc.acc.Add(sc.times[r.start+i], qBytes)
+		for _, t := range sc.times[r.start : r.start+stop] {
+			sys.Account(t, metrics.MQuery, qBytes)
 		}
 	}
-	sc.acc.Flush(sys, metrics.MQuery)
-	sc.accCtl.Flush(sys, metrics.MControl)
 
 	res := metrics.SearchResult{Bytes: int64(msgs) * int64(qBytes)}
 	if resolved != noResponse {
@@ -198,8 +194,8 @@ type RandomWalk struct {
 	// Seed drives per-query walk randomness.
 	Seed uint64
 
-	sys  *sim.System
-	pool *sync.Pool
+	sys *sim.System
+	sc  *scratch
 }
 
 // NewRandomWalk returns a random-walk scheme with the paper's parameters.
@@ -213,13 +209,12 @@ func (w *RandomWalk) Name() string { return "random-walk" }
 // Attach implements sim.Scheme.
 func (w *RandomWalk) Attach(sys *sim.System) {
 	w.sys = sys
-	w.pool = newScratchPool(sys.NumNodes())
+	w.sc = newScratch(sys.NumNodes())
 }
 
 // Search implements sim.Scheme.
 func (w *RandomWalk) Search(ev *trace.Event) metrics.SearchResult {
-	sc := w.pool.Get().(*scratch)
-	defer w.pool.Put(sc)
+	sc := w.sc
 	sc.begin(faults.Key(ev.Time, ev.Node))
 	sc.resolve(w.sys, ev.Terms)
 	return w.walk(sc, ev)

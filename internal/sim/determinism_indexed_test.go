@@ -2,13 +2,9 @@ package sim_test
 
 // External-package determinism coverage for the real ASAP scheme (the
 // indexed ads cache), complementing determinism_test.go's echo-scheme
-// checks: sequential replays must be bit-for-bit identical, and the
-// sharded replay must drive the indexed search hot path to the same
-// summary, cleanly under the race detector (the `make race` target runs
-// this package with -race).
+// checks: sequential replays must be bit-for-bit identical.
 
 import (
-	"reflect"
 	"slices"
 	"testing"
 
@@ -44,12 +40,12 @@ var (
 )
 
 // runASAP replays the shared trace against a freshly attached ASAP(FLD)
-// scheme at the given shard count (0 = sequential).
-func runASAP(shards int) metrics.Summary {
+// scheme.
+func runASAP() metrics.Summary {
 	cfg := core.DefaultConfig(core.FLD).Scaled(0.05)
 	cfg.RefreshPeriodSec = 30
 	sys := sim.NewSystem(idxU, idxTr, overlay.Random, idxNet, 7)
-	return sim.Run(sys, core.New(cfg), sim.RunOptions{Shards: shards})
+	return sim.Run(sys, core.New(cfg), sim.RunOptions{})
 }
 
 // TestIndexedReplayDeterministicSingleWorker: two sequential replays of
@@ -58,7 +54,7 @@ func runASAP(shards int) metrics.Summary {
 // through the topic-indexed cache, the aggregate early-exit and the
 // watermark-gated expiry.
 func TestIndexedReplayDeterministicSingleWorker(t *testing.T) {
-	a, b := runASAP(0), runASAP(0)
+	a, b := runASAP(), runASAP()
 	if a.Requests == 0 || a.SuccessRate == 0 {
 		t.Fatalf("degenerate replay: %+v", a)
 	}
@@ -69,22 +65,5 @@ func TestIndexedReplayDeterministicSingleWorker(t *testing.T) {
 	}
 	if !slices.Equal(a.LoadSeries, b.LoadSeries) {
 		t.Fatal("load series diverge")
-	}
-}
-
-// TestIndexedSearchShardedMatchesSequential drives concurrent Search calls
-// over shared per-node caches (chain scans, lazy unlinking, merge serving,
-// all under nodeState.mu) from the dispatcher's lanes. The conflict plan
-// only runs commuting searches concurrently, so the whole summary must
-// equal the sequential replay's; the race detector checks the plan.
-func TestIndexedSearchShardedMatchesSequential(t *testing.T) {
-	want := runASAP(0)
-	if want.Requests == 0 || want.SuccessRate == 0 {
-		t.Fatalf("degenerate replay: %+v", want)
-	}
-	for _, shards := range []int{4, 8} {
-		if got := runASAP(shards); !reflect.DeepEqual(want, got) {
-			t.Fatalf("shards=%d diverged from the sequential replay:\n%+v\n%+v", shards, want, got)
-		}
 	}
 }

@@ -11,19 +11,17 @@
 // interact on the wire — each query's message cascade can be simulated on
 // its own, given a fixed snapshot of system state.
 //
-// The runner therefore replays the trace as an alternation of
+// The runner therefore replays the trace, on one goroutine, as an
+// alternation of
 //
 //   - state events (content changes, joins, departures), applied
 //     sequentially in trace order, and
 //   - query batches — maximal runs of consecutive Query events — executed
 //     in trace order. Searches do interact through scheme state (an ASAP
 //     search merges offered ads into the requester's cache, which later
-//     searches read), so the sharded dispatcher (shard.go), the one
-//     parallel engine, runs two queries of a batch concurrently only when
-//     its conflict plan proves they commute.
+//     searches read), so trace order is part of the result.
 //
-// The summary is a pure function of (system, scheme) at every GOMAXPROCS
-// and shard count.
+// The summary is a pure function of (system, scheme) at every GOMAXPROCS.
 //
 // # Message size model
 //

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"runtime"
-
 	"asap/internal/content"
 	"asap/internal/metrics"
 	"asap/internal/overlay"
@@ -13,11 +11,8 @@ import (
 // and the three ASAP variants all implement it.
 //
 // Attach is called once before replay and may pre-distribute state (ASAP's
-// warm-up ad delivery). The sequential replay calls every method from one
-// goroutine. Search alone may be called concurrently, and only for a
-// scheme that opts in through SearchSharder or PureSearcher (the sharded
-// dispatcher's lanes, shard.go); every other method is called from the
-// runner goroutine, never during a query batch.
+// warm-up ad delivery). The replay calls every method from one goroutine,
+// so a scheme needs no locks of its own.
 type Scheme interface {
 	// Name returns the scheme label used in figures (e.g. "flooding",
 	// "asap-rw").
@@ -63,40 +58,21 @@ type ContentBatcher interface {
 	ContentChangedBatch(t Clock, n overlay.NodeID, docs []content.DocID, added []bool)
 }
 
-// RunOptions tunes the replay.
+// RunOptions tunes the replay. It has no live fields: every replay is
+// sequential.
 type RunOptions struct {
-	// Shards selects the sharded replay engine (see shard.go), the one way
-	// to use more than one core inside a run: the node ID space splits into
-	// Shards contiguous ranges, query batches replay as a parallel
-	// intra-shard phase plus an ordered epoch-barrier drain, and the output
-	// stays byte-identical to the sequential replay at every shard count
-	// (including 1). 0 replays sequentially; negative means auto
-	// (GOMAXPROCS, capped at overlay.MaxShards). A scheme that implements
-	// neither SearchSharder nor PureSearcher replays sequentially.
+	// Deprecated: ignored; every replay is sequential. The field remains
+	// so callers that still set it compile.
 	Shards int
 }
 
 // Run replays the system's trace against the scheme and summarises the
 // paper's metrics for it. It drives a Stepper (stepper.go) to completion,
-// executing each query batch in trace order — or through the sharded
-// dispatcher, which reorders only query pairs it has proven commutative —
-// so the summary is a pure function of (system, scheme) at every
-// GOMAXPROCS and shard count.
-func Run(sys *System, sch Scheme, opts RunOptions) metrics.Summary {
-	var dispatcher *shardDispatcher
-	if shards := opts.Shards; shards != 0 {
-		if shards < 0 {
-			shards = runtime.GOMAXPROCS(0)
-		}
-		dispatcher = newShardDispatcher(sch, sys.NumNodes(), shards)
-	}
-
+// executing each query batch in trace order on the calling goroutine, so
+// the summary is a pure function of (system, scheme).
+func Run(sys *System, sch Scheme, _ RunOptions) metrics.Summary {
 	st := NewStepper(sys, sch, 0)
 	for batch := st.NextBatch(); batch != nil; batch = st.NextBatch() {
-		if dispatcher != nil {
-			dispatcher.runBatch(batch, st)
-			continue
-		}
 		for _, ev := range batch {
 			st.Record(ev, sch.Search(ev))
 		}

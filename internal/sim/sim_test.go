@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand/v2"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"asap/internal/content"
@@ -186,47 +185,42 @@ func TestSizesModel(t *testing.T) {
 	}
 }
 
-// fakeScheme counts runner callbacks and returns canned results. Its
-// Search only bumps an atomic counter, so it is a PureSearcher and the
-// sharded dispatcher may fan it out.
+// fakeScheme counts runner callbacks and returns canned results.
 type fakeScheme struct {
-	searches atomic.Int64
-	events   atomic.Int64
-	ticks    atomic.Int64
-	attached bool
+	searches, events, ticks int
+	attached                bool
 }
 
-func (f *fakeScheme) PureSearch()        {}
 func (f *fakeScheme) Name() string       { return "fake" }
 func (f *fakeScheme) Attach(sys *System) { f.attached = true }
 func (f *fakeScheme) Search(ev *trace.Event) metrics.SearchResult {
-	f.searches.Add(1)
+	f.searches++
 	return metrics.SearchResult{Success: true, ResponseMS: 10, Bytes: 100, Hops: 1}
 }
 func (f *fakeScheme) ContentChanged(t Clock, n overlay.NodeID, d content.DocID, added bool) {
-	f.events.Add(1)
+	f.events++
 }
-func (f *fakeScheme) NodeJoined(t Clock, n overlay.NodeID) { f.events.Add(1) }
-func (f *fakeScheme) NodeLeft(t Clock, n overlay.NodeID)   { f.events.Add(1) }
-func (f *fakeScheme) Tick(t Clock)                         { f.ticks.Add(1) }
+func (f *fakeScheme) NodeJoined(t Clock, n overlay.NodeID) { f.events++ }
+func (f *fakeScheme) NodeLeft(t Clock, n overlay.NodeID)   { f.events++ }
+func (f *fakeScheme) Tick(t Clock)                         { f.ticks++ }
 func (f *fakeScheme) LoadMask() metrics.ClassMask          { return metrics.AllMask }
 
 func TestRunnerDispatch(t *testing.T) {
 	sys := newTestSystem(t)
 	sch := &fakeScheme{}
-	sum := Run(sys, sch, RunOptions{Shards: 4})
+	sum := Run(sys, sch, RunOptions{})
 	st := sys.Tr.Stats()
 	if !sch.attached {
 		t.Error("Attach not called")
 	}
-	if got := int(sch.searches.Load()); got != st.Queries {
-		t.Errorf("searches = %d, want %d", got, st.Queries)
+	if sch.searches != st.Queries {
+		t.Errorf("searches = %d, want %d", sch.searches, st.Queries)
 	}
 	wantEvents := st.ContentAdds + st.ContentRemoves + st.Joins + st.Leaves
-	if got := int(sch.events.Load()); got != wantEvents {
-		t.Errorf("state callbacks = %d, want %d", got, wantEvents)
+	if sch.events != wantEvents {
+		t.Errorf("state callbacks = %d, want %d", sch.events, wantEvents)
 	}
-	if sch.ticks.Load() == 0 {
+	if sch.ticks == 0 {
 		t.Error("no ticks fired")
 	}
 	if sum.Requests != st.Queries || sum.SuccessRate != 1 || sum.MeanRespMS != 10 {
@@ -249,20 +243,6 @@ func TestRunnerLiveSeriesTracksChurn(t *testing.T) {
 	}
 	if nonzero < la.Seconds()-1 {
 		t.Errorf("live counts recorded for %d of %d seconds", nonzero, la.Seconds())
-	}
-}
-
-func TestRunnerShardCountInvariance(t *testing.T) {
-	// A stateless scheme must produce identical aggregates regardless of
-	// shard count.
-	tr := testTrace(t)
-	run := func(shards int) metrics.Summary {
-		sys := NewSystem(testU, tr, overlay.Random, testNet, 1)
-		return Run(sys, &fakeScheme{}, RunOptions{Shards: shards})
-	}
-	a, b := run(0), run(8)
-	if a.Requests != b.Requests || a.SuccessRate != b.SuccessRate || a.MeanRespMS != b.MeanRespMS {
-		t.Errorf("shard count changed aggregates: %+v vs %+v", a, b)
 	}
 }
 
@@ -305,6 +285,33 @@ func TestSystemRandomDifferentSeeds(t *testing.T) {
 		t.Error("different seeds produced identical host placements")
 	}
 }
+
+func TestNewSystemWithGraphValidatesSize(t *testing.T) {
+	tr := testTrace(t)
+	hosts := testNet.RandomNodes(10, newRng())
+	g := overlay.NewRandom(testNet, hosts, 10, 3, newRng())
+	defer func() {
+		if recover() == nil {
+			t.Error("mismatched graph size did not panic")
+		}
+	}()
+	NewSystemWithGraph(testU, tr, g)
+}
+
+func TestSystemAccessors(t *testing.T) {
+	sys := newTestSystem(t)
+	if sys.InitialLive() != sys.Tr.InitialLive {
+		t.Errorf("InitialLive = %d", sys.InitialLive())
+	}
+	if d := sys.Latency(0, 1); d <= 0 {
+		t.Errorf("Latency(0,1) = %d", d)
+	}
+	if d := sys.Latency(3, 3); d != 0 {
+		t.Errorf("self latency = %d", d)
+	}
+}
+
+func newRng() *rand.Rand { return rand.New(rand.NewPCG(3, 3)) }
 
 func BenchmarkNodeMatches(b *testing.B) {
 	cfg := trace.DefaultConfig()

@@ -24,8 +24,8 @@ const sysRngStream = 0xe7037ed1a0b428db
 
 // System is the dynamic state a scheme searches over: the overlay graph,
 // per-node shared contents indexed by keyword both ways (a node's postings,
-// a keyword's holders), node interests, and the load account. State mutations (ApplyEvent) are serialised by the runner;
-// reads and Account are safe from concurrent Search calls.
+// a keyword's holders), node interests, and the load account. The replay
+// goroutine is its only writer, state events and Account alike.
 type System struct {
 	G    *overlay.Graph
 	U    *content.Universe
@@ -477,8 +477,9 @@ func (s *System) Lost(t Clock, c metrics.MsgClass, src, dst overlay.NodeID, key 
 }
 
 // Deliver is the per-message choke point: it accounts the send and
-// reports whether the message arrives. Cascades that batch their
-// accounting through a SecAccumulator call Arrives directly instead.
+// reports whether the message arrives. Cascades that account a message
+// apart from its verdict (or many messages in one add) call Account and
+// Arrives directly instead.
 func (s *System) Deliver(t Clock, c metrics.MsgClass, bytes int, src, dst overlay.NodeID, key uint64, seq uint32) bool {
 	s.Load.Add(t, c, bytes)
 	return s.Arrives(t, c, src, dst, key, seq)
