@@ -104,6 +104,7 @@ bench-delivery:
 bench-replay:
 	$(GO) test -run '^$$' -bench 'BenchmarkReplaySmall' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkScanChains' -benchtime 100x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkAppendMatch' -benchtime 10000x -benchmem ./internal/bloom
 	$(GO) test -run '^$$' -bench 'BenchmarkFloodingSearch|BenchmarkRandomWalkSearch|BenchmarkGSASearch' \
 		-benchtime 100x -benchmem ./internal/search
 

@@ -5,24 +5,30 @@ import (
 	"math/bits"
 )
 
+// tileBlocks is the number of 64-slot blocks one tile interleaves: their
+// eight column words for a bit position fill one 64-byte cache line.
+const tileBlocks = 8
+
 // Sliced is a bit-sliced (column-major) signature matrix over filters that
 // share one geometry (m, k). Filters are assigned consecutive slots,
-// grouped into blocks of 64; block g keeps one machine word per filter bit
-// position, where bit j of word pos says whether slot 64g+j's filter sets
-// bit pos. A query's probe positions then test up to 64 filters per
+// grouped into blocks of 64 and blocks into tiles of tileBlocks. A tile is
+// stored position-major: word tiles[t][8·pos + b&7] holds block b's
+// column for bit pos (b = 8t + b&7), where bit j says whether slot 64b+j's
+// filter sets bit pos. One probe position thus covers a tile's 512 slots
+// with one cache line, and a query's positions test up to 512 filters per
 // word-AND pass instead of probing each filter's bitmap in turn.
 //
 // The matrix is append-only: Add assigns the next slot and writes its
 // column bits once; no written bit is ever changed afterwards, so a match
 // word computed at any point stays correct for every slot that existed
-// then. Add does write into the current block's words (the new slot's bit
-// lane), so callers must not run Add concurrently with AppendMatch — the
-// simulator registers slots only at publish time, behind the replay's
-// query-batch barrier.
+// then. Add does write into the current tile (the new slot's lane), so
+// callers must not run Add concurrently with AppendMatch or MatchBlock —
+// the simulator registers slots only on its single writing goroutine, and
+// serving readers match only while the serving gate holds that writer off.
 type Sliced struct {
-	m, k   uint32
-	n      int
-	blocks [][]uint64 // blocks[g][pos]: bit j set ⇔ slot 64g+j sets bit pos
+	m, k  uint32
+	n     int
+	tiles [][]uint64 // tiles[t][8·pos + b&7]: bit j set ⇔ slot 64b+j sets bit pos
 }
 
 // NewSliced returns an empty signature matrix for filters of m bits probed
@@ -40,9 +46,9 @@ func (s *Sliced) Geometry() (m, k int) { return int(s.m), int(s.k) }
 // Len returns the number of assigned slots.
 func (s *Sliced) Len() int { return s.n }
 
-// Blocks returns the number of 64-slot blocks, i.e. the length AppendMatch
-// appends.
-func (s *Sliced) Blocks() int { return len(s.blocks) }
+// Blocks returns the number of 64-slot blocks holding assigned slots, i.e.
+// the length AppendMatch appends.
+func (s *Sliced) Blocks() int { return (s.n + 63) >> 6 }
 
 // Add assigns the next slot to f and writes its signature columns: for
 // every bit position set in f, the slot's lane bit in that position's
@@ -54,14 +60,15 @@ func (s *Sliced) Add(f *Filter) int {
 	}
 	slot := s.n
 	s.n++
-	if slot>>6 == len(s.blocks) {
-		s.blocks = append(s.blocks, make([]uint64, s.m))
+	t := slot / (64 * tileBlocks)
+	if t == len(s.tiles) {
+		s.tiles = append(s.tiles, make([]uint64, int(s.m)*tileBlocks))
 	}
-	blk := s.blocks[slot>>6]
+	tile, b := s.tiles[t], uint32(slot>>6)%tileBlocks
 	lane := uint64(1) << (uint(slot) & 63)
 	for wi, w := range f.words {
 		for ; w != 0; w &= w - 1 {
-			blk[wi*64+bits.TrailingZeros64(w)] |= lane
+			tile[uint32(wi*64+bits.TrailingZeros64(w))*tileBlocks+b] |= lane
 		}
 	}
 	return slot
@@ -81,27 +88,42 @@ func (s *Sliced) AppendPositions(dst []uint32, ps []Probe) []uint32 {
 }
 
 // AppendMatch appends one match word per block to dst and returns it: bit
-// j of word g is set iff slot 64g+j's filter has every one of positions
+// j of word b is set iff slot 64b+j's filter has every one of positions
 // set — exactly ContainsAllProbes of that filter for the probes the
-// positions were derived from. With no positions every lane matches (a
-// term-less query passes every filter), including lanes beyond Len(), so
-// callers AND the result against a slot-membership mask rather than
-// reading it raw.
+// positions were derived from. Each tile costs one cache-line AND pass per
+// position, cut short once all eight of its words are zero. With no
+// positions every lane matches (a term-less query passes every filter),
+// including lanes beyond Len(), so callers AND the result against a
+// slot-membership mask rather than reading it raw.
 func (s *Sliced) AppendMatch(dst []uint64, positions []uint32) []uint64 {
-	for b := range s.blocks {
-		dst = append(dst, s.MatchBlock(b, positions))
+	left := s.Blocks()
+	for _, tile := range s.tiles {
+		w0, w1, w2, w3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
+		w4, w5, w6, w7 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
+		for _, pos := range positions {
+			l := (*[tileBlocks]uint64)(tile[pos*tileBlocks:])
+			w0, w1, w2, w3 = w0&l[0], w1&l[1], w2&l[2], w3&l[3]
+			w4, w5, w6, w7 = w4&l[4], w5&l[5], w6&l[6], w7&l[7]
+			if w0|w1|w2|w3|w4|w5|w6|w7 == 0 {
+				break
+			}
+		}
+		w := [tileBlocks]uint64{w0, w1, w2, w3, w4, w5, w6, w7}
+		dst = append(dst, w[:min(left, tileBlocks)]...)
+		left -= tileBlocks
 	}
 	return dst
 }
 
 // MatchBlock computes the match word of one 64-slot block: bit j is set iff
-// slot 64b+j's filter has every one of positions set. It AND-folds the
-// block's column words with early exit once no lane survives.
+// slot 64b+j's filter has every one of positions set — word b of
+// AppendMatch. It AND-folds the block's column words with early exit once
+// no lane survives.
 func (s *Sliced) MatchBlock(b int, positions []uint32) uint64 {
-	blk := s.blocks[b]
+	tile, col := s.tiles[b/tileBlocks], uint32(b%tileBlocks)
 	w := ^uint64(0)
 	for _, pos := range positions {
-		w &= blk[pos]
+		w &= tile[pos*tileBlocks+col]
 		if w == 0 {
 			break
 		}

@@ -18,18 +18,42 @@ var slicedGeometries = [][2]int{
 	{129, 64},
 }
 
+// checkSliced cross-checks one query against s: AppendMatch yields one word
+// per block, MatchBlock reads back each of those words, and every slot's
+// match bit equals its filter's scalar ContainsAllProbes.
+func checkSliced(t *testing.T, s *Sliced, filters []*Filter, probes []Probe) {
+	t.Helper()
+	m, k := s.Geometry()
+	pos := s.AppendPositions(nil, probes)
+	match := s.AppendMatch(nil, pos)
+	if len(match) != s.Blocks() {
+		t.Fatalf("m=%d k=%d: %d match words, want %d", m, k, len(match), s.Blocks())
+	}
+	for b, w := range match {
+		if got := s.MatchBlock(b, pos); got != w {
+			t.Fatalf("m=%d k=%d block=%d: MatchBlock=%x, AppendMatch=%x", m, k, b, got, w)
+		}
+	}
+	for slot, f := range filters {
+		got := match[slot>>6]>>(uint(slot)&63)&1 != 0
+		if want := f.ContainsAllProbes(probes); got != want {
+			t.Fatalf("m=%d k=%d slot=%d: sliced=%v scalar=%v", m, k, slot, got, want)
+		}
+	}
+}
+
 // TestSlicedMatchesContainsAllProbes is the exactness property of the
 // bit-sliced matrix: for random filters and random probe sets across
 // geometries, the match word's slot bit equals the filter's scalar
-// ContainsAllProbes — bit for bit, including slots far beyond the first
-// block.
+// ContainsAllProbes — bit for bit, across two full 512-slot tiles and a
+// partial third, so every tile offset is exercised.
 func TestSlicedMatchesContainsAllProbes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 7))
 	for _, geo := range slicedGeometries {
 		m, k := geo[0], geo[1]
 		s := NewSliced(m, k)
 		var filters []*Filter
-		for i := 0; i < 150; i++ {
+		for i := 0; i < 1100; i++ {
 			f := New(m, k)
 			for n := rng.IntN(20); n > 0; n-- {
 				f.AddKey(rng.Uint64() % 500)
@@ -44,17 +68,7 @@ func TestSlicedMatchesContainsAllProbes(t *testing.T) {
 			for n := rng.IntN(5); n > 0; n-- {
 				keys = append(keys, rng.Uint64()%500)
 			}
-			probes := AppendKeyProbes(nil, keys)
-			match := s.AppendMatch(nil, s.AppendPositions(nil, probes))
-			if len(match) != s.Blocks() {
-				t.Fatalf("m=%d k=%d: %d match words, want %d", m, k, len(match), s.Blocks())
-			}
-			for slot, f := range filters {
-				got := match[slot>>6]>>(uint(slot)&63)&1 != 0
-				if want := f.ContainsAllProbes(probes); got != want {
-					t.Fatalf("m=%d k=%d slot=%d keys=%v: sliced=%v scalar=%v", m, k, slot, keys, got, want)
-				}
-			}
+			checkSliced(t, s, filters, AppendKeyProbes(nil, keys))
 		}
 	}
 }
@@ -106,7 +120,9 @@ func TestSlicedAppendReusesBuffers(t *testing.T) {
 
 // FuzzSlicedGeometry feeds arbitrary filter geometries and key material to
 // the sliced index and cross-checks every slot's match bit against the
-// scalar probe walk — the fuzz companion of the exactness property.
+// scalar probe walk — the fuzz companion of the exactness property. Keys
+// come from a 64-key universe so queries do match, and 520 filters reach
+// into a second tile.
 func FuzzSlicedGeometry(f *testing.F) {
 	f.Add(uint16(DefaultBits), uint8(DefaultHashes), uint64(12345), uint8(7))
 	f.Add(uint16(64), uint8(1), uint64(0), uint8(1))
@@ -117,21 +133,47 @@ func FuzzSlicedGeometry(f *testing.F) {
 		rng := rand.New(rand.NewPCG(seed, 99))
 		s := NewSliced(m, k)
 		var filters []*Filter
-		for i := 0; i < 70; i++ {
+		for i := 0; i < 520; i++ {
 			fl := New(m, k)
 			for n := int(nKeys) % 16; n > 0; n-- {
-				fl.AddKey(rng.Uint64())
+				fl.AddKey(rng.Uint64N(64))
 			}
 			s.Add(fl)
 			filters = append(filters, fl)
 		}
-		probes := AppendKeyProbes(nil, []uint64{seed, seed ^ 0xabcdef, rng.Uint64()})
-		match := s.AppendMatch(nil, s.AppendPositions(nil, probes))
-		for slot, fl := range filters {
-			got := match[slot>>6]>>(uint(slot)&63)&1 != 0
-			if want := fl.ContainsAllProbes(probes); got != want {
-				t.Fatalf("m=%d k=%d slot=%d: sliced=%v scalar=%v", m, k, slot, got, want)
-			}
-		}
+		checkSliced(t, s, filters, AppendKeyProbes(nil, []uint64{seed % 64, rng.Uint64N(64)}))
 	})
+}
+
+// BenchmarkAppendMatch measures the tile-major match pass a query pays once
+// per geometry group: the default geometry at 2,048 slots (four tiles),
+// 1–3-term queries drawn from the filters' own keys so some lanes survive.
+// ns/block is the cost per 64-slot match word.
+func BenchmarkAppendMatch(b *testing.B) {
+	const slots, perAd, queries = 2048, 60, 64
+	rng := rand.New(rand.NewPCG(1, 2))
+	s := NewSliced(DefaultBits, DefaultHashes)
+	keys := make([]uint64, 0, slots*perAd)
+	for i := 0; i < slots; i++ {
+		f := NewDefault()
+		for j := 0; j < perAd; j++ {
+			key := rng.Uint64N(1 << 20)
+			f.AddKey(key)
+			keys = append(keys, key)
+		}
+		s.Add(f)
+	}
+	positions := make([][]uint32, queries)
+	for i := range positions {
+		at := rng.IntN(slots) * perAd
+		terms := keys[at : at+1+rng.IntN(3)]
+		positions[i] = s.AppendPositions(nil, AppendKeyProbes(nil, terms))
+	}
+	match := make([]uint64, 0, s.Blocks())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		match = s.AppendMatch(match[:0], positions[i%queries])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Blocks()), "ns/block")
 }

@@ -13,11 +13,10 @@ import (
 // caches, so its Bloom signature is sliced ONCE, globally, at publication:
 // the Scheme keeps one bit-sliced column matrix per filter geometry
 // (adSlots), and each snapshot records which matrix (sigGroup) and which
-// column lane (sigSlot) holds its signature. A query then derives its probe
-// positions once per geometry group and resolves "does this cached ad match
-// every term" to a single bit test against a lazily computed 64-ad match
-// word (queryAcc) — the word-parallel replacement for the per-ad
-// ContainsAllProbes walk.
+// column lane (sigSlot) holds its signature. A query computes every block's
+// match word once per geometry group it touches, and then resolves "does
+// this cached ad match every term" to a single bit test (queryAcc) — the
+// word-parallel replacement for the per-ad ContainsAllProbes walk.
 //
 // Cache membership is indexed source-major (holderTab): an ad delivery is
 // one source reaching many nodes, so "does v cache src's ad" is answered by
@@ -68,31 +67,29 @@ func (s *adSlots) register(snap *adSnapshot) {
 	s.groups = append(s.groups, g)
 }
 
-// queryAcc is one query's lazy match accumulator over the global signature
-// index. Probe positions are derived at most once per geometry group, and
-// match words at most once per 64-slot block — only for blocks a tested
-// snapshot actually lives in — so a cache scan costs one word-AND pass per
-// touched block plus a bit test per entry. Buffers persist across queries
-// in the search scratch; reset clears the computed marks, not the storage,
-// so the steady state allocates nothing.
+// queryAcc is one query's match accumulator over the global signature
+// index. The first test against a geometry group derives the group's probe
+// positions and every block's match word in one tile-major pass
+// (Sliced.AppendMatch); each later test in the group is one word load and
+// a bit test. The pass costs positions × ⌈blocks/8⌉ cache lines however
+// few of the group's slots the query tests — cheaper than matching only
+// the touched blocks once a cache spans more than an eighth of them, as
+// warm caches do (DESIGN.md §12). Buffers persist across queries in the
+// search scratch; reset truncates them, so the steady state allocates
+// nothing.
 type queryAcc struct {
 	slots  *adSlots
 	probes []bloom.Probe
-	pos    [][]uint32 // per group: probe bit positions (shared by the group)
-	posOK  []bool
-	accs   [][]uint64 // per group: per-block match words
-	comp   [][]uint64 // per group: bitmap of computed blocks
+	pos    []uint32               // probe positions of the group last filled
+	accs   [maxSigGroups][]uint64 // per group: every block's match word, empty until first use
 }
 
 // reset rebinds the accumulator to a query's probes, invalidating all
-// cached positions and match words.
+// computed match words.
 func (qa *queryAcc) reset(slots *adSlots, probes []bloom.Probe) {
 	qa.slots, qa.probes = slots, probes
-	for g := range qa.posOK {
-		qa.posOK[g] = false
-	}
-	for g := range qa.comp {
-		clear(qa.comp[g])
+	for g := range qa.accs {
+		qa.accs[g] = qa.accs[g][:0]
 	}
 }
 
@@ -106,38 +103,19 @@ func (qa *queryAcc) matches(snap *adSnapshot) bool {
 	if slot < 0 || qa.slots == nil {
 		return snap.filter.ContainsAllProbes(qa.probes)
 	}
-	g, b := int(snap.sigGroup), slot>>6
-	if g >= len(qa.accs) || b >= len(qa.accs[g]) {
-		qa.grow(g, b)
+	acc := qa.accs[snap.sigGroup]
+	if slot>>6 >= len(acc) {
+		acc = qa.fill(int(snap.sigGroup))
 	}
-	if qa.comp[g][b>>6]&(1<<(uint(b)&63)) == 0 {
-		qa.comp[g][b>>6] |= 1 << (uint(b) & 63)
-		sl := qa.slots.groups[g]
-		if !qa.posOK[g] {
-			qa.posOK[g] = true
-			qa.pos[g] = sl.AppendPositions(qa.pos[g][:0], qa.probes)
-		}
-		qa.accs[g][b] = sl.MatchBlock(b, qa.pos[g])
-	}
-	return qa.accs[g][b]>>(uint(slot)&63)&1 != 0
+	return acc[slot>>6]>>(uint(slot)&63)&1 != 0
 }
 
-// grow sizes the per-group buffers to cover group g, block b. Growth is
-// monotone over a run (groups and blocks only ever appear), so it amortises
-// to nothing once the index stops growing.
-func (qa *queryAcc) grow(g, b int) {
-	for len(qa.accs) <= g {
-		qa.pos = append(qa.pos, nil)
-		qa.posOK = append(qa.posOK, false)
-		qa.accs = append(qa.accs, nil)
-		qa.comp = append(qa.comp, nil)
-	}
-	for len(qa.accs[g]) <= b {
-		qa.accs[g] = append(qa.accs[g], 0)
-	}
-	for len(qa.comp[g]) <= b>>6 {
-		qa.comp[g] = append(qa.comp[g], 0)
-	}
+// fill computes group g's match words for the query's probes.
+func (qa *queryAcc) fill(g int) []uint64 {
+	sl := qa.slots.groups[g]
+	qa.pos = sl.AppendPositions(qa.pos[:0], qa.probes)
+	qa.accs[g] = sl.AppendMatch(qa.accs[g][:0], qa.pos)
+	return qa.accs[g]
 }
 
 // holderTab is one source's side of the ads-cache index: the nodes caching

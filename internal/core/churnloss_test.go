@@ -22,9 +22,7 @@ import (
 // staleness expiry, patch snapshot swaps, and the steady growth of the
 // global slot matrix as republished ads register new signatures — and the
 // paths that can desynchronise the source-major holder index from the
-// per-node slabs, which is audited after every event. Run under
-// -race it additionally validates that concurrent searches share the
-// frozen matrices safely.
+// per-node slabs, which is audited after every event.
 func TestIndexedCacheEquivalenceUnderChurnAndLoss(t *testing.T) {
 	sys := sim.NewSystem(testU, testTr, overlay.Crawled, testNet, 77)
 	sys.SetFaults(faults.New(faults.Config{Seed: 77, LossRate: 0.05}))

@@ -75,8 +75,8 @@ func TestScanHotPathAllocs(t *testing.T) {
 }
 
 // BenchmarkScanChains measures phase 1's cache scan — probe-position
-// derivation, lazy word-parallel block matching and the per-slot bit tests
-// — against the warmed node with the largest cache. The name is kept from
+// derivation, the tile-major match pass over the whole geometry group and
+// the per-slot bit tests — against the warmed node with the largest cache. The name is kept from
 // the posting-chain implementation this path replaced so perf history
 // stays comparable across BENCH records.
 func BenchmarkScanChains(b *testing.B) {

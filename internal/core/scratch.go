@@ -29,7 +29,7 @@ type searchScratch struct {
 	srcs      []overlay.NodeID // phase-1 cache-scan matches
 	serve     []*adSnapshot    // per-target ads-reply assembly
 
-	// qa is the query's lazy signature-match accumulator (see adindex.go);
+	// qa is the query's signature-match accumulator (see adindex.go);
 	// Search rebinds it to the query's probes once they are built.
 	qa queryAcc
 

@@ -106,8 +106,8 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 		}
 	}
 	// Scan the cache in insertion order through the query accumulator: one
-	// word-AND pass per touched signature block, then a bit test per entry
-	// (see adindex.go).
+	// match pass over each touched geometry group, then a bit test per
+	// entry (see adindex.go).
 	srcs := ns.scanCache(&sc.qa, sc.srcs[:0])
 	sc.srcs = srcs
 	if len(srcs) > 0 {

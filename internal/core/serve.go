@@ -22,14 +22,13 @@ import (
 // per-epoch quiescent oracle.
 
 // ServeScratch is one serving worker's reusable working set for SearchRO:
-// probe buffers, the lazy signature-match accumulator and epoch-stamped
-// BFS state. A scratch must not be shared by concurrent calls; the serving
+// probe buffers, the signature-match accumulator and epoch-stamped BFS
+// state. A scratch must not be shared by concurrent calls; the serving
 // layer keeps one per in-flight slot, so the steady state allocates
 // nothing per query.
 type ServeScratch struct {
 	keys    []uint64
 	probes  []bloom.Probe
-	srcs    []overlay.NodeID
 	seen    map[overlay.NodeID]struct{}
 	targets []overlay.NodeID
 	qa      queryAcc
@@ -67,7 +66,9 @@ type ServeResult struct {
 // bit-sliced signature index, skipping entries its staleness window has
 // expired (the batch path drops them; the read-only path merely ignores
 // them — the next apply section sweeps). Matches are confirmed in fifo
-// order under a MaxConfirms attempt budget, the batch path's contact cap.
+// order under a MaxConfirms attempt budget, the batch path's contact cap,
+// and the scan stops at the MaxConfirms-th match: nothing past it would
+// be confirmed.
 // If fewer than MinResults verify and AdsRequestHops > 0, phase 2 walks
 // the h-hop eligible neighbourhood and confirms the ads each peer would
 // offer a lossless search-time pull — published ad plus cached entries
@@ -94,25 +95,23 @@ func (s *Scheme) SearchRO(p overlay.NodeID, terms []content.Keyword, now sim.Clo
 	}
 
 	// Phase 1: the representative's own cache, fifo order, staleness
-	// filtered inline, confirm attempts capped at MaxConfirms.
+	// filtered inline, each match confirmed as found until MaxConfirms
+	// attempts are spent.
 	base := len(dst)
 	ns := &s.nodes[rp]
-	srcs := sc.srcs[:0]
-	for _, i := range ns.live() {
-		if e := &ns.slab[i]; e.lastSeen >= staleBefore && sc.qa.matches(e.snap) {
-			srcs = append(srcs, e.snap.src)
-		}
-	}
-	sc.srcs = srcs
 	attempts := 0
-	for _, src := range srcs {
+	for _, i := range ns.live() {
 		if attempts >= s.cfg.MaxConfirms {
 			break
 		}
+		e := &ns.slab[i]
+		if e.lastSeen < staleBefore || !sc.qa.matches(e.snap) {
+			continue
+		}
 		attempts++
-		sc.seen[src] = struct{}{}
-		if s.sys.G.Alive(src) && s.groupMatches(src, terms) {
-			dst = append(dst, src)
+		sc.seen[e.snap.src] = struct{}{}
+		if s.sys.G.Alive(e.snap.src) && s.groupMatches(e.snap.src, terms) {
+			dst = append(dst, e.snap.src)
 		}
 	}
 	if len(dst)-base >= s.cfg.MinResults || s.cfg.AdsRequestHops == 0 {

@@ -116,11 +116,39 @@ func searchROReference(s *Scheme, p overlay.NodeID, terms []content.Keyword, now
 	return out, true
 }
 
+// phase1Matches counts the entries of p's representative's cache that pass
+// SearchRO's phase-1 filter — fresh at now and matching every term — the
+// population its MaxConfirms stop may cut short.
+func phase1Matches(s *Scheme, p overlay.NodeID, terms []content.Keyword, now sim.Clock) int {
+	rp := s.repr(p)
+	if rp < 0 {
+		return 0
+	}
+	var keys []uint64
+	for _, term := range terms {
+		keys = append(keys, uint64(term))
+	}
+	probes := bloom.AppendKeyProbes(nil, keys)
+	staleBefore := sim.Clock(minClock)
+	if s.cfg.RefreshPeriodSec > 0 {
+		staleBefore = now - sim.Clock(s.cfg.StaleFactor*s.cfg.RefreshPeriodSec)*1000
+	}
+	n := 0
+	for _, e := range cacheEntries(&s.nodes[rp]) {
+		if e.lastSeen >= staleBefore && e.snap.filter.ContainsAllProbes(probes) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSearchROMatchesOracle replays the test trace — churn, content drift,
 // 5% loss, staleness expiry, evictions — through the real mutating replay
 // and, at every batch boundary (a quiescent state), pins SearchRO against
 // the scalar reference for the queries of that batch, with one shared
-// scratch and result buffer to prove reuse is clean.
+// scratch and result buffer to prove reuse is clean. Some queries must
+// match more than MaxConfirms phase-1 entries, so the scan's early stop is
+// pinned against the reference's.
 func TestSearchROMatchesOracle(t *testing.T) {
 	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 1)
 	sys.SetFaults(faults.New(faults.Config{Seed: 1, LossRate: 0.05}))
@@ -131,6 +159,7 @@ func TestSearchROMatchesOracle(t *testing.T) {
 	var dst []overlay.NodeID
 	checked := 0
 	phase2Seen := false
+	overBudget := 0
 	for batch := st.NextBatch(); batch != nil; batch = st.NextBatch() {
 		for _, ev := range batch {
 			// Check BEFORE the mutating Search, so the state under test is
@@ -143,6 +172,9 @@ func TestSearchROMatchesOracle(t *testing.T) {
 					checked, ev.Node, ev.Time, res.Sources, res.Phase2, want, wantP2)
 			}
 			phase2Seen = phase2Seen || res.Phase2
+			if phase1Matches(s, ev.Node, ev.Terms, ev.Time) > s.cfg.MaxConfirms {
+				overBudget++
+			}
 			checked++
 			st.Record(ev, s.Search(ev))
 		}
@@ -154,6 +186,10 @@ func TestSearchROMatchesOracle(t *testing.T) {
 	if !phase2Seen {
 		t.Error("no query exercised the phase-2 neighbourhood path")
 	}
+	if overBudget == 0 {
+		t.Errorf("no query matched more than MaxConfirms=%d phase-1 entries; the scan's early stop went unexercised", s.cfg.MaxConfirms)
+	}
+	t.Logf("%d of %d queries matched more than MaxConfirms phase-1 entries", overBudget, checked)
 }
 
 // TestSearchROIsReadOnly pins the no-mutation contract: a SearchRO burst
