@@ -110,12 +110,14 @@ bench-replay:
 
 # Zero-alloc gates: the obs-off hot path (promised in internal/obs), the
 # warmed-up delivery hot loops (flood, a 64-source refresh tick, walk), the
-# warmed-up replay scan paths (scanCache, serveAds), a
-# warmed-up search of each baseline (the scheme's scratch), and patch sizing on
-# the publish path (exact even for unsorted caller-built lists).
+# warmed-up replay scan paths (scanCache, serveAds), a warmed-up served
+# search (Node.Search over SearchRO, which runs on the replay's search
+# scratch), a warmed-up search of each baseline (the scheme's scratch), and
+# patch sizing on the publish path (exact even for unsorted caller-built lists).
 alloc-gate:
 	$(GO) test -run 'TestObsOffHotPathAllocs' -count=1 .
 	$(GO) test -run 'TestDeliveryHotPathAllocs|TestScanHotPathAllocs' -count=1 ./internal/core
+	$(GO) test -run 'TestServeSearchAllocs' -count=1 ./internal/serve
 	$(GO) test -run 'TestBaselineSearchAllocs' -count=1 ./internal/search
 	$(GO) test -run 'TestPatchWireSizeAllocs' -count=1 ./internal/bloom
 

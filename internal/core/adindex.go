@@ -247,12 +247,21 @@ func (t *holderTab) resize(size int) {
 	}
 }
 
-// scanCache appends the sources of cached ads whose filters pass every
-// query probe, in fifo (insertion) order — phase 1's candidate scan.
-func (ns *nodeState) scanCache(qa *queryAcc, out []overlay.NodeID) []overlay.NodeID {
+// scanCache appends the sources of cached ads last seen at or after
+// staleBefore whose filters pass every query probe, in fifo (insertion)
+// order — phase 1's candidate scan — and stops after limit matches.
+// Search passes no limit (math.MaxInt) because it ranks every match by
+// round-trip time before confirming; SearchRO passes MaxConfirms because
+// it confirms in cache order, so nothing past that match would be tried.
+func (ns *nodeState) scanCache(qa *queryAcc, staleBefore sim.Clock, limit int, out []overlay.NodeID) []overlay.NodeID {
+	n := 0
 	for _, i := range ns.live() {
-		if snap := ns.slab[i].snap; qa.matches(snap) {
-			out = append(out, snap.src)
+		if n >= limit {
+			break
+		}
+		if e := &ns.slab[i]; e.lastSeen >= staleBefore && qa.matches(e.snap) {
+			out = append(out, e.snap.src)
+			n++
 		}
 	}
 	return out

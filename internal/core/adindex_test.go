@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -104,7 +105,7 @@ func TestScanCacheMatchesLinearScan(t *testing.T) {
 		probes := bloom.AppendKeyProbes(nil, keys)
 
 		qa.reset(slots, probes)
-		got := ns.scanCache(&qa, nil)
+		got := ns.scanCache(&qa, minClock, math.MaxInt, nil)
 		want := scanCacheReference(ns, probes)
 		if !slices.Equal(got, want) {
 			t.Fatalf("step %d: sliced scan %v != reference scan %v", i, got, want)

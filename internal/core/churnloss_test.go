@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestIndexedCacheEquivalenceUnderChurnAndLoss(t *testing.T) {
 		probes := bloom.AppendKeyProbes(nil, keys)
 		qa.reset(&s.slots, probes)
 
-		got := append([]overlay.NodeID(nil), ns.scanCache(&qa, nil)...)
+		got := append([]overlay.NodeID(nil), ns.scanCache(&qa, minClock, math.MaxInt, nil)...)
 		want := scanCacheReference(ns, probes)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: node %d at t=%d: sliced scan %v != linear scan %v", where, p, now, got, want)

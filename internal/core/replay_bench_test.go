@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"asap/internal/bloom"
@@ -56,7 +57,7 @@ func TestScanHotPathAllocs(t *testing.T) {
 	var srcs []overlay.NodeID
 	scan := func() {
 		qa.reset(&s.slots, probes)
-		srcs = ns.scanCache(&qa, srcs[:0])
+		srcs = ns.scanCache(&qa, minClock, math.MaxInt, srcs[:0])
 	}
 	scan()
 	if a := testing.AllocsPerRun(20, scan); a != 0 {
@@ -90,7 +91,7 @@ func BenchmarkScanChains(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qa.reset(&s.slots, probes)
-		srcs = ns.scanCache(&qa, srcs[:0])
+		srcs = ns.scanCache(&qa, minClock, math.MaxInt, srcs[:0])
 	}
 	b.ReportMetric(float64(len(ns.live())), "cached-ads")
 	b.ReportMetric(float64(len(srcs)), "candidates")

@@ -374,11 +374,9 @@ func (s *Scheme) NodeJoined(t sim.Clock, n overlay.NodeID) {
 	if snap := s.publish(n); snap != nil {
 		s.deliver(t, snap, adFull, snap.topics)
 	}
-	sc := s.getScratch()
 	// The join pull gets its own drop stream, folded apart from any query
 	// the same node issues in the same millisecond.
-	sc.fkey = faults.Fold(faults.Key(int64(t), n), 1)
-	s.adsRequest(t, n, sc, nil)
+	s.adsRequest(t, n, s.getScratch(faults.Fold(faults.Key(int64(t), n), 1)), nil)
 }
 
 // NodeLeaving implements sim.GracefulLeaver: when the fault plane models

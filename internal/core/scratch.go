@@ -2,6 +2,7 @@ package core
 
 import (
 	"asap/internal/bloom"
+	"asap/internal/content"
 	"asap/internal/overlay"
 	"asap/internal/sim"
 )
@@ -13,11 +14,12 @@ type adOffer struct {
 	avail sim.Clock
 }
 
-// searchScratch is the per-query working set of Search, adsRequest and
-// hopNeighborhood. The Scheme owns one: Search and NodeJoined's ads pull
-// both run on the scheme's one writing goroutine and never nest, so each
-// takes it for its whole lifetime and the steady state allocates nothing
-// per query.
+// searchScratch is the per-query working set of Search, SearchRO,
+// adsRequest and hopNeighborhood. The Scheme owns one for Search and
+// NodeJoined's ads pull, which both run on the scheme's one writing
+// goroutine and never nest; each serving slot owns another, wrapped in a
+// ServeScratch. Each caller takes its scratch for a whole query, so the
+// steady state allocates nothing per query.
 type searchScratch struct {
 	keys      []uint64
 	probes    []bloom.Probe
@@ -30,7 +32,7 @@ type searchScratch struct {
 	serve     []*adSnapshot    // per-target ads-reply assembly
 
 	// qa is the query's signature-match accumulator (see adindex.go);
-	// Search rebinds it to the query's probes once they are built.
+	// begin rebinds it to the query's probes.
 	qa queryAcc
 
 	// Epoch-stamped BFS state for hopNeighborhood: visited[v] holds the
@@ -47,6 +49,11 @@ type searchScratch struct {
 	// they make every drop/jitter decision a function of the query alone.
 	fkey uint64
 	fseq uint32
+
+	// serving marks a serving slot's scratch (NewServeScratch): its
+	// neighbourhood walks send no request copies, so they draw no
+	// fault-plane verdict, count no message and write nothing outside sc.
+	serving bool
 }
 
 // nextSeq returns the query's next message sequence number.
@@ -56,33 +63,35 @@ func (sc *searchScratch) nextSeq() uint32 {
 	return s
 }
 
-// newSearchScratch returns an empty scratch. Non-nil empty probes keep the
-// search/join pull distinction (probes == nil means a join-time interest
-// pull) even for term-less queries.
+// newSearchScratch returns an empty scratch.
 func newSearchScratch() searchScratch {
 	return searchScratch{
-		probes:    make([]bloom.Probe, 0, 8),
 		confirmed: make(map[overlay.NodeID]bool, 8),
 		seen:      make(map[overlay.NodeID]int, 8),
 	}
 }
 
-// getScratch resets the Scheme's scratch for a new query and returns it.
-// Slices handed out of it are valid until the next call.
-func (s *Scheme) getScratch() *searchScratch {
+// getScratch readies the Scheme's scratch for a query or ads pull whose
+// fault-plane stream is keyed fkey, and returns it. Slices handed out of
+// it are valid until the next call.
+func (s *Scheme) getScratch(fkey uint64) *searchScratch {
 	sc := &s.scratch
+	sc.fkey, sc.fseq = fkey, 0
+	return sc
+}
+
+// begin sets the scratch up for a query over terms: it builds the terms'
+// Bloom probes once, rebinds the match accumulator to them, and empties
+// the query's dedupe sets.
+func (sc *searchScratch) begin(slots *adSlots, terms []content.Keyword) {
 	sc.keys = sc.keys[:0]
-	sc.probes = sc.probes[:0]
-	sc.cands = sc.cands[:0]
-	sc.offers = sc.offers[:0]
-	sc.targets = sc.targets[:0]
-	sc.srcs = sc.srcs[:0]
-	sc.serve = sc.serve[:0]
-	sc.fkey = 0
-	sc.fseq = 0
+	for _, term := range terms {
+		sc.keys = append(sc.keys, uint64(term))
+	}
+	sc.probes = bloom.AppendKeyProbes(sc.probes[:0], sc.keys)
+	sc.qa.reset(slots, sc.probes)
 	clear(sc.confirmed)
 	clear(sc.seen)
-	return sc
 }
 
 // bfsState returns the epoch-stamped visited/latency slices sized for n

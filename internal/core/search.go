@@ -2,9 +2,9 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
-	"asap/internal/bloom"
 	"asap/internal/content"
 	"asap/internal/faults"
 	"asap/internal/metrics"
@@ -46,13 +46,8 @@ func (s *Scheme) contactAttempts() int {
 func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	p := ev.Node
 	t0 := ev.Time
-	sc := s.getScratch()
-	sc.fkey = faults.Key(ev.Time, ev.Node)
-	for _, term := range ev.Terms {
-		sc.keys = append(sc.keys, uint64(term))
-	}
-	sc.probes = bloom.AppendKeyProbes(sc.probes, sc.keys)
-	sc.qa.reset(&s.slots, sc.probes)
+	sc := s.getScratch(faults.Key(ev.Time, ev.Node))
+	sc.begin(&s.slots, ev.Terms)
 
 	// Hierarchical mode: a leaf routes its request through its super peer
 	// (one extra round trip and two extra messages); the search proper
@@ -97,18 +92,17 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 
 	tPhase1 := s.obs.Begin()
 	ns := &s.nodes[p]
-	if s.cfg.RefreshPeriodSec > 0 {
-		// The minSeen watermark bounds every entry's lastSeen from below,
-		// so the expiry sweep runs only when something can actually expire.
-		window := sim.Clock(s.cfg.StaleFactor*s.cfg.RefreshPeriodSec) * 1000
-		if deadline := t0 - window; ns.minSeen < deadline {
-			s.dropStale(p, deadline)
-		}
+	// The minSeen watermark bounds every entry's lastSeen from below, so
+	// the expiry sweep runs only when something can actually expire.
+	staleBefore := s.staleBefore(t0)
+	if ns.minSeen < staleBefore {
+		s.dropStale(p, staleBefore)
 	}
 	// Scan the cache in insertion order through the query accumulator: one
 	// match pass over each touched geometry group, then a bit test per
-	// entry (see adindex.go).
-	srcs := ns.scanCache(&sc.qa, sc.srcs[:0])
+	// entry (see adindex.go). Every match is kept: confirmRound ranks them
+	// all by round-trip time.
+	srcs := ns.scanCache(&sc.qa, staleBefore, math.MaxInt, sc.srcs[:0])
 	sc.srcs = srcs
 	if len(srcs) > 0 {
 		s.obs.Count(t0, obs.CCacheHit)
@@ -141,7 +135,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 
 	// Phase 2: pull ads from the h-hop neighbourhood and retry.
 	tPhase2 := s.obs.Begin()
-	more, b2 := s.adsRequest(t0, p, sc, sc.probes)
+	more, b2 := s.adsRequest(t0, p, sc, &sc.qa)
 	bytes += b2
 	fresh := more[:0]
 	for _, c := range more {
@@ -268,7 +262,7 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 // traffic this cost. Returned slices are backed by sc.
 //
 // Reply contents depend on the request flavour. A join-time pull
-// (probes == nil) returns every cached ad whose topics intersect the
+// (qa == nil) returns every cached ad whose topics intersect the
 // requester's interests, exactly Table I's requestAdFromNeighbors(i, h,
 // I(p)). A search-time pull additionally has the neighbour filter its
 // cache against the query terms — the neighbour runs the same Bloom match
@@ -282,7 +276,7 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 // network "not one reply arrived" is the requester's retry signal: the
 // whole request flood is re-issued (with fresh per-copy drop decisions)
 // up to RetryAttempts times before the phase is abandoned.
-func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, probes []bloom.Probe) ([]candidate, int64) {
+func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, qa *queryAcc) ([]candidate, int64) {
 	interests := s.groupInterests(p)
 	attempts := s.contactAttempts()
 	var bytes int64
@@ -304,28 +298,9 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, pr
 		s.sys.Account(tA, metrics.MAdsRequest, int(reqBytes))
 		bytes += reqBytes
 
-		staleBefore := sim.Clock(minClock)
-		if s.cfg.RefreshPeriodSec > 0 {
-			staleBefore = tA - sim.Clock(s.cfg.StaleFactor*s.cfg.RefreshPeriodSec)*1000
-		}
-		// Search-time pulls filter offered ads through the query
-		// accumulator; join-time pulls (probes == nil) serve unfiltered.
-		var qa *queryAcc
-		if probes != nil {
-			qa = &sc.qa
-		}
+		staleBefore := s.staleBefore(tA)
 		for _, tg := range targets {
-			q := &s.nodes[tg.node]
-			serve := sc.serve[:0]
-			if pub := q.published; pub != nil && s.cfg.MaxAdsPerReply > 0 &&
-				pub.src != p && pub.topics.Intersects(interests) &&
-				(qa == nil || qa.matches(pub)) {
-				serve = append(serve, pub)
-			}
-			// Serve cache entries in insertion order: under MaxAdsPerReply the
-			// subset offered must not depend on anything but replay state, or
-			// two replays of one run diverge.
-			serve = q.serveAds(qa, serve, interests, staleBefore, p, s.cfg.MaxAdsPerReply)
+			serve := s.offer(&s.nodes[tg.node], qa, interests, staleBefore, p, sc.serve[:0])
 			sc.serve = serve
 			payload := 0
 			for _, snap := range serve {
@@ -353,13 +328,15 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, pr
 	}
 	sc.offers = offers
 
-	// Merge all offered ads into p's cache, collecting term matches. The
-	// phase-1 candidates are dead by now, so their scratch space is reused.
+	// Merge all offered ads into p's cache; on a search-time pull every
+	// offered ad already passed the query probes, so each is a candidate.
+	// The phase-1 candidates are dead by now, so their scratch space is
+	// reused.
 	cands := sc.cands[:0]
 	seen := sc.seen
 	for _, of := range offers {
 		s.store(p, of.snap, adFull, of.avail)
-		if probes != nil && sc.qa.matches(of.snap) {
+		if qa != nil {
 			if i, dup := seen[of.snap.src]; dup {
 				if of.avail < cands[i].avail {
 					cands[i].avail = of.avail
@@ -378,6 +355,23 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, pr
 	return cands, bytes
 }
 
+// offer appends to buf (which must be empty) the ads peer q sends
+// requester in reply to an ads request, up to MaxAdsPerReply: q's own
+// published ad first, then serveAds' cache entries. Every offered ad's
+// topics intersect interests, none is the requester's own, and on a
+// search-time pull (qa != nil) each passes the query probes.
+func (s *Scheme) offer(q *nodeState, qa *queryAcc, interests content.ClassSet, staleBefore sim.Clock, requester overlay.NodeID, buf []*adSnapshot) []*adSnapshot {
+	if pub := q.published; pub != nil && s.cfg.MaxAdsPerReply > 0 &&
+		pub.src != requester && pub.topics.Intersects(interests) &&
+		(qa == nil || qa.matches(pub)) {
+		buf = append(buf, pub)
+	}
+	// Serve cache entries in insertion order: under MaxAdsPerReply the
+	// subset offered must not depend on anything but replay state, or two
+	// replays of one run diverge.
+	return q.serveAds(qa, buf, interests, staleBefore, requester, s.cfg.MaxAdsPerReply)
+}
+
 // hopTarget is one reachable peer of an ads request with the one-way
 // request path latency.
 type hopTarget struct {
@@ -390,9 +384,11 @@ type hopTarget struct {
 // messages the duplicate-suppressed flood sends. Under a fault plane a
 // request copy can be lost — it still counts as sent, but the node behind
 // it is only reached via surviving copies, so drops prune whole branches
-// of the multi-hop case. The returned slice is backed by sc; the BFS
-// tracks visited nodes in sc's epoch-stamped slices, so the multi-hop
-// case does no per-query map work.
+// of the multi-hop case. A serving scratch's walk sends no copies: it
+// reaches every eligible peer in the same BFS order, and draws no verdict,
+// counts nothing and writes nothing outside sc. The returned slice is
+// backed by sc; the BFS tracks visited nodes in sc's epoch-stamped slices,
+// so the multi-hop case does no per-query map work.
 func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h int, sc *searchScratch) ([]hopTarget, int) {
 	if h <= 0 {
 		return nil, 0
@@ -403,7 +399,7 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h int, sc *searc
 		msgs := 0
 		for _, nb := range s.eligibleView(p) {
 			msgs++
-			if !s.sys.Arrives(t, metrics.MAdsRequest, p, nb, sc.fkey, sc.nextSeq()) {
+			if !sc.serving && !s.sys.Arrives(t, metrics.MAdsRequest, p, nb, sc.fkey, sc.nextSeq()) {
 				continue
 			}
 			out = append(out, hopTarget{node: nb, pathLat: sim.Clock(s.sys.Latency(p, nb))})
@@ -423,7 +419,7 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h int, sc *searc
 		for _, u := range frontier {
 			for _, nb := range s.eligibleView(u) {
 				msgs++
-				if !s.sys.Arrives(t, metrics.MAdsRequest, u, nb, sc.fkey, sc.nextSeq()) {
+				if !sc.serving && !s.sys.Arrives(t, metrics.MAdsRequest, u, nb, sc.fkey, sc.nextSeq()) {
 					continue // copy lost: nb may still arrive via another edge
 				}
 				if visited[nb] == epoch {
@@ -445,3 +441,14 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h int, sc *searc
 // minClock is the lowest representable virtual time; used to disable the
 // staleness filter when refreshing is off.
 const minClock = -1 << 62
+
+// staleBefore returns the staleness deadline at time t: a cached ad last
+// seen before it has gone StaleFactor refresh periods without news and is
+// expired — swept by Search, never offered to an ads request, skipped by
+// SearchRO. With refreshing off nothing expires.
+func (s *Scheme) staleBefore(t sim.Clock) sim.Clock {
+	if s.cfg.RefreshPeriodSec <= 0 {
+		return minClock
+	}
+	return t - sim.Clock(s.cfg.StaleFactor*s.cfg.RefreshPeriodSec)*1000
+}

@@ -192,6 +192,62 @@ func TestSearchROMatchesOracle(t *testing.T) {
 	t.Logf("%d of %d queries matched more than MaxConfirms phase-1 entries", overBudget, checked)
 }
 
+// TestSearchROAgreesWithSearch pins the serving path to the replay's
+// kernel. The two differ on purpose in one thing only: which MaxConfirms
+// candidates a phase confirms (Search the nearest by round-trip time,
+// SearchRO the first in cache and walk order). With MaxConfirms raised
+// past every candidate count no phase is cut, so on a lossless replay —
+// every delivery kind plus the hierarchical mode — SearchRO must verify
+// exactly as many sources as Search confirms hits, on every query.
+func TestSearchROAgreesWithSearch(t *testing.T) {
+	flat := func(*testing.T) *sim.System { return sim.NewSystem(testU, testTr, overlay.Random, testNet, 1) }
+	type run struct {
+		name   string
+		cfg    Config
+		system func(*testing.T) *sim.System
+	}
+	var runs []run
+	for _, d := range DeliveryKinds {
+		runs = append(runs, run{d.String(), testConfig(d), flat})
+	}
+	runs = append(runs, run{"hier", hierConfig(), func(t *testing.T) *sim.System { return superSystem(t, 1) }})
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			cfg := r.cfg
+			cfg.MaxConfirms = 1 << 20
+			s := New(cfg)
+			st := sim.NewStepper(r.system(t), s, 0)
+			sc := NewServeScratch()
+			var dst []overlay.NodeID
+			queries, phase2 := 0, 0
+			for batch := st.NextBatch(); batch != nil; batch = st.NextBatch() {
+				for _, ev := range batch {
+					var res ServeResult
+					res, dst = s.SearchRO(ev.Node, ev.Terms, ev.Time, sc, dst[:0])
+					got := s.Search(ev)
+					if len(res.Sources) != got.Hits {
+						t.Fatalf("query %d (node %d, t=%d): SearchRO verified %d sources %v, Search confirmed %d hits",
+							queries, ev.Node, ev.Time, len(res.Sources), res.Sources, got.Hits)
+					}
+					if res.Phase2 {
+						phase2++
+					}
+					queries++
+					st.Record(ev, got)
+				}
+			}
+			st.Finish()
+			if queries < 500 {
+				t.Fatalf("only %d queries checked", queries)
+			}
+			if !cfg.Hierarchical && phase2 == 0 {
+				t.Error("no query ran phase 2")
+			}
+			t.Logf("%d queries agree, %d ran phase 2", queries, phase2)
+		})
+	}
+}
+
 // TestSearchROIsReadOnly pins the no-mutation contract: a SearchRO burst
 // between two identical mutating searches must not change the second
 // search's outcome, cache population, or the seqlock version.
