@@ -90,7 +90,8 @@ obs-smoke:
 # Delivery-plane micro-benchmarks: the flood and walk hot loops over the CSR
 # live views, and a refresh tick over a slot of 1, 8 and 64 sources — flooded
 # through one traversal without a fault plane, under a zero-loss one and at
-# 5 % loss, and walked. A hundred iterations each as a smoke test
+# 5 % loss, and walked (RW and GSA batches in BenchmarkDeliverWalk). A
+# hundred iterations each as a smoke test
 # so a hot-loop regression (or a new allocation — they report -benchmem)
 # fails fast.
 bench-delivery:
@@ -109,15 +110,16 @@ bench-replay:
 		-benchtime 100x -benchmem ./internal/search
 
 # Zero-alloc gates: the obs-off hot path (promised in internal/obs), the
-# warmed-up delivery hot loops (flood, a 64-source refresh tick, walk), the
-# warmed-up replay scan paths (scanCache, serveAds), a warmed-up served
-# search (Node.Search over SearchRO, which runs on the replay's search
-# scratch), a warmed-up search of each baseline (the scheme's scratch), and
-# patch sizing on the publish path (exact even for unsorted caller-built lists).
+# warmed-up delivery hot loops (flood, a 64-source refresh tick, RW and GSA
+# ticks walking a batch), the warmed-up replay scan paths (scanCache,
+# serveAds), a warmed-up served search (Node.Search over SearchRO, which
+# runs on the replay's search scratch) and serving tick (Node.Tick), a
+# warmed-up search of each baseline (the scheme's scratch), and patch
+# sizing on the publish path (exact even for unsorted caller-built lists).
 alloc-gate:
 	$(GO) test -run 'TestObsOffHotPathAllocs' -count=1 .
 	$(GO) test -run 'TestDeliveryHotPathAllocs|TestScanHotPathAllocs' -count=1 ./internal/core
-	$(GO) test -run 'TestServeSearchAllocs' -count=1 ./internal/serve
+	$(GO) test -run 'TestServeSearchAllocs|TestNodeTickAllocs' -count=1 ./internal/serve
 	$(GO) test -run 'TestBaselineSearchAllocs' -count=1 ./internal/search
 	$(GO) test -run 'TestPatchWireSizeAllocs' -count=1 ./internal/bloom
 

@@ -22,46 +22,39 @@ func deliveryKey(t sim.Clock, snap *adSnapshot, kind adKind) uint64 {
 // deliver pushes one ad through the overlay under the configured
 // forwarding algorithm, caching it at every reached node whose interests
 // intersect targeting (the delivery topic set; normally the ad's own
-// topics, widened for patches). Under a fault plane a lost flood copy
-// prunes that branch (the node may still be reached another way) and a lost
-// walk copy kills the walker; senders pay for lost copies, so coverage
-// degrades under loss, traffic not.
+// topics, widened for patches): a batch of one in the scheme's ad queue.
 func (s *Scheme) deliver(t sim.Clock, snap *adSnapshot, kind adKind, targeting content.ClassSet) {
-	if s.cfg.Delivery == FLD {
-		s.floodBatch(t, []floodAd{{snap, kind, targeting}})
-		return
-	}
-	// One seqlock section brackets the whole delivery.
-	s.beginApply()
-	defer s.endApply()
-	td := s.obs.Begin()
-	// Warm-up deliveries (t < 0) invest the full per-topic budget to
-	// seed the caches; everything published mid-run is an update of
-	// already-seeded state and spends a fraction of it.
-	budget := max(1, targeting.Count()) * s.cfg.BudgetUnit
-	if t >= 0 {
-		budget = max(1, budget/s.cfg.UpdateBudgetDiv)
-	}
-	starts := s.eligibleView(snap.src) // GSA seeds every live neighbour
-	if s.cfg.Delivery == RW {
-		starts = s.walkStarts(snap.src, s.cfg.Walkers)
-	}
-	s.deliverWalk(t, snap, kind, targeting, starts, budget)
-	s.obs.End(obs.PDeliverWalk, td)
+	s.adQ = append(s.adQ[:0], floodAd{snap, kind, targeting})
+	s.deliverAll(t, s.adQ)
 }
 
-// deliverAll delivers ads published at one virtual time, in order: floods
-// in traversals of up to maxFloodBatch sources, walks one by one.
+// deliverAll delivers ads published at one virtual time, in order — the one
+// delivery path, flood or walk. Each chunk of at most maxFloodBatch ads is
+// reached first, writing only the delivery scratch (floods in one traversal,
+// walks one after another), then applied in batch order inside one write
+// section. Under a fault plane a lost flood copy prunes that branch (the node
+// may still be reached another way) and a lost walk copy kills the walker;
+// senders pay for lost copies, so coverage degrades under loss, traffic not.
 func (s *Scheme) deliverAll(t sim.Clock, ads []floodAd) {
+	phase := obs.PDeliverFlood
 	if s.cfg.Delivery != FLD {
-		for _, ad := range ads {
-			s.deliver(t, ad.snap, ad.kind, ad.targeting)
-		}
-		return
+		phase = obs.PDeliverWalk
 	}
 	for len(ads) > 0 {
+		td := s.obs.Begin()
 		n := min(len(ads), maxFloodBatch)
-		s.floodBatch(t, ads[:n])
+		if s.cfg.Delivery == FLD {
+			s.reach(t, ads[:n])
+		} else {
+			n = s.walks(t, ads[:n])
+		}
+		s.beginApply()
+		for i, ad := range ads[:n] {
+			s.applyReach(t, i, ad)
+		}
+		s.flood.reset()
+		s.endApply()
+		s.obs.End(phase, td)
 		ads = ads[n:]
 	}
 }
@@ -101,14 +94,17 @@ type floodAd struct {
 // next are indexed by node; seen by holder-slot key — node+1, seen[0] zero
 // for good. order lists the reached nodes level by level in discovery order
 // (a node once per level that brought it a new flood): the BFS queue, and
-// the list reset clears by, so a delivery costs the nodes it touched. A walk
-// uses seen's bit 0 and order alone. All masks are zero between deliveries.
+// the list reset clears by, so a delivery costs the nodes it touched. Walk i
+// uses seen's bit i and appends its first visits to order, so a batch of
+// walks lists each walk's visits in its own stretch. All masks are zero
+// between deliveries.
 type floodScratch struct {
 	seen, frontier, next []uint64
 	order                []overlay.NodeID
 	pick                 []uint32              // one ad's recipients (full ad) or reached holder slots (refresh, patch)
-	sent                 [maxFloodBatch]int    // copies each source's flood put on the wire
+	sent                 [maxFloodBatch]int    // copies each source's delivery put on the wire
 	dkey                 [maxFloodBatch]uint64 // each ad's deliveryKey
+	visits               [maxFloodBatch][2]int // each ad's stretch of order: all of it for a flood, its own for a walk
 }
 
 func (k *floodScratch) reset() {
@@ -185,6 +181,9 @@ func (s *Scheme) reach(t sim.Clock, ads []floodAd) {
 		lo, frontier, next = hi, next, frontier
 	}
 	k.frontier, k.next, k.order = frontier, next, order[:n]
+	for i := range ads {
+		k.visits[i] = [2]int{0, n}
+	}
 }
 
 // fan delivers frontier word f to every node of view and returns the new n.
@@ -201,52 +200,58 @@ func fan(order []overlay.NodeID, n int, seen, next []uint64, view []overlay.Node
 	return n
 }
 
-// floodBatch delivers up to maxFloodBatch flood ads at one virtual time — the
-// only flood delivery, with or without a fault plane: one traversal computes
-// every source's reach and copy count, then each ad is applied in batch order.
-func (s *Scheme) floodBatch(t sim.Clock, ads []floodAd) {
-	td := s.obs.Begin()
-	s.beginApply()
-	s.reach(t, ads)
+// walks reaches a prefix of ads, one walk each, and returns its length: every
+// ad up to the first whose visits could overflow order's capacity, which
+// Attach sized for a flood batch, so a batch of warm-up walks never grows it.
+// Warm-up deliveries (t < 0) invest the full per-topic budget to seed the
+// caches; everything published mid-run is an update of already-seeded state
+// and spends a fraction of it.
+func (s *Scheme) walks(t sim.Clock, ads []floodAd) int {
+	k := &s.flood
 	for i, ad := range ads {
-		s.applyReach(t, i, ad)
+		budget := max(1, ad.targeting.Count()) * s.cfg.BudgetUnit
+		if t >= 0 {
+			budget = max(1, budget/s.cfg.UpdateBudgetDiv)
+		}
+		starts := s.eligibleView(ad.snap.src) // GSA seeds every live neighbour
+		if s.cfg.Delivery == RW {
+			starts = s.walkStarts(ad.snap.src, s.cfg.Walkers)
+		}
+		// A walk lists its source and at most one node per copy it sends.
+		if len(k.order)+min(len(s.nodes), 1+max(len(starts), budget)) > cap(k.order) {
+			return i
+		}
+		s.walk(t, i, ad, starts, budget)
 	}
-	s.flood.reset()
-	s.endApply()
-	s.obs.End(obs.PDeliverFlood, td)
+	return len(ads)
 }
 
-// deliverWalk forwards the ad along random walks from starts, a total message
-// budget split evenly across walkers, then applies it like a flood.
-func (s *Scheme) deliverWalk(t sim.Clock, snap *adSnapshot, kind adKind, targeting content.ClassSet, starts []overlay.NodeID, budget int) {
+// walk runs ad i's walkers from starts, a total message budget split evenly
+// across them, and leaves its reach as a flood does — bit i of seen, the
+// source and each first visit in order, copies in sent[i] — applying nothing.
+// With no start it reaches nobody. A lost copy kills its walker; a free rider
+// receives the ad but kills the walker. Walker w's copy at step s (the seed
+// copy is step 0) is named (Fold(deliveryKey, w), edge, s), so the trajectory
+// is a function of the rng and the plane alone; the plane is asked only while
+// it can drop one.
+func (s *Scheme) walk(t sim.Clock, i int, ad floodAd, starts []overlay.NodeID, budget int) {
+	k := &s.flood
+	src, class, sent, dkey := ad.snap.src, ad.kind.class(), 0, deliveryKey(t, ad.snap, ad.kind)
+	k.sent[i], k.dkey[i], k.visits[i] = 0, dkey, [2]int{len(k.order), len(k.order)}
 	if len(starts) == 0 {
 		return
 	}
-	s.walk(t, snap, kind, targeting, starts, budget)
-	s.applyReach(t, 0, floodAd{snap, kind, targeting})
-	s.flood.reset()
-}
-
-// walk runs the walkers and leaves reach as a one-source flood does — bit 0 of
-// seen, the source and each first visit in order, copies in sent[0] — applying
-// nothing. A lost copy kills its walker; a free rider receives the ad but
-// kills the walker. Walker w's copy at step s (the seed copy is step 0) is
-// named (Fold(deliveryKey, w), edge, s), so the trajectory is a function of
-// the rng and the plane alone; the plane is asked only while it can drop one.
-func (s *Scheme) walk(t sim.Clock, snap *adSnapshot, kind adKind, targeting content.ClassSet, starts []overlay.NodeID, budget int) {
-	k := &s.flood
-	class, sent, dkey := kind.class(), 0, deliveryKey(t, snap, kind)
-	lossy := s.sys.Faults().Active()
+	lossy, bit := s.sys.Faults().Active(), uint64(1)<<i
 	seen := k.seen[1:]
-	seen[snap.src] = 1
-	k.order = append(k.order, snap.src)
+	seen[src] |= bit
+	k.order = append(k.order, src)
 	perWalker := max(1, budget/len(starts))
 	for w, start := range starts {
 		wkey := faults.Fold(dkey, uint64(w))
-		cur, prev := start, snap.src
+		cur, prev := start, src
 		for step := 0; step < perWalker; step++ {
 			if step > 0 {
-				if prev, cur = cur, s.pickNextHop(cur, prev, targeting); cur < 0 {
+				if prev, cur = cur, s.pickNextHop(cur, prev, ad.targeting); cur < 0 {
 					break
 				}
 			}
@@ -254,8 +259,8 @@ func (s *Scheme) walk(t sim.Clock, snap *adSnapshot, kind adKind, targeting cont
 			if lossy && s.sys.Lost(t, class, prev, cur, wkey, uint32(step)) {
 				break
 			}
-			if seen[cur] == 0 {
-				seen[cur] = 1
+			if seen[cur]&bit == 0 {
+				seen[cur] |= bit
 				k.order = append(k.order, cur)
 			}
 			if s.sys.FreeRider(cur) {
@@ -263,7 +268,7 @@ func (s *Scheme) walk(t sim.Clock, snap *adSnapshot, kind adKind, targeting cont
 			}
 		}
 	}
-	k.sent[0], k.dkey[0] = sent, dkey
+	k.sent[i], k.visits[i][1] = sent, len(k.order)
 }
 
 // applyReach books ad i of the delivery in flight and applies it once at each
@@ -275,9 +280,13 @@ func (s *Scheme) walk(t sim.Clock, snap *adSnapshot, kind adKind, targeting cont
 // refresh or patch never inserts or evicts and touches only its own (node,
 // source) entry, a gap fetch's legs are named by (deliveryKey, holder), a full
 // ad lands in each node's fifo in batch order, and all accounting is integer
-// adds at t.
+// adds at t. An ad that reached nobody (a walk with no start) sent nothing and
+// applies nothing.
 func (s *Scheme) applyReach(t sim.Clock, i int, ad floodAd) {
 	k := &s.flood
+	if k.visits[i][0] == k.visits[i][1] {
+		return
+	}
 	snap, class := ad.snap, ad.kind.class()
 	s.sys.Account(t, class, snap.wireBytes(ad.kind)*k.sent[i])
 	s.obs.CountMsgN(int64(t), class, k.sent[i])
@@ -313,11 +322,12 @@ func (s *Scheme) applyReach(t sim.Clock, i int, ad floodAd) {
 // the source. For a refresh or patch, which acts only where the ad is cached,
 // that is the holder slots, found by a branch-free scan of the source's table
 // (key 0, an empty slot, is never reached); applyReach tests wants per slot.
-// For a full ad it is the nodes that want it, in order, each once: consuming
-// its bit skips a node a batch listed twice.
+// For a full ad it is the nodes of its stretch of order that want it, in
+// order, each once: consuming its bit skips a node a flood listed twice.
 func (s *Scheme) pick(i int, ad floodAd) []uint32 {
 	k, h := &s.flood, &s.holders[ad.snap.src]
-	if need := max(len(h.slots), len(k.order)) + 1; len(k.pick) < need {
+	visits := k.order[k.visits[i][0]:k.visits[i][1]]
+	if need := max(len(h.slots), len(visits)) + 1; len(k.pick) < need {
 		k.pick = make([]uint32, 2*need)
 	}
 	pick, n := k.pick, 0
@@ -330,7 +340,7 @@ func (s *Scheme) pick(i int, ad floodAd) []uint32 {
 		}
 		return pick[:n]
 	}
-	for _, v := range k.order {
+	for _, v := range visits {
 		if seen[v]&bit == 0 {
 			continue
 		}

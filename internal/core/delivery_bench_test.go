@@ -50,7 +50,7 @@ func publishedSources(tb testing.TB, s *Scheme, k int) []overlay.NodeID {
 // view (stable until the next graph mutation), walkStarts returns s.wlkBuf
 // (stable until the next walkStarts call), and the two never clobber each
 // other — the GSA seed path holds an eligibleView result across an entire
-// delivery, and the RW path holds wlkBuf across deliverWalk's internal
+// delivery, and the RW path holds wlkBuf across walk's internal
 // eligibleView/pickNextHop calls.
 func TestWalkStartsLiveViewAliasingContract(t *testing.T) {
 	s, _ := attach(t, GSAKind)
@@ -96,9 +96,9 @@ func TestWalkStartsLiveViewAliasingContract(t *testing.T) {
 
 // TestDeliveryHotPathAllocs is the delivery-side zero-alloc gate (wired
 // into `make alloc-gate`): after one warm-up pass grows the reusable
-// buffers, refresh deliveries over flood and walk (whose apply pass stores
-// into the caches), and a refresh tick flooding a full 64-source batch must
-// not allocate at all.
+// buffers, a single-ad refresh flood, a refresh tick flooding a full
+// 64-source batch, and refresh ticks walking a batch of RW and of GSA ads
+// (whose apply pass stores into the caches) must not allocate at all.
 func TestDeliveryHotPathAllocs(t *testing.T) {
 	fld, _ := attach(t, FLD)
 	fsnap := firstPublished(t, fld)
@@ -114,18 +114,20 @@ func TestDeliveryHotPathAllocs(t *testing.T) {
 		t.Errorf("a %d-source refresh tick allocates %.1f times, want 0", maxFloodBatch, a)
 	}
 
-	rw, _ := attach(t, RW)
-	wsnap := firstPublished(t, rw)
-	budget := max(1, wsnap.topics.Count()) * rw.cfg.BudgetUnit
-	walk := func() {
-		starts := rw.walkStarts(wsnap.src, rw.cfg.Walkers)
-		rw.deliverWalk(0, wsnap, adRefresh, wsnap.topics, starts, budget)
-	}
-	walk()
-	if a := testing.AllocsPerRun(10, walk); a != 0 {
-		t.Errorf("deliverWalk allocates %.1f times per delivery, want 0", a)
+	for _, d := range []DeliveryKind{RW, GSAKind} {
+		s, _ := attach(t, d)
+		s.wheel[0] = publishedSources(t, s, walkSlot)
+		walk := func() { s.Tick(0) }
+		walk()
+		if a := testing.AllocsPerRun(10, walk); a != 0 {
+			t.Errorf("a %d-source %s refresh tick allocates %.1f times, want 0", walkSlot, d, a)
+		}
 	}
 }
+
+// walkSlot is the wheel slot the walk gates and benchmarks tick: a batch of
+// several walks.
+const walkSlot = 8
 
 // applyAt is one node's reaction to an ad copy it received, the step both
 // per-node references take: cache the ad when interesting, and resolve a
@@ -144,7 +146,7 @@ func applyAt(s *Scheme, t sim.Clock, v overlay.NodeID, snap *adSnapshot, kind ad
 // put to the fault plane on its own — named by the delivery key and its edge,
 // a gap fetch's legs by the key and the fetching holder — applyAt at every
 // reached node in BFS order. Written out plainly so the batched traversal and
-// the holders-only pass that floodBatch uses instead can be pinned against it.
+// the holders-only pass that deliverAll uses instead can be pinned against it.
 func floodPerNode(s *Scheme, t sim.Clock, snap *adSnapshot, kind adKind) {
 	s.beginApply()
 	defer s.endApply()
@@ -894,14 +896,19 @@ func BenchmarkTickRefresh(b *testing.B) {
 	}
 }
 
+// BenchmarkDeliverWalk is one refresh tick walking a batch of walkSlot ads
+// from RW and from GSA starts: every walk of the batch, then its apply pass.
 func BenchmarkDeliverWalk(b *testing.B) {
-	s := benchScheme(b, RW)
-	snap := firstPublished(b, s)
-	budget := max(1, snap.topics.Count()) * s.cfg.BudgetUnit
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		starts := s.walkStarts(snap.src, s.cfg.Walkers)
-		s.deliverWalk(0, snap, adRefresh, snap.topics, starts, budget)
+	for _, d := range []DeliveryKind{RW, GSAKind} {
+		b.Run(fmt.Sprintf("delivery=%s", d), func(b *testing.B) {
+			s := benchScheme(b, d)
+			s.wheel[0] = publishedSources(b, s, walkSlot)
+			s.Tick(0) // grow the delivery scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Tick(0)
+			}
+		})
 	}
 }

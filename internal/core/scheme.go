@@ -40,8 +40,12 @@ type Scheme struct {
 	// neighbour-list allocations across a run.
 	rng    *rand.Rand
 	flood  floodScratch
-	tickQ  []floodAd
+	adQ    []floodAd // the ads of a tick, or the one ad of a publish
 	wlkBuf []overlay.NodeID
+
+	// fence, while set, runs once just before the next write section opens
+	// (see TickUnder).
+	fence func()
 
 	// slots is the global signature index (see adindex.go): every published
 	// snapshot's filter is bit-sliced into the matrix of its geometry, so
@@ -55,7 +59,8 @@ type Scheme struct {
 	patchBuf bloom.Patch
 
 	// applyVer is the delivery-plane seqlock: odd while a write section (a
-	// delivery, a publish, a graceful-leave eviction) is open. The replay
+	// delivery batch's apply pass, a publish, a graceful-leave eviction) is
+	// open; a batch's reach runs outside it. The replay
 	// goroutine opens every section and runs every Search, so the two never
 	// overlap; the version exists for the serving plane, whose readers
 	// assert through checkStable that no section is open while they read.
@@ -149,10 +154,14 @@ func (s *Scheme) Attach(sys *sim.System) {
 	s.deliverAll(-1, ads)
 }
 
-// beginApply opens a delivery-path write section: the version goes odd.
-// There is one writer, so a plain load-then-store is sufficient — no
-// competing writer can lose an increment.
+// beginApply opens a delivery-path write section: a pending fence runs, then
+// the version goes odd. There is one writer, so a plain load-then-store is
+// sufficient — no competing writer can lose an increment.
 func (s *Scheme) beginApply() {
+	if f := s.fence; f != nil {
+		s.fence = nil
+		f()
+	}
 	s.applyVer.Store(s.applyVer.Load() + 1)
 }
 
@@ -234,7 +243,6 @@ func (s *Scheme) publishWith(n overlay.NodeID, prebuilt *bloom.Filter) *adSnapsh
 	if !s.cfg.Hierarchical && !ns.dirty {
 		return nil
 	}
-	ns.dirty = false
 	f := prebuilt
 	if f == nil {
 		f = s.buildFilter(n)
@@ -247,6 +255,7 @@ func (s *Scheme) publishWith(n overlay.NodeID, prebuilt *bloom.Filter) *adSnapsh
 	// The published-snapshot swap is a write section like any delivery.
 	s.beginApply()
 	defer s.endApply()
+	ns.dirty = false
 	old := ns.published
 	if old == nil && f.Empty() {
 		return nil
@@ -419,15 +428,30 @@ func (s *Scheme) NodeLeft(t sim.Clock, n overlay.NodeID) {
 	}
 }
 
+// TickUnder is Tick with a fence: fence runs exactly once, just before the
+// tick's first write section opens — an empty one at the end if the tick
+// writes nothing. Before the fence the tick only reads scheme and system
+// state and writes the delivery scratch, the rng and the fault plane's drop
+// tallies, none of which a read-only search touches; so the serving plane
+// closes its gate in fence and keeps readers running through the first
+// batch's reach.
+func (s *Scheme) TickUnder(t sim.Clock, fence func()) {
+	s.fence = fence
+	s.Tick(t)
+	if s.fence != nil {
+		s.beginApply()
+		s.endApply()
+	}
+}
+
 // Tick implements sim.Scheme: fires the refresh wheel slot due this
-// second. asap-fld floods the whole slot through one traversal per
-// maxFloodBatch sources instead of one per source.
+// second, delivering the slot's ads in batches of up to maxFloodBatch.
 func (s *Scheme) Tick(t sim.Clock) {
 	if s.wheel == nil {
 		return
 	}
 	slot := int(t/1000) % s.cfg.RefreshPeriodSec
-	ads := s.tickQ[:0]
+	ads := s.adQ[:0]
 	for _, n := range s.wheel[slot] {
 		// Scenario free riders send no ads at all: publish gates new
 		// publications, and this also stops refreshes of snapshots published
@@ -452,7 +476,7 @@ func (s *Scheme) Tick(t sim.Clock) {
 	// publication touches only its own node's ad, which no other source's
 	// delivery reads.
 	s.deliverAll(t, ads)
-	s.tickQ = ads[:0]
+	s.adQ = ads[:0]
 }
 
 // HasCachedAd reports whether node p currently caches an ad published by

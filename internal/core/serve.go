@@ -107,8 +107,3 @@ phase2:
 	}
 	return ServeResult{Sources: dst[base:], Phase2: true}, dst
 }
-
-// ServeVersion returns the delivery seqlock's current version — even when
-// no apply section is open. The serving gate records it around reads as a
-// cheap cross-check of the frozen-state contract.
-func (s *Scheme) ServeVersion() uint32 { return s.applyVer.Load() }

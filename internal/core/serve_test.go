@@ -271,7 +271,7 @@ func TestSearchROIsReadOnly(t *testing.T) {
 		return out
 	}
 	before := sizes()
-	verBefore := s.ServeVersion()
+	verBefore := s.applyVer.Load()
 	sc := NewServeScratch()
 	var dst []overlay.NodeID
 	var first ServeResult
@@ -284,7 +284,7 @@ func TestSearchROIsReadOnly(t *testing.T) {
 			t.Fatalf("iteration %d: answer drifted: %v vs %v", i, res.Sources, first.Sources)
 		}
 	}
-	if got := s.ServeVersion(); got != verBefore {
+	if got := s.applyVer.Load(); got != verBefore {
 		t.Fatalf("seqlock version moved %d → %d across read-only searches", verBefore, got)
 	}
 	if after := sizes(); !slices.Equal(before, after) {

@@ -20,10 +20,11 @@ const (
 	// PSearchPhase2 is ASAP search phase 2: the ads-request flood plus the
 	// second confirmation round.
 	PSearchPhase2
-	// PDeliverFlood is one flood-based ad delivery: a single ad's cascade,
-	// or one batch of refresh-tick ads flooded in a single traversal.
+	// PDeliverFlood is one batch of flood-based ad deliveries: a single
+	// ad's cascade, or up to 64 refresh-tick ads flooded in one traversal.
 	PDeliverFlood
-	// PDeliverWalk is one walk-based (RW or GSA) ad delivery.
+	// PDeliverWalk is one batch of walk-based (RW or GSA) ad deliveries:
+	// every walk of the batch, then its apply pass.
 	PDeliverWalk
 
 	// NumPhases is the number of instrumented phases.

@@ -38,8 +38,10 @@ type gateSlot struct {
 // sequentially consistent atomics, so the race detector proves the
 // happens-before edges rather than taking them on faith.
 //
-// Epoch after the i-th completed apply is 2i; Enter always returns the
-// even epoch the read section is valid for.
+// Taking the writer lock and closing the gate are separate steps, so a
+// writer can read the store with readers still inside and close only when
+// it starts writing (Node.Tick). Epoch after the i-th completed apply is
+// 2i; Enter always returns the even epoch the read section is valid for.
 type Gate struct {
 	epoch atomic.Uint64
 	mu    sync.Mutex // serialises writers
@@ -84,11 +86,17 @@ func (g *Gate) Exit(slot int) {
 	g.slots[slot].v.Store(0)
 }
 
-// BeginApply starts a write section: it takes the writer lock, flips the
-// epoch odd, and waits for every in-flight reader to leave. Until the
-// matching EndApply, new readers spin in Enter.
+// BeginApply starts a write section: it takes the writer lock and closes
+// the gate. Until the matching EndApply, new readers spin in Enter.
 func (g *Gate) BeginApply() {
 	g.mu.Lock()
+	g.close()
+}
+
+// close flips the epoch odd and waits for every in-flight reader to leave.
+// A writer holding the lock may read the store alongside readers until it
+// closes, and must close before it writes.
+func (g *Gate) close() {
 	g.epoch.Add(1) // now odd: no new reader can claim a slot
 	for i := range g.slots {
 		for j := 0; g.slots[i].v.Load() != 0; j++ {

@@ -85,10 +85,10 @@ type servCtx struct {
 
 // Node is a warm ASAP node serving concurrent read-only searches while
 // trace state events apply between them. The read path is lock-free
-// (Gate); writes are serialised through Apply. The virtual clock — the
-// `now` searches evaluate staleness against — only moves inside write
-// sections, so every answer is a pure function of the epoch it was read
-// under.
+// (Gate); writes are serialised through Apply and Tick. The virtual clock
+// — the `now` searches evaluate staleness against — only moves inside
+// write sections, so every answer is a pure function of the epoch it was
+// read under.
 type Node struct {
 	sys  *sim.System
 	sch  *core.Scheme
@@ -96,6 +96,14 @@ type Node struct {
 
 	nowMS atomic.Int64
 	ctxs  chan servCtx
+
+	// tickAt is the time of the tick in flight and closeTick its fence
+	// (closeForTick, bound once so a tick allocates nothing); both are
+	// used under the gate's writer lock only. onTick, set by tests only,
+	// runs at the end of every tick's closed section.
+	tickAt    int64
+	closeTick func()
+	onTick    func()
 
 	cfg      Config
 	bucket   tokenBucket
@@ -107,8 +115,8 @@ type Node struct {
 }
 
 // NewNode wraps an attached (warm) scheme and its system in a serving
-// node. The caller must not mutate the scheme except through Apply from
-// this point on.
+// node. The caller must not mutate the scheme except through Apply and
+// Tick from this point on.
 func NewNode(sys *sim.System, sch *core.Scheme, cfg Config) *Node {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -124,6 +132,7 @@ func NewNode(sys *sim.System, sch *core.Scheme, cfg Config) *Node {
 		cfg:     cfg,
 		drained: make(chan struct{}),
 	}
+	n.closeTick = n.closeForTick
 	n.bucket.rate, n.bucket.burst = cfg.Rate, cfg.Burst
 	n.bucket.tokens, n.bucket.last = cfg.Burst, time.Now()
 	for i := 0; i < cfg.Workers; i++ {
@@ -148,16 +157,14 @@ func (n *Node) Now() sim.Clock { return n.nowMS.Load() }
 // Epoch returns the gate epoch: 2 × the number of completed applies.
 func (n *Node) Epoch() uint64 { return n.gate.Epoch() }
 
-// Apply runs fn inside the write section: the virtual clock advances to
-// nowMS, then fn may mutate the system and scheme freely. No search
-// executes concurrently; searches admitted meanwhile spin briefly in the
-// gate. Answers computed by fn (e.g. oracle snapshots) happen-before any
-// read section that observes the new epoch.
+// Apply runs fn inside a write section closed up front: the virtual
+// clock advances to nowMS, then fn may mutate the system and scheme
+// freely. No search executes concurrently; searches admitted meanwhile
+// spin briefly in the gate. Answers computed by fn (e.g. oracle snapshots)
+// happen-before any read section that observes the new epoch.
 func (n *Node) Apply(nowMS int64, fn func()) {
 	n.gate.BeginApply()
-	if nowMS > n.nowMS.Load() {
-		n.nowMS.Store(nowMS)
-	}
+	n.nowMS.Store(max(n.nowMS.Load(), nowMS))
 	if fn != nil {
 		fn()
 	}
@@ -166,15 +173,33 @@ func (n *Node) Apply(nowMS int64, fn func()) {
 
 // ApplyEvent applies one non-query trace event (churn, content, join,
 // leave) through the write section, advancing the clock to the event
-// time.
+// time. The gate closes up front: the event mutates the overlay and the
+// content index before the scheme sees it.
 func (n *Node) ApplyEvent(ev *trace.Event) {
 	n.Apply(ev.Time, func() { sim.ApplyStateEvent(n.sys, n.sch, ev) })
 }
 
-// Tick fires the scheme's periodic work (ad refresh, cache maintenance)
-// at the given virtual time through the write section.
+// Tick fires the scheme's periodic work (the refresh wheel slot) at the
+// given virtual time. It takes the writer lock but leaves the gate open
+// while the refresh ads reach their nodes, which reads the store and
+// writes only the scheme's delivery scratch; the gate closes, and the
+// clock advances to nowMS, when the scheme opens its first write section
+// (core.Scheme.TickUnder). A tick that writes nothing still closes the
+// gate, so the epoch counts every tick.
 func (n *Node) Tick(nowMS int64) {
-	n.Apply(nowMS, func() { n.sch.Tick(nowMS) })
+	n.gate.mu.Lock()
+	n.tickAt = nowMS
+	n.sch.TickUnder(nowMS, n.closeTick)
+	if n.onTick != nil {
+		n.onTick()
+	}
+	n.gate.EndApply()
+}
+
+// closeForTick closes the gate for the writes of the tick in flight.
+func (n *Node) closeForTick() {
+	n.gate.close()
+	n.nowMS.Store(max(n.nowMS.Load(), n.tickAt))
 }
 
 // Search executes one read-only ASAP search from peer p with the given

@@ -81,12 +81,21 @@ func liveQuery(t *testing.T, n *Node) CatalogEntry {
 // TestServeConcurrentOracle is the serving plane's -race property test:
 // serving goroutines hammer Search while state events (churn, content,
 // ticks) apply through the write side. Every served answer must equal,
-// bit for bit, the quiescent SearchRO answer computed inside the apply
+// bit for bit, the quiescent SearchRO answer computed inside the closed
 // section that produced the answer's epoch — i.e. concurrent reads never
-// observe a torn store. Chained with core's TestSearchROMatchesOracle
-// (quiescent SearchRO ≡ the scalar map-and-loop oracle), this pins every
-// concurrent answer to the scalar oracle at its epoch.
+// observe a torn store. Ticks go through Node.Tick itself, whose refresh
+// walks and floods reach their nodes before the gate closes, so under
+// -race any write made while readers are inside fails the test. Chained
+// with core's TestSearchROMatchesOracle (quiescent SearchRO ≡ the scalar
+// map-and-loop oracle), this pins every concurrent answer to the scalar
+// oracle at its epoch.
 func TestServeConcurrentOracle(t *testing.T) {
+	for _, d := range []core.DeliveryKind{core.RW, core.GSAKind, core.FLD} {
+		t.Run("asap-"+d.String(), func(t *testing.T) { concurrentOracle(t, d) })
+	}
+}
+
+func concurrentOracle(t *testing.T, d core.DeliveryKind) {
 	l := tinyLab(t)
 
 	// Warm on a prefix of the trace; the suffix's state events become the
@@ -95,7 +104,7 @@ func TestServeConcurrentOracle(t *testing.T) {
 	split := len(evs) * 2 / 3
 	prefix := *l.Tr
 	prefix.Events = evs[:split]
-	sch := core.New(l.Scale.ASAPConfig(core.RW))
+	sch := core.New(l.Scale.ASAPConfig(d))
 	sys := sim.NewSystem(l.U, &prefix, overlay.Random, l.Net, l.Scale.Seed)
 	st := sim.NewStepper(sys, sch, 0)
 	for batch := st.NextBatch(); batch != nil; batch = st.NextBatch() {
@@ -125,21 +134,22 @@ func TestServeConcurrentOracle(t *testing.T) {
 		}
 	}
 
-	// answers[k][q] is probe q's quiescent answer after the k-th Apply,
-	// computed inside that apply's write section — so it happens-before
-	// any read section observing epoch 2k.
+	// answers[k][q] is probe q's quiescent answer after the k-th write
+	// section, computed inside it — so it happens-before any read section
+	// observing epoch 2k.
 	ticks := int((evs[len(evs)-1].Time-prefix.Span())/1000) + 2
 	answers := make([][][]overlay.NodeID, len(suffix)+ticks+2)
 	oracle := core.NewServeScratch()
-	compute := func(k int) {
-		answers[k] = make([][]overlay.NodeID, len(probes))
+	applies := 1
+	compute := func() {
+		answers[applies] = make([][]overlay.NodeID, len(probes))
 		for qi, q := range probes {
 			_, out := sch.SearchRO(q.From, q.Terms, n.Now(), oracle, nil)
-			answers[k][qi] = out
+			answers[applies][qi] = out
 		}
 	}
-	applies := 1
-	n.Apply(prefix.Span(), func() { compute(1) })
+	n.Apply(prefix.Span(), compute)
+	n.onTick = compute
 
 	var done atomic.Bool
 	var mismatches atomic.Int64
@@ -176,21 +186,14 @@ func TestServeConcurrentOracle(t *testing.T) {
 	nextTick := prefix.Span()/1000*1000 + 1000
 	for _, ev := range suffix {
 		for nextTick <= ev.Time {
-			tick := nextTick
 			applies++
-			k := applies
-			n.Apply(tick, func() {
-				sch.Tick(tick)
-				compute(k)
-			})
+			n.Tick(nextTick)
 			nextTick += 1000
 		}
 		applies++
-		k := applies
-		ev := ev
 		n.Apply(ev.Time, func() {
 			sim.ApplyStateEvent(sys, sch, ev)
-			compute(k)
+			compute()
 		})
 	}
 	// Keep serving briefly against the final state.
@@ -200,6 +203,9 @@ func TestServeConcurrentOracle(t *testing.T) {
 
 	if got := n.Epoch(); got != uint64(2*applies) {
 		t.Fatalf("epoch %d after %d applies, want %d", got, applies, 2*applies)
+	}
+	if got := n.Now(); got < nextTick-1000 {
+		t.Fatalf("clock at %d after a tick at %d", got, nextTick-1000)
 	}
 	if mismatches.Load() != 0 {
 		t.Fatalf("%d mismatched answers", mismatches.Load())
@@ -415,6 +421,34 @@ func TestServeSearchAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(50, run); a != 0 {
 		t.Errorf("served search allocates %.1f times, want 0", a)
+	}
+}
+
+// TestNodeTickAllocs is the serving writer's zero-alloc gate (wired into
+// `make alloc-gate`): once a full refresh period has grown the delivery
+// scratch, a Node.Tick — writer lock, the scheme's tick under its fence,
+// the gate's close and reopen — must not allocate, so no tick builds a
+// closure.
+func TestNodeTickAllocs(t *testing.T) {
+	n := coldNode(t, Config{Workers: 2})
+	period := int64(n.sch.Config().RefreshPeriodSec)
+	now := int64(0)
+	tick := func() {
+		now += 1000
+		n.Tick(now)
+	}
+	for i := int64(0); i < period; i++ {
+		tick()
+	}
+	before := n.Epoch()
+	if a := testing.AllocsPerRun(int(period), tick); a != 0 {
+		t.Errorf("Node.Tick allocates %.1f times per tick, want 0", a)
+	}
+	if got, want := n.Epoch()-before, 2*uint64(period+1); got != want {
+		t.Errorf("epoch moved %d over %d ticks, want %d", got, period+1, want)
+	}
+	if n.Now() != now {
+		t.Errorf("clock at %d after a tick at %d", n.Now(), now)
 	}
 }
 
