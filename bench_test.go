@@ -49,9 +49,8 @@ func benchMatrix(b *testing.B) (*experiments.Lab, experiments.Matrix) {
 }
 
 // BenchmarkRunMatrix measures one full 6-scheme × 3-topology small-scale
-// matrix replay — the repo's headline throughput number (recorded in
-// BENCH_matrix.json via cmd/experiments -benchjson). "sequential" is the
-// pre-optimization baseline: one run at a time, overlay regenerated per
+// matrix replay; `make bench-gate` runs one iteration as a smoke test.
+// "sequential" is the pre-optimization baseline: one run at a time, overlay regenerated per
 // run. "parallel" is the production path: MatrixWorkers fan-out over
 // cloned topology prototypes. Both produce identical Matrix output.
 func BenchmarkRunMatrix(b *testing.B) {

@@ -18,14 +18,14 @@
 // catalog: worker count changes execution interleaving only, never
 // arrivals or mix (see TestScheduleDeterminism).
 //
-// With -bench, the run's record merges into the serving block of the
-// bench JSON (read-modify-write; every other key survives). With -smoke,
-// the process exits non-zero unless the run served every query (zero
-// sheds, zero failures) with p99 under -p99max.
+// With -smoke, the process exits non-zero unless the run served every
+// query (zero sheds, zero failures) with p99 under -p99max. Every client
+// exchange, HTTP or binary, gives up after exchangeTimeout; an expiry
+// counts as a failed query, so a stalled daemon cannot hang the run.
 //
 // Usage:
 //
-//	asapload -rate 2000 -n 10000 -bench BENCH_matrix.json
+//	asapload -rate 2000 -n 10000
 //	asapload -mode http -addr 127.0.0.1:8080 -rate 500 -n 2000
 //	asapload -rate 200 -n 400 -smoke -p99max 250ms
 package main
@@ -38,10 +38,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
 	"time"
 
-	"asap/internal/benchio"
 	"asap/internal/cliutil"
 	"asap/internal/experiments"
 	"asap/internal/overlay"
@@ -49,34 +47,10 @@ import (
 	"asap/internal/transport"
 )
 
-// servingRecord is one asapload run's entry in the serving block of the
-// bench JSON: target configuration, client-side outcome, and the latency
-// quantiles the p99 gate reads. Wall-clock figures: comparable within
-// one host, not across machines.
-type servingRecord struct {
-	Mode       string  `json:"mode"`
-	Scale      string  `json:"scale"`
-	Scheme     string  `json:"scheme"`
-	Topology   string  `json:"topology"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	TargetQPS  float64 `json:"target_qps"`
-	Count      int     `json:"count"`
-	Clients    int     `json:"clients"`
-	ZipfS      float64 `json:"zipf_s"`
-	LoadSeed   uint64  `json:"load_seed"`
-	WarmMS     float64 `json:"warm_ms,omitempty"`
-	// QPS/QPM are served throughput over the run's wall time; QPM is the
-	// figure the ≥100k-queries/min acceptance gate reads.
-	QPS      float64 `json:"qps"`
-	QPM      float64 `json:"qpm"`
-	P50MS    float64 `json:"p50_ms"`
-	P99MS    float64 `json:"p99_ms"`
-	Served   int64   `json:"served"`
-	Shed     int64   `json:"shed"`
-	Failed   int64   `json:"failed"`
-	ShedFrac float64 `json:"shed_frac"`
-	When     string  `json:"when"`
-}
+// exchangeTimeout bounds one client exchange, request sent to reply read,
+// in the http and bin modes; it matches the binary endpoint's reply write
+// deadline. Tests shorten it.
+var exchangeTimeout = 10 * time.Second
 
 func main() {
 	mode := flag.String("mode", "inproc", "inproc|http|bin")
@@ -94,7 +68,6 @@ func main() {
 	queue := flag.Int("queue", 64, "inproc: bounded wait queue beyond the in-flight cap")
 	admit := flag.Float64("admit", 0, "inproc: admission rate, queries/sec (0 = unlimited)")
 	burst := flag.Float64("burst", 0, "inproc: admission burst (0: one second at -admit)")
-	benchPath := flag.String("bench", "", "merge a serving block entry into this bench JSON")
 	smoke := flag.Bool("smoke", false, "gate: fail unless zero sheds/failures and p99 ≤ -p99max")
 	p99max := flag.Duration("p99max", 250*time.Millisecond, "smoke-mode p99 bound")
 	minQPM := flag.Float64("minqpm", 0, "gate: fail unless served queries/min reaches this")
@@ -110,7 +83,7 @@ func main() {
 	if err := run(*mode, *addr, *scalef, *scheme, *topo, *seed, rateOverride,
 		*count, *loadSeed, *zipf, *clients,
 		serve.Config{Workers: *workers, MaxQueue: *queue, Rate: *admit, Burst: *burst},
-		*benchPath, *smoke, *p99max, *minQPM, *quiet); err != nil {
+		*smoke, *p99max, *minQPM, *quiet); err != nil {
 		fmt.Fprintf(os.Stderr, "asapload: %v\n", err)
 		os.Exit(1)
 	}
@@ -118,7 +91,7 @@ func main() {
 
 func run(mode, addr, scaleName, schemeName, topoName string, seed uint64, rateOverride float64,
 	count int, loadSeed uint64, zipf float64, clients int, cfg serve.Config,
-	benchPath string, smoke bool, p99max time.Duration, minQPM float64, quiet bool) error {
+	smoke bool, p99max time.Duration, minQPM float64, quiet bool) error {
 
 	progress := func(format string, args ...any) {
 		if !quiet {
@@ -138,6 +111,14 @@ func run(mode, addr, scaleName, schemeName, topoName string, seed uint64, rateOv
 	}
 	rate := sc.Trace.Lambda
 	cliutil.ApplyFloat64(rateOverride, &rate)
+	switch {
+	case clients < 1:
+		return fmt.Errorf("-clients %d: need at least one client", clients)
+	case count < 1:
+		return fmt.Errorf("-n %d: need at least one query", count)
+	case !(rate > 0):
+		return fmt.Errorf("-rate %v: need a positive arrival rate", rate)
+	}
 
 	// Every mode needs the lab: inproc warms from it, the client modes
 	// rebuild the same trace the daemon warmed from to get the catalog.
@@ -145,13 +126,6 @@ func run(mode, addr, scaleName, schemeName, topoName string, seed uint64, rateOv
 	lab, err := experiments.NewLab(sc)
 	if err != nil {
 		return err
-	}
-
-	rec := servingRecord{
-		Mode: mode, Scale: scaleName, Scheme: schemeName, Topology: topoName,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		TargetQPS:  rate, Count: count, Clients: clients, ZipfS: zipf, LoadSeed: loadSeed,
-		When: time.Now().UTC().Format(time.RFC3339),
 	}
 
 	var catalog []serve.CatalogEntry
@@ -164,8 +138,7 @@ func run(mode, addr, scaleName, schemeName, topoName string, seed uint64, rateOv
 		if err != nil {
 			return err
 		}
-		rec.WarmMS = float64(time.Since(warmStart).Milliseconds())
-		progress("asapload: warm in %.0f ms", rec.WarmMS)
+		progress("asapload: warm in %d ms", time.Since(warmStart).Milliseconds())
 		catalog = serve.BuildCatalog(lab.Tr, func(id overlay.NodeID) bool { return n.System().G.Alive(id) })
 		dsts := make([][]overlay.NodeID, clients)
 		do = func(w int, e int32) error {
@@ -203,41 +176,32 @@ func run(mode, addr, scaleName, schemeName, topoName string, seed uint64, rateOv
 		len(sched), rate, clients, len(catalog))
 	res := serve.RunLoad(sched, clients, do)
 
-	rec.QPS = res.QPS()
-	rec.QPM = rec.QPS * 60
-	rec.P50MS = float64(res.Wall.Quantile(0.50)) / float64(time.Millisecond)
-	rec.P99MS = float64(res.Wall.Quantile(0.99)) / float64(time.Millisecond)
-	rec.Served = res.Served.Load()
-	rec.Shed = res.Shed()
-	rec.Failed = res.Failed.Load()
-	if total := rec.Served + rec.Shed; total > 0 {
-		rec.ShedFrac = float64(rec.Shed) / float64(total)
+	qps := res.QPS()
+	p50, p99 := res.Wall.Quantile(0.50), res.Wall.Quantile(0.99)
+	served, shed, failed := res.Served.Load(), res.Shed(), res.Failed.Load()
+	var shedFrac float64
+	if total := served + shed; total > 0 {
+		shedFrac = float64(shed) / float64(total)
 	}
-
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	fmt.Printf("served %d/%d in %v: %.0f qps (%.0f q/min), p50 %.3f ms, p99 %.3f ms, shed %d (%.2f%%), failed %d\n",
-		rec.Served, len(sched), res.Elapsed.Round(time.Millisecond),
-		rec.QPS, rec.QPM, rec.P50MS, rec.P99MS, rec.Shed, rec.ShedFrac*100, rec.Failed)
+		served, len(sched), res.Elapsed.Round(time.Millisecond),
+		qps, qps*60, ms(p50), ms(p99), shed, shedFrac*100, failed)
 
-	if benchPath != "" {
-		key := mode + "-" + scaleName
-		if err := benchio.MergeEntry(benchPath, "serving", key, rec); err != nil {
-			return err
-		}
-		progress("asapload: merged serving/%s into %s", key, benchPath)
-	}
 	if smoke {
-		if rec.Failed > 0 {
-			return fmt.Errorf("smoke: %d failed queries", rec.Failed)
-		}
-		if rec.Shed > 0 {
-			return fmt.Errorf("smoke: %d shed queries at a rate the node must sustain", rec.Shed)
-		}
-		if p99 := res.Wall.Quantile(0.99); p99 > p99max {
+		switch {
+		case failed > 0:
+			return fmt.Errorf("smoke: %d failed queries", failed)
+		case shed > 0:
+			return fmt.Errorf("smoke: %d shed queries at a rate the node must sustain", shed)
+		case served != int64(len(sched)):
+			return fmt.Errorf("smoke: served %d of %d queries", served, len(sched))
+		case p99 > p99max:
 			return fmt.Errorf("smoke: p99 %v exceeds bound %v", p99, p99max)
 		}
 	}
-	if minQPM > 0 && rec.QPM < minQPM {
-		return fmt.Errorf("gate: %.0f queries/min below the %.0f floor", rec.QPM, minQPM)
+	if minQPM > 0 && qps*60 < minQPM {
+		return fmt.Errorf("gate: %.0f queries/min below the %.0f floor", qps*60, minQPM)
 	}
 	return nil
 }
@@ -247,7 +211,7 @@ func run(mode, addr, scaleName, schemeName, topoName string, seed uint64, rateOv
 // connections alive, so each worker reuses its own).
 func httpClient(addr string, catalog []serve.CatalogEntry, clients int) func(int, int32) error {
 	url := "http://" + addr + "/search"
-	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}, Timeout: exchangeTimeout}
 	return func(w int, e int32) error {
 		q := &catalog[e]
 		req := serve.SearchRequest{From: uint32(q.From), Terms: make([]uint32, len(q.Terms))}
@@ -275,7 +239,10 @@ func httpClient(addr string, catalog []serve.CatalogEntry, clients int) func(int
 }
 
 // binClient dials one persistent binary-protocol connection per worker
-// and returns a do callback running the MServeQuery exchange on it.
+// and returns a do callback running the MServeQuery exchange on it. An
+// exchange that fails at the transport (an expired deadline among them)
+// leaves the stream's framing unknown, so it closes the connection and
+// every later exchange of that worker fails at once.
 func binClient(addr string, catalog []serve.CatalogEntry, clients int) (func(int, int32) error, error) {
 	conns := make([]*transport.Conn, clients)
 	bufs := make([][]byte, clients)
@@ -294,11 +261,14 @@ func binClient(addr string, catalog []serve.CatalogEntry, clients int) (func(int
 			sq.Terms[i] = uint32(t)
 		}
 		bufs[w] = sq.Encode(bufs[w][:0])
-		if err := conns[w].WriteFrame(transport.MServeQuery, bufs[w]); err != nil {
-			return err
+		c := conns[w]
+		if c == nil {
+			return errors.New("connection closed by an earlier failed exchange")
 		}
-		t, p, err := conns[w].ReadFrame()
+		t, p, err := exchange(c, bufs[w])
 		if err != nil {
+			c.Close()
+			conns[w] = nil
 			return err
 		}
 		switch t {
@@ -323,4 +293,20 @@ func binClient(addr string, catalog []serve.CatalogEntry, clients int) (func(int
 			return fmt.Errorf("unexpected frame type %d", t)
 		}
 	}, nil
+}
+
+// exchange sends one MServeQuery frame on c and reads its reply, both
+// within exchangeTimeout.
+func exchange(c *transport.Conn, query []byte) (transport.MsgType, []byte, error) {
+	deadline := time.Now().Add(exchangeTimeout)
+	if err := c.SetWriteDeadline(deadline); err != nil {
+		return 0, nil, err
+	}
+	if err := c.SetReadDeadline(deadline); err != nil {
+		return 0, nil, err
+	}
+	if err := c.WriteFrame(transport.MServeQuery, query); err != nil {
+		return 0, nil, err
+	}
+	return c.ReadFrame()
 }

@@ -110,7 +110,7 @@ func run(scaleName, scheme, topoName, traceFile string, seed uint64, series bool
 	if seriesDir != "" {
 		col = obs.NewCollector()
 	}
-	sum, err := lab.RunObs(scheme, kind, col, nil)
+	sum, err := lab.RunObs(scheme, kind, col)
 	if err != nil {
 		return err
 	}

@@ -5,8 +5,8 @@
 //
 //	experiments [-scale full|small|tiny] [-figure all|2|3|...|10|claims]
 //	            [-schemes csv] [-topos csv] [-matrixworkers n]
-//	            [-seed n] [-loss rate] [-quiet] [-benchjson path]
-//	            [-scalerun preset] [-scenario csv] [-series dir]
+//	            [-seed n] [-loss rate] [-quiet] [-scenario csv]
+//	            [-series dir]
 //	            [-cpuprofile path] [-memprofile path] [-mutexprofile path]
 //	            [-pprof addr]
 //
@@ -23,8 +23,6 @@
 //	experiments -scale tiny -figure loss     # loss sweep: 0/1/2/5% message loss
 //	experiments -figure scenario             # every adversarial scenario (see internal/scenario)
 //	experiments -scenario partition-heal     # one scenario (registry name or JSON file)
-//	experiments -benchjson BENCH_matrix.json # perf record: baseline vs parallel matrix
-//	experiments -scalerun full               # record the paper-scale matrix wall+heap
 //	experiments -series out/                 # + per-second series per run (CSV+JSON)
 //	experiments -cpuprofile cpu.out          # profile the run (go tool pprof cpu.out)
 package main
@@ -52,8 +50,6 @@ func main() {
 		seedCount = flag.Int("seeds", 3, "seeds for -figure seeds (robustness sweep)")
 		loss      = flag.Float64("loss", 0, "message loss rate in [0,1); 0 is the paper's reliable network")
 		quiet     = flag.Bool("quiet", false, "suppress progress output")
-		benchJSON = flag.String("benchjson", "", "write a matrix perf record (baseline vs parallel) to this path and exit")
-		scaleRun  = flag.String("scalerun", "", "replay this preset's whole matrix end to end and merge its wall-time/peak-heap record into the scale_runs block of -benchjson's path (default BENCH_matrix.json)")
 		scenCSV   = flag.String("scenario", "", "comma-separated adversarial scenarios (registry names or JSON files) to replay; implies -figure scenario")
 		seriesDir = flag.String("series", "", "write each run's per-second observability series (CSV+JSON) into this directory")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this path")
@@ -72,16 +68,8 @@ func main() {
 		os.Exit(1)
 	}
 	switch {
-	case *scaleRun != "":
-		path := *benchJSON
-		if path == "" {
-			path = "BENCH_matrix.json"
-		}
-		err = runScaleRun(*scaleRun, *seed, *matrixW, path, *quiet)
 	case *figure == "scenario" || *scenCSV != "":
-		err = runScenarioSweep(*scenCSV, *seriesDir, *benchJSON, *quiet)
-	case *benchJSON != "":
-		err = runBenchJSON(*scaleName, *seed, *matrixW, *benchJSON, *quiet)
+		err = runScenarioSweep(*scenCSV, *seriesDir, *quiet)
 	case *figure == "seeds":
 		err = runSeeds(*scaleName, *schemes, *topos, *seedCount, *quiet)
 	case *figure == "loss":

@@ -7,7 +7,6 @@ import (
 	"asap/internal/content"
 	"asap/internal/faults"
 	"asap/internal/metrics"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/sim"
 )
@@ -36,12 +35,7 @@ func (s *Scheme) deliver(t sim.Clock, snap *adSnapshot, kind adKind, targeting c
 // may still be reached another way) and a lost walk copy kills the walker;
 // senders pay for lost copies, so coverage degrades under loss, traffic not.
 func (s *Scheme) deliverAll(t sim.Clock, ads []floodAd) {
-	phase := obs.PDeliverFlood
-	if s.cfg.Delivery != FLD {
-		phase = obs.PDeliverWalk
-	}
 	for len(ads) > 0 {
-		td := s.obs.Begin()
 		n := min(len(ads), maxFloodBatch)
 		if s.cfg.Delivery == FLD {
 			s.reach(t, ads[:n])
@@ -54,7 +48,6 @@ func (s *Scheme) deliverAll(t sim.Clock, ads []floodAd) {
 		}
 		s.flood.reset()
 		s.endApply()
-		s.obs.End(phase, td)
 		ads = ads[n:]
 	}
 }

@@ -90,7 +90,6 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 		t0 += uplinkMS
 	}
 
-	tPhase1 := s.obs.Begin()
 	ns := &s.nodes[p]
 	// The minSeen watermark bounds every entry's lastSeen from below, so
 	// the expiry sweep runs only when something can actually expire.
@@ -119,7 +118,6 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	confirmed := sc.confirmed
 	hits, resp, b := s.confirmRound(p, ev.Terms, cands, confirmed, sc)
 	bytes += b + uplinkBytes
-	s.obs.End(obs.PSearchPhase1, tPhase1)
 	// Table I: phase 2 runs when the cache yielded nothing, or when "more
 	// responses [are] needed" than phase 1 confirmed.
 	if hits >= s.cfg.MinResults || s.cfg.AdsRequestHops == 0 {
@@ -134,7 +132,6 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	}
 
 	// Phase 2: pull ads from the h-hop neighbourhood and retry.
-	tPhase2 := s.obs.Begin()
 	more, b2 := s.adsRequest(t0, p, sc, &sc.qa)
 	bytes += b2
 	fresh := more[:0]
@@ -145,7 +142,6 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	}
 	hits2, resp2, b := s.confirmRound(p, ev.Terms, fresh, confirmed, sc)
 	bytes += b
-	s.obs.End(obs.PSearchPhase2, tPhase2)
 	if hits+hits2 == 0 {
 		return metrics.SearchResult{Bytes: bytes}
 	}

@@ -100,7 +100,7 @@ func TestLossZeroMatchesNoPlane(t *testing.T) {
 	}
 	for _, scheme := range lossySchemes {
 		col := obs.NewCollector()
-		bare, err := lab.run(scheme, overlay.Crawled, false, col, nil, nil)
+		bare, err := lab.run(scheme, overlay.Crawled, false, col, nil)
 		if err != nil {
 			t.Fatalf("%s bare: %v", scheme, err)
 		}
@@ -140,7 +140,7 @@ func TestLossUnchangedByInertPartition(t *testing.T) {
 		t.Fatalf("lab: %v", err)
 	}
 	for _, scheme := range lossySchemes {
-		bare, err := lab.run(scheme, overlay.Crawled, false, nil, nil, nil)
+		bare, err := lab.run(scheme, overlay.Crawled, false, nil, nil)
 		if err != nil {
 			t.Fatalf("%s bare: %v", scheme, err)
 		}

@@ -95,21 +95,20 @@ func (l *Lab) topoProto(kind overlay.Kind) *sim.TopoProto {
 // Run replays the lab's trace under one scheme on one topology — the
 // single-run entry point, and exactly what one RunMatrix cell executes.
 func (l *Lab) Run(schemeName string, topo overlay.Kind) (metrics.Summary, error) {
-	return l.run(schemeName, topo, false, nil, nil, nil)
+	return l.run(schemeName, topo, false, nil, nil)
 }
 
 // RunObs is Run with observability attached: the run's per-second series
-// lands in series (keyed "scheme/topology") and its wall-clock phase
-// timing is merged into timing. Either may be nil to skip that layer.
-func (l *Lab) RunObs(schemeName string, topo overlay.Kind, series *obs.Collector, timing *obs.Timing) (metrics.Summary, error) {
-	return l.run(schemeName, topo, false, series, timing, nil)
+// lands in series (keyed "scheme/topology"). A nil series is plain Run.
+func (l *Lab) RunObs(schemeName string, topo overlay.Kind, series *obs.Collector) (metrics.Summary, error) {
+	return l.run(schemeName, topo, false, series, nil)
 }
 
 // run builds the system — from the cached prototype, or from scratch when
 // fresh is set — and replays the trace under the scheme. The two system
 // paths are bit-for-bit equivalent (see TestMatrixClonedMatchesFresh);
-// fresh exists as the pre-clone baseline for benchmarking.
-func (l *Lab) run(schemeName string, topo overlay.Kind, fresh bool, series *obs.Collector, timing *obs.Timing, heap *obs.HeapGauge) (metrics.Summary, error) {
+// fresh is that test's reference.
+func (l *Lab) run(schemeName string, topo overlay.Kind, fresh bool, series *obs.Collector, heap *obs.HeapGauge) (metrics.Summary, error) {
 	sch, err := l.NewScheme(schemeName)
 	if err != nil {
 		return metrics.Summary{}, err
@@ -117,29 +116,21 @@ func (l *Lab) run(schemeName string, topo overlay.Kind, fresh bool, series *obs.
 	// The recorder's horizon mirrors the LoadAccount's (see sim.NewSystem)
 	// so the two per-second series line up row for row.
 	var rec *obs.Recorder
-	if series != nil || timing != nil || heap != nil {
+	if series != nil || heap != nil {
 		rec = obs.NewRecorder(int(l.Tr.Span()/1000) + 2)
 		rec.SetHeapGauge(heap)
 	}
 	var sys *sim.System
 	if fresh {
-		t0 := rec.Begin()
 		sys = sim.NewSystem(l.U, l.Tr, topo, l.Net, l.Scale.Seed)
-		rec.End(obs.PTopoGen, t0)
 	} else {
-		proto := l.topoProto(topo)
-		t0 := rec.Begin()
-		sys = proto.NewSystem(l.U, l.Tr)
-		rec.End(obs.PTopoClone, t0)
+		sys = l.topoProto(topo).NewSystem(l.U, l.Tr)
 	}
 	sys.SetObs(rec)
 	if l.Scale.LossRate > 0 {
 		sys.SetFaults(faults.New(faults.Config{Seed: l.Scale.Seed, LossRate: l.Scale.LossRate}))
 	}
 	sum := sim.Run(sys, sch, sim.RunOptions{})
-	if timing != nil {
-		timing.Merge(rec.Timing())
-	}
 	if series != nil {
 		series.Add(rec.Series(schemeName+"/"+topo.String(), sys.Load))
 	}
@@ -154,16 +145,13 @@ type MatrixOptions struct {
 	// Workers bounds the scheme×topology fan-out; 0 means GOMAXPROCS.
 	Workers int
 	// FreshGraphs regenerates the overlay for every run instead of
-	// cloning the lab's per-kind prototype — the pre-optimization
-	// baseline, kept for benchmarking (cmd/experiments -benchjson).
+	// cloning the lab's per-kind prototype: the independent reference
+	// TestMatrixClonedMatchesFresh checks the clone path against.
 	FreshGraphs bool
 	// Series, when non-nil, collects each cell's per-second observability
 	// series (keyed "scheme/topology"). Collection is deterministic: the
 	// merged set is identical for every Workers value.
 	Series *obs.Collector
-	// Timing, when non-nil, accumulates wall-clock phase timing across all
-	// cells (nondeterministic by nature; reporting only).
-	Timing *obs.Timing
 	// Heap, when non-nil, tracks the peak live-heap high-water mark across
 	// all cells (sampled once per simulated second; reporting only, never
 	// part of the deterministic Matrix).
@@ -217,7 +205,7 @@ func (l *Lab) RunMatrixOpt(schemes []string, topos []overlay.Kind, progress func
 	sums := make([]metrics.Summary, len(jobs))
 	errs := make([]error, len(jobs))
 	runJob := func(i int) {
-		sums[i], errs[i] = l.run(jobs[i].scheme, jobs[i].topo, opt.FreshGraphs, opt.Series, opt.Timing, opt.Heap)
+		sums[i], errs[i] = l.run(jobs[i].scheme, jobs[i].topo, opt.FreshGraphs, opt.Series, opt.Heap)
 	}
 	if workers <= 1 {
 		for i := range jobs {

@@ -53,7 +53,7 @@ func RunLossSweep(sc Scale, schemes []string, topo overlay.Kind, rates []float64
 				// Collect into a private sub-collector so the sweep can
 				// suffix the keys with the loss rate before publishing.
 				sub := obs.NewCollector()
-				sum, err = lab.RunObs(scheme, topo, sub, nil)
+				sum, err = lab.RunObs(scheme, topo, sub)
 				for _, rs := range sub.Runs() {
 					rs.Key = fmt.Sprintf("%s/loss=%g", rs.Key, rate)
 					series.Add(rs)

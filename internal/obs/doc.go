@@ -1,6 +1,6 @@
 // Package obs is the simulator's deterministic observability plane.
 //
-// It has three layers, all optional and all inert when absent:
+// It has two layers, both optional and both inert when absent:
 //
 //   - Sim-time series: a Recorder keeps per-second (simulated clock, never
 //     wall clock) counters for message classes, ads-cache hits and misses,
@@ -9,13 +9,8 @@
 //     per-class byte series into one RunSeries table, emitted as CSV and
 //     JSON (WriteDir). Because every counter is keyed by deterministic
 //     replay time and updated with commutative atomic adds, the series is
-//     byte-identical for any worker count.
-//
-//   - Per-phase wall-clock timing: Begin/End spans around topology build,
-//     trace replay, the two search phases and ad-delivery walks/floods
-//     accumulate into a Timing, merged across runs after RunMatrix and
-//     reported in BENCH_matrix.json. Wall clock is inherently
-//     nondeterministic, so timing never feeds into a RunSeries.
+//     byte-identical for any worker count. Wall clock is inherently
+//     nondeterministic, so it never feeds into a RunSeries.
 //
 //   - Profiling hooks: StartProfiles wires -cpuprofile/-memprofile/
 //     -mutexprofile files and an optional net/http/pprof endpoint for the

@@ -18,16 +18,9 @@ func TestNilRecorderIsInert(t *testing.T) {
 	r.Count(0, CDrop)
 	r.CountMsg(1000, metrics.MsgClass(0))
 	r.Search(-500, true, 12, 900)
-	r.End(PReplay, r.Begin())
 	if r.Seconds() != 0 {
 		t.Errorf("nil recorder Seconds() = %d, want 0", r.Seconds())
 	}
-	if r.Timing() != nil {
-		t.Error("nil recorder Timing() != nil")
-	}
-
-	var tm *Timing
-	(&Timing{}).Merge(tm) // nil argument is a no-op
 
 	var c *Collector
 	c.Add(RunSeries{Key: "x"})
@@ -213,43 +206,6 @@ func TestWriteDir(t *testing.T) {
 	}
 	if !bytes.Equal(buf, s.CSV()) {
 		t.Error("written CSV differs from Series.CSV()")
-	}
-}
-
-// TestTimingMergeAndStats: merged spans add, empty phases are omitted,
-// and Stats reports phases in declaration order with millisecond totals.
-func TestTimingMergeAndStats(t *testing.T) {
-	var a, b Timing
-	a.add(PReplay, 2_000_000) // 2 ms
-	a.add(PReplay, 1_000_000)
-	b.add(PAttach, 5_000_000)
-	a.Merge(&b)
-	a.Merge(nil)
-
-	stats := a.Stats()
-	if len(stats) != 2 {
-		t.Fatalf("stats = %+v, want 2 phases", stats)
-	}
-	if stats[0].Phase != "attach" || stats[0].Count != 1 || stats[0].TotalMS != 5 {
-		t.Errorf("attach stat = %+v", stats[0])
-	}
-	if stats[1].Phase != "replay" || stats[1].Count != 2 || stats[1].TotalMS != 3 {
-		t.Errorf("replay stat = %+v", stats[1])
-	}
-}
-
-// TestPhaseLabels pins the report labels — they are part of the
-// BENCH_matrix.json and series-consumer contract.
-func TestPhaseLabels(t *testing.T) {
-	want := []string{"topo_gen", "topo_clone", "attach", "replay",
-		"search_phase1", "search_phase2", "deliver_flood", "deliver_walk"}
-	for p := Phase(0); p < NumPhases; p++ {
-		if p.String() != want[p] {
-			t.Errorf("Phase(%d).String() = %q, want %q", p, p.String(), want[p])
-		}
-	}
-	if Phase(NumPhases).String() != "invalid" {
-		t.Error("out-of-range phase label != invalid")
 	}
 }
 

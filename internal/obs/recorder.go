@@ -3,7 +3,6 @@ package obs
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 
 	"asap/internal/metrics"
 )
@@ -104,7 +103,6 @@ type Recorder struct {
 	latMS   []int64 // per-row response-time sums of successful searches
 	srchB   []int64 // per-row search-cost byte sums
 	hist    [HistBuckets]int64
-	timing  Timing
 	heap    *HeapGauge // peak-heap high-water gauge (nil = sampling off)
 }
 
@@ -194,30 +192,4 @@ func (r *Recorder) Search(tMS int64, ok bool, respMS int64, bytes int64) {
 // get reads one counter cell (test/series helper; not a hot path).
 func (r *Recorder) get(row int, c Counter) int64 {
 	return atomic.LoadInt64(&r.cells[row*NumCounters+int(c)])
-}
-
-// Begin starts a wall-clock span; pass the result to End. On a nil
-// recorder it returns 0 and End discards the span.
-func (r *Recorder) Begin() int64 {
-	if r == nil {
-		return 0
-	}
-	return time.Now().UnixNano()
-}
-
-// End closes a wall-clock span opened by Begin, attributing the elapsed
-// time to phase p.
-func (r *Recorder) End(p Phase, start int64) {
-	if r == nil {
-		return
-	}
-	r.timing.add(p, time.Now().UnixNano()-start)
-}
-
-// Timing returns the recorder's accumulated per-phase wall-clock spans.
-func (r *Recorder) Timing() *Timing {
-	if r == nil {
-		return nil
-	}
-	return &r.timing
 }

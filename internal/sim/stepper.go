@@ -36,8 +36,6 @@ type Stepper struct {
 	batcher  ContentBatcher // nil unless the scheme opts in
 	runDocs  []content.DocID
 	runAdded []bool
-
-	tReplay int64
 }
 
 // NewStepper attaches the scheme (warm-up) and positions the replay at
@@ -46,11 +44,8 @@ type Stepper struct {
 // boundary — Run's semantics.
 func NewStepper(sys *System, sch Scheme, maxBatch int) *Stepper {
 	st := &Stepper{sys: sys, sch: sch, rec: sys.Obs(), stats: &metrics.SearchStats{}, maxBatch: maxBatch}
-	tAttach := st.rec.Begin()
 	sch.Attach(sys)
-	st.rec.End(obs.PAttach, tAttach)
 	st.rec.SampleHeap()
-	st.tReplay = st.rec.Begin()
 	st.nextTick = 1000
 	sys.Load.SetLive(0, sys.G.LiveCount())
 	st.leaver, _ = sch.(GracefulLeaver)
@@ -180,6 +175,5 @@ func (st *Stepper) Record(ev *trace.Event, r metrics.SearchResult) {
 func (st *Stepper) Finish() metrics.Summary {
 	st.advance(int64(st.sys.Load.Seconds()) * 1000)
 	st.rec.SampleHeap()
-	st.rec.End(obs.PReplay, st.tReplay)
 	return metrics.Summarize(st.sch.Name(), st.sys.G.Kind().String(), st.stats, st.sys.Load, st.sch.LoadMask())
 }

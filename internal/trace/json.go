@@ -116,6 +116,9 @@ func DecodeJSON(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: event %d: term %d exceeds limit %d", i, term, 1<<31)
 			}
 		}
+		if len(je.Terms) == 0 {
+			je.Terms = nil // "terms":[] decodes like an absent field, as in the binary codec
+		}
 		tr.Events = append(tr.Events, Event{Time: je.T, Kind: kind, Node: je.Node, Doc: je.Doc, Terms: je.Terms})
 	}
 	if hdr.Events != len(tr.Events) {

@@ -5,7 +5,7 @@ package asap
 // warm-up and the full event loop. This is the replay-phase headline the
 // flattened data plane (bit-sliced signature scans, batched dispatch,
 // pooled envelopes; DESIGN.md §12) optimises; `make bench-replay` runs it
-// as a smoke test and the full record lands in BENCH_matrix.json.
+// as a smoke test. Repeated wall-clock measurement lives in bench/.
 
 import (
 	"testing"
