@@ -76,6 +76,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("content: interest bounds [%d,%d] invalid", c.MinInterests, c.MaxInterests)
 	case c.MinKeywords < 1 || c.MaxKeywords < c.MinKeywords:
 		return fmt.Errorf("content: keyword bounds [%d,%d] invalid", c.MinKeywords, c.MaxKeywords)
+	case c.MaxKeywords > 255:
+		// Document.kwLen is a uint8: a longer list would be truncated.
+		return fmt.Errorf("content: MaxKeywords %d exceeds 255", c.MaxKeywords)
 	case c.VocabPerClass < c.MaxKeywords:
 		return fmt.Errorf("content: vocabulary %d smaller than MaxKeywords %d", c.VocabPerClass, c.MaxKeywords)
 	case c.ClassSkew < 0 || c.KeywordSkew < 0:

@@ -63,7 +63,8 @@ func TestSingleInterestPeers(t *testing.T) {
 	}
 }
 
-// TestWideKeywordRange: MaxKeywords at the representation limit.
+// TestWideKeywordRange: documents twice as wide as the default six keywords
+// (the representation limit is 255, enforced by Config.Validate).
 func TestWideKeywordRange(t *testing.T) {
 	c := testConfig()
 	c.MinKeywords, c.MaxKeywords = 1, 12

@@ -3,7 +3,7 @@ package content
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 )
 
 // Keyword is an interned keyword identifier. Keywords are class-scoped:
@@ -212,13 +212,9 @@ func (u *Universe) generateDocs(rng *rand.Rand) {
 		acc += 1 / math.Pow(float64(i+1), cfg.KeywordSkew)
 		kwCum[i] = acc
 	}
+	ranks := newRankGuide(kwCum)
 	sampleKeyword := func(c Class) Keyword {
-		x := rng.Float64() * acc
-		i := sort.SearchFloat64s(kwCum, x)
-		if i >= cfg.VocabPerClass {
-			i = cfg.VocabPerClass - 1
-		}
-		return Keyword(int(c)*cfg.VocabPerClass + i + 1)
+		return Keyword(int(c)*cfg.VocabPerClass + ranks.rank(rng.Float64()*acc) + 1)
 	}
 
 	u.docs = make([]Document, 0, cfg.NumDocs)
@@ -277,15 +273,41 @@ func (u *Universe) generateDocs(rng *rand.Rand) {
 				kwScratch = append(kwScratch, kw)
 			}
 		}
-		sort.Slice(kwScratch, func(i, j int) bool { return kwScratch[i] < kwScratch[j] })
+		slices.Sort(kwScratch)
 		kwOff := uint32(len(u.kwArena))
 		u.kwArena = append(u.kwArena, kwScratch...)
 
-		doc := Document{Class: c, kwOff: kwOff, kwLen: uint8(len(kwScratch)), hOff: hOff, hLen: uint8(assigned)}
-		u.docs = append(u.docs, doc)
-		docID := DocID(len(u.docs) - 1)
-		for _, h := range u.hArena[hOff : hOff+uint32(assigned)] {
-			u.peers[h].Docs = append(u.peers[h].Docs, docID)
+		u.docs = append(u.docs, Document{Class: c, kwOff: kwOff, kwLen: uint8(len(kwScratch)), hOff: hOff, hLen: uint8(assigned)})
+	}
+	u.fillPeerDocs()
+}
+
+// fillPeerDocs inverts the holder lists into every peer's Docs: one
+// counting sort into a single arena, each peer's list in ascending DocID
+// order (the order the documents were created in). Lists are sliced with
+// their capacity at their length, so an append to one peer's list copies
+// instead of overwriting its neighbour's.
+func (u *Universe) fillPeerDocs() {
+	end := make([]uint32, len(u.peers)+1)
+	for _, h := range u.hArena {
+		end[h+1]++
+	}
+	for i := 1; i < len(end); i++ {
+		end[i] += end[i-1]
+	}
+	arena := make([]DocID, len(u.hArena))
+	for d := range u.docs {
+		for _, h := range u.Holders(DocID(d)) {
+			arena[end[h]] = DocID(d)
+			end[h]++
+		}
+	}
+	// end[h] is now peer h's upper bound and end[h-1] its lower one.
+	lo := uint32(0)
+	for h := range u.peers {
+		if hi := end[h]; hi > lo {
+			u.peers[h].Docs = arena[lo:hi:hi]
+			lo = hi
 		}
 	}
 }
@@ -309,6 +331,50 @@ func (u *Universe) finalizeInterests() {
 		}
 		p.Interests = s
 	}
+}
+
+// rankGuide maps a point x of a cumulative weight table cum (ascending,
+// len(cum) ≥ 1) to the first rank i with cum[i] ≥ x, clamped to the last
+// rank — exactly sort.SearchFloat64s's answer — in O(1) expected steps.
+//
+// Bucket b(x) = ⌊x·scale⌋ clamped to [0, G] with G = len(cum). Floating-point
+// multiplication rounds monotonically, so b is non-decreasing in x.
+// Entry guide[k] counts the ranks i with b(cum[i]) < k. For any such i,
+// cum[i] ≥ x would force b(cum[i]) ≥ b(x) = k, so cum[i] < x: every rank
+// below guide[b(x)] lies before the answer, and a forward scan from it to
+// the first cum[i] ≥ x stops exactly at sort.SearchFloat64s(cum, x). The
+// bucket's guide entry needs no rounding-error margin. With G buckets over
+// G ranks a scan passes one rank per bucket on average.
+type rankGuide struct {
+	cum   []float64
+	guide []int32
+	scale float64
+}
+
+func newRankGuide(cum []float64) rankGuide {
+	g := len(cum)
+	r := rankGuide{cum: cum, guide: make([]int32, g+1), scale: float64(g) / cum[g-1]}
+	i := 0
+	for k := range r.guide {
+		for i < len(cum) && r.bucket(cum[i]) < k {
+			i++
+		}
+		r.guide[k] = int32(i)
+	}
+	return r
+}
+
+func (r *rankGuide) bucket(x float64) int {
+	return min(max(int(x*r.scale), 0), len(r.guide)-1)
+}
+
+func (r *rankGuide) rank(x float64) int {
+	last := len(r.cum) - 1
+	i := min(int(r.guide[r.bucket(x)]), last)
+	for i < last && r.cum[i] < x {
+		i++
+	}
+	return i
 }
 
 func containsPeer(xs []PeerID, x PeerID) bool {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -39,6 +40,7 @@ func TestValidateRejects(t *testing.T) {
 		func(c *Config) { c.MaxInterests = 0 },
 		func(c *Config) { c.MaxInterests = NumClasses + 1 },
 		func(c *Config) { c.MinKeywords = 0 },
+		func(c *Config) { c.MaxKeywords = 256 },
 		func(c *Config) { c.VocabPerClass = 2 },
 		func(c *Config) { c.AvgCopies = 1.0; c.SingleCopyFrac = 0.5 }, // infeasible
 	}
@@ -381,5 +383,64 @@ func BenchmarkDocMatches(b *testing.B) {
 	}
 	if hits < b.N {
 		b.Fatalf("%d hits in %d self-probes", hits, b.N)
+	}
+}
+
+// TestRankGuideMatchesBinarySearch: the guided sampler returns
+// sort.SearchFloat64s's index (clamped to the last rank) at both ends of
+// the table and beyond them, at every CDF knot and its floating-point
+// neighbours, and at random points, for the default Zipf table and
+// degenerate shapes.
+func TestRankGuideMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	for _, tc := range []struct {
+		vocab int
+		skew  float64
+	}{{4000, 1.05}, {1, 1.05}, {2, 0}, {100, 0}, {1000, 3}, {64, 40}} {
+		cum := make([]float64, tc.vocab)
+		acc := 0.0
+		for i := range cum {
+			acc += 1 / math.Pow(float64(i+1), tc.skew)
+			cum[i] = acc
+		}
+		g := newRankGuide(cum)
+		check := func(x float64) {
+			want := min(sort.SearchFloat64s(cum, x), len(cum)-1)
+			if got := g.rank(x); got != want {
+				t.Fatalf("vocab %d skew %v: rank(%v) = %d, want %d", tc.vocab, tc.skew, x, got, want)
+			}
+		}
+		xs := []float64{0, acc, -acc, 2 * acc} // the last two: clamped ends
+		for _, c := range cum {
+			xs = append(xs, c)
+		}
+		for _, x := range xs {
+			check(x)
+			check(math.Nextafter(x, math.Inf(-1)))
+			check(math.Nextafter(x, math.Inf(1)))
+		}
+		for i := 0; i < 100000; i++ {
+			check(rng.Float64() * acc)
+		}
+	}
+}
+
+// TestPeerDocsDoNotAlias: every peer's list is its own, so appending to
+// one (as a caller building on a profile might) leaves the others intact.
+func TestPeerDocsDoNotAlias(t *testing.T) {
+	u := genTest(t)
+	before := make([][]DocID, u.NumPeers())
+	for id := range before {
+		before[id] = slices.Clone(u.Peer(PeerID(id)).Docs)
+	}
+	for id := range before {
+		p := u.Peer(PeerID(id))
+		p.Docs = append(p.Docs, DocID(1<<31))
+	}
+	for id, want := range before {
+		got := u.Peer(PeerID(id)).Docs
+		if !slices.Equal(got[:len(got)-1], want) || got[len(got)-1] != DocID(1<<31) {
+			t.Fatalf("peer %d list changed by another peer's append: %v, want %v + sentinel", id, got, want)
+		}
 	}
 }

@@ -57,6 +57,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("netmodel: need positive transit domain geometry, got %d×%d", c.TransitDomains, c.TransitPerDomain)
 	case c.StubDomainsPerTransit < 0 || c.StubPerDomain <= 0:
 		return fmt.Errorf("netmodel: need positive stub geometry, got %d×%d", c.StubDomainsPerTransit, c.StubPerDomain)
+	case c.StubPerDomain > 255:
+		// Hop counts are uint8 with 0xFF meaning "unreached": a path
+		// through 256 or more nodes would wrap.
+		return fmt.Errorf("netmodel: StubPerDomain %d exceeds the 255-node hop matrix", c.StubPerDomain)
 	case c.PIntraTransit < 0 || c.PIntraTransit > 1:
 		return fmt.Errorf("netmodel: PIntraTransit %v out of [0,1]", c.PIntraTransit)
 	case c.PIntraStub < 0 || c.PIntraStub > 1:

@@ -49,6 +49,25 @@ func TestSingleTransitDomain(t *testing.T) {
 	}
 }
 
+// TestWidestPathDomain: a 255-node domain with no random edges is a path
+// whose ends are 254 hops apart, the longest hop count the uint8 matrix
+// holds below its 0xFF "unreached" mark.
+func TestWidestPathDomain(t *testing.T) {
+	c := SmallConfig()
+	c.TransitDomains, c.TransitPerDomain, c.StubDomainsPerTransit = 1, 1, 1
+	c.StubPerDomain, c.PIntraStub = 255, 0
+	nw := Generate(c)
+	longest := 0
+	for a := 1; a < nw.TotalNodes(); a++ {
+		for b := a + 1; b < nw.TotalNodes(); b++ {
+			longest = max(longest, nw.Distance(PhysID(a), PhysID(b)))
+		}
+	}
+	if want := 254 * c.LatIntraStub; longest != want {
+		t.Fatalf("longest intra-domain distance %d, want %d", longest, want)
+	}
+}
+
 // TestDenseAndSparseDomains: edge probabilities at the extremes still
 // produce connected, sane universes (the Hamiltonian-path seed guarantees
 // connectivity at p=0).

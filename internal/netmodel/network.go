@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"container/heap"
+	"math/bits"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -147,10 +148,14 @@ func (nw *Network) buildStubDomains(rng *rand.Rand) {
 }
 
 func buildStubDomain(parent int32, n int, p float64, rng *rand.Rand) stubDomain {
-	adj := make([][]int32, n)
+	// Adjacency as bit rows: node i's neighbours are the set bits of
+	// adj[i*w : (i+1)*w], so the duplicate-edge test is one bit test and a
+	// BFS level is a word-parallel OR of rows.
+	w := (n + 63) / 64
+	adj := make([]uint64, n*w)
 	addEdge := func(a, b int) {
-		adj[a] = append(adj[a], int32(b))
-		adj[b] = append(adj[b], int32(a))
+		adj[a*w+b>>6] |= 1 << (b & 63)
+		adj[b*w+a>>6] |= 1 << (a & 63)
 	}
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
@@ -158,32 +163,65 @@ func buildStubDomain(parent int32, n int, p float64, rng *rand.Rand) stubDomain 
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if rng.Float64() < p && !containsInt32(adj[i], int32(j)) {
+			// The draw comes first for every pair, edge or not, so the
+			// number of draws (and with it the gateway drawn after them)
+			// depends on n alone.
+			if rng.Float64() < p && adj[i*w+j>>6]&(1<<(j&63)) == 0 {
 				addEdge(i, j)
 			}
 		}
 	}
 	d := stubDomain{parent: parent, gateway: int32(rng.IntN(n)), n: int32(n), hops: make([]uint8, n*n)}
-	queue := make([]int32, 0, n)
+	fillHops(adj, n, d.hops)
+	return d
+}
+
+// fillHops writes the n×n BFS hop counts of the bit-row adjacency adj
+// (⌈n/64⌉ words per row) into hops, 0xFF marking an unreached pair. Each
+// source runs a level-synchronous BFS: the next frontier is the OR of the
+// frontier's rows minus the seen set, so a level costs one pass of word
+// ORs per frontier node. Hop counts stay below 0xFF because
+// Config.Validate caps a domain at 255 nodes.
+func fillHops(adj []uint64, n int, hops []uint8) {
+	w := (n + 63) / 64
+	for i := range hops {
+		hops[i] = 0xFF
+	}
+	scratch := make([]uint64, 3*w)
+	seen, frontier, next := scratch[:w], scratch[w:2*w], scratch[2*w:]
 	for src := 0; src < n; src++ {
-		row := d.hops[src*n : (src+1)*n]
-		for i := range row {
-			row[i] = 0xFF
-		}
+		row := hops[src*n : (src+1)*n]
 		row[src] = 0
-		queue = append(queue[:0], int32(src))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range adj[u] {
-				if row[v] == 0xFF {
-					row[v] = row[u] + 1
-					queue = append(queue, v)
+		clear(seen)
+		clear(frontier)
+		seen[src>>6] = 1 << (src & 63)
+		frontier[src>>6] = 1 << (src & 63)
+		for level := uint8(1); ; level++ {
+			clear(next)
+			for k, word := range frontier {
+				for ; word != 0; word &= word - 1 {
+					u := k<<6 + bits.TrailingZeros64(word)
+					for x, r := range adj[u*w : (u+1)*w] {
+						next[x] |= r
+					}
 				}
 			}
+			grew := false
+			for k := range next {
+				word := next[k] &^ seen[k]
+				next[k] = word
+				seen[k] |= word
+				for ; word != 0; word &= word - 1 {
+					row[k<<6+bits.TrailingZeros64(word)] = level
+					grew = true
+				}
+			}
+			if !grew {
+				break
+			}
+			frontier, next = next, frontier
 		}
 	}
-	return d
 }
 
 type edge struct {
@@ -194,15 +232,6 @@ type edge struct {
 func containsEdge(es []edge, to int32) bool {
 	for _, e := range es {
 		if e.to == to {
-			return true
-		}
-	}
-	return false
-}
-
-func containsInt32(xs []int32, x int32) bool {
-	for _, v := range xs {
-		if v == x {
 			return true
 		}
 	}

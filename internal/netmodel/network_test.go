@@ -28,6 +28,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.TransitDomains = 0 },
 		func(c *Config) { c.TransitPerDomain = -1 },
 		func(c *Config) { c.StubPerDomain = 0 },
+		func(c *Config) { c.StubPerDomain = 256 },
 		func(c *Config) { c.PIntraTransit = 1.5 },
 		func(c *Config) { c.PIntraStub = -0.1 },
 		func(c *Config) { c.LatIntraStub = -2 },
@@ -288,5 +289,54 @@ func BenchmarkDistance(b *testing.B) {
 func BenchmarkGenerateFullScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = Generate(DefaultConfig())
+	}
+}
+
+// TestFillHopsMatchesQueueBFS: the word-parallel hop matrix equals a plain
+// queue BFS over adjacency lists on random graphs (connected or not) whose
+// sizes straddle the 64-bit word boundaries.
+func TestFillHopsMatchesQueueBFS(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 9))
+	for _, n := range []int{1, 2, 63, 64, 65, 130} {
+		for _, p := range []float64{0, 0.05, 0.4, 1} {
+			w := (n + 63) / 64
+			bitsAdj := make([]uint64, n*w)
+			lists := make([][]int, n)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if rng.Float64() < p {
+						bitsAdj[i*w+j>>6] |= 1 << (j & 63)
+						bitsAdj[j*w+i>>6] |= 1 << (i & 63)
+						lists[i] = append(lists[i], j)
+						lists[j] = append(lists[j], i)
+					}
+				}
+			}
+			got := make([]uint8, n*n)
+			fillHops(bitsAdj, n, got)
+			for src := 0; src < n; src++ {
+				want := make([]uint8, n)
+				for i := range want {
+					want[i] = 0xFF
+				}
+				want[src] = 0
+				queue := []int{src}
+				for len(queue) > 0 {
+					u := queue[0]
+					queue = queue[1:]
+					for _, v := range lists[u] {
+						if want[v] == 0xFF {
+							want[v] = want[u] + 1
+							queue = append(queue, v)
+						}
+					}
+				}
+				for v, h := range got[src*n : (src+1)*n] {
+					if h != want[v] {
+						t.Fatalf("n=%d p=%v: hops(%d,%d) = %d, want %d", n, p, src, v, h, want[v])
+					}
+				}
+			}
+		}
 	}
 }
