@@ -94,12 +94,14 @@ bench-delivery:
 		-benchtime 100x -benchmem ./internal/core
 
 # Replay-plane micro-benchmarks: one full small-scale end-to-end replay,
-# one build of each lab input (the paper-scale network, a 1/50-scale
-# content universe), the bit-sliced phase-1 cache scan, and one search of
-# each baseline (resolve + cascade or walk). One/hundred iterations as a
-# smoke test so a hot-loop regression (or a new allocation) fails fast.
+# one small-scale ASAP warm-up (Attach, asap-fld and asap-rw), one build of
+# each lab input (the paper-scale network, a 1/50-scale content universe),
+# the bit-sliced phase-1 cache scan, and one search of each baseline
+# (resolve + cascade or walk). One/hundred iterations as a smoke test so a
+# hot-loop regression (or a new allocation) fails fast.
 bench-replay:
 	$(GO) test -run '^$$' -bench 'BenchmarkReplaySmall' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkAttach' -benchtime 1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkGenerateFullScale' -benchtime 1x -benchmem ./internal/netmodel
 	$(GO) test -run '^$$' -bench 'BenchmarkGenerateSmall' -benchtime 1x -benchmem ./internal/content
 	$(GO) test -run '^$$' -bench 'BenchmarkScanChains' -benchtime 100x -benchmem ./internal/core

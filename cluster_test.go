@@ -236,7 +236,8 @@ func TestClusterSuperPeerHierarchy(t *testing.T) {
 
 // TestSingleRunIndependentOfGOMAXPROCS: the public single-run API — a
 // Lab's Run and RunExperiment — is a pure function of (preset, seed): the
-// same summary at every core count, not only inside the matrix.
+// same summary at every core count, not only inside the matrix. asap-rw
+// walks its warm-up and asap-fld floods it, so both attach paths are held.
 func TestSingleRunIndependentOfGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tiny lab runs in -short mode")
@@ -246,25 +247,27 @@ func TestSingleRunIndependentOfGOMAXPROCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want Summary
-	for i, procs := range []int{1, 2, 3, 4, 8} {
-		runtime.GOMAXPROCS(procs)
-		viaLab, err := lab.Run("asap-rw", Crawled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaAPI, err := RunExperiment("tiny", "asap-rw", Crawled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			want = viaLab
-		}
-		if !reflect.DeepEqual(want, viaLab) {
-			t.Errorf("GOMAXPROCS=%d: Lab.Run diverges from GOMAXPROCS=1:\n%+v\n%+v", procs, want, viaLab)
-		}
-		if !reflect.DeepEqual(want, viaAPI) {
-			t.Errorf("GOMAXPROCS=%d: RunExperiment diverges from GOMAXPROCS=1:\n%+v\n%+v", procs, want, viaAPI)
+	for _, scheme := range []string{"asap-rw", "asap-fld"} {
+		var want Summary
+		for i, procs := range []int{1, 2, 3, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			viaLab, err := lab.Run(scheme, Crawled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaAPI, err := RunExperiment("tiny", scheme, Crawled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				want = viaLab
+			}
+			if !reflect.DeepEqual(want, viaLab) {
+				t.Errorf("%s, GOMAXPROCS=%d: Lab.Run diverges from GOMAXPROCS=1:\n%+v\n%+v", scheme, procs, want, viaLab)
+			}
+			if !reflect.DeepEqual(want, viaAPI) {
+				t.Errorf("%s, GOMAXPROCS=%d: RunExperiment diverges from GOMAXPROCS=1:\n%+v\n%+v", scheme, procs, want, viaAPI)
+			}
 		}
 	}
 }

@@ -16,16 +16,16 @@
 //   - Filter: the fixed-geometry bit-array filter with membership tests.
 //     Membership tests may return false positives with predictable
 //     probability but never false negatives.
-//   - Counting: a counting variant that supports removal, used by a peer to
-//     maintain its own content filter as documents come and go. The paper
-//     describes it as a collection of 2-tuples (i, x) meaning "bit i is set
-//     x times"; only the bit positions travel over the wire.
 //   - Compressed wire encodings: a full filter is shipped either as the raw
 //     bitmap or as a delta-varint list of set-bit positions, whichever is
 //     smaller ("for those peers who share few files and keywords, we use a
 //     compressed representation").
 //   - Patch: "an ad patch for content filter changes is implemented by a
 //     list of changed bit locations in the filter".
+//
+// There is no counting variant: where the paper keeps (i, x) tuples, "bit i
+// is set x times", the simulator rebuilds a peer's filter from its documents
+// at each publication and ships the bit difference as a Patch.
 //
 // Keys are either strings or 64-bit integers (the simulator interns
 // keywords as integers); both go through the same double-hashing scheme

@@ -28,7 +28,7 @@ func (s *Scheme) deliver(t sim.Clock, snap *adSnapshot, kind adKind, targeting c
 }
 
 // deliverAll delivers ads published at one virtual time, in order — the one
-// delivery path, flood or walk. Each chunk of at most maxFloodBatch ads is
+// delivery path after warm-up. Each chunk of at most maxFloodBatch ads is
 // reached first, writing only the delivery scratch (floods in one traversal,
 // walks one after another), then applied in batch order inside one write
 // section. Under a fault plane a lost flood copy prunes that branch (the node
@@ -195,10 +195,10 @@ func fan(order []overlay.NodeID, n int, seen, next []uint64, view []overlay.Node
 
 // walks reaches a prefix of ads, one walk each, and returns its length: every
 // ad up to the first whose visits could overflow order's capacity, which
-// Attach sized for a flood batch, so a batch of warm-up walks never grows it.
-// Warm-up deliveries (t < 0) invest the full per-topic budget to seed the
-// caches; everything published mid-run is an update of already-seeded state
-// and spends a fraction of it.
+// Attach sized for a flood batch, so walks never grow it — warmUp's
+// full-budget batches included. Warm-up walks (t < 0) invest the full
+// per-topic budget to seed the caches; everything published mid-run is an
+// update of already-seeded state and spends a fraction of it.
 func (s *Scheme) walks(t sim.Clock, ads []floodAd) int {
 	k := &s.flood
 	for i, ad := range ads {

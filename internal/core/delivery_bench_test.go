@@ -364,6 +364,15 @@ func (tc deliveryCase) plane(nodes int) *faults.Plane {
 
 // build warms one system of the given configuration up under the case's plane.
 func (tc deliveryCase) build(cfg Config) (*Scheme, *obs.Recorder) {
+	sys, rec, cfg := tc.system(cfg)
+	s := New(cfg)
+	s.Attach(sys)
+	return s, rec
+}
+
+// system builds the case's system, with a recorder and the case's plane
+// installed, and returns it with cfg adjusted to the overlay.
+func (tc deliveryCase) system(cfg Config) (*sim.System, *obs.Recorder, Config) {
 	var sys *sim.System
 	if tc.hier {
 		// Nearly half the nodes are super peers, so a slot can hold
@@ -379,9 +388,7 @@ func (tc deliveryCase) build(cfg Config) (*Scheme, *obs.Recorder) {
 	rec := obs.NewRecorder(int(testTr.Span()/1000) + 2)
 	sys.SetObs(rec)
 	sys.SetFaults(tc.plane(sys.NumNodes()))
-	s := New(cfg)
-	s.Attach(sys)
-	return s, rec
+	return sys, rec, cfg
 }
 
 // floodSlotSizes are the wheel-slot sizes the rounds cycle through: around

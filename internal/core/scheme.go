@@ -101,6 +101,12 @@ func (s *Scheme) LoadMask() metrics.ClassMask { return metrics.ASAPLoadMask }
 // delivers its full ad before the trace starts (accounted as warm-up, not
 // system load; the paper measures load on a warmed-up system).
 func (s *Scheme) Attach(sys *sim.System) {
+	s.warmUp(s.bind(sys))
+}
+
+// bind binds the scheme to sys, initialises per-node state and returns the
+// warm-up: every initially-live representative's full ad, in node order.
+func (s *Scheme) bind(sys *sim.System) []floodAd {
 	if s.cfg.Hierarchical && sys.G.Kind() != overlay.SuperPeerKind {
 		panic("core: Hierarchical config requires an overlay.SuperPeerKind graph")
 	}
@@ -130,12 +136,10 @@ func (s *Scheme) Attach(sys *sim.System) {
 			s.wheel[slot] = append(s.wheel[slot], overlay.NodeID(v))
 		}
 	}
-	// Warm-up: every initially-live representative publishes a full ad.
 	// Filter construction dominates the publish cost and is a pure read of
 	// immutable system state, so the builds fan out across GOMAXPROCS
-	// workers; publication and delivery stay serial on this thread, in
-	// node order (publications first: each touches only its own node's ad,
-	// so floods can share traversals), replaying the all-serial warm-up.
+	// workers; publication stays serial on this thread, in node order,
+	// replaying the all-serial warm-up.
 	reps := make([]overlay.NodeID, 0, sys.InitialLive())
 	for v := 0; v < sys.InitialLive(); v++ {
 		node := overlay.NodeID(v)
@@ -151,7 +155,7 @@ func (s *Scheme) Attach(sys *sim.System) {
 			ads = append(ads, floodAd{snap, adFull, snap.topics})
 		}
 	}
-	s.deliverAll(-1, ads)
+	return ads
 }
 
 // beginApply opens a delivery-path write section: a pending fence runs, then
