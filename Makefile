@@ -62,16 +62,15 @@ bench-quick:
 	cd bench && $(GO) test ./...
 
 # Short fuzz pass over everything that decodes outside bytes: the trace
-# codec, Bloom filters and patches, and the serving endpoints (binary
-# frames, HTTP search bodies). Go runs one fuzz target per invocation. The
-# serving targets keep minimisation short: one exec of a 65,536-term input
-# costs milliseconds, so the default 60 s minimisation would eat the run.
+# codec and the serving endpoints (binary frames, HTTP search bodies),
+# plus arbitrary Bloom geometries for the sliced index. Go runs one fuzz
+# target per invocation. The serving targets keep minimisation short: one
+# exec of a 65,536-term input costs milliseconds, so the default 60 s
+# minimisation would eat the run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecodeJSON$$' -fuzztime $(FUZZTIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzFilterWire$$' -fuzztime $(FUZZTIME) ./internal/bloom
-	$(GO) test -run '^$$' -fuzz '^FuzzPatchDecode$$' -fuzztime $(FUZZTIME) ./internal/bloom
 	$(GO) test -run '^$$' -fuzz '^FuzzSlicedGeometry$$' -fuzztime $(FUZZTIME) ./internal/bloom
 	$(GO) test -run '^$$' -fuzz '^FuzzServeFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve

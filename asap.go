@@ -51,7 +51,7 @@ type (
 	// cache capacity, refresh period).
 	ASAPConfig = core.Config
 	// FaultsConfig parameterises the deterministic fault-injection plane
-	// (message loss rate, latency jitter, graceful-leave mode).
+	// (message loss rate, latency jitter).
 	FaultsConfig = faults.Config
 )
 

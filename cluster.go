@@ -33,9 +33,8 @@ type ClusterConfig struct {
 	// ASAP overrides the derived ASAP configuration when non-nil.
 	ASAP *ASAPConfig
 	// Faults attaches a deterministic fault-injection plane when non-nil:
-	// lossy links, latency jitter and (optionally) graceful departures. A
-	// zero Faults.Seed inherits the cluster seed. Nil means the paper's
-	// reliable network.
+	// lossy links and latency jitter. A zero Faults.Seed inherits the
+	// cluster seed. Nil means the paper's reliable network.
 	Faults *FaultsConfig
 	Seed   uint64
 }
@@ -289,16 +288,12 @@ func (c *Cluster) Join(n NodeID) error {
 	return nil
 }
 
-// Leave removes node n. Departures are ungraceful (no goodbye messages,
-// its ads decay elsewhere via refresh expiry) unless the cluster's fault
-// plane enables graceful-leave mode, in which case the node tells its
-// neighbours goodbye before its links go down.
+// Leave removes node n. Departures are ungraceful, the paper's churn
+// model: no goodbye messages, and its ads decay elsewhere via refresh
+// expiry or a failed confirmation.
 func (c *Cluster) Leave(n NodeID) error {
 	if !c.sys.G.Alive(n) {
 		return fmt.Errorf("asap: node %d not live", n)
-	}
-	if lv, ok := c.sch.(sim.GracefulLeaver); ok {
-		lv.NodeLeaving(c.nowMS, n)
 	}
 	ev := trace.Event{Time: c.nowMS, Kind: trace.Leave, Node: n}
 	c.sys.ApplyEvent(&ev)

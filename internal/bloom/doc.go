@@ -13,23 +13,28 @@
 //
 // The package provides:
 //
-//   - Filter: the fixed-geometry bit-array filter with membership tests.
-//     Membership tests may return false positives with predictable
-//     probability but never false negatives.
-//   - Compressed wire encodings: a full filter is shipped either as the raw
-//     bitmap or as a delta-varint list of set-bit positions, whichever is
-//     smaller ("for those peers who share few files and keywords, we use a
-//     compressed representation").
+//   - Filter: the fixed-geometry bit-array filter, probed through
+//     precomputed Probes. Membership tests may return false positives with
+//     predictable probability but never false negatives.
+//   - Sliced: the bit-sliced index that tests one query against a whole
+//     cache of filters at once.
+//   - Wire sizes: a full filter is priced as the raw bitmap or as a
+//     delta-varint list of set-bit positions, whichever is smaller ("for
+//     those peers who share few files and keywords, we use a compressed
+//     representation"). The replay needs only the size (WireSize); the
+//     encoders (EncodeWire and the two forms under it) are the reference
+//     the size is tested against. No byte from outside reaches a filter,
+//     so there is no decoder.
 //   - Patch: "an ad patch for content filter changes is implemented by a
-//     list of changed bit locations in the filter".
+//     list of changed bit locations in the filter", sized by WireSize and
+//     encoded by Encode.
 //
 // There is no counting variant: where the paper keeps (i, x) tuples, "bit i
 // is set x times", the simulator rebuilds a peer's filter from its documents
 // at each publication and ships the bit difference as a Patch.
 //
-// Keys are either strings or 64-bit integers (the simulator interns
-// keywords as integers); both go through the same double-hashing scheme
-// (Kirsch–Mitzenmacher: g_i(x) = h1(x) + i·h2(x) mod m), so one set of hash
-// functions is "used everywhere" exactly as the paper's fixed-length design
-// requires.
+// Keys are 64-bit integers (the simulator interns keywords). Every key goes
+// through one double-hashing scheme (Kirsch–Mitzenmacher: g_i(x) = h1(x) +
+// i·h2(x) mod m), so one set of hash functions is "used everywhere" exactly
+// as the paper's fixed-length design requires.
 package bloom

@@ -46,13 +46,6 @@ func hashPair(sum uint64) (h1, h2 uint32) {
 	return h1, h2
 }
 
-func sumString(key string) uint64 {
-	h := fnv.New64a()
-	// (*fnv.sum64a).Write never fails.
-	_, _ = h.Write([]byte(key))
-	return h.Sum64()
-}
-
 func sumUint64(key uint64) uint64 {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], key)
@@ -72,9 +65,6 @@ func (f *Filter) probe(sum uint64, fn func(pos uint32) bool) {
 	}
 }
 
-// Add inserts a string key.
-func (f *Filter) Add(key string) { f.addSum(sumString(key)) }
-
 // AddKey inserts an interned integer key (the simulator's keyword IDs).
 func (f *Filter) AddKey(key uint64) { f.addSum(sumUint64(key)) }
 
@@ -83,37 +73,6 @@ func (f *Filter) addSum(sum uint64) {
 		f.words[pos/64] |= 1 << (pos % 64)
 		return true
 	})
-}
-
-// Contains reports whether key may be in the set. False positives occur
-// with probability given by FalsePositiveRate; false negatives never occur.
-func (f *Filter) Contains(key string) bool { return f.containsSum(sumString(key)) }
-
-// ContainsKey is Contains for interned integer keys.
-func (f *Filter) ContainsKey(key uint64) bool { return f.containsSum(sumUint64(key)) }
-
-func (f *Filter) containsSum(sum uint64) bool {
-	ok := true
-	f.probe(sum, func(pos uint32) bool {
-		if f.words[pos/64]&(1<<(pos%64)) == 0 {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
-
-// ContainsAllKeys reports whether every key may be in the set. An ad is
-// considered a match for a query "if the Bloom filter returns true for all
-// the query terms" (§III-C).
-func (f *Filter) ContainsAllKeys(keys []uint64) bool {
-	for _, k := range keys {
-		if !f.ContainsKey(k) {
-			return false
-		}
-	}
-	return true
 }
 
 // SetBit sets bit position pos. It is used when applying patches and when
@@ -127,12 +86,6 @@ func (f *Filter) SetBit(pos uint32) {
 func (f *Filter) ClearBit(pos uint32) {
 	f.check(pos)
 	f.words[pos/64] &^= 1 << (pos % 64)
-}
-
-// Bit reports whether bit position pos is set.
-func (f *Filter) Bit(pos uint32) bool {
-	f.check(pos)
-	return f.words[pos/64]&(1<<(pos%64)) != 0
 }
 
 func (f *Filter) check(pos uint32) {
@@ -181,39 +134,12 @@ func (f *Filter) Clone() *Filter {
 	return g
 }
 
-// Clear resets all bits.
-func (f *Filter) Clear() {
-	for i := range f.words {
-		f.words[i] = 0
-	}
-}
-
-// Equal reports whether two filters have identical geometry and contents.
-func (f *Filter) Equal(g *Filter) bool {
-	if f.m != g.m || f.k != g.k {
-		return false
-	}
-	for i := range f.words {
-		if f.words[i] != g.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Diff returns the patch transforming f into g: the list of bit positions
-// whose values differ, tagged with the value they take in g. Filters must
-// share a geometry.
-func (f *Filter) Diff(g *Filter) Patch {
-	var p Patch
-	f.AppendDiff(g, &p)
-	return p
-}
-
-// AppendDiff is Diff writing into p, reusing its position slices. The
-// publish path diffs one filter pair per content change all replay long;
-// with a pooled patch the diff allocates nothing once the buffers have
-// grown. Position lists come out ascending, as Diff produces them.
+// AppendDiff writes into p the patch transforming f into g: the bit
+// positions whose values differ, split by the value they take in g, each
+// list ascending. Filters must share a geometry. It reuses p's position
+// slices: the publish path diffs one filter pair per content change all
+// replay long, and with a pooled patch the diff allocates nothing once the
+// buffers have grown.
 func (f *Filter) AppendDiff(g *Filter, p *Patch) {
 	if f.m != g.m || f.k != g.k {
 		panic("bloom: Diff across mismatched geometries")

@@ -192,8 +192,8 @@ func TestEqualGeometryMismatch(t *testing.T) {
 	}
 }
 
-// Property: Diff/Apply round-trips — applying f.Diff(g) to a clone of f
-// yields exactly g.
+// Property: AppendDiff/Apply round-trips — applying the patch from f to g
+// to a clone of f yields exactly g.
 func TestDiffApplyProperty(t *testing.T) {
 	prop := func(aKeys, bKeys []uint64) bool {
 		f := New(1024, 5)
@@ -204,8 +204,10 @@ func TestDiffApplyProperty(t *testing.T) {
 		for _, k := range bKeys {
 			g.AddKey(k)
 		}
+		var p Patch
+		f.AppendDiff(g, &p)
 		h := f.Clone()
-		h.Apply(f.Diff(g))
+		h.Apply(p)
 		return h.Equal(g)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
@@ -216,7 +218,8 @@ func TestDiffApplyProperty(t *testing.T) {
 func TestDiffEmptyOnEqualFilters(t *testing.T) {
 	f := NewDefault()
 	f.Add("x")
-	p := f.Diff(f.Clone())
+	var p Patch
+	f.AppendDiff(f.Clone(), &p)
 	if !p.Empty() {
 		t.Errorf("Diff of equal filters not empty: %+v", p)
 	}
@@ -228,7 +231,7 @@ func TestDiffPanicsOnGeometryMismatch(t *testing.T) {
 			t.Error("Diff across geometries did not panic")
 		}
 	}()
-	New(128, 4).Diff(New(256, 4))
+	New(128, 4).AppendDiff(New(256, 4), &Patch{})
 }
 
 func TestProbeSpreadsAcrossFilter(t *testing.T) {
@@ -256,22 +259,19 @@ func TestStringAndKeyDomainsIndependent(t *testing.T) {
 }
 
 func TestMathConstantsMatchPaper(t *testing.T) {
-	// p_min = (1/2)^8 = 0.39%
-	if got := MinFalsePositive(8); math.Abs(got-0.00390625) > 1e-12 {
-		t.Errorf("MinFalsePositive(8) = %v, want 0.00390625", got)
-	}
 	// m = 1000·8/ln2 = 11,542 bits
 	if got := RequiredBits(1000, 8); got != 11542 {
 		t.Errorf("RequiredBits(1000, 8) = %d, want 11542", got)
 	}
-	// 11.54 bits per element
-	if got := BitsPerElement(8); math.Abs(got-11.5416) > 0.01 {
-		t.Errorf("BitsPerElement(8) = %v, want ≈11.54", got)
+	// At that length 1,000 keys sit at p_min = (1/2)^8 = 0.39%, and the
+	// (0.6185)^(m/n) formulation agrees.
+	pMin := math.Pow(0.5, 8)
+	if got := FalsePositiveRate(11542, 1000, 8); math.Abs(got-pMin)/pMin > 0.02 {
+		t.Errorf("FalsePositiveRate at the design point = %v, want p_min = %v", got, pMin)
 	}
-	// (0.6185)^(m/n) formulation agrees with (1/2)^k at the design point.
 	alt := math.Pow(0.6185, 11542.0/1000.0)
-	if math.Abs(alt-MinFalsePositive(8))/MinFalsePositive(8) > 0.02 {
-		t.Errorf("0.6185^(m/n) = %v diverges from p_min = %v", alt, MinFalsePositive(8))
+	if math.Abs(alt-pMin)/pMin > 0.02 {
+		t.Errorf("0.6185^(m/n) = %v diverges from p_min = %v", alt, pMin)
 	}
 }
 

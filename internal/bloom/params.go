@@ -7,42 +7,13 @@ import "math"
 const (
 	// DefaultHashes is the number of hash functions k used everywhere.
 	DefaultHashes = 8
-	// DefaultMaxKeywords is |K_max|, the largest keyword set the fixed
-	// geometry is provisioned for.
-	DefaultMaxKeywords = 1000
 	// DefaultBits is the fixed filter length m in bits.
 	DefaultBits = 11542
 )
-
-// MinFalsePositive returns the smallest false-positive probability
-// reachable with k hash functions: p_min = (1/2)^k. It is attained when the
-// filter length satisfies m = n·k/ln 2.
-func MinFalsePositive(k int) float64 {
-	return math.Pow(0.5, float64(k))
-}
-
-// FalsePositiveRate returns the expected false-positive probability of a
-// filter of m bits holding n elements under k hash functions:
-// (1 - e^(-kn/m))^k.
-func FalsePositiveRate(m, n, k int) float64 {
-	if m <= 0 || k <= 0 {
-		return 1
-	}
-	if n <= 0 {
-		return 0
-	}
-	return math.Pow(1-math.Exp(-float64(k)*float64(n)/float64(m)), float64(k))
-}
 
 // RequiredBits returns the minimum filter length m (in bits) that achieves
 // the minimum false-positive rate for n elements under k hash functions:
 // m = ceil(n·k / ln 2). With n = 1000 and k = 8 this is the paper's 11,542.
 func RequiredBits(n, k int) int {
 	return int(math.Ceil(float64(n) * float64(k) / math.Ln2))
-}
-
-// BitsPerElement returns the bits-per-element cost k/ln 2 of operating at
-// the minimum false-positive point (11.54 bits/element for k = 8).
-func BitsPerElement(k int) float64 {
-	return float64(k) / math.Ln2
 }

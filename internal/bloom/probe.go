@@ -9,12 +9,6 @@ package bloom
 // every filter.
 type Probe struct{ h1, h2 uint32 }
 
-// ProbeString precomputes the probe for a string key.
-func ProbeString(key string) Probe {
-	h1, h2 := hashPair(sumString(key))
-	return Probe{h1: h1, h2: h2}
-}
-
 // ProbeKey precomputes the probe for an interned integer key (the
 // simulator's keyword IDs).
 func ProbeKey(key uint64) Probe {
@@ -36,9 +30,9 @@ func PrecomputeKeys(keys []uint64) []Probe {
 	return AppendKeyProbes(make([]Probe, 0, len(keys)), keys)
 }
 
-// ContainsProbe is ContainsKey without the per-call hash: it tests the k
-// derived bit positions directly against the filter words and exits at
-// the first unset bit.
+// ContainsProbe reports whether the probed key may be in the set. It tests
+// the k derived bit positions directly against the filter words and exits
+// at the first unset bit; false positives occur, false negatives never.
 func (f *Filter) ContainsProbe(p Probe) bool {
 	for i := uint32(0); i < uint32(f.k); i++ {
 		pos := (p.h1 + i*p.h2) % f.m
@@ -50,7 +44,7 @@ func (f *Filter) ContainsProbe(p Probe) bool {
 }
 
 // ContainsAllProbes reports whether every probed key may be in the set.
-// It agrees with ContainsAllKeys for the same keys on every filter
+// It agrees with per-key hashing for the same keys on every filter
 // geometry (see TestProbesAgreeWithKeys); scanning N cached ads for a
 // q-term query costs N·q·k word tests and zero hash computations instead
 // of N·q FNV digests.

@@ -139,8 +139,10 @@ func TestVarLenPatchWithinGeometry(t *testing.T) {
 		for _, k := range bKeys {
 			g.AddKey(k)
 		}
+		var p Patch
+		f.AppendDiff(g, &p)
 		h := f.Clone()
-		h.Apply(f.Diff(g))
+		h.Apply(p)
 		return h.Equal(g)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -155,10 +157,7 @@ func TestVarLenWireRoundTripAcrossPool(t *testing.T) {
 		for i := 0; i < l/20; i++ {
 			f.AddKey(rng.Uint64())
 		}
-		g, err := DecodeWire(f.EncodeWire())
-		if err != nil {
-			t.Fatalf("l=%d: %v", l, err)
-		}
+		g := decodeWire(t, f.EncodeWire())
 		if !f.Equal(g) {
 			t.Fatalf("l=%d: wire round trip lost bits", l)
 		}

@@ -2,7 +2,6 @@ package bloom
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"sort"
 )
@@ -47,22 +46,6 @@ func (p Patch) Encode() []byte {
 	return buf
 }
 
-// DecodePatch parses an encoded patch.
-func DecodePatch(data []byte) (Patch, error) {
-	set, rest, err := readPosList(data)
-	if err != nil {
-		return Patch{}, fmt.Errorf("bloom: patch set list: %w", err)
-	}
-	cleared, rest, err := readPosList(rest)
-	if err != nil {
-		return Patch{}, fmt.Errorf("bloom: patch cleared list: %w", err)
-	}
-	if len(rest) != 0 {
-		return Patch{}, fmt.Errorf("bloom: %d trailing bytes after patch", len(rest))
-	}
-	return Patch{Set: set, Cleared: cleared}, nil
-}
-
 // EncodeCompressed serialises the filter as a delta-varint list of set-bit
 // positions — the "compressed representation" used when a peer shares few
 // files and keywords. A 5-byte header carries geometry so the receiver can
@@ -73,43 +56,6 @@ func (f *Filter) EncodeCompressed() []byte {
 	buf = append(buf, f.k)
 	buf = appendPosList(buf, f.SetBits())
 	return buf
-}
-
-// maxWireBits bounds the filter geometry a decoder accepts: 2^26 bits
-// (8 MB) is orders of magnitude above any filter the sizing pools produce
-// (DefaultBits is ~11.5 kbit) yet small enough that a forged header cannot
-// make the decoder allocate an arbitrarily large bitmap.
-const maxWireBits = 1 << 26
-
-// DecodeCompressed parses a filter encoded by EncodeCompressed.
-func DecodeCompressed(data []byte) (*Filter, error) {
-	m, n := binary.Uvarint(data)
-	if n <= 0 || m == 0 || m > maxWireBits {
-		return nil, fmt.Errorf("bloom: bad compressed header")
-	}
-	data = data[n:]
-	if len(data) < 1 {
-		return nil, fmt.Errorf("bloom: truncated compressed header")
-	}
-	k := data[0]
-	if k == 0 || k > 64 {
-		return nil, fmt.Errorf("bloom: bad hash count %d", k)
-	}
-	pos, rest, err := readPosList(data[1:])
-	if err != nil {
-		return nil, fmt.Errorf("bloom: compressed positions: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("bloom: %d trailing bytes after filter", len(rest))
-	}
-	f := New(int(m), int(k))
-	for _, p := range pos {
-		if p >= uint32(m) {
-			return nil, fmt.Errorf("bloom: position %d out of range (m=%d)", p, m)
-		}
-		f.SetBit(p)
-	}
-	return f, nil
 }
 
 // EncodeRaw serialises the filter as its raw bitmap preceded by the same
@@ -123,36 +69,6 @@ func (f *Filter) EncodeRaw() []byte {
 		buf = append(buf, byte(f.words[i/8]>>(8*(i%8))))
 	}
 	return buf
-}
-
-// DecodeRaw parses a filter encoded by EncodeRaw.
-func DecodeRaw(data []byte) (*Filter, error) {
-	m, n := binary.Uvarint(data)
-	if n <= 0 || m == 0 || m > maxWireBits {
-		return nil, fmt.Errorf("bloom: bad raw header")
-	}
-	data = data[n:]
-	if len(data) < 1 {
-		return nil, fmt.Errorf("bloom: truncated raw header")
-	}
-	k := data[0]
-	if k == 0 || k > 64 {
-		return nil, fmt.Errorf("bloom: bad hash count %d", k)
-	}
-	data = data[1:]
-	nbytes := (int(m) + 7) / 8
-	if len(data) != nbytes {
-		return nil, fmt.Errorf("bloom: raw body %d bytes, want %d", len(data), nbytes)
-	}
-	f := New(int(m), int(k))
-	for i, b := range data {
-		f.words[i/8] |= uint64(b) << (8 * (i % 8))
-	}
-	// Mask stray bits beyond m so Equal and PopCount stay exact.
-	if rem := f.m % 64; rem != 0 {
-		f.words[len(f.words)-1] &= (1 << rem) - 1
-	}
-	return f, nil
 }
 
 // WireSize returns the number of bytes the filter occupies on the wire:
@@ -255,21 +171,6 @@ func (f *Filter) EncodeWire() []byte {
 	return append([]byte{0}, raw...)
 }
 
-// DecodeWire parses a filter encoded by EncodeWire.
-func DecodeWire(data []byte) (*Filter, error) {
-	if len(data) < 1 {
-		return nil, fmt.Errorf("bloom: empty wire filter")
-	}
-	switch data[0] {
-	case 0:
-		return DecodeRaw(data[1:])
-	case 1:
-		return DecodeCompressed(data[1:])
-	default:
-		return nil, fmt.Errorf("bloom: unknown wire format %d", data[0])
-	}
-}
-
 // appendPosList writes a sorted position list as count + delta varints.
 func appendPosList(buf []byte, pos []uint32) []byte {
 	if !sort.SliceIsSorted(pos, func(i, j int) bool { return pos[i] < pos[j] }) {
@@ -287,41 +188,4 @@ func appendPosList(buf []byte, pos []uint32) []byte {
 		prev = p
 	}
 	return buf
-}
-
-// readPosList parses a list written by appendPosList, returning the
-// positions and the unread remainder of data.
-func readPosList(data []byte) ([]uint32, []byte, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("bad count")
-	}
-	if count > 1<<28 {
-		return nil, nil, fmt.Errorf("implausible count %d", count)
-	}
-	data = data[n:]
-	// Every entry is at least one byte, so a count beyond the remaining
-	// bytes is corrupt — reject it before sizing the slice from it.
-	if count > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("count %d exceeds %d remaining bytes", count, len(data))
-	}
-	pos := make([]uint32, 0, count)
-	prev := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		d, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("truncated at entry %d", i)
-		}
-		data = data[n:]
-		if i == 0 {
-			prev = d
-		} else {
-			prev += d
-		}
-		if prev > 1<<31 {
-			return nil, nil, fmt.Errorf("position overflow at entry %d", i)
-		}
-		pos = append(pos, uint32(prev))
-	}
-	return pos, data, nil
 }

@@ -58,9 +58,6 @@ func (c Config) Scaled(f float64) Config {
 	return c
 }
 
-// SmallConfig returns a 1/5-scale universe for tests and scaled benches.
-func SmallConfig() Config { return DefaultConfig().Scaled(0.2) }
-
 // Validate reports a configuration error, if any.
 func (c Config) Validate() error {
 	switch {

@@ -62,9 +62,6 @@ func Generate(cfg Config) *Universe {
 	return u
 }
 
-// Config returns the generating configuration.
-func (u *Universe) Config() Config { return u.cfg }
-
 // NumDocs returns the number of distinct documents.
 func (u *Universe) NumDocs() int { return len(u.docs) }
 
@@ -90,10 +87,6 @@ func (u *Universe) Holders(d DocID) []PeerID {
 	doc := &u.docs[d]
 	return u.hArena[doc.hOff : doc.hOff+uint32(doc.hLen)]
 }
-
-// TotalInstances returns the number of (document, holder) pairs: the total
-// copies in the universe.
-func (u *Universe) TotalInstances() int { return len(u.hArena) }
 
 // DocMatches reports whether the document contains every query term — the
 // ground truth a content confirmation checks against. A document carries at
@@ -393,11 +386,4 @@ func containsKeyword(xs []Keyword, x Keyword) bool {
 		}
 	}
 	return false
-}
-
-// ClassOfKeyword returns the semantic class a keyword belongs to. Keywords
-// are class-scoped by construction (see Keyword), so the mapping is exact:
-// a document can only contain keyword kw if its class is ClassOfKeyword(kw).
-func (u *Universe) ClassOfKeyword(kw Keyword) Class {
-	return Class((int(kw) - 1) / u.cfg.VocabPerClass)
 }

@@ -26,7 +26,7 @@ func TestValidateDefaults(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	if err := SmallConfig().Validate(); err != nil {
+	if err := DefaultConfig().Scaled(0.2).Validate(); err != nil {
 		t.Fatalf("small config invalid: %v", err)
 	}
 }

@@ -93,9 +93,6 @@ func TestIndexedCacheEquivalenceUnderChurnAndLoss(t *testing.T) {
 			audit(i)
 			continue
 		}
-		if ev.Kind == trace.Leave {
-			s.NodeLeaving(ev.Time, ev.Node)
-		}
 		sys.ApplyEvent(ev)
 		switch ev.Kind {
 		case trace.ContentAdd:

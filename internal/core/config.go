@@ -15,9 +15,6 @@ const (
 	GSAKind
 )
 
-// DeliveryKinds lists the three variants in paper order.
-var DeliveryKinds = []DeliveryKind{FLD, RW, GSAKind}
-
 // String returns the paper's scheme suffix.
 func (d DeliveryKind) String() string {
 	switch d {

@@ -435,7 +435,7 @@ func (tc deliveryCase) prepare(s *Scheme, rng *rand.Rand, round int) (sim.Clock,
 		if leaves := s.sys.G.LeavesOf(src); len(leaves) > 0 {
 			m = leaves[rng.IntN(len(leaves))]
 		}
-		if d := content.DocID(rng.IntN(testU.NumDocs())); !s.sys.HasDoc(m, d) {
+		if d := content.DocID(rng.IntN(testU.NumDocs())); !slices.Contains(s.sys.Docs(m), d) {
 			s.sys.ApplyEvent(&trace.Event{Time: int64(at), Kind: trace.ContentAdd, Node: m, Doc: d})
 			s.ContentChanged(at, m, d, true)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"asap/internal/content"
@@ -85,7 +86,7 @@ func TestHierarchicalAggregateAdsCoverLeafContent(t *testing.T) {
 			t.Fatalf("super %d of sharing leaf %d published nothing", sp, leaf)
 		}
 		kws := testU.Keywords(sys.Docs(leaf)[0])
-		if !snap.filter.ContainsAllKeys(termKeys(kws)) {
+		if !filterMatches(snap.filter, kws) {
 			t.Fatalf("super %d's aggregate filter misses leaf %d's keywords", sp, leaf)
 		}
 		if !s.groupMatches(sp, kws) {
@@ -147,7 +148,7 @@ func TestHierarchicalContentChangeRepublishesSuper(t *testing.T) {
 	var doc content.DocID
 	found := false
 	for d := 0; d < testU.NumDocs(); d++ {
-		if !sys.HasDoc(leaf, content.DocID(d)) && sys.Interests(leaf).Has(testU.ClassOf(content.DocID(d))) {
+		if !slices.Contains(sys.Docs(leaf), content.DocID(d)) && sys.Interests(leaf).Has(testU.ClassOf(content.DocID(d))) {
 			doc = content.DocID(d)
 			found = true
 			break
@@ -164,7 +165,7 @@ func TestHierarchicalContentChangeRepublishesSuper(t *testing.T) {
 	if after == nil || (before != nil && after.version == before.version) {
 		t.Fatal("super peer did not republish after leaf content change")
 	}
-	if !after.filter.ContainsAllKeys(termKeys(testU.Keywords(doc))) {
+	if !filterMatches(after.filter, testU.Keywords(doc)) {
 		t.Fatal("republished aggregate misses the new doc")
 	}
 }
@@ -203,7 +204,7 @@ func TestHierarchicalSuperDepartureRecovery(t *testing.T) {
 		t.Fatal("new super published nothing after adoption")
 	}
 	kws := testU.Keywords(sys.Docs(sharerLeaf)[0])
-	if !snap.filter.ContainsAllKeys(termKeys(kws)) {
+	if !filterMatches(snap.filter, kws) {
 		t.Error("adopting super's ad misses the migrated leaf's content")
 	}
 }

@@ -59,11 +59,11 @@ type Scheme struct {
 	patchBuf bloom.Patch
 
 	// applyVer is the delivery-plane seqlock: odd while a write section (a
-	// delivery batch's apply pass, a publish, a graceful-leave eviction) is
-	// open; a batch's reach runs outside it. The replay
-	// goroutine opens every section and runs every Search, so the two never
-	// overlap; the version exists for the serving plane, whose readers
-	// assert through checkStable that no section is open while they read.
+	// delivery batch's apply pass, a publish) is open; a batch's reach runs
+	// outside it. The replay goroutine opens every section and runs every
+	// Search, so the two never overlap; the version exists for the serving
+	// plane, whose readers assert through checkStable that no section is
+	// open while they read.
 	// One version bump per section — not per visited node — keeps the cost
 	// off the delivery hot loop entirely.
 	applyVer atomic.Uint32
@@ -88,9 +88,6 @@ func New(cfg Config) *Scheme {
 
 // Name implements sim.Scheme: "asap-fld", "asap-rw" or "asap-gsa".
 func (s *Scheme) Name() string { return fmt.Sprintf("asap-%s", s.cfg.Delivery) }
-
-// Config returns the scheme's configuration.
-func (s *Scheme) Config() Config { return s.cfg }
 
 // LoadMask implements sim.Scheme: ASAP's system load counts ad deliveries
 // plus search-related confirmation and ads-request traffic (§V-B).
@@ -392,26 +389,10 @@ func (s *Scheme) NodeJoined(t sim.Clock, n overlay.NodeID) {
 	s.adsRequest(t, n, s.getScratch(faults.Fold(faults.Key(int64(t), n), 1)), nil)
 }
 
-// NodeLeaving implements sim.GracefulLeaver: when the fault plane models
-// graceful departures, a leaving node tells its neighbours goodbye while
-// its links still exist, and every neighbour the goodbye reaches evicts
-// the leaver's ad immediately instead of waiting for a failed
-// confirmation or staleness expiry. Without a graceful-leave plane this is
-// a no-op — departures stay ungraceful, the paper's churn model.
-func (s *Scheme) NodeLeaving(t sim.Clock, n overlay.NodeID) {
-	if !s.sys.Faults().GracefulLeave() || s.repr(n) != n {
-		return
-	}
-	gkey := faults.Fold(faults.Key(int64(t), n), 2)
-	s.beginApply()
-	defer s.endApply()
-	for _, nb := range s.eligibleView(n) {
-		if !s.sys.Deliver(t, metrics.MControl, sim.HeaderBytes, n, nb, gkey, 0) {
-			continue // goodbye lost: nb finds out the hard way
-		}
-		s.drop(nb, n)
-	}
-}
+// NodeLeaving does nothing: departures are ungraceful, the paper's churn
+// model, and no replay path calls it. The benchmark's traced scheme
+// (bench/replay.go) still forwards to it.
+func (s *Scheme) NodeLeaving(sim.Clock, overlay.NodeID) {}
 
 // NodeLeft implements sim.Scheme: departures are ungraceful; the node's
 // ads elsewhere go stale until refresh-based expiry (or until a failed
@@ -489,6 +470,3 @@ func (s *Scheme) HasCachedAd(p, src overlay.NodeID) bool {
 	_, held := s.holders[src].get(p)
 	return held
 }
-
-// CacheSize returns node n's current ads-cache population (diagnostics).
-func (s *Scheme) CacheSize(n overlay.NodeID) int { return len(s.nodes[n].live()) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"asap/internal/content"
@@ -168,7 +169,7 @@ func TestContentChangePropagatesPatch(t *testing.T) {
 	var newDoc content.DocID
 	found := false
 	for d := 0; d < testU.NumDocs(); d++ {
-		if !sys.HasDoc(node, content.DocID(d)) && sys.Interests(node).Has(testU.ClassOf(content.DocID(d))) {
+		if !slices.Contains(sys.Docs(node), content.DocID(d)) && sys.Interests(node).Has(testU.ClassOf(content.DocID(d))) {
 			newDoc = content.DocID(d)
 			found = true
 			break
@@ -197,7 +198,7 @@ func TestContentChangePropagatesPatch(t *testing.T) {
 	if pub == nil {
 		t.Fatal("no published snapshot after change")
 	}
-	if !pub.filter.ContainsAllKeys(termKeys(kws)) {
+	if !filterMatches(pub.filter, kws) {
 		t.Fatal("published filter missing new doc's keywords")
 	}
 }
@@ -379,7 +380,7 @@ func TestVariableFiltersEndToEnd(t *testing.T) {
 	added := 0
 	for d := 0; d < testU.NumDocs() && added < 40; d++ {
 		doc := content.DocID(d)
-		if sys.HasDoc(node, doc) || !sys.Interests(node).Has(testU.ClassOf(doc)) {
+		if slices.Contains(sys.Docs(node), doc) || !sys.Interests(node).Has(testU.ClassOf(doc)) {
 			continue
 		}
 		ev := trace.Event{Time: 1000, Kind: trace.ContentAdd, Node: node, Doc: doc}
@@ -392,7 +393,7 @@ func TestVariableFiltersEndToEnd(t *testing.T) {
 		t.Fatal("no snapshot after growth")
 	}
 	kws := testU.Keywords(sys.Docs(node)[0])
-	if !snap.filter.ContainsAllKeys(termKeys(kws)) {
+	if !filterMatches(snap.filter, kws) {
 		t.Error("published filter lost keys across geometry growth")
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "asap/internal/content"
+import (
+	"asap/internal/bloom"
+	"asap/internal/content"
+)
 
 // termKeys converts query terms to the Bloom layer's integer key domain.
 // Test-only: production paths build probe lists in place on the search
@@ -11,4 +14,10 @@ func termKeys(terms []content.Keyword) []uint64 {
 		keys[i] = uint64(t)
 	}
 	return keys
+}
+
+// filterMatches reports whether f may hold every term, as phase 1's scan
+// tests it: by precomputed probes.
+func filterMatches(f *bloom.Filter, terms []content.Keyword) bool {
+	return f.ContainsAllProbes(bloom.PrecomputeKeys(termKeys(terms)))
 }

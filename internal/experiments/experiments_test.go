@@ -173,8 +173,8 @@ func TestFig2Fig3Shapes(t *testing.T) {
 func TestClaims(t *testing.T) {
 	_, m := sharedTiny(t)
 	claims := CheckClaims(m)
-	if len(claims) < 5 {
-		t.Fatalf("only %d claims checked", len(claims))
+	if len(claims) != 7 {
+		t.Fatalf("%d claims checked, want 7", len(claims))
 	}
 	failed := 0
 	for _, c := range claims {
@@ -197,6 +197,30 @@ func TestClaims(t *testing.T) {
 	out := FormatClaims(claims)
 	if !strings.Contains(out, "C1") {
 		t.Error("claims table missing rows")
+	}
+
+	// A partial matrix still reports every claim: the ones that need
+	// flooding fail as missing runs, the rest are unchanged.
+	partial := Matrix{}
+	for s, per := range m {
+		if s != "flooding" {
+			partial[s] = per
+		}
+	}
+	got := CheckClaims(partial)
+	if len(got) != 7 {
+		t.Fatalf("matrix without flooding: %d claims, want 7", len(got))
+	}
+	for i, c := range got {
+		needsFlood := c.ID <= "C5"
+		switch {
+		case c.ID != claims[i].ID:
+			t.Errorf("claim %d is %s, want %s", i, c.ID, claims[i].ID)
+		case needsFlood && (c.Pass || c.Note != "missing runs"):
+			t.Errorf("%s without flooding: pass=%v %q, want FAIL missing runs", c.ID, c.Pass, c.Note)
+		case !needsFlood && c != claims[i]:
+			t.Errorf("%s without flooding = %+v, want %+v", c.ID, c, claims[i])
+		}
 	}
 }
 

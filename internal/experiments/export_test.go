@@ -1,0 +1,22 @@
+package experiments
+
+import (
+	"sort"
+
+	"asap/internal/metrics"
+	"asap/internal/overlay"
+)
+
+// Test-only API: what only this package's tests read lives here, not in
+// the library (TestInternalCodeIsReachable at the repo root keeps it so).
+
+// SortedKinds returns topology kinds in paper order (helper for stable
+// output).
+func SortedKinds(m map[overlay.Kind]metrics.Summary) []overlay.Kind {
+	out := make([]overlay.Kind, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}

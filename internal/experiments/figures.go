@@ -242,43 +242,43 @@ func CheckClaims(m Matrix) []Claim {
 	gsa, okG := crawled("gsa")
 	aFld, okAF := crawled("asap-fld")
 	aRw, okAR := crawled("asap-rw")
+	// Every claim is reported; one whose runs are absent from m fails as
+	// "missing runs".
 	var claims []Claim
-	add := func(id, text string, ok, pass bool, note string) {
-		if !ok {
-			note = "missing runs"
-			pass = false
+	add := func(id, text string, ok bool, check func() (bool, string)) {
+		c := Claim{ID: id, Text: text, Note: "missing runs"}
+		if ok {
+			c.Pass, c.Note = check()
 		}
-		claims = append(claims, Claim{ID: id, Text: text, Pass: pass, Note: note})
+		claims = append(claims, c)
 	}
-
-	if okF && okAR {
+	add("C1", "ASAP response ≥62% shorter than flooding", okF && okAR, func() (bool, string) {
 		imp := 1 - aRw.MeanRespMS/flood.MeanRespMS
-		add("C1", "ASAP response ≥62% shorter than flooding", true, imp >= 0.5,
-			fmt.Sprintf("improvement %.0f%%", imp*100))
+		return imp >= 0.5, fmt.Sprintf("improvement %.0f%%", imp*100)
+	})
+	add("C2", "ASAP search cost 2–3 orders below flooding", okF && okAR, func() (bool, string) {
 		ratio := flood.MeanSearchBytes / aRw.MeanSearchBytes
-		add("C2", "ASAP search cost 2–3 orders below flooding", true, ratio >= 100,
-			fmt.Sprintf("ratio %.0fx", ratio))
+		return ratio >= 100, fmt.Sprintf("ratio %.0fx", ratio)
+	})
+	add("C3", "ASAP load well below flooding", okF && okAR, func() (bool, string) {
 		loadRatio := flood.LoadMeanKBps / aRw.LoadMeanKBps
-		add("C3", "ASAP load well below flooding", true, loadRatio >= 2,
-			fmt.Sprintf("ratio %.1fx", loadRatio))
-		add("C4", "ASAP load variance below flooding's", true, aRw.LoadStdKBps < flood.LoadStdKBps,
-			fmt.Sprintf("%.3f vs %.3f", aRw.LoadStdKBps, flood.LoadStdKBps))
-	} else {
-		add("C1", "ASAP response ≥62% shorter than flooding", false, false, "")
-	}
-	if okR && okG && okF {
-		add("C5", "random walk/GSA success suffers under low replication", true,
-			rw.SuccessRate < flood.SuccessRate,
-			fmt.Sprintf("rw %.1f%% gsa %.1f%% vs flood %.1f%%", rw.SuccessRate*100, gsa.SuccessRate*100, flood.SuccessRate*100))
-	}
-	if okAF && okAR {
-		add("C6", "ASAP(FLD) highest load, ASAP(RW) lowest load", true,
-			aRw.LoadMeanKBps < aFld.LoadMeanKBps,
-			fmt.Sprintf("rw %.3f vs fld %.3f KB/node/s", aRw.LoadMeanKBps, aFld.LoadMeanKBps))
+		return loadRatio >= 2, fmt.Sprintf("ratio %.1fx", loadRatio)
+	})
+	add("C4", "ASAP load variance below flooding's", okF && okAR, func() (bool, string) {
+		return aRw.LoadStdKBps < flood.LoadStdKBps, fmt.Sprintf("%.3f vs %.3f", aRw.LoadStdKBps, flood.LoadStdKBps)
+	})
+	add("C5", "random walk/GSA success suffers under low replication", okR && okG && okF, func() (bool, string) {
+		return rw.SuccessRate < flood.SuccessRate,
+			fmt.Sprintf("rw %.1f%% gsa %.1f%% vs flood %.1f%%", rw.SuccessRate*100, gsa.SuccessRate*100, flood.SuccessRate*100)
+	})
+	add("C6", "ASAP(FLD) highest load, ASAP(RW) lowest load", okAF && okAR, func() (bool, string) {
+		return aRw.LoadMeanKBps < aFld.LoadMeanKBps,
+			fmt.Sprintf("rw %.3f vs fld %.3f KB/node/s", aRw.LoadMeanKBps, aFld.LoadMeanKBps)
+	})
+	add("C7", "patch+refresh ads dominate steady-state ad traffic", okAR, func() (bool, string) {
 		frac := aRw.Breakdown[metrics.MAdPatch] + aRw.Breakdown[metrics.MAdRefresh]
-		add("C7", "patch+refresh ads dominate steady-state ad traffic", true, frac > 0.5,
-			fmt.Sprintf("patch+refresh %.0f%%, full %.0f%%", frac*100, aRw.Breakdown[metrics.MAdFull]*100))
-	}
+		return frac > 0.5, fmt.Sprintf("patch+refresh %.0f%%, full %.0f%%", frac*100, aRw.Breakdown[metrics.MAdFull]*100)
+	})
 	return claims
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -272,15 +271,4 @@ func (l *Lab) Fig2() [content.NumClasses]int {
 // Fig3 returns the number of selected peers interested in each class.
 func (l *Lab) Fig3() [content.NumClasses]int {
 	return l.U.InterestCounts(l.Participants())
-}
-
-// SortedKinds returns topology kinds in paper order (helper for stable
-// output).
-func SortedKinds(m map[overlay.Kind]metrics.Summary) []overlay.Kind {
-	out := make([]overlay.Kind, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

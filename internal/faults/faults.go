@@ -36,19 +36,14 @@ type Config struct {
 	// JitterMS adds a per-message uniform extra latency in [0, JitterMS]
 	// milliseconds; 0 disables jitter.
 	JitterMS int
-	// GracefulLeave makes departing nodes announce themselves (schemes
-	// send goodbye messages over the still-lossy links) instead of
-	// crashing silently.
-	GracefulLeave bool
 }
 
 // Plane is a seeded, replay-stable fault injector. The zero value and the
-// nil pointer are both inert (no drops, no jitter, crash-style leaves).
+// nil pointer are both inert (no drops, no jitter).
 type Plane struct {
 	seed     uint64
 	loss     float64
 	jitterMS int64
-	graceful bool
 	// group, when non-nil, partitions the overlay: group[n] is node n's
 	// partition group, and messages between different groups are dropped.
 	// Partition membership is a pure table lookup — it consumes no hash
@@ -74,16 +69,7 @@ func New(cfg Config) *Plane {
 		seed:     cfg.Seed,
 		loss:     cfg.LossRate,
 		jitterMS: int64(cfg.JitterMS),
-		graceful: cfg.GracefulLeave,
 	}
-}
-
-// LossRate returns the configured per-message drop probability.
-func (p *Plane) LossRate() float64 {
-	if p == nil {
-		return 0
-	}
-	return p.loss
 }
 
 // Active reports whether the plane can actually drop messages. Retry
@@ -99,9 +85,6 @@ func (p *Plane) Active() bool { return p != nil && (p.loss > 0 || p.group != nil
 // against message delivery — the scenario director applies it between
 // replay batches on the runner goroutine.
 func (p *Plane) SetPartition(group []int8) { p.group = group }
-
-// PartitionEngaged reports whether a partition grouping is installed.
-func (p *Plane) PartitionEngaged() bool { return p != nil && p.group != nil }
 
 // Partitioned reports whether src and dst are currently in different
 // partition groups. Nodes outside the group table (never the case for
@@ -119,9 +102,6 @@ func (p *Plane) Partitioned(src, dst overlay.NodeID) bool {
 	}
 	return gs != gd
 }
-
-// GracefulLeave reports whether departing nodes say goodbye.
-func (p *Plane) GracefulLeave() bool { return p != nil && p.graceful }
 
 // Drop reports whether the message identified by (key, seq, src, dst,
 // class) is lost in transit.

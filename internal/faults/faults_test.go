@@ -13,9 +13,6 @@ func TestNilPlaneIsReliable(t *testing.T) {
 	if p.Active() {
 		t.Error("nil plane reports Active")
 	}
-	if p.GracefulLeave() {
-		t.Error("nil plane reports GracefulLeave")
-	}
 	if p.LossRate() != 0 {
 		t.Error("nil plane has non-zero loss rate")
 	}

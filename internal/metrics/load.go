@@ -81,8 +81,6 @@ var (
 	// search-related traffics including content confirmation and ads
 	// request messages" (§V-B).
 	ASAPLoadMask = Mask(MConfirm, MAdsRequest, MAdFull, MAdPatch, MAdRefresh, MControl)
-	// AdMask selects ad-delivery traffic only (Fig. 7 numerator).
-	AdMask = Mask(MAdFull, MAdPatch, MAdRefresh)
 	// AllMask selects everything.
 	AllMask = ClassMask(1<<NumMsgClasses - 1)
 )

@@ -41,36 +41,6 @@ func (nw *Network) climb(d *stubDomain, local int32) int {
 	return d.stubHops(local, d.gateway)*nw.cfg.LatIntraStub + nw.cfg.LatTransitStub
 }
 
-// Distance returns the shortest-path latency in milliseconds between two
-// physical nodes. Paths follow the transit-stub hierarchy: stub→gateway→
-// parent transit→backbone→parent transit→gateway→stub. Within one stub
-// domain the direct intra-domain path is always at least as short as a
-// detour through the parent (hop counts obey the triangle inequality and
-// the uplink alone costs more than two intra-stub hops), so it is used
-// directly.
-func (nw *Network) Distance(a, b PhysID) int {
-	if a == b {
-		return 0
-	}
-	la, lb := nw.locate(a), nw.locate(b)
-	switch {
-	case la.transit && lb.transit:
-		return nw.transitDist(la.local, lb.local)
-	case la.transit:
-		db := &nw.domains[lb.domain]
-		return nw.transitDist(la.local, db.parent) + nw.climb(db, lb.local)
-	case lb.transit:
-		da := &nw.domains[la.domain]
-		return nw.climb(da, la.local) + nw.transitDist(da.parent, lb.local)
-	case la.domain == lb.domain:
-		d := &nw.domains[la.domain]
-		return d.stubHops(la.local, lb.local) * nw.cfg.LatIntraStub
-	default:
-		da, db := &nw.domains[la.domain], &nw.domains[lb.domain]
-		return nw.climb(da, la.local) + nw.transitDist(da.parent, db.parent) + nw.climb(db, lb.local)
-	}
-}
-
 // Loc is a resolved physical location: id's coordinates in the
 // transit-stub hierarchy plus its precomputed climb cost to the backbone.
 // Two Locs make pairwise latency an O(1) arithmetic (LocDistance) with no
@@ -112,16 +82,6 @@ func (nw *Network) LocDistance(a, b Loc) int {
 	return int(a.Climb) + nw.transitDist(a.Parent, b.Parent) + int(b.Climb)
 }
 
-// DomainOf returns the stub-domain index of id, or -1 for transit nodes.
-// Exposed for locality-aware tests and diagnostics.
-func (nw *Network) DomainOf(id PhysID) int {
-	l := nw.locate(id)
-	if l.transit {
-		return -1
-	}
-	return int(l.domain)
-}
-
 // RandomNodes samples k distinct physical node IDs uniformly. The paper
 // randomly selects 10,000 P2P participants out of all 51,984 physical
 // nodes. It panics if k exceeds the universe size.
@@ -140,32 +100,4 @@ func (nw *Network) RandomNodes(k int, rng *rand.Rand) []PhysID {
 		ids[i], ids[j] = ids[j], ids[i]
 	}
 	return ids[:k]
-}
-
-// MaxDistance returns an upper bound on any pairwise latency in this
-// universe, used to size histograms: two maximal climbs plus the backbone
-// diameter. The network is immutable after Generate, so the scan over
-// every stub domain runs once and the result is memoized.
-func (nw *Network) MaxDistance() int {
-	nw.maxDistOnce.Do(func() { nw.maxDist = nw.computeMaxDistance() })
-	return nw.maxDist
-}
-
-func (nw *Network) computeMaxDistance() int {
-	maxT := 0
-	for _, d := range nw.tdist {
-		if int(d) > maxT {
-			maxT = int(d)
-		}
-	}
-	maxClimb := 0
-	for i := range nw.domains {
-		d := &nw.domains[i]
-		for l := int32(0); l < d.n; l++ {
-			if c := nw.climb(d, l); c > maxClimb {
-				maxClimb = c
-			}
-		}
-	}
-	return 2*maxClimb + maxT
 }

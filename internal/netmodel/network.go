@@ -25,12 +25,6 @@ type Network struct {
 
 	// One entry per stub domain, in PhysID order.
 	domains []stubDomain
-
-	// maxDist memoizes MaxDistance: the network is immutable after
-	// Generate, so the bound is computed once (thread-safely — concurrent
-	// experiment runs share one Network).
-	maxDistOnce sync.Once
-	maxDist     int
 }
 
 // stubDomain holds a stub domain's parent attachment and its all-pairs hop
@@ -56,17 +50,8 @@ func Generate(cfg Config) *Network {
 	return nw
 }
 
-// Config returns the configuration the network was generated from.
-func (nw *Network) Config() Config { return nw.cfg }
-
 // TotalNodes returns the number of physical nodes.
 func (nw *Network) TotalNodes() int { return nw.cfg.TotalNodes() }
-
-// NumTransit returns the number of transit nodes.
-func (nw *Network) NumTransit() int { return nw.numTransit }
-
-// IsTransit reports whether id is a transit node.
-func (nw *Network) IsTransit(id PhysID) bool { return int(id) < nw.numTransit }
 
 // buildTransit constructs the 144-node backbone and its all-pairs distance
 // matrix. Each domain gets a random Hamiltonian path (connectivity) plus

@@ -2,7 +2,6 @@ package netmodel
 
 import (
 	"math/rand/v2"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -233,32 +232,6 @@ func TestMaxDistanceBounds(t *testing.T) {
 		if d := nw.Distance(a, b); d > maxd {
 			t.Fatalf("Distance(%d,%d) = %d exceeds MaxDistance %d", a, b, d, maxd)
 		}
-	}
-}
-
-// TestMaxDistanceMemoized: repeated and concurrent calls return the
-// uncached scan's value. Parallel experiment runs share one Network, so
-// the memo must be race-free (this test runs under -race in `make race`).
-func TestMaxDistanceMemoized(t *testing.T) {
-	nw := newSmall(t)
-	want := nw.computeMaxDistance()
-	var wg sync.WaitGroup
-	got := make([]int, 8)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = nw.MaxDistance()
-		}(i)
-	}
-	wg.Wait()
-	for i, g := range got {
-		if g != want {
-			t.Fatalf("concurrent MaxDistance[%d] = %d, want %d", i, g, want)
-		}
-	}
-	if nw.MaxDistance() != want {
-		t.Fatal("memoized value drifted")
 	}
 }
 

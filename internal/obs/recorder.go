@@ -120,14 +120,6 @@ func NewRecorder(seconds int) *Recorder {
 	}
 }
 
-// Seconds returns the number of per-second rows (excluding warm-up).
-func (r *Recorder) Seconds() int {
-	if r == nil {
-		return 0
-	}
-	return r.seconds
-}
-
 // row maps a virtual time in ms to its counter row: 0 for warm-up,
 // otherwise 1 + the (horizon-folded) second.
 func (r *Recorder) row(tMS int64) int {

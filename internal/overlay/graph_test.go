@@ -138,7 +138,7 @@ func TestLatencyConsistentWithNet(t *testing.T) {
 	g := NewRandom(testNet, hosts, 100, 5, rand.New(rand.NewPCG(6, 6)))
 	for i := 0; i < 50; i++ {
 		a, b := NodeID(i), NodeID(99-i)
-		want := testNet.Distance(g.Host(a), g.Host(b))
+		want := testNet.LocDistance(testNet.Resolve(g.Host(a)), testNet.Resolve(g.Host(b)))
 		if got := g.Latency(a, b); got != want {
 			t.Fatalf("Latency(%d,%d) = %d, want %d", a, b, got, want)
 		}

@@ -53,9 +53,6 @@ func NewGate(n int) *Gate {
 	return &Gate{slots: make([]gateSlot, n)}
 }
 
-// Slots returns the number of reader slots.
-func (g *Gate) Slots() int { return len(g.slots) }
-
 // Epoch returns the current epoch: even when stable (2 × applies so
 // far), odd while an apply is in progress.
 func (g *Gate) Epoch() uint64 { return g.epoch.Load() }

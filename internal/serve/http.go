@@ -88,9 +88,6 @@ func NewHTTP(n *Node, rec *obs.Recorder) *Server {
 	return s
 }
 
-// Handler returns the route mux (test helper).
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // Serve accepts connections on l until Shutdown.
 func (s *Server) Serve(l net.Listener) error {
 	err := s.hs.Serve(l)

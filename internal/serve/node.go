@@ -145,9 +145,6 @@ func NewNode(sys *sim.System, sch *core.Scheme, cfg Config) *Node {
 // or from endpoint setup code before serving starts).
 func (n *Node) System() *sim.System { return n.sys }
 
-// Scheme returns the underlying scheme.
-func (n *Node) Scheme() *core.Scheme { return n.sch }
-
 // Stats returns the serving counters.
 func (n *Node) Stats() *Stats { return &n.stats }
 

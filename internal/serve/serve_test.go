@@ -431,7 +431,7 @@ func TestServeSearchAllocs(t *testing.T) {
 // closure.
 func TestNodeTickAllocs(t *testing.T) {
 	n := coldNode(t, Config{Workers: 2})
-	period := int64(n.sch.Config().RefreshPeriodSec)
+	period := int64(tinyLab(t).Scale.ASAPConfig(core.RW).RefreshPeriodSec)
 	now := int64(0)
 	tick := func() {
 		now += 1000

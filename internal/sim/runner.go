@@ -36,16 +36,6 @@ type Scheme interface {
 	LoadMask() metrics.ClassMask
 }
 
-// GracefulLeaver is an optional Scheme extension. When a scheme
-// implements it, the runner announces every Leave event before the
-// overlay detaches the node — while its links are still intact — so the
-// scheme can send goodbye traffic. Schemes gate the actual goodbye on the
-// fault plane's graceful-leave mode; without it the hook must be a no-op
-// (departures stay ungraceful, the paper's model).
-type GracefulLeaver interface {
-	NodeLeaving(t Clock, n overlay.NodeID)
-}
-
 // ContentBatcher is an optional Scheme extension. When a scheme implements
 // it, the runner coalesces each run of consecutive same-node, same-second
 // ContentAdd/ContentRemove events into one ContentChangedBatch call (system

@@ -110,12 +110,12 @@ func TestApplyContentEvents(t *testing.T) {
 	kws := testU.Keywords(d)
 
 	sys.ApplyEvent(&trace.Event{Kind: trace.ContentRemove, Node: node, Doc: d})
-	if sys.HasDoc(node, d) {
+	if slices.Contains(sys.Docs(node), d) {
 		t.Fatal("doc still present after remove")
 	}
-	// The keyword may still match via other docs; verify via HasDoc only.
+	// The keyword may still match via other docs; verify via Docs only.
 	sys.ApplyEvent(&trace.Event{Kind: trace.ContentAdd, Node: node, Doc: d})
-	if !sys.HasDoc(node, d) {
+	if !slices.Contains(sys.Docs(node), d) {
 		t.Fatal("doc absent after re-add")
 	}
 	if !sys.NodeMatches(node, kws) {

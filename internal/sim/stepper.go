@@ -10,9 +10,8 @@ import (
 // Stepper is the sequential replay core. Run drives it to completion;
 // callers that must interleave other work drive it incrementally, as the
 // serving plane's warm-up does. It owns the stepping discipline — tick
-// boundaries, content-run coalescing, graceful-leave ordering — so Run
-// and any caller that executes every batch in trace order produce
-// byte-identical summaries.
+// boundaries, content-run coalescing — so Run and any caller that executes
+// every batch in trace order produce byte-identical summaries.
 //
 // The protocol is: NextBatch() applies state events (content churn,
 // joins, leaves, ticks) up to the next flush point and returns the
@@ -32,7 +31,6 @@ type Stepper struct {
 	batch    []*trace.Event
 	maxBatch int
 
-	leaver   GracefulLeaver // nil unless the scheme opts in
 	batcher  ContentBatcher // nil unless the scheme opts in
 	runDocs  []content.DocID
 	runAdded []bool
@@ -48,7 +46,6 @@ func NewStepper(sys *System, sch Scheme, maxBatch int) *Stepper {
 	st.rec.SampleHeap()
 	st.nextTick = 1000
 	sys.Load.SetLive(0, sys.G.LiveCount())
-	st.leaver, _ = sch.(GracefulLeaver)
 	st.batcher, _ = sch.(ContentBatcher)
 	return st
 }
@@ -129,7 +126,7 @@ func (st *Stepper) applyState(evs []trace.Event, ev *trace.Event) {
 			return
 		}
 	}
-	applyOne(st.sys, st.sch, st.leaver, ev)
+	ApplyStateEvent(st.sys, st.sch, ev)
 }
 
 // ApplyStateEvent applies one non-query trace event to the system and
@@ -138,17 +135,6 @@ func (st *Stepper) applyState(evs []trace.Event, ev *trace.Event) {
 // (internal/serve), which applies churn and content events one at a time
 // between query bursts instead of batch-stepping a whole trace.
 func ApplyStateEvent(sys *System, sch Scheme, ev *trace.Event) {
-	leaver, _ := sch.(GracefulLeaver)
-	applyOne(sys, sch, leaver, ev)
-}
-
-// applyOne is the shared single-event application: graceful-leave
-// announcement while links still exist, the system mutation, then the
-// scheme callback.
-func applyOne(sys *System, sch Scheme, leaver GracefulLeaver, ev *trace.Event) {
-	if ev.Kind == trace.Leave && leaver != nil {
-		leaver.NodeLeaving(ev.Time, ev.Node)
-	}
 	sys.ApplyEvent(ev)
 	switch ev.Kind {
 	case trace.ContentAdd:

@@ -241,10 +241,6 @@ func NewTopoProto(kind overlay.Kind, net *netmodel.Network, nPeers, initialLive 
 	return &TopoProto{g: g, rngState: state}
 }
 
-// Graph exposes the prototype's master overlay (read-only; runs always
-// operate on clones).
-func (p *TopoProto) Graph() *overlay.Graph { return p.g }
-
 // NewSystem stamps out one independent replay state over a clone of the
 // prototype's overlay. The trace must cover exactly the peer count the
 // prototype was generated for. Safe to call concurrently: each call
@@ -402,12 +398,6 @@ func (s *System) Interests(n overlay.NodeID) content.ClassSet { return s.interes
 
 // Docs returns node n's current shared documents as a shared view.
 func (s *System) Docs(n overlay.NodeID) []content.DocID { return s.docs[n] }
-
-// HasDoc reports whether node n currently shares document d.
-func (s *System) HasDoc(n overlay.NodeID, d content.DocID) bool {
-	_, ok := s.docPos[n][d]
-	return ok
-}
 
 // Latency returns the physical latency between two overlay nodes in ms.
 func (s *System) Latency(a, b overlay.NodeID) int { return s.G.Latency(a, b) }
