@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race determinism loss-smoke bench-gate bench-quick bench-delivery bench-replay fuzz-smoke obs-smoke alloc-gate mem-gate scenario-smoke serve-smoke bench-serve profile check
+.PHONY: build test vet fmt race determinism bench-gate bench-quick bench-delivery bench-replay fuzz-smoke alloc-gate mem-gate scenario-smoke serve-smoke bench-serve profile check
 
 build:
 	$(GO) build ./...
@@ -21,12 +21,16 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The package that runs scheme code concurrently (parallel matrix cells,
-# each attaching through the parallel filter builds), plus core's
-# signature-index equivalence property (bit-sliced scan ≡ scalar linear scan
-# under churn × loss × eviction), the batched-flood properties (batched
-# tick ≡ sequential deliveries ≡ per-node reference, with and without a
-# fault plane; a lossy tick is chunking-invariant) and the walk property
-# (walk then apply ≡ apply at every visit).
+# each attaching through the parallel filter builds), whole: its suite
+# holds the fault-plane properties (TestLoss*: a 2%-lossy matrix identical
+# for 1 and N workers, a zero-loss plane byte-identical to none) and the
+# series properties (TestObsSeries*: series identical across worker
+# counts, column sums equal to the summary). Plus core's signature-index
+# equivalence property (bit-sliced scan ≡ scalar linear scan under churn ×
+# loss × eviction), the batched-flood properties (batched tick ≡
+# sequential deliveries ≡ per-node reference, with and without a fault
+# plane; a lossy tick is chunking-invariant) and the walk property (walk
+# then apply ≡ apply at every visit).
 race:
 	$(GO) test -race ./internal/experiments
 	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestFloodBatchMatchesSequentialAndPerNode|TestFloodUnderPlaneIsChunkingInvariant|TestWalkDeliveryMatchesPerVisit' ./internal/core
@@ -40,12 +44,6 @@ race:
 determinism:
 	$(GO) test -count=1 -cpu 1,2,3,4,8 ./internal/experiments ./internal/netmodel
 	$(GO) test -count=1 -cpu 1,2,3,4,8 -run 'TestSingleRunIndependentOfGOMAXPROCS' .
-
-# The fault-plane property suite under the race detector: a tiny matrix at
-# 2% message loss must be identical for 1 and N matrix workers, and a
-# zero-loss plane must be byte-identical to no plane at all.
-loss-smoke:
-	$(GO) test -race -run 'TestLoss' ./internal/experiments
 
 # One iteration of the matrix benchmark as a compile-and-run smoke test
 # (-run '^$' skips the unit tests in the root package).
@@ -75,12 +73,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
 
-# Observability-plane determinism under the race detector: per-second
-# series byte-identical across matrix worker counts, and summaries
-# unchanged by attaching a recorder.
-obs-smoke:
-	$(GO) test -race -run 'TestObsSeries' ./internal/experiments
-
 # Delivery-plane micro-benchmarks: the flood and walk hot loops over the CSR
 # live views, and a refresh tick over a slot of 1, 8 and 64 sources — flooded
 # through one traversal without a fault plane, under a zero-loss one and at
@@ -108,8 +100,8 @@ bench-replay:
 	$(GO) test -run '^$$' -bench 'BenchmarkFloodingSearch|BenchmarkRandomWalkSearch|BenchmarkGSASearch' \
 		-benchtime 100x -benchmem ./internal/search
 
-# Zero-alloc gates: the obs-off hot path (promised in internal/obs), the
-# warmed-up delivery hot loops (flood, a 64-source refresh tick, RW and GSA
+# Zero-alloc gates: the replay's Search hot path (and the delivery cascade
+# held to its allocs/op bound), the warmed-up delivery hot loops (flood, a 64-source refresh tick, RW and GSA
 # ticks walking a batch), the warmed-up replay scan paths (scanCache,
 # serveAds), a warmed-up served search (Node.Search over SearchRO, which
 # runs on the replay's search scratch) and serving tick (Node.Tick), a
@@ -161,4 +153,4 @@ profile:
 		-cpuprofile out/cpu.pb -memprofile out/mem.pb -mutexprofile out/mutex.pb
 	@echo "profiles written to out/{cpu,mem,mutex}.pb"
 
-check: vet fmt test race determinism loss-smoke bench-gate bench-quick bench-delivery bench-replay obs-smoke alloc-gate mem-gate scenario-smoke serve-smoke fuzz-smoke
+check: vet fmt test race determinism bench-gate bench-quick bench-delivery bench-replay alloc-gate mem-gate scenario-smoke serve-smoke fuzz-smoke

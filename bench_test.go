@@ -17,7 +17,6 @@ import (
 	"asap/internal/core"
 	"asap/internal/experiments"
 	"asap/internal/metrics"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/sim"
 	"asap/internal/trace"
@@ -85,17 +84,15 @@ func BenchmarkRunMatrix(b *testing.B) {
 
 // hotPathAllocs measures steady-state allocations per operation of the
 // two replay hot paths — Search and the ad-delivery cascade behind
-// ContentChanged — on a tiny attached system, with rec as the obs plane
-// (nil = obs off). It takes the minimum over several attempts so a
+// ContentChanged — on a tiny attached system. It takes the minimum over several attempts so a
 // one-off sync.Pool refill or map growth cannot fail the gate.
-func hotPathAllocs(t *testing.T, rec *obs.Recorder) (search, deliver float64) {
+func hotPathAllocs(t *testing.T) (search, deliver float64) {
 	t.Helper()
 	lab, err := experiments.NewLab(experiments.ScaleTiny())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys := sim.NewSystem(lab.U, lab.Tr, overlay.Crawled, lab.Net, lab.Scale.Seed)
-	sys.SetObs(rec)
 	s := core.New(lab.Scale.ASAPConfig(core.RW))
 	s.Attach(sys)
 
@@ -132,26 +129,22 @@ func hotPathAllocs(t *testing.T, rec *obs.Recorder) (search, deliver float64) {
 	return search, deliver
 }
 
-// TestObsOffHotPathAllocs is the gate promised in internal/obs/doc.go:
-// with the obs plane off (nil recorder) the Search hot path allocates
-// nothing per query, and attaching a recorder adds zero allocations per
-// operation to both Search and the delivery cascade — all obs state is
-// preallocated cells updated by atomic adds.
+// deliverAllocBound caps a content change's delivery cascade at its
+// measured allocs/op, so a new allocation on that path fails the gate.
+const deliverAllocBound = 3
+
+// TestObsOffHotPathAllocs gates the hot paths with every booking on (there
+// is no mode without the ledger): Search allocates nothing per query, and
+// a content change's delivery cascade stays within deliverAllocBound — the
+// ledger is preallocated rows updated by plain adds.
 func TestObsOffHotPathAllocs(t *testing.T) {
-	offSearch, offDeliver := hotPathAllocs(t, nil)
-	if offSearch != 0 {
-		t.Errorf("obs-off Search allocates %.1f allocs/op, want 0", offSearch)
+	search, deliver := hotPathAllocs(t)
+	t.Logf("Search %.1f allocs/op, delivery %.1f allocs/op", search, deliver)
+	if search != 0 {
+		t.Errorf("Search allocates %.1f allocs/op, want 0", search)
 	}
-	lab, err := experiments.NewLab(experiments.ScaleTiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	onSearch, onDeliver := hotPathAllocs(t, obs.NewRecorder(int(lab.Tr.Span()/1000)+2))
-	if onSearch != offSearch {
-		t.Errorf("obs adds allocations to Search: %.1f on vs %.1f off", onSearch, offSearch)
-	}
-	if onDeliver != offDeliver {
-		t.Errorf("obs adds allocations to delivery: %.1f on vs %.1f off", onDeliver, offDeliver)
+	if deliver > deliverAllocBound {
+		t.Errorf("delivery allocates %.1f allocs/op, want ≤ %d", deliver, deliverAllocBound)
 	}
 }
 

@@ -47,13 +47,12 @@ type ClusterConfig struct {
 // Cluster methods are not safe for concurrent use; drive it from one
 // goroutine.
 type Cluster struct {
-	cfg   ClusterConfig
-	net   *netmodel.Network
-	u     *content.Universe
-	sys   *sim.System
-	sch   sim.Scheme
-	stats metrics.SearchStats
-	rng   *rand.Rand
+	cfg ClusterConfig
+	net *netmodel.Network
+	u   *content.Universe
+	sys *sim.System
+	sch sim.Scheme
+	rng *rand.Rand
 
 	nowMS  sim.Clock
 	curSec int
@@ -217,7 +216,7 @@ func (c *Cluster) NumDocs() int { return c.u.NumDocs() }
 func (c *Cluster) Search(n NodeID, terms []Keyword) Result {
 	ev := trace.Event{Time: c.nowMS, Kind: trace.Query, Node: n, Terms: terms}
 	res := c.sch.Search(&ev)
-	c.stats.Record(res)
+	c.sys.Load.Search(c.nowMS, res)
 	return res
 }
 
@@ -305,13 +304,7 @@ func (c *Cluster) Leave(n NodeID) error {
 // Stats summarises all searches issued so far plus the system load
 // accumulated over the advanced clock.
 func (c *Cluster) Stats() Summary {
-	var mask metrics.ClassMask
-	if s, ok := c.sch.(interface{ LoadMask() metrics.ClassMask }); ok {
-		mask = s.LoadMask()
-	} else {
-		mask = metrics.AllMask
-	}
-	return metrics.Summarize(c.sch.Name(), c.sys.G.Kind().String(), &c.stats, c.sys.Load, mask)
+	return metrics.Summarize(c.sch.Name(), c.sys.G.Kind().String(), c.sys.Load, c.sch.LoadMask())
 }
 
 // SchemeName returns the active scheme's label.

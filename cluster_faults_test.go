@@ -133,7 +133,7 @@ func TestConfirmRoundEvictsDeadSource(t *testing.T) {
 	if !sch.HasCachedAd(req, holder) {
 		t.Fatal("ungraceful departure should leave the stale ad cached")
 	}
-	_, _, timeoutsBefore := c.sys.Load.FaultCounts()
+	timeoutsBefore := c.sys.Load.Total(metrics.CTimeout)
 
 	res := c.SearchForDoc(req, doc, 0)
 	if res.Success {
@@ -142,7 +142,7 @@ func TestConfirmRoundEvictsDeadSource(t *testing.T) {
 	if sch.HasCachedAd(req, holder) {
 		t.Error("failed confirmation did not evict the departed source's ad")
 	}
-	if _, _, timeouts := c.sys.Load.FaultCounts(); timeouts <= timeoutsBefore {
+	if timeouts := c.sys.Load.Total(metrics.CTimeout); timeouts <= timeoutsBefore {
 		t.Error("dead-source confirmation did not count a timeout")
 	}
 }

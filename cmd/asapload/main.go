@@ -134,7 +134,7 @@ func run(mode, addr, scaleName, schemeName, topoName string, seed uint64, rateOv
 	case "inproc":
 		progress("asapload: warming %s/%s…", schemeName, topoName)
 		warmStart := time.Now()
-		n, _, err := serve.Warm(lab, schemeName, kind, cfg)
+		n, err := serve.Warm(lab, schemeName, kind, cfg)
 		if err != nil {
 			return err
 		}

@@ -71,7 +71,7 @@ func run(scale, scheme, topo string, seed uint64, httpAddr, binAddr string, cfg 
 		return err
 	}
 	start := time.Now()
-	n, rec, err := serve.Warm(lab, scheme, kind, cfg)
+	n, err := serve.Warm(lab, scheme, kind, cfg)
 	if err != nil {
 		return err
 	}
@@ -82,7 +82,7 @@ func run(scale, scheme, topo string, seed uint64, httpAddr, binAddr string, cfg 
 		return err
 	}
 	fmt.Printf("serving http %s\n", hl.Addr())
-	hs := serve.NewHTTP(n, rec)
+	hs := serve.NewHTTP(n, nil)
 
 	var bs *serve.BinaryServer
 	if binAddr != "" {

@@ -106,7 +106,7 @@ func run(scaleName, scheme, topoName, traceFile string, seed uint64, series bool
 	}
 	fmt.Fprintf(os.Stderr, "inputs ready in %v: %s\n", time.Since(start).Round(time.Millisecond), lab.Tr.Stats())
 
-	var col *obs.Collector // nil: no recorder is attached
+	var col *obs.Collector // nil: no series is collected
 	if seriesDir != "" {
 		col = obs.NewCollector()
 	}
@@ -151,19 +151,8 @@ func runScenario(arg string, series bool, seriesDir string) error {
 		fmt.Printf("                   %s\n", sn.Doc)
 	}
 	printSummary(res.Summary, series)
-	sumCol := func(col string) int64 {
-		i := res.Series.ColumnIndex(col)
-		if i < 0 {
-			return 0
-		}
-		total := res.Series.Warmup[i]
-		for _, row := range res.Series.Rows {
-			total += row[i]
-		}
-		return total
-	}
 	fmt.Printf("act counters:      part_drops=%d rewires=%d interest_shifts=%d\n",
-		sumCol(obs.CPartDrop.String()), sumCol(obs.CRewire.String()), sumCol(obs.CInterestShift.String()))
+		res.Load.Total(metrics.CPartDrop), res.Load.Total(metrics.CRewire), res.Load.Total(metrics.CInterestShift))
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Second))
 	return nil
 }

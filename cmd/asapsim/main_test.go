@@ -66,7 +66,7 @@ func TestRunPrintsMetrics(t *testing.T) {
 
 // TestRunMatchesDirectReplay: run delegates to Lab.RunObs (prototype-cloned
 // overlay, collector-owned series); its stdout and -seriesdir files must
-// be byte-for-byte those of a system, recorder and sim.Run built by hand.
+// be byte-for-byte those of a system and sim.Run built by hand.
 func TestRunMatchesDirectReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tiny run in -short mode")
@@ -92,11 +92,9 @@ func TestRunMatchesDirectReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := sim.NewSystem(lab.U, lab.Tr, overlay.Crawled, lab.Net, sc.Seed)
-	rec := obs.NewRecorder(int(lab.Tr.Span()/1000) + 2)
-	sys.SetObs(rec)
 	sum := sim.Run(sys, sch, sim.RunOptions{})
 	wantDir := t.TempDir()
-	wantFiles, err := obs.WriteDir(wantDir, []obs.RunSeries{rec.Series(sum.Scheme+"/"+sum.Topology, sys.Load)})
+	wantFiles, err := obs.WriteDir(wantDir, []obs.RunSeries{obs.Series(sum.Scheme+"/"+sum.Topology, sys.Load)})
 	if err != nil {
 		t.Fatal(err)
 	}

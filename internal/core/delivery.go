@@ -281,8 +281,7 @@ func (s *Scheme) applyReach(t sim.Clock, i int, ad floodAd) {
 		return
 	}
 	snap, class := ad.snap, ad.kind.class()
-	s.sys.Account(t, class, snap.wireBytes(ad.kind)*k.sent[i])
-	s.obs.CountMsgN(int64(t), class, k.sent[i])
+	s.sys.Load.Send(t, class, snap.wireBytes(ad.kind)*k.sent[i], k.sent[i])
 	h := &s.holders[snap.src]
 	pick := s.pick(i, ad)
 	if ad.kind == adFull {
@@ -438,12 +437,10 @@ func (s *Scheme) fetchFull(t sim.Clock, v, src overlay.NodeID, dkey uint64) {
 	if cur == nil {
 		return
 	}
-	s.sys.Account(t, metrics.MControl, sim.HeaderBytes)
-	if !s.sys.Arrives(t, metrics.MControl, v, src, dkey, 0) {
+	if !s.sys.Deliver(t, metrics.MControl, sim.HeaderBytes, v, src, dkey, 0) {
 		return // fetch request lost: the reply is never sent
 	}
-	s.sys.Account(t, metrics.MAdFull, cur.wireBytes(adFull))
-	if !s.sys.Arrives(t, metrics.MAdFull, src, v, dkey, 1) {
+	if !s.sys.Deliver(t, metrics.MAdFull, cur.wireBytes(adFull), src, v, dkey, 1) {
 		return // reply lost: v keeps its stale copy
 	}
 	s.store(v, cur, adFull, t)

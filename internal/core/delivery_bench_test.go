@@ -10,7 +10,6 @@ import (
 	"asap/internal/content"
 	"asap/internal/faults"
 	"asap/internal/metrics"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/sim"
 	"asap/internal/trace"
@@ -363,16 +362,15 @@ func (tc deliveryCase) plane(nodes int) *faults.Plane {
 }
 
 // build warms one system of the given configuration up under the case's plane.
-func (tc deliveryCase) build(cfg Config) (*Scheme, *obs.Recorder) {
-	sys, rec, cfg := tc.system(cfg)
+func (tc deliveryCase) build(cfg Config) *Scheme {
+	sys, cfg := tc.system(cfg)
 	s := New(cfg)
 	s.Attach(sys)
-	return s, rec
+	return s
 }
 
-// system builds the case's system, with a recorder and the case's plane
-// installed, and returns it with cfg adjusted to the overlay.
-func (tc deliveryCase) system(cfg Config) (*sim.System, *obs.Recorder, Config) {
+// system builds the case's system, with the case's plane installed, and returns it with cfg adjusted to the overlay.
+func (tc deliveryCase) system(cfg Config) (*sim.System, Config) {
 	var sys *sim.System
 	if tc.hier {
 		// Nearly half the nodes are super peers, so a slot can hold
@@ -385,10 +383,8 @@ func (tc deliveryCase) system(cfg Config) (*sim.System, *obs.Recorder, Config) {
 	} else {
 		sys = sim.NewSystem(testU, testTr, overlay.Random, testNet, tc.seed)
 	}
-	rec := obs.NewRecorder(int(testTr.Span()/1000) + 2)
-	sys.SetObs(rec)
 	sys.SetFaults(tc.plane(sys.NumNodes()))
-	return sys, rec, cfg
+	return sys, cfg
 }
 
 // floodSlotSizes are the wheel-slot sizes the rounds cycle through: around
@@ -492,10 +488,9 @@ func refloods(s *Scheme, slot []overlay.NodeID) []floodAd {
 
 // sameDeliveryState reports the first difference between two systems the same
 // deliveries went through: every cache (fifo order, snapshot aliasing, versions,
-// freshness), every holder table as a set, the load account per second and
-// class with its drop counter, and the obs series (messages per class, drops,
-// partition drops).
-func sameDeliveryState(a, b *Scheme, ra, rb *obs.Recorder) error {
+// freshness), every holder table as a set, and the whole ledger (bytes and
+// message copies per second and class, drops, partition drops).
+func sameDeliveryState(a, b *Scheme) error {
 	got, want := cacheViews(a), cacheViews(b)
 	for v := range want {
 		if !slices.Equal(got[v], want[v]) {
@@ -507,9 +502,6 @@ func sameDeliveryState(a, b *Scheme, ra, rb *obs.Recorder) error {
 	}
 	if !reflect.DeepEqual(a.sys.Load, b.sys.Load) {
 		return fmt.Errorf("load accounts diverged: by class %v vs %v", a.sys.Load.ByClass(), b.sys.Load.ByClass())
-	}
-	if !reflect.DeepEqual(ra.Series("", a.sys.Load), rb.Series("", b.sys.Load)) {
-		return fmt.Errorf("obs series diverged")
 	}
 	return nil
 }
@@ -564,9 +556,8 @@ func TestFloodBatchMatchesSequentialAndPerNode(t *testing.T) {
 		{false, 5, 0.05, 0}, {true, 6, 0.3, 0}, {false, 7, 0, 2}, {true, 8, 0.05, 2},
 	} {
 		var ss [3]*Scheme
-		var recs [3]*obs.Recorder
 		for k := range ss {
-			ss[k], recs[k] = tc.build(testConfig(FLD))
+			ss[k] = tc.build(testConfig(FLD))
 		}
 		for round := 0; round < rounds; round++ {
 			var at sim.Clock
@@ -587,7 +578,7 @@ func TestFloodBatchMatchesSequentialAndPerNode(t *testing.T) {
 				}
 			}
 			for k := 0; k < 2; k++ {
-				if err := sameDeliveryState(ss[k], ss[2], recs[k], recs[2]); err != nil {
+				if err := sameDeliveryState(ss[k], ss[2]); err != nil {
 					t.Fatalf("%v round %d (ttl %d, slot of %d): %s vs %s: %v",
 						tc, round, ss[k].cfg.FloodTTL, len(slot), arms[k].name, arms[2].name, err)
 				}
@@ -615,7 +606,7 @@ func TestFloodBatchMatchesSequentialAndPerNode(t *testing.T) {
 		by := ss[0].sys.Load.ByClass()
 		patches += int(by[metrics.MAdPatch])
 		fetches += int(by[metrics.MControl])
-		if drops, _, _ := ss[0].sys.Load.FaultCounts(); (drops > 0) != (tc.loss > 0 || tc.parts > 0) {
+		if drops := ss[0].sys.Load.Total(metrics.CDrop); (drops > 0) != (tc.loss > 0 || tc.parts > 0) {
 			t.Errorf("%v: %d copies dropped", tc, drops)
 		}
 	}
@@ -633,8 +624,8 @@ func TestFloodBatchMatchesSequentialAndPerNode(t *testing.T) {
 // buys: under a fault plane no drop decision depends on what else a traversal
 // carries or on the order sources are visited in, so the same refresh tick
 // delivered as one batch per 64 sources, as batches of one, and from the
-// reversed wheel slot leaves identical caches, holder tables, load cells,
-// drop counters and obs series.
+// reversed wheel slot leaves identical caches, holder tables and ledgers
+// (bytes, copies, drops).
 func TestFloodUnderPlaneIsChunkingInvariant(t *testing.T) {
 	arms := []struct {
 		name string
@@ -652,9 +643,8 @@ func TestFloodUnderPlaneIsChunkingInvariant(t *testing.T) {
 	rounds := 2 * len(floodSlotSizes)
 	for _, tc := range []deliveryCase{{false, 11, 0.2, 0}, {true, 12, 0.05, 2}} {
 		var ss [3]*Scheme
-		var recs [3]*obs.Recorder
 		for k := range ss {
-			ss[k], recs[k] = tc.build(testConfig(FLD))
+			ss[k] = tc.build(testConfig(FLD))
 		}
 		for round := 0; round < rounds; round++ {
 			for k, s := range ss {
@@ -665,12 +655,12 @@ func TestFloodUnderPlaneIsChunkingInvariant(t *testing.T) {
 				}
 			}
 			for k := 1; k < 3; k++ {
-				if err := sameDeliveryState(ss[k], ss[0], recs[k], recs[0]); err != nil {
+				if err := sameDeliveryState(ss[k], ss[0]); err != nil {
 					t.Fatalf("%v round %d: %s vs %s: %v", tc, round, arms[k].name, arms[0].name, err)
 				}
 			}
 		}
-		if drops, _, _ := ss[0].sys.Load.FaultCounts(); drops == 0 {
+		if drops := ss[0].sys.Load.Total(metrics.CDrop); drops == 0 {
 			t.Errorf("%v: the plane dropped nothing", tc)
 		}
 	}
@@ -746,7 +736,7 @@ var walkBudgetDivs = []int{1, 12, 60}
 // TestWalkDeliveryMatchesPerVisit: a walk delivery that walks first and then
 // applies once per reached node through the shared apply pass leaves every
 // cache (fifo order, snapshot aliasing, versions, freshness), every holder
-// table, the load account with its drop tally and the obs series exactly as
+// table and the whole ledger (bytes, copies, drops) exactly as
 // applying at every visit in walk order does (walkPerVisit). Two lockstep
 // systems run rounds of a refresh tick — patches, refreshes — followed by
 // re-inserting full ads, with free riders, interest drift and aged holders
@@ -772,9 +762,8 @@ func TestWalkDeliveryMatchesPerVisit(t *testing.T) {
 				cfg := testConfig(d)
 				cfg.BiasedDelivery = biased
 				var ss [2]*Scheme
-				var recs [2]*obs.Recorder
 				for k := range ss {
-					ss[k], recs[k] = tc.build(cfg)
+					ss[k] = tc.build(cfg)
 				}
 				for round := 0; round < rounds; round++ {
 					var at sim.Clock
@@ -795,7 +784,7 @@ func TestWalkDeliveryMatchesPerVisit(t *testing.T) {
 							t.Fatalf("%s biased=%v %v round %d, system %d: %v", d, biased, tc, round, k, err)
 						}
 					}
-					if err := sameDeliveryState(ss[0], ss[1], recs[0], recs[1]); err != nil {
+					if err := sameDeliveryState(ss[0], ss[1]); err != nil {
 						t.Fatalf("%s biased=%v %v round %d (budget ÷%d, slot of %d): walk then apply vs per visit: %v",
 							d, biased, tc, round, ss[0].cfg.UpdateBudgetDiv, len(slot), err)
 					}
@@ -812,7 +801,7 @@ func TestWalkDeliveryMatchesPerVisit(t *testing.T) {
 				by := ss[0].sys.Load.ByClass()
 				patches += int(by[metrics.MAdPatch])
 				fetches += int(by[metrics.MControl])
-				if drops, _, _ := ss[0].sys.Load.FaultCounts(); (drops > 0) != (tc.loss > 0 || tc.parts > 0) {
+				if drops := ss[0].sys.Load.Total(metrics.CDrop); (drops > 0) != (tc.loss > 0 || tc.parts > 0) {
 					t.Errorf("%s biased=%v %v: %d copies dropped", d, biased, tc, drops)
 				}
 			}
@@ -829,7 +818,7 @@ func TestWalkDeliveryMatchesPerVisit(t *testing.T) {
 // once, so the apply pass stores it once. (A repeated store of the same full
 // ad would change nothing but its cost.)
 func TestPickListsEachNodeOnce(t *testing.T) {
-	s, _ := deliveryCase{seed: 31}.build(testConfig(FLD))
+	s := deliveryCase{seed: 31}.build(testConfig(FLD))
 	var ads []floodAd
 	for _, src := range publishedSources(t, s, maxFloodBatch) {
 		ads = append(ads, floodAd{s.publishedSnapshot(src), adFull, s.publishedSnapshot(src).topics})

@@ -25,43 +25,42 @@ func TestMinResultsValidation(t *testing.T) {
 // configuration on the same queries: demanding more results must generate
 // at least as much ads-request traffic and never fewer hits.
 func TestMinResultsTriggersPhase2(t *testing.T) {
-	run := func(minResults int) (sums *metrics.SearchStats, adsReqBytes int64) {
+	run := func(minResults int) (sum metrics.Summary, adsReqBytes int64) {
 		cfg := testConfig(RW)
 		cfg.MinResults = minResults
 		cfg.MaxConfirms = 5
 		sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 21)
 		s := New(cfg)
 		s.Attach(sys)
-		stats := &metrics.SearchStats{}
 		n := 0
 		for i := range testTr.Events {
 			ev := &testTr.Events[i]
 			if ev.Kind != trace.Query {
 				continue
 			}
-			stats.Record(s.Search(ev))
+			sys.Load.Search(ev.Time, s.Search(ev))
 			if n++; n >= 300 {
 				break
 			}
 		}
-		return stats, sys.Load.TotalBytes(metrics.Mask(metrics.MAdsRequest))
+		return metrics.Summarize(s.Name(), "random", sys.Load, s.LoadMask()), sys.Load.TotalBytes(metrics.Mask(metrics.MAdsRequest))
 	}
 
 	one, oneReq := run(1)
 	many, manyReq := run(3)
-	if many.MeanHits() < one.MeanHits() {
-		t.Errorf("MinResults=3 mean hits %.2f below MinResults=1's %.2f", many.MeanHits(), one.MeanHits())
+	if many.MeanHits < one.MeanHits {
+		t.Errorf("MinResults=3 mean hits %.2f below MinResults=1's %.2f", many.MeanHits, one.MeanHits)
 	}
 	if manyReq <= oneReq {
 		t.Errorf("MinResults=3 ads-request traffic %d not above MinResults=1's %d", manyReq, oneReq)
 	}
-	if many.SuccessRate() < one.SuccessRate() {
-		t.Errorf("asking for more results lowered success: %.2f vs %.2f", many.SuccessRate(), one.SuccessRate())
+	if many.SuccessRate < one.SuccessRate {
+		t.Errorf("asking for more results lowered success: %.2f vs %.2f", many.SuccessRate, one.SuccessRate)
 	}
 	// First-answer latency must not regress: phase 2 runs after a hit but
 	// the hit's response time stands.
-	if one.SuccessRate() > 0 && many.MeanResponseMS() > one.MeanResponseMS()*1.25 {
-		t.Errorf("multi-result raised mean response %.0f → %.0f ms", one.MeanResponseMS(), many.MeanResponseMS())
+	if one.SuccessRate > 0 && many.MeanRespMS > one.MeanRespMS*1.25 {
+		t.Errorf("multi-result raised mean response %.0f → %.0f ms", one.MeanRespMS, many.MeanRespMS)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"asap/internal/content"
 	"asap/internal/faults"
 	"asap/internal/metrics"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/sim"
 )
@@ -27,10 +26,6 @@ type Scheme struct {
 	// node caching src's ad to the entry's index in that node's slab (see
 	// adindex.go). It is the only index — nodes keep no table of their own.
 	holders []holderTab
-
-	// obs caches the system's observability recorder (nil when off) so
-	// search/delivery hot paths skip the System indirection.
-	obs *obs.Recorder
 
 	// wheel[slot] lists nodes whose refresh ad fires at seconds ≡ slot
 	// (mod RefreshPeriodSec), spreading refresh traffic evenly.
@@ -108,7 +103,6 @@ func (s *Scheme) bind(sys *sim.System) []floodAd {
 		panic("core: Hierarchical config requires an overlay.SuperPeerKind graph")
 	}
 	s.sys = sys
-	s.obs = sys.Obs()
 	n := sys.NumNodes()
 	s.nodes = make([]nodeState, n)
 	s.holders = make([]holderTab, n)

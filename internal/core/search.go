@@ -8,7 +8,6 @@ import (
 	"asap/internal/content"
 	"asap/internal/faults"
 	"asap/internal/metrics"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/sim"
 	"asap/internal/trace"
@@ -69,7 +68,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 		routed := false
 		for a := 0; a < attempts; a++ {
 			if a > 0 {
-				s.sys.CountRetry(t0)
+				s.sys.Load.Count(t0, metrics.CRetry)
 				t0 += 2*uplinkMS + sim.Clock(s.cfg.RetryTimeoutMS)
 			}
 			uplinkBytes += int64(up)
@@ -79,12 +78,11 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 			}
 		}
 		if !routed {
-			s.sys.CountTimeout(t0)
+			s.sys.Load.Count(t0, metrics.CTimeout)
 			return metrics.SearchResult{Bytes: uplinkBytes}
 		}
-		s.sys.Account(t0, metrics.MConfirm, down)
 		uplinkBytes += int64(down)
-		downOK = s.sys.Arrives(t0, metrics.MConfirm, rp, p, sc.fkey, sc.nextSeq())
+		downOK = s.sys.Deliver(t0, metrics.MConfirm, down, rp, p, sc.fkey, sc.nextSeq())
 		extraHops = 1
 		p = rp
 		t0 += uplinkMS
@@ -104,9 +102,9 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	srcs := ns.scanCache(&sc.qa, staleBefore, math.MaxInt, sc.srcs[:0])
 	sc.srcs = srcs
 	if len(srcs) > 0 {
-		s.obs.Count(t0, obs.CCacheHit)
+		s.sys.Load.Count(t0, metrics.CCacheHit)
 	} else {
-		s.obs.Count(t0, obs.CCacheMiss)
+		s.sys.Load.Count(t0, metrics.CCacheMiss)
 	}
 	cands := sc.cands[:0]
 	for _, src := range srcs {
@@ -123,7 +121,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	if hits >= s.cfg.MinResults || s.cfg.AdsRequestHops == 0 {
 		if hits > 0 {
 			if !downOK {
-				s.sys.CountTimeout(t0)
+				s.sys.Load.Count(t0, metrics.CTimeout)
 				return metrics.SearchResult{Bytes: bytes}
 			}
 			return metrics.SearchResult{Success: true, ResponseMS: resp - t0 + 2*uplinkMS, Bytes: bytes, Hops: 1 + extraHops, Hits: hits}
@@ -148,7 +146,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	if !downOK {
 		// The super peer found results but its reply to the leaf was lost:
 		// the requester observes a failed (timed-out) search.
-		s.sys.CountTimeout(t0)
+		s.sys.Load.Count(t0, metrics.CTimeout)
 		return metrics.SearchResult{Bytes: bytes}
 	}
 	// The first answer wins: a phase-1 hit keeps its one-hop latency even
@@ -211,7 +209,7 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 		var reply sim.Clock
 		for a := 0; a < attempts; a++ {
 			if a > 0 {
-				s.sys.CountRetry(sendAt)
+				s.sys.Load.Count(sendAt, metrics.CRetry)
 				sendAt += c.rtt + sim.Clock(s.cfg.RetryTimeoutMS)
 			}
 			bytes += int64(cb)
@@ -235,15 +233,15 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 			// Every attempt timed out. Drop the ad so later searches stop
 			// paying for this contact — on-demand liveness detection
 			// complementing refresh-based expiry.
-			s.sys.CountTimeout(sendAt)
+			s.sys.Load.Count(sendAt, metrics.CTimeout)
 			s.drop(p, c.src)
 			continue
 		}
 		if !match {
-			s.obs.Count(sendAt, obs.CConfirmNeg)
+			s.sys.Load.Count(sendAt, metrics.CConfirmNeg)
 			continue // false positive or stale index: negative reply
 		}
-		s.obs.Count(sendAt, obs.CConfirmPos)
+		s.sys.Load.Count(sendAt, metrics.CConfirmPos)
 		positives++
 		if best < 0 || reply < best {
 			best = reply
@@ -282,7 +280,7 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, qa
 	tA := t
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			s.sys.CountRetry(tA)
+			s.sys.Load.Count(tA, metrics.CRetry)
 			tA += sim.Clock(s.cfg.RetryTimeoutMS)
 		}
 		targets, reqMsgs := s.hopNeighborhood(tA, p, s.cfg.AdsRequestHops, sc)
@@ -291,7 +289,7 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, qa
 		}
 		sent = true
 		reqBytes := int64(reqMsgs) * int64(sim.AdsRequestBytes())
-		s.sys.Account(tA, metrics.MAdsRequest, int(reqBytes))
+		s.sys.Load.Send(tA, metrics.MAdsRequest, int(reqBytes), 0)
 		bytes += reqBytes
 
 		staleBefore := s.staleBefore(tA)
@@ -320,7 +318,7 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, qa
 		}
 	}
 	if sent && !arrived {
-		s.sys.CountTimeout(tA)
+		s.sys.Load.Count(tA, metrics.CTimeout)
 	}
 	sc.offers = offers
 
@@ -395,7 +393,7 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h int, sc *searc
 		msgs := 0
 		for _, nb := range s.eligibleView(p) {
 			msgs++
-			if !sc.serving && !s.sys.Arrives(t, metrics.MAdsRequest, p, nb, sc.fkey, sc.nextSeq()) {
+			if !sc.serving && !s.sys.Deliver(t, metrics.MAdsRequest, 0, p, nb, sc.fkey, sc.nextSeq()) {
 				continue
 			}
 			out = append(out, hopTarget{node: nb, pathLat: sim.Clock(s.sys.Latency(p, nb))})
@@ -415,7 +413,7 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h int, sc *searc
 		for _, u := range frontier {
 			for _, nb := range s.eligibleView(u) {
 				msgs++
-				if !sc.serving && !s.sys.Arrives(t, metrics.MAdsRequest, u, nb, sc.fkey, sc.nextSeq()) {
+				if !sc.serving && !s.sys.Deliver(t, metrics.MAdsRequest, 0, u, nb, sc.fkey, sc.nextSeq()) {
 					continue // copy lost: nb may still arrive via another edge
 				}
 				if visited[nb] == epoch {

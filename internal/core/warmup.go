@@ -34,8 +34,7 @@ func (s *Scheme) warmUp(ads []floodAd) {
 		var byClass [content.NumClasses]uint64 // the batch's ads targeting each class
 		for i, ad := range batch {
 			if k.visits[i][0] != k.visits[i][1] {
-				s.sys.Account(t, ad.kind.class(), ad.snap.wireBytes(ad.kind)*k.sent[i])
-				s.obs.CountMsgN(int64(t), ad.kind.class(), k.sent[i])
+				s.sys.Load.Send(t, ad.kind.class(), ad.snap.wireBytes(ad.kind)*k.sent[i], k.sent[i])
 			}
 			seen[ad.snap.src] &^= 1 << i
 			for c := ad.targeting; c != 0; c &= c - 1 {

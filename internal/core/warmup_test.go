@@ -11,7 +11,6 @@ import (
 	"asap/internal/content"
 	"asap/internal/metrics"
 	"asap/internal/netmodel"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/sim"
 	"asap/internal/trace"
@@ -29,9 +28,9 @@ func (r perAdWarmUp) Attach(sys *sim.System) { r.deliverAll(-1, r.bind(sys)) }
 // perAdWarmUp one right after Attach: each node's fifo (snapshot aliasing,
 // source, version, lastSeen) and minSeen, each holder table as a set of
 // (holder, version) — slab indices and slot layout may differ — with every
-// slot naming its own slab entry (checkIndex), the load account (warm-up row
-// and drop tally) and the obs counters.
-func sameWarmUp(a, b *Scheme, ra, rb *obs.Recorder) error {
+// slot naming its own slab entry (checkIndex), and the whole ledger (warm-up
+// row, message copies, drops).
+func sameWarmUp(a, b *Scheme) error {
 	got, want := cacheViews(a), cacheViews(b)
 	for v := range want {
 		if !slices.Equal(got[v], want[v]) {
@@ -61,13 +60,9 @@ func sameWarmUp(a, b *Scheme, ra, rb *obs.Recorder) error {
 		}
 	}
 	if !reflect.DeepEqual(a.sys.Load, b.sys.Load) {
-		da, _, _ := a.sys.Load.FaultCounts()
-		db, _, _ := b.sys.Load.FaultCounts()
 		return fmt.Errorf("load accounts diverged: warm-up %d vs %d bytes, %d vs %d drops",
-			a.sys.Load.WarmupBytes(metrics.AllMask), b.sys.Load.WarmupBytes(metrics.AllMask), da, db)
-	}
-	if !reflect.DeepEqual(ra.Series("", a.sys.Load), rb.Series("", b.sys.Load)) {
-		return fmt.Errorf("obs series diverged")
+			a.sys.Load.WarmupBytes(metrics.AllMask), b.sys.Load.WarmupBytes(metrics.AllMask),
+			a.sys.Load.Total(metrics.CDrop), b.sys.Load.Total(metrics.CDrop))
 	}
 	return nil
 }
@@ -95,11 +90,11 @@ func TestWarmUpMatchesPerAdDelivery(t *testing.T) {
 				name := fmt.Sprintf("asap-%s/%v/capacity=%d", d, tc, capacity)
 				cfg := testConfig(d)
 				cfg.CacheCapacity = capacity
-				sysA, ra, cfg := tc.system(cfg)
-				sysB, rb, _ := tc.system(cfg)
+				sysA, cfg := tc.system(cfg)
+				sysB, _ := tc.system(cfg)
 				a, b := New(cfg), perAdWarmUp{New(cfg)}
 				sta, stb := sim.NewStepper(sysA, a, 0), sim.NewStepper(sysB, b, 0)
-				if err := sameWarmUp(a, b.Scheme, ra, rb); err != nil {
+				if err := sameWarmUp(a, b.Scheme); err != nil {
 					t.Fatalf("%s: after warm-up: %v", name, err)
 				}
 				cached, evicted := 0, 0

@@ -225,7 +225,7 @@ func TestClaims(t *testing.T) {
 }
 
 func TestRenderTable(t *testing.T) {
-	out := renderTable([]string{"a", "bb"}, [][]string{{"x", "y"}, {"long", "z"}})
+	out := RenderTable([]string{"a", "bb"}, [][]string{{"x", "y"}, {"long", "z"}})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("table has %d lines, want 4", len(lines))

@@ -109,15 +109,13 @@ func TestLossZeroMatchesNoPlane(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys := lab.topoProto(overlay.Crawled).NewSystem(lab.U, lab.Tr)
-		rec := obs.NewRecorder(int(lab.Tr.Span()/1000) + 2)
-		sys.SetObs(rec)
 		sys.SetFaults(faults.New(faults.Config{Seed: lab.Scale.Seed, LossRate: 0}))
 		planed := sim.Run(sys, sch, sim.RunOptions{})
 		if !reflect.DeepEqual(bare, planed) {
 			t.Errorf("%s: zero-loss plane changed the summary:\nbare:   %+v\nplaned: %+v", scheme, bare, planed)
 		}
 		bareSeries := col.Runs()[0]
-		if !reflect.DeepEqual(bareSeries, rec.Series(bareSeries.Key, sys.Load)) {
+		if !reflect.DeepEqual(bareSeries, obs.Series(bareSeries.Key, sys.Load)) {
 			t.Errorf("%s: zero-loss plane changed the per-second series", scheme)
 		}
 		if scheme == "asap-fld" && bare.Breakdown[metrics.MAdRefresh] == 0 {

@@ -9,8 +9,9 @@ import (
 	"asap/internal/overlay"
 )
 
-// renderTable prints an aligned text table.
-func renderTable(headers []string, rows [][]string) string {
+// RenderTable prints an aligned text table: one header line, a dashed
+// separator and the rows, every column padded to its widest cell.
+func RenderTable(headers []string, rows [][]string) string {
 	widths := make([]int, len(headers))
 	for i, h := range headers {
 		widths[i] = len(h)
@@ -52,7 +53,7 @@ func classTable(title string, counts [content.NumClasses]int) string {
 			fmt.Sprintf("%d", c), content.Class(c).String(), fmt.Sprintf("%d", counts[c]),
 		})
 	}
-	return title + "\n" + renderTable([]string{"class", "label", "peers"}, rows)
+	return title + "\n" + RenderTable([]string{"class", "label", "peers"}, rows)
 }
 
 // FormatFig2 renders the semantic-class distribution of the selected
@@ -88,7 +89,7 @@ func matrixTable(title string, m Matrix, cell func(metrics.Summary) string) stri
 		}
 		rows = append(rows, row)
 	}
-	return title + "\n" + renderTable(headers, rows)
+	return title + "\n" + RenderTable(headers, rows)
 }
 
 // FormatFig4 renders search success rates.
@@ -147,7 +148,7 @@ func FormatFig7(sum metrics.Summary) string {
 		rows = append(rows, []string{e.label, fmt.Sprintf("%.1f", share), adShare})
 	}
 	title := fmt.Sprintf("Fig 7 — %s system-load breakdown on %s (%% of bytes)", sum.Scheme, sum.Topology)
-	return title + "\n" + renderTable([]string{"message class", "share of load %", "share of ads %"}, rows)
+	return title + "\n" + RenderTable([]string{"message class", "share of load %", "share of ads %"}, rows)
 }
 
 // FormatFig8 renders mean system load.
@@ -214,7 +215,7 @@ func FormatFig10(m Matrix, window int) string {
 		rows = append(rows, row)
 	}
 	title := fmt.Sprintf("Fig 10 — real-time system load, crawled topology, %d s window (KB/node/s)", window)
-	return title + "\n" + renderTable(headers, rows)
+	return title + "\n" + RenderTable(headers, rows)
 }
 
 // Claim is one of the paper's headline comparative results, checked
@@ -292,5 +293,5 @@ func FormatClaims(claims []Claim) string {
 		}
 		rows = append(rows, []string{c.ID, status, c.Text, c.Note})
 	}
-	return "Headline claims (crawled topology)\n" + renderTable([]string{"id", "status", "claim", "measured"}, rows)
+	return "Headline claims (crawled topology)\n" + RenderTable([]string{"id", "status", "claim", "measured"}, rows)
 }

@@ -97,8 +97,8 @@ func (l *Lab) Run(schemeName string, topo overlay.Kind) (metrics.Summary, error)
 	return l.run(schemeName, topo, false, nil, nil)
 }
 
-// RunObs is Run with observability attached: the run's per-second series
-// lands in series (keyed "scheme/topology"). A nil series is plain Run.
+// RunObs is Run that also collects the run's per-second series into series
+// (keyed "scheme/topology"). A nil series is plain Run.
 func (l *Lab) RunObs(schemeName string, topo overlay.Kind, series *obs.Collector) (metrics.Summary, error) {
 	return l.run(schemeName, topo, false, series, nil)
 }
@@ -112,11 +112,9 @@ func (l *Lab) run(schemeName string, topo overlay.Kind, fresh bool, series *obs.
 	if err != nil {
 		return metrics.Summary{}, err
 	}
-	// The recorder's horizon mirrors the LoadAccount's (see sim.NewSystem)
-	// so the two per-second series line up row for row.
 	var rec *obs.Recorder
-	if series != nil || heap != nil {
-		rec = obs.NewRecorder(int(l.Tr.Span()/1000) + 2)
+	if heap != nil {
+		rec = obs.NewRecorder(0)
 		rec.SetHeapGauge(heap)
 	}
 	var sys *sim.System
@@ -131,7 +129,7 @@ func (l *Lab) run(schemeName string, topo overlay.Kind, fresh bool, series *obs.
 	}
 	sum := sim.Run(sys, sch, sim.RunOptions{})
 	if series != nil {
-		series.Add(rec.Series(schemeName+"/"+topo.String(), sys.Load))
+		series.Add(obs.Series(schemeName+"/"+topo.String(), sys.Load))
 	}
 	return sum, nil
 }

@@ -87,5 +87,5 @@ func FormatLossSweep(sw LossSweep) string {
 		})
 	}
 	title := fmt.Sprintf("Loss sweep (%s topology)", sw.Topology)
-	return title + "\n" + renderTable(headers, rows)
+	return title + "\n" + RenderTable(headers, rows)
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"asap/internal/obs"
@@ -70,8 +71,8 @@ func TestObsSeriesWorkerDeterminism(t *testing.T) {
 			t.Errorf("%s: warmup row has %d fields, want %d", rs.Key, len(rs.Warmup), len(rs.Columns))
 		}
 		var drops, searches int64
-		ci := rs.ColumnIndex("drops")
-		si := rs.ColumnIndex("searches")
+		ci := slices.Index(rs.Columns, "drops")
+		si := slices.Index(rs.Columns, "searches")
 		if ci < 0 || si < 0 {
 			t.Fatalf("%s: missing drops/searches columns in %v", rs.Key, rs.Columns)
 		}
@@ -90,8 +91,7 @@ func TestObsSeriesWorkerDeterminism(t *testing.T) {
 
 // TestObsSeriesMatchesSummary: the series is an honest decomposition —
 // summing its per-second search/success counters reproduces the summary's
-// totals, and attaching the recorder must not change the summary at all
-// (the obs plane observes, never perturbs).
+// totals, and collecting the series must not change the summary at all.
 func TestObsSeriesMatchesSummary(t *testing.T) {
 	sc := ScaleTiny()
 	sc.LossRate = 0.02
@@ -109,7 +109,7 @@ func TestObsSeriesMatchesSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(bare, observed) {
-		t.Fatalf("attaching the obs plane changed the summary:\nbare:     %+v\nobserved: %+v", bare, observed)
+		t.Fatalf("collecting the series changed the summary:\nbare:     %+v\nobserved: %+v", bare, observed)
 	}
 
 	runs := col.Runs()
@@ -121,7 +121,7 @@ func TestObsSeriesMatchesSummary(t *testing.T) {
 		t.Errorf("series key %q, want asap-rw/crawled", rs.Key)
 	}
 	var searches, successes int64
-	si, oi := rs.ColumnIndex("searches"), rs.ColumnIndex("successes")
+	si, oi := slices.Index(rs.Columns, "searches"), slices.Index(rs.Columns, "successes")
 	for _, row := range rs.Rows {
 		searches += row[si]
 		successes += row[oi]

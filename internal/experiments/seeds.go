@@ -101,7 +101,7 @@ func FormatSeedSweeps(sweeps []SeedSweep) string {
 		})
 	}
 	title := fmt.Sprintf("Seed sweep (%d seeds per cell)", lenOrZero(sweeps))
-	return title + "\n" + renderTable(headers, rows)
+	return title + "\n" + RenderTable(headers, rows)
 }
 
 func lenOrZero(sweeps []SeedSweep) int {

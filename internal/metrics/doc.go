@@ -13,9 +13,13 @@
 //   - the ASAP load breakdown by message class (Fig. 7): full ads versus
 //     patch ads, refresh ads and search traffic.
 //
-// LoadAccount buckets message bytes into one-second bins by message class,
-// one plain add per message: a run has a single writer, and a bucket is an
-// order-free sum. Which classes count toward "system load" differs per
-// scheme (the paper counts only query messages for the baselines, and
-// everything but downloads for ASAP), so aggregation takes a class mask.
+// LoadAccount is a run's one ledger. Every message sent, every event
+// (fault-plane drops, retries and timeouts, cache and confirmation
+// outcomes, scenario acts) and every search outcome is booked into it
+// once, into a warm-up row or the row of its simulated second, with one
+// plain add per cell: a run has a single writer, and a cell is an
+// order-free sum. Summarize reads a run's Summary off the ledger alone.
+// Which classes count toward "system load" differs per scheme (the paper
+// counts only query messages for the baselines, and everything but
+// downloads for ASAP), so aggregation takes a class mask.
 package metrics

@@ -1,23 +1,19 @@
-// Package obs is the simulator's deterministic observability plane.
+// Package obs renders a run for inspection. It counts nothing itself: the
+// run's one ledger, metrics.LoadAccount, holds every message, event and
+// search outcome.
 //
-// It has two layers, both optional and both inert when absent:
+//   - Sim-time series: Series turns a finished run's ledger into one
+//     RunSeries table — per simulated second (never wall clock), the live
+//     count and the ledger's row — emitted as CSV and JSON (WriteDir). Rows
+//     are keyed by deterministic replay time and a Collector sorts runs by
+//     key, so the series is byte-identical for any worker count.
 //
-//   - Sim-time series: a Recorder keeps per-second (simulated clock, never
-//     wall clock) counters for message classes, ads-cache hits and misses,
-//     confirmation outcomes, fault-plane events and search outcomes. After
-//     a run, Recorder.Series joins those counters with the LoadAccount's
-//     per-class byte series into one RunSeries table, emitted as CSV and
-//     JSON (WriteDir). Because every counter is keyed by deterministic
-//     replay time and updated with commutative atomic adds, the series is
-//     byte-identical for any worker count. Wall clock is inherently
-//     nondeterministic, so it never feeds into a RunSeries.
+//   - Scrape surface: WriteProm renders the ledger's totals and latency
+//     histogram in Prometheus text format through a PromWriter; the
+//     serving plane adds its own wall-clock counters (WallHist).
 //
 //   - Profiling hooks: StartProfiles wires -cpuprofile/-memprofile/
 //     -mutexprofile files and an optional net/http/pprof endpoint for the
-//     CLIs.
-//
-// Nil-safety mirrors internal/faults: every Recorder method is valid on a
-// nil receiver and does nothing, so instrumented hot paths cost one nil
-// check — zero allocations — when observability is off (gated by
-// TestObsOffHotPathAllocs in the root package).
+//     CLIs; HeapGauge tracks a run's peak live heap, sampled through a
+//     Recorder.
 package obs

@@ -67,6 +67,16 @@ func (g *HeapGauge) PeakMB() float64 {
 	return float64(g.PeakBytes()) / (1 << 20)
 }
 
+// Recorder carries a run's heap gauge to the replay, which samples it once
+// per simulated second; it holds no counter (the run's ledger,
+// metrics.LoadAccount, holds every count). A nil recorder samples nothing.
+type Recorder struct {
+	heap *HeapGauge
+}
+
+// NewRecorder returns a recorder without a gauge. The argument is unused.
+func NewRecorder(int) *Recorder { return &Recorder{} }
+
 // SetHeapGauge attaches a heap gauge to the recorder; SampleHeap calls
 // forward to it. A nil gauge (or nil recorder) detaches sampling.
 func (r *Recorder) SetHeapGauge(g *HeapGauge) {
@@ -78,7 +88,7 @@ func (r *Recorder) SetHeapGauge(g *HeapGauge) {
 
 // SampleHeap folds the current heap occupancy into the attached gauge's
 // peak. On a nil recorder, or one without a gauge, it does nothing and
-// allocates nothing — the obs-off hot path.
+// allocates nothing.
 func (r *Recorder) SampleHeap() {
 	if r == nil {
 		return

@@ -4,23 +4,21 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"asap/internal/metrics"
 )
 
-// TestNilRecorderIsInert: every recording method must be a no-op on a nil
-// recorder — the obs-off configuration threads nil through the whole
-// simulator, so any panic here is a crash in the default path.
+// TestNilRecorderIsInert: a nil recorder samples nothing and a nil
+// collector ignores Add — runs without a heap gauge or a series thread nil
+// through, so any panic here is a crash in the default path.
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	r.Count(0, CDrop)
-	r.CountMsg(1000, metrics.MsgClass(0))
-	r.Search(-500, true, 12, 900)
-	if r.Seconds() != 0 {
-		t.Errorf("nil recorder Seconds() = %d, want 0", r.Seconds())
-	}
+	r.SetHeapGauge(NewHeapGauge())
+	r.SampleHeap()
+	NewRecorder(0).SampleHeap() // no gauge attached
 
 	var c *Collector
 	c.Add(RunSeries{Key: "x"})
@@ -29,83 +27,25 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 }
 
-// TestRecorderRowFolding pins the row mapping shared with LoadAccount:
-// negative times land in the warm-up row, in-range times in their second,
-// and times at or past the horizon fold into the final row.
-func TestRecorderRowFolding(t *testing.T) {
-	r := NewRecorder(3)
-	r.Count(-1, CDrop)      // warm-up
-	r.Count(-999999, CDrop) // deep warm-up
-	r.Count(0, CRetry)      // second 0
-	r.Count(999, CRetry)    // still second 0
-	r.Count(1000, CTimeout) // second 1
-	r.Count(2999, CDrop)    // second 2
-	r.Count(3000, CDrop)    // past horizon: folds to second 2
-	r.Count(1<<40, CDrop)   // far past horizon: same
-
-	if got := r.get(0, CDrop); got != 2 {
-		t.Errorf("warm-up drops = %d, want 2", got)
-	}
-	if got := r.get(1, CRetry); got != 2 {
-		t.Errorf("second-0 retries = %d, want 2", got)
-	}
-	if got := r.get(2, CTimeout); got != 1 {
-		t.Errorf("second-1 timeouts = %d, want 1", got)
-	}
-	if got := r.get(3, CDrop); got != 3 {
-		t.Errorf("final-row drops = %d, want 3 (1 in-range + 2 folded)", got)
-	}
-}
-
-// TestRecorderSearchHistogram checks the latency bookkeeping: failures
-// count searches and bytes but no latency, successes land in the log2
-// bucket of their response time, and huge latencies clamp to the last
-// bucket.
-func TestRecorderSearchHistogram(t *testing.T) {
-	r := NewRecorder(2)
-	r.Search(100, false, 0, 500)
-	r.Search(100, true, 0, 100)     // 0 ms → bucket 0
-	r.Search(100, true, 3, 100)     // [2,4) → bucket 2
-	r.Search(100, true, 1<<30, 100) // clamps to last bucket
-	r.Search(100, true, -7, 100)    // negative latency clamps to bucket 0
-
-	if got := r.get(1, CSearch); got != 5 {
-		t.Errorf("searches = %d, want 5", got)
-	}
-	if got := r.get(1, CSearchOK); got != 4 {
-		t.Errorf("successes = %d, want 4", got)
-	}
-	if r.srchB[1] != 900 {
-		t.Errorf("search bytes = %d, want 900", r.srchB[1])
-	}
-	if r.latMS[1] != 3+(1<<30)-7 {
-		t.Errorf("latency sum = %d, want %d", r.latMS[1], 3+(1<<30)-7)
-	}
-	if r.hist[0] != 2 || r.hist[2] != 1 || r.hist[HistBuckets-1] != 1 {
-		t.Errorf("histogram %v: want 2 in bucket 0, 1 in bucket 2, 1 in last", r.hist)
-	}
-}
-
 // TestSeriesShape checks the exported table: schema width, row count,
 // warm-up placement, and that counter values land under their named
 // column.
 func TestSeriesShape(t *testing.T) {
-	r := NewRecorder(2)
-	r.Count(-10, CDrop)
-	r.Count(500, CCacheHit)
-	r.Count(1500, CConfirmNeg)
 	load := metrics.NewLoadAccount(2)
+	load.Count(-10, metrics.CDrop)
+	load.Count(500, metrics.CCacheHit)
+	load.Count(1500, metrics.CConfirmNeg)
 	load.SetLive(0, 40)
 	load.SetLive(1, 41)
 
-	s := r.Series("asap-rw/crawled", load)
+	s := Series("asap-rw/crawled", load)
 	if s.Key != "asap-rw/crawled" || s.Seconds != 2 {
 		t.Fatalf("key %q seconds %d", s.Key, s.Seconds)
 	}
 	if len(s.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(s.Rows))
 	}
-	wantCols := 2 + metrics.NumMsgClasses + NumCounters + 2
+	wantCols := 2 + 2*metrics.NumMsgClasses + metrics.NumEvents + 2
 	if len(s.Columns) != wantCols || len(s.Warmup) != wantCols {
 		t.Fatalf("schema width %d, warmup width %d, want %d", len(s.Columns), len(s.Warmup), wantCols)
 	}
@@ -118,7 +58,7 @@ func TestSeriesShape(t *testing.T) {
 		t.Errorf("warmup row starts %v, want sec=-1 live=0", s.Warmup[:2])
 	}
 	cell := func(row []int64, name string) int64 {
-		i := s.ColumnIndex(name)
+		i := slices.Index(s.Columns, name)
 		if i < 0 {
 			t.Fatalf("column %q missing from %v", name, s.Columns)
 		}
@@ -138,9 +78,6 @@ func TestSeriesShape(t *testing.T) {
 	}
 	if got := cell(s.Rows[0], "live"); got != 40 {
 		t.Errorf("second-0 live = %d, want 40", got)
-	}
-	if s.ColumnIndex("no_such_column") != -1 {
-		t.Error("ColumnIndex of unknown name != -1")
 	}
 
 	// CSV shape: header + warmup + one line per second.
@@ -178,9 +115,7 @@ func TestCollectorSortsByKey(t *testing.T) {
 // hostile key characters sanitised out of the stem.
 func TestWriteDir(t *testing.T) {
 	dir := t.TempDir()
-	r := NewRecorder(1)
-	load := metrics.NewLoadAccount(1)
-	s := r.Series("asap-rw/crawled/loss=0.02", load)
+	s := Series("asap-rw/crawled/loss=0.02", metrics.NewLoadAccount(1))
 	paths, err := WriteDir(filepath.Join(dir, "series"), []RunSeries{s})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +156,7 @@ func TestStartProfilesWritesFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ { // a little work for the CPU profiler
-		_ = NewRecorder(4)
+		_ = metrics.NewLoadAccount(4)
 	}
 	if err := stop(); err != nil {
 		t.Fatal(err)

@@ -4,15 +4,15 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
-	"sync/atomic"
+
+	"asap/internal/metrics"
 )
 
 // Prometheus text exposition (format version 0.0.4) for the observability
-// plane: the serving layer's /metrics endpoint renders a Recorder's
-// counter totals, the response-latency histogram and the peak-heap gauge
-// through a PromWriter, alongside the serving plane's own wall-clock
-// counters. The CSV/JSON series (series.go) stay the replay-analysis
-// surface; this is the scrape surface.
+// plane: the serving layer's /metrics endpoint renders a run ledger's
+// totals and response-latency histogram through a PromWriter, alongside
+// the serving plane's own wall-clock counters. The CSV/JSON series
+// (series.go) stay the replay-analysis surface; this is the scrape surface.
 
 // PromWriter accumulates metric families in Prometheus text exposition
 // format. Each helper emits the # HELP / # TYPE header followed by the
@@ -40,15 +40,6 @@ func (w *PromWriter) Counter(name, help string, v int64) {
 	w.b.WriteString(name)
 	w.b.WriteByte(' ')
 	w.b.WriteString(strconv.FormatInt(v, 10))
-	w.b.WriteByte('\n')
-}
-
-// Gauge emits one gauge sample.
-func (w *PromWriter) Gauge(name, help string, v float64) {
-	w.header(name, help, "gauge")
-	w.b.WriteString(name)
-	w.b.WriteByte(' ')
-	w.b.WriteString(formatFloat(v))
 	w.b.WriteByte('\n')
 }
 
@@ -109,51 +100,37 @@ func promName(s string) string {
 	}, s)
 }
 
-// WriteProm renders the recorder's whole-run totals as Prometheus metric
-// families under the asap_ prefix: every counter column summed across the
-// per-second grid (warm-up row included), the search-cost byte total, the
+// WriteProm renders a run ledger's totals as Prometheus metric families
+// under the asap_ prefix: every event and message-copy column summed over
+// all rows (warm-up included), the search-cost byte total, and the
 // response-latency histogram (log2 millisecond buckets re-expressed as
-// cumulative le bounds in seconds), and — when a heap gauge is attached —
-// the peak live-heap high-water mark. Nil-safe: a nil recorder writes
-// nothing.
-func (r *Recorder) WriteProm(w *PromWriter) {
-	if r == nil {
-		return
+// cumulative le bounds in seconds).
+func WriteProm(w *PromWriter, load *metrics.LoadAccount) {
+	counter := func(label string, v int64) {
+		w.Counter("asap_"+promName(label)+"_total", "Total "+label+" across the run.", v)
 	}
-	for c := Counter(0); int(c) < NumCounters; c++ {
-		var total int64
-		for row := 0; row <= r.seconds; row++ {
-			total += r.get(row, c)
-		}
-		w.Counter("asap_"+promName(c.String())+"_total", "Total "+c.String()+" across the run.", total)
+	for e := metrics.Event(0); e < metrics.NumEvents; e++ {
+		counter(e.String(), load.Total(e))
 	}
-	var bytesTotal int64
-	for row := range r.srchB {
-		bytesTotal += atomic.LoadInt64(&r.srchB[row])
+	for c := metrics.MsgClass(0); c < metrics.NumMsgClasses; c++ {
+		counter("msgs_"+c.String(), load.Copies(c))
 	}
+	bytesTotal, latSum := load.SearchSums()
 	w.Counter("asap_search_cost_bytes_total", "Total per-search traffic cost in bytes.", bytesTotal)
 
 	// The sim-time response histogram: bucket b holds successes with
 	// response in [2^(b-1), 2^b) ms, so integer-valued samples satisfy
 	// "≤ 2^b − 1 ms" exactly — the le bounds below, in seconds.
+	hist := load.Hist()
 	var les []float64
 	var cum []int64
-	var run, latSum int64
-	for b := 0; b < HistBuckets-1; b++ {
-		run += atomic.LoadInt64(&r.hist[b])
+	var run int64
+	for b := 0; b < metrics.HistBuckets-1; b++ {
+		run += hist[b]
 		les = append(les, float64(int64(1)<<b-1)/1000)
 		cum = append(cum, run)
 	}
-	count := run + atomic.LoadInt64(&r.hist[HistBuckets-1])
-	for row := range r.latMS {
-		latSum += atomic.LoadInt64(&r.latMS[row])
-	}
 	w.Histogram("asap_search_response_seconds",
 		"Modelled response latency of successful searches (sim time).",
-		les, cum, count, float64(latSum)/1000)
-
-	if r.heap != nil {
-		w.Gauge("asap_peak_heap_bytes", "Peak live-heap high-water mark observed by the run's samples.",
-			float64(r.heap.PeakBytes()))
-	}
+		les, cum, run+hist[metrics.HistBuckets-1], float64(latSum)/1000)
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"asap/internal/metrics"
 )
 
 // promSample is one parsed exposition line: name, optional le label, value.
@@ -147,18 +149,14 @@ func checkHistogram(t *testing.T, fams map[string][]promSample, name string) {
 func TestPromWriterGrammar(t *testing.T) {
 	var w PromWriter
 	w.Counter("asap_requests_total", "Requests with a\nnewline and a \\ in help.", 42)
-	w.Gauge("asap_temperature", "A gauge.", -3.5)
 	w.Histogram("asap_latency_seconds", "A histogram.",
 		[]float64{0.001, 0.01, 0.1}, []int64{1, 5, 9}, 11, 1.25)
 	fams := parseProm(t, w.String())
-	if len(fams) != 3 {
-		t.Fatalf("got %d families, want 3", len(fams))
+	if len(fams) != 2 {
+		t.Fatalf("got %d families, want 2", len(fams))
 	}
 	if got := fams["asap_requests_total"][0].value; got != 42 {
 		t.Fatalf("counter value %v, want 42", got)
-	}
-	if got := fams["asap_temperature"][0].value; got != -3.5 {
-		t.Fatalf("gauge value %v, want -3.5", got)
 	}
 	checkHistogram(t, fams, "asap_latency_seconds")
 	if strings.Contains(w.String(), "\nnewline") {
@@ -166,21 +164,19 @@ func TestPromWriterGrammar(t *testing.T) {
 	}
 }
 
-func TestRecorderWriteProm(t *testing.T) {
-	r := NewRecorder(10)
-	g := NewHeapGauge()
-	r.SetHeapGauge(g)
-	g.Sample()
-	r.Search(1500, true, 12, 100)
-	r.Search(2500, true, 700, 60)
-	r.Search(3500, false, 0, 40)
-	r.Count(1500, CDrop)
+func TestWriteProm(t *testing.T) {
+	load := metrics.NewLoadAccount(10)
+	load.Search(1500, metrics.SearchResult{Success: true, ResponseMS: 12, Bytes: 100})
+	load.Search(2500, metrics.SearchResult{Success: true, ResponseMS: 700, Bytes: 60})
+	load.Search(3500, metrics.SearchResult{Bytes: 40})
+	load.Count(1500, metrics.CDrop)
 	for i := 0; i < 3; i++ {
-		r.Count(2500, CRetry)
+		load.Count(2500, metrics.CRetry)
 	}
+	load.Send(-1, metrics.MQueryHit, 80, 2)
 
 	var w PromWriter
-	r.WriteProm(&w)
+	WriteProm(&w, load)
 	fams := parseProm(t, w.String())
 
 	want := map[string]float64{
@@ -188,6 +184,7 @@ func TestRecorderWriteProm(t *testing.T) {
 		"asap_successes_total":         2,
 		"asap_drops_total":             1,
 		"asap_retries_total":           3,
+		"asap_msgs_query_hit_total":    2,
 		"asap_search_cost_bytes_total": 200,
 	}
 	for name, v := range want {
@@ -210,17 +207,6 @@ func TestRecorderWriteProm(t *testing.T) {
 	}
 	if at15ms != 1 {
 		t.Errorf("bucket le=0.015 = %v, want 1", at15ms)
-	}
-	hg, ok := fams["asap_peak_heap_bytes"]
-	if !ok || hg[0].value <= 0 {
-		t.Fatalf("peak heap gauge missing or zero: %v", hg)
-	}
-
-	// Nil recorder: no families, no panic.
-	var nw PromWriter
-	(*Recorder)(nil).WriteProm(&nw)
-	if nw.String() != "" {
-		t.Fatalf("nil recorder wrote %q", nw.String())
 	}
 }
 

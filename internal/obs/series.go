@@ -36,69 +36,25 @@ type RunSeries struct {
 	LatencyHist []int64 `json:"latency_hist_log2_ms"`
 }
 
-// seriesColumns returns the RunSeries column schema: second, live-node
-// count, per-class byte totals, the Counter columns (fault events, cache
-// and confirmation outcomes, search counts, per-class message counts),
-// and the per-second latency/byte sums.
-func seriesColumns() []string {
-	cols := []string{"sec", "live"}
-	for c := 0; c < metrics.NumMsgClasses; c++ {
-		cols = append(cols, "bytes_"+metrics.MsgClass(c).String())
-	}
-	for c := Counter(0); int(c) < NumCounters; c++ {
-		cols = append(cols, c.String())
-	}
-	return append(cols, "latency_sum_ms", "search_bytes")
-}
-
-// Series snapshots the recorder's counters joined with the load account's
-// per-class byte series into one table keyed by key. Call after the run
-// completes (it reads the counters non-atomically consistent: the runner
-// has quiesced).
-func (r *Recorder) Series(key string, load *metrics.LoadAccount) RunSeries {
+// Series snapshots a run's ledger into one table keyed by key: each row is
+// the second and its live-node count followed by the ledger's row (see
+// metrics.Columns). Call after the run completes.
+func Series(key string, load *metrics.LoadAccount) RunSeries {
 	s := RunSeries{
 		Key:         key,
-		Seconds:     r.seconds,
-		Columns:     seriesColumns(),
-		LatencyHist: append([]int64(nil), r.hist[:]...),
+		Seconds:     load.Seconds(),
+		Columns:     append([]string{"sec", "live"}, metrics.Columns()...),
+		LatencyHist: load.Hist(),
 	}
-	row := func(sec int) []int64 {
-		// sec == -1 selects the warm-up aggregate (recorder row 0).
-		rrow, live := sec+1, 0
-		vals := make([]int64, 0, len(s.Columns))
-		if sec >= 0 {
-			live = load.Live(sec)
-		}
-		vals = append(vals, int64(sec), int64(live))
-		for c := 0; c < metrics.NumMsgClasses; c++ {
-			if sec < 0 {
-				vals = append(vals, load.WarmupBytes(metrics.Mask(metrics.MsgClass(c))))
-			} else {
-				vals = append(vals, load.BytesAt(sec, metrics.Mask(metrics.MsgClass(c))))
-			}
-		}
-		for c := Counter(0); int(c) < NumCounters; c++ {
-			vals = append(vals, r.get(rrow, c))
-		}
-		return append(vals, r.latMS[rrow], r.srchB[rrow])
+	row := func(sec, live int) []int64 {
+		return append([]int64{int64(sec), int64(live)}, load.Row(sec)...)
 	}
-	s.Warmup = row(-1)
-	s.Rows = make([][]int64, 0, r.seconds)
-	for sec := 0; sec < r.seconds; sec++ {
-		s.Rows = append(s.Rows, row(sec))
+	s.Warmup = row(-1, 0)
+	s.Rows = make([][]int64, 0, s.Seconds)
+	for sec := 0; sec < s.Seconds; sec++ {
+		s.Rows = append(s.Rows, row(sec, load.Live(sec)))
 	}
 	return s
-}
-
-// ColumnIndex returns the row index of the named column, or -1 when the
-// schema has no such column.
-func (s *RunSeries) ColumnIndex(name string) int {
-	for i, c := range s.Columns {
-		if c == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // CSV renders the series as one CSV document: a header line, the warm-up

@@ -13,7 +13,7 @@ const WallBuckets = 34
 
 // WallHist is a concurrent log2 histogram of wall-clock latencies for the
 // serving plane: one atomic add per observation, no locks, no allocation.
-// It complements the Recorder's sim-time response histogram — the Recorder
+// It complements the ledger's sim-time response histogram — the ledger
 // buckets virtual (modelled) milliseconds keyed by replay time, while a
 // WallHist buckets real elapsed time of live requests, which is what a p99
 // gate must measure. The zero value is ready to use; all methods are valid

@@ -6,7 +6,7 @@ import (
 
 	"asap/internal/content"
 	"asap/internal/faults"
-	"asap/internal/obs"
+	"asap/internal/metrics"
 	"asap/internal/overlay"
 	"asap/internal/sim"
 )
@@ -90,7 +90,7 @@ func (d *director) Apply(t sim.Clock, op int) {
 			}
 			nd := overlay.NodeID(i)
 			d.sys.SetInterests(nd, rotateClasses(d.sys.Interests(nd), a.Shift))
-			d.sys.Obs().Count(t, obs.CInterestShift)
+			d.sys.Load.Count(t, metrics.CInterestShift)
 		}
 	case Rewire:
 		d.rewire(t, a)
@@ -151,7 +151,7 @@ func (d *director) rewire(t sim.Clock, a Act) {
 			g.AddEdge(v, drop) // restore — add was a neighbour after all
 			continue
 		}
-		d.sys.Obs().Count(t, obs.CRewire)
+		d.sys.Load.Count(t, metrics.CRewire)
 	}
 }
 

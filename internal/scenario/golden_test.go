@@ -38,11 +38,14 @@ func goldenPath(name string) string {
 func snapshot(res *Result) golden {
 	sum := sha256.Sum256(res.Series.CSV())
 	cols := map[string]int64{}
-	for _, c := range res.Series.Columns {
+	for i, c := range res.Series.Columns {
 		if c == "sec" {
 			continue
 		}
-		cols[c] = ColumnSum(&res.Series, c)
+		cols[c] = res.Series.Warmup[i]
+		for _, row := range res.Series.Rows {
+			cols[c] += row[i]
+		}
 	}
 	return golden{
 		Summary:      res.Summary,

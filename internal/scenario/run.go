@@ -9,11 +9,12 @@ import (
 	"asap/internal/sim"
 )
 
-// Result is one scenario replay's outputs: the paper summary plus the
-// per-second observability series (the golden-replay hash input).
+// Result is one scenario replay's outputs: the paper summary, the run's
+// ledger and its per-second series (the golden-replay hash input).
 type Result struct {
 	Scenario Scenario
 	Summary  metrics.Summary
+	Load     *metrics.LoadAccount
 	Series   obs.RunSeries
 }
 
@@ -52,10 +53,8 @@ func Run(sn Scenario) (*Result, error) {
 		return nil, err
 	}
 	sys := sim.NewSystem(lab.U, lab.Tr, kind, lab.Net, sn.Seed)
-	rec := obs.NewRecorder(int(lab.Tr.Span()/1000) + 2)
-	sys.SetObs(rec)
 	st.Install(sys)
 	sum := sim.Run(sys, sch, sim.RunOptions{})
 	key := fmt.Sprintf("%s/%s/%s", sn.Name, sum.Scheme, sum.Topology)
-	return &Result{Scenario: sn, Summary: sum, Series: rec.Series(key, sys.Load)}, nil
+	return &Result{Scenario: sn, Summary: sum, Load: sys.Load, Series: obs.Series(key, sys.Load)}, nil
 }

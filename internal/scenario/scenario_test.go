@@ -2,11 +2,12 @@ package scenario
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"asap/internal/content"
 	"asap/internal/experiments"
-	"asap/internal/obs"
+	"asap/internal/metrics"
 	"asap/internal/overlay"
 	"asap/internal/trace"
 )
@@ -35,11 +36,11 @@ func TestScenarioShardWorkerDeterminism(t *testing.T) {
 }
 
 // checkActEffects asserts, per built-in, that the acts actually bit: the
-// adversarial machinery must leave its fingerprints in the series, not
+// adversarial machinery must leave its fingerprints in the ledger, not
 // just replay cleanly.
 func checkActEffects(t *testing.T, name string, res *Result) {
 	t.Helper()
-	partDrops := ColumnSum(&res.Series, obs.CPartDrop.String())
+	partDrops := res.Load.Total(metrics.CPartDrop)
 	switch name {
 	case "partition-heal":
 		if partDrops == 0 {
@@ -56,15 +57,15 @@ func checkActEffects(t *testing.T, name string, res *Result) {
 			t.Errorf("1%% loss added no drops beyond the partition's %d", partDrops)
 		}
 	case "interest-drift":
-		if n := ColumnSum(&res.Series, obs.CInterestShift.String()); n == 0 {
+		if n := res.Load.Total(metrics.CInterestShift); n == 0 {
 			t.Error("interest drift shifted no nodes")
 		}
 	case "rewire":
-		if n := ColumnSum(&res.Series, obs.CRewire.String()); n == 0 {
+		if n := res.Load.Total(metrics.CRewire); n == 0 {
 			t.Error("rewire adapted no edges")
 		}
 	case "churn-storm":
-		live := res.Series.ColumnIndex("live")
+		live := slices.Index(res.Series.Columns, "live")
 		act := res.Scenario.Acts[0]
 		before := res.Series.Rows[act.AtMS/1000-1][live]
 		minLive := before

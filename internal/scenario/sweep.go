@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"asap/internal/experiments"
+	"asap/internal/metrics"
 	"asap/internal/obs"
 )
 
@@ -63,59 +65,10 @@ func FormatSweep(sw *Sweep) string {
 			fmt.Sprintf("%.0f", r.Summary.MeanRespMS),
 			fmt.Sprintf("%.2f", r.Summary.MeanSearchBytes/1024),
 			fmt.Sprintf("%d", r.Summary.Drops),
-			fmt.Sprintf("%d", ColumnSum(&r.Series, obs.CPartDrop.String())),
-			fmt.Sprintf("%d", ColumnSum(&r.Series, obs.CRewire.String())),
-			fmt.Sprintf("%d", ColumnSum(&r.Series, obs.CInterestShift.String())),
+			fmt.Sprintf("%d", r.Load.Total(metrics.CPartDrop)),
+			fmt.Sprintf("%d", r.Load.Total(metrics.CRewire)),
+			fmt.Sprintf("%d", r.Load.Total(metrics.CInterestShift)),
 		})
 	}
-	return "Scenario sweep (adversarial workloads)\n" + renderTable(headers, rows)
-}
-
-// ColumnSum totals one series column over warm-up and every second.
-func ColumnSum(s *obs.RunSeries, col string) int64 {
-	i := s.ColumnIndex(col)
-	if i < 0 {
-		return 0
-	}
-	total := s.Warmup[i]
-	for _, row := range s.Rows {
-		total += row[i]
-	}
-	return total
-}
-
-// renderTable prints an aligned text table (the experiments package keeps
-// its own private copy; the format matches).
-func renderTable(headers []string, rows [][]string) string {
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(headers)
-	sep := make([]string, len(headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, r := range rows {
-		line(r)
-	}
-	return b.String()
+	return "Scenario sweep (adversarial workloads)\n" + experiments.RenderTable(headers, rows)
 }

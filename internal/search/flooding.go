@@ -80,8 +80,7 @@ func (f *Flooding) cascade(sc *scratch, ev *trace.Event) metrics.SearchResult {
 
 		if it.node != src && sc.matches(sys, it.node) {
 			reply := t + sim.Clock(sys.Latency(it.node, src))
-			sys.Account(t, metrics.MQueryHit, sim.QueryHitBytes())
-			if sys.Arrives(t, metrics.MQueryHit, it.node, src, sc.fkey, 0) {
+			if sys.Deliver(t, metrics.MQueryHit, sim.QueryHitBytes(), it.node, src, sc.fkey, 0) {
 				hits++
 				reply += sys.JitterMS(metrics.MQueryHit, it.node, src, sc.fkey, 0)
 				if reply < best {
@@ -101,7 +100,7 @@ func (f *Flooding) cascade(sc *scratch, ev *trace.Event) metrics.SearchResult {
 			sent--
 		}
 		msgs += sent
-		sys.Obs().CountMsgN(int64(t), metrics.MQuery, sent)
+		sys.Load.Send(t, metrics.MQuery, 0, sent) // bytes booked at t0 below
 		for i, nb := range view {
 			at := t + sim.Clock(lat[i])
 			if faulty {
@@ -118,7 +117,7 @@ func (f *Flooding) cascade(sc *scratch, ev *trace.Event) metrics.SearchResult {
 	queryBytes := int64(msgs) * int64(qBytes)
 	// Query bytes are spread across the cascade; bucketing them all at t0
 	// is accurate to within the flood's ~1s lifetime.
-	sys.Account(t0, metrics.MQuery, int(queryBytes))
+	sys.Load.Send(t0, metrics.MQuery, int(queryBytes), 0)
 
 	res := metrics.SearchResult{Bytes: queryBytes}
 	if best != noResponse {

@@ -62,8 +62,7 @@ func refFlood(sys *sim.System, ev *trace.Event, ttl int) metrics.SearchResult {
 		}
 		visited[it.node] = true
 		if it.node != src && sys.NodeMatches(it.node, ev.Terms) {
-			sys.Account(it.t, metrics.MQueryHit, sim.QueryHitBytes())
-			if sys.Arrives(it.t, metrics.MQueryHit, it.node, src, key, 0) {
+			if sys.Deliver(it.t, metrics.MQueryHit, sim.QueryHitBytes(), it.node, src, key, 0) {
 				res.Hits++
 				reply := it.t + sim.Clock(sys.Latency(it.node, src)) +
 					sys.JitterMS(metrics.MQueryHit, it.node, src, key, 0)
@@ -80,7 +79,7 @@ func refFlood(sys *sim.System, ev *trace.Event, ttl int) metrics.SearchResult {
 				continue
 			}
 			msgs++
-			if !sys.Arrives(it.t, metrics.MQuery, it.node, nb, key, 0) {
+			if !sys.Deliver(it.t, metrics.MQuery, 0, it.node, nb, key, 0) {
 				continue
 			}
 			heap.Push(h, refCopy{
@@ -92,7 +91,7 @@ func refFlood(sys *sim.System, ev *trace.Event, ttl int) metrics.SearchResult {
 		}
 	}
 	res.Bytes = int64(msgs) * int64(sim.QueryBytes(len(ev.Terms)))
-	sys.Account(t0, metrics.MQuery, int(res.Bytes))
+	sys.Load.Send(t0, metrics.MQuery, int(res.Bytes), 0)
 	if best == noResponse {
 		return metrics.SearchResult{Bytes: res.Bytes}
 	}
@@ -101,9 +100,9 @@ func refFlood(sys *sim.System, ev *trace.Event, ttl int) metrics.SearchResult {
 }
 
 // sameLoad holds the kernel's system to the reference's: the same bytes in
-// every second and message class, the same fault counters, with drops
-// exactly when the plane is lossy, and — when both record — the same
-// per-second observability series (message copies per class, drops).
+// every second and message class, the same drop count, with drops exactly
+// when the plane is lossy, and the same per-second series (message copies
+// per class, drops).
 func sameLoad(t *testing.T, label string, sysK, sysR *sim.System, lossy bool) {
 	t.Helper()
 	for sec := 0; sec < sysK.Load.Seconds(); sec++ {
@@ -114,14 +113,11 @@ func sameLoad(t *testing.T, label string, sysK, sysR *sim.System, lossy bool) {
 			}
 		}
 	}
-	dk, rk, tk := sysK.Load.FaultCounts()
-	dr, rr, tr := sysR.Load.FaultCounts()
-	if dk != dr || rk != rr || tk != tr || lossy != (dk > 0) {
-		t.Errorf("%s: fault counts %d/%d/%d kernel, %d/%d/%d reference", label, dk, rk, tk, dr, rr, tr)
+	if dk, dr := sysK.Load.Total(metrics.CDrop), sysR.Load.Total(metrics.CDrop); dk != dr || lossy != (dk > 0) {
+		t.Errorf("%s: %d drops kernel, %d reference", label, dk, dr)
 	}
-	if recK, recR := sysK.Obs(), sysR.Obs(); recK != nil && recR != nil &&
-		!reflect.DeepEqual(recK.Series(label, sysK.Load), recR.Series(label, sysR.Load)) {
-		t.Errorf("%s: per-second observability series differ", label)
+	if !reflect.DeepEqual(obs.Series(label, sysK.Load), obs.Series(label, sysR.Load)) {
+		t.Errorf("%s: per-second series differ", label)
 	}
 }
 
@@ -163,7 +159,6 @@ func TestFloodingMatchesHeapReference(t *testing.T) {
 			sysK, sysR := newSys(t, kind), newSys(t, kind)
 			for _, sys := range []*sim.System{sysK, sysR} {
 				sys.SetFaults(plane.mk(sys.NumNodes()))
-				sys.SetObs(obs.NewRecorder(int(testTr.Span()/1000) + 2))
 			}
 			lossy := sysK.Faults().Active()
 			f := &Flooding{}

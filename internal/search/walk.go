@@ -39,7 +39,7 @@ func runWalker(sys *sim.System, sc *scratch, w int, src overlay.NodeID, start ov
 		sc.nodes = append(sc.nodes, cur)
 		sc.times = append(sc.times, t)
 		rec.steps++
-		if !sys.Arrives(t, metrics.MQuery, src, cur, rec.key, 0) {
+		if !sys.Deliver(t, metrics.MQuery, 0, src, cur, rec.key, 0) {
 			rec.lost = true // seed copy dropped: the walker never starts
 			return rec
 		}
@@ -62,7 +62,8 @@ func runWalker(sys *sim.System, sc *scratch, w int, src overlay.NodeID, start ov
 		sc.nodes = append(sc.nodes, cur)
 		sc.times = append(sc.times, t)
 		rec.steps++
-		if !sys.Arrives(t, metrics.MQuery, prev, cur, rec.key, step) {
+		// The copy is booked now; its bytes once the walker's stop is known.
+		if !sys.Deliver(t, metrics.MQuery, 0, prev, cur, rec.key, step) {
 			rec.lost = true // walker lost in transit
 			break
 		}
@@ -130,8 +131,7 @@ func settleWalk(sys *sim.System, sc *scratch, recs []walkRec, src overlay.NodeID
 		}
 		matchNode := sc.nodes[r.start+r.steps-1]
 		reply := r.matchTime + sim.Clock(sys.Latency(matchNode, src))
-		sys.Account(r.matchTime, metrics.MQueryHit, sim.QueryHitBytes())
-		if !sys.Arrives(r.matchTime, metrics.MQueryHit, matchNode, src, r.key, 0) {
+		if !sys.Deliver(r.matchTime, metrics.MQueryHit, sim.QueryHitBytes(), matchNode, src, r.key, 0) {
 			continue // hit reply lost: the requester never hears of it
 		}
 		hits++
@@ -155,12 +155,10 @@ func settleWalk(sys *sim.System, sc *scratch, recs []walkRec, src overlay.NodeID
 			probeAt := sc.times[r.start+s-1]
 			walker := sc.nodes[r.start+s-1]
 			leg := uint32(s-1) << 1 // the check-back after step s-1: probe leg 0, reply leg 1
-			sys.Account(probeAt, metrics.MControl, sim.CheckBackBytes())
-			if !sys.Arrives(probeAt, metrics.MControl, walker, src, r.key, leg) {
+			if !sys.Deliver(probeAt, metrics.MControl, sim.CheckBackBytes(), walker, src, r.key, leg) {
 				continue // probe lost: no reply, no instruction
 			}
-			sys.Account(probeAt, metrics.MControl, sim.CheckBackBytes())
-			if !sys.Arrives(probeAt, metrics.MControl, src, walker, r.key, leg|1) {
+			if !sys.Deliver(probeAt, metrics.MControl, sim.CheckBackBytes(), src, walker, r.key, leg|1) {
 				continue // stop instruction lost: the walker keeps going
 			}
 			if resolved != noResponse && probeAt >= resolved {
@@ -170,7 +168,7 @@ func settleWalk(sys *sim.System, sc *scratch, recs []walkRec, src overlay.NodeID
 		}
 		msgs += stop
 		for _, t := range sc.times[r.start : r.start+stop] {
-			sys.Account(t, metrics.MQuery, qBytes)
+			sys.Load.Send(t, metrics.MQuery, qBytes, 0)
 		}
 	}
 

@@ -64,16 +64,15 @@ type httpScratch struct {
 // /metrics (Prometheus text exposition), GET /healthz.
 type Server struct {
 	n    *Node
-	rec  *obs.Recorder // sim-time totals for /metrics; may be nil
 	mux  *http.ServeMux
 	hs   *http.Server
 	pool sync.Pool
 }
 
-// NewHTTP builds the HTTP front end for n. rec, when non-nil, is
-// exported on /metrics alongside the serving counters.
-func NewHTTP(n *Node, rec *obs.Recorder) *Server {
-	s := &Server{n: n, rec: rec, mux: http.NewServeMux()}
+// NewHTTP builds the HTTP front end for n. /metrics exports the node's
+// ledger alongside the serving counters. The recorder argument is unused.
+func NewHTTP(n *Node, _ *obs.Recorder) *Server {
+	s := &Server{n: n, mux: http.NewServeMux()}
 	s.pool.New = func() any { return &httpScratch{} }
 	s.mux.HandleFunc("POST /search", s.handleSearch)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -161,7 +160,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var pw obs.PromWriter
-	s.rec.WriteProm(&pw)
+	// The ledger's writers (Tick, Apply) hold the gate's writer lock.
+	s.n.gate.mu.Lock()
+	obs.WriteProm(&pw, s.n.sys.Load)
+	s.n.gate.mu.Unlock()
 	s.n.stats.WriteProm(&pw)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(pw.Bytes())

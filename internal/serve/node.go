@@ -46,7 +46,7 @@ type Config struct {
 }
 
 // Stats are the serving plane's wall-clock counters, exported on
-// /metrics next to the recorder's sim-time totals.
+// /metrics next to the ledger's sim-time totals.
 type Stats struct {
 	// Served counts queries that executed (successfully admitted).
 	Served atomic.Int64

@@ -15,6 +15,7 @@ import (
 	"asap/internal/content"
 	"asap/internal/core"
 	"asap/internal/experiments"
+	"asap/internal/metrics"
 	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/sim"
@@ -29,7 +30,6 @@ var (
 
 	warmOnce sync.Once
 	warmN    *Node
-	warmRec  *obs.Recorder
 	warmErr  error
 )
 
@@ -49,7 +49,7 @@ func sharedWarmNode(t testing.TB) *Node {
 	t.Helper()
 	l := tinyLab(t)
 	warmOnce.Do(func() {
-		warmN, warmRec, warmErr = Warm(l, "asap-rw", overlay.Random, Config{Workers: 4, MaxQueue: 16})
+		warmN, warmErr = Warm(l, "asap-rw", overlay.Random, Config{Workers: 4, MaxQueue: 16})
 	})
 	if warmErr != nil {
 		t.Fatalf("warming node: %v", warmErr)
@@ -277,7 +277,7 @@ func TestAdmissionQueueOverflowAndDrain(t *testing.T) {
 
 func TestHTTPEndpoint(t *testing.T) {
 	n := sharedWarmNode(t)
-	srv := httptest.NewServer(NewHTTP(n, warmRec).Handler())
+	srv := httptest.NewServer(NewHTTP(n, nil).Handler())
 	defer srv.Close()
 	q := liveQuery(t, n)
 
@@ -339,6 +339,67 @@ func TestHTTPEndpoint(t *testing.T) {
 	hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz status %d", hresp.StatusCode)
+	}
+}
+
+// TestMetricsScrapeDuringWrites scrapes /metrics in a loop while
+// Node.Tick and Node.ApplyEvent book traffic into the node's ledger. The
+// ledger is single-writer plain adds, so under -race a scrape that read it
+// outside the gate's writer lock fails here. Once quiescent, a scrape is
+// exactly the ledger's exposition followed by the serving counters.
+func TestMetricsScrapeDuringWrites(t *testing.T) {
+	n := coldNode(t, Config{Workers: 2, MaxQueue: 4})
+	h := NewHTTP(n, nil).Handler()
+	scrape := func() (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return rec.Code, rec.Body.String()
+	}
+	done := make(chan struct{})
+	scrapes := make(chan int)
+	go func() {
+		k := 0
+		for {
+			select {
+			case <-done:
+				scrapes <- k
+				return
+			default:
+			}
+			if code, _ := scrape(); code != http.StatusOK {
+				t.Errorf("GET /metrics: status %d", code)
+			}
+			k++
+		}
+	}()
+	before := n.sys.Load.Total(metrics.CDrop) + n.sys.Load.Copies(metrics.MAdRefresh) + n.sys.Load.Copies(metrics.MAdPatch)
+	applied, next := 0, int64(1000)
+	for i := range n.sys.Tr.Events {
+		ev := &n.sys.Tr.Events[i]
+		if ev.Kind == trace.Query {
+			continue
+		}
+		for ; next <= ev.Time; next += 1000 {
+			n.Tick(next)
+		}
+		n.ApplyEvent(ev)
+		if applied++; applied == 60 {
+			break
+		}
+	}
+	close(done)
+	if k := <-scrapes; k == 0 {
+		t.Fatal("no scrape ran alongside the writes")
+	}
+	after := n.sys.Load.Total(metrics.CDrop) + n.sys.Load.Copies(metrics.MAdRefresh) + n.sys.Load.Copies(metrics.MAdPatch)
+	if after == before {
+		t.Fatal("the writes booked no ad traffic into the ledger")
+	}
+	var want obs.PromWriter
+	obs.WriteProm(&want, n.sys.Load)
+	n.stats.WriteProm(&want)
+	if _, got := scrape(); got != want.String() {
+		t.Errorf("quiescent /metrics differs from the ledger's exposition:\n%s\nwant:\n%s", got, want.String())
 	}
 }
 

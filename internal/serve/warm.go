@@ -6,7 +6,6 @@ import (
 	"asap/internal/core"
 	"asap/internal/experiments"
 	"asap/internal/faults"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/sim"
 )
@@ -15,21 +14,19 @@ import (
 // for the given topology, attaches the named ASAP scheme, replays the
 // whole trace (queries included, so the ad caches carry a realistic
 // working set), and wraps the warm state in a Node with its virtual clock
-// at the trace horizon. The returned recorder holds the warm-up replay's
-// sim-time series and keeps accumulating if the caller drives further
-// state through the node.
-func Warm(lab *experiments.Lab, schemeName string, topo overlay.Kind, cfg Config) (*Node, *obs.Recorder, error) {
+// at the trace horizon. The system's ledger holds the warm-up replay's
+// bookings and keeps accumulating as the caller drives further state
+// through the node.
+func Warm(lab *experiments.Lab, schemeName string, topo overlay.Kind, cfg Config) (*Node, error) {
 	raw, err := lab.NewScheme(schemeName)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sch, ok := raw.(*core.Scheme)
 	if !ok {
-		return nil, nil, fmt.Errorf("serve: scheme %q has no read-only serving path (ASAP schemes only)", schemeName)
+		return nil, fmt.Errorf("serve: scheme %q has no read-only serving path (ASAP schemes only)", schemeName)
 	}
-	rec := obs.NewRecorder(int(lab.Tr.Span()/1000) + 2)
 	sys := sim.NewSystem(lab.U, lab.Tr, topo, lab.Net, lab.Scale.Seed)
-	sys.SetObs(rec)
 	if lab.Scale.LossRate > 0 {
 		sys.SetFaults(faults.New(faults.Config{Seed: lab.Scale.Seed, LossRate: lab.Scale.LossRate}))
 	}
@@ -42,5 +39,5 @@ func Warm(lab *experiments.Lab, schemeName string, topo overlay.Kind, cfg Config
 	st.Finish()
 	n := NewNode(sys, sch, cfg)
 	n.Apply(lab.Tr.Span(), nil) // position the serving clock at the horizon
-	return n, rec, nil
+	return n, nil
 }

@@ -18,7 +18,7 @@ type echoScheme struct{ sys *System }
 func (e *echoScheme) Name() string       { return "echo" }
 func (e *echoScheme) Attach(sys *System) { e.sys = sys }
 func (e *echoScheme) Search(ev *trace.Event) metrics.SearchResult {
-	e.sys.Account(ev.Time, metrics.MQuery, 10)
+	e.sys.Load.Send(ev.Time, metrics.MQuery, 10, 1)
 	return metrics.SearchResult{
 		Success:    true,
 		ResponseMS: int64(len(ev.Terms)) + ev.Time%7,

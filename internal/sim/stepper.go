@@ -20,10 +20,9 @@ import (
 // Search) and folds every outcome with Record. Finish() fills the load
 // series to the horizon and summarises.
 type Stepper struct {
-	sys   *System
-	sch   Scheme
-	rec   *obs.Recorder
-	stats *metrics.SearchStats
+	sys *System
+	sch Scheme
+	rec *obs.Recorder // heap sampling only
 
 	curSec   int
 	nextTick Clock
@@ -41,7 +40,7 @@ type Stepper struct {
 // returns; 0 means a run only ends at the next state event or tick
 // boundary — Run's semantics.
 func NewStepper(sys *System, sch Scheme, maxBatch int) *Stepper {
-	st := &Stepper{sys: sys, sch: sch, rec: sys.Obs(), stats: &metrics.SearchStats{}, maxBatch: maxBatch}
+	st := &Stepper{sys: sys, sch: sch, rec: sys.obs, maxBatch: maxBatch}
 	sch.Attach(sys)
 	st.rec.SampleHeap()
 	st.nextTick = 1000
@@ -148,12 +147,10 @@ func ApplyStateEvent(sys *System, sch Scheme, ev *trace.Event) {
 	}
 }
 
-// Record folds one query outcome into the metrics and observability
-// accumulators — the sequential replay's exact call sequence when invoked
-// in trace order.
+// Record books one query outcome into the run's ledger — the sequential
+// replay's exact call sequence when invoked in trace order.
 func (st *Stepper) Record(ev *trace.Event, r metrics.SearchResult) {
-	st.stats.Record(r)
-	st.rec.Search(ev.Time, r.Success, r.ResponseMS, r.Bytes)
+	st.sys.Load.Search(ev.Time, r)
 }
 
 // Finish fills the remaining seconds so the load series covers the full
@@ -161,5 +158,5 @@ func (st *Stepper) Record(ev *trace.Event, r metrics.SearchResult) {
 func (st *Stepper) Finish() metrics.Summary {
 	st.advance(int64(st.sys.Load.Seconds()) * 1000)
 	st.rec.SampleHeap()
-	return metrics.Summarize(st.sch.Name(), st.sys.G.Kind().String(), st.stats, st.sys.Load, st.sch.LoadMask())
+	return metrics.Summarize(st.sch.Name(), st.sys.G.Kind().String(), st.sys.Load, st.sch.LoadMask())
 }

@@ -24,8 +24,8 @@ const sysRngStream = 0xe7037ed1a0b428db
 
 // System is the dynamic state a scheme searches over: the overlay graph,
 // per-node shared contents indexed by keyword both ways (a node's postings,
-// a keyword's holders), node interests, and the load account. The replay
-// goroutine is its only writer, state events and Account alike.
+// a keyword's holders), node interests, and the run's ledger (Load). The
+// replay goroutine is its only writer, state events and bookings alike.
 type System struct {
 	G    *overlay.Graph
 	U    *content.Universe
@@ -44,8 +44,8 @@ type System struct {
 	// reliable network (the paper's model).
 	faults *faults.Plane
 
-	// obs is the optional observability recorder; nil (the default) keeps
-	// the hot path free of recording work (every method is nil-safe).
+	// obs carries the optional heap gauge the replay samples once per
+	// simulated second; nil samples nothing.
 	obs *obs.Recorder
 
 	// director handles trace.Directive events (scenario acts); nil
@@ -402,9 +402,6 @@ func (s *System) Docs(n overlay.NodeID) []content.DocID { return s.docs[n] }
 // Latency returns the physical latency between two overlay nodes in ms.
 func (s *System) Latency(a, b overlay.NodeID) int { return s.G.Latency(a, b) }
 
-// Account books message bytes into the load account.
-func (s *System) Account(t Clock, c metrics.MsgClass, bytes int) { s.Load.Add(t, c, bytes) }
-
 // SetFaults installs a fault-injection plane. Call before Attach/replay;
 // nil (the default) models the paper's perfectly reliable network.
 func (s *System) SetFaults(p *faults.Plane) { s.faults = p }
@@ -412,12 +409,9 @@ func (s *System) SetFaults(p *faults.Plane) { s.faults = p }
 // Faults returns the installed fault plane (nil-safe to use directly).
 func (s *System) Faults() *faults.Plane { return s.faults }
 
-// SetObs installs an observability recorder. Call before Attach/replay;
-// nil (the default) records nothing and costs the hot path one nil check.
+// SetObs installs the recorder whose heap gauge the replay samples. Call
+// before Attach/replay; nil (the default) samples nothing.
 func (s *System) SetObs(r *obs.Recorder) { s.obs = r }
-
-// Obs returns the installed recorder (nil-safe to use directly).
-func (s *System) Obs() *obs.Recorder { return s.obs }
 
 // SetDirector installs the handler for trace.Directive events.
 func (s *System) SetDirector(d Director) { s.director = d }
@@ -437,19 +431,21 @@ func (s *System) FreeRider(n overlay.NodeID) bool {
 	return s.freeRiders != nil && s.freeRiders[n]
 }
 
-// Arrives decides whether the message identified by (key, seq) on the
-// src→dst link, sent at virtual time t, survives the network. Senders
-// account bytes regardless — a dropped message was still sent and still
-// cost bandwidth — so call Arrives after accounting. Every call counts
-// one sent copy toward the per-class message series, and lost messages
-// are tallied on the load account. Always true without a fault plane.
-func (s *System) Arrives(t Clock, c metrics.MsgClass, src, dst overlay.NodeID, key uint64, seq uint32) bool {
-	s.obs.CountMsg(t, c)
+// Deliver is the per-message choke point: it books one copy of class c
+// carrying bytes, sent at virtual time t, and reports whether the message
+// identified by (key, seq) on the src→dst link survives the network. A
+// dropped message was still sent and still cost bandwidth, so the copy is
+// booked either way. Cascades that book a message's bytes apart from it
+// pass bytes = 0 and book the bytes with Load.Send. Always true without a
+// fault plane.
+func (s *System) Deliver(t Clock, c metrics.MsgClass, bytes int, src, dst overlay.NodeID, key uint64, seq uint32) bool {
+	s.Load.Send(t, c, bytes, 1)
 	return s.faults == nil || !s.Lost(t, c, src, dst, key, seq)
 }
 
-// Lost is Arrives' verdict alone — the loss is tallied, the sent copy is
-// not — for cascades that count their copies in bulk (core's ad deliveries).
+// Lost is Deliver's verdict alone — the drop is booked, the sent copy is
+// not — for cascades that book their copies in bulk (core's ad deliveries,
+// the baseline flood).
 func (s *System) Lost(t Clock, c metrics.MsgClass, src, dst overlay.NodeID, key uint64, seq uint32) bool {
 	// Partition verdicts are pure group-membership lookups — they consume
 	// no hash stream, so the Drop decision sees exactly the inputs it would
@@ -458,35 +454,11 @@ func (s *System) Lost(t Clock, c metrics.MsgClass, src, dst overlay.NodeID, key 
 	if !parted && !s.faults.Drop(c, src, dst, key, seq) {
 		return false
 	}
-	s.Load.CountDrop()
-	s.obs.Count(t, obs.CDrop)
+	s.Load.Count(t, metrics.CDrop)
 	if parted {
-		s.obs.Count(t, obs.CPartDrop)
+		s.Load.Count(t, metrics.CPartDrop)
 	}
 	return true
-}
-
-// Deliver is the per-message choke point: it accounts the send and
-// reports whether the message arrives. Cascades that account a message
-// apart from its verdict (or many messages in one add) call Account and
-// Arrives directly instead.
-func (s *System) Deliver(t Clock, c metrics.MsgClass, bytes int, src, dst overlay.NodeID, key uint64, seq uint32) bool {
-	s.Load.Add(t, c, bytes)
-	return s.Arrives(t, c, src, dst, key, seq)
-}
-
-// CountRetry records one retransmission provoked by a timeout at virtual
-// time t, on both the load account and the observability series.
-func (s *System) CountRetry(t Clock) {
-	s.Load.CountRetry()
-	s.obs.Count(t, obs.CRetry)
-}
-
-// CountTimeout records one contact abandoned after its last attempt at
-// virtual time t.
-func (s *System) CountTimeout(t Clock) {
-	s.Load.CountTimeout()
-	s.obs.Count(t, obs.CTimeout)
 }
 
 // JitterMS returns the message's extra one-way latency under the fault

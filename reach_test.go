@@ -28,7 +28,7 @@ var testOnlyAllowlist = map[string]string{
 	"core.Scheme.HasCachedAd":        "cluster_faults_test.go: TestConfirmRoundEvictsDeadSource reads a cluster peer's cache",
 	"experiments.Lab.RunMatrix":      "bench_test.go: BenchmarkRunMatrix (make bench-gate); experiments' matrix tests",
 	"metrics.LoadAccount.TotalBytes": "core's scheme and feature tests, search's TestEndToEndRunAllBaselines: a run's bytes by class",
-	"obs.NewHeapGauge":               "experiments' TestSmallReplayPeakHeapBound (make mem-gate); obs's TestRecorderWriteProm",
+	"obs.NewHeapGauge":               "experiments' TestSmallReplayPeakHeapBound (make mem-gate)",
 	"obs.HeapGauge.PeakMB":           "experiments' TestSmallReplayPeakHeapBound (make mem-gate)",
 	"overlay.Graph.Host":             "sim's TestTopoProtoReplayMatchesFresh and TestSystemRandomDifferentSeeds compare overlay hosts",
 	"sim.NewSystemWithGraph":         "core's super-peer tests (superSystem) and delivery benchmarks build a system over a hand-built overlay",
