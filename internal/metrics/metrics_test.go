@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+	"testing/quick"
 )
 
 func TestMsgClassString(t *testing.T) {
@@ -166,6 +167,83 @@ func TestLoadAccountMinimumSize(t *testing.T) {
 	a.SetLive(5, 3) // past the end: folds into the final (only) bucket, like Add
 	if a.Live(0) != 3 {
 		t.Error("out-of-range SetLive did not fold into the final bucket")
+	}
+}
+
+// TestSearchStats: the search fields Summarize reads off the ledger —
+// totals, means over successes or over all searches, one-hop rate and
+// latency percentiles.
+func TestSearchStats(t *testing.T) {
+	a := NewLoadAccount(1)
+	a.Search(0, SearchResult{Success: true, ResponseMS: 100, Bytes: 10, Hops: 1})
+	a.Search(0, SearchResult{Success: true, ResponseMS: 300, Bytes: 30, Hops: 3})
+	a.Search(0, SearchResult{Success: false, Bytes: 20})
+	s := Summarize("s", "t", a, AllMask)
+	if s.Requests != 3 {
+		t.Errorf("Requests = %d", s.Requests)
+	}
+	if got := s.SuccessRate; math.Abs(got-2.0/3) > 1e-9 {
+		t.Errorf("SuccessRate = %v", got)
+	}
+	if got := s.MeanRespMS; math.Abs(got-200) > 1e-9 {
+		t.Errorf("MeanRespMS = %v, want 200", got)
+	}
+	if got := s.MeanSearchBytes; math.Abs(got-20) > 1e-9 {
+		t.Errorf("MeanSearchBytes = %v, want 20", got)
+	}
+	if got := s.MeanHops; math.Abs(got-2) > 1e-9 {
+		t.Errorf("MeanHops = %v, want 2", got)
+	}
+	if got := s.OneHopRate; math.Abs(got-0.5) > 1e-9 {
+		t.Errorf("OneHopRate = %v, want 0.5", got)
+	}
+	if got := percentile(a.lat, 0); got != 100 {
+		t.Errorf("P0 = %d, want 100", got)
+	}
+	if got := percentile(a.lat, 1); got != 300 {
+		t.Errorf("P100 = %d, want 300", got)
+	}
+	if s.P95RespMS != 100 {
+		t.Errorf("P95RespMS = %d, want 100 (index ⌊0.95·1⌋ of two)", s.P95RespMS)
+	}
+	if a.String() == "" {
+		t.Error("empty String()")
+	}
+}
+
+// TestSearchStatsEmpty: a ledger with no searches summarizes to zeros.
+func TestSearchStatsEmpty(t *testing.T) {
+	a := NewLoadAccount(1)
+	s := Summarize("s", "t", a, AllMask)
+	if s.Requests != 0 || s.SuccessRate != 0 || s.MeanRespMS != 0 || s.MeanSearchBytes != 0 ||
+		s.MeanHops != 0 || s.MeanHits != 0 || s.OneHopRate != 0 || s.P95RespMS != 0 || percentile(a.lat, 0.5) != 0 {
+		t.Errorf("empty ledger must summarize to zeros: %+v", s)
+	}
+}
+
+// Property: SuccessRate is always in [0,1] and MeanRespMS only reflects
+// successes.
+func TestSearchStatsProperty(t *testing.T) {
+	prop := func(outcomes []bool, resp uint16) bool {
+		a := NewLoadAccount(1)
+		for _, ok := range outcomes {
+			r := SearchResult{Success: ok, Hops: 1}
+			if ok {
+				r.ResponseMS = int64(resp)
+			}
+			a.Search(0, r)
+		}
+		s := Summarize("s", "t", a, AllMask)
+		if s.SuccessRate < 0 || s.SuccessRate > 1 {
+			return false
+		}
+		if slices.Contains(outcomes, true) && s.MeanRespMS != float64(resp) {
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 

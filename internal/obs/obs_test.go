@@ -27,6 +27,73 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 }
 
+// TestRecorderRowFolding pins the row mapping the exported series shows:
+// negative times land in the warm-up row, in-range times in their second,
+// and times at or past the horizon fold into the final row.
+func TestRecorderRowFolding(t *testing.T) {
+	load := metrics.NewLoadAccount(3)
+	load.Count(-1, metrics.CDrop)      // warm-up
+	load.Count(-999999, metrics.CDrop) // deep warm-up
+	load.Count(0, metrics.CRetry)      // second 0
+	load.Count(999, metrics.CRetry)    // still second 0
+	load.Count(1000, metrics.CTimeout) // second 1
+	load.Count(2999, metrics.CDrop)    // second 2
+	load.Count(3000, metrics.CDrop)    // past horizon: folds to second 2
+	load.Count(1<<40, metrics.CDrop)   // far past horizon: same
+
+	s := Series("k", load)
+	cell := func(row []int64, e metrics.Event) int64 {
+		return row[slices.Index(s.Columns, e.String())]
+	}
+	if got := cell(s.Warmup, metrics.CDrop); got != 2 {
+		t.Errorf("warm-up drops = %d, want 2", got)
+	}
+	if got := cell(s.Rows[0], metrics.CRetry); got != 2 {
+		t.Errorf("second-0 retries = %d, want 2", got)
+	}
+	if got := cell(s.Rows[1], metrics.CTimeout); got != 1 {
+		t.Errorf("second-1 timeouts = %d, want 1", got)
+	}
+	if got := cell(s.Rows[2], metrics.CDrop); got != 3 {
+		t.Errorf("final-row drops = %d, want 3 (1 in-range + 2 folded)", got)
+	}
+}
+
+// TestRecorderSearchHistogram checks the latency bookkeeping the series
+// exports: failures count searches and bytes but no latency, successes
+// land in the log2 bucket of their response time, and huge latencies clamp
+// to the last bucket.
+func TestRecorderSearchHistogram(t *testing.T) {
+	load := metrics.NewLoadAccount(2)
+	book := func(ok bool, latMS, bytes int64) {
+		load.Search(100, metrics.SearchResult{Success: ok, ResponseMS: latMS, Bytes: bytes})
+	}
+	book(false, 0, 500)
+	book(true, 0, 100)     // 0 ms → bucket 0
+	book(true, 3, 100)     // [2,4) → bucket 2
+	book(true, 1<<30, 100) // clamps to last bucket
+	book(true, -7, 100)    // negative latency clamps to bucket 0
+
+	s := Series("k", load)
+	cell := func(name string) int64 { return s.Rows[0][slices.Index(s.Columns, name)] }
+	if got := cell("searches"); got != 5 {
+		t.Errorf("searches = %d, want 5", got)
+	}
+	if got := cell("successes"); got != 4 {
+		t.Errorf("successes = %d, want 4", got)
+	}
+	if got := cell("search_bytes"); got != 900 {
+		t.Errorf("search bytes = %d, want 900", got)
+	}
+	if got := cell("latency_sum_ms"); got != 3+(1<<30)-7 {
+		t.Errorf("latency sum = %d, want %d", got, 3+(1<<30)-7)
+	}
+	h := s.LatencyHist
+	if h[0] != 2 || h[2] != 1 || h[metrics.HistBuckets-1] != 1 {
+		t.Errorf("histogram %v: want 2 in bucket 0, 1 in bucket 2, 1 in last", h)
+	}
+}
+
 // TestSeriesShape checks the exported table: schema width, row count,
 // warm-up placement, and that counter values land under their named
 // column.
