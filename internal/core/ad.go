@@ -32,28 +32,23 @@ type adSnapshot struct {
 	patchWire int // wire bytes of the patch from the previous version
 }
 
-// cachedAd is one ads-cache entry: a snapshot pointer plus freshness.
-type cachedAd struct {
-	snap     *adSnapshot
-	lastSeen sim.Clock
-}
-
 // nodeState is the per-node ASAP state: own publication and the ads cache.
 //
 // The cache is three index-addressed arrays and nothing else: slab holds
-// the entries, free the recycled slab indices, and fifo[head:] the live
-// indices in insertion order, so eviction pops in O(1) and the serving and
-// search scans walk entries densely. Which node caches which source is
-// answered by the scheme-wide source-major index (Scheme.holders, see
-// adindex.go): holders[src] maps node → slab index, and every live entry
-// is named by exactly one holder slot. Entries are updated in place
-// through their index — freshness bumps and snapshot swaps never
-// re-insert.
+// the cached snapshots, free the recycled slab indices, and fifo[head:]
+// the live indices in insertion order, so eviction pops in O(1) and the
+// serving and search scans walk entries densely. Which node caches which
+// source is answered by the scheme-wide source-major index (Scheme.holders,
+// see adindex.go): holders[src] maps node → slab index, every live entry
+// is named by exactly one holder slot, and that slot also carries the
+// entry's version and freshness stamps, so a refresh writes the source's
+// table and never the slab. Snapshot swaps happen in place through the
+// index and never re-insert.
 //
 // One goroutine writes it: the replay's (or the serving plane's single
 // writer), which runs every search, delivery, publish and churn callback
 // one after another, so no field needs a lock. The serving plane's
-// readers read published, slab and fifo concurrently, but only while its
+// readers read published, slab, fifo and holder stamps concurrently, but only while its
 // epoch gate (internal/serve) holds the writer off; delivery-path write
 // sections are bracketed with beginApply/endApply (one scheme-level
 // version bump per section) so a reader can assert the contract through
@@ -63,13 +58,13 @@ type cachedAd struct {
 // the staleness gate conservative (dropStale runs and self-heals it).
 type nodeState struct {
 	published *adSnapshot
-	slab      []cachedAd // cache entries, addressed by index
-	free      []uint32   // recycled slab indices
-	fifo      []uint32   // fifo[head:]: live slab indices, insertion order
-	head      int        // evictions pop by advancing head
+	slab      []*adSnapshot // cached snapshots, addressed by index
+	free      []uint32      // recycled slab indices
+	fifo      []uint32      // fifo[head:]: live slab indices, insertion order
+	head      int           // evictions pop by advancing head
 	classCnt  [content.NumClasses]int32
 	dirty     bool      // own content changed since the last publish rebuild
-	minSeen   sim.Clock // lower bound on cached lastSeen; staleness gate
+	minSeen   sim.Clock // lower bound on the entries' holder stamps; staleness gate
 }
 
 // topicsFromCounts derives the node's current topic set T(a) = {t(d) | d ∈
@@ -87,7 +82,7 @@ func (ns *nodeState) topicsFromCounts() content.ClassSet {
 // live returns the cached entries' slab indices in insertion order.
 func (ns *nodeState) live() []uint32 { return ns.fifo[ns.head:] }
 
-// insert places a new entry at the fifo's tail and returns its slab index.
+// insert places snap at the fifo's tail and returns its slab index.
 //
 // The first insertion carves the slab and the fifo for the node's whole
 // lifetime: store brings the cache back to capacity before it returns, so
@@ -98,19 +93,19 @@ func (ns *nodeState) live() []uint32 { return ns.fifo[ns.head:] }
 // copied back down to the start instead of letting append reallocate; the
 // one-eighth slack makes that a handful of index moves per insertion. A
 // capacity raised between calls (unit tests do this) regrows both.
-func (ns *nodeState) insert(e cachedAd, capacity int) uint32 {
+func (ns *nodeState) insert(snap *adSnapshot, capacity int) uint32 {
 	var i uint32
 	if k := len(ns.free); k > 0 {
 		i = ns.free[k-1]
 		ns.free = ns.free[:k-1]
 	} else {
 		if ns.slab == nil {
-			ns.slab = make([]cachedAd, 0, capacity+1)
+			ns.slab = make([]*adSnapshot, 0, capacity+1)
 		}
 		i = uint32(len(ns.slab))
-		ns.slab = append(ns.slab, cachedAd{})
+		ns.slab = append(ns.slab, nil)
 	}
-	ns.slab[i] = e
+	ns.slab[i] = snap
 	if len(ns.fifo) == cap(ns.fifo) {
 		live := ns.live()
 		if ns.head == 0 {
@@ -146,18 +141,12 @@ func (s *Scheme) store(v overlay.NodeID, snap *adSnapshot, kind adKind, now sim.
 	ns := &s.nodes[v]
 	h := &s.holders[snap.src]
 	if i := h.find(v); i >= 0 {
-		e := &ns.slab[h.slots[i].idx]
-		was := e.snap
-		out := e.merge(snap, kind, now)
-		if e.snap != was {
-			h.slots[i].ver = snap.version // the stamp follows every snapshot swap
-		}
-		return out
+		return ns.merge(&h.slots[i], snap, kind, now)
 	}
 	if kind != adFull {
 		return storedIgnored
 	}
-	h.put(v, ns.insert(cachedAd{snap: snap, lastSeen: now}, s.cfg.CacheCapacity), snap.version)
+	h.put(v, ns.insert(snap, s.cfg.CacheCapacity), snap.version, now)
 	if now < ns.minSeen {
 		ns.minSeen = now
 	}
@@ -167,34 +156,34 @@ func (s *Scheme) store(v overlay.NodeID, snap *adSnapshot, kind adKind, now sim.
 	return storedOK
 }
 
-// merge applies an incoming ad to the entry already cached for its source,
-// in place (a replacement keeps the entry's fifo position).
-func (cur *cachedAd) merge(snap *adSnapshot, kind adKind, now sim.Clock) storeOutcome {
-	if cur.snap == snap {
-		// Re-announcing the very snapshot cached (nearly every refresh):
-		// whatever the kind, only freshness moves — and the shared snapshot
-		// is not even read.
-		cur.lastSeen = now
-		return storedOK
+// merge applies an incoming ad to the entry ns caches for its source, named
+// by holder slot sl, in place (a replacement keeps the entry's fifo
+// position), and restamps the slot: the version follows every snapshot
+// swap, and freshness moves unless the ad opens a gap.
+func (ns *nodeState) merge(sl *holderSlot, snap *adSnapshot, kind adKind, now sim.Clock) storeOutcome {
+	// Re-announcing the very snapshot cached (nearly every refresh): whatever
+	// the kind, only freshness moves — and the shared snapshot is not read.
+	if cur := &ns.slab[sl.idx]; *cur != snap {
+		switch kind {
+		case adFull:
+			// A cached version that is newer (reordered delivery) is kept.
+			if !newerVersion((*cur).version, snap.version) {
+				*cur = snap
+			}
+		case adPatch:
+			if (*cur).version+1 == snap.version {
+				*cur = snap
+			} else if newerVersion(snap.version, (*cur).version) {
+				return storedGap
+			}
+		case adRefresh:
+			if newerVersion(snap.version, (*cur).version) {
+				return storedGap
+			}
+		}
+		sl.ver = (*cur).version
 	}
-	switch kind {
-	case adFull:
-		// A cached version that is newer (reordered delivery) is kept.
-		if !newerVersion(cur.snap.version, snap.version) {
-			cur.snap = snap
-		}
-	case adPatch:
-		if cur.snap.version+1 == snap.version {
-			cur.snap = snap
-		} else if newerVersion(snap.version, cur.snap.version) {
-			return storedGap
-		}
-	case adRefresh:
-		if newerVersion(snap.version, cur.snap.version) {
-			return storedGap
-		}
-	}
-	cur.lastSeen = now
+	sl.seen = int32(now)
 	return storedOK
 }
 
@@ -210,8 +199,8 @@ func newerVersion(a, b uint16) bool {
 // fifo.
 func (s *Scheme) unhold(v overlay.NodeID, i uint32) {
 	ns := &s.nodes[v]
-	s.holders[ns.slab[i].snap.src].del(v)
-	ns.slab[i] = cachedAd{}
+	s.holders[ns.slab[i].src].del(v)
+	ns.slab[i] = nil
 	ns.free = append(ns.free, i)
 }
 
@@ -236,8 +225,8 @@ func (s *Scheme) dropStale(v overlay.NodeID, deadline sim.Clock) {
 	minSeen := maxClock
 	kept := ns.fifo[:ns.head]
 	for _, i := range ns.live() {
-		if e := &ns.slab[i]; e.lastSeen >= deadline {
-			minSeen = min(minSeen, e.lastSeen)
+		if seen := s.lastSeen(v, ns.slab[i].src); seen >= deadline {
+			minSeen = min(minSeen, seen)
 			kept = append(kept, i)
 		} else {
 			s.unhold(v, i)

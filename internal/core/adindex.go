@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"asap/internal/bloom"
 	"asap/internal/content"
 	"asap/internal/overlay"
@@ -22,17 +25,33 @@ import (
 // one source reaching many nodes, so "does v cache src's ad" is answered by
 // src's own small table of holders, which stays cache-resident for the whole
 // delivery, and a refresh or patch flood visits exactly the nodes that hold
-// the ad. Each node keeps its entries in an index-addressed slab with a fifo
-// of slab indices, so the cache scans never probe anything.
+// the ad; the slot carries the entry's version and freshness stamps, so a
+// refresh of the cached version writes that table alone. Each node keeps its
+// snapshots in an index-addressed slab with a fifo of slab indices.
 //
 // Concurrency: one goroutine writes all of it — adSlots in publishWith,
 // holder tables and per-node state in searches and deliveries — so none of
-// it is locked. Serving readers read the matrices and caches only while the
-// serving gate holds that writer off (see nodeState).
+// it is locked. Serving readers read the matrices, caches and holder stamps
+// only while the serving gate holds that writer off (see nodeState); a
+// tick's reach, which runs with the gate open, writes none of them.
 
 // maxClock is the highest representable virtual time; the watermark of an
 // empty cache.
 const maxClock = sim.Clock(1)<<62 - 1
+
+// warmUpTime is when Attach installs the warm-up ads: no stamp is earlier.
+const warmUpTime = sim.Clock(-1)
+
+const maxHorizonSec = math.MaxInt32 / 2 / 1000
+
+// checkHorizon rejects, as New rejects a bad config, a load horizon whose
+// stamps could overflow holderSlot.seen: half its range is left for stamps
+// a search dates past the horizon (reply arrivals, retries).
+func checkHorizon(sec int) {
+	if sec > maxHorizonSec {
+		panic(fmt.Sprintf("core: a %d s load horizon overflows the cache stamps (max %d s)", sec, maxHorizonSec))
+	}
+}
 
 // maxSigGroups bounds the number of distinct filter geometries the global
 // signature index slices. The variable-sizing pool produces 7 lengths and
@@ -126,23 +145,25 @@ func (qa *queryAcc) fill(g int) []uint64 {
 //
 // A source's holder set peaks right after its full-ad flood and is then
 // drained by the holders' FIFO evictions, so a grow-only table would pin
-// every source at its high-water mark: put doubles at 50% load, del halves
-// once the table is under one-eighth full (never below holderMinSlots). The
-// gap between the two thresholds keeps a population hovering at either
-// boundary from resizing back and forth.
+// every source at its high-water mark: put doubles past 75% load, del halves
+// once the table is under a quarter full (never below holderMinSlots). Either
+// resize leaves the load a factor of 1.5 from the other threshold, so a
+// population hovering at a boundary does not resize back and forth.
 type holderTab struct {
 	slots []holderSlot
 	n     int
 }
 
-// holderSlot is one table slot, 8 bytes. key is node+1 so 0 marks an empty
+// holderSlot is one table slot, 12 bytes. key is node+1 so 0 marks an empty
 // slot for any valid NodeID; idx is the entry's index in the holder's slab
 // (≤ maxCacheCapacity); ver is the version of the snapshot cached there,
-// restamped wherever that snapshot is set (store, the delivery apply pass),
-// so a delivery learns "already at this version" without reading the slab.
+// restamped wherever that snapshot is set (store, merge), so a delivery
+// learns "already at this version" without reading the slab; seen is when
+// the entry was last seen, in milliseconds (bind bounds the horizon).
 type holderSlot struct {
 	key      uint32
 	idx, ver uint16
+	seen     int32
 }
 
 const holderMinSlots = 16
@@ -177,8 +198,8 @@ func (t *holderTab) get(v overlay.NodeID) (uint32, bool) {
 	return 0, false
 }
 
-// put records (or replaces) node v's slot: slab index idx, version ver.
-func (t *holderTab) put(v overlay.NodeID, idx uint32, ver uint16) {
+// put records (or replaces) node v's slot: slab index idx, version ver, stamp seen.
+func (t *holderTab) put(v overlay.NodeID, idx uint32, ver uint16, seen sim.Clock) {
 	t.reserve(t.n + 1)
 	mask := uint32(len(t.slots) - 1)
 	key := uint32(v) + 1
@@ -189,16 +210,16 @@ func (t *holderTab) put(v overlay.NodeID, idx uint32, ver uint16) {
 		} else if s.key != key {
 			continue
 		}
-		*s = holderSlot{key, uint16(idx), ver}
+		*s = holderSlot{key, uint16(idx), ver, int32(seen)}
 		return
 	}
 }
 
 // reserve grows the table, in one step, to the size n one-by-one puts would
-// leave it at (≤ 50 % load): a full ad sizes its source's table once.
+// leave it at (≤ 75 % load): a full ad sizes its source's table once.
 func (t *holderTab) reserve(n int) {
 	size := max(holderMinSlots, len(t.slots))
-	for size < 2*n {
+	for 4*n > 3*size {
 		size *= 2
 	}
 	if size > len(t.slots) {
@@ -231,7 +252,7 @@ func (t *holderTab) del(v overlay.NodeID) (uint32, bool) {
 		}
 	}
 	t.slots[i] = holderSlot{}
-	if 8*t.n < len(t.slots) && len(t.slots) > holderMinSlots {
+	if 4*t.n < len(t.slots) && len(t.slots) > holderMinSlots {
 		t.resize(len(t.slots) / 2)
 	}
 	return idx, true
@@ -242,53 +263,67 @@ func (t *holderTab) resize(size int) {
 	t.slots, t.n = make([]holderSlot, size), 0
 	for _, s := range old {
 		if s.key != 0 {
-			t.put(overlay.NodeID(s.key-1), uint32(s.idx), s.ver)
+			t.put(overlay.NodeID(s.key-1), uint32(s.idx), s.ver, sim.Clock(s.seen))
 		}
 	}
 }
 
-// scanCache appends the sources of cached ads last seen at or after
-// staleBefore whose filters pass every query probe, in fifo (insertion)
-// order — phase 1's candidate scan — and stops after limit matches.
-// Search passes no limit (math.MaxInt) because it ranks every match by
-// round-trip time before confirming; SearchRO passes MaxConfirms because
-// it confirms in cache order, so nothing past that match would be tried.
-func (ns *nodeState) scanCache(qa *queryAcc, staleBefore sim.Clock, limit int, out []overlay.NodeID) []overlay.NodeID {
-	n := 0
+// lastSeen returns the stamp of node v's entry for src's ad, which v holds.
+func (s *Scheme) lastSeen(v, src overlay.NodeID) sim.Clock {
+	h := &s.holders[src]
+	return sim.Clock(h.slots[h.find(v)].seen)
+}
+
+// fresh reports whether node v's entry for src was last seen at or after
+// staleBefore. No stamp predates warm-up, so while the deadline does not
+// pass it every entry is fresh and the holder lookup is skipped.
+func (s *Scheme) fresh(v, src overlay.NodeID, staleBefore sim.Clock) bool {
+	return staleBefore <= warmUpTime || s.lastSeen(v, src) >= staleBefore
+}
+
+// scanCache appends the sources of node v's cached ads last seen at or
+// after staleBefore whose filters pass every query probe, in fifo
+// (insertion) order — phase 1's candidate scan — and stops after limit
+// matches. Search passes no limit (math.MaxInt) because it ranks every
+// match by round-trip time before confirming; SearchRO passes MaxConfirms
+// because it confirms in cache order, so nothing past that match would be
+// tried.
+func (s *Scheme) scanCache(v overlay.NodeID, qa *queryAcc, staleBefore sim.Clock, limit int, out []overlay.NodeID) []overlay.NodeID {
+	ns, n := &s.nodes[v], 0
 	for _, i := range ns.live() {
 		if n >= limit {
 			break
 		}
-		if e := &ns.slab[i]; e.lastSeen >= staleBefore && qa.matches(e.snap) {
-			out = append(out, e.snap.src)
+		if e := ns.slab[i]; qa.matches(e) && s.fresh(v, e.src, staleBefore) {
+			out = append(out, e.src)
 			n++
 		}
 	}
 	return out
 }
 
-// serveAds appends up to max cached snapshots whose topics intersect
-// interests, in fifo (insertion) order, skipping entries staler than
-// staleBefore, the requester's own ad, and — on search-time pulls
+// serveAds appends up to max snapshots cached at node v whose topics
+// intersect interests, in fifo (insertion) order, skipping entries staler
+// than staleBefore, the requester's own ad, and — on search-time pulls
 // (qa != nil) — ads failing the query probes. Insertion order matters:
 // under MaxAdsPerReply the subset offered must not depend on anything but
 // replay state, or two replays of one run diverge.
-func (ns *nodeState) serveAds(qa *queryAcc, buf []*adSnapshot, interests content.ClassSet, staleBefore sim.Clock, requester overlay.NodeID, max int) []*adSnapshot {
+func (s *Scheme) serveAds(v overlay.NodeID, qa *queryAcc, buf []*adSnapshot, interests content.ClassSet, staleBefore sim.Clock, requester overlay.NodeID, max int) []*adSnapshot {
+	ns := &s.nodes[v]
 	for _, i := range ns.live() {
 		if len(buf) >= max {
 			break
 		}
-		e := &ns.slab[i]
-		if !e.snap.topics.Intersects(interests) {
+		e := ns.slab[i]
+		if !e.topics.Intersects(interests) || e.src == requester {
 			continue
 		}
-		if e.lastSeen < staleBefore || e.snap.src == requester {
+		if qa != nil && !qa.matches(e) {
 			continue
 		}
-		if qa != nil && !qa.matches(e.snap) {
-			continue
+		if s.fresh(v, e.src, staleBefore) {
+			buf = append(buf, e)
 		}
-		buf = append(buf, e.snap)
 	}
 	return buf
 }

@@ -83,16 +83,19 @@ func churnStep(rng *rand.Rand, c *Scheme, slots *adSlots, vers map[overlay.NodeI
 // TestScanCacheMatchesLinearScan is the tentpole's exactness property:
 // across random caches under churn, eviction, and a mixed slotted/unslotted
 // ad population, the bit-sliced accumulator scan returns exactly the
-// candidate set of the scalar reference walk — same members, same order.
+// candidate set of the scalar reference walk — same members, same order —
+// with the staleness deadline off, at the warm-up floor, just past it, and
+// inside the stamps' range. The clock starts at warm-up time, so the first
+// stores carry warm-up stamps.
 func TestScanCacheMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 23))
 	c := newCaches(120, 40)
-	ns := &c.nodes[0]
 	slots := &adSlots{}
 	vers := make(map[overlay.NodeID]uint16)
 	var qa queryAcc
 	for i := 0; i < 4000; i++ {
-		churnStep(rng, c, slots, vers, sim.Clock(i))
+		now := warmUpTime + sim.Clock(i)
+		churnStep(rng, c, slots, vers, now)
 		if i%7 != 0 {
 			continue
 		}
@@ -105,10 +108,12 @@ func TestScanCacheMatchesLinearScan(t *testing.T) {
 		probes := bloom.AppendKeyProbes(nil, keys)
 
 		qa.reset(slots, probes)
-		got := ns.scanCache(&qa, minClock, math.MaxInt, nil)
-		want := scanCacheReference(ns, probes)
-		if !slices.Equal(got, want) {
-			t.Fatalf("step %d: sliced scan %v != reference scan %v", i, got, want)
+		for _, staleBefore := range []sim.Clock{minClock, warmUpTime, 0, now - sim.Clock(rng.IntN(600))} {
+			got := c.scanCache(0, &qa, staleBefore, math.MaxInt, nil)
+			want := scanCacheReference(c, 0, staleBefore, probes)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d, staleBefore %d: sliced scan %v != reference scan %v", i, staleBefore, got, want)
+			}
 		}
 	}
 }
@@ -121,13 +126,12 @@ func TestScanCacheMatchesLinearScan(t *testing.T) {
 func TestServeAdsMatchesFifoWalk(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 17))
 	c := newCaches(120, 40)
-	ns := &c.nodes[0]
 	slots := &adSlots{}
 	vers := make(map[overlay.NodeID]uint16)
 	var qacc queryAcc
 	var buf []*adSnapshot
 	for i := 0; i < 4000; i++ {
-		churnStep(rng, c, slots, vers, sim.Clock(i))
+		churnStep(rng, c, slots, vers, warmUpTime+sim.Clock(i))
 		if i%5 != 0 {
 			continue
 		}
@@ -146,8 +150,8 @@ func TestServeAdsMatchesFifoWalk(t *testing.T) {
 		requester := overlay.NodeID(rng.IntN(120))
 		max := 1 + rng.IntN(8)
 
-		want := serveAdsReference(ns, interests, staleBefore, probes, requester, max)
-		got := ns.serveAds(qa, buf[:0], interests, staleBefore, requester, max)
+		want := serveAdsReference(c, 0, interests, staleBefore, probes, requester, max)
+		got := c.serveAds(0, qa, buf[:0], interests, staleBefore, requester, max)
 		buf = got
 		if !slices.Equal(got, want) {
 			t.Fatalf("step %d: serveAds returned %d ads, fifo reference %d (interests=%b max=%d)", i, len(got), len(want), interests, max)
@@ -180,18 +184,21 @@ func TestDropStaleWatermarkGateEquivalence(t *testing.T) {
 			}
 			ref.dropStale(0, deadline)
 			// Same entries (snapshot and freshness) in the same fifo order.
-			if g, r := cacheEntries(&gated.nodes[0]), cacheEntries(&ref.nodes[0]); !slices.Equal(g, r) {
+			if g, r := cacheEntries(gated, 0), cacheEntries(ref, 0); !slices.Equal(g, r) {
 				t.Fatalf("step %d: caches diverged: %v vs %v", i, g, r)
 			}
 		}
 	}
 }
 
-// TestHolderSlotStaysEightBytes: holder tables are the bulk of the index
-// (2.75 M slots at mid), so the version stamp must not widen the slot.
-func TestHolderSlotStaysEightBytes(t *testing.T) {
-	if size := unsafe.Sizeof(holderSlot{}); size != 8 {
-		t.Fatalf("holderSlot is %d bytes, want 8", size)
+// TestCachedAdByteBudget: a cached ad costs one holder slot and one slab
+// entry, 8.0 M of them at mid, so moving the freshness stamp into the slot
+// must shrink the pair, not just move the bytes (it was 8 + 16 = 24 B).
+func TestCachedAdByteBudget(t *testing.T) {
+	var ns nodeState
+	if size := unsafe.Sizeof(holderSlot{}) + unsafe.Sizeof(ns.slab[0]); size > 20 {
+		t.Fatalf("a cached ad takes %d bytes (holder slot %d + slab entry %d), want ≤ 20",
+			size, unsafe.Sizeof(holderSlot{}), unsafe.Sizeof(ns.slab[0]))
 	}
 }
 
@@ -209,8 +216,8 @@ func TestHolderTabBasics(t *testing.T) {
 			if got, ok := tab.get(k); !ok || got != want {
 				t.Fatalf("%s %d: get(%d) = (%d, %v), want %d", where, i, k, got, ok, want)
 			}
-			if ver := tab.slots[tab.find(k)].ver; ver != ^uint16(want) {
-				t.Fatalf("%s %d: slot of %d is stamped %d, want %d", where, i, k, ver, ^uint16(want))
+			if sl := tab.slots[tab.find(k)]; sl.ver != ^uint16(want) || sl.seen != int32(want) {
+				t.Fatalf("%s %d: slot of %d is stamped (%d, %d), want (%d, %d)", where, i, k, sl.ver, sl.seen, ^uint16(want), want)
 			}
 		}
 	}
@@ -226,7 +233,7 @@ func TestHolderTabBasics(t *testing.T) {
 		}
 		before := len(tab.slots)
 		if !del {
-			tab.put(v, uint32(i), ^uint16(i))
+			tab.put(v, uint32(i), ^uint16(i), sim.Clock(i))
 			ref[v] = uint32(i)
 		} else {
 			got, ok := tab.del(v)
@@ -239,8 +246,8 @@ func TestHolderTabBasics(t *testing.T) {
 		if tab.n != len(ref) {
 			t.Fatalf("step %d: table n=%d, reference %d", i, tab.n, len(ref))
 		}
-		if len(tab.slots) < 2*tab.n {
-			t.Fatalf("step %d: %d slots for %d keys, over 50%% load", i, len(tab.slots), tab.n)
+		if 4*tab.n > 3*len(tab.slots) {
+			t.Fatalf("step %d: %d slots for %d keys, over 75%% load", i, len(tab.slots), tab.n)
 		}
 		if len(tab.slots) < before {
 			shrinks++
@@ -264,7 +271,7 @@ func TestHolderTabBasics(t *testing.T) {
 func TestHolderTabShrinkHysteresis(t *testing.T) {
 	var tab holderTab
 	for v := 0; v < 1000; v++ {
-		tab.put(overlay.NodeID(v), uint32(v), 0)
+		tab.put(overlay.NodeID(v), uint32(v), 0, 0)
 	}
 	peak := len(tab.slots)
 	for v := 50; v < 1000; v++ {
@@ -285,24 +292,46 @@ func TestHolderTabShrinkHysteresis(t *testing.T) {
 		t.Errorf("empty table keeps %d slots, want the %d-slot floor", len(tab.slots), holderMinSlots)
 	}
 
-	// At each boundary — one below the grow threshold, and the shrink
-	// threshold — alternating put/del must not resize at all.
-	for _, n := range []int{127, 32} {
+	// At each boundary of a 512-slot table — full at ¾ load (384 holders,
+	// the next put doubles), and at ¼ (128, the next del halves) — a
+	// population oscillating by one resizes at most once, then never again.
+	for _, b := range []struct {
+		n  int
+		up bool // the first step is a put
+	}{{384, true}, {384, false}, {128, true}, {128, false}} {
 		var tab holderTab
-		for v := 0; v < 200; v++ {
-			tab.put(overlay.NodeID(v), 0, 0)
+		for v := 0; v < 384; v++ {
+			tab.put(overlay.NodeID(v), 0, 0, 0)
 		}
-		for v := 199; v >= n; v-- {
+		for v := 383; v >= b.n; v-- {
 			tab.del(overlay.NodeID(v))
 		}
-		edge := overlay.NodeID(n)
-		if a := testing.AllocsPerRun(100, func() {
-			tab.put(edge, 0, 0)
-			tab.del(edge)
-			tab.del(edge - 1)
-			tab.put(edge-1, 0, 0)
-		}); a != 0 {
-			t.Errorf("alternating put/del around %d holders (%d slots) allocates %.1f times, want 0", n, len(tab.slots), a)
+		if len(tab.slots) != 512 {
+			t.Fatalf("%d holders in %d slots, want 512", b.n, len(tab.slots))
+		}
+		edge := overlay.NodeID(b.n)
+		if !b.up {
+			edge--
+		}
+		step := func(i int) {
+			if (i%2 == 0) == b.up {
+				tab.put(edge, 0, 0, 0)
+			} else {
+				tab.del(edge)
+			}
+		}
+		resizes, size := 0, len(tab.slots)
+		for i := 0; i < 100; i++ {
+			if step(i); len(tab.slots) != size {
+				resizes, size = resizes+1, len(tab.slots)
+			}
+		}
+		if resizes > 1 {
+			t.Errorf("oscillating by one at %d holders (first step put: %v) resized %d times, want ≤ 1", b.n, b.up, resizes)
+		}
+		i := 0
+		if a := testing.AllocsPerRun(100, func() { step(i); i++ }); a != 0 {
+			t.Errorf("oscillating by one at %d holders (%d slots) allocates %.1f times, want 0", b.n, len(tab.slots), a)
 		}
 	}
 }
@@ -369,4 +398,26 @@ func TestStaleWindowRegression(t *testing.T) {
 	if s.entry(p, src) != nil {
 		t.Fatalf("entry still cached %d ms past its staleness window", 1)
 	}
+}
+
+// TestHorizonGuard: bind accepts every load horizon whose stamps fit the
+// holder slot's int32 milliseconds, with half the range to spare for stamps
+// dated past the horizon, and rejects the first that does not.
+func TestHorizonGuard(t *testing.T) {
+	checkHorizon(maxHorizonSec)
+	last := 2 * sim.Clock(maxHorizonSec) * 1000
+	if last > math.MaxInt32 {
+		t.Fatalf("a %d s horizon's stamps reach %d ms, past int32", maxHorizonSec, last)
+	}
+	var tab holderTab
+	tab.put(1, 0, 0, last)
+	if got := sim.Clock(tab.slots[tab.find(1)].seen); got != last {
+		t.Fatalf("stamp %d read back as %d", last, got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("a %d s horizon was accepted", maxHorizonSec+1)
+		}
+	}()
+	checkHorizon(maxHorizonSec + 1)
 }

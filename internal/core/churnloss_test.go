@@ -38,7 +38,6 @@ func TestIndexedCacheEquivalenceUnderChurnAndLoss(t *testing.T) {
 
 	var qa queryAcc
 	verify := func(where string, p overlay.NodeID, now sim.Clock, terms []content.Keyword) {
-		ns := &s.nodes[p]
 		var keys []uint64
 		for _, term := range terms {
 			keys = append(keys, uint64(term))
@@ -46,19 +45,22 @@ func TestIndexedCacheEquivalenceUnderChurnAndLoss(t *testing.T) {
 		probes := bloom.AppendKeyProbes(nil, keys)
 		qa.reset(&s.slots, probes)
 
-		got := append([]overlay.NodeID(nil), ns.scanCache(&qa, minClock, math.MaxInt, nil)...)
-		want := scanCacheReference(ns, probes)
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: node %d at t=%d: sliced scan %v != linear scan %v", where, p, now, got, want)
-		}
-
+		// Deadlines off, at the warm-up floor, just past it (warm-up stamps
+		// expire), and the run's own window.
 		interests := s.groupInterests(p)
-		staleBefore := now - sim.Clock(cfg.StaleFactor*cfg.RefreshPeriodSec)*1000
-		for _, max := range []int{1, 4, 1 << 30} {
-			gotAds := ns.serveAds(&qa, nil, interests, staleBefore, p, max)
-			wantAds := serveAdsReference(ns, interests, staleBefore, probes, p, max)
-			if !slices.Equal(gotAds, wantAds) {
-				t.Fatalf("%s: node %d at t=%d max=%d: serveAds %d entries, fifo reference %d", where, p, now, max, len(gotAds), len(wantAds))
+		window := sim.Clock(cfg.StaleFactor*cfg.RefreshPeriodSec) * 1000
+		for _, staleBefore := range []sim.Clock{minClock, warmUpTime, 0, now - window} {
+			got := append([]overlay.NodeID(nil), s.scanCache(p, &qa, staleBefore, math.MaxInt, nil)...)
+			want := scanCacheReference(s, p, staleBefore, probes)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: node %d at t=%d, staleBefore %d: sliced scan %v != linear scan %v", where, p, now, staleBefore, got, want)
+			}
+			for _, max := range []int{1, 4, 1 << 30} {
+				gotAds := s.serveAds(p, &qa, nil, interests, staleBefore, p, max)
+				wantAds := serveAdsReference(s, p, interests, staleBefore, probes, p, max)
+				if !slices.Equal(gotAds, wantAds) {
+					t.Fatalf("%s: node %d at t=%d, staleBefore %d, max=%d: serveAds %d entries, fifo reference %d", where, p, now, staleBefore, max, len(gotAds), len(wantAds))
+				}
 			}
 		}
 	}

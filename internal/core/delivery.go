@@ -268,7 +268,7 @@ func (s *Scheme) walk(t sim.Clock, i int, ad floodAd, starts []overlay.NodeID, b
 // reached node that wants it (see pick): a full ad by store into a table
 // reserved once, a refresh or patch through the holder slot, whose version
 // stamp makes re-announcing the cached version (nearly every refresh) one
-// blind lastSeen store. Reaching first and applying in pick's order are sound
+// store into the slot's freshness stamp, no node state read. Reaching first and applying in pick's order are sound
 // because applications commute and the reach reads none of their writes: a
 // refresh or patch never inserts or evicts and touches only its own (node,
 // source) entry, a gap fetch's legs are named by (deliveryKey, holder), a full
@@ -297,14 +297,11 @@ func (s *Scheme) applyReach(t sim.Clock, i int, ad floodAd) {
 		if !s.wants(v, ad.targeting) {
 			continue
 		}
-		e := &s.nodes[v].slab[sl.idx]
 		if sl.ver == snap.version {
-			e.lastSeen = t
+			sl.seen = int32(t)
 			continue
 		}
-		out := e.merge(snap, ad.kind, t)
-		sl.ver = e.snap.version
-		if out == storedGap {
+		if s.nodes[v].merge(sl, snap, ad.kind, t) == storedGap {
 			s.fetchFull(t, v, snap.src, k.dkey[i])
 		}
 	}

@@ -96,8 +96,10 @@ func TestWalkStartsLiveViewAliasingContract(t *testing.T) {
 // TestDeliveryHotPathAllocs is the delivery-side zero-alloc gate (wired
 // into `make alloc-gate`): after one warm-up pass grows the reusable
 // buffers, a single-ad refresh flood, a refresh tick flooding a full
-// 64-source batch, and refresh ticks walking a batch of RW and of GSA ads
-// (whose apply pass stores into the caches) must not allocate at all.
+// 64-source batch, the same tick finding a version gap at every holder of
+// one source (merge, then the full-ad fetch and its store), and refresh
+// ticks walking a batch of RW and of GSA ads (whose apply pass stores into
+// the caches) must not allocate at all.
 func TestDeliveryHotPathAllocs(t *testing.T) {
 	fld, _ := attach(t, FLD)
 	fsnap := firstPublished(t, fld)
@@ -111,6 +113,29 @@ func TestDeliveryHotPathAllocs(t *testing.T) {
 	tick()
 	if a := testing.AllocsPerRun(10, tick); a != 0 {
 		t.Errorf("a %d-source refresh tick allocates %.1f times, want 0", maxFloodBatch, a)
+	}
+	src := fld.wheel[0][0]
+	aged := *fld.publishedSnapshot(src)
+	aged.version -= 3
+	var holders []overlay.NodeID
+	for v := range fld.nodes {
+		if fld.entry(overlay.NodeID(v), src) != nil {
+			holders = append(holders, overlay.NodeID(v))
+		}
+	}
+	gapTick := func() {
+		for _, v := range holders {
+			fld.recache(v, &aged)
+		}
+		fld.Tick(0)
+	}
+	gapTick()
+	fetches := fld.sys.Load.ByClass()[metrics.MControl]
+	if a := testing.AllocsPerRun(10, gapTick); a != 0 {
+		t.Errorf("a %d-source refresh tick with a version gap allocates %.1f times, want 0", maxFloodBatch, a)
+	}
+	if fld.sys.Load.ByClass()[metrics.MControl] == fetches {
+		t.Error("the gap tick fetched no full ad; the slow path was not exercised")
 	}
 
 	for _, d := range []DeliveryKind{RW, GSAKind} {
@@ -294,10 +319,8 @@ func cacheViews(s *Scheme) [][]cachedView {
 	ids := map[*adSnapshot]int{}
 	caches := make([][]cachedView, len(s.nodes))
 	for v := range s.nodes {
-		ns := &s.nodes[v]
-		caches[v] = make([]cachedView, 0, len(ns.live()))
-		for _, i := range ns.live() {
-			e := ns.slab[i]
+		caches[v] = make([]cachedView, 0, len(s.nodes[v].live()))
+		for _, e := range cacheEntries(s, overlay.NodeID(v)) {
 			id, ok := ids[e.snap]
 			if !ok {
 				id = len(ids)

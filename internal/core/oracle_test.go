@@ -29,11 +29,19 @@ func newCaches(n, capacity int) *Scheme {
 	return s
 }
 
-// entry returns node v's cache entry for src, resolved through the holder
-// index, or nil.
-func (s *Scheme) entry(v, src overlay.NodeID) *cachedAd {
-	if i, held := s.holders[src].get(v); held {
-		return &s.nodes[v].slab[i]
+// cacheEntry is one cache entry as the tests read it: the slab's snapshot
+// and the freshness stamp its holder slot carries.
+type cacheEntry struct {
+	snap     *adSnapshot
+	lastSeen sim.Clock
+}
+
+// entry returns a copy of node v's cache entry for src, resolved through
+// the holder index, or nil — every test reads stamps through it.
+func (s *Scheme) entry(v, src overlay.NodeID) *cacheEntry {
+	h := &s.holders[src]
+	if i := h.find(v); i >= 0 {
+		return &cacheEntry{s.nodes[v].slab[h.slots[i].idx], sim.Clock(h.slots[i].seen)}
 	}
 	return nil
 }
@@ -42,31 +50,38 @@ func (s *Scheme) entry(v, src overlay.NodeID) *cachedAd {
 // if v had missed that many updates, restamping the holder slot the way
 // every production write of the snapshot does.
 func (s *Scheme) ageHolder(v, src overlay.NodeID, back uint16) {
-	h := &s.holders[src]
-	sl := &h.slots[h.find(v)]
-	e := &s.nodes[v].slab[sl.idx]
-	old := *e.snap
+	old := *s.entry(v, src).snap
 	old.version -= back
-	e.snap, sl.ver = &old, old.version
+	s.recache(v, &old)
 }
 
-// cacheEntries returns a copy of ns's cache entries in fifo (insertion)
-// order — the plain list the reference scans walk.
-func cacheEntries(ns *nodeState) []cachedAd {
-	var out []cachedAd
-	for _, i := range ns.live() {
-		out = append(out, ns.slab[i])
+// recache points node v's entry for snap's source at snap, restamping the
+// holder slot's version as every production write does. It allocates
+// nothing.
+func (s *Scheme) recache(v overlay.NodeID, snap *adSnapshot) {
+	h := &s.holders[snap.src]
+	sl := &h.slots[h.find(v)]
+	s.nodes[v].slab[sl.idx], sl.ver = snap, snap.version
+}
+
+// cacheEntries returns node v's cache entries in fifo (insertion) order —
+// the plain list the reference scans walk.
+func cacheEntries(s *Scheme, v overlay.NodeID) []cacheEntry {
+	var out []cacheEntry
+	for _, i := range s.nodes[v].live() {
+		out = append(out, *s.entry(v, s.nodes[v].slab[i].src))
 	}
 	return out
 }
 
 // scanCacheReference is the specification of phase 1's cache lookup: every
-// cached source whose filter passes all probes, in fifo (insertion) order —
-// the same candidates in the same order scanCache must produce.
-func scanCacheReference(ns *nodeState, probes []bloom.Probe) []overlay.NodeID {
+// source cached at node v, last seen at or after staleBefore, whose filter
+// passes all probes, in fifo (insertion) order — the same candidates in the
+// same order scanCache must produce.
+func scanCacheReference(s *Scheme, v overlay.NodeID, staleBefore sim.Clock, probes []bloom.Probe) []overlay.NodeID {
 	var out []overlay.NodeID
-	for _, e := range cacheEntries(ns) {
-		if e.snap.filter.ContainsAllProbes(probes) {
+	for _, e := range cacheEntries(s, v) {
+		if e.lastSeen >= staleBefore && e.snap.filter.ContainsAllProbes(probes) {
 			out = append(out, e.snap.src)
 		}
 	}
@@ -77,9 +92,9 @@ func scanCacheReference(ns *nodeState, probes []bloom.Probe) []overlay.NodeID {
 // insertion order and offer every fresh, interest-matching, probe-passing
 // entry except the requester's own, up to max. probes == nil is a
 // join-time pull (no probe filtering).
-func serveAdsReference(ns *nodeState, interests content.ClassSet, staleBefore sim.Clock, probes []bloom.Probe, requester overlay.NodeID, max int) []*adSnapshot {
+func serveAdsReference(s *Scheme, v overlay.NodeID, interests content.ClassSet, staleBefore sim.Clock, probes []bloom.Probe, requester overlay.NodeID, max int) []*adSnapshot {
 	var out []*adSnapshot
-	for _, e := range cacheEntries(ns) {
+	for _, e := range cacheEntries(s, v) {
 		if len(out) >= max {
 			break
 		}
@@ -98,9 +113,9 @@ func serveAdsReference(ns *nodeState, interests content.ClassSet, staleBefore si
 }
 
 // cacheSources returns the cached sources in fifo order (test inspection).
-func cacheSources(ns *nodeState) []overlay.NodeID {
+func cacheSources(s *Scheme, v overlay.NodeID) []overlay.NodeID {
 	var out []overlay.NodeID
-	for _, e := range cacheEntries(ns) {
+	for _, e := range cacheEntries(s, v) {
 		out = append(out, e.snap.src)
 	}
 	return out
@@ -123,15 +138,15 @@ func checkIndex(s *Scheme) error {
 			}
 			state[i] = 1
 			e := ns.slab[i]
-			if e.snap == nil {
+			if e == nil {
 				return fmt.Errorf("node %d: fifo names freed slab index %d", v, i)
 			}
-			if got, held := s.holders[e.snap.src].get(overlay.NodeID(v)); !held || got != i {
-				return fmt.Errorf("node %d: holders[%d] = (%d, %v), want slab index %d", v, e.snap.src, got, held, i)
+			if got, held := s.holders[e.src].get(overlay.NodeID(v)); !held || got != i {
+				return fmt.Errorf("node %d: holders[%d] = (%d, %v), want slab index %d", v, e.src, got, held, i)
 			}
 		}
 		for _, i := range ns.free {
-			if state[i] != 0 || ns.slab[i].snap != nil {
+			if state[i] != 0 || ns.slab[i] != nil {
 				return fmt.Errorf("node %d: free list names live or repeated slab index %d", v, i)
 			}
 			state[i] = 2
@@ -153,10 +168,10 @@ func checkIndex(s *Scheme) error {
 			}
 			used++
 			ns := &s.nodes[sl.key-1]
-			if int(sl.idx) >= len(ns.slab) || ns.slab[sl.idx].snap == nil || ns.slab[sl.idx].snap.src != overlay.NodeID(src) {
+			if int(sl.idx) >= len(ns.slab) || ns.slab[sl.idx] == nil || ns.slab[sl.idx].src != overlay.NodeID(src) {
 				return fmt.Errorf("holders[%d]: slot for node %d names slab index %d, which does not cache that source", src, sl.key-1, sl.idx)
 			}
-			if cached := ns.slab[sl.idx].snap.version; sl.ver != cached {
+			if cached := ns.slab[sl.idx].version; sl.ver != cached {
 				return fmt.Errorf("holders[%d]: slot for node %d is stamped version %d, its entry caches version %d", src, sl.key-1, sl.ver, cached)
 			}
 		}

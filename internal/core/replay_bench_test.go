@@ -50,24 +50,25 @@ func benchQueryProbes(tb testing.TB, s *Scheme) (overlay.NodeID, []bloom.Probe) 
 func TestScanHotPathAllocs(t *testing.T) {
 	s, _ := attach(t, RW)
 	p, probes := benchQueryProbes(t, s)
-	ns := &s.nodes[p]
 	interests := s.groupInterests(p)
 
 	var qa queryAcc
 	var srcs []overlay.NodeID
 	scan := func() {
 		qa.reset(&s.slots, probes)
-		srcs = ns.scanCache(&qa, minClock, math.MaxInt, srcs[:0])
+		srcs = s.scanCache(p, &qa, minClock, math.MaxInt, srcs[:0])
 	}
 	scan()
 	if a := testing.AllocsPerRun(20, scan); a != 0 {
 		t.Errorf("scanCache allocates %.1f times per query, want 0", a)
 	}
 
+	// A deadline past the warm-up stamps: every matching entry's stamp is
+	// looked up in its source's holder table.
 	var serve []*adSnapshot
 	offer := func() {
 		qa.reset(&s.slots, probes)
-		serve = ns.serveAds(&qa, serve[:0], interests, -1, p, 1<<30)
+		serve = s.serveAds(p, &qa, serve[:0], interests, 0, p, 1<<30)
 	}
 	offer()
 	if a := testing.AllocsPerRun(20, offer); a != 0 {
@@ -83,7 +84,6 @@ func TestScanHotPathAllocs(t *testing.T) {
 func BenchmarkScanChains(b *testing.B) {
 	s := benchScheme(b, RW)
 	p, probes := benchQueryProbes(b, s)
-	ns := &s.nodes[p]
 
 	var qa queryAcc
 	var srcs []overlay.NodeID
@@ -91,8 +91,8 @@ func BenchmarkScanChains(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qa.reset(&s.slots, probes)
-		srcs = ns.scanCache(&qa, minClock, math.MaxInt, srcs[:0])
+		srcs = s.scanCache(p, &qa, minClock, math.MaxInt, srcs[:0])
 	}
-	b.ReportMetric(float64(len(ns.live())), "cached-ads")
+	b.ReportMetric(float64(s.CacheSize(p)), "cached-ads")
 	b.ReportMetric(float64(len(srcs)), "candidates")
 }

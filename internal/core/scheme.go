@@ -102,6 +102,7 @@ func (s *Scheme) bind(sys *sim.System) []floodAd {
 	if s.cfg.Hierarchical && sys.G.Kind() != overlay.SuperPeerKind {
 		panic("core: Hierarchical config requires an overlay.SuperPeerKind graph")
 	}
+	checkHorizon(sys.Load.Seconds())
 	s.sys = sys
 	n := sys.NumNodes()
 	s.nodes = make([]nodeState, n)

@@ -235,7 +235,7 @@ func TestStaleAdsExpireAfterDeparture(t *testing.T) {
 	var holder, src overlay.NodeID = -1, -1
 	for n := 0; n < testTr.InitialLive && holder < 0; n++ {
 		if ns := &s.nodes[n]; len(ns.live()) > 0 {
-			holder, src = overlay.NodeID(n), ns.slab[ns.live()[0]].snap.src
+			holder, src = overlay.NodeID(n), ns.slab[ns.live()[0]].src
 		}
 	}
 	if holder < 0 {

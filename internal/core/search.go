@@ -89,7 +89,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	}
 
 	ns := &s.nodes[p]
-	// The minSeen watermark bounds every entry's lastSeen from below, so
+	// The minSeen watermark bounds every entry's stamp from below, so
 	// the expiry sweep runs only when something can actually expire.
 	staleBefore := s.staleBefore(t0)
 	if ns.minSeen < staleBefore {
@@ -99,7 +99,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	// match pass over each touched geometry group, then a bit test per
 	// entry (see adindex.go). Every match is kept: confirmRound ranks them
 	// all by round-trip time.
-	srcs := ns.scanCache(&sc.qa, staleBefore, math.MaxInt, sc.srcs[:0])
+	srcs := s.scanCache(p, &sc.qa, staleBefore, math.MaxInt, sc.srcs[:0])
 	sc.srcs = srcs
 	if len(srcs) > 0 {
 		s.sys.Load.Count(t0, metrics.CCacheHit)
@@ -294,7 +294,7 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, qa
 
 		staleBefore := s.staleBefore(tA)
 		for _, tg := range targets {
-			serve := s.offer(&s.nodes[tg.node], qa, interests, staleBefore, p, sc.serve[:0])
+			serve := s.offer(tg.node, qa, interests, staleBefore, p, sc.serve[:0])
 			sc.serve = serve
 			payload := 0
 			for _, snap := range serve {
@@ -354,8 +354,8 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, qa
 // published ad first, then serveAds' cache entries. Every offered ad's
 // topics intersect interests, none is the requester's own, and on a
 // search-time pull (qa != nil) each passes the query probes.
-func (s *Scheme) offer(q *nodeState, qa *queryAcc, interests content.ClassSet, staleBefore sim.Clock, requester overlay.NodeID, buf []*adSnapshot) []*adSnapshot {
-	if pub := q.published; pub != nil && s.cfg.MaxAdsPerReply > 0 &&
+func (s *Scheme) offer(q overlay.NodeID, qa *queryAcc, interests content.ClassSet, staleBefore sim.Clock, requester overlay.NodeID, buf []*adSnapshot) []*adSnapshot {
+	if pub := s.nodes[q].published; pub != nil && s.cfg.MaxAdsPerReply > 0 &&
 		pub.src != requester && pub.topics.Intersects(interests) &&
 		(qa == nil || qa.matches(pub)) {
 		buf = append(buf, pub)
@@ -363,7 +363,7 @@ func (s *Scheme) offer(q *nodeState, qa *queryAcc, interests content.ClassSet, s
 	// Serve cache entries in insertion order: under MaxAdsPerReply the
 	// subset offered must not depend on anything but replay state, or two
 	// replays of one run diverge.
-	return q.serveAds(qa, buf, interests, staleBefore, requester, s.cfg.MaxAdsPerReply)
+	return s.serveAds(q, qa, buf, interests, staleBefore, requester, s.cfg.MaxAdsPerReply)
 }
 
 // hopTarget is one reachable peer of an ads request with the one-way

@@ -75,7 +75,7 @@ func (s *Scheme) SearchRO(p overlay.NodeID, terms []content.Keyword, now sim.Clo
 	staleBefore := s.staleBefore(now)
 
 	base := len(dst)
-	sc.srcs = s.nodes[rp].scanCache(&sc.qa, staleBefore, s.cfg.MaxConfirms, sc.srcs[:0])
+	sc.srcs = s.scanCache(rp, &sc.qa, staleBefore, s.cfg.MaxConfirms, sc.srcs[:0])
 	for _, src := range sc.srcs {
 		sc.confirmed[src] = true
 		if s.sys.G.Alive(src) && s.groupMatches(src, terms) {
@@ -91,7 +91,7 @@ func (s *Scheme) SearchRO(p overlay.NodeID, terms []content.Keyword, now sim.Clo
 	attempts := 0
 phase2:
 	for _, tg := range targets {
-		sc.serve = s.offer(&s.nodes[tg.node], &sc.qa, interests, staleBefore, rp, sc.serve[:0])
+		sc.serve = s.offer(tg.node, &sc.qa, interests, staleBefore, rp, sc.serve[:0])
 		for _, snap := range sc.serve {
 			if attempts >= s.cfg.MaxConfirms {
 				break phase2

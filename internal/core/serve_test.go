@@ -30,11 +30,10 @@ func searchROReference(s *Scheme, p overlay.NodeID, terms []content.Keyword, now
 		staleBefore = now - sim.Clock(s.cfg.StaleFactor*s.cfg.RefreshPeriodSec)*1000
 	}
 
-	ns := &s.nodes[rp]
 	var out []overlay.NodeID
 	seen := map[overlay.NodeID]bool{}
 	attempts := 0
-	for _, e := range cacheEntries(ns) {
+	for _, e := range cacheEntries(s, rp) {
 		if attempts >= s.cfg.MaxConfirms {
 			break
 		}
@@ -87,15 +86,14 @@ func searchROReference(s *Scheme, p overlay.NodeID, terms []content.Keyword, now
 		if attempts >= s.cfg.MaxConfirms {
 			break
 		}
-		q := &s.nodes[tg]
 		offered := 0
-		if pub := q.published; pub != nil && s.cfg.MaxAdsPerReply > 0 &&
+		if pub := s.nodes[tg].published; pub != nil && s.cfg.MaxAdsPerReply > 0 &&
 			pub.src != rp && pub.topics.Intersects(interests) &&
 			pub.filter.ContainsAllProbes(probes) {
 			offered++
 			confirm(pub.src)
 		}
-		for _, e := range cacheEntries(q) {
+		for _, e := range cacheEntries(s, tg) {
 			if offered >= s.cfg.MaxAdsPerReply || attempts >= s.cfg.MaxConfirms {
 				break
 			}
@@ -134,7 +132,7 @@ func phase1Matches(s *Scheme, p overlay.NodeID, terms []content.Keyword, now sim
 		staleBefore = now - sim.Clock(s.cfg.StaleFactor*s.cfg.RefreshPeriodSec)*1000
 	}
 	n := 0
-	for _, e := range cacheEntries(&s.nodes[rp]) {
+	for _, e := range cacheEntries(s, rp) {
 		if e.lastSeen >= staleBefore && e.snap.filter.ContainsAllProbes(probes) {
 			n++
 		}

@@ -51,7 +51,7 @@ func TestStoreInvariantsProperty(t *testing.T) {
 			if len(ns.live()) > capacity {
 				return false
 			}
-			fifo := cacheSources(ns)
+			fifo := cacheSources(c, 0)
 			if len(fifo) != len(ns.live()) || checkIndex(c) != nil {
 				return false
 			}

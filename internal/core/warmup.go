@@ -5,7 +5,6 @@ import (
 
 	"asap/internal/content"
 	"asap/internal/overlay"
-	"asap/internal/sim"
 )
 
 // warmUp delivers Attach's full ads (t = -1) into the empty caches. Each
@@ -16,7 +15,7 @@ import (
 // transposed into per-ad recipient lists, a reverse pass keeps each node's
 // last CacheCapacity and a forward pass inserts them: no find, no eviction.
 func (s *Scheme) warmUp(ads []floodAd) {
-	const t = sim.Clock(-1)
+	const t = warmUpTime
 	k, seen := &s.flood, s.flood.seen[1:]
 	type hit struct {
 		v    uint32
@@ -91,7 +90,7 @@ func (s *Scheme) warmUp(ads []floodAd) {
 		}
 		for _, v := range kept {
 			ns := &s.nodes[v]
-			h.put(overlay.NodeID(v), ns.insert(cachedAd{snap: snap, lastSeen: t}, s.cfg.CacheCapacity), snap.version)
+			h.put(overlay.NodeID(v), ns.insert(snap, s.cfg.CacheCapacity), snap.version, t)
 			ns.minSeen = t // no clock is lower
 		}
 	}

@@ -157,10 +157,8 @@ func fifoFingerprint(s *Scheme) uint64 {
 		h.Write(buf[:])
 	}
 	for v := range s.nodes {
-		ns := &s.nodes[v]
-		put(uint64(len(ns.live())))
-		for _, i := range ns.live() {
-			e := &ns.slab[i]
+		put(uint64(len(s.nodes[v].live())))
+		for _, e := range cacheEntries(s, overlay.NodeID(v)) {
 			put(uint64(e.snap.src))
 			put(uint64(e.snap.version))
 			put(uint64(e.lastSeen))
