@@ -183,7 +183,9 @@ func (ns *nodeState) merge(sl *holderSlot, snap *adSnapshot, kind adKind, now si
 		}
 		sl.ver = (*cur).version
 	}
-	sl.seen = int32(now)
+	// A pull dates its offers at their arrival, so a later delivery can move
+	// a stamp back: the watermark follows it down.
+	sl.seen, ns.minSeen = int32(now), min(ns.minSeen, now)
 	return storedOK
 }
 

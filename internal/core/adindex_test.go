@@ -161,32 +161,58 @@ func TestServeAdsMatchesFifoWalk(t *testing.T) {
 
 // TestDropStaleWatermarkGateEquivalence: gating the expiry sweep on the
 // minSeen watermark (as Search does) never changes observable cache
-// state versus sweeping unconditionally on every query.
+// state versus sweeping unconditionally on every query — also when stamps
+// arrive out of order: a phase-2 pull stores each offer at its arrival
+// time, later than now and in neighbour order, and a delivery at now may
+// then land on an entry stamped later, moving its stamp back.
 func TestDropStaleWatermarkGateEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	gated, ref := newCaches(60, 25), newCaches(60, 25)
-
-	for i := 0; i < 3000; i++ {
-		now := sim.Clock(i * 3)
-		src := overlay.NodeID(rng.IntN(60))
-		switch rng.IntN(4) {
-		case 0, 1:
-			sp := idxSnap(src, uint16(i), randTopics(rng), nil)
-			gated.store(0, sp, adFull, now)
-			ref.store(0, sp, adFull, now)
-		case 2:
-			gated.drop(0, src)
-			ref.drop(0, src)
-		case 3: // a search arrives: gated sweep vs unconditional sweep
-			deadline := now - 200
-			if gated.nodes[0].minSeen < deadline {
-				gated.dropStale(0, deadline)
+	// Few sources and a step that outruns the window let the pulls' later
+	// stamps outlive every other entry, so a refresh lands below them all.
+	for _, tc := range []struct{ sources, step int }{{60, 3}, {8, 50}} {
+		rng := rand.New(rand.NewPCG(3, 9))
+		gated, ref := newCaches(60, 25), newCaches(60, 25)
+		both := func(sp *adSnapshot, kind adKind, at sim.Clock) {
+			gated.store(0, sp, kind, at)
+			ref.store(0, sp, kind, at)
+		}
+		lowered := 0
+		for i := 0; i < 3000; i++ {
+			now := sim.Clock(i * tc.step)
+			src := overlay.NodeID(rng.IntN(tc.sources))
+			cached := ref.entry(0, src)
+			switch rng.IntN(6) {
+			case 0, 1:
+				both(idxSnap(src, uint16(i), randTopics(rng), nil), adFull, now)
+			case 2:
+				gated.drop(0, src)
+				ref.drop(0, src)
+			case 3: // a search arrives: gated sweep vs unconditional sweep
+				deadline := now - 200
+				if gated.nodes[0].minSeen < deadline {
+					gated.dropStale(0, deadline)
+				}
+				ref.dropStale(0, deadline)
+				// Same entries (snapshot and freshness) in the same fifo order.
+				if g, r := cacheEntries(gated, 0), cacheEntries(ref, 0); !slices.Equal(g, r) {
+					t.Fatalf("%d sources, step %d: caches diverged: %v vs %v", tc.sources, i, g, r)
+				}
+			case 4: // a pull's offer, dated at its arrival
+				sp := idxSnap(src, uint16(i), randTopics(rng), nil)
+				if cached != nil {
+					sp = cached.snap
+				}
+				both(sp, adFull, now+sim.Clock(rng.IntN(1000)))
+			case 5: // a refresh delivered now
+				if cached != nil {
+					if now < ref.nodes[0].minSeen {
+						lowered++ // below every stamp the node holds
+					}
+					both(cached.snap, adRefresh, now)
+				}
 			}
-			ref.dropStale(0, deadline)
-			// Same entries (snapshot and freshness) in the same fifo order.
-			if g, r := cacheEntries(gated, 0), cacheEntries(ref, 0); !slices.Equal(g, r) {
-				t.Fatalf("step %d: caches diverged: %v vs %v", i, g, r)
-			}
+		}
+		if tc.sources == 8 && lowered == 0 {
+			t.Error("no refresh moved a stamp below the watermark; the out-of-order regime was not exercised")
 		}
 	}
 }

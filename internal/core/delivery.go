@@ -267,8 +267,8 @@ func (s *Scheme) walk(t sim.Clock, i int, ad floodAd, starts []overlay.NodeID, b
 // applyReach books ad i of the delivery in flight and applies it once at each
 // reached node that wants it (see pick): a full ad by store into a table
 // reserved once, a refresh or patch through the holder slot, whose version
-// stamp makes re-announcing the cached version (nearly every refresh) one
-// store into the slot's freshness stamp, no node state read. Reaching first and applying in pick's order are sound
+// stamp makes re-announcing the cached version at or after its freshness
+// stamp (nearly every refresh) one store into that stamp, no node state read. Reaching first and applying in pick's order are sound
 // because applications commute and the reach reads none of their writes: a
 // refresh or patch never inserts or evicts and touches only its own (node,
 // source) entry, a gap fetch's legs are named by (deliveryKey, holder), a full
@@ -297,8 +297,8 @@ func (s *Scheme) applyReach(t sim.Clock, i int, ad floodAd) {
 		if !s.wants(v, ad.targeting) {
 			continue
 		}
-		if sl.ver == snap.version {
-			sl.seen = int32(t)
+		if sl.ver == snap.version && t >= sim.Clock(sl.seen) {
+			sl.seen = int32(t) // the watermark is below the old stamp already
 			continue
 		}
 		if s.nodes[v].merge(sl, snap, ad.kind, t) == storedGap {

@@ -126,7 +126,8 @@ func cacheSources(s *Scheme, v overlay.NodeID) []overlay.NodeID {
 // is either live or on the free list, holders[src] maps the node back to
 // exactly that entry, no holder slot exists beyond those (so none names a
 // freed or foreign entry), and every slot is stamped with the version of the
-// snapshot its entry caches.
+// snapshot its entry caches and a freshness no lower than its node's minSeen
+// watermark.
 func checkIndex(s *Scheme) error {
 	live := 0
 	for v := range s.nodes {
@@ -173,6 +174,9 @@ func checkIndex(s *Scheme) error {
 			}
 			if cached := ns.slab[sl.idx].version; sl.ver != cached {
 				return fmt.Errorf("holders[%d]: slot for node %d is stamped version %d, its entry caches version %d", src, sl.key-1, sl.ver, cached)
+			}
+			if seen := sim.Clock(sl.seen); seen < ns.minSeen {
+				return fmt.Errorf("holders[%d]: slot for node %d was last seen at %d, below the node's watermark %d", src, sl.key-1, seen, ns.minSeen)
 			}
 		}
 		if used != h.n {
