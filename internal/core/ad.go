@@ -48,11 +48,11 @@ type adSnapshot struct {
 // One goroutine writes it: the replay's (or the serving plane's single
 // writer), which runs every search, delivery, publish and churn callback
 // one after another, so no field needs a lock. The serving plane's
-// readers read published, slab, fifo and holder stamps concurrently, but only while its
-// epoch gate (internal/serve) holds the writer off; delivery-path write
-// sections are bracketed with beginApply/endApply (one scheme-level
-// version bump per section) so a reader can assert the contract through
-// Scheme.checkStable.
+// readers read published, slab, fifo and holder stamps concurrently, but
+// only while its epoch gate (internal/serve) holds the writer off;
+// delivery-path write sections are bracketed with beginApply/endApply (one
+// scheme-level version bump per section) so a reader can assert the
+// contract through Scheme.checkStable.
 //
 // The zero value is valid: the cache starts empty, and minSeen=0 makes
 // the staleness gate conservative (dropStale runs and self-heals it).
@@ -147,9 +147,7 @@ func (s *Scheme) store(v overlay.NodeID, snap *adSnapshot, kind adKind, now sim.
 		return storedIgnored
 	}
 	h.put(v, ns.insert(snap, s.cfg.CacheCapacity), snap.version, now)
-	if now < ns.minSeen {
-		ns.minSeen = now
-	}
+	ns.minSeen = min(ns.minSeen, now)
 	for ; len(ns.live()) > s.cfg.CacheCapacity; ns.head++ {
 		s.unhold(v, ns.fifo[ns.head]) // FIFO eviction
 	}

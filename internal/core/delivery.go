@@ -266,15 +266,16 @@ func (s *Scheme) walk(t sim.Clock, i int, ad floodAd, starts []overlay.NodeID, b
 
 // applyReach books ad i of the delivery in flight and applies it once at each
 // reached node that wants it (see pick): a full ad by store into a table
-// reserved once, a refresh or patch through the holder slot, whose version
-// stamp makes re-announcing the cached version at or after its freshness
-// stamp (nearly every refresh) one store into that stamp, no node state read. Reaching first and applying in pick's order are sound
-// because applications commute and the reach reads none of their writes: a
-// refresh or patch never inserts or evicts and touches only its own (node,
-// source) entry, a gap fetch's legs are named by (deliveryKey, holder), a full
-// ad lands in each node's fifo in batch order, and all accounting is integer
-// adds at t. An ad that reached nobody (a walk with no start) sent nothing and
-// applies nothing.
+// reserved once, a refresh or patch through the holder slot, whose stamps
+// make re-announcing the cached version no earlier than it was last seen
+// (nearly every refresh) one store into the slot, no node state read.
+// Reaching first and applying in pick's order are sound because
+// applications commute and the reach reads none of their writes: a refresh
+// or patch never inserts or evicts and touches only its own (node, source)
+// entry, a gap fetch's legs are named by (deliveryKey, holder), a full ad
+// lands in each node's fifo in batch order, and all accounting is integer
+// adds at t. An ad that reached nobody (a walk with no start) sent nothing
+// and applies nothing.
 func (s *Scheme) applyReach(t sim.Clock, i int, ad floodAd) {
 	k := &s.flood
 	if k.visits[i][0] == k.visits[i][1] {
