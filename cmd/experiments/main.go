@@ -71,7 +71,7 @@ func main() {
 	case *figure == "scenario" || *scenCSV != "":
 		err = runScenarioSweep(*scenCSV, *seriesDir, *quiet)
 	case *figure == "seeds":
-		err = runSeeds(*scaleName, *schemes, *topos, *seedCount, *quiet)
+		err = runSeeds(*scaleName, *schemes, *topos, *seedCount, *loss, *quiet)
 	case *figure == "loss":
 		err = runLossSweep(*scaleName, *schemes, *topos, *seed, *seriesDir, *quiet)
 	default:
@@ -201,12 +201,14 @@ func run(scaleName, figure, schemeCSV, topoCSV string, matrixWorkers int, seed u
 
 // runSeeds performs the robustness sweep: every selected scheme ×
 // topology is replayed under several seeds (fresh universe, trace,
-// placement and topology each time) and the metric spreads are printed.
-func runSeeds(scaleName, schemeCSV, topoCSV string, nSeeds int, quiet bool) error {
+// placement and topology each time) at the given loss rate, and the metric
+// spreads are printed.
+func runSeeds(scaleName, schemeCSV, topoCSV string, nSeeds int, loss float64, quiet bool) error {
 	sc, err := experiments.ByName(scaleName)
 	if err != nil {
 		return err
 	}
+	sc.LossRate = loss
 	if nSeeds < 1 {
 		return fmt.Errorf("need ≥1 seeds")
 	}
@@ -242,7 +244,7 @@ func runSeeds(scaleName, schemeCSV, topoCSV string, nSeeds int, quiet bool) erro
 			sweeps = append(sweeps, sw)
 		}
 	}
-	fmt.Println(experiments.FormatSeedSweeps(sweeps))
+	fmt.Println(experiments.FormatSeedSweeps(sweeps, loss))
 	return nil
 }
 

@@ -106,3 +106,41 @@ func TestKindByName(t *testing.T) {
 		t.Error("bogus kind accepted")
 	}
 }
+
+// TestRunSeedsHonoursLoss runs a two-seed sweep reliable and at 5 % loss:
+// the lossy sweep books drops on every seed and moves the row, and both
+// print each metric's [min, max] range.
+func TestRunSeedsHonoursLoss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tiny lab runs in -short mode")
+	}
+	sweep := func(loss float64) string {
+		out, err := captureStdout(t, func() error { return runSeeds("tiny", "asap-rw", "crawled", 2, loss, true) })
+		if err != nil {
+			t.Fatalf("seeds at loss %v: %v", loss, err)
+		}
+		return out
+	}
+	reliable, lossy := sweep(0), sweep(0.05)
+	row := func(out string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, "asap-rw") {
+				return line
+			}
+		}
+		t.Fatalf("no asap-rw row:\n%s", out)
+		return ""
+	}
+	if !strings.Contains(reliable, "0% message loss") || !strings.Contains(lossy, "5% message loss") {
+		t.Errorf("titles do not name the loss rate:\n%s\n%s", reliable, lossy)
+	}
+	if !strings.HasSuffix(strings.TrimSpace(row(reliable)), "0±0 [0, 0]") {
+		t.Errorf("reliable sweep books drops: %s", row(reliable))
+	}
+	if strings.Contains(row(lossy), " [0, ") {
+		t.Errorf("lossy sweep has a seed without drops: %s", row(lossy))
+	}
+	if row(lossy) == row(reliable) {
+		t.Errorf("loss rate did not reach the sweep: %s", row(lossy))
+	}
+}

@@ -49,18 +49,20 @@ type SeedSweep struct {
 	SearchKB    SeedStats
 	LoadKBps    SeedStats
 	LoadStd     SeedStats
+	Drops       SeedStats // messages the fault plane dropped per run; 0 on a reliable network
 }
 
 // RunSeeds replays one scheme × topology under each seed, rebuilding the
 // entire input chain (universe, trace, placement, topology) every time,
 // and reports the spread of each headline metric. This is the robustness
-// check the paper's single-trace evaluation lacks.
+// check the paper's single-trace evaluation lacks. sc's LossRate, if set,
+// applies to every seed.
 func RunSeeds(sc Scale, scheme string, topo overlay.Kind, seeds []uint64) (SeedSweep, error) {
 	if len(seeds) == 0 {
 		return SeedSweep{}, fmt.Errorf("experiments: no seeds")
 	}
 	sweep := SeedSweep{Scheme: scheme, Topology: topo, Seeds: seeds}
-	var succ, resp, kb, load, loadStd []float64
+	var succ, resp, kb, load, loadStd, drops []float64
 	for _, seed := range seeds {
 		s := sc
 		s.Seed = seed
@@ -77,30 +79,37 @@ func RunSeeds(sc Scale, scheme string, topo overlay.Kind, seeds []uint64) (SeedS
 		kb = append(kb, sum.MeanSearchBytes/1024)
 		load = append(load, sum.LoadMeanKBps)
 		loadStd = append(loadStd, sum.LoadStdKBps)
+		drops = append(drops, float64(sum.Drops))
 	}
 	sweep.SuccessRate = newSeedStats(succ)
 	sweep.MeanRespMS = newSeedStats(resp)
 	sweep.SearchKB = newSeedStats(kb)
 	sweep.LoadKBps = newSeedStats(load)
 	sweep.LoadStd = newSeedStats(loadStd)
+	sweep.Drops = newSeedStats(drops)
 	return sweep, nil
 }
 
-// FormatSeedSweeps renders sweeps as an aligned table.
-func FormatSeedSweeps(sweeps []SeedSweep) string {
-	headers := []string{"scheme", "topology", "success", "response ms", "KB/search", "load KB/node/s"}
+// FormatSeedSweeps renders sweeps as an aligned table: each metric's
+// mean±std over the seeds and its [min, max] range, at loss rate loss.
+func FormatSeedSweeps(sweeps []SeedSweep, loss float64) string {
+	headers := []string{"scheme", "topology", "success", "response ms", "KB/search", "load KB/node/s", "drops"}
+	cell := func(s SeedStats, prec int) string {
+		return fmt.Sprintf("%.*f±%.*f [%.*f, %.*f]", prec, s.Mean, prec, s.Std, prec, s.Min, prec, s.Max)
+	}
 	var rows [][]string
 	for _, sw := range sweeps {
 		rows = append(rows, []string{
 			sw.Scheme,
 			sw.Topology.String(),
-			fmt.Sprintf("%.3f±%.3f", sw.SuccessRate.Mean, sw.SuccessRate.Std),
-			fmt.Sprintf("%.0f±%.0f", sw.MeanRespMS.Mean, sw.MeanRespMS.Std),
-			fmt.Sprintf("%.2f±%.2f", sw.SearchKB.Mean, sw.SearchKB.Std),
-			fmt.Sprintf("%.3f±%.3f", sw.LoadKBps.Mean, sw.LoadKBps.Std),
+			cell(sw.SuccessRate, 3),
+			cell(sw.MeanRespMS, 0),
+			cell(sw.SearchKB, 2),
+			cell(sw.LoadKBps, 3),
+			cell(sw.Drops, 0),
 		})
 	}
-	title := fmt.Sprintf("Seed sweep (%d seeds per cell)", lenOrZero(sweeps))
+	title := fmt.Sprintf("Seed sweep (%d seeds per cell, %g%% message loss)", lenOrZero(sweeps), loss*100)
 	return title + "\n" + RenderTable(headers, rows)
 }
 

@@ -53,7 +53,7 @@ func TestRunSeedsSpread(t *testing.T) {
 		t.Error("zero spread across seeds: seeding is inert")
 	}
 
-	out := FormatSeedSweeps([]SeedSweep{sweep})
+	out := FormatSeedSweeps([]SeedSweep{sweep}, 0)
 	if !strings.Contains(out, "asap-rw") || !strings.Contains(out, "±") {
 		t.Errorf("sweep table wrong:\n%s", out)
 	}
@@ -69,7 +69,7 @@ func TestRunSeedsErrors(t *testing.T) {
 }
 
 func TestFormatSeedSweepsEmpty(t *testing.T) {
-	out := FormatSeedSweeps(nil)
+	out := FormatSeedSweeps(nil, 0)
 	if !strings.Contains(out, "0 seeds") {
 		t.Errorf("empty sweep table: %s", out)
 	}
