@@ -29,11 +29,14 @@ fmt:
 # equivalence property (bit-sliced scan ≡ scalar linear scan under churn ×
 # loss × eviction), the batched-flood properties (batched tick ≡
 # sequential deliveries ≡ per-node reference, with and without a fault
-# plane; a lossy tick is chunking-invariant) and the walk property (walk
-# then apply ≡ apply at every visit).
+# plane), the walk property (walk then apply ≡ apply at every visit) and
+# order freedom (a flooded or walked tick is chunking-invariant, a
+# confirmation round and a baseline walker depend on their own identity
+# alone).
 race:
 	$(GO) test -race ./internal/experiments
-	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestFloodBatchMatchesSequentialAndPerNode|TestFloodUnderPlaneIsChunkingInvariant|TestWalkDeliveryMatchesPerVisit' ./internal/core
+	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestFloodBatchMatchesSequentialAndPerNode|TestChoicesAreOrderFree|TestWalkDeliveryMatchesPerVisit' ./internal/core
+	$(GO) test -race -run 'TestChoicesAreOrderFree' ./internal/search
 
 # Determinism gate: outputs are a pure function of (preset, seed, scenario)
 # at every core count. A replay runs on one goroutine, so only the code

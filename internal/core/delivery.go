@@ -223,13 +223,15 @@ func (s *Scheme) walks(t sim.Clock, ads []floodAd) int {
 // across them, and leaves its reach as a flood does — bit i of seen, the
 // source and each first visit in order, copies in sent[i] — applying nothing.
 // With no start it reaches nobody. A lost copy kills its walker; a free rider
-// receives the ad but kills the walker. Walker w's copy at step s (the seed
-// copy is step 0) is named (Fold(deliveryKey, w), edge, s), so the trajectory
-// is a function of the rng and the plane alone; the plane is asked only while
-// it can drop one.
+// receives the ad but kills the walker. Walker w's hop at step s (the seed
+// copy is step 0) is choice (walkKey, w, s) and its copy is named
+// (Fold(deliveryKey, w), edge, s), so the trajectory is a function of the
+// delivery's identity and the plane alone, whatever other walks the batch
+// carries; the plane is asked only while it can drop one.
 func (s *Scheme) walk(t sim.Clock, i int, ad floodAd, starts []overlay.NodeID, budget int) {
 	k := &s.flood
 	src, class, sent, dkey := ad.snap.src, ad.kind.class(), 0, deliveryKey(t, ad.snap, ad.kind)
+	ckey := s.walkKey(dkey)
 	k.sent[i], k.dkey[i], k.visits[i] = 0, dkey, [2]int{len(k.order), len(k.order)}
 	if len(starts) == 0 {
 		return
@@ -244,7 +246,7 @@ func (s *Scheme) walk(t sim.Clock, i int, ad floodAd, starts []overlay.NodeID, b
 		cur, prev := start, src
 		for step := 0; step < perWalker; step++ {
 			if step > 0 {
-				if prev, cur = cur, s.pickNextHop(cur, prev, ad.targeting); cur < 0 {
+				if prev, cur = cur, s.pickNextHop(cur, prev, ad.targeting, ckey, w, step); cur < 0 {
 					break
 				}
 			}
@@ -349,35 +351,40 @@ func (s *Scheme) wants(v overlay.NodeID, targeting content.ClassSet) bool {
 	return s.cacheEligible(v) && s.groupInterests(v).Intersects(targeting)
 }
 
-// pickNextHop chooses a delivery walker's next hop. With BiasedDelivery
-// it prefers neighbours whose (group) interests intersect the ad's
-// targeting topics, steering ads toward potential consumers at equal
-// budget; otherwise it falls back to the uniform pick.
-func (s *Scheme) pickNextHop(cur, prev overlay.NodeID, targeting content.ClassSet) overlay.NodeID {
-	if !s.cfg.BiasedDelivery {
-		return s.pickLiveNeighbor(cur, prev)
-	}
+// pickNextHop chooses walker w's next hop at step from cur, where it
+// arrived from prev: choice (key, w, step) of faults.Choose, key the
+// delivery's walkKey. With BiasedDelivery it prefers neighbours whose
+// (group) interests intersect the ad's targeting topics, steering ads
+// toward potential consumers at equal budget; otherwise, or when only prev
+// is left, every neighbour but prev is equally likely. -1 is a dead end.
+func (s *Scheme) pickNextHop(cur, prev overlay.NodeID, targeting content.ClassSet, key uint64, w, step int) overlay.NodeID {
+	choose := func(n int) int { return faults.Choose(key, w, step, n) }
 	nbs := s.eligibleView(cur)
 	interested, other := 0, 0
-	for _, nb := range nbs {
-		if nb == prev {
-			continue
-		}
-		if s.groupInterests(nb).Intersects(targeting) {
-			interested++
-		} else {
-			other++
+	if s.cfg.BiasedDelivery {
+		for _, nb := range nbs {
+			if nb == prev {
+				continue
+			}
+			if s.groupInterests(nb).Intersects(targeting) {
+				interested++
+			} else {
+				other++
+			}
 		}
 	}
 	if interested == 0 && other == 0 {
-		return s.pickLiveNeighbor(cur, prev) // only prev (or nothing) left
+		if i := overlay.PickNeighbor(nbs, prev, choose); i >= 0 {
+			return nbs[i]
+		}
+		return -1
 	}
 	wantInterested := interested > 0
 	pool := interested
 	if !wantInterested {
 		pool = other
 	}
-	k := s.rng.IntN(pool)
+	k := choose(pool)
 	for _, nb := range nbs {
 		if nb == prev {
 			continue
@@ -393,37 +400,9 @@ func (s *Scheme) pickNextHop(cur, prev overlay.NodeID, targeting content.ClassSe
 	return -1 // unreachable
 }
 
-// pickLiveNeighbor picks a uniformly random live neighbour of cur,
-// avoiding an immediate return to prev when alternatives exist.
-// Adjacency holds no duplicate edges, so prev appears at most once: one
-// early-exiting indexOf scan replaces the count-then-select double scan,
-// with the same rng draw and the same pick as selecting the k-th
-// non-prev element in view order.
-func (s *Scheme) pickLiveNeighbor(cur, prev overlay.NodeID) overlay.NodeID {
-	nbs := s.eligibleView(cur)
-	if len(nbs) == 0 {
-		return -1
-	}
-	pi := -1
-	for i, nb := range nbs {
-		if nb == prev {
-			pi = i
-			break
-		}
-	}
-	liveNotPrev := len(nbs)
-	if pi >= 0 {
-		liveNotPrev--
-	}
-	if liveNotPrev == 0 {
-		return prev
-	}
-	k := s.rng.IntN(liveNotPrev)
-	if pi >= 0 && k >= pi {
-		k++
-	}
-	return nbs[k]
-}
+// walkKey names a walk delivery's hop choices: its deliveryKey with the
+// scheme's seed folded in.
+func (s *Scheme) walkKey(dkey uint64) uint64 { return dkey ^ s.cfg.Seed }
 
 // fetchFull resolves a version gap — v's copy of src's ad is too old to
 // patch — by fetching the source's current full ad directly (a control

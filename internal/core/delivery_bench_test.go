@@ -643,18 +643,27 @@ func TestFloodBatchMatchesSequentialAndPerNode(t *testing.T) {
 	}
 }
 
-// TestFloodUnderPlaneIsChunkingInvariant is the property identity keying
-// buys: under a fault plane no drop decision depends on what else a traversal
-// carries or on the order sources are visited in, so the same refresh tick
-// delivered as one batch per 64 sources, as batches of one, and from the
-// reversed wheel slot leaves identical caches, holder tables and ledgers
-// (bytes, copies, drops).
-func TestFloodUnderPlaneIsChunkingInvariant(t *testing.T) {
+// TestChoicesAreOrderFree is the property naming every choice and message
+// by its identity buys: no walk hop, drop or jitter depends on what else a
+// delivery or a query carries or on the order it is handled in. The same
+// refresh tick, flooded or walked (RW, GSA), delivered as one batch per 64
+// sources, as batches of one, and from the reversed wheel slot, leaves
+// identical caches, holder tables and ledgers (bytes, copies, drops), with
+// no plane, under loss and under a partition. A confirmation round returns
+// the same hits, first reply, bytes, drops and retries whatever order its
+// candidates come in, and each candidate meets the fate it meets confirmed
+// alone.
+func TestChoicesAreOrderFree(t *testing.T) {
+	t.Run("delivery chunkings", deliveryChunkingsAreOrderFree)
+	t.Run("confirmation candidates", confirmRoundIsOrderFree)
+}
+
+func deliveryChunkingsAreOrderFree(t *testing.T) {
 	arms := []struct {
 		name string
 		fire func(s *Scheme, at sim.Clock, slot []overlay.NodeID)
 	}{
-		{"one traversal per 64 sources", func(s *Scheme, at sim.Clock, _ []overlay.NodeID) { s.Tick(at) }},
+		{"one batch per 64 sources", func(s *Scheme, at sim.Clock, _ []overlay.NodeID) { s.Tick(at) }},
 		{"batches of one", func(s *Scheme, at sim.Clock, slot []overlay.NodeID) {
 			tickOneByOne(s, slot, func(snap *adSnapshot, kind adKind) { s.deliver(at, snap, kind, snap.topics) })
 		}},
@@ -664,36 +673,126 @@ func TestFloodUnderPlaneIsChunkingInvariant(t *testing.T) {
 		}},
 	}
 	rounds := 2 * len(floodSlotSizes)
-	for _, tc := range []deliveryCase{{false, 11, 0.2, 0}, {true, 12, 0.05, 2}} {
-		var ss [3]*Scheme
-		for k := range ss {
-			ss[k] = tc.build(testConfig(FLD))
-		}
-		for round := 0; round < rounds; round++ {
-			for k, s := range ss {
-				at, slot := tc.prepare(s, rand.New(rand.NewPCG(tc.seed, uint64(round))), round)
-				arms[k].fire(s, at, slot)
-				if err := checkIndex(s); err != nil {
-					t.Fatalf("%v round %d, %s: %v", tc, round, arms[k].name, err)
+	if testing.Short() {
+		rounds = len(floodSlotSizes)
+	}
+	for _, d := range []DeliveryKind{FLD, RW, GSAKind} {
+		for _, tc := range []deliveryCase{{false, 11, 0, 0}, {true, 12, 0.05, 0}, {false, 13, 0.2, 0}, {true, 14, 0.05, 2}} {
+			var ss [3]*Scheme
+			for k := range ss {
+				ss[k] = tc.build(testConfig(d))
+			}
+			for round := 0; round < rounds; round++ {
+				for k, s := range ss {
+					at, slot := tc.prepare(s, rand.New(rand.NewPCG(tc.seed, uint64(round))), round)
+					arms[k].fire(s, at, slot)
+					if err := checkIndex(s); err != nil {
+						t.Fatalf("%s %v round %d, %s: %v", d, tc, round, arms[k].name, err)
+					}
+				}
+				for k := 1; k < 3; k++ {
+					if err := sameDeliveryState(ss[k], ss[0]); err != nil {
+						t.Fatalf("%s %v round %d: %s vs %s: %v", d, tc, round, arms[k].name, arms[0].name, err)
+					}
 				}
 			}
-			for k := 1; k < 3; k++ {
-				if err := sameDeliveryState(ss[k], ss[0]); err != nil {
-					t.Fatalf("%v round %d: %s vs %s: %v", tc, round, arms[k].name, arms[0].name, err)
-				}
+			if drops := ss[0].sys.Load.Total(metrics.CDrop); (drops > 0) != (tc.loss > 0 || tc.parts > 0) {
+				t.Errorf("%s %v: %d copies dropped", d, tc, drops)
 			}
 		}
-		if drops := ss[0].sys.Load.Total(metrics.CDrop); drops == 0 {
-			t.Errorf("%v: the plane dropped nothing", tc)
+	}
+}
+
+// confirmRoundIsOrderFree hands confirmRound each query's candidates — the
+// nodes holding a match and a random draw of others, live and departed — in
+// ranking order, shuffled, and one at a time, on a network that loses 30 %
+// of messages and jitters the rest. The order must change nothing, and the
+// whole round must be the sum of its candidates alone: hits, bytes, drops
+// and retries add up, and the first reply (jitter included) is the earliest
+// of theirs.
+func confirmRoundIsOrderFree(t *testing.T) {
+	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 15)
+	sys.SetFaults(faults.New(faults.Config{Seed: 15, LossRate: 0.3, JitterMS: 40}))
+	cfg := testConfig(RW)
+	cfg.MaxConfirms = 64 // no cut: a candidate's fate may not depend on the others
+	s := New(cfg)
+	s.Attach(sys)
+	type outcome struct {
+		hits           int
+		first          sim.Clock
+		bytes          int64
+		drops, retries int64
+	}
+	round := func(ev *trace.Event, cands []candidate) outcome {
+		d0, r0 := sys.Load.Total(metrics.CDrop), sys.Load.Total(metrics.CRetry)
+		sc := s.getScratch(faults.Key(ev.Time, ev.Node))
+		sc.begin(&s.slots, ev.Terms)
+		hits, first, bytes := s.confirmRound(ev.Node, ev.Terms, slices.Clone(cands), sc.confirmed, sc)
+		return outcome{hits, first, bytes, sys.Load.Total(metrics.CDrop) - d0, sys.Load.Total(metrics.CRetry) - r0}
+	}
+	rng := rand.New(rand.NewPCG(15, 1))
+	var rounds, hits int
+	var drops int64
+	for i := range testTr.Events {
+		ev := &testTr.Events[i]
+		if ev.Kind != trace.Query || !sys.G.Alive(ev.Node) {
+			continue
 		}
+		var cands []candidate
+		add := func(v overlay.NodeID) {
+			if v != ev.Node && !slices.ContainsFunc(cands, func(c candidate) bool { return c.src == v }) {
+				cands = append(cands, candidate{src: v, avail: ev.Time, rtt: 2 * sim.Clock(sys.Latency(ev.Node, v))})
+			}
+		}
+		for v := 0; v < sys.NumNodes() && len(cands) < 8; v++ {
+			if sys.NodeMatches(overlay.NodeID(v), ev.Terms) {
+				add(overlay.NodeID(v))
+			}
+		}
+		for k := 0; k < 8; k++ {
+			add(overlay.NodeID(rng.IntN(sys.NumNodes())))
+		}
+		whole := round(ev, cands)
+		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+		if got := round(ev, cands); got != whole {
+			t.Fatalf("query %d: shuffled candidates give %+v, ranked %+v", i, got, whole)
+		}
+		sum := outcome{first: -1}
+		for _, c := range cands {
+			one := round(ev, []candidate{c})
+			sum.hits += one.hits
+			sum.bytes += one.bytes
+			sum.drops += one.drops
+			sum.retries += one.retries
+			if one.hits > 0 && (sum.first < 0 || one.first < sum.first) {
+				sum.first = one.first
+			}
+		}
+		if sum.hits == 0 {
+			sum.first = 0 // confirmRound's "no reply" on an empty list
+		}
+		if whole.hits == 0 && whole.first < 0 {
+			whole.first = 0
+		}
+		if sum != whole {
+			t.Fatalf("query %d: the candidates alone sum to %+v, together %+v", i, sum, whole)
+		}
+		rounds, hits, drops = rounds+1, hits+whole.hits, drops+whole.drops
+		if rounds == 150 {
+			break
+		}
+	}
+	if hits == 0 || drops == 0 {
+		t.Errorf("%d rounds confirmed %d hits and dropped %d messages: too little exercised", rounds, hits, drops)
 	}
 }
 
 // walkPerVisit is the specification of a walk delivery: deliver's walkers as
 // they ran when each visit applied the ad on the spot, every copy booked,
-// counted and put to the plane on its own — walker w's copy at step s named
-// (deliveryKey folded with w, edge, s), a gap fetch's legs by the key and the
-// fetching holder. A node applies (applyAt) at its first visit. A revisit
+// counted and put to the plane on its own — walker w's hop at step s is
+// choice (walkKey, w, s), its copy named (deliveryKey folded with w, edge,
+// s), a gap fetch's legs by the key and the fetching holder. It runs the
+// walkers last to first, which identity-named choices make immaterial. A node applies (applyAt) at its first visit. A revisit
 // re-delivers a copy the node has acted on: it stores again, which moves
 // freshness at most, and does not re-send a gap fetch a lost leg left open:
 // under loss a node acts on a delivery once, a modelling rule (DESIGN.md §11).
@@ -724,9 +823,9 @@ func walkPerVisit(s *Scheme, t sim.Clock, snap *adSnapshot, kind adKind) {
 		}
 	}
 	perWalker := max(1, budget/len(starts))
-	for w, start := range starts {
+	for w := len(starts) - 1; w >= 0; w-- {
 		wkey := faults.Fold(dkey, uint64(w))
-		cur, prev := start, snap.src
+		cur, prev := starts[w], snap.src
 		if !s.sys.Deliver(t, class, bytes, snap.src, cur, wkey, 0) {
 			continue
 		}
@@ -735,7 +834,7 @@ func walkPerVisit(s *Scheme, t sim.Clock, snap *adSnapshot, kind adKind) {
 			continue
 		}
 		for step := 1; step < perWalker; step++ {
-			next := s.pickNextHop(cur, prev, snap.topics)
+			next := s.pickNextHop(cur, prev, snap.topics, s.walkKey(dkey), w, step)
 			if next < 0 {
 				break
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,7 +32,6 @@ type Scheme struct {
 
 	// Ad-delivery state. The buffers amortise the per-delivery queue and
 	// neighbour-list allocations across a run.
-	rng    *rand.Rand
 	flood  floodScratch
 	adQ    []floodAd // the ads of a tick, or the one ad of a publish
 	wlkBuf []overlay.NodeID
@@ -107,7 +105,6 @@ func (s *Scheme) bind(sys *sim.System) []floodAd {
 	n := sys.NumNodes()
 	s.nodes = make([]nodeState, n)
 	s.holders = make([]holderTab, n)
-	s.rng = rand.New(rand.NewPCG(s.cfg.Seed, 0x5851f42d4c957f2d))
 	s.flood.seen = make([]uint64, n+1) // by slot key: node+1
 	s.flood.frontier = make([]uint64, n)
 	s.flood.next = make([]uint64, n)
@@ -411,10 +408,9 @@ func (s *Scheme) NodeLeft(t sim.Clock, n overlay.NodeID) {
 // TickUnder is Tick with a fence: fence runs exactly once, just before the
 // tick's first write section opens — an empty one at the end if the tick
 // writes nothing. Before the fence the tick only reads scheme and system
-// state and writes the delivery scratch, the rng and the fault plane's drop
-// tallies, none of which a read-only search touches; so the serving plane
-// closes its gate in fence and keeps readers running through the first
-// batch's reach.
+// state and writes the delivery scratch and the ledger's drop tallies,
+// none of which a read-only search touches; so the serving plane closes its
+// gate in fence and keeps readers running through the first batch's reach.
 func (s *Scheme) TickUnder(t sim.Clock, fence func()) {
 	s.fence = fence
 	s.Tick(t)

@@ -44,23 +44,16 @@ type searchScratch struct {
 	frontier []overlay.NodeID
 	next     []overlay.NodeID
 
-	// Fault-plane message stream of this query: fkey derives from the
-	// query's (time, node) identity, fseq numbers its messages. Together
-	// they make every drop/jitter decision a function of the query alone.
+	// fkey names this query's messages to the fault plane: it derives from
+	// the query's (time, node) identity, and each message completes it with
+	// its edge and legSeq, so every drop/jitter decision is a function of
+	// the query and the message alone.
 	fkey uint64
-	fseq uint32
 
 	// serving marks a serving slot's scratch (NewServeScratch): its
 	// neighbourhood walks send no request copies, so they draw no
 	// fault-plane verdict, count no message and write nothing outside sc.
 	serving bool
-}
-
-// nextSeq returns the query's next message sequence number.
-func (sc *searchScratch) nextSeq() uint32 {
-	s := sc.fseq
-	sc.fseq++
-	return s
 }
 
 // newSearchScratch returns an empty scratch.
@@ -76,7 +69,7 @@ func newSearchScratch() searchScratch {
 // it are valid until the next call.
 func (s *Scheme) getScratch(fkey uint64) *searchScratch {
 	sc := &s.scratch
-	sc.fkey, sc.fseq = fkey, 0
+	sc.fkey = fkey
 	return sc
 }
 

@@ -22,6 +22,23 @@ type candidate struct {
 	rtt   sim.Clock
 }
 
+// Every message of a search is named to the fault plane (fkey, src→dst,
+// legSeq(attempt, leg)): the query's key, the directed edge, and which try
+// of which leg it is. Two legs on one edge differ in leg — an ads-request
+// copy tg→p and tg's reply to p are both MAdsRequest — so no two messages
+// of a query share a name, and none depends on how many went before it.
+const (
+	legUplink       = iota // a leaf's request to its super peer
+	legDownlink            // the super peer's answer to the leaf
+	legConfirm             // a confirmation request
+	legConfirmReply        // its reply
+	legAdsRequest          // one copy of the ads-request flood
+	legAdsReply            // a reached peer's reply
+	legBits         = 3
+)
+
+func legSeq(attempt, leg int) uint32 { return uint32(attempt)<<legBits | uint32(leg) }
+
 // contactAttempts returns how many times one search contact is tried.
 // Retries exist only to survive a lossy network: without an active fault
 // plane every contact is attempted exactly once, whatever RetryAttempts
@@ -72,7 +89,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 				t0 += 2*uplinkMS + sim.Clock(s.cfg.RetryTimeoutMS)
 			}
 			uplinkBytes += int64(up)
-			if s.sys.Deliver(t0, metrics.MConfirm, up, p, rp, sc.fkey, sc.nextSeq()) {
+			if s.sys.Deliver(t0, metrics.MConfirm, up, p, rp, sc.fkey, legSeq(a, legUplink)) {
 				routed = true
 				break
 			}
@@ -82,7 +99,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 			return metrics.SearchResult{Bytes: uplinkBytes}
 		}
 		uplinkBytes += int64(down)
-		downOK = s.sys.Deliver(t0, metrics.MConfirm, down, rp, p, sc.fkey, sc.nextSeq())
+		downOK = s.sys.Deliver(t0, metrics.MConfirm, down, rp, p, sc.fkey, legSeq(0, legDownlink))
 		extraHops = 1
 		p = rp
 		t0 += uplinkMS
@@ -213,7 +230,7 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 				sendAt += c.rtt + sim.Clock(s.cfg.RetryTimeoutMS)
 			}
 			bytes += int64(cb)
-			if !s.sys.Deliver(sendAt, metrics.MConfirm, cb, p, c.src, sc.fkey, sc.nextSeq()) {
+			if !s.sys.Deliver(sendAt, metrics.MConfirm, cb, p, c.src, sc.fkey, legSeq(a, legConfirm)) {
 				continue // request lost in transit
 			}
 			if !alive {
@@ -221,7 +238,7 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 			}
 			rb := sim.ConfirmReplyBytes()
 			bytes += int64(rb)
-			rseq := sc.nextSeq()
+			rseq := legSeq(a, legConfirmReply)
 			if !s.sys.Deliver(sendAt, metrics.MConfirm, rb, c.src, p, sc.fkey, rseq) {
 				continue // reply lost: same silence as a dead source
 			}
@@ -283,7 +300,7 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, qa
 			s.sys.Load.Count(tA, metrics.CRetry)
 			tA += sim.Clock(s.cfg.RetryTimeoutMS)
 		}
-		targets, reqMsgs := s.hopNeighborhood(tA, p, s.cfg.AdsRequestHops, sc)
+		targets, reqMsgs := s.hopNeighborhood(tA, p, s.cfg.AdsRequestHops, a, sc)
 		if reqMsgs == 0 {
 			break // no live peers to ask; nothing was (or will be) sent
 		}
@@ -302,7 +319,7 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, qa
 			}
 			reply := sim.AdsReplyBytes(payload)
 			bytes += int64(reply)
-			rseq := sc.nextSeq()
+			rseq := legSeq(a, legAdsReply)
 			if !s.sys.Deliver(tA, metrics.MAdsRequest, reply, tg.node, p, sc.fkey, rseq) {
 				continue // the whole reply is one message; it was lost
 			}
@@ -378,22 +395,23 @@ type hopTarget struct {
 // messages the duplicate-suppressed flood sends. Under a fault plane a
 // request copy can be lost — it still counts as sent, but the node behind
 // it is only reached via surviving copies, so drops prune whole branches
-// of the multi-hop case. A serving scratch's walk sends no copies: it
+// of the multi-hop case. Each copy is named by its edge and the request's
+// attempt. A serving scratch's walk sends no copies: it
 // reaches every eligible peer in the same BFS order, and draws no verdict,
 // counts nothing and writes nothing outside sc. The returned slice is
 // backed by sc; the BFS tracks visited nodes in sc's epoch-stamped slices,
 // so the multi-hop case does no per-query map work.
-func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h int, sc *searchScratch) ([]hopTarget, int) {
+func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h, attempt int, sc *searchScratch) ([]hopTarget, int) {
 	if h <= 0 {
 		return nil, 0
 	}
-	out := sc.targets[:0]
+	out, seq := sc.targets[:0], legSeq(attempt, legAdsRequest)
 	if h == 1 {
 		// The common case: direct neighbours, one request each.
 		msgs := 0
 		for _, nb := range s.eligibleView(p) {
 			msgs++
-			if !sc.serving && !s.sys.Deliver(t, metrics.MAdsRequest, 0, p, nb, sc.fkey, sc.nextSeq()) {
+			if !sc.serving && !s.sys.Deliver(t, metrics.MAdsRequest, 0, p, nb, sc.fkey, seq) {
 				continue
 			}
 			out = append(out, hopTarget{node: nb, pathLat: sim.Clock(s.sys.Latency(p, nb))})
@@ -413,7 +431,7 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h int, sc *searc
 		for _, u := range frontier {
 			for _, nb := range s.eligibleView(u) {
 				msgs++
-				if !sc.serving && !s.sys.Deliver(t, metrics.MAdsRequest, 0, u, nb, sc.fkey, sc.nextSeq()) {
+				if !sc.serving && !s.sys.Deliver(t, metrics.MAdsRequest, 0, u, nb, sc.fkey, seq) {
 					continue // copy lost: nb may still arrive via another edge
 				}
 				if visited[nb] == epoch {

@@ -171,18 +171,19 @@ func fifoFingerprint(s *Scheme) uint64 {
 // small preset, seeds 1–2, for each delivery kind. The constants were taken
 // from the store-then-evict warm-up (every full ad stored at every wanting
 // recipient through store, FIFO eviction included) before the direct
-// survivor install replaced it.
+// survivor install replaced it; the RW and GSA ones were retaken when walk
+// hops became identity-named choices (faults.Choose).
 func TestWarmUpFingerprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("small-preset labs in -short mode")
 	}
 	want := map[string]uint64{
 		"asap-fld/seed=1": 0xfad738d7f4db993b,
-		"asap-rw/seed=1":  0x97758137c08a8ff8,
-		"asap-gsa/seed=1": 0x016ccd38b8b552de,
+		"asap-rw/seed=1":  0x4c89751e63657c31,
+		"asap-gsa/seed=1": 0x6dfd234dbbcd40e9,
 		"asap-fld/seed=2": 0x0b255aaa2142cc0b,
-		"asap-rw/seed=2":  0xf21e0a131066aea3,
-		"asap-gsa/seed=2": 0xfffd285fe58587b4,
+		"asap-rw/seed=2":  0x430a3b62cbca9c2a,
+		"asap-gsa/seed=2": 0xa1025fdcb5196e34,
 	}
 	for _, seed := range []uint64{1, 2} {
 		system := smallLab(t, seed)

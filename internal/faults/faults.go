@@ -21,6 +21,7 @@ package faults
 
 import (
 	"fmt"
+	"math/bits"
 
 	"asap/internal/metrics"
 	"asap/internal/overlay"
@@ -159,3 +160,19 @@ func Key(t int64, node overlay.NodeID) uint64 {
 // Fold mixes an extra discriminator (e.g. an ad version and delivery
 // kind) into a stream key, for events not unique in (time, node) alone.
 func Fold(key, extra uint64) uint64 { return pcg64(key ^ extra) }
+
+// Choose returns walker's choice at step among n > 0 options, uniform in
+// [0, n): counter-based randomness (Salmon et al., "Parallel Random
+// Numbers: As Easy as 1, 2, 3", SC '11). key names the walk — an event key
+// with the scheme's seed folded in — so a choice depends on (key, walker,
+// step) alone, never on the walks or walkers handled before it. Its own
+// tweak keeps the choice's hash apart from the drop and jitter verdicts of
+// the copy it sends, which a walker names by the same key, walker and step.
+func Choose(key uint64, walker, step, n int) int {
+	h := pcg64(pcg64(key^chooseTweak) ^ uint64(uint32(walker))<<32 ^ uint64(uint32(step)))
+	hi, _ := bits.Mul64(h, uint64(n)) // Lemire's multiply-shift reduction
+	return int(hi)
+}
+
+// chooseTweak separates Choose's hashes from every other use of a key.
+const chooseTweak = 0x6a09e667f3bcc909

@@ -213,3 +213,44 @@ func TestNewValidates(t *testing.T) {
 		}()
 	}
 }
+
+// TestChooseIsUniformAndNamed: a choice stays in [0, n), repeats for the
+// same (key, walker, step), and over many steps spreads evenly over the n
+// options (a χ² test) for walker 0 and walker 1 alike, whose sequences
+// differ.
+func TestChooseIsUniformAndNamed(t *testing.T) {
+	const draws = 60000
+	for _, n := range []int{1, 2, 3, 7, 64} {
+		for walker := 0; walker < 2; walker++ {
+			counts := make([]int, n)
+			for step := 0; step < draws; step++ {
+				k := Choose(0xfeed, walker, step, n)
+				if k < 0 || k >= n {
+					t.Fatalf("n=%d: choice %d out of range", n, k)
+				}
+				if Choose(0xfeed, walker, step, n) != k {
+					t.Fatalf("n=%d: choice (walker %d, step %d) not repeatable", n, walker, step)
+				}
+				counts[k]++
+			}
+			// Pearson's χ² over n-1 degrees of freedom, held six standard
+			// deviations above its mean.
+			chi2, want := 0.0, float64(draws)/float64(n)
+			for _, c := range counts {
+				chi2 += (float64(c) - want) * (float64(c) - want) / want
+			}
+			if dof := float64(n - 1); chi2 > dof+6*math.Sqrt(2*dof) {
+				t.Errorf("n=%d walker %d: χ² %.1f over %v degrees of freedom: not uniform", n, walker, chi2, dof)
+			}
+		}
+	}
+	same := 0
+	for step := 0; step < 1000; step++ {
+		if Choose(0xfeed, 0, step, 64) == Choose(0xfeed, 1, step, 64) {
+			same++
+		}
+	}
+	if same > 50 {
+		t.Errorf("walkers 0 and 1 agree on %d of 1000 steps: not independent", same)
+	}
+}

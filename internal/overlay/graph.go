@@ -231,6 +231,37 @@ func (g *Graph) LiveEdges(v NodeID) ([]NodeID, []int32) {
 	return g.liveAdj[o : o+d : o+d], g.liveLat[o : o+d : o+d]
 }
 
+// PickNeighbor returns the index in view (a live view) of the neighbour a
+// walker that arrived from prev moves to: choose(n) picks among the n
+// neighbours other than prev, in view order, and prev is returned only when
+// it is the sole neighbour; -1 when view is empty. Adjacency holds no
+// duplicate edges, so prev appears at most once: one early-exit scan finds
+// it, and skipping its index selects the choice.
+func PickNeighbor(view []NodeID, prev NodeID, choose func(n int) int) int {
+	if len(view) == 0 {
+		return -1
+	}
+	pi := len(view)
+	for i, nb := range view {
+		if nb == prev {
+			pi = i
+			break
+		}
+	}
+	n := len(view)
+	if pi < n {
+		n--
+	}
+	if n == 0 {
+		return pi // backtracking is the only move
+	}
+	k := choose(n)
+	if k >= pi {
+		k++
+	}
+	return k
+}
+
 // LiveSuperNeighbors returns v's alive super-peer neighbours in adjacency
 // order (nil on flat topologies) — the cache-eligible view hierarchical
 // ad delivery iterates. The slice is valid until the next graph mutation.

@@ -400,3 +400,42 @@ func TestTargetDegree(t *testing.T) {
 		t.Errorf("TargetDegree = %v, want 5", g.TargetDegree())
 	}
 }
+
+// TestPickNeighborAvoidsBacktrack walks every choice PickNeighbor can be
+// handed: a walker never steps back to prev while another neighbour is
+// live, every other neighbour is reachable by exactly one choice, prev is
+// the move only when it is the sole neighbour, and an empty view is a dead
+// end that asks for no choice.
+func TestPickNeighborAvoidsBacktrack(t *testing.T) {
+	view := []NodeID{7, 3, 9, 4, 12}
+	for pi := -1; pi < len(view); pi++ {
+		prev := NodeID(99) // not a neighbour: every neighbour is a choice
+		if pi >= 0 {
+			prev = view[pi]
+		}
+		want := len(view)
+		if pi >= 0 {
+			want--
+		}
+		hit := map[int]bool{}
+		for k := 0; k < want; k++ {
+			i := PickNeighbor(view, prev, func(n int) int {
+				if n != want {
+					t.Fatalf("prev at %d: asked to choose among %d, want %d", pi, n, want)
+				}
+				return k
+			})
+			if i < 0 || i >= len(view) || view[i] == prev || hit[i] {
+				t.Fatalf("prev at %d, choice %d: picked index %d", pi, k, i)
+			}
+			hit[i] = true
+		}
+	}
+	never := func(int) int { t.Fatal("a forced move drew a choice"); return 0 }
+	if i := PickNeighbor([]NodeID{5}, 5, never); i != 0 {
+		t.Errorf("sole neighbour prev: picked %d, want 0 (backtrack)", i)
+	}
+	if i := PickNeighbor(nil, 5, never); i != -1 {
+		t.Errorf("empty view: picked %d, want -1", i)
+	}
+}

@@ -2,7 +2,6 @@ package search
 
 import (
 	"math"
-	"math/rand/v2"
 
 	"asap/internal/content"
 	"asap/internal/metrics"
@@ -65,17 +64,13 @@ type scratch struct {
 	times []sim.Clock      // walker step times
 	nodes []overlay.NodeID // walker step nodes
 	recs  []walkRec
-	pcg   rand.PCG
-	rng   *rand.Rand // draws from pcg; reseeded per query
-	fkey  uint64     // names the current query's messages to the fault plane (see faults.Key)
+	fkey  uint64 // names the current query's messages to the fault plane (see faults.Key)
 }
 
 // newScratch returns the query state for an n-node system. A scheme keeps
 // one: the replay calls Search from one goroutine, one query at a time.
 func newScratch(n int) *scratch {
-	sc := &scratch{mark: make([]uint64, n), cand: make([]uint32, n)}
-	sc.rng = rand.New(&sc.pcg)
-	return sc
+	return &scratch{mark: make([]uint64, n), cand: make([]uint32, n)}
 }
 
 // begin starts a fresh query in this scratch, keyed for the fault plane.
@@ -129,17 +124,4 @@ func (s *scratch) claim(n overlay.NodeID, b sim.Clock) bool {
 	}
 	s.mark[n] = key
 	return true
-}
-
-// querySeed derives a deterministic per-query RNG seed, so a query's walks
-// depend on its identity alone, not on the queries replayed before it.
-func querySeed(base uint64, t sim.Clock, node overlay.NodeID) uint64 {
-	x := base ^ uint64(t)<<20 ^ uint64(uint32(node))
-	// splitmix64 finalizer.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

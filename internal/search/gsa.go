@@ -16,7 +16,7 @@ type GSA struct {
 	noopEvents
 	// Budget caps the total number of messages one query may generate.
 	Budget int
-	// Seed drives per-query walk randomness.
+	// Seed is folded into every query's walk choices.
 	Seed uint64
 
 	sys *sim.System
@@ -65,10 +65,10 @@ func (g *GSA) walk(sc *scratch, ev *trace.Event) metrics.SearchResult {
 		perWalker = remaining / len(seeds)
 	}
 
-	sc.pcg.Seed(querySeed(g.Seed, ev.Time, ev.Node), 0x51a2b3c4)
+	ckey := sc.fkey ^ g.Seed
 	for i, nb := range seeds {
 		arr := ev.Time + sim.Clock(lat[i])
-		sc.recs = append(sc.recs, runWalker(sys, sc, i, src, nb, arr, perWalker+1))
+		sc.recs = append(sc.recs, runWalker(sys, sc, ckey, i, src, nb, arr, perWalker+1))
 	}
 	// The seed messages themselves are already the first step of each
 	// walker record (runWalker records the starting neighbour), so

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"asap/internal/content"
@@ -287,40 +286,6 @@ func TestEndToEndRunAllBaselines(t *testing.T) {
 		}
 		if sys.Load.TotalBytes(metrics.BaselineLoadMask) >= sys.Load.TotalBytes(metrics.AllMask) {
 			t.Errorf("%s: load mask does not exclude replies", sch.Name())
-		}
-	}
-}
-
-func TestPickNeighborAvoidsBacktrack(t *testing.T) {
-	sys := newSys(t, overlay.Random)
-	w := NewRandomWalk(1)
-	w.Attach(sys)
-	// Statistical check: walk from a node with ≥3 live neighbours and
-	// verify the immediate predecessor is never chosen when alternatives
-	// exist (pickNeighbor is exercised through Search determinism tests;
-	// here we call it directly).
-	var cur overlay.NodeID = -1
-	for v := 0; v < sys.NumNodes(); v++ {
-		live := 0
-		for _, nb := range sys.G.Neighbors(overlay.NodeID(v)) {
-			if sys.G.Alive(nb) {
-				live++
-			}
-		}
-		if live >= 3 {
-			cur = overlay.NodeID(v)
-			break
-		}
-	}
-	if cur < 0 {
-		t.Skip("no node with 3 live neighbours")
-	}
-	prev := sys.G.Neighbors(cur)[0]
-	nbs := sys.G.LiveNeighbors(cur)
-	rng := rand.New(rand.NewPCG(42, 42))
-	for i := 0; i < 200; i++ {
-		if got := nbs[pickNeighbor(nbs, prev, rng)]; got == prev {
-			t.Fatal("pickNeighbor backtracked despite alternatives")
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package search
 
 import (
-	"math/rand/v2"
-
 	"asap/internal/faults"
 	"asap/internal/metrics"
 	"asap/internal/overlay"
@@ -26,11 +24,14 @@ type walkRec struct {
 }
 
 // runWalker walks walker number w from src for at most ttl steps, stopping
-// early at the first node matching the resolved query. Step records are
-// appended to the scratch arrays. Under a fault plane each forwarded copy —
-// named by (walker, step index) — can be dropped, killing the walker
-// silently (nobody retransmits a walker).
-func runWalker(sys *sim.System, sc *scratch, w int, src overlay.NodeID, start overlay.NodeID, t sim.Clock, ttl int) walkRec {
+// early at the first node matching the resolved query. Its hop at step s is
+// choice (ckey, w, s) of faults.Choose — ckey is the query's key with the
+// scheme's seed folded in — so a walker's path depends on the query's
+// identity alone, never on the walkers before it. Step records are appended
+// to the scratch arrays. Under a fault plane each forwarded copy — named by
+// (walker, step index) — can be dropped, killing the walker silently
+// (nobody retransmits a walker).
+func runWalker(sys *sim.System, sc *scratch, ckey uint64, w int, src overlay.NodeID, start overlay.NodeID, t sim.Clock, ttl int) walkRec {
 	rec := walkRec{start: len(sc.nodes), key: faults.Fold(sc.fkey, uint64(w))}
 	cur, prev := start, src
 	if start != src {
@@ -52,22 +53,22 @@ func runWalker(sys *sim.System, sc *scratch, w int, src overlay.NodeID, start ov
 	}
 	for rec.steps < ttl {
 		nbs, lat := sys.G.LiveEdges(cur)
-		i := pickNeighbor(nbs, prev, sc.rng)
+		step := rec.steps
+		i := overlay.PickNeighbor(nbs, prev, func(n int) int { return faults.Choose(ckey, w, step, n) })
 		if i < 0 {
 			break // dead end
 		}
 		t += sim.Clock(lat[i])
 		prev, cur = cur, nbs[i]
-		step := uint32(rec.steps)
 		sc.nodes = append(sc.nodes, cur)
 		sc.times = append(sc.times, t)
 		rec.steps++
 		// The copy is booked now; its bytes once the walker's stop is known.
-		if !sys.Deliver(t, metrics.MQuery, 0, prev, cur, rec.key, step) {
+		if !sys.Deliver(t, metrics.MQuery, 0, prev, cur, rec.key, uint32(step)) {
 			rec.lost = true // walker lost in transit
 			break
 		}
-		t += sys.JitterMS(metrics.MQuery, prev, cur, rec.key, step)
+		t += sys.JitterMS(metrics.MQuery, prev, cur, rec.key, uint32(step))
 		sc.times[rec.start+rec.steps-1] = t
 		if cur != src && sc.matches(sys, cur) {
 			rec.matched, rec.matchTime = true, t
@@ -75,36 +76,6 @@ func runWalker(sys *sim.System, sc *scratch, w int, src overlay.NodeID, start ov
 		}
 	}
 	return rec
-}
-
-// pickNeighbor returns the index in nbs, a live view, of a uniformly random
-// neighbour, avoiding an immediate return to prev when any alternative
-// exists; -1 when nbs is empty. Adjacency holds no duplicate edges, so prev
-// appears at most once in the live view: one early-exit scan finds it, and
-// skipping its index selects the k-th non-prev neighbour in adjacency order.
-func pickNeighbor(nbs []overlay.NodeID, prev overlay.NodeID, rng *rand.Rand) int {
-	if len(nbs) == 0 {
-		return -1
-	}
-	pi := len(nbs)
-	for i, nb := range nbs {
-		if nb == prev {
-			pi = i
-			break
-		}
-	}
-	n := len(nbs)
-	if pi < n {
-		n--
-	}
-	if n == 0 {
-		return pi // backtracking is the only move
-	}
-	k := rng.IntN(n)
-	if k >= pi {
-		k++
-	}
-	return k
 }
 
 // settleWalk computes, for all walkers of one query, the resolution time,
@@ -189,7 +160,7 @@ type RandomWalk struct {
 	// Walkers and TTL follow the paper: 5 walkers, TTL 1024.
 	Walkers int
 	TTL     int
-	// Seed drives per-query walk randomness.
+	// Seed is folded into every query's walk choices.
 	Seed uint64
 
 	sys *sim.System
@@ -220,10 +191,9 @@ func (w *RandomWalk) Search(ev *trace.Event) metrics.SearchResult {
 
 // walk runs the resolved query's walkers and settles them.
 func (w *RandomWalk) walk(sc *scratch, ev *trace.Event) metrics.SearchResult {
-	sys := w.sys
-	sc.pcg.Seed(querySeed(w.Seed, ev.Time, ev.Node), 0x9d8f3c21)
+	sys, ckey := w.sys, sc.fkey^w.Seed
 	for k := 0; k < w.Walkers; k++ {
-		sc.recs = append(sc.recs, runWalker(sys, sc, k, ev.Node, ev.Node, ev.Time, w.TTL))
+		sc.recs = append(sc.recs, runWalker(sys, sc, ckey, k, ev.Node, ev.Node, ev.Time, w.TTL))
 	}
 	return settleWalk(sys, sc, sc.recs, ev.Node, ev.Time, sim.QueryBytes(len(ev.Terms)), 0)
 }
