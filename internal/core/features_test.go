@@ -1,8 +1,12 @@
 package core
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"testing"
 
+	"asap/internal/faults"
 	"asap/internal/metrics"
 	"asap/internal/overlay"
 	"asap/internal/sim"
@@ -105,4 +109,63 @@ func TestBiasedDeliveryEndToEnd(t *testing.T) {
 		t.Errorf("biased delivery success %.3f well below uniform %.3f", biased, uniform)
 	}
 	t.Logf("success: uniform=%.3f biased=%.3f", uniform, biased)
+}
+
+// TestPhase1ResponseCountsBothJitters: on a jitter-only plane (which never
+// drops, so every contact is tried once), a phase-1 hit answers when the
+// first positive confirmation reply arrives — for each of the MaxConfirms
+// nearest candidates that holds a match, its round-trip time plus its
+// request's jitter plus its reply's — and the earliest of those is the
+// search's ResponseMS.
+func TestPhase1ResponseCountsBothJitters(t *testing.T) {
+	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 23)
+	sys.SetFaults(faults.New(faults.Config{Seed: 23, JitterMS: 60}))
+	s := New(testConfig(RW))
+	s.Attach(sys)
+	var checked, moved int
+	for i := range testTr.Events {
+		ev := &testTr.Events[i]
+		if ev.Kind != trace.Query || !sys.G.Alive(ev.Node) {
+			continue
+		}
+		p, key := ev.Node, faults.Key(ev.Time, ev.Node)
+		sc := newSearchScratch()
+		sc.begin(&s.slots, ev.Terms)
+		var cands []candidate
+		for _, src := range s.scanCache(p, &sc.qa, s.staleBefore(ev.Time), math.MaxInt, nil) {
+			cands = append(cands, candidate{src: src, rtt: 2 * sim.Clock(sys.Latency(p, src))})
+		}
+		slices.SortFunc(cands, func(a, b candidate) int { return cmp.Or(cmp.Compare(a.rtt, b.rtt), cmp.Compare(a.src, b.src)) })
+		want, plain := sim.Clock(-1), sim.Clock(-1)
+		for _, c := range cands[:min(len(cands), s.cfg.MaxConfirms)] {
+			if !sys.G.Alive(c.src) || !s.groupMatches(c.src, ev.Terms) {
+				continue
+			}
+			at := c.rtt + sys.JitterMS(metrics.MConfirm, p, c.src, key, legSeq(0, legConfirm)) +
+				sys.JitterMS(metrics.MConfirm, c.src, p, key, legSeq(0, legConfirmReply))
+			if want < 0 || at < want {
+				want = at
+			}
+			if plain < 0 || c.rtt < plain {
+				plain = c.rtt
+			}
+		}
+		res := s.Search(ev)
+		if want < 0 {
+			continue
+		}
+		if !res.Success || res.Hops != 1 || res.ResponseMS != want {
+			t.Fatalf("query %d: %+v, want a phase-1 hit answered in %d ms", i, res, want)
+		}
+		checked++
+		if want != plain {
+			moved++
+		}
+		if checked == 200 {
+			break
+		}
+	}
+	if checked == 0 || moved == 0 {
+		t.Errorf("%d phase-1 hits checked, %d moved by jitter: too little exercised", checked, moved)
+	}
 }

@@ -70,7 +70,8 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	// then runs at the super peer. The uplink request is retried like any
 	// other contact; the downlink reply's fate is drawn now and applied at
 	// the success returns (the whole search's bytes are spent either way).
-	uplinkMS := sim.Clock(0)
+	// routeMS is the two legs' time, jitter included.
+	uplinkMS, routeMS := sim.Clock(0), sim.Clock(0)
 	var uplinkBytes int64
 	extraHops := 0
 	downOK := true
@@ -82,7 +83,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 		up := sim.QueryBytes(len(ev.Terms))
 		down := sim.QueryHitBytes()
 		attempts := s.contactAttempts()
-		routed := false
+		routed := -1
 		for a := 0; a < attempts; a++ {
 			if a > 0 {
 				s.sys.Load.Count(t0, metrics.CRetry)
@@ -90,19 +91,22 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 			}
 			uplinkBytes += int64(up)
 			if s.sys.Deliver(t0, metrics.MConfirm, up, p, rp, sc.fkey, legSeq(a, legUplink)) {
-				routed = true
+				routed = a
 				break
 			}
 		}
-		if !routed {
+		if routed < 0 {
 			s.sys.Load.Count(t0, metrics.CTimeout)
 			return metrics.SearchResult{Bytes: uplinkBytes}
 		}
 		uplinkBytes += int64(down)
-		downOK = s.sys.Deliver(t0, metrics.MConfirm, down, rp, p, sc.fkey, legSeq(0, legDownlink))
+		downSeq := legSeq(0, legDownlink)
+		downOK = s.sys.Deliver(t0, metrics.MConfirm, down, rp, p, sc.fkey, downSeq)
+		upMS := uplinkMS + s.sys.JitterMS(metrics.MConfirm, p, rp, sc.fkey, legSeq(routed, legUplink))
+		routeMS = upMS + uplinkMS + s.sys.JitterMS(metrics.MConfirm, rp, p, sc.fkey, downSeq)
 		extraHops = 1
 		p = rp
-		t0 += uplinkMS
+		t0 += upMS
 	}
 
 	ns := &s.nodes[p]
@@ -141,7 +145,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 				s.sys.Load.Count(t0, metrics.CTimeout)
 				return metrics.SearchResult{Bytes: bytes}
 			}
-			return metrics.SearchResult{Success: true, ResponseMS: resp - t0 + 2*uplinkMS, Bytes: bytes, Hops: 1 + extraHops, Hits: hits}
+			return metrics.SearchResult{Success: true, ResponseMS: resp - t0 + routeMS, Bytes: bytes, Hops: 1 + extraHops, Hits: hits}
 		}
 		return metrics.SearchResult{Bytes: bytes}
 	}
@@ -175,7 +179,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	} else if hits2 > 0 && resp2 < resp {
 		resp = resp2
 	}
-	return metrics.SearchResult{Success: true, ResponseMS: resp - t0 + 2*uplinkMS, Bytes: bytes, Hops: hops, Hits: hits + hits2}
+	return metrics.SearchResult{Success: true, ResponseMS: resp - t0 + routeMS, Bytes: bytes, Hops: hops, Hits: hits + hits2}
 }
 
 // confirmRound sends content confirmations to up to MaxConfirms candidates
@@ -230,7 +234,8 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 				sendAt += c.rtt + sim.Clock(s.cfg.RetryTimeoutMS)
 			}
 			bytes += int64(cb)
-			if !s.sys.Deliver(sendAt, metrics.MConfirm, cb, p, c.src, sc.fkey, legSeq(a, legConfirm)) {
+			qseq := legSeq(a, legConfirm)
+			if !s.sys.Deliver(sendAt, metrics.MConfirm, cb, p, c.src, sc.fkey, qseq) {
 				continue // request lost in transit
 			}
 			if !alive {
@@ -243,7 +248,8 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 				continue // reply lost: same silence as a dead source
 			}
 			answered = true
-			reply = sendAt + c.rtt + s.sys.JitterMS(metrics.MConfirm, c.src, p, sc.fkey, rseq)
+			reply = sendAt + c.rtt + s.sys.JitterMS(metrics.MConfirm, p, c.src, sc.fkey, qseq) +
+				s.sys.JitterMS(metrics.MConfirm, c.src, p, sc.fkey, rseq)
 			break
 		}
 		if !answered {
@@ -384,7 +390,7 @@ func (s *Scheme) offer(q overlay.NodeID, qa *queryAcc, interests content.ClassSe
 }
 
 // hopTarget is one reachable peer of an ads request with the one-way
-// request path latency.
+// request path latency, each copy's jitter included.
 type hopTarget struct {
 	node    overlay.NodeID
 	pathLat sim.Clock
@@ -414,7 +420,7 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h, attempt int, 
 			if !sc.serving && !s.sys.Deliver(t, metrics.MAdsRequest, 0, p, nb, sc.fkey, seq) {
 				continue
 			}
-			out = append(out, hopTarget{node: nb, pathLat: sim.Clock(s.sys.Latency(p, nb))})
+			out = append(out, hopTarget{node: nb, pathLat: sim.Clock(s.sys.Latency(p, nb)) + s.copyJitter(p, nb, seq, sc)})
 		}
 		sc.targets = out
 		return out, msgs
@@ -438,7 +444,7 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h, attempt int, 
 					continue
 				}
 				visited[nb] = epoch
-				pathLat[nb] = pathLat[u] + sim.Clock(s.sys.Latency(u, nb))
+				pathLat[nb] = pathLat[u] + sim.Clock(s.sys.Latency(u, nb)) + s.copyJitter(u, nb, seq, sc)
 				out = append(out, hopTarget{node: nb, pathLat: pathLat[nb]})
 				next = append(next, nb)
 			}
@@ -448,6 +454,15 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h, attempt int, 
 	sc.frontier, sc.next = frontier, next
 	sc.targets = out
 	return out, msgs
+}
+
+// copyJitter is the fault plane's extra latency on an ads-request copy
+// u→nb; a serving scratch sends no copies, so it draws none.
+func (s *Scheme) copyJitter(u, nb overlay.NodeID, seq uint32, sc *searchScratch) sim.Clock {
+	if sc.serving {
+		return 0
+	}
+	return s.sys.JitterMS(metrics.MAdsRequest, u, nb, sc.fkey, seq)
 }
 
 // minClock is the lowest representable virtual time; used to disable the
