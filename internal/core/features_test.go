@@ -169,3 +169,46 @@ func TestPhase1ResponseCountsBothJitters(t *testing.T) {
 		t.Errorf("%d phase-1 hits checked, %d moved by jitter: too little exercised", checked, moved)
 	}
 }
+
+// TestAdsRequestRetryWaitsForRoundTrip: an ads-request round that heard no
+// reply is retried only once every addressed neighbour's reply could have
+// arrived — the slowest neighbour's round trip, then RetryTimeoutMS more —
+// so every ad a retry brings in arrives no earlier than that.
+func TestAdsRequestRetryWaitsForRoundTrip(t *testing.T) {
+	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 29)
+	s := New(testConfig(RW))
+	s.Attach(sys)
+	sys.SetFaults(faults.New(faults.Config{Seed: 29, LossRate: 0.6}))
+	retried := 0
+	for i := range testTr.Events {
+		ev := &testTr.Events[i]
+		if ev.Kind != trace.Query || !sys.G.Alive(ev.Node) {
+			continue
+		}
+		slowest := sim.Clock(0)
+		for _, nb := range s.eligibleView(ev.Node) {
+			slowest = max(slowest, sim.Clock(sys.Latency(ev.Node, nb)))
+		}
+		retries := sys.Load.Total(metrics.CRetry)
+		sc := s.getScratch(faults.Key(ev.Time, ev.Node))
+		sc.begin(&s.slots, ev.Terms)
+		cands, _ := s.adsRequest(ev.Time, ev.Node, sc, &sc.qa)
+		if sys.Load.Total(metrics.CRetry) == retries || len(cands) == 0 {
+			continue // answered at once, or the retry brought nothing
+		}
+		retried++
+		earliest := ev.Time + 2*slowest + sim.Clock(s.cfg.RetryTimeoutMS)
+		for _, c := range cands {
+			if c.avail < earliest {
+				t.Fatalf("query %d: a retried request's ad from %d arrived at %d, before %d (round trip %d + timeout)",
+					i, c.src, c.avail, earliest, 2*slowest)
+			}
+		}
+		if retried == 50 {
+			break
+		}
+	}
+	if retried == 0 {
+		t.Error("no ads request was retried and answered: too little exercised")
+	}
+}

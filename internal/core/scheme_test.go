@@ -296,12 +296,12 @@ func TestHopNeighborhoodRadii(t *testing.T) {
 	// Each radius gets its own scratch: the returned slices are
 	// scratch-backed, and h1 must survive the h2 traversal.
 	sc0, sc1, sc2 := newSearchScratch(), newSearchScratch(), newSearchScratch()
-	h0, m0 := s.hopNeighborhood(0, p, 0, 0, &sc0)
+	h0, m0, _ := s.hopNeighborhood(0, p, 0, 0, &sc0)
 	if h0 != nil || m0 != 0 {
 		t.Error("h=0 neighbourhood not empty")
 	}
-	h1, m1 := s.hopNeighborhood(0, p, 1, 0, &sc1)
-	h2, m2 := s.hopNeighborhood(0, p, 2, 0, &sc2)
+	h1, m1, _ := s.hopNeighborhood(0, p, 1, 0, &sc1)
+	h2, m2, _ := s.hopNeighborhood(0, p, 2, 0, &sc2)
 	if len(h1) == 0 || m1 != len(h1) {
 		t.Errorf("h=1: %d targets %d msgs", len(h1), m1)
 	}

@@ -292,7 +292,9 @@ func (s *Scheme) confirmRound(p overlay.NodeID, terms []content.Keyword, cands [
 // Every reached peer replies, even with an empty ad list, so on a lossy
 // network "not one reply arrived" is the requester's retry signal: the
 // whole request flood is re-issued (with fresh per-copy drop decisions)
-// up to RetryAttempts times before the phase is abandoned.
+// up to RetryAttempts times before the phase is abandoned. Like any
+// contact, a retry waits for the slowest addressed peer's round trip, then
+// RetryTimeoutMS more.
 func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, qa *queryAcc) ([]candidate, int64) {
 	interests := s.groupInterests(p)
 	attempts := s.contactAttempts()
@@ -300,13 +302,14 @@ func (s *Scheme) adsRequest(t sim.Clock, p overlay.NodeID, sc *searchScratch, qa
 	offers := sc.offers[:0]
 	sent := false
 	arrived := false
-	tA := t
+	tA, reach := t, sim.Clock(0)
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			s.sys.Load.Count(tA, metrics.CRetry)
-			tA += sim.Clock(s.cfg.RetryTimeoutMS)
+			tA += 2*reach + sim.Clock(s.cfg.RetryTimeoutMS)
 		}
-		targets, reqMsgs := s.hopNeighborhood(tA, p, s.cfg.AdsRequestHops, a, sc)
+		targets, reqMsgs, slowest := s.hopNeighborhood(tA, p, s.cfg.AdsRequestHops, a, sc)
+		reach = slowest
 		if reqMsgs == 0 {
 			break // no live peers to ask; nothing was (or will be) sent
 		}
@@ -397,8 +400,11 @@ type hopTarget struct {
 }
 
 // hopNeighborhood returns the peers an ads request flooded to radius h
-// from p actually reaches (excluding p) and the number of request
-// messages the duplicate-suppressed flood sends. Under a fault plane a
+// from p actually reaches (excluding p), the number of request messages
+// the duplicate-suppressed flood sends, and the longest path latency of
+// any copy it sends, lost or not. A reply returns on the direct path, no
+// longer than the request's, so twice that bounds every round trip (it is
+// the slowest one at h = 1). Under a fault plane a
 // request copy can be lost — it still counts as sent, but the node behind
 // it is only reached via surviving copies, so drops prune whole branches
 // of the multi-hop case. Each copy is named by its edge and the request's
@@ -407,23 +413,25 @@ type hopTarget struct {
 // counts nothing and writes nothing outside sc. The returned slice is
 // backed by sc; the BFS tracks visited nodes in sc's epoch-stamped slices,
 // so the multi-hop case does no per-query map work.
-func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h, attempt int, sc *searchScratch) ([]hopTarget, int) {
+func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h, attempt int, sc *searchScratch) ([]hopTarget, int, sim.Clock) {
 	if h <= 0 {
-		return nil, 0
+		return nil, 0, 0
 	}
-	out, seq := sc.targets[:0], legSeq(attempt, legAdsRequest)
+	out, seq, slowest := sc.targets[:0], legSeq(attempt, legAdsRequest), sim.Clock(0)
 	if h == 1 {
 		// The common case: direct neighbours, one request each.
 		msgs := 0
 		for _, nb := range s.eligibleView(p) {
 			msgs++
+			lat := sim.Clock(s.sys.Latency(p, nb))
+			slowest = max(slowest, lat)
 			if !sc.serving && !s.sys.Deliver(t, metrics.MAdsRequest, 0, p, nb, sc.fkey, seq) {
 				continue
 			}
-			out = append(out, hopTarget{node: nb, pathLat: sim.Clock(s.sys.Latency(p, nb)) + s.copyJitter(p, nb, seq, sc)})
+			out = append(out, hopTarget{node: nb, pathLat: lat + s.copyJitter(p, nb, seq, sc)})
 		}
 		sc.targets = out
-		return out, msgs
+		return out, msgs, slowest
 	}
 	visited, pathLat := sc.bfsState(s.sys.NumNodes())
 	epoch := sc.epoch
@@ -437,6 +445,8 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h, attempt int, 
 		for _, u := range frontier {
 			for _, nb := range s.eligibleView(u) {
 				msgs++
+				lat := sim.Clock(s.sys.Latency(u, nb))
+				slowest = max(slowest, pathLat[u]+lat)
 				if !sc.serving && !s.sys.Deliver(t, metrics.MAdsRequest, 0, u, nb, sc.fkey, seq) {
 					continue // copy lost: nb may still arrive via another edge
 				}
@@ -444,7 +454,7 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h, attempt int, 
 					continue
 				}
 				visited[nb] = epoch
-				pathLat[nb] = pathLat[u] + sim.Clock(s.sys.Latency(u, nb)) + s.copyJitter(u, nb, seq, sc)
+				pathLat[nb] = pathLat[u] + lat + s.copyJitter(u, nb, seq, sc)
 				out = append(out, hopTarget{node: nb, pathLat: pathLat[nb]})
 				next = append(next, nb)
 			}
@@ -453,7 +463,7 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h, attempt int, 
 	}
 	sc.frontier, sc.next = frontier, next
 	sc.targets = out
-	return out, msgs
+	return out, msgs, slowest
 }
 
 // copyJitter is the fault plane's extra latency on an ads-request copy

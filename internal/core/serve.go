@@ -87,7 +87,7 @@ func (s *Scheme) SearchRO(p overlay.NodeID, terms []content.Keyword, now sim.Clo
 	}
 
 	interests := s.groupInterests(rp)
-	targets, _ := s.hopNeighborhood(now, rp, s.cfg.AdsRequestHops, 0, sc)
+	targets, _, _ := s.hopNeighborhood(now, rp, s.cfg.AdsRequestHops, 0, sc)
 	attempts := 0
 phase2:
 	for _, tg := range targets {
