@@ -16,6 +16,7 @@ var (
 	docPath     = regexp.MustCompile(`(?:^|[\s("'=,:])([A-Za-z0-9_.][A-Za-z0-9_./-]*\.(?:go|jsonl|json|md|sh|txt|yml))\b`)
 	makeTargets = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
 	docIdent    = regexp.MustCompile(`^([a-z]+)\.([A-Za-z][A-Za-z0-9]*)(?:\.([A-Za-z][A-Za-z0-9]*))?$`)
+	docHole     = regexp.MustCompile(`\b(?:FULL|SMALL)_[A-Z0-9_]+\b`)
 )
 
 // TestDocsNameLiveRefs: the prose documents name only things that exist.
@@ -25,7 +26,8 @@ var (
 // (DESIGN.md writes sim/sizes.go for internal/sim/sizes.go). Every
 // backticked `pkg.Ident` or `pkg.Type.Member`, where pkg is asap or an
 // internal/ package, names a declaration, field or method of the code;
-// `pkg.Method` may name a method of any type in pkg.
+// `pkg.Method` may name a method of any type in pkg. No reproduction
+// table is left a placeholder (FULL_FIG4 and the like) in EXPERIMENTS.md.
 func TestDocsNameLiveRefs(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -101,6 +103,11 @@ func TestDocsNameLiveRefs(t *testing.T) {
 		buf, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if doc == "EXPERIMENTS.md" {
+			for _, hole := range docHole.FindAllString(string(buf), -1) {
+				t.Errorf("%s: placeholder %s was never filled in", doc, hole)
+			}
 		}
 		for _, span := range docSpan.FindAllStringSubmatch(string(buf), -1) {
 			code := span[1]

@@ -6,14 +6,13 @@
 // destination, class) — hashed through a PCG output permutation, so a
 // replay makes exactly the same decisions regardless of worker count or
 // scheduling. Stream keys derive from event identity (Key). The sequence
-// number completes a message's name where key and edge do not — a leg, a
-// walker's step — so a flooded copy (at most one per directed edge) or a
-// walker's message, baseline or ASAP delivery, is decided independently of
-// the order messages are handled in. ASAP's query messages number
-// themselves with a counter local to one query, so a verdict depends on
-// that query alone, never on the queries replayed before it. A Plane holds
-// no state a decision writes, so the one writer that replays a run and
-// any number of readers may share it.
+// number completes a message's name where key and edge do not — a search
+// leg's attempt and kind, a walker's step — so every message, a flooded
+// copy (at most one per directed edge), a walker's, a confirmation, is
+// decided independently of the order messages are handled in and of the
+// queries replayed before it. Walk choices are named the same way
+// (Choose). A Plane holds no state a decision writes, so the one writer
+// that replays a run and any number of readers may share it.
 //
 // A nil *Plane is valid everywhere and behaves as a perfectly reliable
 // network, which keeps the zero-loss hot path to a single nil check.
