@@ -224,14 +224,14 @@ func (s *Scheme) walks(t sim.Clock, ads []floodAd) int {
 // source and each first visit in order, copies in sent[i] — applying nothing.
 // With no start it reaches nobody. A lost copy kills its walker; a free rider
 // receives the ad but kills the walker. Walker w's hop at step s (the seed
-// copy is step 0) is choice (walkKey, w, s) and its copy is named
+// copy is step 0) is choice (deliveryKey ⊕ Seed, w, s) and its copy is named
 // (Fold(deliveryKey, w), edge, s), so the trajectory is a function of the
 // delivery's identity and the plane alone, whatever other walks the batch
 // carries; the plane is asked only while it can drop one.
 func (s *Scheme) walk(t sim.Clock, i int, ad floodAd, starts []overlay.NodeID, budget int) {
 	k := &s.flood
 	src, class, sent, dkey := ad.snap.src, ad.kind.class(), 0, deliveryKey(t, ad.snap, ad.kind)
-	ckey := s.walkKey(dkey)
+	ckey := dkey ^ s.cfg.Seed
 	k.sent[i], k.dkey[i], k.visits[i] = 0, dkey, [2]int{len(k.order), len(k.order)}
 	if len(starts) == 0 {
 		return
@@ -353,10 +353,11 @@ func (s *Scheme) wants(v overlay.NodeID, targeting content.ClassSet) bool {
 
 // pickNextHop chooses walker w's next hop at step from cur, where it
 // arrived from prev: choice (key, w, step) of faults.Choose, key the
-// delivery's walkKey. With BiasedDelivery it prefers neighbours whose
-// (group) interests intersect the ad's targeting topics, steering ads
-// toward potential consumers at equal budget; otherwise, or when only prev
-// is left, every neighbour but prev is equally likely. -1 is a dead end.
+// deliveryKey with the seed folded in. With BiasedDelivery it prefers
+// neighbours whose (group) interests intersect the ad's targeting topics,
+// steering ads toward potential consumers at equal budget; otherwise, or
+// when only prev is left, every neighbour but prev is equally likely. -1
+// is a dead end.
 func (s *Scheme) pickNextHop(cur, prev overlay.NodeID, targeting content.ClassSet, key uint64, w, step int) overlay.NodeID {
 	choose := func(n int) int { return faults.Choose(key, w, step, n) }
 	nbs := s.eligibleView(cur)
@@ -399,10 +400,6 @@ func (s *Scheme) pickNextHop(cur, prev overlay.NodeID, targeting content.ClassSe
 	}
 	return -1 // unreachable
 }
-
-// walkKey names a walk delivery's hop choices: its deliveryKey with the
-// scheme's seed folded in.
-func (s *Scheme) walkKey(dkey uint64) uint64 { return dkey ^ s.cfg.Seed }
 
 // fetchFull resolves a version gap — v's copy of src's ad is too old to
 // patch — by fetching the source's current full ad directly (a control

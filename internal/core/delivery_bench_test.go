@@ -725,7 +725,8 @@ func confirmRoundIsOrderFree(t *testing.T) {
 	}
 	round := func(ev *trace.Event, cands []candidate) outcome {
 		d0, r0 := sys.Load.Total(metrics.CDrop), sys.Load.Total(metrics.CRetry)
-		sc := s.getScratch(faults.Key(ev.Time, ev.Node))
+		sc := &s.scratch
+		sc.fkey = faults.Key(ev.Time, ev.Node)
 		sc.begin(&s.slots, ev.Terms)
 		hits, first, bytes := s.confirmRound(ev.Node, ev.Terms, slices.Clone(cands), sc.confirmed, sc)
 		return outcome{hits, first, bytes, sys.Load.Total(metrics.CDrop) - d0, sys.Load.Total(metrics.CRetry) - r0}
@@ -790,7 +791,7 @@ func confirmRoundIsOrderFree(t *testing.T) {
 // walkPerVisit is the specification of a walk delivery: deliver's walkers as
 // they ran when each visit applied the ad on the spot, every copy booked,
 // counted and put to the plane on its own — walker w's hop at step s is
-// choice (walkKey, w, s), its copy named (deliveryKey folded with w, edge,
+// choice (deliveryKey ⊕ Seed, w, s), its copy named (deliveryKey folded with w, edge,
 // s), a gap fetch's legs by the key and the fetching holder. It runs the
 // walkers last to first, which identity-named choices make immaterial. A node applies (applyAt) at its first visit. A revisit
 // re-delivers a copy the node has acted on: it stores again, which moves
@@ -834,7 +835,7 @@ func walkPerVisit(s *Scheme, t sim.Clock, snap *adSnapshot, kind adKind) {
 			continue
 		}
 		for step := 1; step < perWalker; step++ {
-			next := s.pickNextHop(cur, prev, snap.topics, s.walkKey(dkey), w, step)
+			next := s.pickNextHop(cur, prev, snap.topics, dkey^s.cfg.Seed, w, step)
 			if next < 0 {
 				break
 			}

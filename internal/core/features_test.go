@@ -190,7 +190,8 @@ func TestAdsRequestRetryWaitsForRoundTrip(t *testing.T) {
 			slowest = max(slowest, sim.Clock(sys.Latency(ev.Node, nb)))
 		}
 		retries := sys.Load.Total(metrics.CRetry)
-		sc := s.getScratch(faults.Key(ev.Time, ev.Node))
+		sc := &s.scratch
+		sc.fkey = faults.Key(ev.Time, ev.Node)
 		sc.begin(&s.slots, ev.Terms)
 		cands, _ := s.adsRequest(ev.Time, ev.Node, sc, &sc.qa)
 		if sys.Load.Total(metrics.CRetry) == retries || len(cands) == 0 {

@@ -378,7 +378,9 @@ func (s *Scheme) NodeJoined(t sim.Clock, n overlay.NodeID) {
 	}
 	// The join pull gets its own drop stream, folded apart from any query
 	// the same node issues in the same millisecond.
-	s.adsRequest(t, n, s.getScratch(faults.Fold(faults.Key(int64(t), n), 1)), nil)
+	sc := &s.scratch
+	sc.fkey = faults.Fold(faults.Key(int64(t), n), 1)
+	s.adsRequest(t, n, sc, nil)
 }
 
 // NodeLeaving does nothing: departures are ungraceful, the paper's churn

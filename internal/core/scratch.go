@@ -64,15 +64,6 @@ func newSearchScratch() searchScratch {
 	}
 }
 
-// getScratch readies the Scheme's scratch for a query or ads pull whose
-// fault-plane stream is keyed fkey, and returns it. Slices handed out of
-// it are valid until the next call.
-func (s *Scheme) getScratch(fkey uint64) *searchScratch {
-	sc := &s.scratch
-	sc.fkey = fkey
-	return sc
-}
-
 // begin sets the scratch up for a query over terms: it builds the terms'
 // Bloom probes once, rebinds the match accumulator to them, and empties
 // the query's dedupe sets.

@@ -34,10 +34,9 @@ const (
 	legConfirmReply        // its reply
 	legAdsRequest          // one copy of the ads-request flood
 	legAdsReply            // a reached peer's reply
-	legBits         = 3
 )
 
-func legSeq(attempt, leg int) uint32 { return uint32(attempt)<<legBits | uint32(leg) }
+func legSeq(attempt, leg int) uint32 { return uint32(attempt)<<3 | uint32(leg) }
 
 // contactAttempts returns how many times one search contact is tried.
 // Retries exist only to survive a lossy network: without an active fault
@@ -62,7 +61,8 @@ func (s *Scheme) contactAttempts() int {
 func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	p := ev.Node
 	t0 := ev.Time
-	sc := s.getScratch(faults.Key(ev.Time, ev.Node))
+	sc := &s.scratch
+	sc.fkey = faults.Key(ev.Time, ev.Node)
 	sc.begin(&s.slots, ev.Terms)
 
 	// Hierarchical mode: a leaf routes its request through its super peer
@@ -404,35 +404,20 @@ type hopTarget struct {
 // the duplicate-suppressed flood sends, and the longest path latency of
 // any copy it sends, lost or not. A reply returns on the direct path, no
 // longer than the request's, so twice that bounds every round trip (it is
-// the slowest one at h = 1). Under a fault plane a
-// request copy can be lost — it still counts as sent, but the node behind
-// it is only reached via surviving copies, so drops prune whole branches
-// of the multi-hop case. Each copy is named by its edge and the request's
-// attempt. A serving scratch's walk sends no copies: it
-// reaches every eligible peer in the same BFS order, and draws no verdict,
-// counts nothing and writes nothing outside sc. The returned slice is
-// backed by sc; the BFS tracks visited nodes in sc's epoch-stamped slices,
-// so the multi-hop case does no per-query map work.
+// the slowest one at h = 1). Under a fault plane a request copy can be
+// lost — it still counts as sent, but the node behind it is only reached
+// via surviving copies, so drops prune whole branches of the multi-hop
+// case. Each copy is named by its edge and the request's attempt. A
+// serving scratch's walk sends no copies: it reaches every eligible peer
+// in the same BFS order, and draws no verdict, counts nothing and writes
+// nothing outside sc. The returned slice is backed by sc; the BFS tracks
+// visited nodes in sc's epoch-stamped slices, so it does no per-query map
+// work.
 func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h, attempt int, sc *searchScratch) ([]hopTarget, int, sim.Clock) {
 	if h <= 0 {
 		return nil, 0, 0
 	}
 	out, seq, slowest := sc.targets[:0], legSeq(attempt, legAdsRequest), sim.Clock(0)
-	if h == 1 {
-		// The common case: direct neighbours, one request each.
-		msgs := 0
-		for _, nb := range s.eligibleView(p) {
-			msgs++
-			lat := sim.Clock(s.sys.Latency(p, nb))
-			slowest = max(slowest, lat)
-			if !sc.serving && !s.sys.Deliver(t, metrics.MAdsRequest, 0, p, nb, sc.fkey, seq) {
-				continue
-			}
-			out = append(out, hopTarget{node: nb, pathLat: lat + s.copyJitter(p, nb, seq, sc)})
-		}
-		sc.targets = out
-		return out, msgs, slowest
-	}
 	visited, pathLat := sc.bfsState(s.sys.NumNodes())
 	epoch := sc.epoch
 	visited[p] = epoch
@@ -454,7 +439,7 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h, attempt int, 
 					continue
 				}
 				visited[nb] = epoch
-				pathLat[nb] = pathLat[u] + lat + s.copyJitter(u, nb, seq, sc)
+				pathLat[nb] = pathLat[u] + lat + s.sys.JitterMS(metrics.MAdsRequest, u, nb, sc.fkey, seq)
 				out = append(out, hopTarget{node: nb, pathLat: pathLat[nb]})
 				next = append(next, nb)
 			}
@@ -464,15 +449,6 @@ func (s *Scheme) hopNeighborhood(t sim.Clock, p overlay.NodeID, h, attempt int, 
 	sc.frontier, sc.next = frontier, next
 	sc.targets = out
 	return out, msgs, slowest
-}
-
-// copyJitter is the fault plane's extra latency on an ads-request copy
-// u→nb; a serving scratch sends no copies, so it draws none.
-func (s *Scheme) copyJitter(u, nb overlay.NodeID, seq uint32, sc *searchScratch) sim.Clock {
-	if sc.serving {
-		return 0
-	}
-	return s.sys.JitterMS(metrics.MAdsRequest, u, nb, sc.fkey, seq)
 }
 
 // minClock is the lowest representable virtual time; used to disable the

@@ -345,8 +345,10 @@ func TestHTTPEndpoint(t *testing.T) {
 // TestMetricsScrapeDuringWrites scrapes /metrics in a loop while
 // Node.Tick and Node.ApplyEvent book traffic into the node's ledger. The
 // ledger is single-writer plain adds, so under -race a scrape that read it
-// outside the gate's writer lock fails here. Once quiescent, a scrape is
-// exactly the ledger's exposition followed by the serving counters.
+// outside the gate's writer lock fails here. The writes wait for the
+// scraper to start, so a scrape always overlaps them. Once quiescent, a
+// scrape is exactly the ledger's exposition followed by the serving
+// counters.
 func TestMetricsScrapeDuringWrites(t *testing.T) {
 	n := coldNode(t, Config{Workers: 2, MaxQueue: 4})
 	h := NewHTTP(n, nil).Handler()
@@ -355,9 +357,10 @@ func TestMetricsScrapeDuringWrites(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 		return rec.Code, rec.Body.String()
 	}
-	done := make(chan struct{})
+	started, done := make(chan struct{}), make(chan struct{})
 	scrapes := make(chan int)
 	go func() {
+		close(started)
 		k := 0
 		for {
 			select {
@@ -373,6 +376,7 @@ func TestMetricsScrapeDuringWrites(t *testing.T) {
 		}
 	}()
 	before := n.sys.Load.Total(metrics.CDrop) + n.sys.Load.Copies(metrics.MAdRefresh) + n.sys.Load.Copies(metrics.MAdPatch)
+	<-started
 	applied, next := 0, int64(1000)
 	for i := range n.sys.Tr.Events {
 		ev := &n.sys.Tr.Events[i]
