@@ -31,9 +31,9 @@ func (s *Scheme) cacheEligible(v overlay.NodeID) bool {
 // overlay's incrementally maintained packed view — all live neighbours in
 // flat mode, live super-peer neighbours in hierarchical mode. The view
 // preserves exact adjacency order, so it is element-for-element identical
-// to the old `Alive(nb) && cacheEligible(nb)` filtered scan and every RNG
-// draw consuming it replays byte-identically. The slice is shared with the
-// graph and valid until the next overlay mutation.
+// to the old `Alive(nb) && cacheEligible(nb)` filtered scan and a walk's
+// choice, an index into it, replays byte-identically. The slice is shared
+// with the graph and valid until the next overlay mutation.
 func (s *Scheme) eligibleView(n overlay.NodeID) []overlay.NodeID {
 	if s.cfg.Hierarchical {
 		return s.sys.G.LiveSuperNeighbors(n)
