@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"asap/internal/content"
+	"asap/internal/faults"
 	"asap/internal/metrics"
 	"asap/internal/overlay"
 	"asap/internal/sim"
@@ -233,4 +234,48 @@ func TestHierarchicalEndToEndRun(t *testing.T) {
 	if total < 0.99 || total > 1.01 {
 		t.Errorf("breakdown mass %v", total)
 	}
+}
+
+// TestLeafResponseCountsLostUplinks: a leaf whose first uplinks to its
+// super peer are lost waits a round trip plus RetryTimeoutMS for each
+// before the next try, and its answer is timed from the query, so its
+// response covers those waits as well as the uplink and the downlink.
+func TestLeafResponseCountsLostUplinks(t *testing.T) {
+	sys := superSystem(t, 5)
+	s := New(hierConfig())
+	s.Attach(sys)
+	pl := faults.New(faults.Config{Seed: 5, LossRate: 0.3})
+	sys.SetFaults(pl)
+	checked := 0
+	for i := range testTr.Events {
+		ev := &testTr.Events[i]
+		if ev.Kind != trace.Query || !sys.G.Alive(ev.Node) {
+			continue
+		}
+		p := ev.Node
+		rp := sys.G.SuperOf(p)
+		if rp < 0 || rp == p {
+			continue
+		}
+		uplinkMS := sim.Clock(sys.Latency(p, rp))
+		key := faults.Key(ev.Time, p)
+		lost := 0
+		for lost < s.cfg.RetryAttempts && pl.Drop(metrics.MConfirm, p, rp, key, legSeq(lost, legUplink)) {
+			lost++
+		}
+		res := s.Search(ev)
+		if lost == 0 || !res.Success {
+			continue
+		}
+		waits := sim.Clock(lost) * (2*uplinkMS + sim.Clock(s.cfg.RetryTimeoutMS))
+		if res.ResponseMS < waits+2*uplinkMS {
+			t.Fatalf("query %d: leaf %d answered in %d ms after %d lost uplinks; want ≥ %d (waits %d + uplink and downlink %d)",
+				i, p, res.ResponseMS, lost, waits+2*uplinkMS, waits, 2*uplinkMS)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Error("no leaf query succeeded after a lost uplink: too little exercised")
+	}
+	t.Logf("%d leaf queries answered after a lost uplink", checked)
 }

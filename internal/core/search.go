@@ -70,8 +70,9 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	// then runs at the super peer. The uplink request is retried like any
 	// other contact; the downlink reply's fate is drawn now and applied at
 	// the success returns (the whole search's bytes are spent either way).
-	// routeMS is the two legs' time, jitter included.
-	uplinkMS, routeMS := sim.Clock(0), sim.Clock(0)
+	// downMS is the downlink's time, jitter included; the answer is timed
+	// from the query, so lost uplinks' waits count like confirmation retries.
+	uplinkMS, downMS := sim.Clock(0), sim.Clock(0)
 	var uplinkBytes int64
 	extraHops := 0
 	downOK := true
@@ -102,11 +103,10 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 		uplinkBytes += int64(down)
 		downSeq := legSeq(0, legDownlink)
 		downOK = s.sys.Deliver(t0, metrics.MConfirm, down, rp, p, sc.fkey, downSeq)
-		upMS := uplinkMS + s.sys.JitterMS(metrics.MConfirm, p, rp, sc.fkey, legSeq(routed, legUplink))
-		routeMS = upMS + uplinkMS + s.sys.JitterMS(metrics.MConfirm, rp, p, sc.fkey, downSeq)
+		t0 += uplinkMS + s.sys.JitterMS(metrics.MConfirm, p, rp, sc.fkey, legSeq(routed, legUplink))
+		downMS = uplinkMS + s.sys.JitterMS(metrics.MConfirm, rp, p, sc.fkey, downSeq)
 		extraHops = 1
 		p = rp
-		t0 += upMS
 	}
 
 	ns := &s.nodes[p]
@@ -145,7 +145,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 				s.sys.Load.Count(t0, metrics.CTimeout)
 				return metrics.SearchResult{Bytes: bytes}
 			}
-			return metrics.SearchResult{Success: true, ResponseMS: resp - t0 + routeMS, Bytes: bytes, Hops: 1 + extraHops, Hits: hits}
+			return metrics.SearchResult{Success: true, ResponseMS: resp - ev.Time + downMS, Bytes: bytes, Hops: 1 + extraHops, Hits: hits}
 		}
 		return metrics.SearchResult{Bytes: bytes}
 	}
@@ -179,7 +179,7 @@ func (s *Scheme) Search(ev *trace.Event) metrics.SearchResult {
 	} else if hits2 > 0 && resp2 < resp {
 		resp = resp2
 	}
-	return metrics.SearchResult{Success: true, ResponseMS: resp - t0 + routeMS, Bytes: bytes, Hops: hops, Hits: hits + hits2}
+	return metrics.SearchResult{Success: true, ResponseMS: resp - ev.Time + downMS, Bytes: bytes, Hops: hops, Hits: hits + hits2}
 }
 
 // confirmRound sends content confirmations to up to MaxConfirms candidates
