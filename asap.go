@@ -1,8 +1,6 @@
 package asap
 
 import (
-	"fmt"
-
 	"asap/internal/content"
 	"asap/internal/core"
 	"asap/internal/experiments"
@@ -91,15 +89,8 @@ func RunExperiment(scaleName, scheme string, topo Topology) (Summary, error) {
 	return lab.Run(scheme, topo)
 }
 
-// TopologyByName resolves "random", "powerlaw" or "crawled".
-func TopologyByName(name string) (Topology, error) {
-	for _, k := range overlay.Kinds {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("asap: unknown topology %q (random|powerlaw|crawled)", name)
-}
+// TopologyByName resolves "random", "powerlaw", "crawled" or "superpeer".
+func TopologyByName(name string) (Topology, error) { return overlay.KindByName(name) }
 
 // Event re-exports the trace event type for custom replay tooling.
 type Event = trace.Event

@@ -289,11 +289,14 @@ func TestRunExperimentAndTopologyByName(t *testing.T) {
 	if _, err := RunExperiment("tiny", "bogus", Crawled); err == nil {
 		t.Error("bogus scheme accepted")
 	}
-	for _, name := range []string{"random", "powerlaw", "crawled"} {
+	for _, name := range []string{"random", "powerlaw", "crawled", "superpeer"} {
 		k, err := TopologyByName(name)
 		if err != nil || k.String() != name {
 			t.Errorf("TopologyByName(%q) = %v, %v", name, k, err)
 		}
+	}
+	if k, err := TopologyByName("superpeer"); err != nil || k != SuperPeer {
+		t.Errorf("TopologyByName(superpeer) = %v, %v; want SuperPeer", k, err)
 	}
 	if _, err := TopologyByName("mesh"); err == nil {
 		t.Error("bogus topology accepted")

@@ -40,7 +40,7 @@ func main() {
 	var (
 		scaleName = flag.String("scale", "small", "scale preset: "+strings.Join(experiments.Names(), ", "))
 		scheme    = flag.String("scheme", "asap-rw", "search scheme (flooding, random-walk, gsa, asap-fld, asap-rw, asap-gsa)")
-		topo      = flag.String("topo", "crawled", "overlay topology (random, powerlaw, crawled)")
+		topo      = flag.String("topo", "crawled", "overlay topology (random, powerlaw, crawled, superpeer)")
 		traceFile = flag.String("trace", "", "replay a trace file from tracegen instead of regenerating")
 		scenArg   = flag.String("scenario", "", "replay an adversarial scenario by registry name or JSON file (overrides -scale/-scheme/-topo/-seed); names: "+strings.Join(scenario.Names(), ", "))
 		seed      = flag.Uint64("seed", 1, "master seed")
@@ -77,14 +77,9 @@ func run(scaleName, scheme, topoName, traceFile string, seed uint64, series bool
 		return err
 	}
 	sc.Seed = seed
-	kind := overlay.Kind(255)
-	for _, k := range overlay.Kinds {
-		if k.String() == topoName {
-			kind = k
-		}
-	}
-	if kind == 255 {
-		return fmt.Errorf("unknown topology %q", topoName)
+	kind, err := overlay.KindByName(topoName)
+	if err != nil {
+		return err
 	}
 
 	start := time.Now()

@@ -64,6 +64,23 @@ func TestRunPrintsMetrics(t *testing.T) {
 	}
 }
 
+// TestRunSuperPeerTopology: -topo superpeer resolves through the shared
+// topology parser and replays the super-peer overlay.
+func TestRunSuperPeerTopology(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tiny run in -short mode")
+	}
+	out, err := captureStdout(t, func() error {
+		return run("tiny", "flooding", "superpeer", "", 1, false, "")
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !strings.Contains(out, "topology:          superpeer") || !strings.Contains(out, "success rate") {
+		t.Errorf("superpeer run output wrong:\n%s", out)
+	}
+}
+
 // TestRunMatchesDirectReplay: run delegates to Lab.RunObs (prototype-cloned
 // overlay, collector-owned series); its stdout and -seriesdir files must
 // be byte-for-byte those of a system and sim.Run built by hand.

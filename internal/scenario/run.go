@@ -6,6 +6,7 @@ import (
 	"asap/internal/experiments"
 	"asap/internal/metrics"
 	"asap/internal/obs"
+	"asap/internal/overlay"
 	"asap/internal/sim"
 )
 
@@ -44,7 +45,7 @@ func Run(sn Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, err := topoKind(sn.Topo)
+	kind, err := overlay.KindByName(sn.Topo)
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,6 @@ import (
 
 	"asap/internal/content"
 	"asap/internal/experiments"
-	"asap/internal/overlay"
 )
 
 // ActKind names one act type.
@@ -194,20 +193,6 @@ func Resolve(arg string) (Scenario, error) {
 			arg, strings.Join(Names(), ", "))
 	}
 	return Load(arg)
-}
-
-// topoKind resolves a topology name, accepting the paper's three kinds
-// plus the super-peer hierarchy.
-func topoKind(name string) (overlay.Kind, error) {
-	for _, k := range overlay.Kinds {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	if overlay.SuperPeerKind.String() == name {
-		return overlay.SuperPeerKind, nil
-	}
-	return 0, fmt.Errorf("scenario: unknown topology %q", name)
 }
 
 // scale resolves the scenario's scale preset with its seed applied.
