@@ -41,9 +41,11 @@ race:
 # Determinism gate: outputs are a pure function of (preset, seed, scenario)
 # at every core count. A replay runs on one goroutine, so only the code
 # that fans out by GOMAXPROCS can break that: RunMatrix's cell workers
-# (experiments), the physical network's parallel generation (netmodel),
-# and Attach's parallel filter builds (the root single-run test). Each
-# suite passes at every GOMAXPROCS below, not only at the host's.
+# (experiments: the figure matrix and the seed and loss sweeps, which run
+# their cells as matrices — TestSweepsWorkerDeterminism), the physical
+# network's parallel generation (netmodel), and Attach's parallel filter
+# builds (the root single-run test). Each suite passes at every
+# GOMAXPROCS below, not only at the host's.
 determinism:
 	$(GO) test -count=1 -cpu 1,2,3,4,8 ./internal/experiments ./internal/netmodel
 	$(GO) test -count=1 -cpu 1,2,3,4,8 -run 'TestSingleRunIndependentOfGOMAXPROCS' .

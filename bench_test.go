@@ -39,7 +39,9 @@ func benchMatrix(b *testing.B) (*experiments.Lab, experiments.Matrix) {
 		// RunMatrix fans the 18 runs across GOMAXPROCS workers over cloned
 		// topology prototypes, so the shared setup of `go test -bench .`
 		// costs one parallel matrix instead of a sequential replay.
-		benchMat, benchErr = benchLab.RunMatrix(nil, nil, nil)
+		var cells []experiments.Cell
+		cells, benchErr = benchLab.RunMatrix(nil, nil, nil)
+		benchMat = experiments.MatrixOf(cells)
 	})
 	if benchErr != nil {
 		b.Fatalf("bench matrix: %v", benchErr)
@@ -49,33 +51,31 @@ func benchMatrix(b *testing.B) (*experiments.Lab, experiments.Matrix) {
 
 // BenchmarkRunMatrix measures one full 6-scheme × 3-topology small-scale
 // matrix replay; `make bench-gate` runs one iteration as a smoke test.
-// "sequential" is the pre-optimization baseline: one run at a time, overlay regenerated per
-// run. "parallel" is the production path: MatrixWorkers fan-out over
-// cloned topology prototypes. Both produce identical Matrix output.
+// "sequential" runs one cell at a time (Scale.MatrixWorkers = 1);
+// "parallel" is the production path, GOMAXPROCS workers. Both produce
+// identical cells.
 func BenchmarkRunMatrix(b *testing.B) {
 	lab, err := experiments.NewLab(experiments.ScaleSmall())
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
-		name string
-		opt  experiments.MatrixOptions
+		name    string
+		workers int
 	}{
-		{"sequential", experiments.MatrixOptions{Workers: 1, FreshGraphs: true}},
-		{"parallel", experiments.MatrixOptions{}},
+		{"sequential", 1},
+		{"parallel", 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			lab.Scale.MatrixWorkers = bc.workers
 			runs := 0
 			for i := 0; i < b.N; i++ {
-				m, err := lab.RunMatrixOpt(nil, nil, nil, bc.opt)
+				cells, err := lab.RunMatrix(nil, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				runs = 0
-				for _, per := range m {
-					runs += len(per)
-				}
+				runs = len(cells)
 			}
 			b.ReportMetric(float64(runs*b.N)/b.Elapsed().Seconds(), "runs/s")
 		})

@@ -101,23 +101,20 @@ func run(scaleName, scheme, topoName, traceFile string, seed uint64, series bool
 	}
 	fmt.Fprintf(os.Stderr, "inputs ready in %v: %s\n", time.Since(start).Round(time.Millisecond), lab.Tr.Stats())
 
-	var col *obs.Collector // nil: no series is collected
-	if seriesDir != "" {
-		col = obs.NewCollector()
-	}
-	sum, err := lab.RunObs(scheme, kind, col)
+	cells, err := lab.RunMatrix([]string{scheme}, []overlay.Kind{kind}, nil)
 	if err != nil {
 		return err
 	}
-	if col != nil {
-		files, err := obs.WriteDir(seriesDir, col.Runs())
+	c := cells[0]
+	if seriesDir != "" {
+		files, err := obs.WriteDir(seriesDir, []obs.RunSeries{obs.Series(c.Key(), c.Load)})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d series files to %s\n", len(files), seriesDir)
 	}
 
-	printSummary(sum, series)
+	printSummary(c.Summary, series)
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Second))
 	return nil
 }

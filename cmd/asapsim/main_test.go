@@ -81,9 +81,10 @@ func TestRunSuperPeerTopology(t *testing.T) {
 	}
 }
 
-// TestRunMatchesDirectReplay: run delegates to Lab.RunObs (prototype-cloned
-// overlay, collector-owned series); its stdout and -seriesdir files must
-// be byte-for-byte those of a system and sim.Run built by hand.
+// TestRunMatchesDirectReplay: run delegates to a one-cell Lab.RunMatrix
+// (prototype-cloned overlay, series read off the cell's ledger); its
+// stdout and -seriesdir files must be byte-for-byte those of a system and
+// sim.Run built by hand.
 func TestRunMatchesDirectReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tiny run in -short mode")

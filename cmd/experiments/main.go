@@ -39,27 +39,40 @@ import (
 	"asap/internal/overlay"
 )
 
+// options is one invocation's figure, cell selection and run settings.
+type options struct {
+	scale, figure  string
+	schemes, topos string // comma-separated subsets; empty selects the figure's default
+	workers        int    // matrix workers (0 = GOMAXPROCS)
+	seed           uint64 // master seed; the first seed of -figure seeds
+	seeds          int    // seeds for -figure seeds
+	loss           float64
+	seriesDir      string
+	quiet          bool
+}
+
 func main() {
+	var o options
+	flag.StringVar(&o.scale, "scale", "small", "experiment scale: "+strings.Join(experiments.Names(), ", "))
+	flag.StringVar(&o.figure, "figure", "all", "figure to regenerate: all, 2-10, claims, seeds, loss or scenario")
+	flag.StringVar(&o.schemes, "schemes", "", "comma-separated scheme subset (default: all six)")
+	flag.StringVar(&o.topos, "topos", "", "comma-separated topology subset (default: all three; crawled for seeds and loss)")
+	flag.IntVar(&o.workers, "matrixworkers", 0, "scheme×topology matrix workers (0 = GOMAXPROCS)")
+	flag.Uint64Var(&o.seed, "seed", 1, "master seed; -figure seeds sweeps -seeds seeds from it")
+	flag.IntVar(&o.seeds, "seeds", 3, "seeds for -figure seeds (robustness sweep)")
+	flag.Float64Var(&o.loss, "loss", 0, "message loss rate in [0,1); 0 is the paper's reliable network")
+	flag.BoolVar(&o.quiet, "quiet", false, "suppress progress output")
+	flag.StringVar(&o.seriesDir, "series", "", "write each run's per-second observability series (CSV+JSON) into this directory")
 	var (
-		scaleName = flag.String("scale", "small", "experiment scale: "+strings.Join(experiments.Names(), ", "))
-		figure    = flag.String("figure", "all", "figure to regenerate: all, 2-10, or claims")
-		schemes   = flag.String("schemes", "", "comma-separated scheme subset (default: all six)")
-		topos     = flag.String("topos", "", "comma-separated topology subset (default: all three)")
-		matrixW   = flag.Int("matrixworkers", 0, "scheme×topology matrix workers (0 = GOMAXPROCS)")
-		seed      = flag.Uint64("seed", 1, "master seed")
-		seedCount = flag.Int("seeds", 3, "seeds for -figure seeds (robustness sweep)")
-		loss      = flag.Float64("loss", 0, "message loss rate in [0,1); 0 is the paper's reliable network")
-		quiet     = flag.Bool("quiet", false, "suppress progress output")
 		scenCSV   = flag.String("scenario", "", "comma-separated adversarial scenarios (registry names or JSON files) to replay; implies -figure scenario")
-		seriesDir = flag.String("series", "", "write each run's per-second observability series (CSV+JSON) into this directory")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this path on exit")
 		mutexProf = flag.String("mutexprofile", "", "write a mutex profile to this path on exit")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
-	if *loss < 0 || *loss >= 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -loss %v out of [0,1)\n", *loss)
+	if o.loss < 0 || o.loss >= 1 {
+		fmt.Fprintf(os.Stderr, "experiments: -loss %v out of [0,1)\n", o.loss)
 		os.Exit(1)
 	}
 	stopProf, err := obs.StartProfiles(*cpuProf, *memProf, *mutexProf, *pprofAddr)
@@ -67,15 +80,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	switch {
-	case *figure == "scenario" || *scenCSV != "":
-		err = runScenarioSweep(*scenCSV, *seriesDir, *quiet)
-	case *figure == "seeds":
-		err = runSeeds(*scaleName, *schemes, *topos, *seedCount, *loss, *quiet)
-	case *figure == "loss":
-		err = runLossSweep(*scaleName, *schemes, *topos, *seed, *seriesDir, *quiet)
-	default:
-		err = run(*scaleName, *figure, *schemes, *topos, *matrixW, *seed, *loss, *seriesDir, *quiet)
+	if o.figure == "scenario" || *scenCSV != "" {
+		err = runScenarioSweep(*scenCSV, o)
+	} else {
+		err = run(o)
 	}
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -86,69 +94,95 @@ func main() {
 	}
 }
 
-func run(scaleName, figure, schemeCSV, topoCSV string, matrixWorkers int, seed uint64, loss float64, seriesDir string, quiet bool) error {
-	sc, err := experiments.ByName(scaleName)
+// progress prints a progress line to stderr unless the run is quiet.
+func (o options) progress(format string, args ...any) {
+	if !o.quiet {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+	}
+}
+
+// writeSeries writes each run's per-second series into o.seriesDir.
+func (o options) writeSeries(runs []obs.RunSeries) error {
+	files, err := obs.WriteDir(o.seriesDir, runs)
 	if err != nil {
 		return err
 	}
-	sc.MatrixWorkers = matrixWorkers
-	sc.Seed = seed
-	sc.LossRate = loss
+	o.progress("wrote %d series files to %s", len(files), o.seriesDir)
+	return nil
+}
 
-	progress := func(format string, args ...any) {
-		if !quiet {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+// selection parses -schemes and -topos; an empty flag yields nil.
+func (o options) selection() ([]string, []overlay.Kind, error) {
+	var schemes []string
+	if o.schemes != "" {
+		for _, s := range strings.Split(o.schemes, ",") {
+			schemes = append(schemes, strings.TrimSpace(s))
 		}
+	}
+	var topos []overlay.Kind
+	if o.topos != "" {
+		for _, name := range strings.Split(o.topos, ",") {
+			k, err := kindByName(strings.TrimSpace(name))
+			if err != nil {
+				return nil, nil, err
+			}
+			topos = append(topos, k)
+		}
+	}
+	return schemes, topos, nil
+}
+
+// run regenerates one figure, or runs the seed or loss sweep: every path
+// runs its cells through Lab.RunMatrix.
+func run(o options) error {
+	sc, err := experiments.ByName(o.scale)
+	if err != nil {
+		return err
+	}
+	sc.MatrixWorkers = o.workers
+	sc.Seed = o.seed
+	sc.LossRate = o.loss
+	schemes, topos, err := o.selection()
+	if err != nil {
+		return err
+	}
+	switch o.figure {
+	case "seeds":
+		return runSeeds(sc, schemes, topos, o)
+	case "loss":
+		return runLossSweep(sc, schemes, topos, o)
 	}
 
 	start := time.Now()
-	progress("building %s-scale lab (network, universe, trace)…", sc.Name)
+	o.progress("building %s-scale lab (network, universe, trace)…", sc.Name)
 	lab, err := experiments.NewLab(sc)
 	if err != nil {
 		return err
 	}
-	st := lab.Tr.Stats()
-	progress("lab ready in %v: %s", time.Since(start).Round(time.Millisecond), st)
+	o.progress("lab ready in %v: %s", time.Since(start).Round(time.Millisecond), lab.Tr.Stats())
 
-	var schemeList []string
-	if schemeCSV != "" {
-		schemeList = strings.Split(schemeCSV, ",")
-	}
-	var topoList []overlay.Kind
-	if topoCSV != "" {
-		for _, name := range strings.Split(topoCSV, ",") {
-			k, err := kindByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			topoList = append(topoList, k)
-		}
-	}
-
-	needMatrix := figure != "2" && figure != "3"
 	var m experiments.Matrix
-	var series *obs.Collector
-	if needMatrix {
-		if seriesDir != "" {
-			series = obs.NewCollector()
-		}
-		m, err = lab.RunMatrixOpt(schemeList, topoList, func(s string, k overlay.Kind) {
-			progress("running %-12s on %-8s (%v elapsed)", s, k, time.Since(start).Round(time.Second))
-		}, experiments.MatrixOptions{Workers: sc.MatrixWorkers, Series: series})
+	if o.figure != "2" && o.figure != "3" {
+		cells, err := lab.RunMatrix(schemes, topos, func(s string, k overlay.Kind) {
+			o.progress("running %-12s on %-8s (%v elapsed)", s, k, time.Since(start).Round(time.Second))
+		})
 		if err != nil {
 			return err
 		}
-		if series != nil {
-			files, err := obs.WriteDir(seriesDir, series.Runs())
-			if err != nil {
+		m = experiments.MatrixOf(cells)
+		if o.seriesDir != "" {
+			runs := make([]obs.RunSeries, len(cells))
+			for i, c := range cells {
+				runs[i] = obs.Series(c.Key(), c.Load)
+			}
+			if err := o.writeSeries(runs); err != nil {
 				return err
 			}
-			progress("wrote %d series files to %s", len(files), seriesDir)
 		}
 	}
 
 	out := func(s string) { fmt.Println(s) }
-	switch figure {
+	switch o.figure {
 	case "all":
 		out(experiments.FormatFig2(lab))
 		out(experiments.FormatFig3(lab))
@@ -193,101 +227,61 @@ func run(scaleName, figure, schemeCSV, topoCSV string, matrixWorkers int, seed u
 	case "claims":
 		out(experiments.FormatClaims(experiments.CheckClaims(m)))
 	default:
-		return fmt.Errorf("unknown figure %q (all, 2-10, claims, seeds, loss)", figure)
+		return fmt.Errorf("unknown figure %q (all, 2-10, claims, seeds, loss, scenario)", o.figure)
 	}
-	progress("done in %v", time.Since(start).Round(time.Second))
+	o.progress("done in %v", time.Since(start).Round(time.Second))
 	return nil
 }
 
 // runSeeds performs the robustness sweep: every selected scheme ×
-// topology is replayed under several seeds (fresh universe, trace,
-// placement and topology each time) at the given loss rate, and the metric
-// spreads are printed.
-func runSeeds(scaleName, schemeCSV, topoCSV string, nSeeds int, loss float64, quiet bool) error {
-	sc, err := experiments.ByName(scaleName)
+// topology (crawled by default) is replayed under o.seeds seeds from
+// o.seed on (fresh universe, trace, placement and topology per seed) at
+// the scale's loss rate, and the metric spreads are printed.
+func runSeeds(sc experiments.Scale, schemes []string, topos []overlay.Kind, o options) error {
+	if o.seeds < 1 {
+		return fmt.Errorf("need ≥1 seeds")
+	}
+	seeds := make([]uint64, o.seeds)
+	for i := range seeds {
+		seeds[i] = o.seed + uint64(i)
+	}
+	if topos == nil {
+		topos = []overlay.Kind{overlay.Crawled}
+	}
+	o.progress("seed sweep over seeds %v…", seeds)
+	sweeps, err := experiments.RunSeeds(sc, schemes, topos, seeds)
 	if err != nil {
 		return err
 	}
-	sc.LossRate = loss
-	if nSeeds < 1 {
-		return fmt.Errorf("need ≥1 seeds")
-	}
-	seeds := make([]uint64, nSeeds)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
-	schemeList := experiments.SchemeNames
-	if schemeCSV != "" {
-		schemeList = strings.Split(schemeCSV, ",")
-	}
-	topoList := []overlay.Kind{overlay.Crawled}
-	if topoCSV != "" {
-		topoList = topoList[:0]
-		for _, name := range strings.Split(topoCSV, ",") {
-			k, err := kindByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			topoList = append(topoList, k)
-		}
-	}
-	var sweeps []experiments.SeedSweep
-	for _, s := range schemeList {
-		for _, k := range topoList {
-			if !quiet {
-				fmt.Fprintf(os.Stderr, "sweeping %s on %s over %d seeds…\n", s, k, nSeeds)
-			}
-			sw, err := experiments.RunSeeds(sc, strings.TrimSpace(s), k, seeds)
-			if err != nil {
-				return err
-			}
-			sweeps = append(sweeps, sw)
-		}
-	}
-	fmt.Println(experiments.FormatSeedSweeps(sweeps, loss))
+	fmt.Println(experiments.FormatSeedSweeps(sweeps, sc.LossRate))
 	return nil
 }
 
-// runLossSweep replays the selected schemes on one topology under a
-// ladder of message-loss rates, showing how each degrades off the paper's
-// reliable-network assumption.
-func runLossSweep(scaleName, schemeCSV, topoCSV string, seed uint64, seriesDir string, quiet bool) error {
-	sc, err := experiments.ByName(scaleName)
-	if err != nil {
-		return err
-	}
-	sc.Seed = seed
-	var schemeList []string
-	if schemeCSV != "" {
-		for _, s := range strings.Split(schemeCSV, ",") {
-			schemeList = append(schemeList, strings.TrimSpace(s))
-		}
-	}
+// runLossSweep replays the selected schemes on one topology (crawled by
+// default) under a ladder of message-loss rates, showing how each
+// degrades off the paper's reliable-network assumption.
+func runLossSweep(sc experiments.Scale, schemes []string, topos []overlay.Kind, o options) error {
 	topo := overlay.Crawled
-	if topoCSV != "" {
-		if topo, err = kindByName(strings.TrimSpace(topoCSV)); err != nil {
-			return err
-		}
+	switch len(topos) {
+	case 0:
+	case 1:
+		topo = topos[0]
+	default:
+		return fmt.Errorf("the loss sweep takes one topology, got %d", len(topos))
 	}
 	rates := []float64{0, 0.01, 0.02, 0.05}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "loss sweep on %s over rates %v…\n", topo, rates)
-	}
-	var series *obs.Collector
-	if seriesDir != "" {
-		series = obs.NewCollector()
-	}
-	sw, err := experiments.RunLossSweep(sc, schemeList, topo, rates, series)
+	o.progress("loss sweep on %s over rates %v…", topo, rates)
+	sw, err := experiments.RunLossSweep(sc, schemes, topo, rates)
 	if err != nil {
 		return err
 	}
-	if series != nil {
-		files, err := obs.WriteDir(seriesDir, series.Runs())
-		if err != nil {
-			return err
+	if o.seriesDir != "" {
+		runs := make([]obs.RunSeries, len(sw.Points))
+		for i, p := range sw.Points {
+			runs[i] = obs.Series(p.Key(), p.Load)
 		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "wrote %d series files to %s\n", len(files), seriesDir)
+		if err := o.writeSeries(runs); err != nil {
+			return err
 		}
 	}
 	fmt.Println(experiments.FormatLossSweep(sw))

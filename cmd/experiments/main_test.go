@@ -4,6 +4,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"asap/internal/experiments"
+	"asap/internal/overlay"
 )
 
 // captureStdout redirects os.Stdout around fn and returns what it wrote.
@@ -25,20 +28,26 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run("bogus", "all", "", "", 0, 1, 0, "", true); err == nil {
+	if err := run(options{scale: "bogus", figure: "all", seed: 1, quiet: true}); err == nil {
 		t.Error("bad scale accepted")
 	}
-	if err := run("tiny", "99", "", "", 0, 1, 0, "", true); err == nil {
+	if err := run(options{scale: "tiny", figure: "99", seed: 1, quiet: true}); err == nil {
 		t.Error("bad figure accepted")
 	}
-	if err := run("tiny", "4", "", "mesh", 0, 1, 0, "", true); err == nil {
+	if err := run(options{scale: "tiny", figure: "4", topos: "mesh", seed: 1, quiet: true}); err == nil {
 		t.Error("bad topology accepted")
 	}
-	if err := run("tiny", "7", "flooding", "crawled", 0, 1, 0, "", true); err == nil {
+	if err := run(options{scale: "tiny", figure: "7", schemes: "flooding", topos: "crawled", seed: 1, quiet: true}); err == nil {
 		t.Error("figure 7 without asap-rw accepted")
 	}
-	if err := run("tiny", "7", "asap-rw", "random", 0, 1, 0, "", true); err == nil {
+	if err := run(options{scale: "tiny", figure: "7", schemes: "asap-rw", topos: "random", seed: 1, quiet: true}); err == nil {
 		t.Error("figure 7 without crawled accepted")
+	}
+	if err := run(options{scale: "tiny", figure: "seeds", seed: 1, quiet: true}); err == nil {
+		t.Error("seed sweep over zero seeds accepted")
+	}
+	if err := run(options{scale: "tiny", figure: "loss", topos: "random,crawled", seed: 1, quiet: true}); err == nil {
+		t.Error("loss sweep over two topologies accepted")
 	}
 }
 
@@ -46,14 +55,14 @@ func TestRunSingleFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tiny lab runs in -short mode")
 	}
-	out, err := captureStdout(t, func() error { return run("tiny", "2", "", "", 0, 1, 0, "", true) })
+	out, err := captureStdout(t, func() error { return run(options{scale: "tiny", figure: "2", seed: 1, quiet: true}) })
 	if err != nil {
 		t.Fatalf("figure 2: %v", err)
 	}
 	if !strings.Contains(out, "Fig 2") || !strings.Contains(out, "audio") {
 		t.Errorf("figure 2 output wrong:\n%s", out)
 	}
-	out, err = captureStdout(t, func() error { return run("tiny", "3", "", "", 0, 1, 0, "", true) })
+	out, err = captureStdout(t, func() error { return run(options{scale: "tiny", figure: "3", seed: 1, quiet: true}) })
 	if err != nil || !strings.Contains(out, "Fig 3") {
 		t.Errorf("figure 3: %v\n%s", err, out)
 	}
@@ -64,7 +73,7 @@ func TestRunSubsetMatrixFigure(t *testing.T) {
 		t.Skip("tiny lab runs in -short mode")
 	}
 	out, err := captureStdout(t, func() error {
-		return run("tiny", "4", "flooding,asap-rw", "crawled", 0, 1, 0, "", true)
+		return run(options{scale: "tiny", figure: "4", schemes: "flooding,asap-rw", topos: "crawled", seed: 1, quiet: true})
 	})
 	if err != nil {
 		t.Fatalf("figure 4 subset: %v", err)
@@ -85,7 +94,7 @@ func TestRunClaimsFigure(t *testing.T) {
 		t.Skip("tiny lab runs in -short mode")
 	}
 	out, err := captureStdout(t, func() error {
-		return run("tiny", "claims", "flooding,random-walk,gsa,asap-fld,asap-rw", "crawled", 0, 1, 0, "", true)
+		return run(options{scale: "tiny", figure: "claims", schemes: "flooding,random-walk,gsa,asap-fld,asap-rw", topos: "crawled", seed: 1, quiet: true})
 	})
 	if err != nil {
 		t.Fatalf("claims: %v", err)
@@ -115,7 +124,9 @@ func TestRunSeedsHonoursLoss(t *testing.T) {
 		t.Skip("tiny lab runs in -short mode")
 	}
 	sweep := func(loss float64) string {
-		out, err := captureStdout(t, func() error { return runSeeds("tiny", "asap-rw", "crawled", 2, loss, true) })
+		out, err := captureStdout(t, func() error {
+			return run(options{scale: "tiny", figure: "seeds", schemes: "asap-rw", topos: "crawled", seed: 1, seeds: 2, loss: loss, quiet: true})
+		})
 		if err != nil {
 			t.Fatalf("seeds at loss %v: %v", loss, err)
 		}
@@ -142,5 +153,34 @@ func TestRunSeedsHonoursLoss(t *testing.T) {
 	}
 	if row(lossy) == row(reliable) {
 		t.Errorf("loss rate did not reach the sweep: %s", row(lossy))
+	}
+}
+
+// TestRunSeedsStartsAtSeed: -figure seeds sweeps -seeds seeds from -seed
+// on, so -seed 2 -seeds 1 is the library sweep over seed 2 alone and
+// differs from the sweep over seed 1.
+func TestRunSeedsStartsAtSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tiny lab runs in -short mode")
+	}
+	sweep := func(seed uint64) string {
+		out, err := captureStdout(t, func() error {
+			return run(options{scale: "tiny", figure: "seeds", schemes: "asap-rw", topos: "crawled", seed: seed, seeds: 1, quiet: true})
+		})
+		if err != nil {
+			t.Fatalf("seeds from %d: %v", seed, err)
+		}
+		return out
+	}
+	sws, err := experiments.RunSeeds(experiments.ScaleTiny(), []string{"asap-rw"}, []overlay.Kind{overlay.Crawled}, []uint64{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := sweep(2)
+	if want := experiments.FormatSeedSweeps(sws, 0) + "\n"; second != want {
+		t.Errorf("-seed 2 -seeds 1 printed\n%s\nwant the sweep over seed 2:\n%s", second, want)
+	}
+	if first := sweep(1); first == second {
+		t.Errorf("-seed 2 printed the seed-1 sweep:\n%s", first)
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -12,31 +11,25 @@ import (
 
 // runScenarioSweep replays the selected adversarial scenarios (default:
 // every registered one) and prints the sweep table.
-func runScenarioSweep(csv, seriesDir string, quiet bool) error {
+func runScenarioSweep(csv string, o options) error {
 	var names []string
 	if csv != "" {
 		names = strings.Split(csv, ",")
 	}
-	var series *obs.Collector
-	if seriesDir != "" {
-		series = obs.NewCollector()
-	}
 	start := time.Now()
-	sw, err := scenario.RunSweep(names, series, func(name string) {
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "scenario %s… (%v elapsed)\n", name, time.Since(start).Round(time.Second))
-		}
+	sw, err := scenario.RunSweep(names, func(name string) {
+		o.progress("scenario %s… (%v elapsed)", name, time.Since(start).Round(time.Second))
 	})
 	if err != nil {
 		return err
 	}
-	if series != nil {
-		files, err := obs.WriteDir(seriesDir, series.Runs())
-		if err != nil {
-			return err
+	if o.seriesDir != "" {
+		runs := make([]obs.RunSeries, len(sw.Results))
+		for i, r := range sw.Results {
+			runs[i] = r.Series
 		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "wrote %d series files to %s\n", len(files), seriesDir)
+		if err := o.writeSeries(runs); err != nil {
+			return err
 		}
 	}
 	fmt.Println(scenario.FormatSweep(sw))

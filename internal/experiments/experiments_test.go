@@ -25,7 +25,9 @@ func sharedTiny(t *testing.T) (*Lab, Matrix) {
 		if labErr != nil {
 			return
 		}
-		tinyMat, labErr = tinyLab.RunMatrix(nil, nil, nil)
+		var cells []Cell
+		cells, labErr = tinyLab.RunMatrix(nil, nil, nil)
+		tinyMat = MatrixOf(cells)
 	})
 	if labErr != nil {
 		t.Fatalf("shared tiny lab: %v", labErr)
@@ -245,13 +247,14 @@ func TestRunUnknownScheme(t *testing.T) {
 func TestMatrixSubset(t *testing.T) {
 	lab, _ := sharedTiny(t)
 	calls := 0
-	m, err := lab.RunMatrix([]string{"flooding"}, []overlay.Kind{overlay.Random},
+	cells, err := lab.RunMatrix([]string{"flooding"}, []overlay.Kind{overlay.Random},
 		func(string, overlay.Kind) { calls++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 || len(m) != 1 || len(m["flooding"]) != 1 {
-		t.Errorf("subset run wrong: calls=%d", calls)
+	m := MatrixOf(cells)
+	if calls != 1 || len(m) != 1 || len(m["flooding"]) != 1 || cells[0].Key() != "flooding/random" {
+		t.Errorf("subset run wrong: calls=%d, cells %+v", calls, cells)
 	}
 }
 

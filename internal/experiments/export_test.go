@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"sort"
+	"testing"
 
 	"asap/internal/metrics"
 	"asap/internal/overlay"
@@ -19,4 +20,14 @@ func SortedKinds(m map[overlay.Kind]metrics.Summary) []overlay.Kind {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// matrixAt runs lab's matrix with Scale.MatrixWorkers set to workers for
+// the one call.
+func matrixAt(t *testing.T, lab *Lab, workers int, schemes []string, topos []overlay.Kind, progress func(string, overlay.Kind)) ([]Cell, error) {
+	t.Helper()
+	prev := lab.Scale.MatrixWorkers
+	lab.Scale.MatrixWorkers = workers
+	defer func() { lab.Scale.MatrixWorkers = prev }()
+	return lab.RunMatrix(schemes, topos, progress)
 }

@@ -25,21 +25,20 @@ var lossySchemes = []string{"flooding", "random-walk", "asap-fld"}
 func TestLossMatrixWorkerDeterminism(t *testing.T) {
 	sc := ScaleTiny()
 	sc.LossRate = 0.02
-	mk := func() *Lab {
-		lab, err := NewLab(sc)
+	mk := func(workers int) Matrix {
+		s := sc
+		s.MatrixWorkers = workers
+		lab, err := NewLab(s)
 		if err != nil {
 			t.Fatalf("lab: %v", err)
 		}
-		return lab
+		cells, err := lab.RunMatrix(lossySchemes, []overlay.Kind{overlay.Crawled}, nil)
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		return MatrixOf(cells)
 	}
-	seq, err := mk().RunMatrixOpt(lossySchemes, []overlay.Kind{overlay.Crawled}, nil, MatrixOptions{Workers: 1})
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	par, err := mk().RunMatrixOpt(lossySchemes, []overlay.Kind{overlay.Crawled}, nil, MatrixOptions{Workers: 4})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
+	seq, par := mk(1), mk(4)
 	if !reflect.DeepEqual(seq, par) {
 		for s, per := range seq {
 			for k := range per {
@@ -62,7 +61,7 @@ func TestLossMatrixWorkerDeterminism(t *testing.T) {
 // TestLossSweepDegradesGracefully: the loss-sweep figure runs, its rate-0
 // column is drop-free, and lossy columns actually drop messages.
 func TestLossSweepDegradesGracefully(t *testing.T) {
-	sw, err := RunLossSweep(ScaleTiny(), []string{"flooding"}, overlay.Crawled, []float64{0, 0.05}, nil)
+	sw, err := RunLossSweep(ScaleTiny(), []string{"flooding"}, overlay.Crawled, []float64{0, 0.05})
 	if err != nil {
 		t.Fatalf("RunLossSweep: %v", err)
 	}
@@ -99,11 +98,11 @@ func TestLossZeroMatchesNoPlane(t *testing.T) {
 		t.Fatalf("lab: %v", err)
 	}
 	for _, scheme := range lossySchemes {
-		col := obs.NewCollector()
-		bare, err := lab.run(scheme, overlay.Crawled, false, col, nil)
+		c, err := lab.run(scheme, overlay.Crawled)
 		if err != nil {
 			t.Fatalf("%s bare: %v", scheme, err)
 		}
+		bare := c.Summary
 		sch, err := lab.NewScheme(scheme)
 		if err != nil {
 			t.Fatal(err)
@@ -114,8 +113,7 @@ func TestLossZeroMatchesNoPlane(t *testing.T) {
 		if !reflect.DeepEqual(bare, planed) {
 			t.Errorf("%s: zero-loss plane changed the summary:\nbare:   %+v\nplaned: %+v", scheme, bare, planed)
 		}
-		bareSeries := col.Runs()[0]
-		if !reflect.DeepEqual(bareSeries, obs.Series(bareSeries.Key, sys.Load)) {
+		if !reflect.DeepEqual(obs.Series(c.Key(), c.Load), obs.Series(c.Key(), sys.Load)) {
 			t.Errorf("%s: zero-loss plane changed the per-second series", scheme)
 		}
 		if scheme == "asap-fld" && bare.Breakdown[metrics.MAdRefresh] == 0 {
@@ -138,7 +136,7 @@ func TestLossUnchangedByInertPartition(t *testing.T) {
 		t.Fatalf("lab: %v", err)
 	}
 	for _, scheme := range lossySchemes {
-		bare, err := lab.run(scheme, overlay.Crawled, false, nil, nil)
+		bare, err := lab.Run(scheme, overlay.Crawled)
 		if err != nil {
 			t.Fatalf("%s bare: %v", scheme, err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"asap/internal/obs"
 	"asap/internal/overlay"
+	"asap/internal/sim"
 )
 
 // smallPeakHeapBudgetMB bounds the live-heap high-water mark of one
@@ -30,11 +31,16 @@ func TestSmallReplayPeakHeapBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lab: %v", err)
 	}
-	gauge := obs.NewHeapGauge()
-	if _, err := lab.RunMatrixOpt([]string{"asap-rw"}, []overlay.Kind{overlay.Crawled}, nil,
-		MatrixOptions{Workers: 1, Heap: gauge}); err != nil {
-		t.Fatalf("run: %v", err)
+	sch, err := lab.NewScheme("asap-rw")
+	if err != nil {
+		t.Fatal(err)
 	}
+	gauge := obs.NewHeapGauge()
+	rec := obs.NewRecorder(0)
+	rec.SetHeapGauge(gauge)
+	sys := sim.NewSystem(lab.U, lab.Tr, overlay.Crawled, lab.Net, lab.Scale.Seed)
+	sys.SetObs(rec)
+	sim.Run(sys, sch, sim.RunOptions{})
 	peak := gauge.PeakMB()
 	if peak <= 0 {
 		t.Fatal("heap gauge recorded no samples")

@@ -11,7 +11,6 @@ import (
 	"asap/internal/faults"
 	"asap/internal/metrics"
 	"asap/internal/netmodel"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/search"
 	"asap/internal/sim"
@@ -27,7 +26,8 @@ var SchemeNames = []string{"flooding", "random-walk", "gsa", "asap-fld", "asap-r
 // reused across all scheme × topology runs. Runs themselves are
 // independent — each operates on its own system over a private clone of
 // the lab's per-topology overlay prototype — which is what lets RunMatrix
-// fan them across a worker pool.
+// fan them across a worker pool. The inputs do not depend on
+// Scale.LossRate, which each run reads when it attaches the fault plane.
 type Lab struct {
 	Scale Scale
 	Net   *netmodel.Network
@@ -94,104 +94,93 @@ func (l *Lab) topoProto(kind overlay.Kind) *sim.TopoProto {
 // Run replays the lab's trace under one scheme on one topology — the
 // single-run entry point, and exactly what one RunMatrix cell executes.
 func (l *Lab) Run(schemeName string, topo overlay.Kind) (metrics.Summary, error) {
-	return l.run(schemeName, topo, false, nil, nil)
+	c, err := l.run(schemeName, topo)
+	return c.Summary, err
 }
 
-// RunObs is Run that also collects the run's per-second series into series
-// (keyed "scheme/topology"). A nil series is plain Run.
-func (l *Lab) RunObs(schemeName string, topo overlay.Kind, series *obs.Collector) (metrics.Summary, error) {
-	return l.run(schemeName, topo, false, series, nil)
-}
-
-// run builds the system — from the cached prototype, or from scratch when
-// fresh is set — and replays the trace under the scheme. The two system
-// paths are bit-for-bit equivalent (see TestMatrixClonedMatchesFresh);
-// fresh is that test's reference.
-func (l *Lab) run(schemeName string, topo overlay.Kind, fresh bool, series *obs.Collector, heap *obs.HeapGauge) (metrics.Summary, error) {
-	sch, err := l.NewScheme(schemeName)
-	if err != nil {
-		return metrics.Summary{}, err
-	}
-	var rec *obs.Recorder
-	if heap != nil {
-		rec = obs.NewRecorder(0)
-		rec.SetHeapGauge(heap)
-	}
-	var sys *sim.System
-	if fresh {
-		sys = sim.NewSystem(l.U, l.Tr, topo, l.Net, l.Scale.Seed)
-	} else {
-		sys = l.topoProto(topo).NewSystem(l.U, l.Tr)
-	}
-	sys.SetObs(rec)
+// Replay builds a system for topo from the lab's prototype, attaches the
+// fault plane Scale.LossRate asks for, replays the whole trace under sch
+// and returns the replayed system with its summary. A cloned prototype
+// replays bit-for-bit like a system built from scratch (see
+// sim.TestTopoProtoReplayMatchesFresh).
+func (l *Lab) Replay(sch sim.Scheme, topo overlay.Kind) (*sim.System, metrics.Summary) {
+	sys := l.topoProto(topo).NewSystem(l.U, l.Tr)
 	if l.Scale.LossRate > 0 {
 		sys.SetFaults(faults.New(faults.Config{Seed: l.Scale.Seed, LossRate: l.Scale.LossRate}))
 	}
-	sum := sim.Run(sys, sch, sim.RunOptions{})
-	if series != nil {
-		series.Add(obs.Series(schemeName+"/"+topo.String(), sys.Load))
-	}
-	return sum, nil
+	return sys, sim.Run(sys, sch, sim.RunOptions{})
 }
+
+// run replays one cell.
+func (l *Lab) run(schemeName string, topo overlay.Kind) (Cell, error) {
+	sch, err := l.NewScheme(schemeName)
+	if err != nil {
+		return Cell{}, err
+	}
+	sys, sum := l.Replay(sch, topo)
+	return Cell{Scheme: schemeName, Topo: topo, Summary: sum, Load: sys.Load}, nil
+}
+
+// Cell is one scheme × topology run: its summary and its ledger, from
+// which the run's per-second series is read (obs.Series).
+type Cell struct {
+	Scheme  string
+	Topo    overlay.Kind
+	Summary metrics.Summary
+	Load    *metrics.LoadAccount
+}
+
+// Key names the cell's run, "scheme/topology" — its series key.
+func (c Cell) Key() string { return c.Scheme + "/" + c.Topo.String() }
 
 // Matrix holds one Summary per scheme × topology.
 type Matrix map[string]map[overlay.Kind]metrics.Summary
 
-// MatrixOptions tunes RunMatrixOpt.
-type MatrixOptions struct {
-	// Workers bounds the scheme×topology fan-out; 0 means GOMAXPROCS.
-	Workers int
-	// FreshGraphs regenerates the overlay for every run instead of
-	// cloning the lab's per-kind prototype: the independent reference
-	// TestMatrixClonedMatchesFresh checks the clone path against.
-	FreshGraphs bool
-	// Series, when non-nil, collects each cell's per-second observability
-	// series (keyed "scheme/topology"). Collection is deterministic: the
-	// merged set is identical for every Workers value.
-	Series *obs.Collector
-	// Heap, when non-nil, tracks the peak live-heap high-water mark across
-	// all cells (sampled once per simulated second; reporting only, never
-	// part of the deterministic Matrix).
-	Heap *obs.HeapGauge
+// MatrixOf indexes cells' summaries by scheme and topology.
+func MatrixOf(cells []Cell) Matrix {
+	m := make(Matrix)
+	for _, c := range cells {
+		per := m[c.Scheme]
+		if per == nil {
+			per = make(map[overlay.Kind]metrics.Summary)
+			m[c.Scheme] = per
+		}
+		per[c.Topo] = c.Summary
+	}
+	return m
 }
 
 // RunMatrix runs every given scheme on every given topology across a
-// worker pool of Scale.MatrixWorkers (0 = GOMAXPROCS). Nil slices select
-// the full paper matrix. Progress, if non-nil, is invoked before each run
-// and is never called concurrently.
+// worker pool of Scale.MatrixWorkers (0 = GOMAXPROCS) and returns the
+// cells in scheme-major order. Nil slices select the full paper matrix.
+// Progress, if non-nil, is invoked before each run and is never called
+// concurrently.
 //
 // Parallelism lives at the cell level only: each cell is one sequential
-// replay on its own system. Cells are independent, so the returned Matrix
-// is identical for every worker count (TestRunMatrixParallelDeterminism).
-func (l *Lab) RunMatrix(schemes []string, topos []overlay.Kind, progress func(scheme string, topo overlay.Kind)) (Matrix, error) {
-	return l.RunMatrixOpt(schemes, topos, progress, MatrixOptions{Workers: l.Scale.MatrixWorkers})
-}
-
-// RunMatrixOpt is RunMatrix with explicit execution options.
-func (l *Lab) RunMatrixOpt(schemes []string, topos []overlay.Kind, progress func(scheme string, topo overlay.Kind), opt MatrixOptions) (Matrix, error) {
+// replay on its own system. Cells are independent, so the returned cells
+// are identical for every worker count (TestRunMatrixParallelDeterminism).
+func (l *Lab) RunMatrix(schemes []string, topos []overlay.Kind, progress func(scheme string, topo overlay.Kind)) ([]Cell, error) {
 	if schemes == nil {
 		schemes = SchemeNames
 	}
 	if topos == nil {
 		topos = overlay.Kinds
 	}
-	type cell struct {
+	type job struct {
 		scheme string
 		topo   overlay.Kind
 	}
-	jobs := make([]cell, 0, len(schemes)*len(topos))
+	jobs := make([]job, 0, len(schemes)*len(topos))
 	for _, s := range schemes {
 		for _, k := range topos {
-			jobs = append(jobs, cell{scheme: s, topo: k})
+			jobs = append(jobs, job{scheme: s, topo: k})
 		}
 	}
-	if !opt.FreshGraphs {
-		// Generate each topology once, up front, so workers only clone.
-		for _, k := range topos {
-			l.topoProto(k)
-		}
+	// Generate each topology once, up front, so workers only clone.
+	for _, k := range topos {
+		l.topoProto(k)
 	}
-	workers := opt.Workers
+	workers := l.Scale.MatrixWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -199,10 +188,10 @@ func (l *Lab) RunMatrixOpt(schemes []string, topos []overlay.Kind, progress func
 		workers = len(jobs)
 	}
 
-	sums := make([]metrics.Summary, len(jobs))
+	cells := make([]Cell, len(jobs))
 	errs := make([]error, len(jobs))
 	runJob := func(i int) {
-		sums[i], errs[i] = l.run(jobs[i].scheme, jobs[i].topo, opt.FreshGraphs, opt.Series, opt.Heap)
+		cells[i], errs[i] = l.run(jobs[i].scheme, jobs[i].topo)
 	}
 	if workers <= 1 {
 		for i := range jobs {
@@ -242,16 +231,7 @@ func (l *Lab) RunMatrixOpt(schemes []string, topos []overlay.Kind, progress func
 			return nil, err
 		}
 	}
-	m := make(Matrix, len(schemes))
-	for i, j := range jobs {
-		per := m[j.scheme]
-		if per == nil {
-			per = make(map[overlay.Kind]metrics.Summary, len(topos))
-			m[j.scheme] = per
-		}
-		per[j.topo] = sums[i]
-	}
-	return m, nil
+	return cells, nil
 }
 
 // Participants returns the universe peers selected as initial overlay

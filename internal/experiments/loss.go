@@ -3,17 +3,14 @@ package experiments
 import (
 	"fmt"
 
-	"asap/internal/metrics"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 )
 
-// LossPoint is one cell of a loss sweep: a scheme's summary under one
+// LossPoint is one cell of a loss sweep: a scheme's run under one
 // message-loss rate.
 type LossPoint struct {
-	Scheme   string
+	Cell
 	LossRate float64
-	Summary  metrics.Summary
 }
 
 // LossSweep holds a scheme × loss-rate grid on one topology.
@@ -23,52 +20,38 @@ type LossSweep struct {
 	Points   []LossPoint
 }
 
-// RunLossSweep replays every scheme on one topology under each loss rate,
-// rebuilding the lab per rate so each point is exactly the -loss <rate>
-// run of the CLI. Rate 0 is the paper's reliable network; the sweep shows
-// how gracefully each scheme's success rate and response time degrade as
-// the network loses messages, and what the retry machinery spends to get
-// there.
-//
-// A non-nil series collects each point's per-second observability series,
-// keyed "scheme/topology/loss=<rate>".
-func RunLossSweep(sc Scale, schemes []string, topo overlay.Kind, rates []float64, series *obs.Collector) (LossSweep, error) {
+// RunLossSweep replays every scheme on one topology under each loss rate:
+// one lab serves every rate, and each rate's schemes run as one matrix,
+// so each point is exactly the -loss <rate> run of the CLI. Rate 0 is the
+// paper's reliable network; the sweep shows how gracefully each scheme's
+// success rate and response time degrade as the network loses messages,
+// and what the retry machinery spends to get there. Points are
+// rate-major, schemes in the given order.
+func RunLossSweep(sc Scale, schemes []string, topo overlay.Kind, rates []float64) (LossSweep, error) {
 	if len(rates) == 0 {
 		return LossSweep{}, fmt.Errorf("experiments: no loss rates")
 	}
-	if schemes == nil {
-		schemes = SchemeNames
+	lab, err := NewLab(sc)
+	if err != nil {
+		return LossSweep{}, err
 	}
 	sweep := LossSweep{Topology: topo, Rates: rates}
 	for _, rate := range rates {
-		s := sc
-		s.LossRate = rate
-		lab, err := NewLab(s)
+		lab.Scale.LossRate = rate
+		cells, err := lab.RunMatrix(schemes, []overlay.Kind{topo}, nil)
 		if err != nil {
 			return LossSweep{}, fmt.Errorf("experiments: loss %v: %w", rate, err)
 		}
-		for _, scheme := range schemes {
-			var sum metrics.Summary
-			if series != nil {
-				// Collect into a private sub-collector so the sweep can
-				// suffix the keys with the loss rate before publishing.
-				sub := obs.NewCollector()
-				sum, err = lab.RunObs(scheme, topo, sub)
-				for _, rs := range sub.Runs() {
-					rs.Key = fmt.Sprintf("%s/loss=%g", rs.Key, rate)
-					series.Add(rs)
-				}
-			} else {
-				sum, err = lab.Run(scheme, topo)
-			}
-			if err != nil {
-				return LossSweep{}, err
-			}
-			sweep.Points = append(sweep.Points, LossPoint{Scheme: scheme, LossRate: rate, Summary: sum})
+		for _, c := range cells {
+			sweep.Points = append(sweep.Points, LossPoint{Cell: c, LossRate: rate})
 		}
 	}
 	return sweep, nil
 }
+
+// Key names the point's run, "scheme/topology/loss=<rate>" — its series
+// key.
+func (p LossPoint) Key() string { return fmt.Sprintf("%s/loss=%g", p.Cell.Key(), p.LossRate) }
 
 // FormatLossSweep renders a sweep as an aligned table.
 func FormatLossSweep(sw LossSweep) string {

@@ -10,12 +10,13 @@ import (
 	"asap/internal/overlay"
 )
 
-// serializeRuns renders every collected series to its CSV and JSON forms,
-// concatenated in key order — the byte-level artifact -series writes.
-func serializeRuns(t *testing.T, c *obs.Collector) []byte {
+// serializeRuns renders every cell's series to its CSV and JSON forms,
+// concatenated in cell order — the byte-level artifact -series writes.
+func serializeRuns(t *testing.T, cells []Cell) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, rs := range c.Runs() {
+	for _, c := range cells {
+		rs := obs.Series(c.Key(), c.Load)
 		buf.WriteString(rs.Key)
 		buf.WriteByte('\n')
 		buf.Write(rs.CSV())
@@ -28,42 +29,41 @@ func serializeRuns(t *testing.T, c *obs.Collector) []byte {
 	return buf.Bytes()
 }
 
-// TestObsSeriesWorkerDeterminism: with series collection on and a fault
-// plane active, both the matrix summaries and the byte-serialized series
-// must be identical for any matrix worker count. Every counter lands on a
-// row keyed by deterministic replay time and the collector orders runs by
-// key, so scheduling must never show through.
+// TestObsSeriesWorkerDeterminism: with a fault plane active, both the
+// matrix summaries and the byte-serialized series must be identical for
+// any matrix worker count. Every counter lands on a row keyed by
+// deterministic replay time and RunMatrix returns cells in cell order, so
+// scheduling must never show through.
 func TestObsSeriesWorkerDeterminism(t *testing.T) {
 	sc := ScaleTiny()
 	sc.LossRate = 0.02
-	run := func(workers int) (Matrix, *obs.Collector) {
-		lab, err := NewLab(sc)
+	run := func(workers int) []Cell {
+		s := sc
+		s.MatrixWorkers = workers
+		lab, err := NewLab(s)
 		if err != nil {
 			t.Fatalf("lab: %v", err)
 		}
-		col := obs.NewCollector()
-		m, err := lab.RunMatrixOpt(lossySchemes, []overlay.Kind{overlay.Crawled}, nil,
-			MatrixOptions{Workers: workers, Series: col})
+		cells, err := lab.RunMatrix(lossySchemes, []overlay.Kind{overlay.Crawled}, nil)
 		if err != nil {
 			t.Fatalf("matrix (%d workers): %v", workers, err)
 		}
-		return m, col
+		return cells
 	}
-	seqM, seqC := run(1)
-	parM, parC := run(4)
-	if !reflect.DeepEqual(seqM, parM) {
-		t.Fatal("matrix differs across worker counts with series collection on")
+	seq, par := run(1), run(4)
+	if !reflect.DeepEqual(MatrixOf(seq), MatrixOf(par)) {
+		t.Fatal("matrix differs across worker counts")
 	}
-	seqB, parB := serializeRuns(t, seqC), serializeRuns(t, parC)
+	seqB, parB := serializeRuns(t, seq), serializeRuns(t, par)
 	if !bytes.Equal(seqB, parB) {
 		t.Fatal("serialized series differ across worker counts")
 	}
 
-	runs := seqC.Runs()
-	if len(runs) != len(lossySchemes) {
-		t.Fatalf("collected %d series, want %d", len(runs), len(lossySchemes))
+	if len(seq) != len(lossySchemes) {
+		t.Fatalf("got %d cells, want %d", len(seq), len(lossySchemes))
 	}
-	for _, rs := range runs {
+	for _, c := range seq {
+		rs := obs.Series(c.Key(), c.Load)
 		if len(rs.Rows) != rs.Seconds {
 			t.Errorf("%s: %d rows, want %d seconds", rs.Key, len(rs.Rows), rs.Seconds)
 		}
@@ -91,7 +91,7 @@ func TestObsSeriesWorkerDeterminism(t *testing.T) {
 
 // TestObsSeriesMatchesSummary: the series is an honest decomposition —
 // summing its per-second search/success counters reproduces the summary's
-// totals, and collecting the series must not change the summary at all.
+// totals.
 func TestObsSeriesMatchesSummary(t *testing.T) {
 	sc := ScaleTiny()
 	sc.LossRate = 0.02
@@ -99,24 +99,12 @@ func TestObsSeriesMatchesSummary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lab: %v", err)
 	}
-	bare, err := lab.run("asap-rw", overlay.Crawled, false, nil, nil)
+	c, err := lab.run("asap-rw", overlay.Crawled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := obs.NewCollector()
-	observed, err := lab.run("asap-rw", overlay.Crawled, false, col, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bare, observed) {
-		t.Fatalf("collecting the series changed the summary:\nbare:     %+v\nobserved: %+v", bare, observed)
-	}
-
-	runs := col.Runs()
-	if len(runs) != 1 {
-		t.Fatalf("collected %d series, want 1", len(runs))
-	}
-	rs := runs[0]
+	observed := c.Summary
+	rs := obs.Series(c.Key(), c.Load)
 	if rs.Key != "asap-rw/crawled" {
 		t.Errorf("series key %q, want asap-rw/crawled", rs.Key)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"asap/internal/metrics"
 	"asap/internal/overlay"
 )
 
@@ -52,42 +53,64 @@ type SeedSweep struct {
 	Drops       SeedStats // messages the fault plane dropped per run; 0 on a reliable network
 }
 
-// RunSeeds replays one scheme × topology under each seed, rebuilding the
-// entire input chain (universe, trace, placement, topology) every time,
-// and reports the spread of each headline metric. This is the robustness
-// check the paper's single-trace evaluation lacks. sc's LossRate, if set,
-// applies to every seed.
-func RunSeeds(sc Scale, scheme string, topo overlay.Kind, seeds []uint64) (SeedSweep, error) {
+// RunSeeds replays every given scheme on every given topology under each
+// seed and reports the spread of each headline metric per scheme ×
+// topology, in RunMatrix's scheme-major order. Each seed gets its own lab
+// (universe, trace, placement and topologies) and runs its cells as one
+// matrix. This is the robustness check the paper's single-trace
+// evaluation lacks. sc's LossRate, if set, applies to every seed.
+func RunSeeds(sc Scale, schemes []string, topos []overlay.Kind, seeds []uint64) ([]SeedSweep, error) {
 	if len(seeds) == 0 {
-		return SeedSweep{}, fmt.Errorf("experiments: no seeds")
+		return nil, fmt.Errorf("experiments: no seeds")
 	}
-	sweep := SeedSweep{Scheme: scheme, Topology: topo, Seeds: seeds}
-	var succ, resp, kb, load, loadStd, drops []float64
+	var first []Cell
+	var runs [][]metrics.Summary // per cell, one summary per seed
 	for _, seed := range seeds {
 		s := sc
 		s.Seed = seed
 		lab, err := NewLab(s)
 		if err != nil {
-			return SeedSweep{}, fmt.Errorf("experiments: seed %d: %w", seed, err)
+			return nil, fmt.Errorf("experiments: seed %d: %w", seed, err)
 		}
-		sum, err := lab.Run(scheme, topo)
+		cells, err := lab.RunMatrix(schemes, topos, nil)
 		if err != nil {
-			return SeedSweep{}, err
+			return nil, err
 		}
-		succ = append(succ, sum.SuccessRate)
-		resp = append(resp, sum.MeanRespMS)
-		kb = append(kb, sum.MeanSearchBytes/1024)
-		load = append(load, sum.LoadMeanKBps)
-		loadStd = append(loadStd, sum.LoadStdKBps)
-		drops = append(drops, float64(sum.Drops))
+		if first == nil {
+			first = cells
+			runs = make([][]metrics.Summary, len(cells))
+		}
+		for i, c := range cells {
+			runs[i] = append(runs[i], c.Summary)
+		}
 	}
-	sweep.SuccessRate = newSeedStats(succ)
-	sweep.MeanRespMS = newSeedStats(resp)
-	sweep.SearchKB = newSeedStats(kb)
-	sweep.LoadKBps = newSeedStats(load)
-	sweep.LoadStd = newSeedStats(loadStd)
-	sweep.Drops = newSeedStats(drops)
-	return sweep, nil
+	sweeps := make([]SeedSweep, len(first))
+	for i, c := range first {
+		sweeps[i] = newSeedSweep(c.Scheme, c.Topo, seeds, runs[i])
+	}
+	return sweeps, nil
+}
+
+// newSeedSweep folds one cell's per-seed summaries into its spreads.
+func newSeedSweep(scheme string, topo overlay.Kind, seeds []uint64, sums []metrics.Summary) SeedSweep {
+	stats := func(f func(metrics.Summary) float64) SeedStats {
+		xs := make([]float64, len(sums))
+		for i, sum := range sums {
+			xs[i] = f(sum)
+		}
+		return newSeedStats(xs)
+	}
+	return SeedSweep{
+		Scheme:      scheme,
+		Topology:    topo,
+		Seeds:       seeds,
+		SuccessRate: stats(func(s metrics.Summary) float64 { return s.SuccessRate }),
+		MeanRespMS:  stats(func(s metrics.Summary) float64 { return s.MeanRespMS }),
+		SearchKB:    stats(func(s metrics.Summary) float64 { return s.MeanSearchBytes / 1024 }),
+		LoadKBps:    stats(func(s metrics.Summary) float64 { return s.LoadMeanKBps }),
+		LoadStd:     stats(func(s metrics.Summary) float64 { return s.LoadStdKBps }),
+		Drops:       stats(func(s metrics.Summary) float64 { return float64(s.Drops) }),
+	}
 }
 
 // FormatSeedSweeps renders sweeps as an aligned table: each metric's

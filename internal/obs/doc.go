@@ -5,8 +5,8 @@
 //   - Sim-time series: Series turns a finished run's ledger into one
 //     RunSeries table — per simulated second (never wall clock), the live
 //     count and the ledger's row — emitted as CSV and JSON (WriteDir). Rows
-//     are keyed by deterministic replay time and a Collector sorts runs by
-//     key, so the series is byte-identical for any worker count.
+//     are keyed by deterministic replay time, so the series is
+//     byte-identical for any worker count.
 //
 //   - Scrape surface: WriteProm renders the ledger's totals and latency
 //     histogram in Prometheus text format through a PromWriter; the

@@ -11,20 +11,14 @@ import (
 	"asap/internal/metrics"
 )
 
-// TestNilRecorderIsInert: a nil recorder samples nothing and a nil
-// collector ignores Add — runs without a heap gauge or a series thread nil
-// through, so any panic here is a crash in the default path.
+// TestNilRecorderIsInert: a nil recorder samples nothing — runs without a
+// heap gauge thread nil through, so any panic here is a crash in the
+// default path.
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	r.SetHeapGauge(NewHeapGauge())
 	r.SampleHeap()
 	NewRecorder(0).SampleHeap() // no gauge attached
-
-	var c *Collector
-	c.Add(RunSeries{Key: "x"})
-	if got := c.Runs(); got != nil {
-		t.Errorf("nil collector Runs() = %v, want nil", got)
-	}
 }
 
 // TestRecorderRowFolding pins the row mapping the exported series shows:
@@ -157,24 +151,6 @@ func TestSeriesShape(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "-1,0,") {
 		t.Errorf("CSV warmup line %q does not start with -1,0,", lines[1])
-	}
-}
-
-// TestCollectorSortsByKey: Runs() must return key order no matter the Add
-// order — that ordering is what makes the merged series worker-count
-// independent.
-func TestCollectorSortsByKey(t *testing.T) {
-	c := NewCollector()
-	for _, k := range []string{"c/z", "a/x", "b/y"} {
-		c.Add(RunSeries{Key: k})
-	}
-	runs := c.Runs()
-	got := []string{runs[0].Key, runs[1].Key, runs[2].Key}
-	want := []string{"a/x", "b/y", "c/z"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Runs() order %v, want %v", got, want)
-		}
 	}
 }
 

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"asap/internal/metrics"
 )
@@ -86,39 +84,6 @@ func (s *RunSeries) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(buf, '\n'), nil
-}
-
-// Collector gathers finished RunSeries across the concurrent runs of a
-// matrix or sweep. A nil collector is valid and ignores Add.
-type Collector struct {
-	mu   sync.Mutex
-	runs []RunSeries
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{} }
-
-// Add records one finished run's series.
-func (c *Collector) Add(s RunSeries) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.runs = append(c.runs, s)
-}
-
-// Runs returns the collected series sorted by key — the deterministic
-// merge order, independent of which worker finished first.
-func (c *Collector) Runs() []RunSeries {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := append([]RunSeries(nil), c.runs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
 // fileStem maps a series key to a safe file name stem.

@@ -6,7 +6,6 @@ import (
 
 	"asap/internal/experiments"
 	"asap/internal/metrics"
-	"asap/internal/obs"
 )
 
 // Sweep is one scenario-battery run: every selected scenario replayed
@@ -16,9 +15,8 @@ type Sweep struct {
 }
 
 // RunSweep replays the named scenarios (nil = every registered one, in
-// registry order) and collects their results. A non-nil series collector
-// receives each run's per-second observability series.
-func RunSweep(names []string, series *obs.Collector, progress func(name string)) (*Sweep, error) {
+// registry order) and collects their results, per-second series included.
+func RunSweep(names []string, progress func(name string)) (*Sweep, error) {
 	var sns []Scenario
 	if names == nil {
 		sns = append(sns, builtins...)
@@ -39,9 +37,6 @@ func RunSweep(names []string, series *obs.Collector, progress func(name string))
 		res, err := Run(sn)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sn.Name, err)
-		}
-		if series != nil {
-			series.Add(res.Series)
 		}
 		sw.Results = append(sw.Results, res)
 	}

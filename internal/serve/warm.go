@@ -5,14 +5,12 @@ import (
 
 	"asap/internal/core"
 	"asap/internal/experiments"
-	"asap/internal/faults"
 	"asap/internal/overlay"
-	"asap/internal/sim"
 )
 
-// Warm builds a serving node from a lab preset: it constructs the system
-// for the given topology, attaches the named ASAP scheme, replays the
-// whole trace (queries included, so the ad caches carry a realistic
+// Warm builds a serving node from a lab preset: it replays the whole
+// trace under the named ASAP scheme on the given topology through the
+// lab's Replay (queries included, so the ad caches carry a realistic
 // working set), and wraps the warm state in a Node with its virtual clock
 // at the trace horizon. The system's ledger holds the warm-up replay's
 // bookings and keeps accumulating as the caller drives further state
@@ -26,17 +24,7 @@ func Warm(lab *experiments.Lab, schemeName string, topo overlay.Kind, cfg Config
 	if !ok {
 		return nil, fmt.Errorf("serve: scheme %q has no read-only serving path (ASAP schemes only)", schemeName)
 	}
-	sys := sim.NewSystem(lab.U, lab.Tr, topo, lab.Net, lab.Scale.Seed)
-	if lab.Scale.LossRate > 0 {
-		sys.SetFaults(faults.New(faults.Config{Seed: lab.Scale.Seed, LossRate: lab.Scale.LossRate}))
-	}
-	st := sim.NewStepper(sys, sch, 0)
-	for batch := st.NextBatch(); batch != nil; batch = st.NextBatch() {
-		for _, ev := range batch {
-			st.Record(ev, sch.Search(ev))
-		}
-	}
-	st.Finish()
+	sys, _ := lab.Replay(sch, topo)
 	n := NewNode(sys, sch, cfg)
 	n.Apply(lab.Tr.Span(), nil) // position the serving clock at the horizon
 	return n, nil
