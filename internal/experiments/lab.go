@@ -166,14 +166,10 @@ func (l *Lab) RunMatrix(schemes []string, topos []overlay.Kind, progress func(sc
 	if topos == nil {
 		topos = overlay.Kinds
 	}
-	type job struct {
-		scheme string
-		topo   overlay.Kind
-	}
-	jobs := make([]job, 0, len(schemes)*len(topos))
+	cells := make([]Cell, 0, len(schemes)*len(topos))
 	for _, s := range schemes {
 		for _, k := range topos {
-			jobs = append(jobs, job{scheme: s, topo: k})
+			cells = append(cells, Cell{Scheme: s, Topo: k})
 		}
 	}
 	// Generate each topology once, up front, so workers only clone.
@@ -184,48 +180,35 @@ func (l *Lab) RunMatrix(schemes []string, topos []overlay.Kind, progress func(sc
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(cells) {
+		workers = len(cells)
 	}
 
-	cells := make([]Cell, len(jobs))
-	errs := make([]error, len(jobs))
-	runJob := func(i int) {
-		cells[i], errs[i] = l.run(jobs[i].scheme, jobs[i].topo)
-	}
-	if workers <= 1 {
-		for i := range jobs {
-			if progress != nil {
-				progress(jobs[i].scheme, jobs[i].topo)
-			}
-			runJob(i)
-		}
-	} else {
-		var (
-			progressMu sync.Mutex
-			next       atomic.Int64
-			wg         sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					if progress != nil {
-						progressMu.Lock()
-						progress(jobs[i].scheme, jobs[i].topo)
-						progressMu.Unlock()
-					}
-					runJob(i)
+	var (
+		progressMu sync.Mutex
+		next       atomic.Int64
+		wg         sync.WaitGroup
+	)
+	errs := make([]error, len(cells))
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(cells) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				if progress != nil {
+					progressMu.Lock()
+					progress(cells[i].Scheme, cells[i].Topo)
+					progressMu.Unlock()
+				}
+				cells[i], errs[i] = l.run(cells[i].Scheme, cells[i].Topo)
+			}
+		}()
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
