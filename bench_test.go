@@ -419,9 +419,7 @@ func BenchmarkSuperPeerMode(b *testing.B) {
 			g := overlay.NewSuperPeer(lab.Net, hosts, lab.Tr.InitialLive,
 				overlay.DefaultSuperFraction, overlay.DefaultSuperDegree, rng)
 			sys := sim.NewSystemWithGraph(lab.U, lab.Tr, g)
-			cfg := lab.Scale.ASAPConfig(core.RW)
-			cfg.Hierarchical = true
-			sum = sim.Run(sys, core.New(cfg), sim.RunOptions{})
+			sum = sim.Run(sys, core.New(lab.Scale.ASAPConfig(core.RW)), sim.RunOptions{})
 		}
 		b.ReportMetric(sum.SuccessRate*100, "succ-%")
 		b.ReportMetric(sum.MeanRespMS, "resp-ms")

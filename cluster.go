@@ -27,9 +27,6 @@ type ClusterConfig struct {
 	// HorizonSec bounds how far the virtual clock can advance (sizes load
 	// accounting; default 600).
 	HorizonSec int
-	// ContentScale shrinks the synthetic content universe; 0 picks a size
-	// proportional to Nodes.
-	ContentScale float64
 	// ASAP overrides the derived ASAP configuration when non-nil.
 	ASAP *ASAPConfig
 	// Faults attaches a deterministic fault-injection plane when non-nil:
@@ -47,8 +44,6 @@ type ClusterConfig struct {
 // Cluster methods are not safe for concurrent use; drive it from one
 // goroutine.
 type Cluster struct {
-	cfg ClusterConfig
-	net *netmodel.Network
 	u   *content.Universe
 	sys *sim.System
 	sch sim.Scheme
@@ -73,11 +68,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	scale := cfg.ContentScale
-	if scale <= 0 {
-		// ≈4 universe peers per overlay node keeps selection diverse.
-		scale = min(1, float64(4*(cfg.Nodes+cfg.Reserve))/37000)
-	}
+	// ≈4 universe peers per overlay node keeps selection diverse.
+	scale := min(1, float64(4*(cfg.Nodes+cfg.Reserve))/37000)
 
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x2545f4914f6cdd1d))
 	ccfg := content.DefaultConfig().Scaled(scale)
@@ -109,64 +101,36 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		sys.SetFaults(faults.New(fc))
 	}
 
-	// The paper's delivery budget (M₀=3,000) is calibrated to a 10,000-node
-	// overlay; keep the coverage fraction constant. core.Config.Scaled
-	// floors the tiny end.
-	factor := min(1, float64(cfg.Nodes)/10000)
-	lab := &Cluster{cfg: cfg, net: net, u: u, sys: sys, rng: rng}
-	sch, err := lab.newScheme(cfg.Scheme, factor)
+	sch, err := newScheme(cfg)
 	if err != nil {
 		return nil, err
 	}
-	lab.sch = sch
 	sch.Attach(sys)
 	sys.Load.SetLive(0, sys.G.LiveCount())
-	return lab, nil
+	return &Cluster{u: u, sys: sys, sch: sch, rng: rng}, nil
 }
 
-func (c *Cluster) newScheme(name string, factor float64) (sim.Scheme, error) {
-	if c.cfg.ASAP != nil {
-		cfg := *c.cfg.ASAP
-		switch name {
-		case "asap-fld":
-			cfg.Delivery = core.FLD
-		case "asap-rw":
-			cfg.Delivery = core.RW
-		case "asap-gsa":
-			cfg.Delivery = core.GSAKind
-		default:
-			return nil, fmt.Errorf("asap: ASAP config given but scheme is %q", name)
+// newScheme builds cfg's scheme: from the explicit ASAP config, its
+// delivery taken from the scheme name, or as a Lab at the cluster's scale
+// builds it. The overlay selects the super-peer mode either way.
+func newScheme(cfg ClusterConfig) (sim.Scheme, error) {
+	if cfg.ASAP != nil {
+		d, ok := core.DeliveryByScheme(cfg.Scheme)
+		if !ok {
+			return nil, fmt.Errorf("asap: ASAP config given but scheme is %q", cfg.Scheme)
 		}
-		return core.New(cfg), nil
+		acfg := *cfg.ASAP
+		acfg.Delivery = d
+		return core.New(acfg), nil
 	}
+	// The paper's delivery budget (M₀=3,000) is calibrated to a 10,000-node
+	// overlay; keep the coverage fraction constant. core.Config.Scaled
+	// floors the tiny end.
 	sc := ScaleTiny()
-	sc.Factor = factor
-	sc.Seed = c.cfg.Seed
+	sc.Factor = min(1, float64(cfg.Nodes)/10000)
+	sc.Seed = cfg.Seed
 	sc.RefreshPeriodSec = 30
-	if c.cfg.Topology == SuperPeer {
-		// Footnote-3 mode: ASAP runs hierarchically on a super-peer
-		// overlay; only super peers represent, deliver, cache and process
-		// ads.
-		switch name {
-		case "asap-fld", "asap-rw", "asap-gsa":
-			acfg := sc.ASAPConfig(deliveryByName(name))
-			acfg.Hierarchical = true
-			return core.New(acfg), nil
-		}
-	}
-	lab := &Lab{Scale: sc}
-	return lab.NewScheme(name)
-}
-
-func deliveryByName(name string) core.DeliveryKind {
-	switch name {
-	case "asap-fld":
-		return core.FLD
-	case "asap-gsa":
-		return core.GSAKind
-	default:
-		return core.RW
-	}
+	return (&Lab{Scale: sc}).NewScheme(cfg.Scheme)
 }
 
 // Now returns the cluster's virtual time in milliseconds.
@@ -260,16 +224,12 @@ func (c *Cluster) RandomQuery() (n NodeID, d DocID, ok bool) {
 // AddDocument makes node n share document d and propagates the content
 // change to the scheme (ASAP publishes a patch ad).
 func (c *Cluster) AddDocument(n NodeID, d DocID) {
-	ev := trace.Event{Time: c.nowMS, Kind: trace.ContentAdd, Node: n, Doc: d}
-	c.sys.ApplyEvent(&ev)
-	c.sch.ContentChanged(c.nowMS, n, d, true)
+	c.apply(trace.ContentAdd, n, d)
 }
 
 // RemoveDocument stops node n sharing document d.
 func (c *Cluster) RemoveDocument(n NodeID, d DocID) {
-	ev := trace.Event{Time: c.nowMS, Kind: trace.ContentRemove, Node: n, Doc: d}
-	c.sys.ApplyEvent(&ev)
-	c.sch.ContentChanged(c.nowMS, n, d, false)
+	c.apply(trace.ContentRemove, n, d)
 }
 
 // Join activates a reserve node; it wires into the overlay, advertises,
@@ -278,9 +238,7 @@ func (c *Cluster) Join(n NodeID) error {
 	if c.sys.G.Alive(n) {
 		return fmt.Errorf("asap: node %d already live", n)
 	}
-	ev := trace.Event{Time: c.nowMS, Kind: trace.Join, Node: n}
-	c.sys.ApplyEvent(&ev)
-	c.sch.NodeJoined(c.nowMS, n)
+	c.apply(trace.Join, n, 0)
 	// The per-node load denominator changed mid-second; refresh it so this
 	// second's KB/node/s uses the population that actually carried the load.
 	c.sys.Load.SetLive(c.curSec, c.sys.G.LiveCount())
@@ -294,11 +252,16 @@ func (c *Cluster) Leave(n NodeID) error {
 	if !c.sys.G.Alive(n) {
 		return fmt.Errorf("asap: node %d not live", n)
 	}
-	ev := trace.Event{Time: c.nowMS, Kind: trace.Leave, Node: n}
-	c.sys.ApplyEvent(&ev)
-	c.sch.NodeLeft(c.nowMS, n)
+	c.apply(trace.Leave, n, 0)
 	c.sys.Load.SetLive(c.curSec, c.sys.G.LiveCount())
 	return nil
+}
+
+// apply applies one state event at the current virtual time the way a
+// replay does (sim.ApplyStateEvent).
+func (c *Cluster) apply(kind trace.Kind, n NodeID, d DocID) {
+	ev := trace.Event{Time: c.nowMS, Kind: kind, Node: n, Doc: d}
+	sim.ApplyStateEvent(c.sys, c.sch, &ev)
 }
 
 // Stats summarises all searches issued so far plus the system load

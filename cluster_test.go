@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"asap/internal/core"
+	"asap/internal/overlay"
 )
 
 func newTestCluster(t *testing.T, scheme string) *Cluster {
@@ -231,6 +234,51 @@ func TestClusterSuperPeerHierarchy(t *testing.T) {
 	sum := c.Stats()
 	if sum.Topology != "superpeer" {
 		t.Errorf("topology label %q", sum.Topology)
+	}
+}
+
+// TestSuperPeerModeFollowsOverlay: footnote 3's mode is the overlay's, not
+// a config's. A Lab's asap-rw replay on the super-peer overlay and a
+// Cluster with an explicit ASAP config on it both keep ads on the backbone:
+// no leaf's ad is cached anywhere and no leaf caches an ad.
+func TestSuperPeerModeFollowsOverlay(t *testing.T) {
+	lab, err := NewLab(ScaleTiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := lab.NewScheme("asap-rw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, _ := lab.Replay(sch, SuperPeer)
+	t.Run("lab", func(t *testing.T) { checkSupersOnlyHoldAds(t, sch.(*core.Scheme), sys.G) })
+
+	custom := core.DefaultConfig(core.RW).Scaled(0.03)
+	c, err := NewCluster(ClusterConfig{Nodes: 300, Topology: SuperPeer, Scheme: "asap-rw", Seed: 13, ASAP: &custom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("cluster", func(t *testing.T) { checkSupersOnlyHoldAds(t, c.sch.(*core.Scheme), c.sys.G) })
+}
+
+// checkSupersOnlyHoldAds fails unless every cached ad is a super peer's,
+// held by a super peer, and some super peer holds one.
+func checkSupersOnlyHoldAds(t *testing.T, sch *core.Scheme, g *overlay.Graph) {
+	t.Helper()
+	held := 0
+	for p := NodeID(0); int(p) < g.N(); p++ {
+		for src := NodeID(0); int(src) < g.N(); src++ {
+			if !sch.HasCachedAd(p, src) {
+				continue
+			}
+			if !g.IsSuper(p) || !g.IsSuper(src) {
+				t.Fatalf("node %d (super %v) caches the ad of %d (super %v)", p, g.IsSuper(p), src, g.IsSuper(src))
+			}
+			held++
+		}
+	}
+	if held == 0 {
+		t.Error("no super peer caches an ad")
 	}
 }
 

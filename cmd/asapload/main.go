@@ -57,7 +57,7 @@ func main() {
 	addr := flag.String("addr", "", "target address for http/bin modes")
 	scalef := flag.String("scale", "tiny", "experiment scale preset (inproc warm + catalog)")
 	scheme := flag.String("scheme", "asap-rw", "scheme to warm (inproc)")
-	topo := flag.String("topo", "random", "overlay topology (inproc)")
+	topo := flag.String("topo", "random", "overlay topology (inproc): random, powerlaw, crawled, or superpeer (ASAP runs footnote 3's super-peer mode)")
 	seed := flag.Uint64("seed", 0, "lab seed (only if given explicitly; preset default otherwise)")
 	rate := flag.Float64("rate", 0, "open-loop arrival rate, queries/sec (default: the preset trace's λ)")
 	count := flag.Int("n", 4000, "total queries to issue")

@@ -33,7 +33,7 @@ import (
 func main() {
 	scale := flag.String("scale", "tiny", "experiment scale preset to warm")
 	scheme := flag.String("scheme", "asap-rw", "scheme to serve")
-	topo := flag.String("topo", "random", "overlay topology")
+	topo := flag.String("topo", "random", "overlay topology: random, powerlaw, crawled, or superpeer (ASAP runs footnote 3's super-peer mode)")
 	seed := flag.Uint64("seed", 0, "run seed (only if given explicitly; 0 is a valid seed)")
 	httpAddr := flag.String("http", "127.0.0.1:0", "HTTP listen address (search, metrics, health)")
 	binAddr := flag.String("bin", "", "binary endpoint listen address (empty: off)")

@@ -40,7 +40,7 @@ func main() {
 	var (
 		scaleName = flag.String("scale", "small", "scale preset: "+strings.Join(experiments.Names(), ", "))
 		scheme    = flag.String("scheme", "asap-rw", "search scheme (flooding, random-walk, gsa, asap-fld, asap-rw, asap-gsa)")
-		topo      = flag.String("topo", "crawled", "overlay topology (random, powerlaw, crawled, superpeer)")
+		topo      = flag.String("topo", "crawled", "overlay topology (random, powerlaw, crawled, superpeer); on superpeer, ASAP runs footnote 3's super-peer mode")
 		traceFile = flag.String("trace", "", "replay a trace file from tracegen instead of regenerating")
 		scenArg   = flag.String("scenario", "", "replay an adversarial scenario by registry name or JSON file (overrides -scale/-scheme/-topo/-seed); names: "+strings.Join(scenario.Names(), ", "))
 		seed      = flag.Uint64("seed", 1, "master seed")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,19 +66,38 @@ func TestRunPrintsMetrics(t *testing.T) {
 }
 
 // TestRunSuperPeerTopology: -topo superpeer resolves through the shared
-// topology parser and replays the super-peer overlay.
+// topology parser and replays the super-peer overlay; an ASAP scheme on it
+// runs footnote 3's hierarchy, where ~90% of requesters are leaves whose
+// every answer takes the extra uplink hop, so few searches end in one hop.
 func TestRunSuperPeerTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tiny run in -short mode")
 	}
-	out, err := captureStdout(t, func() error {
-		return run("tiny", "flooding", "superpeer", "", 1, false, "")
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(out, "topology:          superpeer") || !strings.Contains(out, "success rate") {
-		t.Errorf("superpeer run output wrong:\n%s", out)
+	for _, scheme := range []string{"flooding", "asap-rw"} {
+		out, err := captureStdout(t, func() error {
+			return run("tiny", scheme, "superpeer", "", 1, false, "")
+		})
+		if err != nil {
+			t.Fatalf("%s: run: %v", scheme, err)
+		}
+		if !strings.Contains(out, "topology:          superpeer") || !strings.Contains(out, "success rate") {
+			t.Errorf("%s: superpeer run output wrong:\n%s", scheme, out)
+		}
+		if scheme != "asap-rw" {
+			continue
+		}
+		var hops float64
+		var oneHop int
+		i := strings.Index(out, "mean hops:")
+		if i < 0 {
+			t.Fatalf("no mean hops line:\n%s", out)
+		}
+		if _, err := fmt.Sscanf(out[i:], "mean hops: %f (one-hop %d%%)", &hops, &oneHop); err != nil {
+			t.Fatalf("parsing mean hops: %v\n%s", err, out)
+		}
+		if oneHop >= 50 {
+			t.Errorf("asap-rw on superpeer: %d%% one-hop answers, want leaves routed through their super peer\n%s", oneHop, out)
+		}
 	}
 }
 

@@ -3,12 +3,15 @@
 //
 // Usage:
 //
-//	experiments [-scale full|small|tiny] [-figure all|2|3|...|10|claims]
+//	experiments [-scale full|small|tiny] [-figure all|2|...|10|claims|seeds|loss|scenario]
 //	            [-schemes csv] [-topos csv] [-matrixworkers n]
-//	            [-seed n] [-loss rate] [-quiet] [-scenario csv]
+//	            [-seed n] [-seeds n] [-loss rate] [-quiet] [-scenario csv]
 //	            [-series dir]
 //	            [-cpuprofile path] [-memprofile path] [-mutexprofile path]
 //	            [-pprof addr]
+//
+// A flag given a non-default value that the figure does not read (say
+// -loss with -figure loss, which sweeps its own ladder) is an error.
 //
 // Every run is a sequential replay, a pure function of (preset, seed).
 // More cores are used across matrix cells (-matrixworkers), and the
@@ -71,8 +74,15 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if *scenCSV != "" && o.figure == "all" {
+		o.figure = "scenario"
+	}
+	err := unreadFlag(o.figure, flag.Visit)
 	if o.loss < 0 || o.loss >= 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -loss %v out of [0,1)\n", o.loss)
+		err = fmt.Errorf("-loss %v out of [0,1)", o.loss)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 	stopProf, err := obs.StartProfiles(*cpuProf, *memProf, *mutexProf, *pprofAddr)
@@ -80,7 +90,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	if o.figure == "scenario" || *scenCSV != "" {
+	if o.figure == "scenario" {
 		err = runScenarioSweep(*scenCSV, o)
 	} else {
 		err = run(o)
@@ -92,6 +102,33 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
+}
+
+// figureFlags lists the flags each figure reads besides -figure, -quiet
+// and the profiling flags; "" stands for every matrix figure.
+var figureFlags = map[string]string{
+	"2": "scale seed", "3": "scale seed",
+	"seeds":    "scale seed schemes topos matrixworkers seeds loss",
+	"loss":     "scale seed schemes topos matrixworkers series",
+	"scenario": "scenario series",
+	"":         "scale seed schemes topos matrixworkers loss series",
+}
+
+// unreadFlag names the first flag that visit reaches with a non-default
+// value figure does not read, so that no value is silently dropped.
+func unreadFlag(figure string, visit func(func(*flag.Flag))) error {
+	reads, ok := figureFlags[figure]
+	if !ok {
+		reads = figureFlags[""]
+	}
+	var err error
+	visit(func(f *flag.Flag) {
+		if err == nil && f.Value.String() != f.DefValue &&
+			!strings.Contains(" figure quiet cpuprofile memprofile mutexprofile pprof "+reads+" ", " "+f.Name+" ") {
+			err = fmt.Errorf("-figure %s does not read -%s", figure, f.Name)
+		}
+	})
+	return err
 }
 
 // progress prints a progress line to stderr unless the run is quiet.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"strings"
 	"testing"
@@ -48,6 +49,47 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 	if err := run(options{scale: "tiny", figure: "loss", topos: "random,crawled", seed: 1, quiet: true}); err == nil {
 		t.Error("loss sweep over two topologies accepted")
+	}
+	// A flag the figure does not read is an error naming it; its default
+	// value is not.
+	for _, c := range []struct{ figure, flag string }{
+		{"seeds", "series"},
+		{"loss", "loss"},
+		{"scenario", "loss"}, {"scenario", "schemes"}, {"scenario", "topos"},
+		{"2", "schemes"}, {"2", "topos"}, {"2", "loss"}, {"2", "series"},
+		{"3", "schemes"}, {"3", "topos"}, {"3", "loss"}, {"3", "series"},
+	} {
+		if err := unreadFlag(c.figure, given("quiet", c.flag)); err == nil || !strings.HasSuffix(err.Error(), "does not read -"+c.flag) {
+			t.Errorf("-figure %s -%s: err %v, want one naming -%s", c.figure, c.flag, err, c.flag)
+		}
+		fs := flag.NewFlagSet("", flag.ContinueOnError)
+		fs.String(c.flag, "0", "")
+		if err := fs.Parse([]string{"-" + c.flag, "0"}); err != nil || unreadFlag(c.figure, fs.Visit) != nil {
+			t.Errorf("-figure %s with -%s at its default rejected", c.figure, c.flag)
+		}
+	}
+}
+
+// given returns a flag visitor over the named flags, each set off its
+// default.
+func given(names ...string) func(func(*flag.Flag)) {
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	for _, name := range names {
+		fs.String(name, "", "")
+		fs.Set(name, "x")
+	}
+	return fs.Visit
+}
+
+// TestUnreadFlagAcceptsReadFlags: every flag a figure reads passes.
+func TestUnreadFlagAcceptsReadFlags(t *testing.T) {
+	for figure, reads := range figureFlags {
+		if err := unreadFlag(figure, given(append(strings.Fields(reads), "figure", "quiet", "cpuprofile")...)); err != nil {
+			t.Errorf("-figure %q: %v", figure, err)
+		}
+	}
+	if err := unreadFlag("4", given("seeds")); err == nil {
+		t.Error("-figure 4 -seeds accepted")
 	}
 }
 

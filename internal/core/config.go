@@ -29,6 +29,16 @@ func (d DeliveryKind) String() string {
 	}
 }
 
+// DeliveryByScheme inverts Scheme.Name: "asap-rw" → RW.
+func DeliveryByScheme(name string) (DeliveryKind, bool) {
+	for d := range GSAKind + 1 {
+		if name == "asap-"+d.String() {
+			return d, true
+		}
+	}
+	return 0, false
+}
+
 // Config parameterises an ASAP scheme. Defaults follow §IV-A where the
 // paper pins a value and are stated assumptions elsewhere (the paper gives
 // no refresh period or cache capacity; DESIGN.md D4/D6 ablate them).
@@ -76,13 +86,6 @@ type Config struct {
 	StaleFactor int
 	// MaxAdsPerReply caps the ads returned in one ads-request reply.
 	MaxAdsPerReply int
-	// Hierarchical enables the super-peer mode of the paper's footnote 3:
-	// "only super peers are responsible for ad representation, delivery,
-	// caching and processing". Requires an overlay.SuperPeerKind graph; a
-	// super peer advertises the union of its own and its leaves' contents,
-	// leaves route searches through their super peer, and only super
-	// peers cache ads.
-	Hierarchical bool
 	// RetryAttempts is how many times a search contact (confirmation, ads
 	// request) is attempted before the requester gives up, when a fault
 	// plane can drop messages; 0 and 1 both mean a single attempt. On a

@@ -386,14 +386,14 @@ func (tc deliveryCase) plane(nodes int) *faults.Plane {
 
 // build warms one system of the given configuration up under the case's plane.
 func (tc deliveryCase) build(cfg Config) *Scheme {
-	sys, cfg := tc.system(cfg)
 	s := New(cfg)
-	s.Attach(sys)
+	s.Attach(tc.system())
 	return s
 }
 
-// system builds the case's system, with the case's plane installed, and returns it with cfg adjusted to the overlay.
-func (tc deliveryCase) system(cfg Config) (*sim.System, Config) {
+// system builds the case's system, flat or super-peer, with the case's
+// plane installed.
+func (tc deliveryCase) system() *sim.System {
 	var sys *sim.System
 	if tc.hier {
 		// Nearly half the nodes are super peers, so a slot can hold
@@ -402,12 +402,11 @@ func (tc deliveryCase) system(cfg Config) (*sim.System, Config) {
 		hosts := testNet.RandomNodes(len(testTr.Peers), rng)
 		sys = sim.NewSystemWithGraph(testU, testTr, overlay.NewSuperPeer(testNet, hosts,
 			testTr.InitialLive, 0.45, overlay.DefaultSuperDegree, rng))
-		cfg.Hierarchical = true
 	} else {
 		sys = sim.NewSystem(testU, testTr, overlay.Random, testNet, tc.seed)
 	}
 	sys.SetFaults(tc.plane(sys.NumNodes()))
-	return sys, cfg
+	return sys
 }
 
 // floodSlotSizes are the wheel-slot sizes the rounds cycle through: around

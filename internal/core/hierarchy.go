@@ -6,15 +6,15 @@ import (
 	"asap/internal/sim"
 )
 
-// Hierarchical (super-peer) helpers, per the paper's footnote 3. In flat
-// mode every node represents itself and all helpers degenerate to the
-// single-node case at zero cost.
+// Hierarchical (super-peer) helpers, per the paper's footnote 3, in the
+// mode the overlay selects (Scheme.hier). On a flat graph every node
+// represents itself; all helpers degenerate to the single-node case.
 
 // repr returns the node responsible for n's ads: n itself in flat mode or
 // for super peers, n's parent super peer for leaves, -1 for a detached
 // leaf.
 func (s *Scheme) repr(n overlay.NodeID) overlay.NodeID {
-	if !s.cfg.Hierarchical {
+	if !s.hier {
 		return n
 	}
 	return s.sys.G.SuperOf(n)
@@ -24,7 +24,7 @@ func (s *Scheme) repr(n overlay.NodeID) overlay.NodeID {
 // processing — everyone in flat mode, super peers only in hierarchical
 // mode.
 func (s *Scheme) cacheEligible(v overlay.NodeID) bool {
-	return !s.cfg.Hierarchical || s.sys.G.IsSuper(v)
+	return !s.hier || s.sys.G.IsSuper(v)
 }
 
 // eligibleView returns n's live, cache-eligible neighbours as the
@@ -35,7 +35,7 @@ func (s *Scheme) cacheEligible(v overlay.NodeID) bool {
 // choice, an index into it, replays byte-identically. The slice is shared
 // with the graph and valid until the next overlay mutation.
 func (s *Scheme) eligibleView(n overlay.NodeID) []overlay.NodeID {
-	if s.cfg.Hierarchical {
+	if s.hier {
 		return s.sys.G.LiveSuperNeighbors(n)
 	}
 	return s.sys.G.LiveNeighbors(n)
@@ -47,7 +47,7 @@ func (s *Scheme) eachGroupMember(rp overlay.NodeID, fn func(overlay.NodeID) bool
 	if !fn(rp) {
 		return
 	}
-	if !s.cfg.Hierarchical {
+	if !s.hier {
 		return
 	}
 	for _, leaf := range s.sys.G.LeavesOf(rp) {
@@ -75,7 +75,7 @@ func (s *Scheme) groupMatches(rp overlay.NodeID, terms []content.Keyword) bool {
 // groupInterests returns the union of interests across rp's group; a
 // super peer caches on behalf of all its leaves.
 func (s *Scheme) groupInterests(rp overlay.NodeID) content.ClassSet {
-	if !s.cfg.Hierarchical {
+	if !s.hier {
 		return s.sys.Interests(rp)
 	}
 	var set content.ClassSet

@@ -24,25 +24,9 @@ func superSystem(t *testing.T, seed uint64) *sim.System {
 	return sim.NewSystemWithGraph(testU, testTr, g)
 }
 
-func hierConfig() Config {
-	c := testConfig(RW)
-	c.Hierarchical = true
-	return c
-}
-
-func TestHierarchicalRequiresSuperGraph(t *testing.T) {
-	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("Attach on flat graph did not panic")
-		}
-	}()
-	New(hierConfig()).Attach(sys)
-}
-
 func TestHierarchicalOnlySupersPublishAndCache(t *testing.T) {
 	sys := superSystem(t, 2)
-	s := New(hierConfig())
+	s := New(testConfig(RW))
 	s.Attach(sys)
 	for n := 0; n < testTr.InitialLive; n++ {
 		node := overlay.NodeID(n)
@@ -72,7 +56,7 @@ func TestHierarchicalOnlySupersPublishAndCache(t *testing.T) {
 
 func TestHierarchicalAggregateAdsCoverLeafContent(t *testing.T) {
 	sys := superSystem(t, 3)
-	s := New(hierConfig())
+	s := New(testConfig(RW))
 	s.Attach(sys)
 	// Find a leaf with docs; its super peer's filter must contain the
 	// leaf's keywords.
@@ -100,7 +84,7 @@ func TestHierarchicalAggregateAdsCoverLeafContent(t *testing.T) {
 
 func TestHierarchicalSearchFromLeaf(t *testing.T) {
 	sys := superSystem(t, 4)
-	s := New(hierConfig())
+	s := New(testConfig(RW))
 	s.Attach(sys)
 	succ, total, viaSuper := 0, 0, 0
 	for i := range testTr.Events {
@@ -134,7 +118,7 @@ func TestHierarchicalSearchFromLeaf(t *testing.T) {
 
 func TestHierarchicalContentChangeRepublishesSuper(t *testing.T) {
 	sys := superSystem(t, 5)
-	s := New(hierConfig())
+	s := New(testConfig(RW))
 	s.Attach(sys)
 	var leaf overlay.NodeID = -1
 	for n := 0; n < testTr.InitialLive; n++ {
@@ -173,7 +157,7 @@ func TestHierarchicalContentChangeRepublishesSuper(t *testing.T) {
 
 func TestHierarchicalSuperDepartureRecovery(t *testing.T) {
 	sys := superSystem(t, 6)
-	s := New(hierConfig())
+	s := New(testConfig(RW))
 	s.Attach(sys)
 	// Pick a super with sharing leaves.
 	var victim overlay.NodeID = -1
@@ -212,7 +196,7 @@ func TestHierarchicalSuperDepartureRecovery(t *testing.T) {
 
 func TestHierarchicalEndToEndRun(t *testing.T) {
 	sys := superSystem(t, 7)
-	sch := New(hierConfig())
+	sch := New(testConfig(RW))
 	sum := sim.Run(sys, sch, sim.RunOptions{})
 	if sum.Requests == 0 {
 		t.Fatal("no requests")
@@ -242,7 +226,7 @@ func TestHierarchicalEndToEndRun(t *testing.T) {
 // response covers those waits as well as the uplink and the downlink.
 func TestLeafResponseCountsLostUplinks(t *testing.T) {
 	sys := superSystem(t, 5)
-	s := New(hierConfig())
+	s := New(testConfig(RW))
 	s.Attach(sys)
 	pl := faults.New(faults.Config{Seed: 5, LossRate: 0.3})
 	sys.SetFaults(pl)

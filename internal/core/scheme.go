@@ -20,6 +20,7 @@ type Scheme struct {
 	cfg   Config
 	sys   *sim.System
 	nodes []nodeState
+	hier  bool // super-peer mode (hierarchy.go): bind reads it off the overlay
 
 	// holders is the ads-cache index, source-major: holders[src] maps each
 	// node caching src's ad to the entry's index in that node's slab (see
@@ -97,11 +98,9 @@ func (s *Scheme) Attach(sys *sim.System) {
 // bind binds the scheme to sys, initialises per-node state and returns the
 // warm-up: every initially-live representative's full ad, in node order.
 func (s *Scheme) bind(sys *sim.System) []floodAd {
-	if s.cfg.Hierarchical && sys.G.Kind() != overlay.SuperPeerKind {
-		panic("core: Hierarchical config requires an overlay.SuperPeerKind graph")
-	}
 	checkHorizon(sys.Load.Seconds())
 	s.sys = sys
+	s.hier = sys.G.Kind() == overlay.SuperPeerKind
 	n := sys.NumNodes()
 	s.nodes = make([]nodeState, n)
 	s.holders = make([]holderTab, n)
@@ -233,7 +232,7 @@ func (s *Scheme) publishWith(n overlay.NodeID, prebuilt *bloom.Filter) *adSnapsh
 	// published ones and publish would return nil — skip the rebuild.
 	// Hierarchical groups drift silently (leaf departures are not evented
 	// to the super peer) and must always reconcile.
-	if !s.cfg.Hierarchical && !ns.dirty {
+	if !s.hier && !ns.dirty {
 		return nil
 	}
 	f := prebuilt
@@ -241,7 +240,7 @@ func (s *Scheme) publishWith(n overlay.NodeID, prebuilt *bloom.Filter) *adSnapsh
 		f = s.buildFilter(n)
 	}
 	topics := ns.topicsFromCounts()
-	if s.cfg.Hierarchical {
+	if s.hier {
 		topics = s.groupTopics(n)
 	}
 
@@ -367,7 +366,7 @@ func (s *Scheme) ContentChangedBatch(t sim.Clock, n overlay.NodeID, docs []conte
 // pulls interesting ads from its neighbourhood — "the same ads requesting
 // process as the one when a brand new node joins" (§III-C).
 func (s *Scheme) NodeJoined(t sim.Clock, n overlay.NodeID) {
-	if s.cfg.Hierarchical {
+	if s.hier {
 		// The joiner attaches as a leaf; its contents fold into the parent
 		// super peer's aggregate ad. Leaves neither cache nor pull ads.
 		s.republishAndDeliver(t, s.repr(n))
@@ -394,7 +393,7 @@ func (s *Scheme) NodeLeaving(sim.Clock, overlay.NodeID) {}
 // leaves are re-homed by the overlay; their new parents republish so the
 // migrated contents become findable again.
 func (s *Scheme) NodeLeft(t sim.Clock, n overlay.NodeID) {
-	if !s.cfg.Hierarchical {
+	if !s.hier {
 		return
 	}
 	seen := map[overlay.NodeID]bool{}

@@ -208,7 +208,7 @@ func TestSearchROAgreesWithSearch(t *testing.T) {
 	for _, d := range DeliveryKinds {
 		runs = append(runs, run{d.String(), testConfig(d), flat})
 	}
-	runs = append(runs, run{"hier", hierConfig(), func(t *testing.T) *sim.System { return superSystem(t, 1) }})
+	runs = append(runs, run{"hier", testConfig(RW), func(t *testing.T) *sim.System { return superSystem(t, 1) }})
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
 			cfg := r.cfg
@@ -238,7 +238,7 @@ func TestSearchROAgreesWithSearch(t *testing.T) {
 			if queries < 500 {
 				t.Fatalf("only %d queries checked", queries)
 			}
-			if !cfg.Hierarchical && phase2 == 0 {
+			if r.name != "hier" && phase2 == 0 {
 				t.Error("no query ran phase 2")
 			}
 			t.Logf("%d queries agree, %d ran phase 2", queries, phase2)

@@ -90,8 +90,7 @@ func TestWarmUpMatchesPerAdDelivery(t *testing.T) {
 				name := fmt.Sprintf("asap-%s/%v/capacity=%d", d, tc, capacity)
 				cfg := testConfig(d)
 				cfg.CacheCapacity = capacity
-				sysA, cfg := tc.system(cfg)
-				sysB, _ := tc.system(cfg)
+				sysA, sysB := tc.system(), tc.system()
 				a, b := New(cfg), perAdWarmUp{New(cfg)}
 				sta, stb := sim.NewStepper(sysA, a, 0), sim.NewStepper(sysB, b, 0)
 				if err := sameWarmUp(a, b.Scheme); err != nil {

@@ -57,6 +57,9 @@ func NewLab(sc Scale) (*Lab, error) {
 
 // NewScheme constructs a named scheme configured for this lab's scale.
 func (l *Lab) NewScheme(name string) (sim.Scheme, error) {
+	if d, ok := core.DeliveryByScheme(name); ok {
+		return core.New(l.Scale.ASAPConfig(d)), nil
+	}
 	switch name {
 	case "flooding":
 		return search.NewFlooding(), nil
@@ -64,12 +67,6 @@ func (l *Lab) NewScheme(name string) (sim.Scheme, error) {
 		return search.NewRandomWalk(l.Scale.Seed), nil
 	case "gsa":
 		return search.NewGSA(l.Scale.Seed), nil
-	case "asap-fld":
-		return core.New(l.Scale.ASAPConfig(core.FLD)), nil
-	case "asap-rw":
-		return core.New(l.Scale.ASAPConfig(core.RW)), nil
-	case "asap-gsa":
-		return core.New(l.Scale.ASAPConfig(core.GSAKind)), nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown scheme %q", name)
 	}

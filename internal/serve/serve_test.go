@@ -88,14 +88,22 @@ func liveQuery(t *testing.T, n *Node) CatalogEntry {
 // -race any write made while readers are inside fails the test. Chained
 // with core's TestSearchROMatchesOracle (quiescent SearchRO ≡ the scalar
 // map-and-loop oracle), this pins every concurrent answer to the scalar
-// oracle at its epoch.
+// oracle at its epoch. The super-peer case serves footnote 3's
+// hierarchical state, which the overlay selects.
 func TestServeConcurrentOracle(t *testing.T) {
-	for _, d := range []core.DeliveryKind{core.RW, core.GSAKind, core.FLD} {
-		t.Run("asap-"+d.String(), func(t *testing.T) { concurrentOracle(t, d) })
+	for _, c := range []struct {
+		d    core.DeliveryKind
+		topo overlay.Kind
+	}{{core.RW, overlay.Random}, {core.GSAKind, overlay.Random}, {core.FLD, overlay.Random}, {core.RW, overlay.SuperPeerKind}} {
+		name := "asap-" + c.d.String()
+		if c.topo != overlay.Random {
+			name += "/" + c.topo.String()
+		}
+		t.Run(name, func(t *testing.T) { concurrentOracle(t, c.d, c.topo) })
 	}
 }
 
-func concurrentOracle(t *testing.T, d core.DeliveryKind) {
+func concurrentOracle(t *testing.T, d core.DeliveryKind, topo overlay.Kind) {
 	l := tinyLab(t)
 
 	// Warm on a prefix of the trace; the suffix's state events become the
@@ -105,7 +113,7 @@ func concurrentOracle(t *testing.T, d core.DeliveryKind) {
 	prefix := *l.Tr
 	prefix.Events = evs[:split]
 	sch := core.New(l.Scale.ASAPConfig(d))
-	sys := sim.NewSystem(l.U, &prefix, overlay.Random, l.Net, l.Scale.Seed)
+	sys := sim.NewSystem(l.U, &prefix, topo, l.Net, l.Scale.Seed)
 	st := sim.NewStepper(sys, sch, 0)
 	for batch := st.NextBatch(); batch != nil; batch = st.NextBatch() {
 		for _, ev := range batch {

@@ -25,7 +25,7 @@ import (
 // that package's _test.go files instead. Keys are pkg.Name or
 // pkg.Type.Method.
 var testOnlyAllowlist = map[string]string{
-	"core.Scheme.HasCachedAd":        "cluster_faults_test.go: TestConfirmRoundEvictsDeadSource reads a cluster peer's cache",
+	"core.Scheme.HasCachedAd":        "cluster_faults_test.go: TestConfirmRoundEvictsDeadSource reads a cluster peer's cache; cluster_test.go: TestSuperPeerModeFollowsOverlay reads who caches whose ad",
 	"metrics.LoadAccount.TotalBytes": "core's scheme and feature tests, search's TestEndToEndRunAllBaselines: a run's bytes by class",
 	"obs.NewHeapGauge":               "experiments' TestSmallReplayPeakHeapBound (make mem-gate)",
 	"obs.HeapGauge.PeakMB":           "experiments' TestSmallReplayPeakHeapBound (make mem-gate)",
