@@ -39,7 +39,7 @@ import (
 func main() {
 	var (
 		scaleName = flag.String("scale", "small", "scale preset: "+strings.Join(experiments.Names(), ", "))
-		scheme    = flag.String("scheme", "asap-rw", "search scheme (flooding, random-walk, gsa, asap-fld, asap-rw, asap-gsa)")
+		scheme    = flag.String("scheme", "asap-rw", "search scheme (flooding, random-walk, gsa, asap-fld, asap-rw, asap-gsa); an asap-* name takes config variants, e.g. asap-rw+h=2+cap=400")
 		topo      = flag.String("topo", "crawled", "overlay topology (random, powerlaw, crawled, superpeer); on superpeer, ASAP runs footnote 3's super-peer mode")
 		traceFile = flag.String("trace", "", "replay a trace file from tracegen instead of regenerating")
 		scenArg   = flag.String("scenario", "", "replay an adversarial scenario by registry name or JSON file (overrides -scale/-scheme/-topo/-seed); names: "+strings.Join(scenario.Names(), ", "))

@@ -53,12 +53,12 @@ func TestRunPrintsMetrics(t *testing.T) {
 		t.Skip("tiny run in -short mode")
 	}
 	out, err := captureStdout(t, func() error {
-		return run("tiny", "asap-rw", "crawled", "", 1, true, "")
+		return run("tiny", "asap-rw+h=2", "crawled", "", 1, true, "")
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, want := range []string{"success rate", "mean response", "system load", "ad-refresh", "per-second load"} {
+	for _, want := range []string{"scheme:            asap-rw+h=2\n", "success rate", "mean response", "system load", "ad-refresh", "per-second load"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

@@ -24,6 +24,8 @@
 //	experiments -scale small -figure claims  # headline-claim checks
 //	experiments -scale small -loss 0.02      # the matrix on a 2%-lossy network
 //	experiments -scale tiny -figure loss     # loss sweep: 0/1/2/5% message loss
+//	experiments -figure seeds -seeds 5 -schemes asap-rw,asap-rw+h=2
+//	                                         # an ablation with its seed spread
 //	experiments -figure scenario             # every adversarial scenario (see internal/scenario)
 //	experiments -scenario partition-heal     # one scenario (registry name or JSON file)
 //	experiments -series out/                 # + per-second series per run (CSV+JSON)
@@ -34,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -58,7 +61,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.scale, "scale", "small", "experiment scale: "+strings.Join(experiments.Names(), ", "))
 	flag.StringVar(&o.figure, "figure", "all", "figure to regenerate: all, 2-10, claims, seeds, loss or scenario")
-	flag.StringVar(&o.schemes, "schemes", "", "comma-separated scheme subset (default: all six)")
+	flag.StringVar(&o.schemes, "schemes", "", "comma-separated scheme subset (default: all six); -figure seeds and loss also take variants, e.g. asap-rw+h=2")
 	flag.StringVar(&o.topos, "topos", "", "comma-separated topology subset (default: all three; crawled for seeds and loss)")
 	flag.IntVar(&o.workers, "matrixworkers", 0, "scheme×topology matrix workers (0 = GOMAXPROCS)")
 	flag.Uint64Var(&o.seed, "seed", 1, "master seed; -figure seeds sweeps -seeds seeds from it")
@@ -159,7 +162,7 @@ func (o options) selection() ([]string, []overlay.Kind, error) {
 	var topos []overlay.Kind
 	if o.topos != "" {
 		for _, name := range strings.Split(o.topos, ",") {
-			k, err := kindByName(strings.TrimSpace(name))
+			k, err := overlay.KindByName(strings.TrimSpace(name))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -167,6 +170,24 @@ func (o options) selection() ([]string, []overlay.Kind, error) {
 		}
 	}
 	return schemes, topos, nil
+}
+
+// paperCells rejects a scheme or topology outside the paper's matrix
+// (SchemeNames × overlay.Kinds), which the figures iterate: a variant or
+// superpeer would otherwise be dropped from the table without a word.
+func paperCells(schemes []string, topos []overlay.Kind) error {
+	for _, s := range schemes {
+		if !slices.Contains(experiments.SchemeNames, s) {
+			return fmt.Errorf("scheme %q is not one of the paper's (%s); -figure seeds or loss runs it",
+				s, strings.Join(experiments.SchemeNames, ", "))
+		}
+	}
+	for _, k := range topos {
+		if !slices.Contains(overlay.Kinds, k) {
+			return fmt.Errorf("topology %q is not one of the paper's; -figure seeds or loss runs it", k)
+		}
+	}
+	return nil
 }
 
 // run regenerates one figure, or runs the seed or loss sweep: every path
@@ -188,6 +209,9 @@ func run(o options) error {
 		return runSeeds(sc, schemes, topos, o)
 	case "loss":
 		return runLossSweep(sc, schemes, topos, o)
+	}
+	if err := paperCells(schemes, topos); err != nil {
+		return fmt.Errorf("-figure %s: %w", o.figure, err)
 	}
 
 	start := time.Now()
@@ -323,13 +347,4 @@ func runLossSweep(sc experiments.Scale, schemes []string, topos []overlay.Kind, 
 	}
 	fmt.Println(experiments.FormatLossSweep(sw))
 	return nil
-}
-
-func kindByName(name string) (overlay.Kind, error) {
-	for _, k := range overlay.Kinds {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown topology %q", name)
 }

@@ -50,6 +50,16 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	if err := run(options{scale: "tiny", figure: "loss", topos: "random,crawled", seed: 1, quiet: true}); err == nil {
 		t.Error("loss sweep over two topologies accepted")
 	}
+	// The paper figures iterate the paper's schemes × topologies, so a
+	// variant or superpeer is an error naming it, not a dropped row.
+	for _, figure := range []string{"all", "4", "5", "6", "7", "8", "9", "10", "claims"} {
+		for _, o := range []options{{schemes: "asap-rw+h=2"}, {topos: "superpeer"}} {
+			o.scale, o.figure, o.seed, o.quiet = "tiny", figure, 1, true
+			if err := run(o); err == nil || !strings.Contains(err.Error(), `"`+o.schemes+o.topos+`"`) {
+				t.Errorf("-figure %s -schemes %q -topos %q: err %v, want one naming it", figure, o.schemes, o.topos, err)
+			}
+		}
+	}
 	// A flag the figure does not read is an error naming it; its default
 	// value is not.
 	for _, c := range []struct{ figure, flag string }{
@@ -143,18 +153,6 @@ func TestRunClaimsFigure(t *testing.T) {
 	}
 	if !strings.Contains(out, "C1") || !strings.Contains(out, "PASS") {
 		t.Errorf("claims output wrong:\n%s", out)
-	}
-}
-
-func TestKindByName(t *testing.T) {
-	for _, name := range []string{"random", "powerlaw", "crawled"} {
-		k, err := kindByName(name)
-		if err != nil || k.String() != name {
-			t.Errorf("kindByName(%q) = %v, %v", name, k, err)
-		}
-	}
-	if _, err := kindByName("bogus"); err == nil {
-		t.Error("bogus kind accepted")
 	}
 }
 

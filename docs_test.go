@@ -17,6 +17,8 @@ var (
 	makeTargets = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
 	docIdent    = regexp.MustCompile(`^([a-z]+)\.([A-Za-z][A-Za-z0-9]*)(?:\.([A-Za-z][A-Za-z0-9]*))?$`)
 	docHole     = regexp.MustCompile(`\b(?:FULL|SMALL)_[A-Z0-9_]+\b`)
+	docTest     = regexp.MustCompile(`^(?:Benchmark|Test|Fuzz|Example)[A-Z_]?[A-Za-z0-9_]*$`)
+	testFunc    = regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz|Example)[A-Za-z0-9_]*)\(`)
 )
 
 // TestDocsNameLiveRefs: the prose documents name only things that exist.
@@ -28,6 +30,8 @@ var (
 // internal/ package, names a declaration, field or method of the code;
 // `pkg.Method` may name a method of any type in pkg. No reproduction
 // table is left a placeholder (FULL_FIG4 and the like) in EXPERIMENTS.md.
+// A span that is exactly a test, benchmark, fuzz target or example name
+// is declared by some _test.go in the tree.
 func TestDocsNameLiveRefs(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -61,6 +65,19 @@ func TestDocsNameLiveRefs(t *testing.T) {
 			}
 		}
 		return false
+	}
+
+	tests := map[string]bool{}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+				tests[m[1]] = true
+			}
+		}
 	}
 
 	pkgs := map[string]*types.Package{}
@@ -123,6 +140,9 @@ func TestDocsNameLiveRefs(t *testing.T) {
 			}
 			if m := docIdent.FindStringSubmatch(code); m != nil && !resolves(m[1], m[2], m[3]) {
 				t.Errorf("%s: `%s` names no declaration in the code", doc, code)
+			}
+			if docTest.MatchString(code) && !tests[code] {
+				t.Errorf("%s: `%s` is declared by no _test.go", doc, code)
 			}
 		}
 	}

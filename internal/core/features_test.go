@@ -13,18 +13,6 @@ import (
 	"asap/internal/trace"
 )
 
-func TestMinResultsValidation(t *testing.T) {
-	c := DefaultConfig(RW)
-	c.MinResults = 0
-	if c.Validate() == nil {
-		t.Error("MinResults 0 accepted")
-	}
-	c.MinResults = c.MaxConfirms + 1
-	if c.Validate() == nil {
-		t.Error("MinResults above MaxConfirms accepted")
-	}
-}
-
 // TestMinResultsTriggersPhase2 compares a single-result and a multi-result
 // configuration on the same queries: demanding more results must generate
 // at least as much ads-request traffic and never fewer hits.

@@ -3,6 +3,9 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -55,10 +58,50 @@ func NewLab(sc Scale) (*Lab, error) {
 	return &Lab{Scale: sc, Net: net, U: u, Tr: tr}, nil
 }
 
-// NewScheme constructs a named scheme configured for this lab's scale.
+// variantKeys is the one table of ASAP variants: each key of a scheme
+// name's "+key=int" suffix sets one core.Config field, after
+// Scale.ASAPConfig. A boolean field takes 0 or 1.
+var variantKeys = []struct {
+	key string
+	set func(c *core.Config, v int) error
+}{
+	{"h", func(c *core.Config, v int) error { c.AdsRequestHops = v; return nil }},
+	{"cap", func(c *core.Config, v int) error { c.CacheCapacity = v; return nil }},
+	{"refresh", func(c *core.Config, v int) error { c.RefreshPeriodSec = v; return nil }},
+	{"stale", func(c *core.Config, v int) error { c.StaleFactor = v; return nil }},
+	{"div", func(c *core.Config, v int) error { c.UpdateBudgetDiv = v; return nil }},
+	{"min", func(c *core.Config, v int) error { c.MinResults = v; return nil }},
+	{"varfilters", func(c *core.Config, v int) error { return setBool(&c.VariableFilters, v) }},
+	{"biased", func(c *core.Config, v int) error { return setBool(&c.BiasedDelivery, v) }},
+}
+
+func setBool(f *bool, v int) error {
+	if v != 0 && v != 1 {
+		return fmt.Errorf("%d is not 0 or 1", v)
+	}
+	*f = v == 1
+	return nil
+}
+
+// NewScheme constructs a named scheme configured for this lab's scale. An
+// ASAP name may carry a variant suffix, "asap-rw+h=2+cap=400": each
+// key=int edits one field of the scale's configuration (variantKeys).
 func (l *Lab) NewScheme(name string) (sim.Scheme, error) {
-	if d, ok := core.DeliveryByScheme(name); ok {
-		return core.New(l.Scale.ASAPConfig(d)), nil
+	base, suffix, variant := strings.Cut(name, "+")
+	if d, ok := core.DeliveryByScheme(base); ok {
+		cfg := l.Scale.ASAPConfig(d)
+		if variant {
+			if err := editConfig(&cfg, suffix); err != nil {
+				return nil, fmt.Errorf("experiments: scheme %q: %w", name, err)
+			}
+		}
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("experiments: scheme %q: %w", name, err)
+		}
+		return core.New(cfg), nil
+	}
+	if variant {
+		return nil, fmt.Errorf("experiments: scheme %q: only asap-* schemes take a variant", name)
 	}
 	switch name {
 	case "flooding":
@@ -70,6 +113,35 @@ func (l *Lab) NewScheme(name string) (sim.Scheme, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown scheme %q", name)
 	}
+}
+
+// editConfig applies a variant suffix, "h=2+cap=400", to cfg: each key
+// at most once, each value an integer.
+func editConfig(cfg *core.Config, suffix string) error {
+	keys := make([]string, len(variantKeys))
+	for i, k := range variantKeys {
+		keys[i] = k.key
+	}
+	seen := map[string]bool{}
+	for _, kv := range strings.Split(suffix, "+") {
+		key, val, _ := strings.Cut(kv, "=")
+		i := slices.IndexFunc(keys, func(k string) bool { return k == key })
+		if i < 0 {
+			return fmt.Errorf("unknown variant %q (keys: %s)", kv, strings.Join(keys, ", "))
+		}
+		if seen[key] {
+			return fmt.Errorf("variant key %q given twice", key)
+		}
+		seen[key] = true
+		v, err := strconv.Atoi(val)
+		if err == nil {
+			err = variantKeys[i].set(cfg, v)
+		}
+		if err != nil {
+			return fmt.Errorf("variant %q: %w", kv, err)
+		}
+	}
+	return nil
 }
 
 // topoProto returns the lab's shared prototype for kind, generating it on
@@ -115,6 +187,7 @@ func (l *Lab) run(schemeName string, topo overlay.Kind) (Cell, error) {
 		return Cell{}, err
 	}
 	sys, sum := l.Replay(sch, topo)
+	sum.Scheme = schemeName // a variant's name, not its base scheme's
 	return Cell{Scheme: schemeName, Topo: topo, Summary: sum, Load: sys.Load}, nil
 }
 
