@@ -183,7 +183,7 @@ func TestClaims(t *testing.T) {
 	// (walker failure under low replication) are scale-dependent: a
 	// 5×1024-step walk covers a 400-node overlay completely, and flooding
 	// is cheap when the flood horizon is the whole network. Those claims
-	// are asserted at larger scales (see bench_test.go and EXPERIMENTS.md).
+	// are asserted at larger scales (see EXPERIMENTS.md).
 	// The response-time and variance shape must hold even here.
 	for _, c := range claims {
 		if (c.ID == "C1" || c.ID == "C4" || c.ID == "C6" || c.ID == "C7") && !c.Pass {

@@ -125,7 +125,7 @@ func editConfig(cfg *core.Config, suffix string) error {
 	seen := map[string]bool{}
 	for _, kv := range strings.Split(suffix, "+") {
 		key, val, _ := strings.Cut(kv, "=")
-		i := slices.IndexFunc(keys, func(k string) bool { return k == key })
+		i := slices.Index(keys, key)
 		if i < 0 {
 			return fmt.Errorf("unknown variant %q (keys: %s)", kv, strings.Join(keys, ", "))
 		}

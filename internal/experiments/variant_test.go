@@ -18,24 +18,24 @@ import (
 func TestVariantIsAConfigEdit(t *testing.T) {
 	lab, m := sharedTiny(t)
 	edits := []struct {
-		variant string
-		edit    func(*core.Config)
+		name string
+		edit func(*core.Config)
 	}{
-		{"h=2", func(c *core.Config) { c.AdsRequestHops = 2 }},
-		{"cap=400", func(c *core.Config) { c.CacheCapacity = 400 }},
-		{"refresh=0", func(c *core.Config) { c.RefreshPeriodSec = 0 }},
-		{"stale=1", func(c *core.Config) { c.StaleFactor = 1 }},
-		{"div=48", func(c *core.Config) { c.UpdateBudgetDiv = 48 }},
-		{"min=3", func(c *core.Config) { c.MinResults = 3 }},
-		{"varfilters=1", func(c *core.Config) { c.VariableFilters = true }},
-		{"biased=1", func(c *core.Config) { c.BiasedDelivery = true }},
+		{"asap-rw+h=2", func(c *core.Config) { c.AdsRequestHops = 2 }},
+		{"asap-rw+cap=400", func(c *core.Config) { c.CacheCapacity = 400 }},
+		{"asap-rw+refresh=0", func(c *core.Config) { c.RefreshPeriodSec = 0 }},
+		{"asap-rw+stale=1", func(c *core.Config) { c.StaleFactor = 1 }},
+		{"asap-rw+div=48", func(c *core.Config) { c.UpdateBudgetDiv = 48 }},
+		{"asap-rw+min=3", func(c *core.Config) { c.MinResults = 3 }},
+		{"asap-rw+varfilters=1", func(c *core.Config) { c.VariableFilters = true }},
+		{"asap-rw+biased=1", func(c *core.Config) { c.BiasedDelivery = true }},
 	}
 	if len(edits) != len(variantKeys) {
 		t.Fatalf("%d edits for %d variant keys", len(edits), len(variantKeys))
 	}
-	names := make([]string, len(edits))
-	for i, e := range edits {
-		names[i] = "asap-rw+" + e.variant
+	var names []string
+	for _, e := range edits {
+		names = append(names, e.name)
 	}
 	cells, err := lab.RunMatrix(names, []overlay.Kind{overlay.Crawled}, nil)
 	if err != nil {
@@ -46,15 +46,14 @@ func TestVariantIsAConfigEdit(t *testing.T) {
 		e.edit(&cfg)
 		sys := sim.NewSystem(lab.U, lab.Tr, overlay.Crawled, lab.Net, lab.Scale.Seed)
 		want := sim.Run(sys, core.New(cfg), sim.RunOptions{})
-		want.Scheme = names[i]
-		got := cells[i].Summary
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: cell differs from the hand-edited config:\n got %+v\nwant %+v", names[i], got, want)
+		want.Scheme = e.name
+		if got := cells[i].Summary; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: cell differs from the hand-edited config:\n got %+v\nwant %+v", e.name, got, want)
 		}
 		def := m["asap-rw"][overlay.Crawled]
-		def.Scheme = names[i]
-		if reflect.DeepEqual(got, def) {
-			t.Errorf("%s: cell equals the default's; the key edits nothing", names[i])
+		def.Scheme = e.name
+		if reflect.DeepEqual(cells[i].Summary, def) {
+			t.Errorf("%s: cell equals the default's; the key edits nothing", e.name)
 		}
 	}
 
