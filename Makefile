@@ -32,10 +32,11 @@ fmt:
 # plane), the walk property (walk then apply ≡ apply at every visit) and
 # order freedom (a flooded or walked tick is chunking-invariant, a
 # confirmation round and a baseline walker depend on their own identity
-# alone).
+# alone) and the warm-up's worker fan-out (TestWarmUpIndependentOfGOMAXPROCS:
+# workers reach into their own scratch and book no drop).
 race:
 	$(GO) test -race ./internal/experiments
-	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestFloodBatchMatchesSequentialAndPerNode|TestChoicesAreOrderFree|TestWalkDeliveryMatchesPerVisit' ./internal/core
+	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss|TestFloodBatchMatchesSequentialAndPerNode|TestChoicesAreOrderFree|TestWalkDeliveryMatchesPerVisit|TestWarmUpIndependentOfGOMAXPROCS' ./internal/core
 	$(GO) test -race -run 'TestChoicesAreOrderFree' ./internal/search
 
 # Determinism gate: outputs are a pure function of (preset, seed, scenario)
@@ -43,11 +44,14 @@ race:
 # that fans out by GOMAXPROCS can break that: RunMatrix's cell workers
 # (experiments: the figure matrix and the seed and loss sweeps, which run
 # their cells as matrices — TestSweepsWorkerDeterminism), the physical
-# network's parallel generation (netmodel), and Attach's parallel filter
-# builds (the root single-run test). Each suite passes at every
-# GOMAXPROCS below, not only at the host's.
+# network's parallel generation (netmodel), Attach's parallel filter
+# builds (the root single-run test) and its parallel warm-up reaches
+# (TestWarmUpIndependentOfGOMAXPROCS, which also compares GOMAXPROCS 1
+# with 2, 3, 4 and 8 itself). Each suite passes at every GOMAXPROCS
+# below, not only at the host's.
 determinism:
 	$(GO) test -count=1 -cpu 1,2,3,4,8 ./internal/experiments ./internal/netmodel
+	$(GO) test -count=1 -cpu 1,2,3,4,8 -run 'TestWarmUpIndependentOfGOMAXPROCS' ./internal/core
 	$(GO) test -count=1 -cpu 1,2,3,4,8 -run 'TestSingleRunIndependentOfGOMAXPROCS' .
 
 # One iteration of the matrix benchmark as a compile-and-run smoke test

@@ -121,6 +121,9 @@ func newScheme(cfg ClusterConfig) (sim.Scheme, error) {
 		}
 		acfg := *cfg.ASAP
 		acfg.Delivery = d
+		if err := acfg.Validate(); err != nil {
+			return nil, fmt.Errorf("asap: ASAP config: %w", err)
+		}
 		return core.New(acfg), nil
 	}
 	// The paper's delivery budget (M₀=3,000) is calibrated to a 10,000-node

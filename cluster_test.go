@@ -178,6 +178,12 @@ func TestClusterExplicitASAPConfig(t *testing.T) {
 	if c.SchemeName() != "asap-rw" {
 		t.Error("custom config lost scheme")
 	}
+	// An invalid ASAP config is an error, not a panic in core.New.
+	bad := custom
+	bad.CacheCapacity = 0
+	if _, err := NewCluster(ClusterConfig{Nodes: 50, Scheme: "asap-rw", ASAP: &bad}); err == nil {
+		t.Error("ASAP config with CacheCapacity 0 accepted")
+	}
 	// ASAP config with a baseline scheme is an error.
 	cfg.Scheme = "flooding"
 	if _, err := NewCluster(cfg); err == nil {

@@ -35,13 +35,15 @@ func (s *Scheme) deliver(t sim.Clock, snap *adSnapshot, kind adKind, targeting c
 // may still be reached another way) and a lost walk copy kills the walker;
 // senders pay for lost copies, so coverage degrades under loss, traffic not.
 func (s *Scheme) deliverAll(t sim.Clock, ads []floodAd) {
+	k := &s.flood
 	for len(ads) > 0 {
 		n := min(len(ads), maxFloodBatch)
 		if s.cfg.Delivery == FLD {
-			s.reach(t, ads[:n])
+			s.reach(k, t, ads[:n])
 		} else {
-			n = s.walks(t, ads[:n])
+			n = s.walks(k, t, ads[:n])
 		}
+		s.bookDrops(t, k)
 		s.beginApply()
 		for i, ad := range ads[:n] {
 			s.applyReach(t, i, ad)
@@ -53,20 +55,21 @@ func (s *Scheme) deliverAll(t sim.Clock, ads []floodAd) {
 }
 
 // walkStarts returns w walker start points: the source's live neighbours,
-// cycled if w exceeds the neighbourhood. The result aliases s.wlkBuf and is
-// valid until the next call. It copies out of the overlay's live view, never
-// into it, so an eligibleView result a caller holds (the GSA seed path, across
-// a whole delivery) survives — see TestWalkStartsLiveViewAliasingContract.
-func (s *Scheme) walkStarts(src overlay.NodeID, w int) []overlay.NodeID {
+// cycled if w exceeds the neighbourhood. The result aliases k.starts and is
+// valid until the next call on k. It copies out of the overlay's live view,
+// never into it, so an eligibleView result a caller holds (the GSA seed path,
+// across a whole delivery) survives — see
+// TestWalkStartsLiveViewAliasingContract.
+func (s *Scheme) walkStarts(k *floodScratch, src overlay.NodeID, w int) []overlay.NodeID {
 	live := s.eligibleView(src)
 	if len(live) == 0 {
 		return nil
 	}
-	starts := s.wlkBuf[:0]
+	starts := k.starts[:0]
 	for i := 0; i < w; i++ {
 		starts = append(starts, live[i%len(live)])
 	}
-	s.wlkBuf = starts
+	k.starts = starts
 	return starts
 }
 
@@ -90,14 +93,29 @@ type floodAd struct {
 // the list reset clears by, so a delivery costs the nodes it touched. Walk i
 // uses seen's bit i and appends its first visits to order, so a batch of
 // walks lists each walk's visits in its own stretch. All masks are zero
-// between deliveries.
+// between deliveries. A reach asks the fault plane for verdicts only and
+// counts its drops here; its caller books them (bookDrops), so a scratch of
+// its own is all a warm-up worker's reach writes.
 type floodScratch struct {
 	seen, frontier, next []uint64
 	order                []overlay.NodeID
+	starts               []overlay.NodeID      // RW's walker start points (walkStarts)
 	pick                 []uint32              // one ad's recipients (full ad) or reached holder slots (refresh, patch)
 	sent                 [maxFloodBatch]int    // copies each source's delivery put on the wire
 	dkey                 [maxFloodBatch]uint64 // each ad's deliveryKey
 	visits               [maxFloodBatch][2]int // each ad's stretch of order: all of it for a flood, its own for a walk
+	drops, partDrops     int                   // copies the plane lost since the last bookDrops; to a partition
+}
+
+// newFloodScratch returns an empty scratch for n nodes, its order with room
+// for every node and a batch of sources.
+func newFloodScratch(n int) floodScratch {
+	return floodScratch{
+		seen:     make([]uint64, n+1), // by slot key: node+1
+		frontier: make([]uint64, n),
+		next:     make([]uint64, n),
+		order:    make([]overlay.NodeID, 0, n+maxFloodBatch),
+	}
 }
 
 func (k *floodScratch) reset() {
@@ -106,6 +124,24 @@ func (k *floodScratch) reset() {
 		seen[v], k.frontier[v] = 0, 0
 	}
 	k.order = k.order[:0]
+}
+
+// lost reports whether the fault plane loses the copy, counting a drop in k.
+func (s *Scheme) lost(k *floodScratch, c metrics.MsgClass, src, dst overlay.NodeID, key uint64, seq uint32) bool {
+	lost, parted := s.sys.Verdict(c, src, dst, key, seq)
+	if lost {
+		k.drops++
+	}
+	if parted {
+		k.partDrops++
+	}
+	return lost
+}
+
+// bookDrops books the drops k counted at t and clears the count.
+func (s *Scheme) bookDrops(t sim.Clock, k *floodScratch) {
+	s.sys.BookDrops(t, k.drops, k.partDrops)
+	k.drops, k.partDrops = 0, 0
 }
 
 // nonzero is 1 when x != 0 and 0 otherwise, without a branch.
@@ -122,8 +158,7 @@ func nonzero(x uint64) uint64 { return (x | -x) >> 63 }
 // plane (deliveryKey, edge) names each copy with no arrival counter, and no
 // drop decision depends on visit order or batch composition: a frontier word
 // arrives minus its lost bits, and nb may still be reached another way.
-func (s *Scheme) reach(t sim.Clock, ads []floodAd) {
-	k := &s.flood
+func (s *Scheme) reach(k *floodScratch, t sim.Clock, ads []floodAd) {
 	lossy := s.sys.Faults().Active()
 	seen, frontier, next := k.seen[1:], k.frontier, k.next
 	order, n := k.order[:cap(k.order)], len(ads) // Attach left room for a batch of sources
@@ -159,7 +194,7 @@ func (s *Scheme) reach(t sim.Clock, ads []floodAd) {
 			for j, nb := range view {
 				g := f // minus the copies the plane loses, one per source bit
 				for m := f; m != 0; m &= m - 1 {
-					if i := bits.TrailingZeros64(m); s.sys.Lost(t, ads[i].kind.class(), v, nb, k.dkey[i], 0) {
+					if i := bits.TrailingZeros64(m); s.lost(k, ads[i].kind.class(), v, nb, k.dkey[i], 0) {
 						g &^= 1 << i
 					}
 				}
@@ -195,28 +230,34 @@ func fan(order []overlay.NodeID, n int, seen, next []uint64, view []overlay.Node
 
 // walks reaches a prefix of ads, one walk each, and returns its length: every
 // ad up to the first whose visits could overflow order's capacity, which
-// Attach sized for a flood batch, so walks never grow it — warmUp's
-// full-budget batches included. Warm-up walks (t < 0) invest the full
+// Attach sized for a flood batch, so walks never grow it (warmUp cuts its
+// full-budget batches the same way). Warm-up walks (t < 0) invest the full
 // per-topic budget to seed the caches; everything published mid-run is an
 // update of already-seeded state and spends a fraction of it.
-func (s *Scheme) walks(t sim.Clock, ads []floodAd) int {
-	k := &s.flood
+func (s *Scheme) walks(k *floodScratch, t sim.Clock, ads []floodAd) int {
 	for i, ad := range ads {
-		budget := max(1, ad.targeting.Count()) * s.cfg.BudgetUnit
-		if t >= 0 {
-			budget = max(1, budget/s.cfg.UpdateBudgetDiv)
-		}
-		starts := s.eligibleView(ad.snap.src) // GSA seeds every live neighbour
-		if s.cfg.Delivery == RW {
-			starts = s.walkStarts(ad.snap.src, s.cfg.Walkers)
-		}
-		// A walk lists its source and at most one node per copy it sends.
-		if len(k.order)+min(len(s.nodes), 1+max(len(starts), budget)) > cap(k.order) {
+		starts, budget, room := s.walkPlan(k, t, ad)
+		if len(k.order)+room > cap(k.order) {
 			return i
 		}
-		s.walk(t, i, ad, starts, budget)
+		s.walk(k, t, i, ad, starts, budget)
 	}
 	return len(ads)
+}
+
+// walkPlan returns ad's walker start points and message budget at t, and the
+// room its walk may take in order: a walk lists its source and at most one
+// node per copy it sends.
+func (s *Scheme) walkPlan(k *floodScratch, t sim.Clock, ad floodAd) (starts []overlay.NodeID, budget, room int) {
+	budget = max(1, ad.targeting.Count()) * s.cfg.BudgetUnit
+	if t >= 0 {
+		budget = max(1, budget/s.cfg.UpdateBudgetDiv)
+	}
+	starts = s.eligibleView(ad.snap.src) // GSA seeds every live neighbour
+	if s.cfg.Delivery == RW {
+		starts = s.walkStarts(k, ad.snap.src, s.cfg.Walkers)
+	}
+	return starts, budget, min(len(s.nodes), 1+max(len(starts), budget))
 }
 
 // walk runs ad i's walkers from starts, a total message budget split evenly
@@ -228,8 +269,7 @@ func (s *Scheme) walks(t sim.Clock, ads []floodAd) int {
 // (Fold(deliveryKey, w), edge, s), so the trajectory is a function of the
 // delivery's identity and the plane alone, whatever other walks the batch
 // carries; the plane is asked only while it can drop one.
-func (s *Scheme) walk(t sim.Clock, i int, ad floodAd, starts []overlay.NodeID, budget int) {
-	k := &s.flood
+func (s *Scheme) walk(k *floodScratch, t sim.Clock, i int, ad floodAd, starts []overlay.NodeID, budget int) {
 	src, class, sent, dkey := ad.snap.src, ad.kind.class(), 0, deliveryKey(t, ad.snap, ad.kind)
 	ckey := dkey ^ s.cfg.Seed
 	k.sent[i], k.dkey[i], k.visits[i] = 0, dkey, [2]int{len(k.order), len(k.order)}
@@ -251,7 +291,7 @@ func (s *Scheme) walk(t sim.Clock, i int, ad floodAd, starts []overlay.NodeID, b
 				}
 			}
 			sent++
-			if lossy && s.sys.Lost(t, class, prev, cur, wkey, uint32(step)) {
+			if lossy && s.lost(k, class, prev, cur, wkey, uint32(step)) {
 				break
 			}
 			if seen[cur]&bit == 0 {

@@ -46,11 +46,11 @@ func publishedSources(tb testing.TB, s *Scheme, k int) []overlay.NodeID {
 
 // TestWalkStartsLiveViewAliasingContract pins the buffer-aliasing contract
 // of the delivery helpers: eligibleView returns the overlay's shared live
-// view (stable until the next graph mutation), walkStarts returns s.wlkBuf
-// (stable until the next walkStarts call), and the two never clobber each
-// other — the GSA seed path holds an eligibleView result across an entire
-// delivery, and the RW path holds wlkBuf across walk's internal
-// eligibleView/pickNextHop calls.
+// view (stable until the next graph mutation), walkStarts returns the
+// scratch's starts buffer (stable until the next walkStarts call), and the
+// two never clobber each other — the GSA seed path holds an eligibleView
+// result across an entire delivery, and the RW path holds the starts
+// across walk's internal eligibleView/pickNextHop calls.
 func TestWalkStartsLiveViewAliasingContract(t *testing.T) {
 	s, _ := attach(t, GSAKind)
 	var a, b overlay.NodeID = -1, -1
@@ -70,7 +70,7 @@ func TestWalkStartsLiveViewAliasingContract(t *testing.T) {
 
 	live := s.eligibleView(a)
 	liveCopy := slices.Clone(live)
-	starts := s.walkStarts(b, s.cfg.Walkers)
+	starts := s.walkStarts(&s.flood, b, s.cfg.Walkers)
 	startsCopy := slices.Clone(starts)
 
 	// walkStarts(b) ran eligibleView(b) internally; the held view of a's
@@ -89,7 +89,7 @@ func TestWalkStartsLiveViewAliasingContract(t *testing.T) {
 		t.Fatal("a delivery invalidated a held live view without any overlay mutation")
 	}
 	if !slices.Equal(starts, startsCopy) {
-		t.Fatal("a walk delivery clobbered wlkBuf without calling walkStarts")
+		t.Fatal("a walk delivery clobbered the starts buffer without calling walkStarts")
 	}
 }
 
@@ -805,7 +805,7 @@ func walkPerVisit(s *Scheme, t sim.Clock, snap *adSnapshot, kind adKind) {
 	}
 	starts := s.eligibleView(snap.src)
 	if s.cfg.Delivery == RW {
-		starts = s.walkStarts(snap.src, s.cfg.Walkers)
+		starts = s.walkStarts(&s.flood, snap.src, s.cfg.Walkers)
 	}
 	if len(starts) == 0 {
 		return
@@ -945,7 +945,7 @@ func TestPickListsEachNodeOnce(t *testing.T) {
 	for _, src := range publishedSources(t, s, maxFloodBatch) {
 		ads = append(ads, floodAd{s.publishedSnapshot(src), adFull, s.publishedSnapshot(src).topics})
 	}
-	s.reach(0, ads)
+	s.reach(&s.flood, 0, ads)
 	if len(s.flood.order) <= len(s.nodes) {
 		t.Fatalf("%d sources listed %d nodes of %d: no node listed twice", len(ads), len(s.flood.order), len(s.nodes))
 	}

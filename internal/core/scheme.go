@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"asap/internal/bloom"
@@ -33,9 +32,8 @@ type Scheme struct {
 
 	// Ad-delivery state. The buffers amortise the per-delivery queue and
 	// neighbour-list allocations across a run.
-	flood  floodScratch
-	adQ    []floodAd // the ads of a tick, or the one ad of a publish
-	wlkBuf []overlay.NodeID
+	flood floodScratch
+	adQ   []floodAd // the ads of a tick, or the one ad of a publish
 
 	// fence, while set, runs once just before the next write section opens
 	// (see TickUnder).
@@ -104,10 +102,7 @@ func (s *Scheme) bind(sys *sim.System) []floodAd {
 	n := sys.NumNodes()
 	s.nodes = make([]nodeState, n)
 	s.holders = make([]holderTab, n)
-	s.flood.seen = make([]uint64, n+1) // by slot key: node+1
-	s.flood.frontier = make([]uint64, n)
-	s.flood.next = make([]uint64, n)
-	s.flood.order = make([]overlay.NodeID, 0, n+maxFloodBatch)
+	s.flood = newFloodScratch(n)
 	if s.cfg.RefreshPeriodSec > 0 {
 		s.wheel = make([][]overlay.NodeID, s.cfg.RefreshPeriodSec)
 	}
@@ -176,34 +171,12 @@ func (s *Scheme) checkStable() {
 // buildFiltersParallel builds the given nodes' content filters across
 // GOMAXPROCS workers. Each filter is built whole by one worker from
 // deterministic per-node state, so the result is independent of how nodes
-// land on workers — the merge is simply indexed assignment. Below two
-// workers (or two nodes) it builds inline: on a single-CPU host the
-// fan-out would only add scheduling overhead.
+// land on workers — the merge is simply indexed assignment.
 func (s *Scheme) buildFiltersParallel(nodes []overlay.NodeID) []*bloom.Filter {
 	filters := make([]*bloom.Filter, len(nodes))
-	workers := min(runtime.GOMAXPROCS(0), len(nodes))
-	if workers <= 1 {
-		for i, n := range nodes {
-			filters[i] = s.buildFilter(n)
-		}
-		return filters
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(nodes) {
-					return
-				}
-				filters[i] = s.buildFilter(nodes[i])
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(runtime.GOMAXPROCS(0), len(nodes), func(_, i int) {
+		filters[i] = s.buildFilter(nodes[i])
+	})
 	return filters
 }
 

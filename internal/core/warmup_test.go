@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -113,6 +114,101 @@ func TestWarmUpMatchesPerAdDelivery(t *testing.T) {
 				}
 				if !reflect.DeepEqual(cacheViews(a), cacheViews(b.Scheme)) {
 					t.Fatalf("%s: caches diverged by the end of the replay", name)
+				}
+			}
+		}
+	}
+}
+
+// warmUpState is what Attach leaves, as comparable values: per node its
+// cache in slab order (each index's source and version, -1 for a free one),
+// fifo, head, free list and minSeen; per source its holder table slot by
+// slot; and the ledger, whose only row so far is the warm-up's.
+type warmUpState struct {
+	caches  []warmUpCache
+	holders []holderTab
+	load    *metrics.LoadAccount
+}
+
+type warmUpCache struct {
+	slab       [][2]int
+	fifo, free []uint32
+	head       int
+	minSeen    sim.Clock
+}
+
+func warmUpStateOf(s *Scheme) warmUpState {
+	st := warmUpState{caches: make([]warmUpCache, len(s.nodes)), holders: s.holders, load: s.sys.Load}
+	for v := range s.nodes {
+		ns := &s.nodes[v]
+		c := warmUpCache{fifo: ns.fifo, free: ns.free, head: ns.head, minSeen: ns.minSeen}
+		for _, snap := range ns.slab {
+			e := [2]int{-1, -1}
+			if snap != nil {
+				e = [2]int{int(snap.src), int(snap.version)}
+			}
+			c.slab = append(c.slab, e)
+		}
+		st.caches[v] = c
+	}
+	return st
+}
+
+// firstDiff names the first difference between two warm-up states.
+func (a warmUpState) firstDiff(b warmUpState) error {
+	for v := range a.caches {
+		if !reflect.DeepEqual(a.caches[v], b.caches[v]) {
+			return fmt.Errorf("node %d's cache:\n%+v\nvs\n%+v", v, a.caches[v], b.caches[v])
+		}
+	}
+	for src := range a.holders {
+		if !reflect.DeepEqual(a.holders[src], b.holders[src]) {
+			return fmt.Errorf("holders[%d]:\n%+v\nvs\n%+v", src, a.holders[src], b.holders[src])
+		}
+	}
+	if !reflect.DeepEqual(a.load, b.load) {
+		return fmt.Errorf("ledgers: warm-up %d vs %d bytes, %d vs %d drops, %d vs %d partition drops",
+			a.load.WarmupBytes(metrics.AllMask), b.load.WarmupBytes(metrics.AllMask),
+			a.load.Total(metrics.CDrop), b.load.Total(metrics.CDrop),
+			a.load.Total(metrics.CPartDrop), b.load.Total(metrics.CPartDrop))
+	}
+	return nil
+}
+
+// TestWarmUpIndependentOfGOMAXPROCS: Attach's warm-up reaches and transposes
+// on GOMAXPROCS workers and books their drops afterwards, yet leaves the same
+// state at every core count — every cache in slab order, every holder table
+// in slot order, the warm-up ledger row with its drops — for RW, GSA (which
+// seeds every live neighbour) and FLD, on the crawled and the super-peer
+// overlay, without a fault plane and at 5 % loss. Under loss each case must
+// drop copies, so the drop booking is exercised.
+func TestWarmUpIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, d := range DeliveryKinds {
+		for _, tc := range []deliveryCase{{false, 41, 0, 0}, {true, 42, 0, 0}, {false, 43, 0.05, 0}, {true, 44, 0.05, 0}} {
+			build := func() *Scheme {
+				sys := tc.system()
+				if !tc.hier {
+					sys = sim.NewSystem(testU, testTr, overlay.Crawled, testNet, tc.seed)
+					sys.SetFaults(tc.plane(sys.NumNodes()))
+				}
+				s := New(testConfig(d))
+				s.Attach(sys)
+				return s
+			}
+			var want warmUpState
+			for _, procs := range []int{1, 2, 3, 4, 8} {
+				runtime.GOMAXPROCS(procs)
+				got := warmUpStateOf(build())
+				if procs == 1 {
+					want = got
+					if drops := got.load.Total(metrics.CDrop); (tc.loss > 0) != (drops > 0) {
+						t.Fatalf("asap-%s/%v: %d drops", d, tc, drops)
+					}
+					continue
+				}
+				if err := got.firstDiff(want); err != nil {
+					t.Fatalf("asap-%s/%v: GOMAXPROCS=%d differs from 1: %v", d, tc, procs, err)
 				}
 			}
 		}

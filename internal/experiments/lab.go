@@ -44,14 +44,20 @@ type Lab struct {
 	topos  map[overlay.Kind]*sim.TopoProto
 }
 
-// NewLab builds the shared inputs for a scale preset.
+// NewLab builds the shared inputs for a scale preset. The physical network
+// is independent of the content universe and the trace built over it, and
+// each generator draws from its own seeded stream, so the network is
+// generated on a goroutine of its own while the content and the trace are
+// built on this one.
 func NewLab(sc Scale) (*Lab, error) {
 	sc.Net.Seed = sc.Seed
 	sc.Content.Seed = sc.Seed
 	sc.Trace.Seed = sc.Seed
-	net := netmodel.Generate(sc.Net)
+	netc := make(chan *netmodel.Network, 1)
+	go func() { netc <- netmodel.Generate(sc.Net) }()
 	u := content.Generate(sc.Content)
 	tr, err := trace.Build(u, sc.Trace)
+	net := <-netc
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building trace: %w", err)
 	}

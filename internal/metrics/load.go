@@ -231,6 +231,11 @@ func (a *LoadAccount) Send(tMS int64, c MsgClass, bytes, copies int) {
 // Count books one event e at virtual time tMS.
 func (a *LoadAccount) Count(tMS int64, e Event) { a.rows[a.at(tMS)+colEvents+int(e)]++ }
 
+// CountN books n events e at virtual time tMS.
+func (a *LoadAccount) CountN(tMS int64, e Event, n int) {
+	a.rows[a.at(tMS)+colEvents+int(e)] += int64(n)
+}
+
 // Search books one query issued at virtual time tMS and its outcome.
 func (a *LoadAccount) Search(tMS int64, res SearchResult) {
 	r := a.rows[a.at(tMS):]

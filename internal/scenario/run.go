@@ -56,6 +56,7 @@ func Run(sn Scenario) (*Result, error) {
 	sys := sim.NewSystem(lab.U, lab.Tr, kind, lab.Net, sn.Seed)
 	st.Install(sys)
 	sum := sim.Run(sys, sch, sim.RunOptions{})
+	sum.Scheme = sn.Scheme // the full name: a variant runs, prints and keys as itself
 	key := fmt.Sprintf("%s/%s/%s", sn.Name, sum.Scheme, sum.Topology)
 	return &Result{Scenario: sn, Summary: sum, Load: sys.Load, Series: obs.Series(key, sys.Load)}, nil
 }

@@ -179,6 +179,33 @@ func TestInertActsMatchBaseline(t *testing.T) {
 	}
 }
 
+// TestVariantLabelsItsRun: a scenario whose scheme is a variant labels its
+// summary and keys its series with the full name, so two scenarios that
+// differ only in the variant do not share a series file.
+func TestVariantLabelsItsRun(t *testing.T) {
+	keys := map[string]bool{}
+	for _, scheme := range []string{"asap-rw", "asap-rw+h=2"} {
+		sn := Scenario{
+			Name: "variant", Scale: "tiny", Scheme: scheme, Topo: "crawled", Seed: 1,
+			Acts: []Act{{AtMS: 20_000, Kind: FreeRiders, Frac: 0}},
+		}
+		res, err := Run(sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Summary.Scheme != scheme {
+			t.Errorf("%s: summary labelled %q", scheme, res.Summary.Scheme)
+		}
+		if want := "variant/" + scheme + "/crawled"; res.Series.Key != want {
+			t.Errorf("%s: series key %q, want %q", scheme, res.Series.Key, want)
+		}
+		keys[res.Series.Key] = true
+	}
+	if len(keys) != 2 {
+		t.Errorf("the two scenarios share a series key: %v", keys)
+	}
+}
+
 func mustScale(t *testing.T, name string, seed uint64) experiments.Scale {
 	t.Helper()
 	sc, err := experiments.ByName(name)

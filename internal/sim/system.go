@@ -444,21 +444,34 @@ func (s *System) Deliver(t Clock, c metrics.MsgClass, bytes int, src, dst overla
 }
 
 // Lost is Deliver's verdict alone — the drop is booked, the sent copy is
-// not — for cascades that book their copies in bulk (core's ad deliveries,
-// the baseline flood).
+// not — for cascades that book their copies in bulk (the baseline flood).
 func (s *System) Lost(t Clock, c metrics.MsgClass, src, dst overlay.NodeID, key uint64, seq uint32) bool {
-	// Partition verdicts are pure group-membership lookups — they consume
-	// no hash stream, so the Drop decision sees exactly the inputs it would
-	// see with no partition engaged (see faults.Plane.group).
-	parted := s.faults.Partitioned(src, dst)
-	if !parted && !s.faults.Drop(c, src, dst, key, seq) {
-		return false
+	lost, parted := s.Verdict(c, src, dst, key, seq)
+	if lost {
+		s.Load.Count(t, metrics.CDrop)
 	}
-	s.Load.Count(t, metrics.CDrop)
 	if parted {
 		s.Load.Count(t, metrics.CPartDrop)
 	}
-	return true
+	return lost
+}
+
+// Verdict is Lost without the booking: whether the copy is lost, and whether
+// a partition lost it. It writes nothing, so core's ad deliveries, whose
+// warm-up reaches run on several goroutines, count their drops and book them
+// through BookDrops. Partition verdicts are pure group-membership lookups —
+// they consume no hash stream, so the Drop decision sees exactly the inputs
+// it would see with no partition engaged (see faults.Plane.group).
+func (s *System) Verdict(c metrics.MsgClass, src, dst overlay.NodeID, key uint64, seq uint32) (lost, parted bool) {
+	parted = s.faults.Partitioned(src, dst)
+	return parted || s.faults.Drop(c, src, dst, key, seq), parted
+}
+
+// BookDrops books drops lost copies at virtual time t, partDrops of them
+// lost to a partition.
+func (s *System) BookDrops(t Clock, drops, partDrops int) {
+	s.Load.CountN(t, metrics.CDrop, drops)
+	s.Load.CountN(t, metrics.CPartDrop, partDrops)
 }
 
 // JitterMS returns the message's extra one-way latency under the fault
