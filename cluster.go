@@ -59,6 +59,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("asap: cluster needs ≥2 nodes, got %d", cfg.Nodes)
 	}
+	if cfg.Reserve < 0 {
+		return nil, fmt.Errorf("asap: negative reserve %d", cfg.Reserve)
+	}
 	if cfg.Scheme == "" {
 		cfg.Scheme = "asap-rw"
 	}
@@ -237,25 +240,27 @@ func (c *Cluster) RemoveDocument(n NodeID, d DocID) {
 
 // Join activates a reserve node; it wires into the overlay, advertises,
 // and pulls neighbourhood ads.
-func (c *Cluster) Join(n NodeID) error {
-	if c.sys.G.Alive(n) {
-		return fmt.Errorf("asap: node %d already live", n)
-	}
-	c.apply(trace.Join, n, 0)
-	// The per-node load denominator changed mid-second; refresh it so this
-	// second's KB/node/s uses the population that actually carried the load.
-	c.sys.Load.SetLive(c.curSec, c.sys.G.LiveCount())
-	return nil
-}
+func (c *Cluster) Join(n NodeID) error { return c.churn(trace.Join, n) }
 
 // Leave removes node n. Departures are ungraceful, the paper's churn
 // model: no goodbye messages, and its ads decay elsewhere via refresh
 // expiry or a failed confirmation.
-func (c *Cluster) Leave(n NodeID) error {
-	if !c.sys.G.Alive(n) {
+func (c *Cluster) Leave(n NodeID) error { return c.churn(trace.Leave, n) }
+
+// churn applies a Join of a dead node or a Leave of a live one. Any other
+// call, and any id outside [0, NumNodes()), is an error.
+func (c *Cluster) churn(kind trace.Kind, n NodeID) error {
+	switch {
+	case n < 0 || int(n) >= c.NumNodes():
+		return fmt.Errorf("asap: node %d out of range [0,%d)", n, c.NumNodes())
+	case kind == trace.Join && c.sys.G.Alive(n):
+		return fmt.Errorf("asap: node %d already live", n)
+	case kind == trace.Leave && !c.sys.G.Alive(n):
 		return fmt.Errorf("asap: node %d not live", n)
 	}
-	c.apply(trace.Leave, n, 0)
+	c.apply(kind, n, 0)
+	// The per-node load denominator changed mid-second; refresh it so this
+	// second's KB/node/s uses the population that actually carried the load.
 	c.sys.Load.SetLive(c.curSec, c.sys.G.LiveCount())
 	return nil
 }

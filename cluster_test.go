@@ -3,6 +3,7 @@ package asap
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"asap/internal/core"
@@ -27,6 +28,33 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 	if _, err := NewCluster(ClusterConfig{Nodes: 10_000_000}); err == nil {
 		t.Error("accepted cluster larger than any universe")
+	}
+	if _, err := NewCluster(ClusterConfig{Nodes: 50, Reserve: -10}); err == nil {
+		t.Error("accepted a negative reserve")
+	}
+}
+
+// TestClusterChurnRejectsOutOfRange: Join or Leave of a node id outside
+// the overlay is an error, not a panic, and changes nothing.
+func TestClusterChurnRejectsOutOfRange(t *testing.T) {
+	c := newTestCluster(t, "asap-rw")
+	for _, tc := range []struct {
+		name string
+		op   func(NodeID) error
+		n    NodeID
+	}{
+		{"Join", c.Join, NodeID(c.NumNodes())},
+		{"Join", c.Join, NodeID(c.NumNodes() + 1000)},
+		{"Join", c.Join, -1},
+		{"Leave", c.Leave, NodeID(c.NumNodes())},
+		{"Leave", c.Leave, -1},
+	} {
+		if err := tc.op(tc.n); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s(%d): err %v, want out of range", tc.name, tc.n, err)
+		}
+	}
+	if c.LiveCount() != 200 {
+		t.Errorf("rejected calls changed the live count to %d", c.LiveCount())
 	}
 }
 

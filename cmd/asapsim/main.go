@@ -5,26 +5,23 @@
 // Usage:
 //
 //	asapsim [-scale full|small|tiny] [-scheme name] [-topo name]
-//	        [-trace file] [-scenario name|file] [-seed n]
+//	        [-scenario name|file] [-seed n]
 //	        [-series] [-seriesdir dir] [-cpuprofile path]
 //	        [-memprofile path] [-mutexprofile path] [-pprof addr]
 //
-// The replay is sequential and a pure function of (preset, seed, trace).
-//
-// With -trace, the query/churn trace is loaded from a file produced by
-// tracegen instead of being regenerated (the content universe is still
-// derived from the scale preset, which must match the one used at
-// generation time).
+// The replay is sequential and a pure function of (preset, seed).
 //
 // With -scenario, a registered adversarial scenario (or a scenario JSON
 // file) is staged and replayed instead: the scenario carries its own
-// scale, scheme, topology, seed and loss, so those flags are ignored.
+// scale, scheme, topology, seed and loss, so giving any of -scale,
+// -scheme, -topo or -seed with it is an error.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,7 +30,6 @@ import (
 	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/scenario"
-	"asap/internal/trace"
 )
 
 func main() {
@@ -41,8 +37,7 @@ func main() {
 		scaleName = flag.String("scale", "small", "scale preset: "+strings.Join(experiments.Names(), ", "))
 		scheme    = flag.String("scheme", "asap-rw", "search scheme (flooding, random-walk, gsa, asap-fld, asap-rw, asap-gsa); an asap-* name takes config variants, e.g. asap-rw+h=2+cap=400")
 		topo      = flag.String("topo", "crawled", "overlay topology (random, powerlaw, crawled, superpeer); on superpeer, ASAP runs footnote 3's super-peer mode")
-		traceFile = flag.String("trace", "", "replay a trace file from tracegen instead of regenerating")
-		scenArg   = flag.String("scenario", "", "replay an adversarial scenario by registry name or JSON file (overrides -scale/-scheme/-topo/-seed); names: "+strings.Join(scenario.Names(), ", "))
+		scenArg   = flag.String("scenario", "", "replay an adversarial scenario by registry name or JSON file (replaces -scale/-scheme/-topo/-seed); names: "+strings.Join(scenario.Names(), ", "))
 		seed      = flag.Uint64("seed", 1, "master seed")
 		series    = flag.Bool("series", false, "also print the per-second load series")
 		seriesDir = flag.String("seriesdir", "", "write the run's per-second observability series (CSV+JSON) into this directory")
@@ -58,9 +53,11 @@ func main() {
 		os.Exit(1)
 	}
 	if *scenArg != "" {
-		err = runScenario(*scenArg, *series, *seriesDir)
+		if err = scenarioDrops(flag.Visit); err == nil {
+			err = runScenario(*scenArg, *series, *seriesDir)
+		}
 	} else {
-		err = run(*scaleName, *scheme, *topo, *traceFile, *seed, *series, *seriesDir)
+		err = run(*scaleName, *scheme, *topo, *seed, *series, *seriesDir)
 	}
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -71,7 +68,22 @@ func main() {
 	}
 }
 
-func run(scaleName, scheme, topoName, traceFile string, seed uint64, series bool, seriesDir string) error {
+// scenarioFlags are the flags a scenario replaces with its own values.
+var scenarioFlags = []string{"scale", "scheme", "topo", "seed"}
+
+// scenarioDrops names the first flag visit reaches that a scenario run
+// would drop, so that no given value is silently ignored.
+func scenarioDrops(visit func(func(*flag.Flag))) error {
+	var err error
+	visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(scenarioFlags, f.Name) {
+			err = fmt.Errorf("-scenario does not read -%s: the scenario carries its own", f.Name)
+		}
+	})
+	return err
+}
+
+func run(scaleName, scheme, topoName string, seed uint64, series bool, seriesDir string) error {
 	sc, err := experiments.ByName(scaleName)
 	if err != nil {
 		return err
@@ -86,18 +98,6 @@ func run(scaleName, scheme, topoName, traceFile string, seed uint64, series bool
 	lab, err := experiments.NewLab(sc)
 	if err != nil {
 		return err
-	}
-	if traceFile != "" {
-		f, err := os.Open(traceFile)
-		if err != nil {
-			return err
-		}
-		tr, err := trace.Decode(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		lab.Tr = tr
 	}
 	fmt.Fprintf(os.Stderr, "inputs ready in %v: %s\n", time.Since(start).Round(time.Millisecond), lab.Tr.Stats())
 

@@ -2,18 +2,17 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"asap/internal/content"
 	"asap/internal/experiments"
 	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/sim"
-	"asap/internal/trace"
 )
 
 func captureStdout(t *testing.T, fn func() error) (string, error) {
@@ -34,17 +33,42 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run("bogus", "asap-rw", "crawled", "", 1, false, ""); err == nil {
+	if err := run("bogus", "asap-rw", "crawled", 1, false, ""); err == nil {
 		t.Error("bad scale accepted")
 	}
-	if err := run("tiny", "bogus", "crawled", "", 1, false, ""); err == nil {
+	if err := run("tiny", "bogus", "crawled", 1, false, ""); err == nil {
 		t.Error("bad scheme accepted")
 	}
-	if err := run("tiny", "asap-rw", "mesh", "", 1, false, ""); err == nil {
+	if err := run("tiny", "asap-rw", "mesh", 1, false, ""); err == nil {
 		t.Error("bad topology accepted")
 	}
-	if err := run("tiny", "asap-rw", "crawled", "/nonexistent/trace.bin", 1, false, ""); err == nil {
-		t.Error("missing trace file accepted")
+}
+
+// TestScenarioRejectsDroppedFlags: a scenario carries its own scale,
+// scheme, topology and seed, so any of those flags given beside -scenario
+// is an error naming it, default value or not; the flags a scenario run
+// reads pass.
+func TestScenarioRejectsDroppedFlags(t *testing.T) {
+	for _, name := range scenarioFlags {
+		fs := flag.NewFlagSet("", flag.ContinueOnError)
+		fs.String(name, "1", "")
+		fs.String("scenario", "", "")
+		if err := fs.Parse([]string{"-scenario", "partition-heal", "-" + name, "1"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := scenarioDrops(fs.Visit); err == nil || !strings.Contains(err.Error(), "-"+name) {
+			t.Errorf("-scenario with -%s: err %v, want one naming -%s", name, err, name)
+		}
+	}
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	for _, name := range []string{"scenario", "series", "seriesdir", "cpuprofile"} {
+		fs.String(name, "", "")
+	}
+	if err := fs.Parse([]string{"-scenario", "x", "-series", "y", "-seriesdir", "d", "-cpuprofile", "p"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := scenarioDrops(fs.Visit); err != nil {
+		t.Errorf("flags a scenario reads rejected: %v", err)
 	}
 }
 
@@ -53,7 +77,7 @@ func TestRunPrintsMetrics(t *testing.T) {
 		t.Skip("tiny run in -short mode")
 	}
 	out, err := captureStdout(t, func() error {
-		return run("tiny", "asap-rw+h=2", "crawled", "", 1, true, "")
+		return run("tiny", "asap-rw+h=2", "crawled", 1, true, "")
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -75,7 +99,7 @@ func TestRunSuperPeerTopology(t *testing.T) {
 	}
 	for _, scheme := range []string{"flooding", "asap-rw"} {
 		out, err := captureStdout(t, func() error {
-			return run("tiny", scheme, "superpeer", "", 1, false, "")
+			return run("tiny", scheme, "superpeer", 1, false, "")
 		})
 		if err != nil {
 			t.Fatalf("%s: run: %v", scheme, err)
@@ -111,7 +135,7 @@ func TestRunMatchesDirectReplay(t *testing.T) {
 	}
 	gotDir := t.TempDir()
 	got, err := captureStdout(t, func() error {
-		return run("tiny", "asap-rw", "crawled", "", 1, true, gotDir)
+		return run("tiny", "asap-rw", "crawled", 1, true, gotDir)
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -160,43 +184,5 @@ func TestRunMatchesDirectReplay(t *testing.T) {
 		if !bytes.Equal(gotBytes, wantBytes) {
 			t.Errorf("%s differs from the direct replay", filepath.Base(path))
 		}
-	}
-}
-
-func TestRunWithExternalTrace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tiny run in -short mode")
-	}
-	// Generate a trace compatible with the tiny scale's universe and
-	// replay it from disk.
-	sc, err := experiments.ByName("tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := content.Generate(sc.Content)
-	tcfg := sc.Trace
-	tcfg.NumQueries = 200
-	tr, err := trace.Build(u, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "trace.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	out, err := captureStdout(t, func() error {
-		return run("tiny", "flooding", "random", path, 1, false, "")
-	})
-	if err != nil {
-		t.Fatalf("run with trace file: %v", err)
-	}
-	if !strings.Contains(out, "requests:          200") {
-		t.Errorf("external trace not used:\n%s", out)
 	}
 }

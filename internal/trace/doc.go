@@ -24,6 +24,5 @@
 //
 // The trace is a flat, deterministic event list; the simulator replays it
 // while maintaining the identical state evolution, so generation-time
-// satisfiability holds at replay time too. A compact binary codec
-// round-trips traces to disk.
+// satisfiability holds at replay time too.
 package trace

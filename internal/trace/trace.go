@@ -22,10 +22,9 @@ const (
 	Join
 	// Leave deactivates Node.
 	Leave
-	// Directive is an in-memory scenario directive: Doc carries the index
-	// of a staged scenario act, applied by the sim.System's Director. It
-	// never appears on the wire — the codecs reject it — so serialized
-	// traces stay exactly the paper's five-kind vocabulary.
+	// Directive is a scenario directive: Doc carries the index of a
+	// staged scenario act, applied by the sim.System's Director. Only
+	// scenario staging inserts it; Build emits the paper's five kinds.
 	Directive
 )
 

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -249,60 +248,8 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	tr := buildShared(t)
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.InitialLive != tr.InitialLive || len(got.Peers) != len(tr.Peers) || len(got.Events) != len(tr.Events) {
-		t.Fatal("header mismatch after round trip")
-	}
-	for i := range tr.Peers {
-		if got.Peers[i] != tr.Peers[i] {
-			t.Fatalf("peer %d mismatch", i)
-		}
-	}
-	for i := range tr.Events {
-		a, b := tr.Events[i], got.Events[i]
-		if a.Time != b.Time || a.Kind != b.Kind || a.Node != b.Node || a.Doc != b.Doc || len(a.Terms) != len(b.Terms) {
-			t.Fatalf("event %d mismatch: %+v vs %+v", i, a, b)
-		}
-		for j := range a.Terms {
-			if a.Terms[j] != b.Terms[j] {
-				t.Fatalf("event %d term %d mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestDecodeRejectsCorruption(t *testing.T) {
-	tr := buildShared(t)
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	if _, err := Decode(bytes.NewReader(data[:4])); err == nil {
-		t.Error("Decode accepted truncated magic")
-	}
-	bad := append([]byte{}, data...)
-	bad[0] = 'X'
-	if _, err := Decode(bytes.NewReader(bad)); err == nil {
-		t.Error("Decode accepted bad magic")
-	}
-	if _, err := Decode(bytes.NewReader(data[:len(data)/2])); err == nil {
-		t.Error("Decode accepted truncated body")
-	}
-}
-
 func TestKindString(t *testing.T) {
-	want := map[Kind]string{Query: "query", ContentAdd: "content-add", ContentRemove: "content-remove", Join: "join", Leave: "leave", Kind(99): "invalid"}
+	want := map[Kind]string{Query: "query", ContentAdd: "content-add", ContentRemove: "content-remove", Join: "join", Leave: "leave", Directive: "directive", Kind(99): "invalid"}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("Kind(%d) = %q, want %q", k, k.String(), s)
@@ -353,20 +300,5 @@ func BenchmarkBuild(b *testing.B) {
 		if _, err := Build(sharedU, cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestEncodeRejectsOutOfOrderEvents(t *testing.T) {
-	tr := &Trace{
-		Peers:       []content.PeerID{1, 2},
-		InitialLive: 2,
-		Events: []Event{
-			{Time: 100, Kind: Query, Node: 0},
-			{Time: 50, Kind: Query, Node: 1},
-		},
-	}
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err == nil {
-		t.Error("Encode accepted out-of-order events")
 	}
 }
