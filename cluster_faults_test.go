@@ -1,6 +1,7 @@
 package asap
 
 import (
+	"slices"
 	"testing"
 
 	"asap/internal/core"
@@ -73,6 +74,10 @@ func TestClusterAdvancePastHorizonFoldsLive(t *testing.T) {
 // findUniqueHolderQuery picks a (requester, document, holder) triple where
 // the document's only live holder advertised to the requester's cache and
 // a search resolves in one hop — the setup both dead-source tests need.
+// Search matches keywords, not document ids, so the holder must also be
+// the only live node sharing any document that carries all of the
+// document's keywords: otherwise another node answers the search after the
+// holder leaves.
 func findUniqueHolderQuery(t *testing.T, c *Cluster, sch *core.Scheme) (req NodeID, doc DocID, holder NodeID) {
 	t.Helper()
 	holdersOf := make(map[DocID][]NodeID)
@@ -91,6 +96,9 @@ func findUniqueHolderQuery(t *testing.T, c *Cluster, sch *core.Scheme) (req Node
 			continue
 		}
 		h := hs[0]
+		if othersMatch(c, h, c.Keywords(d)) {
+			continue
+		}
 		for n := 0; n < c.NumNodes(); n++ {
 			r := NodeID(n)
 			if r == h || !c.Alive(r) || !c.Interests(r).Has(c.ClassOf(d)) {
@@ -106,6 +114,32 @@ func findUniqueHolderQuery(t *testing.T, c *Cluster, sch *core.Scheme) (req Node
 	}
 	t.Fatal("no uniquely-held document resolvable in one hop; enlarge the cluster")
 	return 0, 0, 0
+}
+
+// othersMatch reports whether a live node other than h shares a document
+// that carries every one of terms.
+func othersMatch(c *Cluster, h NodeID, terms []Keyword) bool {
+	for n := NodeID(0); int(n) < c.NumNodes(); n++ {
+		if n == h || !c.Alive(n) {
+			continue
+		}
+		for _, e := range c.Docs(n) {
+			if containsAll(c.Keywords(e), terms) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// containsAll reports whether every term is one of kws.
+func containsAll(kws, terms []Keyword) bool {
+	for _, t := range terms {
+		if !slices.Contains(kws, t) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestConfirmRoundEvictsDeadSource: a search that confirms against a

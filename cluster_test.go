@@ -3,6 +3,7 @@ package asap
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,27 +35,83 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
-// TestClusterChurnRejectsOutOfRange: Join or Leave of a node id outside
-// the overlay is an error, not a panic, and changes nothing.
+// TestClusterChurnRejectsOutOfRange: Join, Leave, AddDocument or
+// RemoveDocument of a node id outside the overlay, or of a document id
+// outside the universe, is an error, not a panic, and changes nothing;
+// such a node is not Alive.
 func TestClusterChurnRejectsOutOfRange(t *testing.T) {
 	c := newTestCluster(t, "asap-rw")
+	n, d := NodeID(c.NumNodes()), DocID(c.NumDocs())
+	docs := len(c.Docs(0))
 	for _, tc := range []struct {
 		name string
-		op   func(NodeID) error
-		n    NodeID
+		err  error
 	}{
-		{"Join", c.Join, NodeID(c.NumNodes())},
-		{"Join", c.Join, NodeID(c.NumNodes() + 1000)},
-		{"Join", c.Join, -1},
-		{"Leave", c.Leave, NodeID(c.NumNodes())},
-		{"Leave", c.Leave, -1},
+		{"Join(NumNodes)", c.Join(n)},
+		{"Join(NumNodes+1000)", c.Join(n + 1000)},
+		{"Join(-1)", c.Join(-1)},
+		{"Leave(NumNodes)", c.Leave(n)},
+		{"Leave(-1)", c.Leave(-1)},
+		{"AddDocument(NumNodes, 0)", c.AddDocument(n, 0)},
+		{"AddDocument(-1, 0)", c.AddDocument(-1, 0)},
+		{"AddDocument(0, NumDocs)", c.AddDocument(0, d)},
+		{"RemoveDocument(NumNodes, 0)", c.RemoveDocument(n, 0)},
+		{"RemoveDocument(0, NumDocs)", c.RemoveDocument(0, d)},
 	} {
-		if err := tc.op(tc.n); err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Errorf("%s(%d): err %v, want out of range", tc.name, tc.n, err)
+		if tc.err == nil || !strings.Contains(tc.err.Error(), "out of range") {
+			t.Errorf("%s: err %v, want out of range", tc.name, tc.err)
 		}
 	}
 	if c.LiveCount() != 200 {
 		t.Errorf("rejected calls changed the live count to %d", c.LiveCount())
+	}
+	if len(c.Docs(0)) != docs {
+		t.Errorf("rejected calls changed node 0's documents: %d, was %d", len(c.Docs(0)), docs)
+	}
+	for _, id := range []NodeID{n, n + 1000, -1} {
+		if c.Alive(id) {
+			t.Errorf("Alive(%d) outside [0,%d)", id, c.NumNodes())
+		}
+	}
+}
+
+// TestClusterScale: clusterScale carries the cluster's size, seed and
+// refresh period into a Lab scale, and a cluster's system is the one
+// Lab.NewSystem builds at that scale: the same peers (contents and
+// interests), hosts and live set.
+func TestClusterScale(t *testing.T) {
+	cfg := ClusterConfig{Nodes: 200, Reserve: 10, Scheme: "asap-rw", HorizonSec: 600, Seed: 7}
+	sc := clusterScale(cfg)
+	if tr := sc.Trace; tr.NumNodes != 200 || tr.NumJoins != 10 || tr.NumQueries != 0 || tr.NumLeaves != 0 {
+		t.Errorf("trace config %+v: want 200 nodes, 10 joins, no queries or leaves", tr)
+	}
+	if sc.Factor != 0.02 || sc.RefreshPeriodSec != 30 || sc.Seed != 7 {
+		t.Errorf("factor %v, refresh %d s, seed %d: want 0.02, 30 s, 7", sc.Factor, sc.RefreshPeriodSec, sc.Seed)
+	}
+	if got := clusterScale(ClusterConfig{Nodes: 20000}).Factor; got != 1 {
+		t.Errorf("factor at 20,000 nodes %v, want capped at 1", got)
+	}
+	for _, topo := range []Topology{Crawled, SuperPeer} {
+		cfg.Topology = topo
+		lab, err := NewLab(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := lab.NewSystem(topo)
+		c, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := c.sys
+		if got.NumNodes() != want.NumNodes() || got.G.LiveCount() != want.G.LiveCount() {
+			t.Fatalf("%v: %d nodes, %d live; Lab.NewSystem has %d, %d", topo, got.NumNodes(), got.G.LiveCount(), want.NumNodes(), want.G.LiveCount())
+		}
+		for n := NodeID(0); int(n) < got.NumNodes(); n++ {
+			if got.G.Host(n) != want.G.Host(n) || got.G.Alive(n) != want.G.Alive(n) ||
+				got.Interests(n) != want.Interests(n) || !slices.Equal(got.Docs(n), want.Docs(n)) {
+				t.Fatalf("%v: node %d differs from Lab.NewSystem's", topo, n)
+			}
+		}
 	}
 }
 
@@ -119,7 +176,9 @@ func TestClusterContentLifecycle(t *testing.T) {
 		t.Fatal("no addable (node, doc) pair")
 	}
 	before := len(c.Docs(node))
-	c.AddDocument(node, doc)
+	if err := c.AddDocument(node, doc); err != nil {
+		t.Fatal(err)
+	}
 	if len(c.Docs(node)) != before+1 {
 		t.Fatal("AddDocument did not add")
 	}
@@ -137,7 +196,9 @@ func TestClusterContentLifecycle(t *testing.T) {
 	if !found {
 		t.Error("no peer found the freshly added document")
 	}
-	c.RemoveDocument(node, doc)
+	if err := c.RemoveDocument(node, doc); err != nil {
+		t.Fatal(err)
+	}
 	if len(c.Docs(node)) != before {
 		t.Fatal("RemoveDocument did not remove")
 	}

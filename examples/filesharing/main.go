@@ -9,20 +9,29 @@
 //     track becomes findable by interested peers without any of them
 //     issuing a single flooded query;
 //
-//  3. the track's only holder logs off; searches fail gracefully and the
-//     stale ad is dropped on the first failed confirmation.
+//  3. the track's holder logs off; a search finds a copy another peer
+//     shares under the same keywords, or fails gracefully and the stale
+//     ad is dropped on the first failed confirmation.
 //
 //     go run ./examples/filesharing
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"asap"
 )
 
 func main() {
+	play(os.Stdout)
+}
+
+// play runs the three acts on one cluster, narrates them to w, and returns
+// the cluster, the track shared in act 2 and each act's search result.
+func play(w io.Writer) (cluster *asap.Cluster, newTrack asap.DocID, acts [3]asap.Result) {
 	cluster, err := asap.NewCluster(asap.ClusterConfig{
 		Nodes:    400,
 		Reserve:  8,
@@ -33,55 +42,58 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("music-sharing overlay: %d peers (crawled topology)\n\n", cluster.LiveCount())
+	fmt.Fprintf(w, "music-sharing overlay: %d peers (crawled topology)\n\n", cluster.LiveCount())
 
 	// --- Act 1: an everyday search -------------------------------------
 	listener, track, ok := cluster.RandomQuery()
 	if !ok {
 		log.Fatal("no query available")
 	}
-	fmt.Printf("act 1: peer %d (interests: %v) searches for a %q track\n",
+	fmt.Fprintf(w, "act 1: peer %d (interests: %v) searches for a %q track\n",
 		listener, cluster.Interests(listener), cluster.ClassOf(track))
-	res := cluster.SearchForDoc(listener, track, 2)
-	report(res)
+	acts[0] = cluster.SearchForDoc(listener, track, 2)
+	report(w, acts[0])
 
 	// --- Act 2: new content propagates ----------------------------------
 	cluster.Advance(5)
 	uploader, newTrack := findUploader(cluster)
-	fmt.Printf("\nact 2: peer %d starts sharing doc %d (%q)\n",
+	fmt.Fprintf(w, "\nact 2: peer %d starts sharing doc %d (%q)\n",
 		uploader, newTrack, cluster.ClassOf(newTrack))
-	cluster.AddDocument(uploader, newTrack)
+	if err := cluster.AddDocument(uploader, newTrack); err != nil {
+		log.Fatal(err)
+	}
 
 	fan := findInterestedPeer(cluster, uploader, newTrack)
-	fmt.Printf("       peer %d (same interest) searches for it\n", fan)
-	res = cluster.SearchForDoc(fan, newTrack, 2)
-	report(res)
+	fmt.Fprintf(w, "       peer %d (same interest) searches for it\n", fan)
+	acts[1] = cluster.SearchForDoc(fan, newTrack, 2)
+	report(w, acts[1])
 
 	// --- Act 3: churn ----------------------------------------------------
 	cluster.Advance(5)
-	fmt.Printf("\nact 3: peer %d logs off without telling anyone\n", uploader)
+	fmt.Fprintf(w, "\nact 3: peer %d logs off without telling anyone\n", uploader)
 	if err := cluster.Leave(uploader); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("       peer %d searches again (holder gone)\n", fan)
-	res = cluster.SearchForDoc(fan, newTrack, 2)
-	if res.Success {
-		fmt.Printf("       found a surviving copy: %d ms via %d hop(s)\n", res.ResponseMS, res.Hops)
+	fmt.Fprintf(w, "       peer %d searches again (holder gone)\n", fan)
+	acts[2] = cluster.SearchForDoc(fan, newTrack, 2)
+	if res := acts[2]; res.Success {
+		fmt.Fprintf(w, "       found a surviving copy: %d ms via %d hop(s)\n", res.ResponseMS, res.Hops)
 	} else {
-		fmt.Printf("       MISS — the only copy left with its holder; the stale ad was dropped\n")
+		fmt.Fprintf(w, "       MISS — the only copy left with its holder; the stale ad was dropped\n")
 	}
 
 	sum := cluster.Stats()
-	fmt.Printf("\nsession stats: %d searches, %.0f%% success, %.0f ms mean response\n",
+	fmt.Fprintf(w, "\nsession stats: %d searches, %.0f%% success, %.0f ms mean response\n",
 		sum.Requests, sum.SuccessRate*100, sum.MeanRespMS)
+	return cluster, newTrack, acts
 }
 
-func report(res asap.Result) {
+func report(w io.Writer, res asap.Result) {
 	if res.Success {
-		fmt.Printf("       FOUND in %d hop(s): %d ms, %d bytes of search traffic\n",
+		fmt.Fprintf(w, "       FOUND in %d hop(s): %d ms, %d bytes of search traffic\n",
 			res.Hops, res.ResponseMS, res.Bytes)
 	} else {
-		fmt.Printf("       MISS (%d bytes spent)\n", res.Bytes)
+		fmt.Fprintf(w, "       MISS (%d bytes spent)\n", res.Bytes)
 	}
 }
 

@@ -173,16 +173,22 @@ func (l *Lab) Run(schemeName string, topo overlay.Kind) (metrics.Summary, error)
 	return c.Summary, err
 }
 
-// Replay builds a system for topo from the lab's prototype, attaches the
-// fault plane Scale.LossRate asks for, replays the whole trace under sch
-// and returns the replayed system with its summary. A cloned prototype
-// replays bit-for-bit like a system built from scratch (see
-// sim.TestTopoProtoReplayMatchesFresh).
-func (l *Lab) Replay(sch sim.Scheme, topo overlay.Kind) (*sim.System, metrics.Summary) {
+// NewSystem builds a system for topo from the lab's prototype and attaches
+// the fault plane Scale.LossRate asks for. A cloned prototype replays
+// bit-for-bit like a system built from scratch with sim.NewSystem and the
+// lab's seed (see sim.TestTopoProtoReplayMatchesFresh).
+func (l *Lab) NewSystem(topo overlay.Kind) *sim.System {
 	sys := l.topoProto(topo).NewSystem(l.U, l.Tr)
 	if l.Scale.LossRate > 0 {
 		sys.SetFaults(faults.New(faults.Config{Seed: l.Scale.Seed, LossRate: l.Scale.LossRate}))
 	}
+	return sys
+}
+
+// Replay replays the whole trace under sch on NewSystem(topo) and returns
+// the replayed system with its summary.
+func (l *Lab) Replay(sch sim.Scheme, topo overlay.Kind) (*sim.System, metrics.Summary) {
+	sys := l.NewSystem(topo)
 	return sys, sim.Run(sys, sch, sim.RunOptions{})
 }
 

@@ -115,21 +115,23 @@ func newSeedSweep(scheme string, topo overlay.Kind, seeds []uint64, sums []metri
 
 // FormatSeedSweeps renders sweeps as an aligned table: each metric's
 // mean±std over the seeds and its [min, max] range, at loss rate loss.
+// Success is in percent to 2 places and response to 0.1 ms, fine enough
+// to compare a variant's move against the default's spread.
 func FormatSeedSweeps(sweeps []SeedSweep, loss float64) string {
-	headers := []string{"scheme", "topology", "success", "response ms", "KB/search", "load KB/node/s", "drops"}
-	cell := func(s SeedStats, prec int) string {
-		return fmt.Sprintf("%.*f±%.*f [%.*f, %.*f]", prec, s.Mean, prec, s.Std, prec, s.Min, prec, s.Max)
+	headers := []string{"scheme", "topology", "success %", "response ms", "KB/search", "load KB/node/s", "drops"}
+	cell := func(s SeedStats, scale float64, prec int) string {
+		return fmt.Sprintf("%.*f±%.*f [%.*f, %.*f]", prec, scale*s.Mean, prec, scale*s.Std, prec, scale*s.Min, prec, scale*s.Max)
 	}
 	var rows [][]string
 	for _, sw := range sweeps {
 		rows = append(rows, []string{
 			sw.Scheme,
 			sw.Topology.String(),
-			cell(sw.SuccessRate, 3),
-			cell(sw.MeanRespMS, 0),
-			cell(sw.SearchKB, 2),
-			cell(sw.LoadKBps, 3),
-			cell(sw.Drops, 0),
+			cell(sw.SuccessRate, 100, 2),
+			cell(sw.MeanRespMS, 1, 1),
+			cell(sw.SearchKB, 1, 2),
+			cell(sw.LoadKBps, 1, 3),
+			cell(sw.Drops, 1, 0),
 		})
 	}
 	title := fmt.Sprintf("Seed sweep (%d seeds per cell, %g%% message loss)", lenOrZero(sweeps), loss*100)

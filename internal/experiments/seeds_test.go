@@ -74,6 +74,33 @@ func TestRunSeedsErrors(t *testing.T) {
 	}
 }
 
+// TestFormatSeedSweepsPrecision: success prints in percent to 2 places
+// and response to 0.1 ms, so moves of a hundredth of a point or a tenth of
+// a millisecond show in the table.
+func TestFormatSeedSweepsPrecision(t *testing.T) {
+	out := FormatSeedSweeps([]SeedSweep{{
+		Scheme:      "asap-rw",
+		Topology:    overlay.Crawled,
+		Seeds:       []uint64{1, 2},
+		SuccessRate: SeedStats{Mean: 0.73144, Std: 0.00416, Min: 0.7234, Max: 0.7362},
+		MeanRespMS:  SeedStats{Mean: 152.34, Std: 3.06, Min: 148.04, Max: 156.66},
+		SearchKB:    SeedStats{Mean: 3.219, Std: 0.421, Min: 2.742, Max: 3.838},
+		LoadKBps:    SeedStats{Mean: 0.2314, Std: 0.0091, Min: 0.2221, Max: 0.2433},
+	}}, 0)
+	for _, want := range []string{
+		"success %",
+		"73.14±0.42 [72.34, 73.62]",
+		"152.3±3.1 [148.0, 156.7]",
+		"3.22±0.42 [2.74, 3.84]",
+		"0.231±0.009 [0.222, 0.243]",
+		"0±0 [0, 0]",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestFormatSeedSweepsEmpty(t *testing.T) {
 	out := FormatSeedSweeps(nil, 0)
 	if !strings.Contains(out, "0 seeds") {

@@ -53,7 +53,7 @@ func Run(sn Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := sim.NewSystem(lab.U, lab.Tr, kind, lab.Net, sn.Seed)
+	sys := lab.NewSystem(kind)
 	st.Install(sys)
 	sum := sim.Run(sys, sch, sim.RunOptions{})
 	sum.Scheme = sn.Scheme // the full name: a variant runs, prints and keys as itself

@@ -53,8 +53,10 @@ func NewStepper(sys *System, sch Scheme, maxBatch int) *Stepper {
 // boundary crossed. Connection counters key network traffic by it.
 func (st *Stepper) Now() Clock { return int64(st.curSec) * 1000 }
 
-// advance fires tick work for every second boundary at or before t.
-func (st *Stepper) advance(t Clock) {
+// AdvanceTo fires tick work (live count, then Tick) for every second
+// boundary at or before t. A system driven by hand, as asap.Cluster is,
+// moves its clock with it and never calls NextBatch.
+func (st *Stepper) AdvanceTo(t Clock) {
 	for st.nextTick <= t {
 		st.curSec++
 		st.sys.Load.SetLive(st.curSec, st.sys.G.LiveCount())
@@ -84,7 +86,7 @@ func (st *Stepper) NextBatch() []*trace.Event {
 				if len(st.batch) > 0 {
 					return st.batch // drain before crossing the boundary
 				}
-				st.advance(ev.Time)
+				st.AdvanceTo(ev.Time)
 			}
 			st.batch = append(st.batch, ev)
 			if st.maxBatch > 0 && len(st.batch) >= st.maxBatch {
@@ -96,7 +98,7 @@ func (st *Stepper) NextBatch() []*trace.Event {
 		if len(st.batch) > 0 {
 			return st.batch // drain before any state mutation
 		}
-		st.advance(ev.Time)
+		st.AdvanceTo(ev.Time)
 		st.applyState(evs, ev)
 	}
 	if len(st.batch) > 0 {
@@ -156,7 +158,7 @@ func (st *Stepper) Record(ev *trace.Event, r metrics.SearchResult) {
 // Finish fills the remaining seconds so the load series covers the full
 // span and returns the run's summary.
 func (st *Stepper) Finish() metrics.Summary {
-	st.advance(int64(st.sys.Load.Seconds()) * 1000)
+	st.AdvanceTo(int64(st.sys.Load.Seconds()) * 1000)
 	st.rec.SampleHeap()
 	return metrics.Summarize(st.sch.Name(), st.sys.G.Kind().String(), st.sys.Load, st.sch.LoadMask())
 }

@@ -196,9 +196,10 @@ func (h *holderIndex) remove(kw content.Keyword, n overlay.NodeID) {
 // host, generates the overlay with the initial participants live, and
 // loads each node's starting contents from its universe peer.
 func NewSystem(u *content.Universe, tr *trace.Trace, kind overlay.Kind, net *netmodel.Network, seed uint64) *System {
-	s := NewSystemForPeers(u, tr.Peers, tr.InitialLive, int(tr.Span()/1000)+2, kind, net, seed)
-	s.Tr = tr
-	return s
+	rng := rand.New(rand.NewPCG(seed, sysRngStream))
+	hosts := net.RandomNodes(len(tr.Peers), rng)
+	g := overlay.New(kind, net, hosts, tr.InitialLive, rng)
+	return newSystemState(u, tr, g, rng)
 }
 
 // NewSystemWithGraph builds replay state over a caller-constructed
@@ -209,10 +210,7 @@ func NewSystemWithGraph(u *content.Universe, tr *trace.Trace, g *overlay.Graph) 
 	if g.N() != len(tr.Peers) {
 		panic(fmt.Sprintf("sim: graph has %d nodes, trace has %d peers", g.N(), len(tr.Peers)))
 	}
-	s := newSystemState(u, tr.Peers, tr.InitialLive, int(tr.Span()/1000)+2, g,
-		rand.New(rand.NewPCG(uint64(g.N()), sysRngStream)))
-	s.Tr = tr
-	return s
+	return newSystemState(u, tr, g, rand.New(rand.NewPCG(uint64(g.N()), sysRngStream)))
 }
 
 // TopoProto is a reusable topology prototype: one generated overlay plus
@@ -253,30 +251,19 @@ func (p *TopoProto) NewSystem(u *content.Universe, tr *trace.Trace) *System {
 	if err := src.UnmarshalBinary(p.rngState); err != nil {
 		panic(fmt.Sprintf("sim: restoring rng: %v", err))
 	}
-	s := newSystemState(u, tr.Peers, tr.InitialLive, int(tr.Span()/1000)+2, p.g.Clone(), rand.New(src))
-	s.Tr = tr
-	return s
+	return newSystemState(u, tr, p.g.Clone(), rand.New(src))
 }
 
-// NewSystemForPeers builds system state for an explicit node⇄peer mapping
-// without a trace — the entry point for interactively driven systems (the
-// public Cluster API). horizonSec sizes the load account.
-func NewSystemForPeers(u *content.Universe, peers []content.PeerID, initialLive, horizonSec int, kind overlay.Kind, net *netmodel.Network, seed uint64) *System {
-	n := len(peers)
-	rng := rand.New(rand.NewPCG(seed, sysRngStream))
-	hosts := net.RandomNodes(n, rng)
-	g := overlay.New(kind, net, hosts, initialLive, rng)
-	return newSystemState(u, peers, initialLive, horizonSec, g, rng)
-}
-
-// newSystemState loads per-node content state over a ready overlay.
-func newSystemState(u *content.Universe, peers []content.PeerID, initialLive, horizonSec int, g *overlay.Graph, rng *rand.Rand) *System {
-	n := len(peers)
+// newSystemState loads per-node content state for tr's peers over a ready
+// overlay; the ledger spans the trace.
+func newSystemState(u *content.Universe, tr *trace.Trace, g *overlay.Graph, rng *rand.Rand) *System {
+	n := len(tr.Peers)
 	s := &System{
 		G:           g,
 		U:           u,
-		Load:        metrics.NewLoadAccount(horizonSec),
-		initialLive: initialLive,
+		Tr:          tr,
+		Load:        metrics.NewLoadAccount(int(tr.Span()/1000) + 2),
+		initialLive: tr.InitialLive,
 		interests:   make([]content.ClassSet, n),
 		docs:        make([][]content.DocID, n),
 		docPos:      make([]map[content.DocID]int32, n),
@@ -286,7 +273,7 @@ func newSystemState(u *content.Universe, peers []content.PeerID, initialLive, ho
 	// Load contents and count keyword occurrences.
 	totalPost := 0
 	for i := 0; i < n; i++ {
-		peer := u.Peer(peers[i])
+		peer := u.Peer(tr.Peers[i])
 		s.interests[i] = peer.Interests
 		s.docPos[i] = make(map[content.DocID]int32, len(peer.Docs))
 		docs := make([]content.DocID, 0, len(peer.Docs))

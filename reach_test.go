@@ -30,7 +30,7 @@ var testOnlyAllowlist = map[string]string{
 	"obs.NewHeapGauge":               "experiments' TestSmallReplayPeakHeapBound (make mem-gate)",
 	"obs.HeapGauge.PeakMB":           "experiments' TestSmallReplayPeakHeapBound (make mem-gate)",
 	"obs.Recorder.SetHeapGauge":      "experiments' TestSmallReplayPeakHeapBound (make mem-gate) attaches its gauge to the replay",
-	"overlay.Graph.Host":             "sim's TestTopoProtoReplayMatchesFresh and TestSystemRandomDifferentSeeds compare overlay hosts",
+	"overlay.Graph.Host":             "sim's TestTopoProtoReplayMatchesFresh and TestSystemRandomDifferentSeeds, and cluster_test.go's TestClusterScale, compare overlay hosts",
 	"sim.NewSystemWithGraph":         "core's super-peer tests (superSystem) and delivery benchmarks build a system over a hand-built overlay",
 }
 
